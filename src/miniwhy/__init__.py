@@ -16,8 +16,8 @@ from .parser import parse
 from .printer import expr_to_str, pretty_print
 from .typecheck import TypedUnit, check_unit, typecheck
 from .values import BINARY64, RATIONAL
-from .interp import (ExecutionOutcome, check_permut, compile_unit,
-                     eval_formula, exec_method)
+from .interp import (CompiledFormula, ExecutionOutcome, check_permut,
+                     compile_unit, eval_formula, exec_method)
 from .vcgen import (Obligation, ObligationSet, generate_obligations,
                     instantiate_on_trace, wp)
 from .simplify import simplify
@@ -29,7 +29,8 @@ __all__ = [
     "__version__",
     "parse", "pretty_print", "expr_to_str",
     "typecheck", "check_unit", "TypedUnit",
-    "exec_method", "eval_formula", "check_permut", "compile_unit",
+    "exec_method", "eval_formula", "CompiledFormula", "check_permut",
+    "compile_unit",
     "ExecutionOutcome", "RATIONAL", "BINARY64",
     "wp", "generate_obligations", "instantiate_on_trace",
     "Obligation", "ObligationSet",

@@ -47,10 +47,6 @@ def _free_symbols(ob):
     return dict(sorted(ob.var_sorts.items()))
 
 
-def _goal_with_hyps(ob):
-    return list(ob.hypotheses), ob.goal
-
-
 # ---------------------------------------------------------------------------
 # SMT-LIB 2
 
@@ -160,13 +156,13 @@ def export_smtlib(ob) -> ExportDoc:
     `unsat` from a conforming solver means the obligation is valid. The
     goal's universal prefix is opened into declared constants."""
     r = _SmtRenderer()
-    hyps, goal = _goal_with_hyps(ob)
+    goal = ob.goal
     decls = dict(_free_symbols(ob))
     while isinstance(goal, S.Forall):
         for name, ty in goal.binders:
             decls[name] = ty
         goal = goal.body
-    hyp_terms = [r.term(h) for h in hyps]
+    hyp_terms = [r.term(h) for h in ob.hypotheses]
     goal_term = r.term(goal)
 
     lines = [f"; obligation {ob.id}: {ob.name}", "(set-logic AUFNIRA)"]

@@ -6,6 +6,14 @@ loop invariant/variant, behaviour and assert checks exactly where the
 semantics places them. The same expression compiler backs eval_formula, so
 runtime checks, trace validation and the prover's counterexample verifier
 share one semantics.
+
+A standalone formula compiles into a CompiledFormula with a fixed slot
+layout, which eval_formula evaluates against any state bundle of that
+layout. Nothing here retains compiled formulas: a caller that evaluates one
+formula many times keeps its CompiledFormula only while it needs it, as
+trace validation does for the length of one instantiate_on_trace call.
+Closure trees are large next to the formulas they come from, so holding
+them past that would grow memory with every obligation ever validated.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from . import syntax as S
 from .errors import ContractViolation, EvalError, ExecutionFault
 from .typecheck import TypedUnit
 from .values import (BINARY64, RATIONAL, check_finite, coerce_arg,
-                     norm_rational, snapshot_state, value_repr)
+                     norm_rational, value_repr)
 
 RET = object()          # return signal from statement closures
 
@@ -130,11 +138,12 @@ def mentions_loopentry(f: S.Expr) -> bool:
 # expression compiler
 
 class CompileCtx:
-    def __init__(self, slots, mode, cunit=None, binders=None):
+    def __init__(self, slots, mode, cunit=None, binders=None, var_types=None):
         self.slots = slots                  # name -> slot index
         self.mode = mode
         self.cunit = cunit                  # CompiledUnit, for calls
         self.binders = binders or {}        # name -> cell (1-element list)
+        self.var_types = {} if var_types is None else var_types   # slot read -> type
 
 
 def _state_list(frame, state):
@@ -161,6 +170,8 @@ def compile_expr(e: S.Expr, ctx: CompileCtx, state: str = "cur"):
             i = ctx.slots[e.name]
         except KeyError:
             raise EvalError(f"unbound variable {e.name!r}") from None
+        if e.ty is not None:
+            ctx.var_types[e.name] = e.ty
         if state == "cur":
             return lambda f: f.cur[i]
         if state == "old":
@@ -171,6 +182,8 @@ def compile_expr(e: S.Expr, ctx: CompileCtx, state: str = "cur"):
             i = ctx.slots[e.name]
         except KeyError:
             raise EvalError(f"unbound havoc symbol {e.name!r}") from None
+        if e.ty is not None:
+            ctx.var_types[e.name] = e.ty
         return lambda f: f.cur[i]
     if isinstance(e, S.IntLit):
         c = e.value
@@ -378,7 +391,7 @@ def _compile_forall(binders, body, ctx: CompileCtx, state: str):
     guards = _conjuncts(body.left)
     cells = {name: [0] for name in names}
     inner_ctx = CompileCtx(ctx.slots, ctx.mode, ctx.cunit,
-                           {**ctx.binders, **cells})
+                           {**ctx.binders, **cells}, ctx.var_types)
 
     def names_after(i):
         return set(names[i:])
@@ -760,41 +773,75 @@ def unit_digest(tunit: TypedUnit) -> str:
     return cached
 
 
-def eval_formula(f: S.Expr, states: dict, mode: str = RATIONAL, *,
-                 result=None) -> bool:
-    """Evaluate a typed two-state formula against labeled state snapshots.
+class CompiledFormula:
+    """A typed two-state formula compiled once for one state layout.
 
-    states maps labels ('Here' required; 'Old'/'Pre', 'LoopEntry' optional)
-    to name->value dicts. Bounded integer quantifiers are enumerated; a
-    quantifier without derivable finite bounds raises EvalError.
+    The layout is the sorted set of names over the state bundles the formula
+    is evaluated against; each name owns one slot. Binding coerces the value
+    of every slot the formula reads to that variable's type, as exec_method
+    coerces arguments. Compilation raises EvalError for a variable missing
+    from the layout; a quantifier without derivable bounds raises only when
+    reached.
     """
+
+    __slots__ = ("names", "mode", "_fn", "_binds")
+
+    def __init__(self, f: S.Expr, states: dict, mode: str = RATIONAL):
+        """Compile f for the layout of bundles shaped like `states`."""
+        self.names = frozenset(_bundle(states)[3])
+        self.mode = mode
+        layout = sorted(self.names)
+        slots = {n: i for i, n in enumerate(layout)}
+        ctx = CompileCtx(slots, mode)
+        self._fn = compile_expr(f, ctx)
+        self._binds = {n: (i, ctx.var_types.get(n)) for n, i in slots.items()}
+
+    def _bind(self, d):
+        if d is None:
+            return None
+        out = [None] * len(self._binds)
+        mode = self.mode
+        for n, v in d.items():
+            i, ty = self._binds[n]
+            out[i] = coerce_arg(v, ty, mode) if ty is not None else v
+        return out
+
+    def _evaluate(self, states: dict, result=None) -> bool:
+        here, old, le, names = _bundle(states)
+        if names != self.names:
+            raise EvalError("state bundle names differ from the compiled "
+                            f"layout: {sorted(names ^ self.names)}")
+        frame = Frame(len(self._binds), Kernel(self.mode, False, False, 10**9, 10**4),
+                      "<formula>")
+        frame.cur = self._bind(here)
+        frame.old = self._bind(old)
+        frame.loopentry = self._bind(le)
+        frame.res = result
+        return bool(self._fn(frame))
+
+
+def _bundle(states: dict):
+    """(Here, Old, LoopEntry, the set of names over all three)."""
     here = states.get("Here")
     if here is None:
         raise EvalError("state bundle must contain 'Here'")
     old = states.get("Old", states.get("Pre"))
     le = states.get("LoopEntry")
+    return here, old, le, set(here).union(old or (), le or ())
 
-    var_types = {}
-    for n in S.walk(f):
-        if isinstance(n, (S.Var, S.FreshVar)) and n.ty is not None:
-            var_types[n.name] = n.ty
 
-    names = sorted(set(here) | set(old or ()) | set(le or ()))
-    slots = {n: i for i, n in enumerate(names)}
+def eval_formula(f, states: dict, mode: str = RATIONAL, *,
+                 result=None) -> bool:
+    """Evaluate a typed two-state formula against labeled state snapshots.
 
-    def build(d):
-        if d is None:
-            return None
-        out = [None] * len(names)
-        for n, v in d.items():
-            ty = var_types.get(n)
-            out[slots[n]] = coerce_arg(v, ty, mode) if ty is not None else v
-        return out
-
-    frame = Frame(len(names), Kernel(mode, False, False, 10**9, 10**4), "<formula>")
-    frame.cur = build(here)
-    frame.old = build(old)
-    frame.loopentry = build(le)
-    frame.res = result
-    fn = compile_expr(f, CompileCtx(slots, mode))
-    return bool(fn(frame))
+    f is an S.Expr, compiled here for the bundle's layout, or a
+    CompiledFormula of the same mode, whose layout the bundle must match.
+    states maps labels ('Here' required; 'Old'/'Pre', 'LoopEntry' optional)
+    to name->value dicts. Bounded integer quantifiers are enumerated; a
+    quantifier without derivable finite bounds raises EvalError.
+    """
+    if not isinstance(f, CompiledFormula):
+        f = CompiledFormula(f, states, mode)
+    elif f.mode != mode:
+        raise EvalError(f"formula compiled for {f.mode} mode, evaluated in {mode}")
+    return f._evaluate(states, result)

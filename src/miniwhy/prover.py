@@ -28,6 +28,7 @@ from .errors import EvalError
 from .interp import eval_formula
 from .printer import expr_to_str
 from .simplify import simplify
+from .vcgen import validation_formula
 
 MAX_DISJUNCTS = 256
 MAX_CONSTRAINTS = 4000
@@ -589,12 +590,9 @@ def _try_refute(ob, witness, trace) -> ProofStatus:
     for name in sorts:
         v = witness.get(name, Fraction(0))
         env[name] = v
-    hyps = [h for h, src in zip(ob.hypotheses, ob.hyp_sources or []) if src != "lemma"]
-    test = ob.goal
-    for h in reversed(hyps):
-        test = S.Binary(op="==>", left=h, right=test, ty=S.BOOL)
     try:
-        holds = eval_formula(test, {"Here": dict(env), "Old": dict(env)}, "rational")
+        holds = eval_formula(validation_formula(ob),
+                             {"Here": dict(env), "Old": dict(env)}, "rational")
     except EvalError as ex:
         return ProofStatus("unknown", reason=f"counterexample not checkable: {ex}",
                            rule_trace=trace)

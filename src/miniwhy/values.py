@@ -1,4 +1,4 @@
-"""Runtime values, numeric modes and state snapshots.
+"""Runtime values and numeric modes.
 
 Two numeric modes, fixed per execution:
   * rational  — real values are exact rationals. Integral rationals are
@@ -28,16 +28,6 @@ def norm_rational(x) -> int | Fraction:
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
     return x
-
-
-def real_of_literal(value: Fraction, text: str, mode: str):
-    if mode == RATIONAL:
-        return norm_rational(value)
-    return float(text)
-
-
-def int_to_real(i: int, mode: str):
-    return i if mode == RATIONAL else float(i)
 
 
 def coerce_value(v, ty_kind: str, mode: str):
@@ -81,11 +71,6 @@ def check_finite(x: float, line=None) -> float:
     if math.isinf(x) or math.isnan(x):
         raise ExecutionFault("real overflow in binary64 mode", line)
     return x
-
-
-def snapshot_state(state: dict) -> dict:
-    """Copy a name->value map, copying arrays by value."""
-    return {k: (list(v) if isinstance(v, list) else v) for k, v in state.items()}
 
 
 def value_repr(v) -> str:

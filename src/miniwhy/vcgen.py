@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 
 from . import syntax as S
 from .errors import EvalError, VcgenError
-from .interp import ExecutionOutcome, eval_formula, loop_table, unit_digest
+from .interp import (CompiledFormula, ExecutionOutcome, eval_formula,
+                     loop_table, unit_digest)
 from .printer import expr_to_str
 from .typecheck import TypedUnit
 
@@ -785,6 +786,50 @@ def _segments(trace, method):
     return segs
 
 
+def validation_formula(ob) -> S.Expr:
+    """The ground test of an obligation: its non-lemma hypotheses ==> goal.
+
+    Trace validation evaluates it on recorded states, and the prover on a
+    candidate counterexample. Lemma hypotheses are valid, so conditioning
+    on them cannot change a verdict; leaving them out avoids their
+    (typically unbounded) quantifiers."""
+    test = ob.goal
+    for h, src in reversed(list(zip(ob.hypotheses, ob.hyp_sources or ()))):
+        if src != "lemma":
+            test = _imp(h, test)
+    return test
+
+
+@dataclass(frozen=True)
+class _TracePlan:
+    """What trace validation needs of one obligation, whatever the trace."""
+    key: tuple              # the fields the plan was derived from
+    test: S.Expr            # validation_formula(ob)
+    fresh: dict             # loop id -> {(havoc symbol, variable it stands for)}
+    result_syms: list       # sorted (call-result symbol, callee)
+
+
+def _trace_plan(ob: Obligation) -> _TracePlan:
+    """The obligation's plan, derived once and kept on the obligation while
+    its goal, hypotheses and their sources stay the same."""
+    key = (ob.goal, tuple(ob.hypotheses), tuple(ob.hyp_sources or ()))
+    plan = getattr(ob, "_trace_plan", None)
+    if plan is not None and plan.key == key:
+        return plan
+    fresh = {}
+    result_syms = set()
+    for f in [ob.goal] + list(ob.hypotheses):
+        for n in S.walk(f):
+            if isinstance(n, S.FreshVar):
+                if n.loop_id >= 0:
+                    fresh.setdefault(n.loop_id, set()).add((n.name, n.base))
+                elif n.base.endswith(".result"):
+                    result_syms.add((n.name, n.base[:-len(".result")]))
+    plan = _TracePlan(key, validation_formula(ob), fresh, sorted(result_syms))
+    ob._trace_plan = plan
+    return plan
+
+
 def _validate_one(ob: Obligation, outcome) -> ObligationTraceResult:
     if ob.kind == "lemma":
         return ObligationTraceResult(ob.id, "not-instantiable", "no program point")
@@ -792,26 +837,13 @@ def _validate_one(ob: Obligation, outcome) -> ObligationTraceResult:
     if not segs:
         return ObligationTraceResult(ob.id, "not-instantiable",
                                      f"method {ob.origin.method} not in trace")
-    hyps = [h for h, src in zip(ob.hypotheses, ob.hyp_sources) if src != "lemma"]
-    test = ob.goal
-    for h in reversed(hyps):
-        test = _imp(h, test)
-
-    fresh = {}
-    result_syms = []
-    for f in [ob.goal] + list(ob.hypotheses):
-        for n in S.walk(f):
-            if isinstance(n, S.FreshVar):
-                if n.loop_id >= 0:
-                    fresh.setdefault(n.loop_id, set()).add((n.name, n.base))
-                elif n.base.endswith(".result"):
-                    result_syms.append((n.name, n.base[:-len(".result")]))
-    result_syms = sorted(set(result_syms))
+    plan = _trace_plan(ob)
+    fresh = plan.fresh
     # a call-result symbol is universally quantified in the obligation, so any
     # recorded return value of the callee is a legitimate instantiation; the
     # assumed callee contract vacuously discharges mispaired ones
     result_choices = []
-    for name, callee in result_syms:
+    for name, callee in plan.result_syms:
         vals = [s.result for s in outcome.trace
                 if s.kind == "exit" and s.method == callee]
         if not vals:
@@ -819,6 +851,8 @@ def _validate_one(ob: Obligation, outcome) -> ObligationTraceResult:
                 ob.id, "not-instantiable", f"no recorded call of {callee}")
         result_choices.append([(name, v) for v in vals])
 
+    # the test compiles once per state layout and lives only for this call
+    compiled = {}
     evaluated = 0
     for seg in segs:
         entry_env = dict(seg[0].state)
@@ -839,9 +873,14 @@ def _validate_one(ob: Obligation, outcome) -> ObligationTraceResult:
             for picks in itertools.product(*result_choices):
                 env2 = dict(env)
                 env2.update(picks)
+                states = {"Here": env2, "Old": entry_env}
+                layout = frozenset(env2)        # entry_env's names are among env2's
                 try:
-                    holds = eval_formula(test, {"Here": env2, "Old": entry_env},
-                                         outcome.mode)
+                    test = compiled.get(layout)
+                    if test is None:
+                        test = compiled[layout] = CompiledFormula(
+                            plan.test, states, outcome.mode)
+                    holds = eval_formula(test, states, outcome.mode)
                 except EvalError as ex:
                     return ObligationTraceResult(ob.id, "not-instantiable", str(ex))
                 evaluated += 1

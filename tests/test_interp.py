@@ -4,7 +4,8 @@ import pytest
 
 from miniwhy import corpus
 from miniwhy import syntax as S
-from miniwhy.interp import eval_formula, exec_method
+from miniwhy.errors import EvalError
+from miniwhy.interp import CompiledFormula, eval_formula, exec_method
 from miniwhy.parser import parse
 from miniwhy.typecheck import typecheck
 
@@ -238,6 +239,23 @@ def test_eval_empty_range_is_vacuous():
     f = typed_formula("\\forall integer k; 0 <= k <= n ==> a[k] > 0",
                       {"a": S.ARRAY_INT, "n": S.INT})
     assert eval_formula(f, {"Here": {"a": [], "n": -1}})
+
+
+def test_compiled_formula_rejects_a_bundle_of_another_layout():
+    f = typed_formula("x < y", {"x": S.INT, "y": S.INT})
+    cf = CompiledFormula(f, {"Here": {"x": 1, "y": 2}})
+    assert eval_formula(cf, {"Here": {"x": 1, "y": 2}})
+    assert not eval_formula(cf, {"Here": {"y": 1, "x": 2}})
+    for states in ({"Here": {"x": 1}},
+                   {"Here": {"x": 1, "z": 2}},
+                   {"Here": {"x": 1, "y": 2, "z": 3}},
+                   {"Here": {"x": 1, "y": 2}, "Old": {"w": 0}}):
+        with pytest.raises(EvalError, match="differ from the compiled layout"):
+            eval_formula(cf, states)
+    with pytest.raises(EvalError, match="compiled for rational"):
+        eval_formula(cf, {"Here": {"x": 1, "y": 2}}, "binary64")
+    with pytest.raises(EvalError, match="unbound variable 'y'"):
+        CompiledFormula(f, {"Here": {"x": 1, "z": 2}})
 
 
 def test_ghost_variables_visible_to_annotations_only(quickselect_unit):

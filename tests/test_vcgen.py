@@ -1,15 +1,20 @@
+import random
 from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from miniwhy import syntax as S
-from miniwhy.errors import VcgenError
-from miniwhy.interp import eval_formula
+from miniwhy import vcgen
+from miniwhy.errors import EvalError, VcgenError
+from miniwhy.interp import eval_formula, exec_method
 from miniwhy.parser import parse
 from miniwhy.printer import expr_to_str
 from miniwhy.simplify import simplify
 from miniwhy.typecheck import typecheck
-from miniwhy.vcgen import generate_obligations, wp
+from miniwhy.vcgen import (Obligation, ObligationSet, Origin,
+                           generate_obligations, instantiate_on_trace, wp)
 
 from helpers import typed_formula
 
@@ -218,3 +223,125 @@ def test_assert_becomes_side_obligation_and_assumption():
     main = next(ob for ob in obs if ob.kind == "ensures")
     # assert is assumed by the continuation: the main goal is an implication
     assert isinstance(main.goal, S.Binary) and main.goal.op == "==>"
+
+
+# ---------------------------------------------------------------------------
+# trace validation compiles each obligation once per call
+
+def _traced_runs(quickselect_unit, sqrt_unit, seed):
+    """Normal traced runs of quickselect and of both sqrt methods."""
+    rng = random.Random(seed)
+    runs = []
+    for _ in range(3):
+        n = rng.randint(1, 7)
+        buf = [rng.randint(-9, 9) for _ in range(n)]
+        runs.append((quickselect_unit, "find_nth_lowest_number",
+                     [buf, n, rng.randrange(n)], "rational"))
+    c = Fraction(rng.randint(0, 40), rng.choice([1, 2, 4]))
+    runs.append((sqrt_unit, "sqrt", [c], "rational"))
+    runs.append((sqrt_unit, "sqrt_newton", [c, Fraction(1, 100)], "rational"))
+    runs.append((sqrt_unit, "sqrt", [float(c)], "binary64"))
+    out = []
+    for unit, method, args, mode in runs:
+        o = exec_method(unit, method, args, mode, trace=True)
+        if o.status == "normal":
+            out.append((unit, method, o))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EvalError as ex:
+        return f"EvalError: {ex}"
+
+
+def test_compiled_validation_formula_agrees_with_bare_evaluation(
+        quickselect_unit, sqrt_unit, monkeypatch):
+    """For every instantiation trace validation makes, the compiled formula
+    gives the value, or the EvalError message, that eval_formula gives on
+    the bare expression."""
+    compile_formula, evaluate = vcgen.CompiledFormula, vcgen.eval_formula
+    source = {}
+    seen = Counter()
+
+    def checked_compile(f, states, mode):
+        try:
+            cf = compile_formula(f, states, mode)
+        except EvalError as ex:
+            assert _outcome(evaluate, f, states, mode) == f"EvalError: {ex}"
+            seen["compile error"] += 1
+            raise
+        source[cf] = f
+        return cf
+
+    def checked_eval(cf, states, mode):
+        got = _outcome(evaluate, cf, states, mode)
+        assert got == _outcome(evaluate, source[cf], states, mode)
+        seen["error" if isinstance(got, str) else "value"] += 1
+        if isinstance(got, str):
+            raise EvalError(got[len("EvalError: "):])
+        return got
+
+    monkeypatch.setattr(vcgen, "CompiledFormula", checked_compile)
+    monkeypatch.setattr(vcgen, "eval_formula", checked_eval)
+    qs = generate_obligations(quickselect_unit, "find_nth_lowest_number")
+    # goals no trace can evaluate: one fails to compile, one when it runs
+    for i, (text, sorts) in enumerate([
+            ("absent > 0", {"absent": S.INT}),
+            ("\\forall integer k; buf[0] <= buf[k]", {"buf": S.ARRAY_REAL})]):
+        qs.obligations.append(Obligation(
+            id=f"unevaluable:{i}", name=text,
+            origin=Origin("find_nth_lowest_number", 1, "assert"),
+            hypotheses=[], hyp_sources=[], goal=typed_formula(text, sorts)))
+    obsets = {quickselect_unit.unit.name: qs,
+              sqrt_unit.unit.name: generate_obligations(sqrt_unit)}
+    modes = Counter()
+    for seed in (1, 2, 3):
+        for unit, _method, out in _traced_runs(quickselect_unit, sqrt_unit, seed):
+            rep = instantiate_on_trace(obsets[unit.unit.name], out)
+            assert not rep.failed
+            modes[out.mode] += 1
+    assert modes["rational"] >= 12 and modes["binary64"] >= 1
+    assert seen["value"] > 500 and seen["error"] and seen["compile error"], seen
+
+
+def _hand_built(ob):
+    """The obligation as a caller would build it: no generation-time data."""
+    return Obligation(id=ob.id, name=ob.name, origin=ob.origin,
+                      hypotheses=list(ob.hypotheses),
+                      hyp_sources=list(ob.hyp_sources), goal=ob.goal)
+
+
+def test_hand_built_havoc_obligations_validate_like_generated_ones(quickselect_unit):
+    obs = generate_obligations(quickselect_unit, "find_nth_lowest_number")
+    generated = [ob for ob in obs if ob.has_fresh]
+    assert generated
+    # negated goals fail on the trace, so witnesses are compared as well
+    generated += [replace(ob, id=ob.id + ":negated",
+                          goal=S.Unary(op="!", operand=ob.goal, ty=S.BOOL))
+                  for ob in generated]
+    hand = [_hand_built(ob) for ob in generated]
+    assert not any(ob.var_sorts or ob.loop_ids for ob in hand)
+    sets = [ObligationSet(unit=obs.unit, unit_digest=obs.unit_digest,
+                          obligations=part) for part in (generated, hand)]
+    verdicts = Counter()
+    for buf, n in (([3, 1, 2], 1), ([5, 5, 1, 4, 1, 2], 3), ([9, -2, 7, 7, 0], 0)):
+        out = exec_method(quickselect_unit, "find_nth_lowest_number",
+                          [buf, len(buf), n], "rational", trace=True)
+        want, got = (instantiate_on_trace(s, out).results for s in sets)
+        assert got == want
+        verdicts.update(r.verdict for r in got)
+    assert verdicts["pass"] and verdicts["fail"]
+
+
+def test_validation_follows_an_obligation_edited_in_place(quickselect_unit):
+    obs = generate_obligations(quickselect_unit, "find_nth_lowest_number")
+    ob = next(ob for ob in obs if ob.has_fresh)
+    single = ObligationSet(unit=obs.unit, unit_digest=obs.unit_digest,
+                           obligations=[ob])
+    out = exec_method(quickselect_unit, "find_nth_lowest_number",
+                      [[3, 1, 2], 3, 1], "rational", trace=True)
+    assert instantiate_on_trace(single, out).results[0].verdict == "pass"
+    ob.goal = S.BoolLit(value=False, ty=S.BOOL)
+    assert instantiate_on_trace(single, out).results[0].verdict == "fail"
