@@ -511,7 +511,11 @@ class _Parser:
 def parse(text: str, name: str = "unit") -> S.SourceUnit:
     """Parse MiniJML source text into a SourceUnit.
 
-    Raises ParseError with line/column and the expected-token set on failure.
+    Raises ParseError with line/column and the expected-token set on failure,
+    also for nesting too deep for the recursive descent.
     """
     p = _Parser(tokenize(text))
-    return p.parse_unit(name)
+    try:
+        return p.parse_unit(name)
+    except RecursionError:
+        raise ParseError("nesting too deep", p.cur.line, p.cur.col) from None

@@ -197,11 +197,8 @@ def _nnf(f: S.Expr, positive: bool, px: _Prenex, dropped: list) -> S.Expr:
         if not positive:
             # negated forall is existential: satisfiability treats the
             # binders as free fresh symbols (Skolem constants)
-            sub = {}
-            for name, ty in f.binders:
-                sub[name] = px.open_binder(name, ty)
-            body = _rename(f.body, sub)
-            return _nnf(body, False, px, dropped)
+            sub = {name: px.open_binder(name, ty) for name, ty in f.binders}
+            return _nnf(S.substitute(f.body, sub), False, px, dropped)
         # universally quantified constraint: dropping it weakens the
         # satisfiability query, which is sound for proving
         dropped.append(f)
@@ -219,21 +216,6 @@ def _nnf(f: S.Expr, positive: bool, px: _Prenex, dropped: list) -> S.Expr:
 
 
 _NEG = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
-
-
-def _rename(f, sub):
-    from .vcgen import _map_children
-
-    def tr(e):
-        if isinstance(e, S.Var) and e.name in sub:
-            return sub[e.name]
-        if isinstance(e, S.Forall):
-            inner = {k: v for k, v in sub.items()
-                     if all(k != n for n, _ in e.binders)}
-            from dataclasses import replace as drep
-            return drep(e, body=_rename(e.body, inner))
-        return _map_children(e, tr)
-    return tr(f)
 
 
 def _dnf(f: S.Expr) -> list:
@@ -527,34 +509,42 @@ def prove_internal(ob) -> ProofStatus:
     return _try_refute(ob, sat_witness, trace)
 
 
+def _literal(lit):
+    """(negated, formula, op) of a DNF literal: op is the comparison a numeric
+    literal states once its negation is folded in, None for any other."""
+    neg = isinstance(lit, S.Unary) and lit.op == "!"
+    f = lit.operand if neg else lit
+    if isinstance(f, S.Binary) and f.op in _NEG and f.left.ty in (S.INT, S.REAL):
+        return neg, f, _NEG[f.op] if neg else f.op
+    return neg, f, None
+
+
 def _refute_conjunct(conj: list, trace):
     """None when refuted; (witness, atoms) when satisfiable-as-abstracted."""
+    # each != literal splits the conjunct in two: k of them cost 2**k
+    splits = sum(_literal(lit)[2] == "!=" for lit in conj)
+    if 2 ** splits > MAX_DISJUNCTS:
+        raise _ResourceCap(f"disequality split ({splits} literals)")
     atoms = _Atoms()
     constraints = []
     bools = {}
     for lit in conj:
-        neg = False
-        f = lit
-        if isinstance(f, S.Unary) and f.op == "!":
-            neg = True
-            f = f.operand
+        neg, f, op = _literal(lit)
         if isinstance(f, S.BoolLit):
             if f.value == neg:
                 return None
             continue
-        if isinstance(f, S.Binary) and f.op in ("==", "!=", "<", "<=", ">", ">=") \
-                and f.left.ty in (S.INT, S.REAL):
-            op = _NEG[f.op] if neg else f.op
-            if op == "!=":
-                # split once: a != b  ->  a < b or a > b; recurse on both
-                lt = _refute_conjunct(
-                    [x for x in conj if x is not lit] +
-                    [S.Binary(op="<", left=f.left, right=f.right, ty=S.BOOL)], trace)
-                if lt is not None:
-                    return lt
-                return _refute_conjunct(
-                    [x for x in conj if x is not lit] +
-                    [S.Binary(op=">", left=f.left, right=f.right, ty=S.BOOL)], trace)
+        if op == "!=":
+            # split once: a != b  ->  a < b or a > b; recurse on both
+            rest = [x for x in conj if x is not lit]
+            for split in ("<", ">"):
+                result = _refute_conjunct(
+                    rest + [S.Binary(op=split, left=f.left, right=f.right,
+                                     ty=S.BOOL)], trace)
+                if result is not None:
+                    return result
+            return None
+        if op is not None:
             constraints.extend(atoms.constraint(op, f.left, f.right))
             continue
         if isinstance(f, S.Forall):

@@ -256,14 +256,8 @@ def _simp_expr(e: S.Expr, ctx) -> S.Expr:
         return e
     if e.ty in (S.INT, S.REAL):
         return to_expr(linearize(e, ctx), e.ty)
-    if isinstance(e, S.Store):
-        return replace(e, array=_simp_expr(e.array, ctx),
-                       index=_simp_expr(e.index, ctx),
-                       value=_simp_expr(e.value, ctx))
-    if isinstance(e, S.OldExpr):
-        return replace(e, operand=_simp_expr(e.operand, ctx))
-    if isinstance(e, S.AtLabel):
-        return replace(e, operand=_simp_expr(e.operand, ctx))
+    if isinstance(e, (S.Store, S.OldExpr, S.AtLabel)):
+        return S.map_children(e, lambda c: _simp_expr(c, ctx))
     if e.ty == S.BOOL:
         return simplify_in(e, ctx)
     return e
@@ -360,10 +354,9 @@ def simplify_in(f: S.Expr, ctx) -> S.Expr:
         return replace(f, a1=a1, a2=a2, lo=_simp_expr(f.lo, ctx),
                        hi=_simp_expr(f.hi, ctx))
     if isinstance(f, S.PermutPred):
-        return replace(f, array=_simp_expr(f.array, ctx),
-                       lo=_simp_expr(f.lo, ctx), hi=_simp_expr(f.hi, ctx))
+        return S.map_children(f, lambda c: _simp_expr(c, ctx))
     if isinstance(f, S.OldExpr):
-        return replace(f, operand=simplify_in(f.operand, ctx))
+        return S.map_children(f, lambda c: simplify_in(c, ctx))
     return f
 
 
@@ -380,10 +373,8 @@ def _expand_forall(f: S.Forall, ctx) -> S.Expr:
         if hi - lo + 1 > EXPAND_LIMIT or hi < lo - 1:
             continue
         rest = f.binders[:i] + f.binders[i + 1:]
-        insts = []
-        for k in range(lo, hi + 1):
-            inst = _subst_binder(body, name, S.IntLit(value=k, ty=S.INT))
-            insts.append(inst)
+        insts = [S.substitute(body, {name: S.IntLit(value=k, ty=S.INT)})
+                 for k in range(lo, hi + 1)]
         inner = S.conj([replace(x, ty=S.BOOL) for x in insts]) if insts \
             else S.BoolLit(value=True, ty=S.BOOL)
         if rest:
@@ -437,17 +428,6 @@ def _literal_bounds(body, name):
     if lo is None or hi is None:
         return None
     return lo, hi
-
-
-def _subst_binder(f, name, repl):
-    def tr(e):
-        if isinstance(e, S.Var) and e.name == name:
-            return repl
-        if isinstance(e, S.Forall) and any(n == name for n, _ in e.binders):
-            return e
-        from .vcgen import _map_children
-        return _map_children(e, tr)
-    return tr(f)
 
 
 def simplify(f: S.Expr, hypotheses=()) -> S.Expr:

@@ -8,7 +8,7 @@ units safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -331,6 +331,74 @@ def conj(parts: list) -> Expr:
     for p in parts[1:]:
         out = Binary(op="&&", left=out, right=p, pos=out.pos)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The term core: every expression rewriter rebuilds terms through these
+
+# the fields of each Expr class that hold child expressions (a list field
+# holds a list of them); classes absent here are leaves
+CHILDREN = {
+    Unary: ("operand",), Coerce: ("operand",), OldExpr: ("operand",),
+    AtLabel: ("operand",), LengthExpr: ("array",), NewArray: ("size",),
+    Forall: ("body",), Binary: ("left", "right"), Index: ("array", "index"),
+    Store: ("array", "index", "value"), Call: ("args",), PredCall: ("args",),
+    PermutPred: ("array", "lo", "hi"), PermutAtom: ("a1", "a2", "lo", "hi"),
+}
+
+
+def children(e: Expr):
+    """The child expressions of e, in table order."""
+    for name in CHILDREN.get(type(e), ()):
+        v = getattr(e, name)
+        if isinstance(v, list):
+            yield from v
+        elif v is not None:
+            yield v
+
+
+def map_children(e: Expr, fn) -> Expr:
+    """e with fn applied to each child expression. Returns e itself when no
+    child changed; otherwise a copy of e alone (pos and ty kept) with the
+    new children."""
+    changed = {}
+    for name in CHILDREN.get(type(e), ()):
+        old = getattr(e, name)
+        if isinstance(old, list):
+            new = [fn(x) for x in old]
+            if any(a is not b for a, b in zip(new, old)):
+                changed[name] = new
+        elif old is not None:
+            new = fn(old)
+            if new is not old:
+                changed[name] = new
+    return replace(e, **changed) if changed else e
+
+
+def rewrite(f: Expr, fn) -> Expr:
+    """Top-down rewrite: fn(e) returns e's replacement, or None to descend
+    into e's children. Unchanged subtrees are returned as they are."""
+    def tr(e):
+        out = fn(e)
+        return map_children(e, tr) if out is None else out
+    return tr(f)
+
+
+def substitute(f: Expr, env: dict, pinned=()) -> Expr:
+    """Replace each free Var whose name is in env by env[name]. A quantifier
+    binder shadows its name below it; nodes of the pinned classes (say
+    OldExpr, whose operand denotes another state) are left whole."""
+    def tr(e):
+        if isinstance(e, Var):
+            return env.get(e.name, e)
+        if isinstance(e, pinned):
+            return e
+        if isinstance(e, Forall) and any(n in env for n, _ in e.binders):
+            inner = {k: v for k, v in env.items()
+                     if all(k != n for n, _ in e.binders)}
+            return map_children(e, lambda b: substitute(b, inner, pinned))
+        return map_children(e, tr)
+    return tr(f) if env else f
 
 
 def walk(node):

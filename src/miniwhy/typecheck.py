@@ -461,18 +461,26 @@ def is_sqrt_definition(r: S.Expr, v: S.Expr, pos) -> S.Expr:
     return out
 
 
+def _check(unit: S.SourceUnit):
+    """(rewritten unit, issues). Nesting too deep for the recursive checker
+    is an issue at the method being checked, not a RecursionError."""
+    c = _Checker(unit)
+    try:
+        return c.run(), c.issues
+    except RecursionError:
+        where = getattr(c.method, "pos", (0, 0))
+        return None, c.issues + [TypeIssue("nesting too deep", where)]
+
+
 def check_unit(unit: S.SourceUnit) -> list[TypeIssue]:
     """All type errors in the unit; empty list means it typechecks."""
-    c = _Checker(unit)
-    c.run()
-    return c.issues
+    return _check(unit)[1]
 
 
 def typecheck(unit: S.SourceUnit) -> TypedUnit:
     """Typecheck a parsed unit; raises TypeCheckFailure listing every issue."""
-    c = _Checker(unit)
-    rewritten = c.run()
-    if c.issues:
-        raise TypeCheckFailure(c.issues)
+    rewritten, issues = _check(unit)
+    if issues:
+        raise TypeCheckFailure(issues)
     return TypedUnit(unit=rewritten, source=unit,
                      method_index={m.name: m for m in rewritten.methods})

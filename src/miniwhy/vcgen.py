@@ -89,63 +89,33 @@ def lower(f: S.Expr, loop_id=None) -> S.Expr:
     markers are tagged with the owning loop so that only that loop's havoc
     consumes them."""
     def tr(e):
-        if isinstance(e, S.PermutPred):
-            def wrap(label, arr):
-                if label in ("Old", "Pre"):
-                    return S.OldExpr(operand=arr, pos=arr.pos, ty=arr.ty)
-                if label == "LoopEntry":
-                    return S.AtLabel(operand=arr, label=_entry_tag(loop_id),
-                                     pos=arr.pos, ty=arr.ty)
-                return arr
-            arr = tr(e.array)
-            return S.PermutAtom(a1=wrap(e.label1, arr), a2=wrap(e.label2, arr),
-                                lo=tr(e.lo), hi=tr(e.hi), pos=e.pos, ty=S.BOOL)
-        return _map_children(e, tr)
-    return tr(f)
+        if not isinstance(e, S.PermutPred):
+            return None
+        def wrap(label, arr):
+            if label in ("Old", "Pre"):
+                return S.OldExpr(operand=arr, pos=arr.pos, ty=arr.ty)
+            if label == "LoopEntry":
+                return S.AtLabel(operand=arr, label=_entry_tag(loop_id),
+                                 pos=arr.pos, ty=arr.ty)
+            return arr
+        arr = lower(e.array, loop_id)
+        return S.PermutAtom(a1=wrap(e.label1, arr), a2=wrap(e.label2, arr),
+                            lo=lower(e.lo, loop_id), hi=lower(e.hi, loop_id),
+                            pos=e.pos, ty=S.BOOL)
+    return S.rewrite(f, tr)
 
 
-def _map_children(e: S.Expr, fn) -> S.Expr:
-    if isinstance(e, S.Unary):
-        return replace(e, operand=fn(e.operand))
-    if isinstance(e, S.Binary):
-        return replace(e, left=fn(e.left), right=fn(e.right))
-    if isinstance(e, S.Index):
-        return replace(e, array=fn(e.array), index=fn(e.index))
-    if isinstance(e, S.LengthExpr):
-        return replace(e, array=fn(e.array))
-    if isinstance(e, S.Coerce):
-        return replace(e, operand=fn(e.operand))
-    if isinstance(e, S.OldExpr):
-        return replace(e, operand=fn(e.operand))
-    if isinstance(e, S.AtLabel):
-        return replace(e, operand=fn(e.operand))
-    if isinstance(e, S.Forall):
-        return replace(e, body=fn(e.body))
-    if isinstance(e, S.Store):
-        return replace(e, array=fn(e.array), index=fn(e.index), value=fn(e.value))
-    if isinstance(e, S.PermutAtom):
-        return replace(e, a1=fn(e.a1), a2=fn(e.a2), lo=fn(e.lo), hi=fn(e.hi))
-    if isinstance(e, S.PermutPred):
-        return replace(e, array=fn(e.array), lo=fn(e.lo), hi=fn(e.hi))
-    if isinstance(e, S.Call):
-        return replace(e, args=[fn(a) for a in e.args])
-    return e        # leaves: literals, Var, FreshVar, ResultExpr
+# \old(e) and \at(e, LoopEntry) are evaluated in their own state, so a
+# substitution for the current state leaves them alone
+_PINNED = (S.OldExpr, S.AtLabel)
 
 
 def subst(f: S.Expr, name: str, repl: S.Expr) -> S.Expr:
     """Replace current-state occurrences of a scalar variable.
 
     Occurrences inside \\old(...) and \\at(..., LoopEntry) are pinned to
-    their own state and left alone. Quantifier binders never collide with
-    program variables (the typechecker forbids shadowing).
-    """
-    def tr(e):
-        if isinstance(e, S.Var) and e.name == name:
-            return repl
-        if isinstance(e, (S.OldExpr, S.AtLabel)):
-            return e
-        return _map_children(e, tr)
-    return tr(f)
+    their own state and left alone."""
+    return S.substitute(f, {name: repl}, _PINNED)
 
 
 def subst_store(f: S.Expr, name: str, idx: S.Expr, val: S.Expr) -> S.Expr:
@@ -153,28 +123,19 @@ def subst_store(f: S.Expr, name: str, idx: S.Expr, val: S.Expr) -> S.Expr:
     def tr(e):
         if isinstance(e, S.Var) and e.name == name:
             return S.Store(array=e, index=idx, value=val, pos=e.pos, ty=e.ty)
-        if isinstance(e, (S.OldExpr, S.AtLabel)):
-            return e
-        return _map_children(e, tr)
-    return tr(f)
+        return e if isinstance(e, _PINNED) else None
+    return S.rewrite(f, tr)
 
 
 def subst_result(f: S.Expr, repl: S.Expr) -> S.Expr:
-    def tr(e):
-        if isinstance(e, S.ResultExpr):
-            return repl
-        return _map_children(e, tr)
-    return tr(f)
+    return S.rewrite(f, lambda e: repl if isinstance(e, S.ResultExpr) else None)
 
 
 def unwrap_old(f: S.Expr) -> S.Expr:
     """At obligation close every remaining current-state symbol denotes the
     entry state, so \\old(e) collapses to e."""
-    def tr(e):
-        if isinstance(e, S.OldExpr):
-            return tr(e.operand)
-        return _map_children(e, tr)
-    return tr(f)
+    return S.rewrite(f, lambda e: unwrap_old(e.operand)
+                     if isinstance(e, S.OldExpr) else None)
 
 
 def havoc(f: S.Expr, mapping: dict, entry_tag: str = None) -> S.Expr:
@@ -183,23 +144,16 @@ def havoc(f: S.Expr, mapping: dict, entry_tag: str = None) -> S.Expr:
     the havoc state, so they unwrap under the same mapping; markers owned by
     other loops stay pinned untouched."""
     def tr(e):
-        if isinstance(e, S.Var) and e.name in mapping:
-            return mapping[e.name]
+        if isinstance(e, S.Var):
+            return mapping.get(e.name, e)
         if isinstance(e, S.OldExpr):
             return e
         if isinstance(e, S.AtLabel):
-            if entry_tag is not None and e.label == entry_tag:
-                return unwrap(e.operand)
+            if e.label == entry_tag:
+                return S.substitute(e.operand, mapping, (S.OldExpr,))
             return e
-        return _map_children(e, tr)
-
-    def unwrap(e):
-        if isinstance(e, S.Var) and e.name in mapping:
-            return mapping[e.name]
-        if isinstance(e, S.OldExpr):
-            return e
-        return _map_children(e, unwrap)
-    return tr(f)
+        return None
+    return S.rewrite(f, tr)
 
 
 def assigned_vars(st: S.Stmt) -> set:
@@ -233,46 +187,37 @@ def _ge0(e: S.Expr) -> S.Expr:
 # ---------------------------------------------------------------------------
 # guards
 
+# the nodes of program expressions; guards are not sought below any other
+# node (two-state and quantified terms of ghost code)
+_PROGRAM_NODES = (S.Binary, S.Index, S.NewArray, S.Unary, S.Coerce, S.Call)
+
+
 def collect_guards(e: S.Expr) -> list:
     """(kind, formula, line, detail) for every division and array access in a
     program expression, post-order."""
     out = []
 
     def visit(x):
-        if not isinstance(x, S.Node):
+        if not isinstance(x, _PROGRAM_NODES):
             return
-        if isinstance(x, S.Binary):
-            visit(x.left)
-            visit(x.right)
-            if x.op == "/":
-                zero = S.Coerce(operand=_int(0), ty=S.REAL)
-                out.append(("division-guard",
-                            S.Binary(op="!=", left=x.right, right=zero,
-                                     pos=x.pos, ty=S.BOOL),
-                            x.pos[0], f"divisor {expr_to_str(x.right)} != 0"))
-            return
-        if isinstance(x, S.Index):
-            visit(x.array)
-            visit(x.index)
+        for child in S.children(x):
+            visit(child)
+        if isinstance(x, S.Binary) and x.op == "/":
+            zero = S.Coerce(operand=_int(0), ty=S.REAL)
+            out.append(("division-guard",
+                        S.Binary(op="!=", left=x.right, right=zero,
+                                 pos=x.pos, ty=S.BOOL),
+                        x.pos[0], f"divisor {expr_to_str(x.right)} != 0"))
+        elif isinstance(x, S.Index):
             length = S.LengthExpr(array=x.array, pos=x.pos, ty=S.INT)
             inb = _and(_ge0(x.index),
                        S.Binary(op="<", left=x.index, right=length,
                                 pos=x.pos, ty=S.BOOL))
             out.append(("bounds-guard", inb, x.pos[0],
                         f"index {expr_to_str(x.index)} within {expr_to_str(x.array)}"))
-            return
-        if isinstance(x, S.NewArray):
-            visit(x.size)
+        elif isinstance(x, S.NewArray):
             out.append(("bounds-guard", _ge0(x.size), x.pos[0],
                         f"array size {expr_to_str(x.size)} >= 0"))
-            return
-        if isinstance(x, S.Unary):
-            visit(x.operand)
-        elif isinstance(x, S.Coerce):
-            visit(x.operand)
-        elif isinstance(x, S.Call):
-            for a in x.args:
-                visit(a)
     visit(e)
     return out
 
@@ -287,6 +232,28 @@ class _Side:
     line: int
     detail: str
     formula: S.Expr
+
+
+@dataclass
+class _Loop:
+    """One loop's verification frame: its invariant and condition, and the
+    havoc of the variables its body assigns."""
+    id: int
+    line: int
+    inv: S.Expr             # lowered, LoopEntry markers tagged with id
+    cond: S.Expr
+    mapping: dict           # assigned variable -> its havoc symbol
+
+    def hv(self, f: S.Expr) -> S.Expr:
+        return havoc(f, self.mapping, _entry_tag(self.id))
+
+    def exit_ctx(self, f: S.Expr) -> S.Expr:
+        """I && !b ==> f, havocked: f after the loop."""
+        return self.hv(_imp(_and(self.inv, _not(self.cond)), f))
+
+    def body_ctx(self, f: S.Expr) -> S.Expr:
+        """I && b ==> f, havocked: f at the start of an iteration."""
+        return self.hv(_imp(_and(self.inv, self.cond), f))
 
 
 class _Wp:
@@ -339,7 +306,7 @@ class _Wp:
             out_kind = k1 if k1 != kind else k2
             return pre, out_kind, merged + new_cond
         if isinstance(st, S.While):
-            return self.loop(st, st, post, kind, sides)
+            return self.loop(st, post, kind, sides)
         if isinstance(st, S.DoWhile):
             return self.do_loop(st, post, kind, sides)
         if isinstance(st, S.Return):
@@ -400,68 +367,65 @@ class _Wp:
                 out.append(replace(s, formula=_imp(_not(cond), s.formula)))
         return out
 
-    def loop(self, w: S.While, origin_node, post, kind, sides):
-        annot = w.annot
+    def loop_frame(self, st) -> _Loop:
+        annot = st.annot
         if annot is None or annot.invariant is None:
-            raise VcgenError(f"loop at line {w.pos[0]} has no invariant")
-        line = origin_node.pos[0]
-        loop_id = self.loops[id(w)]
-        inv = lower(annot.invariant, loop_id)
-        cond = w.cond
-        assigned = sorted(assigned_vars(w.body))
+            raise VcgenError(f"loop at line {st.pos[0]} has no invariant")
+        loop_id = self.loops[id(st)]
         types = dict(self.all_vars())
-        mapping = {}
-        for name in assigned:
-            ty = types.get(name)
-            mapping[name] = S.FreshVar(name=f"{name}@L{loop_id}", base=name,
-                                       loop_id=loop_id, ty=ty)
-        hv = lambda f: havoc(f, mapping, _entry_tag(loop_id))
+        mapping = {name: S.FreshVar(name=f"{name}@L{loop_id}", base=name,
+                                    loop_id=loop_id, ty=types.get(name))
+                   for name in sorted(assigned_vars(st.body))}
+        return _Loop(loop_id, st.pos[0], lower(annot.invariant, loop_id),
+                     st.cond, mapping)
 
+    def loop(self, w: S.While, post, kind, sides):
+        lp = self.loop_frame(w)
         out = []
         # pending goals from after the loop: I && !b ==> goal, havocked
-        exit_ctx = lambda f: hv(_imp(_and(inv, _not(cond)), f))
         for s in sides:
-            out.append(replace(s, formula=exit_ctx(s.formula)))
+            out.append(replace(s, formula=lp.exit_ctx(s.formula)))
 
         # loop condition guards hold whenever the invariant does
-        for g in self.guard_sides(cond):
-            out.append(replace(g, formula=hv(_imp(inv, g.formula))))
+        for g in self.guard_sides(w.cond):
+            out.append(replace(g, formula=lp.hv(_imp(lp.inv, g.formula))))
 
         # invariant preservation
-        p_body, _, body_sides = self.wp(w.body, inv, "invariant-preserve", [])
-        body_ctx = lambda f: hv(_imp(_and(inv, cond), f))
-        out.append(self.new_side("invariant-preserve", body_ctx(p_body), line))
+        p_body, _, body_sides = self.wp(w.body, lp.inv, "invariant-preserve", [])
+        out.append(self.new_side("invariant-preserve", lp.body_ctx(p_body),
+                                 lp.line))
         for s in body_sides:
-            out.append(replace(s, formula=body_ctx(s.formula)))
+            out.append(replace(s, formula=lp.body_ctx(s.formula)))
 
-        # variant obligations
-        if annot.variant is not None:
-            out.extend(self.variant_sides(w.annot, w.body, body_ctx, line,
-                                          loop_id))
+        out.extend(self.variant_sides(w, lp))
 
         # the main postcondition becomes the loop-exit side obligation
-        out.append(self.new_side(kind, exit_ctx(post), line, detail="loop exit"))
-        return inv, "invariant-init", out
+        out.append(self.new_side(kind, lp.exit_ctx(post), lp.line,
+                                 detail="loop exit"))
+        return lp.inv, "invariant-init", out
 
-    def variant_sides(self, annot, body, body_ctx, line, loop_id):
-        """Non-negativity, plus the decrease claim threaded through the body.
+    def variant_sides(self, st, lp):
+        """Non-negativity, plus the decrease claim threaded through the body;
+        none without a variant.
 
         When the body contains loops, wp bottoms out at the first inner
         invariant and the decrease content continues through the inner
         loops' exit chains: those are the sides whose kind tag matches this
         run, and they belong to the obligation set (the rest of the run's
         sides duplicate the invariant pass and are dropped)."""
-        v = annot.variant
-        out = [self.new_side("variant-nonneg", body_ctx(_ge0(v)), line)]
-        v_entry = S.AtLabel(operand=v, label=_entry_tag(loop_id),
+        v = st.annot.variant
+        if v is None:
+            return []
+        out = [self.new_side("variant-nonneg", lp.body_ctx(_ge0(v)), lp.line)]
+        v_entry = S.AtLabel(operand=v, label=_entry_tag(lp.id),
                             pos=v.pos, ty=v.ty)
         dec_post = S.Binary(op="<", left=v, right=v_entry, pos=v.pos, ty=S.BOOL)
-        p_dec, _, dec_sides = self.wp(body, dec_post, "variant-decrease", [])
-        out.append(self.new_side("variant-decrease", body_ctx(p_dec), line))
+        p_dec, _, dec_sides = self.wp(st.body, dec_post, "variant-decrease", [])
+        out.append(self.new_side("variant-decrease", lp.body_ctx(p_dec), lp.line))
         for s in dec_sides:
             if s.kind == "variant-decrease":
                 out.append(self.new_side("variant-decrease",
-                                         body_ctx(s.formula), s.line, s.detail))
+                                         lp.body_ctx(s.formula), s.line, s.detail))
         return out
 
     def do_loop(self, st: S.DoWhile, post, kind, sides):
@@ -471,36 +435,23 @@ class _Wp:
         preservation chain, so each obligation carries at most one havoc
         generation per loop: trace instantiation then always corresponds to
         an actual execution step."""
-        annot = st.annot
-        if annot is None or annot.invariant is None:
-            raise VcgenError(f"loop at line {st.pos[0]} has no invariant")
-        line = st.pos[0]
-        loop_id = self.loops[id(st)]
-        inv = lower(annot.invariant, loop_id)
-        cond = st.cond
-        assigned = sorted(assigned_vars(st.body))
-        types = dict(self.all_vars())
-        mapping = {name: S.FreshVar(name=f"{name}@L{loop_id}", base=name,
-                                    loop_id=loop_id, ty=types.get(name))
-                   for name in assigned}
-        hv = lambda f: havoc(f, mapping, _entry_tag(loop_id))
-        exit_ctx = lambda f: hv(_imp(_and(inv, _not(cond)), f))
-        body_ctx = lambda f: hv(_imp(_and(inv, cond), f))
-
-        out = [replace(s, formula=exit_ctx(s.formula)) for s in sides]
-        p_body, body_kind, body_sides = self.wp(st.body, inv, "invariant-init", [])
+        lp = self.loop_frame(st)
+        out = [replace(s, formula=lp.exit_ctx(s.formula)) for s in sides]
+        p_body, body_kind, body_sides = self.wp(st.body, lp.inv,
+                                                "invariant-init", [])
         # goals from inside the body: once for the unconditional first run...
         out.extend(body_sides)
         # ...and once under the loop context for every later iteration
-        for g in self.guard_sides(cond):
-            out.append(replace(g, formula=hv(_imp(inv, g.formula))))
-        out.append(self.new_side("invariant-preserve", body_ctx(p_body), line))
+        for g in self.guard_sides(st.cond):
+            out.append(replace(g, formula=lp.hv(_imp(lp.inv, g.formula))))
+        out.append(self.new_side("invariant-preserve", lp.body_ctx(p_body),
+                                 lp.line))
         for s in body_sides:
-            out.append(self.new_side(s.kind, body_ctx(s.formula), s.line, s.detail))
-        if annot.variant is not None:
-            out.extend(self.variant_sides(annot, st.body, body_ctx, line,
-                                          loop_id))
-        out.append(self.new_side(kind, exit_ctx(post), line, detail="loop exit"))
+            out.append(self.new_side(s.kind, lp.body_ctx(s.formula), s.line,
+                                     s.detail))
+        out.extend(self.variant_sides(st, lp))
+        out.append(self.new_side(kind, lp.exit_ctx(post), lp.line,
+                                 detail="loop exit"))
         return p_body, body_kind, out
 
     def reachable_callees(self, name, seen=None):
@@ -523,13 +474,11 @@ class _Wp:
         new = []
         for a in call.args:
             new.extend(self.guard_sides(a))
-        pairs = list(zip((n for n, _ in callee.params), call.args))
+        actuals = dict(zip((n for n, _ in callee.params), call.args))
 
         def inst(f):
-            f = unwrap_old(lower(f))
-            for pname, actual in pairs:
-                f = subst(f, pname, actual)
-            return f
+            # one simultaneous substitution: an actual may name a parameter
+            return S.substitute(unwrap_old(lower(f)), actuals, _PINNED)
 
         req = inst(callee.spec.requires)
         new.append(self.new_side("call-requires", req, st.pos[0],
@@ -589,14 +538,8 @@ def free_symbols(f: S.Expr, bound=frozenset(), sorts=None, loop_ids=None):
         inner = bound | {n for n, _ in f.binders}
         free_symbols(f.body, inner, sorts, loop_ids)
         return sorts, loop_ids
-    for name in getattr(f, "__dataclass_fields__", {}):
-        v = getattr(f, name)
-        if isinstance(v, S.Expr):
-            free_symbols(v, bound, sorts, loop_ids)
-        elif isinstance(v, list):
-            for item in v:
-                if isinstance(item, S.Expr):
-                    free_symbols(item, bound, sorts, loop_ids)
+    for child in S.children(f):
+        free_symbols(child, bound, sorts, loop_ids)
     return sorts, loop_ids
 
 

@@ -202,3 +202,17 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("text", [
+    "int f(int x) { return " + " + ".join(["x"] * 500) + "; }",
+    "int f(int x) { return " + "(" * 1000 + "x" + ")" * 1000 + "; }"],
+    ids=["long-sum", "deep-parens"])
+def test_nesting_too_deep_exits_2_without_a_traceback(capsys, tmp_path, text):
+    src = tmp_path / "deep.mjml"
+    src.write_text(text, encoding="utf-8")
+    for argv in (["check"], ["vc"], ["prove"], ["run", "--method", "f",
+                                                "--args", "[1]"]):
+        code, _, err = run_cli(capsys, *argv[:1], str(src), *argv[1:])
+        assert code == 2, argv
+        assert "nesting too deep" in err and "Traceback" not in err

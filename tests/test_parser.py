@@ -152,3 +152,13 @@ def test_tokenize_positions():
     toks = tokenize("int x;\nreal y;")
     assert (toks[0].line, toks[0].col) == (1, 1)
     assert toks[3].line == 2
+
+
+DEEP_PARENS = "int f(int x) { return " + "(" * 1000 + "x" + ")" * 1000 + "; }"
+
+
+def test_nesting_too_deep_to_parse_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse(DEEP_PARENS)
+    assert "nesting too deep" in str(exc.value)
+    assert exc.value.line == 1

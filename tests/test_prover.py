@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 from miniwhy import corpus
@@ -164,3 +165,20 @@ def test_resource_cap_reports_unknown():
     assert st.status in ("unknown", "proved-internal")
     if st.status == "unknown":
         assert "resource" in st.reason or "abstraction" in st.reason
+
+
+def test_disequality_splits_stop_at_the_disjunct_cap():
+    # each x != 0 hypothesis splits the negated goal in two; 14 of them
+    # would mean 2**14 Fourier-Motzkin runs
+    sorts = {f"x{i}": S.REAL for i in range(14)}
+    sorts["y"] = S.REAL
+    hyps = [typed_formula(f"x{i} != 0.0", sorts) for i in range(14)]
+    hyps.append(typed_formula("y > 0.0", sorts))
+    start = time.perf_counter()
+    st = prove_internal(mk(typed_formula("y >= 0.0", sorts), hyps, sorts))
+    assert time.perf_counter() - start < 0.5
+    assert st.status == "unknown"
+    assert st.reason == "resource cap: disequality split (14 literals)"
+    # under the cap the split still proves
+    st = prove_internal(mk(typed_formula("y >= 0.0", sorts), hyps[-4:], sorts))
+    assert st.proved

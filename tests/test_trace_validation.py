@@ -8,6 +8,7 @@ from miniwhy import syntax as S
 from miniwhy.errors import VcgenError
 from miniwhy.interp import exec_method
 from miniwhy.parser import parse
+from miniwhy.printer import expr_to_str
 from miniwhy.typecheck import typecheck
 from miniwhy.vcgen import (Obligation, ObligationSet, Origin,
                            generate_obligations, instantiate_on_trace)
@@ -176,3 +177,25 @@ def test_monotonicity_of_added_true_assert(sqrt_unit):
     kinds2 = sorted((o.kind, r.verdict) for o, r in zip(obs2, rep2.results)
                     if o.kind != "assert")
     assert kinds1 == kinds2
+
+
+NEW_ARRAY = """
+/*@ requires n == 7; @*/
+void m(int n) {
+    n = 2;
+    real[] a = new real[n];
+    /*@ assert \\length(a) == 2; @*/
+}
+"""
+
+
+def test_substitution_reaches_the_size_of_a_new_array():
+    # the assignment n = 2 must reach the n in `new real[n]`; a goal that
+    # kept the entry value 7 would be falsified by every run
+    tu = typecheck(parse(NEW_ARRAY))
+    obs = generate_obligations(tu, "m")
+    (goal,) = [ob.goal for ob in obs if ob.kind == "assert"]
+    assert expr_to_str(goal) == "\\length(new real[2]) == 2"
+    rep = instantiate_on_trace(obs, run_traced(tu, "m", [7]))
+    assert [r.verdict for r in rep.results if r.id.endswith(":assert")] == ["pass"]
+    assert not rep.failed

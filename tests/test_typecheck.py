@@ -172,3 +172,15 @@ def test_assumes_is_a_pre_state_formula():
         "/*@ behaviour b : assumes \\old(n) > 0; ensures true; @*/\n"
         "void f(int n) { }")
     assert any("old" in str(m) for m in msgs)
+
+
+LONG_SUM = "int f(int x) { return " + " + ".join(["x"] * 500) + "; }"
+
+
+def test_nesting_too_deep_to_typecheck_is_a_type_error():
+    unit = parse(LONG_SUM)          # the parser builds a long sum iteratively
+    with pytest.raises(TypeCheckFailure) as exc:
+        typecheck(unit)
+    assert [i.message for i in exc.value.issues] == ["nesting too deep"]
+    assert exc.value.issues[0].pos == unit.methods[0].pos
+    assert [i.message for i in check_unit(unit)] == ["nesting too deep"]

@@ -345,3 +345,16 @@ def test_validation_follows_an_obligation_edited_in_place(quickselect_unit):
     assert instantiate_on_trace(single, out).results[0].verdict == "pass"
     ob.goal = S.BoolLit(value=False, ty=S.BOOL)
     assert instantiate_on_trace(single, out).results[0].verdict == "fail"
+
+
+def test_call_arguments_are_substituted_simultaneously():
+    # diff(b, a) swaps the caller's names for the callee's parameters; one
+    # parameter at a time would turn `a < b` into `a < a`
+    src = ("/*@ requires a < b; ensures \\result == b - a; @*/\n"
+           "int diff(int a, int b) { return b - a; }\n"
+           "/*@ requires b < a; ensures \\result > 0; @*/\n"
+           "int f(int a, int b) { int t = diff(b, a); return t; }")
+    obs = generate_obligations(typecheck(parse(src)), "f")
+    goals = {ob.kind: expr_to_str(ob.goal) for ob in obs}
+    assert goals == {"call-requires": "b < a",
+                     "ensures": "diff@r1 == a - b ==> diff@r1 > 0"}
