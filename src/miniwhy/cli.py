@@ -183,19 +183,13 @@ def cmd_prove(args) -> int:
     records = []
     for ob in obset:
         st = prove_internal(ob)
-        if st.proved:
-            ob.status = "proved-internal"
-            detail = "; ".join(st.rule_trace)
-        elif st.status == "refuted":
-            ob.status = "refuted"
+        ob.status = st.status
+        if st.status == "refuted":
             refuted += 1
-            detail = f"counterexample {st.counterexample}"
-        else:
-            ob.status = "unknown"
+        elif not st.proved:
             residue.append(ob)
-            detail = st.reason
         records.append({"id": ob.id, "name": ob.name, "kind": ob.kind,
-                        "status": ob.status, "detail": detail})
+                        "status": ob.status, "detail": st.detail})
     exported = 0
     if args.export_unproved and residue:
         os.makedirs(args.out_dir, exist_ok=True)

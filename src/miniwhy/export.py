@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from . import syntax as S
 from .errors import ExportError
+from .values import decimal_text
 
 
 @dataclass
@@ -22,25 +23,6 @@ class ExportDoc:
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-def _decimal_or_ratio(q: Fraction):
-    """(numerator-text, None) for exact decimals, else (p, q) strings."""
-    den = q.denominator
-    d = den
-    while d % 2 == 0:
-        d //= 2
-    while d % 5 == 0:
-        d //= 5
-    if d != 1:
-        return None
-    num, k = q.numerator, 0
-    while num % den:
-        num *= 10
-        k += 1
-    digits = str(abs(num // den)).rjust(k + 1, "0")
-    text = (digits[:-k] + "." + digits[-k:]) if k else (digits + ".0")
-    return ("-" + text) if q < 0 else text
-
 
 def _free_symbols(ob):
     """name -> SemType for the obligation's free symbols, sorted."""
@@ -64,7 +46,7 @@ def _smt_num(q: Fraction, real: bool) -> str:
         return str(q.numerator) if q >= 0 else f"(- {-q.numerator})"
     if q < 0:
         return f"(- {_smt_num(-q, True)})"
-    dec = _decimal_or_ratio(q)
+    dec = decimal_text(q)
     if dec is not None:
         return dec
     return f"(/ {q.numerator}.0 {q.denominator}.0)"
@@ -298,7 +280,7 @@ class _XmlRenderer:
         if isinstance(e, S.IntLit):
             self.leaf("const", [("type", "int"), ("value", str(e.value))])
         elif isinstance(e, S.RealLit):
-            dec = _decimal_or_ratio(e.value)
+            dec = decimal_text(e.value)
             val = dec if dec is not None else f"{e.value.numerator}/{e.value.denominator}"
             self.leaf("const", [("type", "real"), ("value", val)])
         elif isinstance(e, S.BoolLit):

@@ -1,0 +1,57 @@
+"""Linear forms: a constant plus a key -> coefficient map.
+
+The simplifier and the prover both normalise int/real terms to this form.
+Each keeps its own walk from a term to a form, because their atom policies
+differ; this module holds the only copy of the arithmetic over it. A zero
+coefficient is never stored, so a form is constant exactly when it has no
+keys.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+class Lin:
+    """const + sum(coeff * key) over hashable, ordered keys."""
+    __slots__ = ("const", "coeffs")
+
+    def __init__(self, const=Fraction(0), coeffs=None):
+        self.const = const
+        self.coeffs = coeffs or {}      # key -> nonzero Fraction
+
+    @property
+    def is_const(self) -> bool:
+        return not self.coeffs
+
+    def add(self, other: Lin, k=1) -> Lin:
+        """self + k * other. A key of both is held by other's key object,
+        which matters only to keys that carry data."""
+        coeffs = dict(self.coeffs)
+        for key, v in other.coeffs.items():
+            c = coeffs.pop(key, 0) + k * v
+            if c:
+                coeffs[key] = c
+        return Lin(self.const + k * other.const, coeffs)
+
+    def scale(self, k) -> Lin:
+        if k == 0:
+            return Lin()
+        return Lin(self.const * k, {key: v * k for key, v in self.coeffs.items()})
+
+    def key(self) -> tuple:
+        """A hashable identity: equal forms have equal keys."""
+        return self.const, tuple(sorted(self.coeffs.items()))
+
+    def ratio(self, other: Lin):
+        """The k with self == k * other, or None when there is none. A
+        constant `other` gives None: no key fixes k."""
+        if not other.coeffs or self.coeffs.keys() != other.coeffs.keys():
+            return None
+        first = next(iter(other.coeffs))
+        k = self.coeffs[first] / other.coeffs[first]
+        if self.const != k * other.const:
+            return None
+        if any(self.coeffs[key] != k * v for key, v in other.coeffs.items()):
+            return None
+        return k

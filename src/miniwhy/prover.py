@@ -26,6 +26,7 @@ from fractions import Fraction
 from . import syntax as S
 from .errors import EvalError
 from .interp import eval_formula
+from .linear import Lin
 from .printer import expr_to_str
 from .simplify import simplify
 from .vcgen import validation_formula
@@ -45,6 +46,16 @@ class ProofStatus:
     def proved(self):
         return self.status == "proved-internal"
 
+    @property
+    def detail(self) -> str:
+        """One line for reports: the rule trace of a proof, the
+        counterexample of a refutation, else the reason."""
+        if self.proved:
+            return "; ".join(self.rule_trace)
+        if self.status == "refuted":
+            return f"counterexample {self.counterexample}"
+        return self.reason
+
 
 class _OutsideFragment(Exception):
     pass
@@ -59,106 +70,73 @@ class _ResourceCap(Exception):
 
 @dataclass(frozen=True)
 class Constraint:
-    """sum(coeffs) + const  OP  0, OP in {'<', '<=', '=='}."""
-    coeffs: tuple            # sorted ((key, Fraction), ...)
-    const: Fraction
+    """lin OP 0, OP in {'<', '<=', '=='}."""
+    lin: Lin
     op: str
-
-    def is_trivial(self):
-        return not self.coeffs
 
     def holds_trivially(self):
         if self.op == "<":
-            return self.const < 0
+            return self.lin.const < 0
         if self.op == "<=":
-            return self.const <= 0
-        return self.const == 0
+            return self.lin.const <= 0
+        return self.lin.const == 0
 
 
 class _Atoms:
     """Abstraction registry: canonical term -> symbol key, plus division info."""
 
     def __init__(self):
-        self.divisions = {}      # key -> (num linear dict, num const, den dict, den const)
+        self.divisions = {}      # key -> (numerator Lin, denominator Lin)
         self.int_keys = set()
         self.opaque = False      # saw a non-variable abstraction
 
-    def lin(self, e: S.Expr):
-        """(const, dict key->coeff) of an int/real term."""
+    def lin(self, e: S.Expr) -> Lin:
+        """The linear form of an int/real term."""
         if isinstance(e, S.IntLit):
-            return Fraction(e.value), {}
+            return Lin(Fraction(e.value))
         if isinstance(e, S.RealLit):
-            return e.value, {}
+            return Lin(e.value)
         if isinstance(e, S.Coerce):
             return self.lin(e.operand)
         if isinstance(e, (S.Var, S.FreshVar)):
-            key = e.name
             if e.ty == S.INT:
-                self.int_keys.add(key)
-            return Fraction(0), {key: Fraction(1)}
+                self.int_keys.add(e.name)
+            return Lin(coeffs={e.name: Fraction(1)})
         if isinstance(e, S.Unary) and e.op == "-":
-            c, t = self.lin(e.operand)
-            return -c, {k: -v for k, v in t.items()}
+            return self.lin(e.operand).scale(-1)
         if isinstance(e, S.Binary) and e.op in ("+", "-"):
-            c1, t1 = self.lin(e.left)
-            c2, t2 = self.lin(e.right)
-            sign = 1 if e.op == "+" else -1
-            out = dict(t1)
-            for k, v in t2.items():
-                out[k] = out.get(k, Fraction(0)) + sign * v
-                if out[k] == 0:
-                    del out[k]
-            return c1 + sign * c2, out
+            return self.lin(e.left).add(self.lin(e.right),
+                                        1 if e.op == "+" else -1)
         if isinstance(e, S.Binary) and e.op == "*":
-            c1, t1 = self.lin(e.left)
-            c2, t2 = self.lin(e.right)
-            if not t1:
-                if c1 == 0:
-                    return Fraction(0), {}
-                return c1 * c2, {k: c1 * v for k, v in t2.items()}
-            if not t2:
-                if c2 == 0:
-                    return Fraction(0), {}
-                return c2 * c1, {k: c2 * v for k, v in t1.items()}
+            l, r = self.lin(e.left), self.lin(e.right)
+            if l.is_const:
+                return r.scale(l.const)
+            if r.is_const:
+                return l.scale(r.const)
             return self.abstract(e)
         if isinstance(e, S.Binary) and e.op == "/":
-            nc, nt = self.lin(e.left)
-            dc, dt = self.lin(e.right)
-            if not dt and dc != 0:
-                return nc / dc, {k: v / dc for k, v in nt.items()}
-            const, term = self.abstract(e)
-            key = next(iter(term))
-            self.divisions[key] = (nt, nc, dt, dc)
-            return const, term
+            num, den = self.lin(e.left), self.lin(e.right)
+            if den.is_const and den.const != 0:
+                return num.scale(1 / den.const)
+            form = self.abstract(e)
+            self.divisions[next(iter(form.coeffs))] = (num, den)
+            return form
         return self.abstract(e)
 
-    def abstract(self, e: S.Expr):
+    def abstract(self, e: S.Expr) -> Lin:
         key = "|" + expr_to_str(e) + "|"
         self.opaque = True
         if e.ty == S.INT:
             self.int_keys.add(key)
-        return Fraction(0), {key: Fraction(1)}
+        return Lin(coeffs={key: Fraction(1)})
 
-    def constraint(self, op: str, left: S.Expr, right: S.Expr) -> list:
-        """Normalized constraints for `left op right` (== may need none)."""
-        lc, lt = self.lin(left)
-        rc, rt = self.lin(right)
-        terms = dict(lt)
-        for k, v in rt.items():
-            terms[k] = terms.get(k, Fraction(0)) - v
-            if terms[k] == 0:
-                del terms[k]
-        const = lc - rc
-        # left - right OP 0
-        if op in ("<", "<=", "=="):
-            return [Constraint(tuple(sorted(terms.items())), const, op)]
-        if op == ">":
-            return [Constraint(tuple(sorted((k, -v) for k, v in terms.items())),
-                               -const, "<")]
-        if op == ">=":
-            return [Constraint(tuple(sorted((k, -v) for k, v in terms.items())),
-                               -const, "<=")]
-        raise ValueError(op)
+    def constraint(self, op: str, left: S.Expr, right: S.Expr) -> Constraint:
+        """The constraint `left op right`, as `left - right` or its negation
+        compared with 0."""
+        lin = self.lin(left).add(self.lin(right), -1)
+        if op in (">", ">="):
+            return Constraint(lin.scale(-1), "<" if op == ">" else "<=")
+        return Constraint(lin, op)
 
 
 # ---------------------------------------------------------------------------
@@ -241,87 +219,71 @@ def _dnf(f: S.Expr) -> list:
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin with witness extraction
 
-class _Unsat(Exception):
-    pass
-
-
 def _fm(constraints: list):
     """None when the conjunction is unsatisfiable over the rationals, else a
     rational witness {key: Fraction}."""
-    # Gaussian elimination of equalities
-    subs = []      # (key, const, dict other->coeff) meaning key = const + sum(...)
+    # Gaussian elimination of equalities, pivoting on the least key. The
+    # equality scaled by -1/coeff(key) reads `v - key`, v being key's value
+    # in the other keys; adding a * (v - key) to a form substitutes v for key
+    subs = []      # (key, v - key)
     ineqs = []
     pending = list(constraints)
     while pending:
         c = pending.pop(0)
-        if c.is_trivial():
+        if c.lin.is_const:
             if not c.holds_trivially():
                 return None
             continue
         if c.op == "==":
-            (key, coeff), rest = c.coeffs[0], c.coeffs[1:]
-            # key = -(const + rest)/coeff
-            expr = {k: -v / coeff for k, v in rest}
-            const = -c.const / coeff
-            subs.append((key, const, expr))
-            repl = []
-            for other in pending + ineqs:
-                repl.append(_substitute(other, key, const, expr))
-            pending = repl
+            key = min(c.lin.coeffs)
+            solved = c.lin.scale(-1 / c.lin.coeffs[key])
+            subs.append((key, solved))
+            pending = [_substitute(o, key, solved) for o in pending + ineqs]
             ineqs = []
             continue
         ineqs.append(c)
-    # Fourier-Motzkin on inequalities
-    keys = sorted({k for c in ineqs for k, _ in c.coeffs})
+    # Fourier-Motzkin on inequalities, eliminating keys in sorted order
+    keys = sorted({k for c in ineqs for k in c.lin.coeffs})
     stack = []
     current = ineqs
     for key in keys:
         lowers, uppers, rest = [], [], []
         for c in current:
-            d = dict(c.coeffs)
-            a = d.get(key)
+            a = c.lin.coeffs.get(key)
             if a is None:
                 rest.append(c)
-                continue
-            others = {k: v for k, v in c.coeffs if k != key}
-            #  a*key + others + const OP 0
-            bound = (others, c.const, a, c.op)
-            if a > 0:
-                uppers.append(bound)     # key OP' (-others - const)/a
+            elif a > 0:
+                uppers.append(c)       # an upper bound on key
             else:
-                lowers.append(bound)
+                lowers.append(c)
         stack.append((key, lowers, uppers))
         new = list(rest)
         for lo in lowers:
             for up in uppers:
-                new.append(_combine(lo, up))
+                new.append(_combine(lo, up, key))
                 if len(new) > MAX_CONSTRAINTS:
                     raise _ResourceCap("Fourier-Motzkin blowup")
+        current = []
         for c in new:
-            if c.is_trivial() and not c.holds_trivially():
+            if not c.lin.is_const:
+                current.append(c)
+            elif not c.holds_trivially():
                 return None
-        current = [c for c in new if not c.is_trivial()]
     # satisfiable: build a witness backwards; keys never constrained by an
     # inequality default to 0
     witness = {}
 
-    def val(expr_dict, const):
-        return const + sum(v * witness.setdefault(k, Fraction(0))
-                           for k, v in expr_dict.items())
+    def val(lin, key):
+        """lin's value under the witness, key's own term left out."""
+        return lin.const + sum(v * witness.setdefault(k, Fraction(0))
+                               for k, v in lin.coeffs.items() if k != key)
 
     for key, lowers, uppers in reversed(stack):
-        lo_best, lo_strict = None, False
-        for others, const, a, op in lowers:      # a < 0
-            b = -(val(others, const)) / a        # key >=/> b
-            strict = op == "<"
-            if lo_best is None or b > lo_best or (b == lo_best and strict):
-                lo_best, lo_strict = b, strict
-        up_best, up_strict = None, False
-        for others, const, a, op in uppers:      # a > 0
-            b = -(val(others, const)) / a
-            strict = op == "<"
-            if up_best is None or b < up_best or (b == up_best and strict):
-                up_best, up_strict = b, strict
+        # the bound each constraint puts on key, given the later keys' values
+        lo_best = max((-val(c.lin, key) / c.lin.coeffs[key] for c in lowers),
+                      default=None)
+        up_best = min((-val(c.lin, key) / c.lin.coeffs[key] for c in uppers),
+                      default=None)
         if lo_best is None and up_best is None:
             witness[key] = Fraction(0)
         elif lo_best is None:
@@ -331,117 +293,61 @@ def _fm(constraints: list):
         else:
             # projection kept lo <= up (equality only when both nonstrict)
             witness[key] = (lo_best + up_best) / 2
-    for key, const, expr in reversed(subs):
-        witness[key] = val(expr, const)
+    for key, solved in reversed(subs):
+        witness[key] = val(solved, key)
     return witness
 
 
-def _substitute(c: Constraint, key, const, expr):
-    d = dict(c.coeffs)
-    a = d.pop(key, None)
+def _substitute(c: Constraint, key, solved: Lin) -> Constraint:
+    """c with key replaced by its value, solved being `value - key`."""
+    a = c.lin.coeffs.get(key)
     if a is None:
-        return Constraint(tuple(sorted(d.items())), c.const, c.op)
-    for k, v in expr.items():
-        d[k] = d.get(k, Fraction(0)) + a * v
-        if d[k] == 0:
-            del d[k]
-    return Constraint(tuple(sorted(d.items())), c.const + a * const, c.op)
+        return c
+    return Constraint(c.lin.add(solved, a), c.op)
 
 
-def _combine(lo, up):
-    o1, c1, a1, op1 = lo      # a1 < 0
-    o2, c2, a2, op2 = up      # a2 > 0
-    scale1 = Fraction(1) / -a1
-    scale2 = Fraction(1) / a2
-    terms = {k: v * scale1 for k, v in o1.items()}
-    for k, v in o2.items():
-        terms[k] = terms.get(k, Fraction(0)) + v * scale2
-        if terms[k] == 0:
-            del terms[k]
-    const = c1 * scale1 + c2 * scale2
-    op = "<" if "<" in (op1, op2) and (op1 == "<" or op2 == "<") else "<="
-    return Constraint(tuple(sorted(terms.items())), const, op)
+def _combine(lo: Constraint, up: Constraint, key) -> Constraint:
+    """The sum of a lower and an upper bound on key, scaled so key cancels."""
+    lin = lo.lin.scale(1 / -lo.lin.coeffs[key]).add(up.lin,
+                                                    1 / up.lin.coeffs[key])
+    return Constraint(lin, "<" if "<" in (lo.op, up.op) else "<=")
 
 
 # ---------------------------------------------------------------------------
 # division sign rules
 
-def _proportional(c: Constraint, terms: dict, const: Fraction, op: str, strict_ops):
-    """Does constraint c state `terms + const OP 0` up to positive scaling?"""
-    if c.op not in strict_ops:
-        return False
-    d = dict(c.coeffs)
-    if set(d) != set(terms):
-        return False
-    if not terms:
-        return False
-    k0 = next(iter(terms))
-    if terms[k0] == 0 or d[k0] == 0:
-        return False
-    scale = d[k0] / terms[k0]
-    if scale <= 0:
-        return False
-    for k, v in terms.items():
-        if d.get(k, Fraction(0)) != v * scale:
-            return False
-    return c.const == const * scale
+def _signs(lin: Lin, conj: list) -> set:
+    """The signs (1, 0, -1) that lin is known to have: its own when it is
+    constant, else those stated by a constraint of conj over a multiple of
+    lin (r * lin < 0 or r * lin == 0)."""
+    if lin.is_const:
+        return {(lin.const > 0) - (lin.const < 0)}
+    out = set()
+    for c in conj:
+        r = c.lin.ratio(lin)
+        if r is None:
+            continue
+        if c.op == "==":
+            out.add(0)
+        elif c.op == "<":
+            out.add(-1 if r > 0 else 1)
+    return out
 
 
-def _division_facts(conj: list, atoms: _Atoms) -> list:
-    """Extra constraints from the two division sign rules."""
+def _division_facts(conj: list, atoms: _Atoms):
+    """Extra constraints from the two division sign rules, and their trace
+    entries."""
     out = []
     applied = []
-    for key, (nt, nc, dt, dc) in atoms.divisions.items():
-        # is numerator > 0 present? it is  -(num) < 0
-        def present(tdict, tconst, op):
-            target_terms = {k: -v for k, v in tdict.items()}
-            target_const = -tconst
-            for c in conj:
-                if _proportional(c, target_terms, target_const, op, (op,)):
-                    return True
-            return False
-
-        num_pos = (not nt and nc > 0) or present(nt, nc, "<")
-        den_pos = (not dt and dc > 0) or present(dt, dc, "<")
-        den_neg = (not dt and dc < 0) or _neg_present(conj, dt, dc)
-        num_zero = (not nt and nc == 0) or _zero_present(conj, nt, nc)
-        if num_pos and den_pos:
-            out.append(Constraint(((key, Fraction(-1)),), Fraction(0), "<"))
+    for key, (num, den) in atoms.divisions.items():
+        num_signs, den_signs = _signs(num, conj), _signs(den, conj)
+        if 1 in num_signs and 1 in den_signs:
+            out.append(Constraint(Lin(coeffs={key: Fraction(-1)}), "<"))
             applied.append(f"division-sign: {key} > 0")
-        if num_zero and (den_pos or den_neg):
-            out.append(Constraint(((key, Fraction(1)),), Fraction(0), "=="))
+        if 0 in num_signs and den_signs - {0}:
+            out.append(Constraint(Lin(coeffs={key: Fraction(1)}), "=="))
             applied.append(f"division-sign: {key} == 0")
     return out, applied
-
-
-def _neg_present(conj, dt, dc):
-    for c in conj:
-        if _proportional(c, dict(dt), dc, "<", ("<",)):
-            return True
-    return False
-
-
-def _zero_present(conj, nt, nc):
-    for c in conj:
-        if c.op == "==" and _same_up_to_sign(c, nt, nc):
-            return True
-    return False
-
-
-def _same_up_to_sign(c, nt, nc):
-    d = dict(c.coeffs)
-    if set(d) != set(nt) or not nt:
-        return False
-    k0 = next(iter(nt))
-    if nt[k0] == 0 or d.get(k0, Fraction(0)) == 0:
-        return False
-    scale = d[k0] / nt[k0]
-    if scale == 0:
-        return False
-    for k, v in nt.items():
-        if d.get(k, Fraction(0)) != v * scale:
-            return False
-    return c.const == nc * scale
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +451,7 @@ def _refute_conjunct(conj: list, trace):
                     return result
             return None
         if op is not None:
-            constraints.extend(atoms.constraint(op, f.left, f.right))
+            constraints.append(atoms.constraint(op, f.left, f.right))
             continue
         if isinstance(f, S.Forall):
             if neg:

@@ -14,89 +14,64 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import syntax as S
+from .linear import Lin
 from .printer import expr_to_str
+from .values import decimal_text
 
 EXPAND_LIMIT = 64
 
 
 # ---------------------------------------------------------------------------
-# linear forms: const + sum(coeff * atom)
+# linear forms: a (Lin, sort) pair, the Lin keyed by printed atoms and the
+# sort REAL once any part of the term is real
 
-class Lin:
-    __slots__ = ("const", "terms", "ty")
+class _Atom(str):
+    """The printed key of an atomic subterm, carrying the subterm. Of two
+    atoms that print alike, a sum renders its right operand's."""
 
-    def __init__(self, const=Fraction(0), terms=None, ty=S.INT):
-        self.const = const
-        self.terms = terms or {}        # key -> (coeff, atom expr)
-        self.ty = ty
-
-    @property
-    def is_const(self):
-        return not self.terms
-
-    def scale(self, k: Fraction):
-        if k == 0:
-            return Lin(Fraction(0), {}, self.ty)
-        return Lin(self.const * k,
-                   {key: (c * k, a) for key, (c, a) in self.terms.items()},
-                   self.ty)
-
-    def add(self, other, sign=1):
-        terms = dict(self.terms)
-        for key, (c, a) in other.terms.items():
-            if key in terms:
-                nc = terms[key][0] + sign * c
-                if nc == 0:
-                    del terms[key]
-                else:
-                    terms[key] = (nc, a)
-            else:
-                terms[key] = (sign * c, a)
-        ty = S.REAL if S.REAL in (self.ty, other.ty) else S.INT
-        return Lin(self.const + sign * other.const, terms, ty)
-
-    def key(self):
-        return (self.const,
-                tuple(sorted((k, c) for k, (c, a) in self.terms.items())))
+    def __new__(cls, e: S.Expr):
+        key = super().__new__(cls, expr_to_str(e))
+        key.expr = e
+        return key
 
 
-def _atom(e: S.Expr) -> Lin:
-    return Lin(Fraction(0), {expr_to_str(e): (Fraction(1), e)},
-               S.REAL if e.ty == S.REAL else S.INT)
+def _atom(e: S.Expr):
+    return (Lin(coeffs={_Atom(e): Fraction(1)}),
+            S.REAL if e.ty == S.REAL else S.INT)
 
 
-def linearize(e: S.Expr, ctx) -> Lin:
-    """Normalize an int/real expression; nonlinear subterms stay atomic."""
+def _join(a: S.SemType, b: S.SemType) -> S.SemType:
+    return S.REAL if S.REAL in (a, b) else S.INT
+
+
+def linearize(e: S.Expr, ctx):
+    """(Lin, sort) of an int/real expression; nonlinear subterms stay atomic."""
     if isinstance(e, S.IntLit):
-        return Lin(Fraction(e.value), {}, S.INT)
+        return Lin(Fraction(e.value)), S.INT
     if isinstance(e, S.RealLit):
-        return Lin(e.value, {}, S.REAL)
+        return Lin(e.value), S.REAL
     if isinstance(e, S.Coerce):
-        inner = linearize(e.operand, ctx)
-        return Lin(inner.const, inner.terms, S.REAL)
+        return linearize(e.operand, ctx)[0], S.REAL
     if isinstance(e, S.Unary) and e.op == "-":
-        return linearize(e.operand, ctx).scale(Fraction(-1))
+        l, ty = linearize(e.operand, ctx)
+        return l.scale(-1), ty
     if isinstance(e, S.Binary) and e.op in ("+", "-", "*", "/"):
-        l = linearize(e.left, ctx)
-        r = linearize(e.right, ctx)
-        if e.op == "+":
-            return l.add(r)
-        if e.op == "-":
-            return l.add(r, sign=-1)
+        lf, rf = linearize(e.left, ctx), linearize(e.right, ctx)
+        (l, lt), (r, rt) = lf, rf
+        if e.op in ("+", "-"):
+            return l.add(r, 1 if e.op == "+" else -1), _join(lt, rt)
         if e.op == "*":
             if l.is_const:
-                return r.scale(l.const) if l.const != 0 else Lin(Fraction(0), {}, r.ty)
+                return r.scale(l.const), rt
             if r.is_const:
-                return l.scale(r.const)
-            prod = _render_product(to_expr(l, e.ty), to_expr(r, e.ty), e)
-            return _atom(prod)
+                return l.scale(r.const), lt
+            return _atom(_render_product(to_expr(lf, e.ty), to_expr(rf, e.ty), e))
         # division
         if l.is_const and l.const == 0 and _known_nonzero(r, ctx):
-            return Lin(Fraction(0), {}, S.REAL)
+            return Lin(), S.REAL
         if l.is_const and r.is_const and r.const != 0:
-            return Lin(l.const / r.const, {}, S.REAL)
-        div = replace(e, left=to_expr(l, S.REAL), right=to_expr(r, S.REAL))
-        return _atom(div)
+            return Lin(l.const / r.const), S.REAL
+        return _atom(replace(e, left=to_expr(lf, S.REAL), right=to_expr(rf, S.REAL)))
     # select/store reduction happens before atomization
     if isinstance(e, S.Index):
         red = _reduce_select(e, ctx)
@@ -122,8 +97,7 @@ def _render_product(a: S.Expr, b: S.Expr, orig) -> S.Expr:
 def _known_nonzero(r: Lin, ctx) -> bool:
     if r.is_const:
         return r.const != 0
-    target = r.key()
-    return target in ctx.nonzero
+    return r.key() in ctx.nonzero
 
 
 def _strip_stores(a: S.Expr) -> S.Expr:
@@ -136,9 +110,7 @@ def _reduce_select(e: S.Index, ctx):
     arr = _simp_expr(e.array, ctx)
     if not isinstance(arr, S.Store):
         return None
-    i = linearize(arr.index, ctx)
-    j = linearize(e.index, ctx)
-    diff = i.add(j, sign=-1)
+    diff = linearize(arr.index, ctx)[0].add(linearize(e.index, ctx)[0], -1)
     if diff.is_const:
         if diff.const == 0:
             return _simp_expr(arr.value, ctx)
@@ -153,32 +125,19 @@ def _frac_lit(q: Fraction, ty: S.SemType) -> S.Expr:
         return S.IntLit(value=int(q), ty=S.INT)
     if q < 0:
         return S.Unary(op="-", operand=_frac_lit(-q, ty), ty=ty)
-    den = q.denominator
-    d2, d5 = den, 0
-    while d2 % 2 == 0:
-        d2 //= 2
-    while d2 % 5 == 0:
-        d2 //= 5
-        d5 += 1
-    if d2 == 1:
-        # exact decimal
-        text = str(float(q)) if float(q) == q and "e" not in str(float(q)) else None
-        if text is None or Fraction(text) != q:
-            num, k = q.numerator, 0
-            while num % den:
-                num *= 10
-                k += 1
-            digits = str(num // den).rjust(k + 1, "0")
-            text = digits[:-k] + "." + digits[-k:] if k else digits + ".0"
+    text = decimal_text(q)
+    if text is not None:
         return S.RealLit(text=text, value=q, ty=S.REAL)
     return S.Binary(op="/", left=S.RealLit(text=f"{q.numerator}.0", value=Fraction(q.numerator), ty=S.REAL),
                     right=S.RealLit(text=f"{q.denominator}.0", value=Fraction(q.denominator), ty=S.REAL),
                     ty=S.REAL)
 
 
-def to_expr(l: Lin, ty: S.SemType) -> S.Expr:
-    """Deterministic sum-of-terms rendering, terms ordered by atom key."""
-    want = S.REAL if ty == S.REAL or l.ty == S.REAL else S.INT
+def to_expr(form, ty: S.SemType) -> S.Expr:
+    """Deterministic sum-of-terms rendering of a (Lin, sort) form, terms
+    ordered by atom key."""
+    lin, lty = form
+    want = _join(ty, lty)
 
     def cast(e):
         if want == S.REAL and e.ty == S.INT:
@@ -186,15 +145,14 @@ def to_expr(l: Lin, ty: S.SemType) -> S.Expr:
         return e
 
     parts = []
-    for key in sorted(l.terms):
-        c, a = l.terms[key]
-        a = cast(a)
+    for key in sorted(lin.coeffs):
+        c, a = lin.coeffs[key], cast(key.expr)
         if c == 1:
             parts.append((a, 1))
         elif c == -1:
             parts.append((a, -1))
         else:
-            coeff = _frac_lit(abs(c), want if want == S.REAL else S.INT)
+            coeff = _frac_lit(abs(c), want)
             parts.append((S.Binary(op="*", left=coeff, right=a, ty=want),
                           1 if c > 0 else -1))
     out = None
@@ -204,10 +162,10 @@ def to_expr(l: Lin, ty: S.SemType) -> S.Expr:
         else:
             out = S.Binary(op="+" if sign > 0 else "-", left=out, right=e, ty=want)
     if out is None:
-        return _frac_lit(l.const, want)
-    if l.const != 0:
-        sign = "+" if l.const > 0 else "-"
-        out = S.Binary(op=sign, left=out, right=_frac_lit(abs(l.const), want), ty=want)
+        return _frac_lit(lin.const, want)
+    if lin.const != 0:
+        sign = "+" if lin.const > 0 else "-"
+        out = S.Binary(op=sign, left=out, right=_frac_lit(abs(lin.const), want), ty=want)
     return out
 
 
@@ -231,11 +189,11 @@ def _learn(ctx, f: S.Expr):
         _learn(ctx, f.right)
         return
     if isinstance(f, S.Binary) and f.op in ("!=", ">", "<"):
-        l = linearize(f.left, ctx)
-        r = linearize(f.right, ctx)
-        diff = l.add(r, sign=-1)
+        l, _ = linearize(f.left, ctx)
+        r, _ = linearize(f.right, ctx)
+        diff = l.add(r, -1)
         if not diff.is_const:
-            ctx.nonzero.add(diff.scale(Fraction(1, 1)).key())
+            ctx.nonzero.add(diff.key())
             # x != 0 with x on either side
             if diff.const == 0:
                 ctx.nonzero.add(l.key())
@@ -330,12 +288,11 @@ def simplify_in(f: S.Expr, ctx) -> S.Expr:
     if isinstance(f, S.Binary) and f.op in _CMP_FOLD:
         lt, rt = f.left.ty, f.right.ty
         if lt in (S.INT, S.REAL) and rt in (S.INT, S.REAL):
-            l = linearize(f.left, ctx)
-            r = linearize(f.right, ctx)
-            diff = l.add(r, sign=-1)
+            lf, rf = linearize(f.left, ctx), linearize(f.right, ctx)
+            diff = lf[0].add(rf[0], -1)
             if diff.is_const:
                 return S.BoolLit(value=_CMP_FOLD[f.op](diff.const), ty=S.BOOL)
-            return replace(f, left=to_expr(l, lt), right=to_expr(r, rt))
+            return replace(f, left=to_expr(lf, lt), right=to_expr(rf, rt))
         # boolean or array equality: simplify children, fold identical sides
         l = _simp_expr(f.left, ctx)
         r = _simp_expr(f.right, ctx)

@@ -73,6 +73,26 @@ def check_finite(x: float, line=None) -> float:
     return x
 
 
+def decimal_text(q: Fraction):
+    """The exact decimal text of q (`-1.25`, `3.0`), or None when q has no
+    finite decimal expansion."""
+    den = q.denominator
+    d = den
+    while d % 2 == 0:
+        d //= 2
+    while d % 5 == 0:
+        d //= 5
+    if d != 1:
+        return None
+    num, k = q.numerator, 0
+    while num % den:
+        num *= 10
+        k += 1
+    digits = str(abs(num // den)).rjust(k + 1, "0")
+    text = (digits[:-k] + "." + digits[-k:]) if k else (digits + ".0")
+    return ("-" + text) if q < 0 else text
+
+
 def value_repr(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"

@@ -187,38 +187,41 @@ def _ge0(e: S.Expr) -> S.Expr:
 # ---------------------------------------------------------------------------
 # guards
 
-# the nodes of program expressions; guards are not sought below any other
-# node (two-state and quantified terms of ghost code)
-_PROGRAM_NODES = (S.Binary, S.Index, S.NewArray, S.Unary, S.Coerce, S.Call)
-
-
 def collect_guards(e: S.Expr) -> list:
-    """(kind, formula, line, detail) for every division and array access in a
-    program expression, post-order."""
+    """(kind, formula, line, detail) for every division and array access in
+    an expression, post-order. A guard found under \\old(.) or \\at(., L) is
+    stated in that state; one found under \\forall is stated under the same
+    binders, and under the antecedent of each implication that holds it."""
     out = []
 
-    def visit(x):
-        if not isinstance(x, _PROGRAM_NODES):
-            return
+    def visit(x, wrap):
+        if isinstance(x, (S.OldExpr, S.AtLabel)):
+            return visit(x.operand,
+                         lambda g: wrap(replace(x, operand=g, ty=S.BOOL)))
+        if isinstance(x, S.Forall):
+            return visit(x.body, lambda g: wrap(replace(x, body=g)))
+        if isinstance(x, S.Binary) and x.op == "==>":
+            visit(x.left, wrap)
+            return visit(x.right, lambda g: wrap(_imp(x.left, g)))
         for child in S.children(x):
-            visit(child)
+            visit(child, wrap)
         if isinstance(x, S.Binary) and x.op == "/":
             zero = S.Coerce(operand=_int(0), ty=S.REAL)
             out.append(("division-guard",
-                        S.Binary(op="!=", left=x.right, right=zero,
-                                 pos=x.pos, ty=S.BOOL),
+                        wrap(S.Binary(op="!=", left=x.right, right=zero,
+                                      pos=x.pos, ty=S.BOOL)),
                         x.pos[0], f"divisor {expr_to_str(x.right)} != 0"))
         elif isinstance(x, S.Index):
             length = S.LengthExpr(array=x.array, pos=x.pos, ty=S.INT)
             inb = _and(_ge0(x.index),
                        S.Binary(op="<", left=x.index, right=length,
                                 pos=x.pos, ty=S.BOOL))
-            out.append(("bounds-guard", inb, x.pos[0],
+            out.append(("bounds-guard", wrap(inb), x.pos[0],
                         f"index {expr_to_str(x.index)} within {expr_to_str(x.array)}"))
         elif isinstance(x, S.NewArray):
-            out.append(("bounds-guard", _ge0(x.size), x.pos[0],
+            out.append(("bounds-guard", wrap(_ge0(x.size)), x.pos[0],
                         f"array size {expr_to_str(x.size)} >= 0"))
-    visit(e)
+    visit(e, lambda g: g)
     return out
 
 

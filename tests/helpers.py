@@ -1,9 +1,11 @@
 """Shared test utilities: parsing standalone formulas against a variable
-scope, and a deterministic random generator for loop-free programs."""
+scope, and deterministic random generators for ground formulas and
+loop-free programs."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from miniwhy import syntax as S
 from miniwhy.lexer import tokenize
@@ -25,6 +27,53 @@ def typed_formula(text: str, var_types: dict, ctx: str = CTX_INVARIANT):
     out = ck.formula(f, sc, ctx)
     assert not ck.issues, ck.issues
     return out
+
+
+class FormulaGen:
+    """Random ground formulas over `a`, `b` (int) and `u`, `v` (real), with
+    bounded integer quantifiers. With `reals_only` all four are real, so
+    the prover may refute what it does not prove."""
+
+    def __init__(self, seed, reals_only=False):
+        self.rng = random.Random(seed)
+        self.vars = {"a": S.INT, "b": S.INT, "u": S.REAL, "v": S.REAL}
+        if reals_only:
+            self.vars = dict.fromkeys(self.vars, S.REAL)
+
+    def term(self, real, depth=0):
+        r = self.rng.random()
+        if depth > 2 or r < 0.45:
+            pool = ["u", "v"] if real else ["a", "b"]
+            if self.rng.random() < 0.4:
+                return (f"{self.rng.randint(-3, 3)}.5" if real
+                        else str(self.rng.randint(-4, 4)))
+            return self.rng.choice(pool)
+        op = self.rng.choice(["+", "-", "*", "*"])
+        return f"({self.term(real, depth + 1)} {op} {self.term(real, depth + 1)})"
+
+    def formula(self, depth=0):
+        r = self.rng.random()
+        if depth > 2 or r < 0.45:
+            real = self.rng.random() < 0.5
+            op = self.rng.choice(["<", "<=", ">", ">=", "==", "!="])
+            return f"{self.term(real)} {op} {self.term(real)}"
+        kind = self.rng.choice(["&&", "||", "==>", "!", "forall"])
+        if kind == "!":
+            return f"!({self.formula(depth + 1)})"
+        if kind == "forall":
+            lo = self.rng.randint(-2, 1)
+            hi = lo + self.rng.randint(0, 3)
+            op = self.rng.choice(["<", "<=", ">", ">=", "==", "!="])
+            body = f"q * {self.term(False, 2)} {op} {self.term(False, 2)}"
+            return f"(\\forall integer q; {lo} <= q <= {hi} ==> ({body}))"
+        return f"({self.formula(depth + 1)}) {kind} ({self.formula(depth + 1)})"
+
+    def state(self):
+        out = {}
+        for n, t in self.vars.items():
+            out[n] = (self.rng.randint(-5, 5) if t == S.INT
+                      else Fraction(self.rng.randint(-10, 10), 2))
+        return out
 
 
 class ProgramGen:

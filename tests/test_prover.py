@@ -1,6 +1,9 @@
+import os
 import random
 import time
 from fractions import Fraction
+
+import pytest
 
 from miniwhy import corpus
 from miniwhy import syntax as S
@@ -10,7 +13,7 @@ from miniwhy.prover import prove_internal
 from miniwhy.vcgen import (Obligation, Origin, generate_obligations,
                            instantiate_on_trace)
 
-from helpers import typed_formula
+from helpers import FormulaGen, typed_formula
 
 
 def mk(goal, hyps=(), sorts=None, fresh=False):
@@ -182,3 +185,68 @@ def test_disequality_splits_stop_at_the_disjunct_cap():
     # under the cap the split still proves
     st = prove_internal(mk(typed_formula("y >= 0.0", sorts), hyps[-4:], sorts))
     assert st.proved
+
+
+XYZ = {"x": S.REAL, "y": S.REAL, "z": S.REAL}
+
+
+@pytest.mark.parametrize("hyp, goal, proved", [
+    ("x > 0 && y > 0", "x / y > 0", True),
+    ("2 * x > 0 && 3 * y > 0", "x / y > 0", True),
+    ("x - z > 0 && y > 0", "(x - z) / y > 0", True),
+    ("x == 0 && y < 0", "x / y == 0", True),
+    ("-2 * x == 0 && y > 0", "x / y == 0", True),
+    ("x == 0 && y != 0", "x / y == 0", True),
+    ("x > 0 && y < 0", "x / y > 0", False),
+    ("x >= 0 && y > 0", "x / y > 0", False),
+    ("x < 0 && y < 0", "x / y > 0", False),
+])
+def test_division_sign_rules(hyp, goal, proved):
+    ob = mk(typed_formula(goal, XYZ), hyps=[typed_formula(hyp, XYZ)], sorts=XYZ)
+    st = prove_internal(ob)
+    if proved:
+        assert st.proved, st.reason
+        assert any(r.startswith("division-sign: ") for r in st.rule_trace)
+    else:
+        assert st.status == "unknown", st.status
+
+
+def test_verdicts_agree_with_evaluation_on_random_formulas():
+    """A proved formula holds on sampled states and a refuted one fails on
+    its counterexample, over mixed int/real and over real-only symbols."""
+    counts = {"proved-internal": 0, "refuted": 0, "unknown": 0}
+    for reals_only in (False, True):
+        for seed in range(1000):
+            gen = FormulaGen(seed, reals_only)
+            text = gen.formula()
+            try:
+                f = typed_formula(text, dict(gen.vars))
+            except AssertionError:
+                continue
+            st = prove_internal(mk(f, sorts=gen.vars))
+            counts[st.status] += 1
+            if st.proved:
+                states = [gen.state() for _ in range(5)]
+            elif st.status == "refuted":
+                states = [st.counterexample]
+            else:
+                continue
+            for sigma in states:
+                holds = eval_formula(f, {"Here": dict(sigma), "Old": dict(sigma)},
+                                     "rational")
+                assert holds == st.proved, (reals_only, seed, text, sigma)
+    assert counts["proved-internal"] >= 100 and counts["refuted"] >= 100, counts
+
+
+@pytest.mark.parametrize("entry", [e.name for e in corpus.corpus_sources()])
+def test_corpus_verdicts_match_goldens(entry):
+    """One line per obligation: id, status and the report's detail."""
+    obs = generate_obligations(corpus.unit(entry))
+    lines = []
+    for ob in obs:
+        st = prove_internal(ob)
+        lines.append(f"{ob.id}\t{st.status}\t{st.detail}\n")
+    path = os.path.join(os.path.dirname(__file__), "golden",
+                        f"{entry}.verdicts.txt")
+    with open(path, encoding="utf-8") as fh:
+        assert "".join(lines) == fh.read()

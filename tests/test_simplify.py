@@ -1,12 +1,10 @@
-import random
-from fractions import Fraction
 
 from miniwhy import syntax as S
 from miniwhy.interp import eval_formula
 from miniwhy.printer import expr_to_str
 from miniwhy.simplify import simplify
 
-from helpers import typed_formula
+from helpers import FormulaGen, typed_formula
 
 TRUE = S.BoolLit(value=True, ty=S.BOOL)
 
@@ -92,47 +90,6 @@ def test_sum_of_terms_normalization():
 
 # ---------------------------------------------------------------------------
 # soundness: eval(f) == eval(simplify(f)) on random ground formulas
-
-class FormulaGen:
-    def __init__(self, seed):
-        self.rng = random.Random(seed)
-        self.vars = {"a": S.INT, "b": S.INT, "u": S.REAL, "v": S.REAL}
-
-    def term(self, real, depth=0):
-        r = self.rng.random()
-        if depth > 2 or r < 0.45:
-            pool = ["u", "v"] if real else ["a", "b"]
-            if self.rng.random() < 0.4:
-                return (f"{self.rng.randint(-3, 3)}.5" if real
-                        else str(self.rng.randint(-4, 4)))
-            return self.rng.choice(pool)
-        op = self.rng.choice(["+", "-", "*", "*"])
-        return f"({self.term(real, depth + 1)} {op} {self.term(real, depth + 1)})"
-
-    def formula(self, depth=0):
-        r = self.rng.random()
-        if depth > 2 or r < 0.45:
-            real = self.rng.random() < 0.5
-            op = self.rng.choice(["<", "<=", ">", ">=", "==", "!="])
-            return f"{self.term(real)} {op} {self.term(real)}"
-        kind = self.rng.choice(["&&", "||", "==>", "!", "forall"])
-        if kind == "!":
-            return f"!({self.formula(depth + 1)})"
-        if kind == "forall":
-            lo = self.rng.randint(-2, 1)
-            hi = lo + self.rng.randint(0, 3)
-            op = self.rng.choice(["<", "<=", ">", ">=", "==", "!="])
-            body = f"q * {self.term(False, 2)} {op} {self.term(False, 2)}"
-            return f"(\\forall integer q; {lo} <= q <= {hi} ==> ({body}))"
-        return f"({self.formula(depth + 1)}) {kind} ({self.formula(depth + 1)})"
-
-    def state(self):
-        out = {}
-        for n, t in self.vars.items():
-            out[n] = (self.rng.randint(-5, 5) if t == S.INT
-                      else Fraction(self.rng.randint(-10, 10), 2))
-        return out
-
 
 def test_simplify_preserves_evaluation_on_1000_random_formulas():
     failures = []

@@ -358,3 +358,34 @@ def test_call_arguments_are_substituted_simultaneously():
     goals = {ob.kind: expr_to_str(ob.goal) for ob in obs}
     assert goals == {"call-requires": "b < a",
                      "ensures": "diff@r1 == a - b ==> diff@r1 > 0"}
+
+
+GHOST_ACCESSES = {
+    "old": ("/*@ ghost int g = 0; @*/\n"
+            "/*@ set g = \\length(a) + \\old(a[n]); @*/",
+            "n >= 0 && n < \\length(a)"),
+    # the guard is stated in the entry state, not over the assigned n
+    "old-after-assignment": ("n = 0;\n/*@ ghost int g = 0; @*/\n"
+                             "/*@ set g = \\old(a[n]); @*/",
+                             "n >= 0 && n < \\length(a)"),
+    "forall": ("/*@ ghost bool g = true; @*/\n"
+               "/*@ set g = (\\forall integer k; 0 <= k && k < n ==> a[k] > 0); @*/",
+               "\\forall integer k; 0 <= k && k < n ==> k >= 0 && k < \\length(a)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GHOST_ACCESSES))
+def test_ghost_accesses_under_old_and_forall_are_guarded(case):
+    ghost, want = GHOST_ACCESSES[case]
+    src = ("/*@ requires n >= 0;\n  @ ensures true;\n  @*/\n"
+           "void m(int[] a, int n) {\n" + ghost + "\n}")
+    tu = typecheck(parse(src))
+    guards = [ob for ob in generate_obligations(tu) if ob.kind == "bounds-guard"]
+    assert [expr_to_str(ob.goal) for ob in guards] == [want]
+    # the guard holds at entry exactly when the run raises no index fault
+    test = vcgen.validation_formula(guards[0])
+    for a, n in (([1], 5), ([1], 0), ([2, 3], 1), ([2, 3], 2), ([], 0)):
+        runs = exec_method(tu, "m", [a, n], "rational").status != "runtime-error"
+        state = {"a": a, "n": n}
+        assert eval_formula(test, {"Here": dict(state), "Old": dict(state)},
+                            "rational") == runs, (a, n)
