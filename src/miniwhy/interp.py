@@ -14,12 +14,31 @@ formula many times keeps its CompiledFormula only while it needs it, as
 trace validation does for the length of one instantiate_on_trace call.
 Closure trees are large next to the formulas they come from, so holding
 them past that would grow memory with every obligation ever validated.
+
+A bounded `\\forall integer k1 ... kn; guards ==> consequent` is evaluated
+by enumeration. Each binder's range is lo..hi, the greatest lower and the
+least upper bound among the guard conjuncts that compare it with a term of
+outer binders only (`e <= k`, `k < e`, ...); a binder without both bounds
+makes the quantifier non-ground, an EvalError when reached. Binders are
+enumerated outermost first, each in increasing order, and the first false
+instance ends the evaluation. The guards that gave a bound hold of every
+enumerated value, so they are not re-tested; the other guards are, before
+the consequent. A body `A && B` is split into two quantifiers evaluated in
+turn. When no guard is left and the consequent is `a[k] op e` or
+`e op a[k]` (k the innermost binder, op a comparison, neither a nor e
+mentioning k), a and e are evaluated once and the slice a[lo..hi] is
+scanned. As in the per-k loop, the first out-of-range index faults: lo when
+lo is outside a (before e is evaluated for `a[k] op e`), otherwise
+len(a) when hi reaches past the end, unless an element before it already
+made the consequent false.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import repeat
 
 from . import syntax as S
 from .errors import ContractViolation, EvalError, ExecutionFault
@@ -371,9 +390,22 @@ def check_permut(a1, a2, lo: int, hi: int) -> bool:
 
 
 # quantifier compilation: split conjunctions, derive per-binder integer
-# bounds from implication antecedents, enumerate the resulting boxes
+# bounds from the guard conjuncts, enumerate the resulting boxes
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+
 
 def _compile_forall(binders, body, ctx: CompileCtx, state: str):
+    """Compile `\\forall binders; guards ==> consequent` into one range loop
+    per binder, outermost first, as the module docstring describes.
+
+    A guard that gave a bound holds of every k in range(lo, hi + 1) by
+    construction (k <= hi <= e, or k <= hi <= e - 1 < e), so the body tests
+    only the residual guards. Annotations cannot contain method calls (the
+    typechecker rejects them), so bound expressions are pure: evaluating
+    them once per level gives the values every instance would see.
+    """
     if isinstance(body, S.Binary) and body.op == "&&":
         l = _compile_forall(binders, body.left, ctx, state)
         r = _compile_forall(binders, body.right, ctx, state)
@@ -392,52 +424,136 @@ def _compile_forall(binders, body, ctx: CompileCtx, state: str):
     cells = {name: [0] for name in names}
     inner_ctx = CompileCtx(ctx.slots, ctx.mode, ctx.cunit,
                            {**ctx.binders, **cells}, ctx.var_types)
-
-    def names_after(i):
-        return set(names[i:])
-
-    plans = []
+    consumed = set()
+    boxes = []
     for i, name in enumerate(names):
+        later = set(names[i:])
         lowers = []
         uppers = []
-        for g in guards:
+        for j, g in enumerate(guards):
             got = _bound_from(g, name)
             if got is None:
                 continue
             kind, expr_side, delta = got
-            used = {n.name for n in S.walk(expr_side) if isinstance(n, S.Var)}
-            if used & names_after(i):
+            if _mentions(expr_side, later):
                 continue
             try:
                 fn = compile_expr(expr_side, inner_ctx, state)
             except EvalError:
                 continue
             (lowers if kind == "lo" else uppers).append((fn, delta))
+            consumed.add(j)
         if not lowers or not uppers:
             return _unbounded(f"no finite bounds for quantified variable {name!r}")
-        plans.append((cells[name], lowers, uppers))
+        boxes.append(_box(lowers, uppers))
 
+    residual = [g for j, g in enumerate(guards) if j not in consumed]
     try:
-        body_fn = compile_expr(body, inner_ctx, state)
+        level = None if residual else _slice_scan(names[-1], boxes[-1], body.right,
+                                                  inner_ctx, state)
+        if level is None:
+            test = replace(body, left=S.conj(residual)) if residual else body.right
+            level = _enumerate(cells[names[-1]], boxes[-1],
+                               compile_expr(test, inner_ctx, state))
     except EvalError as ex:
         return _unbounded(str(ex))
+    for name, box in zip(reversed(names[:-1]), reversed(boxes[:-1])):
+        level = _enumerate(cells[name], box, level)
+    return level
 
-    def run(f):
-        def loop(level):
-            if level == len(plans):
-                return body_fn(f)
-            cell, lowers, uppers = plans[level]
-            lo = max(fn(f) + d for fn, d in lowers)
-            hi = min(fn(f) + d for fn, d in uppers)
+
+def _box(lowers, uppers):
+    """f -> (lo, hi): one binder's range from its (bound, delta) lists."""
+    if len(lowers) == 1 and len(uppers) == 1:
+        [(lo_fn, lo_d)] = lowers
+        [(hi_fn, hi_d)] = uppers
+
+        def box(f):
+            lo = lo_fn(f)
+            if lo_d:
+                lo += lo_d
+            hi = hi_fn(f)
+            if hi_d:
+                hi += hi_d
             if not isinstance(lo, int) or not isinstance(hi, int):
                 raise EvalError("quantifier bounds are not ground integers")
-            for k in range(lo, hi + 1):
-                cell[0] = k
-                if not loop(level + 1):
-                    return False
+            return lo, hi
+        return box
+
+    def box(f):
+        lo = max(fn(f) + d for fn, d in lowers)
+        hi = min(fn(f) + d for fn, d in uppers)
+        if not isinstance(lo, int) or not isinstance(hi, int):
+            raise EvalError("quantifier bounds are not ground integers")
+        return lo, hi
+    return box
+
+
+def _enumerate(cell, box, inner):
+    """f -> whether inner holds with the binder's cell at every k in range."""
+    def level(f):
+        lo, hi = box(f)
+        for k in range(lo, hi + 1):
+            cell[0] = k
+            if not inner(f):
+                return False
+        return True
+    return level
+
+
+def _slice_scan(name, box, cons, ctx: CompileCtx, state: str):
+    """The innermost level of a consequent `a[k] op e` or `e op a[k]` (k the
+    binder `name`, mentioned by neither a nor e) as one pass over the
+    slice of a, or None for any other consequent.
+
+    a and e are evaluated once, in the consequent's order, and only if the
+    range is not empty. The result is the one the per-k loop gives: if the
+    first index is out of range, its fault comes before e is evaluated
+    (for `a[k] op e`) or after (for `e op a[k]`); otherwise False if an
+    in-range element fails, else the fault at index len(a) when the range
+    runs past the end of a.
+    """
+    if not (isinstance(cons, S.Binary) and cons.op in _COMPARE):
+        return None
+    for read, other, read_first in ((cons.left, cons.right, True),
+                                    (cons.right, cons.left, False)):
+        if (isinstance(read, S.Index) and isinstance(read.index, S.Var)
+                and read.index.name == name
+                and not _mentions(read.array, {name}) and not _mentions(other, {name})):
+            break
+    else:
+        return None
+    op = _COMPARE[cons.op]
+    if read_first:
+        arr = compile_expr(read.array, ctx, state)
+        val = compile_expr(other, ctx, state)
+    else:
+        val = compile_expr(other, ctx, state)
+        arr = compile_expr(read.array, ctx, state)
+    line = read.pos[0]
+
+    def scan(f):
+        lo, hi = box(f)
+        if lo > hi:
             return True
-        return loop(0)
-    return run
+        v = None if read_first else val(f)
+        a = arr(f)
+        n = len(a)
+        if not 0 <= lo < n:
+            raise ExecutionFault(f"array index {lo} out of bounds 0..{n - 1}", line)
+        if read_first:
+            v = val(f)
+            ok = all(map(op, a[lo:hi + 1], repeat(v)))
+        else:
+            ok = all(map(op, repeat(v), a[lo:hi + 1]))
+        if ok and hi >= n:
+            raise ExecutionFault(f"array index {n} out of bounds 0..{n - 1}", line)
+        return ok
+    return scan
+
+
+def _mentions(e, names):
+    return any(isinstance(n, S.Var) and n.name in names for n in S.walk(e))
 
 
 def _unbounded(reason):

@@ -191,7 +191,9 @@ def collect_guards(e: S.Expr) -> list:
     """(kind, formula, line, detail) for every division and array access in
     an expression, post-order. A guard found under \\old(.) or \\at(., L) is
     stated in that state; one found under \\forall is stated under the same
-    binders, and under the antecedent of each implication that holds it."""
+    binders. A guard in the right operand of `==>` or `&&` is stated under
+    the left operand, and one in the right operand of `||` under its
+    negation: the right operand is evaluated only then."""
     out = []
 
     def visit(x, wrap):
@@ -200,9 +202,10 @@ def collect_guards(e: S.Expr) -> list:
                          lambda g: wrap(replace(x, operand=g, ty=S.BOOL)))
         if isinstance(x, S.Forall):
             return visit(x.body, lambda g: wrap(replace(x, body=g)))
-        if isinstance(x, S.Binary) and x.op == "==>":
+        if isinstance(x, S.Binary) and x.op in ("==>", "&&", "||"):
             visit(x.left, wrap)
-            return visit(x.right, lambda g: wrap(_imp(x.left, g)))
+            cond = _not(x.left) if x.op == "||" else x.left
+            return visit(x.right, lambda g: wrap(_imp(cond, g)))
         for child in S.children(x):
             visit(child, wrap)
         if isinstance(x, S.Binary) and x.op == "/":

@@ -1,13 +1,18 @@
+import itertools
+import json
+import os
+import random
 from fractions import Fraction
 
 import pytest
 
 from miniwhy import corpus
 from miniwhy import syntax as S
-from miniwhy.errors import EvalError
+from miniwhy.errors import EvalError, ExecutionFault, MiniWhyError
 from miniwhy.interp import CompiledFormula, eval_formula, exec_method
 from miniwhy.parser import parse
-from miniwhy.typecheck import typecheck
+from miniwhy.typecheck import CTX_ENSURES, typecheck
+from miniwhy.values import value_repr
 
 from helpers import typed_formula
 
@@ -210,7 +215,7 @@ def test_eval_exact_rational_division():
 
 
 def test_eval_unbounded_quantifier_errors():
-    from miniwhy.errors import EvalError
+    from miniwhy.errors import EvalError, ExecutionFault, MiniWhyError
     f = typed_formula("\\forall integer k; buf[0] <= buf[0]",
                       {"buf": S.ARRAY_REAL})
     with pytest.raises(EvalError):
@@ -221,7 +226,7 @@ def test_eval_unbounded_quantifier_errors():
 
 
 def test_eval_missing_label_errors():
-    from miniwhy.errors import EvalError
+    from miniwhy.errors import EvalError, ExecutionFault, MiniWhyError
     f = typed_formula("Permut{Old,Here}(buf, 0, 0)", {"buf": S.ARRAY_REAL})
     with pytest.raises(EvalError):
         eval_formula(f, {"Here": {"buf": [1]}})
@@ -239,6 +244,142 @@ def test_eval_empty_range_is_vacuous():
     f = typed_formula("\\forall integer k; 0 <= k <= n ==> a[k] > 0",
                       {"a": S.ARRAY_INT, "n": S.INT})
     assert eval_formula(f, {"Here": {"a": [], "n": -1}})
+
+
+class QuantifierGen:
+    """Random bounded quantifiers over real arrays a, b, ints n, m and a
+    real x, each with the range its guards give every binder.
+
+    A bound guard is kept as (binder, 'lo'|'hi', value), value(here, old,
+    env) being the bound it sets given the outer binders' values in env."""
+
+    BOUNDS = [  # text, value(here, old, env)
+        ("0", lambda h, o, env: 0),
+        ("2", lambda h, o, env: 2),
+        ("-1", lambda h, o, env: -1),
+        ("n", lambda h, o, env: h["n"]),
+        ("m", lambda h, o, env: h["m"]),
+        ("n - 1", lambda h, o, env: h["n"] - 1),
+        ("\\length(a)", lambda h, o, env: len(h["a"])),
+        ("\\length(a) - 1", lambda h, o, env: len(h["a"]) - 1),
+        ("\\length(b)", lambda h, o, env: len(h["b"])),
+        ("\\length(\\old(a))", lambda h, o, env: len(o["a"])),
+    ]
+    OUTER = [("k1", lambda h, o, env: env["k1"]),
+             ("k1 + 1", lambda h, o, env: env["k1"] + 1)]
+    RESIDUAL = ["a[{k}] > 0", "{k} != 1", "x < a[{k}]", "\\old(a)[{k}] >= 0"]
+    OPS = ["<", "<=", ">", ">=", "==", "!="]
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def state(self, mode):
+        rng = self.rng
+        real = (lambda v: float(v)) if mode == "binary64" else (lambda v: v)
+
+        def arr():
+            return [real(Fraction(rng.randint(-4, 6), 2)) for _ in range(rng.randint(0, 4))]
+
+        def one():
+            return {"a": arr(), "b": arr(), "n": rng.randint(-1, 5),
+                    "m": rng.randint(-1, 5), "x": real(Fraction(rng.randint(-4, 6), 2))}
+        return one(), one()
+
+    def bound_guard(self, k, kind, outer, old_bounds):
+        rng = self.rng
+        text, value = rng.choice([b for b in self.BOUNDS if old_bounds or "old" not in b[0]]
+                                 + (self.OUTER if outer else []))
+        strict = rng.random() < 0.5
+        delta = (1 if kind == "lo" else -1) if strict else 0
+        op = {("lo", False): "<=", ("lo", True): "<",
+              ("hi", False): ">=", ("hi", True): ">"}[kind, strict]
+        flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+        guard = (f"{text} {op} {k}" if rng.random() < 0.5
+                 else f"{k} {flip[op]} {text}")
+        return guard, (k, kind, lambda h, o, env: value(h, o, env) + delta)
+
+    def quantifier(self, old_bounds):
+        """(formula text, binders, bound guards); bounds read the Old state
+        only if old_bounds."""
+        rng = self.rng
+        binders = ["k"] if rng.random() < 0.6 else ["k1", "k2"]
+        guards, bounds = [], []
+        for i, k in enumerate(binders):
+            for kind in ("lo", "hi"):
+                for _ in range(1 if rng.random() < 0.8 else 2):
+                    g, b = self.bound_guard(k, kind, i > 0, old_bounds)
+                    guards.append(g)
+                    bounds.append(b)
+        rng.shuffle(guards)
+        k = binders[-1]
+        if rng.random() < 0.25:
+            guards.insert(rng.randint(0, len(guards)),
+                          rng.choice(self.RESIDUAL).format(k=k))
+        text = (f"\\forall integer {' '.join(binders)}; "
+                f"{' && '.join(guards)} ==> {self.consequent(binders)}")
+        return text, binders, bounds
+
+    def consequent(self, binders):
+        rng = self.rng
+        k = binders[-1]
+        op = rng.choice(self.OPS)
+        if rng.random() < 0.75:
+            read = rng.choice(["a", "b", "\\old(a)"]) + f"[{k}]"
+            others = ["x", "0", "n", f"a[{rng.randint(-1, 4)}]", "b[n]", "\\old(b)[m]"]
+            if len(binders) == 2:
+                others += ["a[k1]", "b[k1]"]
+            other = rng.choice(others)
+            return (f"{read} {op} {other}" if rng.random() < 0.5
+                    else f"{other} {op} {read}")
+        return rng.choice([f"a[{k}] + 1 {op} x", f"\\old(a[{k}]) {op} x",
+                           f"a[{k}] {op} a[{k}]", f"a[{k}] > 0 || b[{k}] {op} 1",
+                           f"a[{k} - 1] {op} b[{binders[0]}]"])
+
+
+def _expanded(f, bounds, here, old):
+    """The conjunction of the instances of quantifier f over the ranges its
+    bound guards give, in enumeration order (outer binder first)."""
+    names = [name for name, _ in f.binders]
+    instances = []
+
+    def enumerate_from(i, env):
+        if i == len(names):
+            values = {n: S.IntLit(value=v, ty=S.INT) for n, v in env.items()}
+            instances.append(S.substitute(f.body, values))
+            return
+        lo = max(v(here, old, env) for k, kind, v in bounds if k == names[i] and kind == "lo")
+        hi = min(v(here, old, env) for k, kind, v in bounds if k == names[i] and kind == "hi")
+        for value in range(lo, hi + 1):
+            enumerate_from(i + 1, {**env, names[i]: value})
+    enumerate_from(0, {})
+    return S.conj(instances)
+
+
+def _outcome(f, states, mode):
+    try:
+        return eval_formula(f, states, mode)
+    except MiniWhyError as ex:
+        return type(ex), str(ex)
+
+
+@pytest.mark.parametrize("mode", ["rational", "binary64"])
+def test_quantifiers_evaluate_as_the_conjunction_of_their_instances(mode):
+    var_types = {"a": S.ARRAY_REAL, "b": S.ARRAY_REAL, "n": S.INT, "m": S.INT,
+                 "x": S.REAL}
+    outcomes = set()
+    for seed in range(1500):
+        gen = QuantifierGen(seed)
+        old_bounds = seed % 4 != 0
+        text, binders, bounds = gen.quantifier(old_bounds)
+        f = typed_formula(text, var_types, CTX_ENSURES)
+        for i in range(2):
+            here, old = gen.state(mode)
+            # without an Old state, reading \old(a) raises when reached
+            states = {"Here": here, "Old": old} if old_bounds or i else {"Here": here}
+            want = _outcome(_expanded(f, bounds, here, old), states, mode)
+            assert _outcome(f, states, mode) == want, (text, here, old)
+            outcomes.add(want if isinstance(want, bool) else want[0])
+    assert outcomes == {True, False, ExecutionFault, EvalError}
 
 
 def test_compiled_formula_rejects_a_bundle_of_another_layout():
@@ -295,3 +436,64 @@ def test_parallel_executions_share_a_unit(quickselect_unit):
         t.join()
     for i, (buf, ln, n) in enumerate(cases * 4):
         assert results[i] == ("normal", sorted(buf)[n])
+
+
+# ---------------------------------------------------------------------------
+# the contract-violation path: quickselect variants whose quantified loop
+# invariants are false on repeated values
+
+STRICT_VARIANTS = {
+    # the outer loop's first two-binder invariant
+    "strict-pair": ("==> buf[k1] <= buf[k2]", "==> buf[k1] < buf[k2]", 1),
+    # both one-binder invariants that bound the right part by med
+    "strict-right": ("==> buf[k] >= med", "==> buf[k] > med", -1),
+}
+STRICT_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
+                             "quickselect_strict.checks.txt")
+
+
+def _events_text(events):
+    """The check events in order; a run of equal events is written once,
+    with its count."""
+    out = []
+    keys = ((e.kind, e.line, e.verdict, e.label, json.dumps(e.witness))
+            for e in events)
+    for (kind, line, verdict, label, witness), run in itertools.groupby(keys):
+        text = f"{kind}@{line}" + (f"[{label}]" if label else "")
+        if verdict != "pass":
+            text += f":{verdict} {witness}"
+        count = len(list(run))
+        out.append(text if count == 1 else f"{text}*{count}")
+    return "; ".join(out)
+
+
+def strict_quickselect_checks() -> str:
+    """Status, return value, error, checks passed and every check event of
+    the strict variants on a fixed part of the criterion-2 grid, one line
+    per run."""
+    src = corpus.source_text("find_nth_lowest_number")
+    grid = list(corpus.exhaustive_quickselect_cases(4, (0, 1, 2)))
+    lines = []
+    for variant, (old, new, count) in STRICT_VARIANTS.items():
+        assert old in src
+        tu = typecheck(parse(src.replace(old, new, count)))
+        for mode, stride in (("rational", 4), ("binary64", 12)):
+            for buf, length, n in grid[::stride]:
+                arg = buf if mode == "rational" else [float(x) for x in buf]
+                out = exec_method(tu, "find_nth_lowest_number", [arg, length, n],
+                                  mode, collect_events=True)
+                ret = "-" if out.return_value is None else value_repr(out.return_value)
+                lines.append(f"{variant} {mode} {buf} {length} {n} | {out.status} | "
+                             f"{ret} | {out.error or '-'} | {out.checks_passed} | "
+                             f"{_events_text(out.report)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_strict_quickselect_checks_match_golden():
+    with open(STRICT_GOLDEN, encoding="utf-8") as fh:
+        golden = fh.read()
+    got = strict_quickselect_checks()
+    assert "contract-violation" in got and "normal" in got
+    for want, have in zip(golden.splitlines(), got.splitlines()):
+        assert have == want
+    assert got == golden

@@ -199,3 +199,43 @@ def test_substitution_reaches_the_size_of_a_new_array():
     rep = instantiate_on_trace(obs, run_traced(tu, "m", [7]))
     assert [r.verdict for r in rep.results if r.id.endswith(":assert")] == ["pass"]
     assert not rep.failed
+
+
+SHORT_CIRCUIT = {
+    # a[n] is read only when n < m, so its guard holds under n < m
+    "and": ("/*@ requires n >= 0 && m <= \\length(a); ensures true; @*/\n"
+            "void f(int[] a, int n, int m) {\n"
+            "    if (n < m && a[n] > 0) { n = 0; }\n"
+            "}",
+            [[1], 5, 0],
+            "n < m ==> n >= 0 && n < \\length(a)"),
+    # a[n] is read only when n >= m fails
+    "or": ("/*@ requires n >= 0 && m <= \\length(a); ensures true; @*/\n"
+           "void f(int[] a, int n, int m) {\n"
+           "    if (n >= m || a[n] > 0) { n = 0; }\n"
+           "}",
+           [[1], 5, 0],
+           "!(n >= m) ==> n >= 0 && n < \\length(a)"),
+    # a[k] in the antecedent is read only under the conjuncts before it
+    "forall-antecedent": (
+        "/*@ requires n <= \\length(a); ensures true; @*/\n"
+        "void f(int[] a, int n) {\n"
+        "    /*@ ghost bool g = true; @*/\n"
+        "    /*@ set g = (\\forall integer k; 0 <= k && k < n && a[k] > 0 ==> a[k] < 9); @*/\n"
+        "}",
+        [[1, 2, 3], 3],
+        "\\forall integer k; 0 <= k && k < n ==> k >= 0 && k < \\length(a)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHORT_CIRCUIT))
+def test_guards_follow_the_short_circuit(case):
+    src, args, want = SHORT_CIRCUIT[case]
+    tu = typecheck(parse(src))
+    obs = generate_obligations(tu, "f")
+    guards = [ob for ob in obs if ob.kind == "bounds-guard"]
+    assert want in [expr_to_str(ob.goal) for ob in guards]
+    # the run reads no element out of range, so every guard holds on it
+    rep = instantiate_on_trace(obs, run_traced(tu, "f", args))
+    assert [(r.id, r.verdict) for r in rep.results
+            if r.verdict != "pass"] == []
