@@ -215,7 +215,7 @@ def test_eval_exact_rational_division():
 
 
 def test_eval_unbounded_quantifier_errors():
-    from miniwhy.errors import EvalError, ExecutionFault, MiniWhyError
+    from miniwhy.errors import EvalError
     f = typed_formula("\\forall integer k; buf[0] <= buf[0]",
                       {"buf": S.ARRAY_REAL})
     with pytest.raises(EvalError):
@@ -226,7 +226,7 @@ def test_eval_unbounded_quantifier_errors():
 
 
 def test_eval_missing_label_errors():
-    from miniwhy.errors import EvalError, ExecutionFault, MiniWhyError
+    from miniwhy.errors import EvalError
     f = typed_formula("Permut{Old,Here}(buf, 0, 0)", {"buf": S.ARRAY_REAL})
     with pytest.raises(EvalError):
         eval_formula(f, {"Here": {"buf": [1]}})
@@ -299,8 +299,8 @@ class QuantifierGen:
         return guard, (k, kind, lambda h, o, env: value(h, o, env) + delta)
 
     def quantifier(self, old_bounds):
-        """(formula text, binders, bound guards); bounds read the Old state
-        only if old_bounds."""
+        """(formula text, bound guards); bounds read the Old state only if
+        old_bounds."""
         rng = self.rng
         binders = ["k"] if rng.random() < 0.6 else ["k1", "k2"]
         guards, bounds = [], []
@@ -317,7 +317,7 @@ class QuantifierGen:
                           rng.choice(self.RESIDUAL).format(k=k))
         text = (f"\\forall integer {' '.join(binders)}; "
                 f"{' && '.join(guards)} ==> {self.consequent(binders)}")
-        return text, binders, bounds
+        return text, bounds
 
     def consequent(self, binders):
         rng = self.rng
@@ -370,7 +370,7 @@ def test_quantifiers_evaluate_as_the_conjunction_of_their_instances(mode):
     for seed in range(1500):
         gen = QuantifierGen(seed)
         old_bounds = seed % 4 != 0
-        text, binders, bounds = gen.quantifier(old_bounds)
+        text, bounds = gen.quantifier(old_bounds)
         f = typed_formula(text, var_types, CTX_ENSURES)
         for i in range(2):
             here, old = gen.state(mode)
@@ -494,6 +494,4 @@ def test_strict_quickselect_checks_match_golden():
         golden = fh.read()
     got = strict_quickselect_checks()
     assert "contract-violation" in got and "normal" in got
-    for want, have in zip(golden.splitlines(), got.splitlines()):
-        assert have == want
-    assert got == golden
+    assert got.splitlines() == golden.splitlines()
