@@ -35,7 +35,6 @@ made the consequent false.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import repeat
@@ -392,10 +391,6 @@ def check_permut(a1, a2, lo: int, hi: int) -> bool:
 # quantifier compilation: split conjunctions, derive per-binder integer
 # bounds from the guard conjuncts, enumerate the resulting boxes
 
-_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
-
-
 def _compile_forall(binders, body, ctx: CompileCtx, state: str):
     """Compile `\\forall binders; guards ==> consequent` into one range loop
     per binder, outermost first, as the module docstring describes.
@@ -420,7 +415,7 @@ def _compile_forall(binders, body, ctx: CompileCtx, state: str):
     if not (isinstance(body, S.Binary) and body.op == "==>"):
         return _unbounded("quantifier body gives no bounds (no guard implication)")
 
-    guards = _conjuncts(body.left)
+    guards = S.conjuncts(body.left)
     cells = {name: [0] for name in names}
     inner_ctx = CompileCtx(ctx.slots, ctx.mode, ctx.cunit,
                            {**ctx.binders, **cells}, ctx.var_types)
@@ -431,7 +426,7 @@ def _compile_forall(binders, body, ctx: CompileCtx, state: str):
         lowers = []
         uppers = []
         for j, g in enumerate(guards):
-            got = _bound_from(g, name)
+            got = S.bound_from(g, name)
             if got is None:
                 continue
             kind, expr_side, delta = got
@@ -513,7 +508,7 @@ def _slice_scan(name, box, cons, ctx: CompileCtx, state: str):
     in-range element fails, else the fault at index len(a) when the range
     runs past the end of a.
     """
-    if not (isinstance(cons, S.Binary) and cons.op in _COMPARE):
+    if not (isinstance(cons, S.Binary) and cons.op in S.COMPARE):
         return None
     for read, other, read_first in ((cons.left, cons.right, True),
                                     (cons.right, cons.left, False)):
@@ -523,7 +518,7 @@ def _slice_scan(name, box, cons, ctx: CompileCtx, state: str):
             break
     else:
         return None
-    op = _COMPARE[cons.op]
+    op = S.COMPARE[cons.op]
     if read_first:
         arr = compile_expr(read.array, ctx, state)
         val = compile_expr(other, ctx, state)
@@ -560,26 +555,6 @@ def _unbounded(reason):
     def fail(_f):
         raise EvalError(f"non-ground quantifier: {reason}")
     return fail
-
-
-def _conjuncts(f):
-    if isinstance(f, S.Binary) and f.op == "&&":
-        return _conjuncts(f.left) + _conjuncts(f.right)
-    return [f]
-
-
-def _bound_from(g, name):
-    """(kind, bound expr, delta) for a comparison guarding binder `name`."""
-    if not (isinstance(g, S.Binary) and g.op in ("<", "<=", ">", ">=")):
-        return None
-    l, r = g.left, g.right
-    if isinstance(l, S.Var) and l.name == name:
-        return {"<": ("hi", r, -1), "<=": ("hi", r, 0),
-                ">": ("lo", r, 1), ">=": ("lo", r, 0)}[g.op]
-    if isinstance(r, S.Var) and r.name == name:
-        return {"<": ("lo", l, 1), "<=": ("lo", l, 0),
-                ">": ("hi", l, -1), ">=": ("hi", l, 0)}[g.op]
-    return None
 
 
 # ---------------------------------------------------------------------------

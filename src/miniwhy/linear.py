@@ -1,10 +1,10 @@
 """Linear forms: a constant plus a key -> coefficient map.
 
-The simplifier and the prover both normalise int/real terms to this form.
-Each keeps its own walk from a term to a form, because their atom policies
-differ; this module holds the only copy of the arithmetic over it. A zero
-coefficient is never stored, so a form is constant exactly when it has no
-keys.
+The simplifier and the prover both normalise int/real terms to this form,
+through one walk from a term to a form (`simplify.linearize`); the prover
+rekeys the simplifier's atoms. This module holds the only copy of the
+arithmetic over it. A zero coefficient is never stored, so a form is
+constant exactly when it has no keys.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 Validity of `hypotheses ==> goal` is decided by refuting the negation with
 Fourier-Motzkin elimination over exact rationals. Integer symbols are
-treated as rationals (sound for proving, incomplete for refuting);
-nonlinear terms (variable products, division, array selects) are abstracted
-to fresh symbols; two division sign rules reintroduce the facts the
-abstraction loses:
+treated as rationals (sound for proving, incomplete for refuting). Each
+int/real term is read through `simplify.linear_form`, so the atoms are the
+simplifier's: division by a nonzero constant is linear, and every other
+nonlinear term (variable products, division, array selects, lengths) is an
+atom abstracted to a fresh symbol. Two division sign rules reintroduce the
+facts the abstraction loses:
 
     x > 0 && y > 0   gives   x / y > 0
     x == 0 && y != 0 gives   x / y == 0
@@ -24,11 +26,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import syntax as S
-from .errors import EvalError
+from .errors import EvalError, ExecutionFault
 from .interp import eval_formula
 from .linear import Lin
 from .printer import expr_to_str
-from .simplify import simplify
+from .simplify import linear_form, simplify
 from .vcgen import validation_formula
 
 MAX_DISJUNCTS = 256
@@ -75,60 +77,31 @@ class Constraint:
     op: str
 
     def holds_trivially(self):
-        if self.op == "<":
-            return self.lin.const < 0
-        if self.op == "<=":
-            return self.lin.const <= 0
-        return self.lin.const == 0
+        return S.COMPARE[self.op](self.lin.const, 0)
 
 
 class _Atoms:
-    """Abstraction registry: canonical term -> symbol key, plus division info."""
+    """Abstraction registry of one conjunct: the keys its constraints
+    mention that are integer-sorted, whether any is a non-variable atom, and
+    each division atom's numerator and denominator. Term forms come from
+    `forms`, the obligation's map id(term) -> (term, _keyed form)."""
 
-    def __init__(self):
+    def __init__(self, forms: dict):
+        self.forms = forms
         self.divisions = {}      # key -> (numerator Lin, denominator Lin)
         self.int_keys = set()
         self.opaque = False      # saw a non-variable abstraction
 
     def lin(self, e: S.Expr) -> Lin:
-        """The linear form of an int/real term."""
-        if isinstance(e, S.IntLit):
-            return Lin(Fraction(e.value))
-        if isinstance(e, S.RealLit):
-            return Lin(e.value)
-        if isinstance(e, S.Coerce):
-            return self.lin(e.operand)
-        if isinstance(e, (S.Var, S.FreshVar)):
-            if e.ty == S.INT:
-                self.int_keys.add(e.name)
-            return Lin(coeffs={e.name: Fraction(1)})
-        if isinstance(e, S.Unary) and e.op == "-":
-            return self.lin(e.operand).scale(-1)
-        if isinstance(e, S.Binary) and e.op in ("+", "-"):
-            return self.lin(e.left).add(self.lin(e.right),
-                                        1 if e.op == "+" else -1)
-        if isinstance(e, S.Binary) and e.op == "*":
-            l, r = self.lin(e.left), self.lin(e.right)
-            if l.is_const:
-                return r.scale(l.const)
-            if r.is_const:
-                return l.scale(r.const)
-            return self.abstract(e)
-        if isinstance(e, S.Binary) and e.op == "/":
-            num, den = self.lin(e.left), self.lin(e.right)
-            if den.is_const and den.const != 0:
-                return num.scale(1 / den.const)
-            form = self.abstract(e)
-            self.divisions[next(iter(form.coeffs))] = (num, den)
-            return form
-        return self.abstract(e)
-
-    def abstract(self, e: S.Expr) -> Lin:
-        key = "|" + expr_to_str(e) + "|"
-        self.opaque = True
-        if e.ty == S.INT:
-            self.int_keys.add(key)
-        return Lin(coeffs={key: Fraction(1)})
+        """The linear form of an int/real term, its atoms registered."""
+        hit = self.forms.get(id(e))
+        if hit is None:
+            hit = self.forms[id(e)] = (e, *_keyed(linear_form(e)))
+        _, lin, int_keys, opaque, divisions = hit
+        self.int_keys |= int_keys
+        self.opaque = self.opaque or opaque
+        self.divisions.update(divisions)
+        return lin
 
     def constraint(self, op: str, left: S.Expr, right: S.Expr) -> Constraint:
         """The constraint `left op right`, as `left - right` or its negation
@@ -137,6 +110,31 @@ class _Atoms:
         if op in (">", ">="):
             return Constraint(lin.scale(-1), "<" if op == ">" else "<=")
         return Constraint(lin, op)
+
+
+def _keyed(form: Lin):
+    """(form over prover keys, its integer-sorted keys, whether it has a
+    non-variable atom, its divisions: key -> (numerator, denominator)). A
+    variable is keyed by its name, any other atom by `|<its text>|`. A
+    division's numerator and denominator are read the same way, and the
+    divisions inside them come before it."""
+    coeffs, int_keys, divisions = {}, set(), {}
+    opaque = False
+    for atom, c in form.coeffs.items():
+        e = atom.expr
+        variable = isinstance(e, (S.Var, S.FreshVar))
+        key = e.name if variable else f"|{atom}|"
+        coeffs[key] = c
+        opaque = opaque or not variable
+        if e.ty == S.INT:
+            int_keys.add(key)
+        if isinstance(e, S.Binary) and e.op == "/":
+            num, den = _keyed(linear_form(e.left)), _keyed(linear_form(e.right))
+            int_keys |= num[1] | den[1]
+            divisions.update(num[3])
+            divisions.update(den[3])
+            divisions[key] = num[0], den[0]
+    return Lin(form.const, coeffs), int_keys, opaque, divisions
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +179,7 @@ def _nnf(f: S.Expr, positive: bool, px: _Prenex, dropped: list) -> S.Expr:
         # satisfiability query, which is sound for proving
         dropped.append(f)
         return S.BoolLit(value=True, ty=S.BOOL)
-    if isinstance(f, S.Binary) and f.op in ("==", "!=", "<", "<=", ">", ">="):
+    if isinstance(f, S.Binary) and f.op in S.COMPARE:
         lt = f.left.ty
         if lt in (S.INT, S.REAL):
             op = f.op if positive else _NEG[f.op]
@@ -392,9 +390,12 @@ def prove_internal(ob) -> ProofStatus:
 
     sat_witness = None
     sat_atoms = None
+    # id(term) -> (term, _keyed form) for this obligation only; holding the
+    # term keeps its id from being reused while the map lives
+    forms = {}
     for conj in disjuncts:
         try:
-            result = _refute_conjunct(conj, trace)
+            result = _refute_conjunct(conj, trace, forms)
         except _OutsideFragment as ex:
             return ProofStatus("unknown", reason=str(ex), rule_trace=trace)
         except _ResourceCap as ex:
@@ -425,13 +426,13 @@ def _literal(lit):
     return neg, f, None
 
 
-def _refute_conjunct(conj: list, trace):
+def _refute_conjunct(conj: list, trace, forms: dict):
     """None when refuted; (witness, atoms) when satisfiable-as-abstracted."""
     # each != literal splits the conjunct in two: k of them cost 2**k
     splits = sum(_literal(lit)[2] == "!=" for lit in conj)
     if 2 ** splits > MAX_DISJUNCTS:
         raise _ResourceCap(f"disequality split ({splits} literals)")
-    atoms = _Atoms()
+    atoms = _Atoms(forms)
     constraints = []
     bools = {}
     for lit in conj:
@@ -446,7 +447,7 @@ def _refute_conjunct(conj: list, trace):
             for split in ("<", ">"):
                 result = _refute_conjunct(
                     rest + [S.Binary(op=split, left=f.left, right=f.right,
-                                     ty=S.BOOL)], trace)
+                                     ty=S.BOOL)], trace, forms)
                 if result is not None:
                     return result
             return None
@@ -489,7 +490,7 @@ def _try_refute(ob, witness, trace) -> ProofStatus:
     try:
         holds = eval_formula(validation_formula(ob),
                              {"Here": dict(env), "Old": dict(env)}, "rational")
-    except EvalError as ex:
+    except (EvalError, ExecutionFault) as ex:
         return ProofStatus("unknown", reason=f"counterexample not checkable: {ex}",
                            rule_trace=trace)
     if not holds:

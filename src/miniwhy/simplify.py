@@ -3,9 +3,14 @@
 Rewrites, applied bottom-up with contextual facts threaded through `&&` and
 `==>`: exact constant folding; boolean absorption, flattening and
 double-negation elimination; arithmetic normalization to an ordered
-sum-of-terms; select/store reduction when the index difference normalizes to
-a constant; `0/y -> 0` under a hypothesis `y != 0`; expansion of bounded
-integer quantifiers with literal bounds spanning at most 64 points.
+sum-of-terms, division by a nonzero constant included; select/store
+reduction when the index difference normalizes to a constant; `0/y -> 0`
+under a hypothesis `y != 0`; expansion of bounded integer quantifiers with
+literal bounds spanning at most 64 points.
+
+`linearize` is the package's one walk from an int/real term to a `Lin`.
+The prover reads its constraints through `linear_form`, so both modules
+abstract the same atoms.
 """
 
 from __future__ import annotations
@@ -69,8 +74,8 @@ def linearize(e: S.Expr, ctx):
         # division
         if l.is_const and l.const == 0 and _known_nonzero(r, ctx):
             return Lin(), S.REAL
-        if l.is_const and r.is_const and r.const != 0:
-            return Lin(l.const / r.const), S.REAL
+        if r.is_const and r.const != 0:
+            return l.scale(1 / r.const), S.REAL
         return _atom(replace(e, left=to_expr(lf, S.REAL), right=to_expr(rf, S.REAL)))
     # select/store reduction happens before atomization
     if isinstance(e, S.Index):
@@ -86,6 +91,12 @@ def linearize(e: S.Expr, ctx):
         inner = to_expr(linearize(e.operand, ctx), e.operand.ty)
         return _atom(replace(e, operand=inner))
     return _atom(e)
+
+
+def linear_form(e: S.Expr) -> Lin:
+    """The Lin of an int/real term under no contextual facts, keyed by
+    `_Atom`s: each key is an atom's printed text and carries the atom."""
+    return linearize(e, _Ctx())[0]
 
 
 def _render_product(a: S.Expr, b: S.Expr, orig) -> S.Expr:
@@ -184,13 +195,11 @@ class _Ctx:
 
 def _learn(ctx, f: S.Expr):
     """Record facts useful to later rewrites (currently: nonzero divisors)."""
-    if isinstance(f, S.Binary) and f.op == "&&":
-        _learn(ctx, f.left)
-        _learn(ctx, f.right)
-        return
-    if isinstance(f, S.Binary) and f.op in ("!=", ">", "<"):
-        l, _ = linearize(f.left, ctx)
-        r, _ = linearize(f.right, ctx)
+    for g in S.conjuncts(f):
+        if not (isinstance(g, S.Binary) and g.op in ("!=", ">", "<")):
+            continue
+        l, _ = linearize(g.left, ctx)
+        r, _ = linearize(g.right, ctx)
         diff = l.add(r, -1)
         if not diff.is_const:
             ctx.nonzero.add(diff.key())
@@ -198,13 +207,6 @@ def _learn(ctx, f: S.Expr):
             if diff.const == 0:
                 ctx.nonzero.add(l.key())
                 ctx.nonzero.add(r.key())
-
-
-_CMP_FOLD = {
-    "==": lambda d: d == 0, "!=": lambda d: d != 0,
-    "<": lambda d: d < 0, "<=": lambda d: d <= 0,
-    ">": lambda d: d > 0, ">=": lambda d: d >= 0,
-}
 
 
 def _simp_expr(e: S.Expr, ctx) -> S.Expr:
@@ -241,11 +243,9 @@ def simplify_in(f: S.Expr, ctx) -> S.Expr:
             return inner.operand
         return replace(f, operand=inner)
     if isinstance(f, S.Binary) and f.op == "&&":
-        parts = []
-        _flatten("&&", f, parts)
         out = []
         sub = ctx.child()
-        for p in parts:
+        for p in S.conjuncts(f):
             sp = simplify_in(p, sub)
             if isinstance(sp, S.BoolLit):
                 if not sp.value:
@@ -285,13 +285,13 @@ def simplify_in(f: S.Expr, ctx) -> S.Expr:
         if ante == cons:
             return TRUE
         return S.Binary(op="==>", left=ante, right=cons, ty=S.BOOL)
-    if isinstance(f, S.Binary) and f.op in _CMP_FOLD:
+    if isinstance(f, S.Binary) and f.op in S.COMPARE:
         lt, rt = f.left.ty, f.right.ty
         if lt in (S.INT, S.REAL) and rt in (S.INT, S.REAL):
             lf, rf = linearize(f.left, ctx), linearize(f.right, ctx)
             diff = lf[0].add(rf[0], -1)
             if diff.is_const:
-                return S.BoolLit(value=_CMP_FOLD[f.op](diff.const), ty=S.BOOL)
+                return S.BoolLit(value=S.COMPARE[f.op](diff.const, 0), ty=S.BOOL)
             return replace(f, left=to_expr(lf, lt), right=to_expr(rf, rt))
         # boolean or array equality: simplify children, fold identical sides
         l = _simp_expr(f.left, ctx)
@@ -353,38 +353,19 @@ def _int_of(e):
 
 
 def _literal_bounds(body, name):
+    """(lo, hi) of binder `name` from the guards of `guards ==> ...` that
+    bound it by an integer literal, or None unless both ends are bounded."""
     if not (isinstance(body, S.Binary) and body.op == "==>"):
         return None
-    guards = []
-    _flatten("&&", body.left, guards)
-    lo = hi = None
-    for g in guards:
-        if not (isinstance(g, S.Binary) and g.op in ("<", "<=", ">", ">=")):
-            continue
-        l, r = g.left, g.right
-        if isinstance(l, S.Var) and l.name == name and _int_of(r) is not None:
-            v = _int_of(r)
-            if g.op == "<":
-                hi = v - 1 if hi is None else min(hi, v - 1)
-            elif g.op == "<=":
-                hi = v if hi is None else min(hi, v)
-            elif g.op == ">":
-                lo = v + 1 if lo is None else max(lo, v + 1)
-            else:
-                lo = v if lo is None else max(lo, v)
-        elif isinstance(r, S.Var) and r.name == name and _int_of(l) is not None:
-            v = _int_of(l)
-            if g.op == "<":
-                lo = v + 1 if lo is None else max(lo, v + 1)
-            elif g.op == "<=":
-                lo = v if lo is None else max(lo, v)
-            elif g.op == ">":
-                hi = v - 1 if hi is None else min(hi, v - 1)
-            else:
-                hi = v if hi is None else min(hi, v)
-    if lo is None or hi is None:
+    ends = {"lo": [], "hi": []}
+    for g in S.conjuncts(body.left):
+        got = S.bound_from(g, name)
+        if got is not None and _int_of(got[1]) is not None:
+            kind, e, delta = got
+            ends[kind].append(_int_of(e) + delta)
+    if not ends["lo"] or not ends["hi"]:
         return None
-    return lo, hi
+    return max(ends["lo"]), min(ends["hi"])
 
 
 def simplify(f: S.Expr, hypotheses=()) -> S.Expr:

@@ -8,6 +8,7 @@ units safe to share between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -331,6 +332,33 @@ def conj(parts: list) -> Expr:
     for p in parts[1:]:
         out = Binary(op="&&", left=out, right=p, pos=out.pos)
     return out
+
+
+def conjuncts(f: Expr) -> list:
+    """The conjuncts of f, left to right: the inverse of conj."""
+    if isinstance(f, Binary) and f.op == "&&":
+        return conjuncts(f.left) + conjuncts(f.right)
+    return [f]
+
+
+def bound_from(g: Expr, name: str):
+    """(kind, bound expr, delta) when g compares the variable `name` with a
+    term: kind is "lo" or "hi", and name's bound is that term plus delta."""
+    if not (isinstance(g, Binary) and g.op in ("<", "<=", ">", ">=")):
+        return None
+    l, r = g.left, g.right
+    if isinstance(l, Var) and l.name == name:
+        return {"<": ("hi", r, -1), "<=": ("hi", r, 0),
+                ">": ("lo", r, 1), ">=": ("lo", r, 0)}[g.op]
+    if isinstance(r, Var) and r.name == name:
+        return {"<": ("lo", l, 1), "<=": ("lo", l, 0),
+                ">": ("hi", l, -1), ">=": ("hi", l, 0)}[g.op]
+    return None
+
+
+# what each comparison operator means, over ints, Fractions and floats
+COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+           ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,13 @@ def typed_formula(text: str, var_types: dict, ctx: str = CTX_INVARIANT):
 class FormulaGen:
     """Random ground formulas over `a`, `b` (int) and `u`, `v` (real), with
     bounded integer quantifiers. With `reals_only` all four are real, so
-    the prover may refute what it does not prove."""
+    the prover may refute what it does not prove. With `division` a real
+    term may also be a quotient, over constant and variable divisors; off,
+    every seed draws the formula it always drew."""
 
-    def __init__(self, seed, reals_only=False):
+    def __init__(self, seed, reals_only=False, division=False):
         self.rng = random.Random(seed)
+        self.division = division
         self.vars = {"a": S.INT, "b": S.INT, "u": S.REAL, "v": S.REAL}
         if reals_only:
             self.vars = dict.fromkeys(self.vars, S.REAL)
@@ -48,7 +51,8 @@ class FormulaGen:
                 return (f"{self.rng.randint(-3, 3)}.5" if real
                         else str(self.rng.randint(-4, 4)))
             return self.rng.choice(pool)
-        op = self.rng.choice(["+", "-", "*", "*"])
+        ops = ["+", "-", "*", "*"] + (["/"] if real and self.division else [])
+        op = self.rng.choice(ops)
         return f"({self.term(real, depth + 1)} {op} {self.term(real, depth + 1)})"
 
     def formula(self, depth=0):

@@ -142,6 +142,19 @@ def test_prove_refuted_exits_one(capsys, tmp_path):
     assert any(o["status"] == "refuted" for o in report["obligations"])
 
 
+def test_prove_faulting_counterexample_reports_unknown(capsys, tmp_path):
+    src = tmp_path / "fault.mjml"
+    src.write_text("/*@ ensures (x / x) * 0.0 == 1.0; @*/\n"
+                   "real f(real x) { return x; }\n", encoding="utf-8")
+    code, _, _ = run_cli(capsys, "check", str(src))
+    assert code == 0
+    code, out, err = run_cli(capsys, "prove", str(src))
+    assert code == 0 and "Traceback" not in err
+    [ob] = json.loads(out)["obligations"]
+    assert ob["status"] == "unknown"
+    assert ob["detail"] == "counterexample not checkable: division by zero at line 1"
+
+
 def test_test_subcommand_translate_ok(capsys, schema):
     code, out, _ = run_cli(capsys, "test", "--entry", "rectangle_translate",
                            "--cases", "50", "--seed", "3", "--mode", "rational")

@@ -7,9 +7,11 @@ import pytest
 
 from miniwhy import corpus
 from miniwhy import syntax as S
-from miniwhy.errors import EvalError
+from miniwhy.errors import EvalError, ExecutionFault
 from miniwhy.interp import eval_formula, exec_method
+from miniwhy.parser import parse
 from miniwhy.prover import prove_internal
+from miniwhy.typecheck import typecheck
 from miniwhy.vcgen import (Obligation, Origin, generate_obligations,
                            instantiate_on_trace)
 
@@ -63,6 +65,16 @@ def test_hypotheses_condition_refutation():
     goal = typed_formula("x > 1.0", {"x": S.REAL})
     st = prove_internal(mk(goal, hyps=[hyp], sorts={"x": S.REAL}))
     assert st.proved
+
+
+def test_faulting_counterexample_gives_unknown():
+    # the goal simplifies to false; its candidate x = 0 divides by zero
+    unit = typecheck(parse("/*@ ensures (x / x) * 0.0 == 1.0; @*/\n"
+                           "real f(real x) { return x; }\n"))
+    [ob] = generate_obligations(unit)
+    st = prove_internal(ob)
+    assert st.status == "unknown"
+    assert st.reason == "counterexample not checkable: division by zero at line 1"
 
 
 def test_integer_goals_never_refuted():
@@ -211,13 +223,15 @@ def test_division_sign_rules(hyp, goal, proved):
         assert st.status == "unknown", st.status
 
 
-def test_verdicts_agree_with_evaluation_on_random_formulas():
-    """A proved formula holds on sampled states and a refuted one fails on
-    its counterexample, over mixed int/real and over real-only symbols."""
+def _check_verdicts_against_evaluation(division):
+    """Count the verdicts on FormulaGen seeds 0-999 over mixed int/real and
+    over real-only symbols, asserting that a proved formula holds on
+    sampled states and a refuted one fails on its counterexample. States
+    whose evaluation divides by zero are skipped."""
     counts = {"proved-internal": 0, "refuted": 0, "unknown": 0}
     for reals_only in (False, True):
         for seed in range(1000):
-            gen = FormulaGen(seed, reals_only)
+            gen = FormulaGen(seed, reals_only, division)
             text = gen.formula()
             try:
                 f = typed_formula(text, dict(gen.vars))
@@ -232,9 +246,23 @@ def test_verdicts_agree_with_evaluation_on_random_formulas():
             else:
                 continue
             for sigma in states:
-                holds = eval_formula(f, {"Here": dict(sigma), "Old": dict(sigma)},
-                                     "rational")
+                try:
+                    holds = eval_formula(f, {"Here": dict(sigma), "Old": dict(sigma)},
+                                         "rational")
+                except ExecutionFault:
+                    assert division, (reals_only, seed, text, sigma)
+                    continue
                 assert holds == st.proved, (reals_only, seed, text, sigma)
+    return counts
+
+
+def test_verdicts_agree_with_evaluation_on_random_formulas():
+    counts = _check_verdicts_against_evaluation(division=False)
+    assert counts["proved-internal"] >= 100 and counts["refuted"] >= 100, counts
+
+
+def test_verdicts_agree_with_evaluation_on_random_formulas_with_division():
+    counts = _check_verdicts_against_evaluation(division=True)
     assert counts["proved-internal"] >= 100 and counts["refuted"] >= 100, counts
 
 

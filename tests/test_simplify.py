@@ -1,5 +1,6 @@
 
 from miniwhy import syntax as S
+from miniwhy.errors import EvalError, ExecutionFault
 from miniwhy.interp import eval_formula
 from miniwhy.printer import expr_to_str
 from miniwhy.simplify import simplify
@@ -65,6 +66,15 @@ def test_zero_division_rewrite_under_hypothesis():
     assert simplify(h, hypotheses=[hyp]) == TRUE
 
 
+def test_division_by_a_nonzero_constant_is_linear():
+    assert simplify(tf("x / 2.0 - 0.5 * x == 0.0", x=S.REAL)) == TRUE
+    assert simplify(tf("(x + y) / -4.0 == -0.25 * y - x / 4.0",
+                       x=S.REAL, y=S.REAL)) == TRUE
+    # a zero divisor leaves the quotient an atom
+    assert expr_to_str(simplify(tf("x / (y - y) > 0.0", x=S.REAL, y=S.REAL))) \
+        == "x / 0.0 > 0.0"
+
+
 def test_boolean_absorption_and_flattening():
     f = tf("true && (x > 0 || false) && true", x=S.INT)
     assert expr_to_str(simplify(f)) == "x > 0"
@@ -91,10 +101,10 @@ def test_sum_of_terms_normalization():
 # ---------------------------------------------------------------------------
 # soundness: eval(f) == eval(simplify(f)) on random ground formulas
 
-def test_simplify_preserves_evaluation_on_1000_random_formulas():
+def _evaluation_mismatches(division):
     failures = []
     for seed in range(1000):
-        gen = FormulaGen(seed)
+        gen = FormulaGen(seed, division=division)
         text = gen.formula()
         try:
             f = typed_formula(text, dict(gen.vars))
@@ -102,11 +112,10 @@ def test_simplify_preserves_evaluation_on_1000_random_formulas():
             continue      # e.g. binder collision after the crude rename
         sigma = gen.state()
         states = {"Here": dict(sigma), "Old": dict(sigma)}
-        from miniwhy.errors import EvalError
         try:
             before = eval_formula(f, states, "rational")
-        except EvalError:
-            continue      # original formula itself is not ground-evaluable
+        except (EvalError, ExecutionFault):
+            continue      # not ground-evaluable, or a zero divisor in sigma
         after_f = simplify(f)
         if isinstance(after_f, S.BoolLit):
             after = after_f.value
@@ -114,4 +123,14 @@ def test_simplify_preserves_evaluation_on_1000_random_formulas():
             after = eval_formula(after_f, states, "rational")
         if before != after:
             failures.append((seed, text, sigma))
+    return failures
+
+
+def test_simplify_preserves_evaluation_on_1000_random_formulas():
+    failures = _evaluation_mismatches(division=False)
+    assert not failures, failures[:3]
+
+
+def test_simplify_preserves_evaluation_with_division():
+    failures = _evaluation_mismatches(division=True)
     assert not failures, failures[:3]
