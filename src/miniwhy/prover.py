@@ -1,22 +1,31 @@
 """Internal automatic prover for quantifier-free linear rational arithmetic.
 
-Validity of `hypotheses ==> goal` is decided by refuting the negation with
-Fourier-Motzkin elimination over exact rationals. Integer symbols are
-treated as rationals (sound for proving, incomplete for refuting). Each
-int/real term is read through `simplify.linear_form`, so the atoms are the
-simplifier's: division by a nonzero constant is linear, and every other
-nonlinear term (variable products, division, array selects, lengths) is an
-atom abstracted to a fresh symbol. Two division sign rules reintroduce the
-facts the abstraction loses:
+Validity of `hypotheses ==> goal` is decided by refuting its negation. The
+simplified formula goes through four steps:
+
+1. negate and distribute in one walk into a disjunction of conjunctions of
+   literals: a numeric comparison `(op, left, right)`, its negation folded
+   into `op`, or any other formula as an uninterpreted `(atom, truth)`.
+   The goal's universal prefix is opened with fresh symbols; universally
+   quantified hypotheses are dropped (sound).
+2. read each conjunct's comparisons once into constraints `lin op 0` over
+   abstraction keys. Each int/real term is read through
+   `simplify.linear_form`, so the atoms are the simplifier's: division by a
+   nonzero constant is linear, and every other nonlinear term (variable
+   products, division, array selects, lengths) is an atom abstracted to a
+   fresh symbol.
+3. split each `a != b` into `a < b` or `a > b`; k of them give 2**k leaves.
+4. refute each leaf by Fourier-Motzkin elimination over exact rationals,
+   with the facts of two division sign rules, which reintroduce what the
+   abstraction loses:
 
     x > 0 && y > 0   gives   x / y > 0
     x == 0 && y != 0 gives   x / y == 0
 
-Universally quantified hypotheses are dropped (sound), the goal's universal
-prefix is opened with fresh symbols, and anything else that leaves the
-fragment yields `unknown` with the reason. A `refuted` verdict is only
-issued for closed, havoc-free, all-real goals and only after the
-counterexample is confirmed by the evaluator.
+Integer symbols are treated as rationals (sound for proving, incomplete
+for refuting). A `refuted` verdict is only issued for closed, havoc-free,
+all-real goals and only after the counterexample is confirmed by the
+evaluator.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from .interp import eval_formula
 from .linear import Lin
 from .printer import expr_to_str
 from .simplify import linear_form, simplify
-from .vcgen import validation_formula
+from .vcgen import sourced_hypotheses, validation_formula
 
 MAX_DISJUNCTS = 256
 MAX_CONSTRAINTS = 4000
@@ -57,10 +66,6 @@ class ProofStatus:
         if self.status == "refuted":
             return f"counterexample {self.counterexample}"
         return self.reason
-
-
-class _OutsideFragment(Exception):
-    pass
 
 
 class _ResourceCap(Exception):
@@ -138,80 +143,46 @@ def _keyed(form: Lin):
 
 
 # ---------------------------------------------------------------------------
-# NNF with universal opening
-
-class _Prenex:
-    def __init__(self):
-        self.counter = itertools.count()
-
-    def open_binder(self, name, ty):
-        fresh = f"{name}${next(self.counter)}"
-        return S.Var(name=fresh, ty=ty)
-
-
-def _nnf(f: S.Expr, positive: bool, px: _Prenex, dropped: list) -> S.Expr:
-    """Negation normal form of f (or its negation when positive=False);
-    positive universals are opened, negative ones leave the fragment."""
-    TRUE = S.BoolLit(value=True, ty=S.BOOL)
-    FALSE = S.BoolLit(value=False, ty=S.BOOL)
-    if isinstance(f, S.BoolLit):
-        return TRUE if (f.value == positive) else FALSE
-    if isinstance(f, S.Unary) and f.op == "!":
-        return _nnf(f.operand, not positive, px, dropped)
-    if isinstance(f, S.Binary) and f.op in ("&&", "||"):
-        l = _nnf(f.left, positive, px, dropped)
-        r = _nnf(f.right, positive, px, dropped)
-        op = f.op if positive else ("||" if f.op == "&&" else "&&")
-        return S.Binary(op=op, left=l, right=r, ty=S.BOOL)
-    if isinstance(f, S.Binary) and f.op == "==>":
-        l = _nnf(f.left, not positive, px, dropped)
-        r = _nnf(f.right, positive, px, dropped)
-        if positive:
-            return S.Binary(op="||", left=l, right=r, ty=S.BOOL)
-        return S.Binary(op="&&", left=l, right=r, ty=S.BOOL)
-    if isinstance(f, S.Forall):
-        if not positive:
-            # negated forall is existential: satisfiability treats the
-            # binders as free fresh symbols (Skolem constants)
-            sub = {name: px.open_binder(name, ty) for name, ty in f.binders}
-            return _nnf(S.substitute(f.body, sub), False, px, dropped)
-        # universally quantified constraint: dropping it weakens the
-        # satisfiability query, which is sound for proving
-        dropped.append(f)
-        return S.BoolLit(value=True, ty=S.BOOL)
-    if isinstance(f, S.Binary) and f.op in S.COMPARE:
-        lt = f.left.ty
-        if lt in (S.INT, S.REAL):
-            op = f.op if positive else _NEG[f.op]
-            return S.Binary(op=op, left=f.left, right=f.right, ty=S.BOOL)
-        # boolean/array (dis)equality: uninterpreted atom
-        atom = f if positive else S.Unary(op="!", operand=f, ty=S.BOOL)
-        return atom
-    # everything else is an uninterpreted boolean atom
-    return f if positive else S.Unary(op="!", operand=f, ty=S.BOOL)
-
+# negation and DNF with universal opening
 
 _NEG = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
-def _dnf(f: S.Expr) -> list:
-    """List of conjunctions (lists of literals) equivalent to f (an NNF tree)."""
-    if isinstance(f, S.Binary) and f.op == "&&":
-        out = []
-        for l in _dnf(f.left):
-            for r in _dnf(f.right):
-                out.append(l + r)
-                if len(out) > MAX_DISJUNCTS:
-                    raise _ResourceCap("DNF explosion")
-        return out
-    if isinstance(f, S.Binary) and f.op == "||":
-        out = _dnf(f.left) + _dnf(f.right)
-        if len(out) > MAX_DISJUNCTS:
-            raise _ResourceCap("DNF explosion")
-        return out
+def _dnf(f: S.Expr, positive: bool, px, dropped: list) -> list:
+    """The conjunctions (lists of literals) whose disjunction is f, or its
+    negation when positive=False. A numeric comparison is the literal
+    (op, left, right), any other formula (atom, truth). Universals are
+    opened with fresh symbols from the counter px where negated, dropped
+    (and listed in dropped) where asserted."""
     if isinstance(f, S.BoolLit):
-        return [[f]] if f.value else []
-    return [[f]]
+        return [[]] if f.value == positive else []
+    if isinstance(f, S.Unary) and f.op == "!":
+        return _dnf(f.operand, not positive, px, dropped)
+    if isinstance(f, S.Binary) and f.op in ("&&", "||", "==>"):
+        left = _dnf(f.left, positive != (f.op == "==>"), px, dropped)
+        right = _dnf(f.right, positive, px, dropped)
+        conjunction = (f.op == "&&") == positive
+        size = len(left) * len(right) if conjunction else len(left) + len(right)
+        if size > MAX_DISJUNCTS:
+            raise _ResourceCap("DNF explosion")
+        return [l + r for l in left for r in right] if conjunction else left + right
+    if isinstance(f, S.Forall):
+        if positive:
+            # universally quantified constraint: dropping it weakens the
+            # satisfiability query, which is sound for proving
+            dropped.append(f)
+            return [[]]
+        # negated forall is existential: satisfiability treats the binders
+        # as free fresh symbols (Skolem constants)
+        sub = {name: S.Var(name=f"{name}${next(px)}", ty=ty)
+               for name, ty in f.binders}
+        return _dnf(S.substitute(f.body, sub), False, px, dropped)
+    if (isinstance(f, S.Binary) and f.op in _NEG
+            and f.left.ty in (S.INT, S.REAL)):
+        return [[(f.op if positive else _NEG[f.op], f.left, f.right)]]
+    # everything else, boolean/array (dis)equality included, is an
+    # uninterpreted boolean atom
+    return [[(f, positive)]]
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +305,13 @@ def _signs(lin: Lin, conj: list) -> set:
 
 def _division_facts(conj: list, atoms: _Atoms):
     """Extra constraints from the two division sign rules, and their trace
-    entries."""
+    entries. Inner quotients come first in `atoms.divisions`, so the signs
+    of each are read from conj and the facts derived before it."""
     out = []
     applied = []
     for key, (num, den) in atoms.divisions.items():
-        num_signs, den_signs = _signs(num, conj), _signs(den, conj)
+        known = conj + out
+        num_signs, den_signs = _signs(num, known), _signs(den, known)
         if 1 in num_signs and 1 in den_signs:
             out.append(Constraint(Lin(coeffs={key: Fraction(-1)}), "<"))
             applied.append(f"division-sign: {key} > 0")
@@ -359,7 +332,7 @@ def prove_internal(ob) -> ProofStatus:
     """
     trace = []
     hyps = []
-    for h, src in zip(ob.hypotheses, ob.hyp_sources or ["?"] * len(ob.hypotheses)):
+    for h, src in sourced_hypotheses(ob):
         if isinstance(h, S.Forall):
             trace.append(f"dropped quantified hypothesis ({src})")
             continue
@@ -375,102 +348,63 @@ def prove_internal(ob) -> ProofStatus:
             return ProofStatus("proved-internal", rule_trace=trace)
         return _try_refute(ob, {}, trace + ["simplified to false"])
 
-    px = _Prenex()
     dropped = []
-    try:
-        nnf_neg = _nnf(f, False, px, dropped)       # negation of f
-        disjuncts = _dnf(nnf_neg)
-    except _OutsideFragment as ex:
-        return ProofStatus("unknown", reason=str(ex), rule_trace=trace)
-    except _ResourceCap as ex:
-        return ProofStatus("unknown", reason=f"resource cap: {ex}", rule_trace=trace)
-    if dropped:
-        trace.append(f"dropped {len(dropped)} quantified constraint(s)")
-    trace.append(f"negate/nnf/dnf: {len(disjuncts)} disjunct(s)")
-
-    sat_witness = None
-    sat_atoms = None
     # id(term) -> (term, _keyed form) for this obligation only; holding the
     # term keeps its id from being reused while the map lives
     forms = {}
-    for conj in disjuncts:
-        try:
+    result = None
+    try:
+        disjuncts = _dnf(f, False, itertools.count(), dropped)  # negation of f
+        if dropped:
+            trace.append(f"dropped {len(dropped)} quantified constraint(s)")
+        trace.append(f"negate/nnf/dnf: {len(disjuncts)} disjunct(s)")
+        for conj in disjuncts:
             result = _refute_conjunct(conj, trace, forms)
-        except _OutsideFragment as ex:
-            return ProofStatus("unknown", reason=str(ex), rule_trace=trace)
-        except _ResourceCap as ex:
-            return ProofStatus("unknown", reason=f"resource cap: {ex}",
-                               rule_trace=trace)
-        if result is not None:
-            witness, atoms = result
-            sat_witness, sat_atoms = witness, atoms
-            break
-    if sat_witness is None:
+            if result is not None:
+                break
+    except _ResourceCap as ex:
+        return ProofStatus("unknown", reason=f"resource cap: {ex}", rule_trace=trace)
+    if result is None:
         trace.append("fourier-motzkin: every disjunct closed")
         return ProofStatus("proved-internal", rule_trace=trace)
-    if sat_atoms.opaque or sat_atoms.int_keys:
-        why = ("nonlinear terms abstracted" if sat_atoms.opaque
+    witness, atoms = result
+    if atoms.opaque or atoms.int_keys:
+        why = ("nonlinear terms abstracted" if atoms.opaque
                else "integer-sorted symbols (rational decision is incomplete)")
         return ProofStatus("unknown", reason=f"satisfiable abstraction: {why}",
                            rule_trace=trace)
-    return _try_refute(ob, sat_witness, trace)
-
-
-def _literal(lit):
-    """(negated, formula, op) of a DNF literal: op is the comparison a numeric
-    literal states once its negation is folded in, None for any other."""
-    neg = isinstance(lit, S.Unary) and lit.op == "!"
-    f = lit.operand if neg else lit
-    if isinstance(f, S.Binary) and f.op in _NEG and f.left.ty in (S.INT, S.REAL):
-        return neg, f, _NEG[f.op] if neg else f.op
-    return neg, f, None
+    return _try_refute(ob, witness, trace)
 
 
 def _refute_conjunct(conj: list, trace, forms: dict):
-    """None when refuted; (witness, atoms) when satisfiable-as-abstracted."""
-    # each != literal splits the conjunct in two: k of them cost 2**k
-    splits = sum(_literal(lit)[2] == "!=" for lit in conj)
-    if 2 ** splits > MAX_DISJUNCTS:
-        raise _ResourceCap(f"disequality split ({splits} literals)")
+    """None when refuted; (witness, atoms) when satisfiable-as-abstracted.
+    Each `a != b` splits the conjunct into `a < b` and `a > b`: the leaves,
+    `<` first and in literal order, add one side of every split to the
+    constraints of the other literals."""
+    splits = [lit for lit in conj if lit[0] == "!="]
+    if 2 ** len(splits) > MAX_DISJUNCTS:
+        raise _ResourceCap(f"disequality split ({len(splits)} literals)")
     atoms = _Atoms(forms)
     constraints = []
     bools = {}
     for lit in conj:
-        neg, f, op = _literal(lit)
-        if isinstance(f, S.BoolLit):
-            if f.value == neg:
+        if len(lit) == 2:
+            atom, truth = lit
+            atoms.opaque = True
+            if bools.setdefault(expr_to_str(atom), truth) != truth:
                 return None
-            continue
-        if op == "!=":
-            # split once: a != b  ->  a < b or a > b; recurse on both
-            rest = [x for x in conj if x is not lit]
-            for split in ("<", ">"):
-                result = _refute_conjunct(
-                    rest + [S.Binary(op=split, left=f.left, right=f.right,
-                                     ty=S.BOOL)], trace, forms)
-                if result is not None:
-                    return result
-            return None
-        if op is not None:
-            constraints.append(atoms.constraint(op, f.left, f.right))
-            continue
-        if isinstance(f, S.Forall):
-            if neg:
-                raise _OutsideFragment("existential quantification")
-            trace.append("dropped quantified conjunct (sound weakening)")
-            continue
-        key = expr_to_str(f)
-        atoms.opaque = True
-        if key in bools and bools[key] != (not neg):
-            return None
-        bools[key] = not neg
-    facts, applied = _division_facts(constraints, atoms)
-    if applied:
+        elif lit[0] != "!=":
+            constraints.append(atoms.constraint(*lit))
+    sides = [(atoms.constraint("<", l, r), atoms.constraint(">", l, r))
+             for _, l, r in splits]
+    for leaf in itertools.product(*sides):
+        leaf = constraints + list(leaf)
+        facts, applied = _division_facts(leaf, atoms)
         trace.extend(applied)
-    witness = _fm(constraints + facts)
-    if witness is None:
-        return None
-    return witness, atoms
+        witness = _fm(leaf + facts)
+        if witness is not None:
+            return witness, atoms
+    return None
 
 
 def _try_refute(ob, witness, trace) -> ProofStatus:

@@ -735,6 +735,12 @@ def _segments(trace, method):
     return segs
 
 
+def sourced_hypotheses(ob) -> list:
+    """(hypothesis, source) pairs of an obligation. Without recorded
+    sources every hypothesis has source "?", which is not a lemma."""
+    return list(zip(ob.hypotheses, ob.hyp_sources or ["?"] * len(ob.hypotheses)))
+
+
 def validation_formula(ob) -> S.Expr:
     """The ground test of an obligation: its non-lemma hypotheses ==> goal.
 
@@ -743,7 +749,7 @@ def validation_formula(ob) -> S.Expr:
     on them cannot change a verdict; leaving them out avoids their
     (typically unbounded) quantifiers."""
     test = ob.goal
-    for h, src in reversed(list(zip(ob.hypotheses, ob.hyp_sources or ()))):
+    for h, src in reversed(sourced_hypotheses(ob)):
         if src != "lemma":
             test = _imp(h, test)
     return test

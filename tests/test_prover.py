@@ -67,6 +67,20 @@ def test_hypotheses_condition_refutation():
     assert st.proved
 
 
+def test_hypotheses_without_sources_condition_refutation():
+    # the prover drops the quantified hypothesis and finds x = 2, which
+    # breaks it: a hypothesis with no source is not a lemma, so the
+    # counterexample check must keep it
+    X = {"x": S.REAL}
+    hyp = typed_formula("\\forall integer k; 0 <= k && k < 1 ==> x > 5.0", X)
+    ob = Obligation(id="t:000:assert", name="test",
+                    origin=Origin("m", 1, "assert"), hypotheses=[hyp],
+                    goal=typed_formula("x > 3.0", X), var_sorts=dict(X))
+    st = prove_internal(ob)
+    assert st.status == "unknown"
+    assert st.reason == "candidate counterexample not confirmed"
+
+
 def test_faulting_counterexample_gives_unknown():
     # the goal simplifies to false; its candidate x = 0 divides by zero
     unit = typecheck(parse("/*@ ensures (x / x) * 0.0 == 1.0; @*/\n"
@@ -202,6 +216,28 @@ def test_disequality_splits_stop_at_the_disjunct_cap():
 XYZ = {"x": S.REAL, "y": S.REAL, "z": S.REAL}
 
 
+def test_disequality_split_leaves_keep_their_order():
+    # two != hypotheses split the one disjunct of each goal conjunct into
+    # four leaves: x < 0 before x > 0, and x's split before z's
+    hyps = [typed_formula(t, XYZ) for t in ("x != 0.0", "z != 0.0", "y > 0.0")]
+    goal = typed_formula("(x / y > 0.0 || (0.0 - x) / y > 0.0) && "
+                         "(z / y > 0.0 || (0.0 - z) / y > 0.0)", XYZ)
+    st = prove_internal(mk(goal, hyps, XYZ))
+    assert st.rule_trace == [
+        "simplify",
+        "negate/nnf/dnf: 2 disjunct(s)",
+        "division-sign: |-x / y| > 0",
+        "division-sign: |-x / y| > 0",
+        "division-sign: |x / y| > 0",
+        "division-sign: |x / y| > 0",
+        "division-sign: |-z / y| > 0",
+        "division-sign: |z / y| > 0",
+        "division-sign: |-z / y| > 0",
+        "division-sign: |z / y| > 0",
+        "fourier-motzkin: every disjunct closed",
+    ]
+
+
 @pytest.mark.parametrize("hyp, goal, proved", [
     ("x > 0 && y > 0", "x / y > 0", True),
     ("2 * x > 0 && 3 * y > 0", "x / y > 0", True),
@@ -212,6 +248,7 @@ XYZ = {"x": S.REAL, "y": S.REAL, "z": S.REAL}
     ("x > 0 && y < 0", "x / y > 0", False),
     ("x >= 0 && y > 0", "x / y > 0", False),
     ("x < 0 && y < 0", "x / y > 0", False),
+    ("x > 0 && y > 0", "(x / y) / (y / x) > 0", True),
 ])
 def test_division_sign_rules(hyp, goal, proved):
     ob = mk(typed_formula(goal, XYZ), hyps=[typed_formula(hyp, XYZ)], sorts=XYZ)
@@ -264,6 +301,26 @@ def test_verdicts_agree_with_evaluation_on_random_formulas():
 def test_verdicts_agree_with_evaluation_on_random_formulas_with_division():
     counts = _check_verdicts_against_evaluation(division=True)
     assert counts["proved-internal"] >= 100 and counts["refuted"] >= 100, counts
+
+
+def _formulagen_verdict_lines():
+    """One line per FormulaGen formula of seeds 0-299 in each of the four
+    sets: set, seed, status and the report's detail."""
+    for division in (False, True):
+        for reals_only in (False, True):
+            name = ("real" if reals_only else "mixed") + ("/div" if division else "")
+            for seed in range(300):
+                gen = FormulaGen(seed, reals_only, division)
+                f = typed_formula(gen.formula(), dict(gen.vars))
+                st = prove_internal(mk(f, sorts=gen.vars))
+                yield f"{name}\t{seed}\t{st.status}\t{st.detail}\n"
+
+
+def test_random_formula_verdicts_match_golden():
+    path = os.path.join(os.path.dirname(__file__), "golden",
+                        "formulagen.verdicts.txt")
+    with open(path, encoding="utf-8") as fh:
+        assert "".join(_formulagen_verdict_lines()) == fh.read()
 
 
 @pytest.mark.parametrize("entry", [e.name for e in corpus.corpus_sources()])
