@@ -10,7 +10,8 @@ from miniwhy import syntax as S
 from miniwhy.errors import EvalError, ExecutionFault
 from miniwhy.interp import eval_formula, exec_method
 from miniwhy.parser import parse
-from miniwhy.prover import prove_internal
+from miniwhy.linear import Lin
+from miniwhy.prover import Constraint, _fm, prove_internal
 from miniwhy.typecheck import typecheck
 from miniwhy.vcgen import (Obligation, Origin, generate_obligations,
                            instantiate_on_trace)
@@ -191,9 +192,26 @@ def test_resource_cap_reports_unknown():
     parts = " && ".join(f"(u > {k}.0 || v > {k}.0)" for k in range(40))
     f = typed_formula(f"{parts} ==> u + v > -1000.0", {"u": S.REAL, "v": S.REAL})
     st = prove_internal(mk(f, sorts={"u": S.REAL, "v": S.REAL}))
-    assert st.status in ("unknown", "proved-internal")
-    if st.status == "unknown":
-        assert "resource" in st.reason or "abstraction" in st.reason
+    assert st.status == "unknown"
+    assert st.reason == "resource cap: DNF explosion"
+
+
+def _bounded_x(k):
+    """x > i for i < k and x < 1000 + i for i < k - 1 entail x > -1: the
+    negated goal is a k-th upper bound, so eliminating x combines k * k
+    pairs."""
+    X = {"x": S.REAL}
+    hyps = [typed_formula(f"x > {i}.0", X) for i in range(k)]
+    hyps += [typed_formula(f"x < {1000 + i}.0", X) for i in range(k - 1)]
+    return prove_internal(mk(typed_formula("x > -1.0", X), hyps, X))
+
+
+def test_fourier_motzkin_cap():
+    # 64 * 64 combinations pass MAX_CONSTRAINTS (4000), 63 * 63 do not
+    st = _bounded_x(64)
+    assert st.status == "unknown"
+    assert st.reason == "resource cap: Fourier-Motzkin blowup"
+    assert _bounded_x(63).proved
 
 
 def test_disequality_splits_stop_at_the_disjunct_cap():
@@ -333,5 +351,58 @@ def test_corpus_verdicts_match_goldens(entry):
         lines.append(f"{ob.id}\t{st.status}\t{st.detail}\n")
     path = os.path.join(os.path.dirname(__file__), "golden",
                         f"{entry}.verdicts.txt")
+    with open(path, encoding="utf-8") as fh:
+        assert "".join(lines) == fh.read()
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin on seeded random systems
+
+def _fm_system(seed):
+    """A random system of 1-8 constraints over 1-6 of the keys a-f: integer
+    and fractional coefficients and constants, `<`, `<=` and `==` (whose
+    least key may have a negative or fractional coefficient)."""
+    rng = random.Random(seed)
+    keys = rng.sample("abcdef", rng.randint(1, 6))
+
+    def number(nonzero):
+        while True:
+            if rng.random() < 0.6:
+                v = Fraction(rng.randint(-4, 4))
+            else:
+                v = Fraction(rng.randint(-9, 9), rng.randint(2, 5))
+            if v or not nonzero:
+                return v
+
+    system = []
+    for _ in range(rng.randint(1, 8)):
+        mentioned = rng.sample(keys, rng.randint(1, min(3, len(keys))))
+        lin = Lin(number(False), {k: number(True) for k in mentioned})
+        system.append((lin, rng.choice(["<", "<=", "<=", "=="])))
+    return system
+
+
+def _fm_witness_lines():
+    """One line per system of seeds 0-1999: seed, then `None` or the
+    witness sorted by key. Each witness is checked against the system."""
+    for seed in range(2000):
+        system = _fm_system(seed)
+        witness = _fm([Constraint(lin, op) for lin, op in system])
+        if witness is None:
+            yield f"{seed}\tNone\n"
+            continue
+        for lin, op in system:
+            value = lin.const + sum(v * witness.get(k, 0)
+                                    for k, v in lin.coeffs.items())
+            assert S.COMPARE[op](value, 0), (seed, lin.key(), op, witness)
+        shown = " ".join(f"{k}={witness[k]}" for k in sorted(witness))
+        yield f"{seed}\t{shown}\n"
+
+
+def test_fm_witnesses_match_golden():
+    lines = list(_fm_witness_lines())
+    unsat = sum(line.endswith("\tNone\n") for line in lines)
+    assert 200 <= unsat <= len(lines) - 200, unsat
+    path = os.path.join(os.path.dirname(__file__), "golden", "fm.witnesses.txt")
     with open(path, encoding="utf-8") as fh:
         assert "".join(lines) == fh.read()
