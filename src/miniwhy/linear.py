@@ -3,13 +3,16 @@
 The simplifier and the prover both normalise int/real terms to this form,
 through one walk from a term to a form (`simplify.linearize`); the prover
 rekeys the simplifier's atoms. This module holds the only copy of the
-arithmetic over it. A zero coefficient is never stored, so a form is
-constant exactly when it has no keys.
+arithmetic over it. Coefficients and constant are exact numbers: the
+simplifier's are `Fraction`s, and the prover's constraints hold Python
+ints, scaled to coprime integers by `primitive`. A zero coefficient is
+never stored, so a form is constant exactly when it has no keys.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class Lin:
@@ -18,7 +21,7 @@ class Lin:
 
     def __init__(self, const=Fraction(0), coeffs=None):
         self.const = const
-        self.coeffs = coeffs or {}      # key -> nonzero Fraction
+        self.coeffs = coeffs or {}      # key -> nonzero Fraction or int
 
     @property
     def is_const(self) -> bool:
@@ -35,6 +38,8 @@ class Lin:
         return Lin(self.const + k * other.const, coeffs)
 
     def scale(self, k) -> Lin:
+        if k == 1:
+            return self
         if k == 0:
             return Lin()
         return Lin(self.const * k, {key: v * k for key, v in self.coeffs.items()})
@@ -49,9 +54,25 @@ class Lin:
         if not other.coeffs or self.coeffs.keys() != other.coeffs.keys():
             return None
         first = next(iter(other.coeffs))
-        k = self.coeffs[first] / other.coeffs[first]
+        k = Fraction(self.coeffs[first], other.coeffs[first])
         if self.const != k * other.const:
             return None
         if any(self.coeffs[key] != k * v for key, v in other.coeffs.items()):
             return None
         return k
+
+    def primitive(self) -> Lin:
+        """The multiple of self by a positive factor whose coefficients and
+        constant are coprime ints: `2/3 x - 1/2` gives `4 x - 3`. The sign
+        of every coefficient is kept; zero stays zero."""
+        try:
+            g = gcd(self.const, *self.coeffs.values())
+        except TypeError:       # a Fraction: clear the denominators first
+            den = lcm(self.const.denominator,
+                      *(v.denominator for v in self.coeffs.values()))
+            return Lin(int(self.const * den),
+                       {key: int(v * den) for key, v in self.coeffs.items()}
+                       ).primitive()
+        if g <= 1:
+            return self
+        return Lin(self.const // g, {key: v // g for key, v in self.coeffs.items()})

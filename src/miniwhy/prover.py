@@ -8,16 +8,18 @@ simplified formula goes through four steps:
    into `op`, or any other formula as an uninterpreted `(atom, truth)`.
    The goal's universal prefix is opened with fresh symbols; universally
    quantified hypotheses are dropped (sound).
-2. read each conjunct's comparisons once into constraints `lin op 0` over
-   abstraction keys. Each int/real term is read through
+2. read each comparison into a constraint `lin op 0` over abstraction
+   keys, once per obligation: `lin` is primitive, its coefficients and
+   constant coprime ints. Each int/real term is read through
    `simplify.linear_form`, so the atoms are the simplifier's: division by a
    nonzero constant is linear, and every other nonlinear term (variable
    products, division, array selects, lengths) is an atom abstracted to a
    fresh symbol.
 3. split each `a != b` into `a < b` or `a > b`; k of them give 2**k leaves.
-4. refute each leaf by Fourier-Motzkin elimination over exact rationals,
-   with the facts of two division sign rules, which reintroduce what the
-   abstraction loses:
+4. refute each leaf by Gaussian and Fourier-Motzkin elimination over
+   primitive integer constraints, whose witness is rational, with the facts
+   of two division sign rules, which reintroduce what the abstraction
+   loses:
 
     x > 0 && y > 0   gives   x / y > 0
     x == 0 && y != 0 gives   x / y == 0
@@ -88,8 +90,10 @@ class Constraint:
 class _Atoms:
     """Abstraction registry of one conjunct: the keys its constraints
     mention that are integer-sorted, whether any is a non-variable atom, and
-    each division atom's numerator and denominator. Term forms come from
-    `forms`, the obligation's map id(term) -> (term, _keyed form)."""
+    each division atom's numerator and denominator. Forms come from
+    `forms`, the obligation's map from id(term) to (term, _keyed form) and
+    from (op, id(left), id(right)) to (left, right, constraint, and what
+    reading its sides registered)."""
 
     def __init__(self, forms: dict):
         self.forms = forms
@@ -97,24 +101,37 @@ class _Atoms:
         self.int_keys = set()
         self.opaque = False      # saw a non-variable abstraction
 
+    def _register(self, int_keys, opaque, divisions):
+        self.int_keys |= int_keys
+        self.opaque = self.opaque or opaque
+        self.divisions.update(divisions)
+
     def lin(self, e: S.Expr) -> Lin:
         """The linear form of an int/real term, its atoms registered."""
         hit = self.forms.get(id(e))
         if hit is None:
             hit = self.forms[id(e)] = (e, *_keyed(linear_form(e)))
-        _, lin, int_keys, opaque, divisions = hit
-        self.int_keys |= int_keys
-        self.opaque = self.opaque or opaque
-        self.divisions.update(divisions)
-        return lin
+        self._register(*hit[2:])
+        return hit[1]
 
     def constraint(self, op: str, left: S.Expr, right: S.Expr) -> Constraint:
-        """The constraint `left op right`, as `left - right` or its negation
-        compared with 0."""
-        lin = self.lin(left).add(self.lin(right), -1)
-        if op in (">", ">="):
-            return Constraint(lin.scale(-1), "<" if op == ">" else "<=")
-        return Constraint(lin, op)
+        """The constraint `left op right`, as the primitive form of
+        `left - right` or of its negation compared with 0, its atoms
+        registered. It is built once per obligation, with a registry of its
+        own whose findings each later conjunct takes over."""
+        cached = (op, id(left), id(right))
+        hit = self.forms.get(cached)
+        if hit is None:
+            sides = _Atoms(self.forms)
+            lin = sides.lin(left).add(sides.lin(right), -1)
+            if op in (">", ">="):
+                lin, op = lin.scale(-1), "<" if op == ">" else "<="
+            hit = self.forms[cached] = (left, right,
+                                        Constraint(lin.primitive(), op),
+                                        sides.int_keys, sides.opaque,
+                                        sides.divisions)
+        self._register(*hit[3:])
+        return hit[2]
 
 
 def _keyed(form: Lin):
@@ -190,11 +207,14 @@ def _dnf(f: S.Expr, positive: bool, px, dropped: list) -> list:
 
 def _fm(constraints: list):
     """None when the conjunction is unsatisfiable over the rationals, else a
-    rational witness {key: Fraction}."""
-    # Gaussian elimination of equalities, pivoting on the least key. The
-    # equality scaled by -1/coeff(key) reads `v - key`, v being key's value
-    # in the other keys; adding a * (v - key) to a form substitutes v for key
-    subs = []      # (key, v - key)
+    rational witness {key: Fraction}. Every form is primitive
+    (`Lin.primitive`): each step is an integer combination that comes out a
+    positive multiple of the rational step's result, made primitive again.
+    A positive multiple puts the same bound on each key, so the witness is
+    the rational one, and Fraction arithmetic happens only in building it."""
+    # Gaussian elimination of equalities, pivoting on the least key; each
+    # other constraint is rewritten with key cancelled against the equality
+    solved = []    # (key, equality form)
     ineqs = []
     pending = list(constraints)
     while pending:
@@ -205,9 +225,10 @@ def _fm(constraints: list):
             continue
         if c.op == "==":
             key = min(c.lin.coeffs)
-            solved = c.lin.scale(-1 / c.lin.coeffs[key])
-            subs.append((key, solved))
-            pending = [_substitute(o, key, solved) for o in pending + ineqs]
+            solved.append((key, c.lin))
+            pending = [o if key not in o.lin.coeffs
+                       else Constraint(_cancel(o.lin, c.lin, key), o.op)
+                       for o in pending + ineqs]
             ineqs = []
             continue
         ineqs.append(c)
@@ -229,7 +250,8 @@ def _fm(constraints: list):
         new = list(rest)
         for lo in lowers:
             for up in uppers:
-                new.append(_combine(lo, up, key))
+                new.append(Constraint(_cancel(lo.lin, up.lin, key),
+                                      "<" if "<" in (lo.op, up.op) else "<="))
                 if len(new) > MAX_CONSTRAINTS:
                     raise _ResourceCap("Fourier-Motzkin blowup")
         current = []
@@ -242,17 +264,16 @@ def _fm(constraints: list):
     # inequality default to 0
     witness = {}
 
-    def val(lin, key):
-        """lin's value under the witness, key's own term left out."""
-        return lin.const + sum(v * witness.setdefault(k, Fraction(0))
+    def bound(lin, key):
+        """The value of key that makes lin zero under the witness."""
+        rest = lin.const + sum(v * witness.setdefault(k, Fraction(0))
                                for k, v in lin.coeffs.items() if k != key)
+        return Fraction(-rest, lin.coeffs[key])
 
     for key, lowers, uppers in reversed(stack):
         # the bound each constraint puts on key, given the later keys' values
-        lo_best = max((-val(c.lin, key) / c.lin.coeffs[key] for c in lowers),
-                      default=None)
-        up_best = min((-val(c.lin, key) / c.lin.coeffs[key] for c in uppers),
-                      default=None)
+        lo_best = max((bound(c.lin, key) for c in lowers), default=None)
+        up_best = min((bound(c.lin, key) for c in uppers), default=None)
         if lo_best is None and up_best is None:
             witness[key] = Fraction(0)
         elif lo_best is None:
@@ -262,24 +283,18 @@ def _fm(constraints: list):
         else:
             # projection kept lo <= up (equality only when both nonstrict)
             witness[key] = (lo_best + up_best) / 2
-    for key, solved in reversed(subs):
-        witness[key] = val(solved, key)
+    for key, lin in reversed(solved):
+        witness[key] = bound(lin, key)
     return witness
 
 
-def _substitute(c: Constraint, key, solved: Lin) -> Constraint:
-    """c with key replaced by its value, solved being `value - key`."""
-    a = c.lin.coeffs.get(key)
-    if a is None:
-        return c
-    return Constraint(c.lin.add(solved, a), c.op)
-
-
-def _combine(lo: Constraint, up: Constraint, key) -> Constraint:
-    """The sum of a lower and an upper bound on key, scaled so key cancels."""
-    lin = lo.lin.scale(1 / -lo.lin.coeffs[key]).add(up.lin,
-                                                    1 / up.lin.coeffs[key])
-    return Constraint(lin, "<" if "<" in (lo.op, up.op) else "<=")
+def _cancel(lin: Lin, by: Lin, key) -> Lin:
+    """|b| * lin - sign(b) * a * by, made primitive, where a and b are key's
+    coefficients in lin and by: key cancels, and lin keeps a positive
+    weight. With by an equality this substitutes key's value; with lin a
+    lower bound on key and by an upper bound it is their FM combination."""
+    a, b = lin.coeffs[key], by.coeffs[key]
+    return lin.scale(abs(b)).add(by, -a if b > 0 else a).primitive()
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +328,10 @@ def _division_facts(conj: list, atoms: _Atoms):
         known = conj + out
         num_signs, den_signs = _signs(num, known), _signs(den, known)
         if 1 in num_signs and 1 in den_signs:
-            out.append(Constraint(Lin(coeffs={key: Fraction(-1)}), "<"))
+            out.append(Constraint(Lin(0, {key: -1}), "<"))
             applied.append(f"division-sign: {key} > 0")
         if 0 in num_signs and den_signs - {0}:
-            out.append(Constraint(Lin(coeffs={key: Fraction(1)}), "=="))
+            out.append(Constraint(Lin(0, {key: 1}), "=="))
             applied.append(f"division-sign: {key} == 0")
     return out, applied
 

@@ -387,7 +387,7 @@ def _fm_witness_lines():
     witness sorted by key. Each witness is checked against the system."""
     for seed in range(2000):
         system = _fm_system(seed)
-        witness = _fm([Constraint(lin, op) for lin, op in system])
+        witness = _fm([Constraint(lin.primitive(), op) for lin, op in system])
         if witness is None:
             yield f"{seed}\tNone\n"
             continue
