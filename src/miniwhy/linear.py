@@ -70,9 +70,9 @@ class Lin:
         except TypeError:       # a Fraction: clear the denominators first
             den = lcm(self.const.denominator,
                       *(v.denominator for v in self.coeffs.values()))
-            return Lin(int(self.const * den),
-                       {key: int(v * den) for key, v in self.coeffs.items()}
-                       ).primitive()
+            return Lin(self.const.numerator * (den // self.const.denominator),
+                       {key: v.numerator * (den // v.denominator)
+                        for key, v in self.coeffs.items()}).primitive()
         if g <= 1:
             return self
         return Lin(self.const // g, {key: v // g for key, v in self.coeffs.items()})

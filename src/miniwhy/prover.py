@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import syntax as S
 from .errors import EvalError, ExecutionFault
@@ -77,8 +78,7 @@ class _ResourceCap(Exception):
 # ---------------------------------------------------------------------------
 # literals: linear constraints over abstraction keys
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """lin OP 0, OP in {'<', '<=', '=='}."""
     lin: Lin
     op: str

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import time
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from miniwhy import corpus
+from miniwhy import corpus, prover
 from miniwhy import syntax as S
 from miniwhy.errors import EvalError, ExecutionFault
 from miniwhy.interp import eval_formula, exec_method
@@ -397,6 +398,33 @@ def _fm_witness_lines():
             assert S.COMPARE[op](value, 0), (seed, lin.key(), op, witness)
         shown = " ".join(f"{k}={witness[k]}" for k in sorted(witness))
         yield f"{seed}\t{shown}\n"
+
+
+def _is_primitive(lin):
+    values = [lin.const, *lin.coeffs.values()]
+    return all(type(v) is int for v in values) and math.gcd(*values) in (0, 1)
+
+
+def test_fm_runs_over_primitive_integer_forms(monkeypatch, quickselect_unit):
+    # every constraint reaching _fm, and every one it derives, holds
+    # coprime ints: no Fraction arithmetic in the elimination loops
+    seen = []
+    fm, cancel = prover._fm, prover._cancel
+
+    def spy_fm(constraints):
+        seen.extend(c.lin for c in constraints)
+        return fm(constraints)
+
+    def spy_cancel(lin, by, key):
+        seen.append(cancel(lin, by, key))
+        return seen[-1]
+
+    monkeypatch.setattr(prover, "_fm", spy_fm)
+    monkeypatch.setattr(prover, "_cancel", spy_cancel)
+    for ob in generate_obligations(quickselect_unit):
+        prove_internal(ob)
+    assert len(seen) > 1000
+    assert all(_is_primitive(lin) for lin in seen)
 
 
 def test_fm_witnesses_match_golden():
