@@ -385,7 +385,9 @@ def _fm_system(seed):
 
 def _fm_witness_lines():
     """One line per system of seeds 0-1999: seed, then `None` or the
-    witness sorted by key. Each witness is checked against the system."""
+    witness sorted by key. Each witness is checked against the system.
+    Scaling a form by a positive factor moves no bound, so the primitive
+    forms given to _fm have the witnesses of the unscaled ones."""
     for seed in range(2000):
         system = _fm_system(seed)
         witness = _fm([Constraint(lin.primitive(), op) for lin, op in system])
