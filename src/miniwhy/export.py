@@ -5,6 +5,7 @@ UTF-8 with LF line endings and byte-stable across runs.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,48 +172,29 @@ def export_smtlib(ob) -> ExportDoc:
                      obligation_ids=(ob.id,))
 
 
+# a `;` comment to the end of its line, a parenthesis, a token (which may
+# hold `|...|` quoted parts, blanks included), or an unmatched `|`; the
+# blanks between them are skipped
+_SEXP_LEXEME = re.compile(r";[^\n]*|[()]|(?:[^ \t\r\n();|]+|\|[^|]*\|)+|\|")
+
+
 def _parse_sexprs(text: str) -> list:
     """Minimal s-expression reader used by the format validators."""
     out = []
     stack = [out]
-    tok = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise ExportError("unterminated quoted symbol")
-            tok.append(text[i:j + 1])
-            i = j + 1
-            continue
-        if c == "(":
-            if tok:
-                stack[-1].append("".join(tok))
-                tok = []
+    for lexeme in _SEXP_LEXEME.findall(text):
+        if lexeme == "(":
             new = []
             stack[-1].append(new)
             stack.append(new)
-        elif c == ")":
-            if tok:
-                stack[-1].append("".join(tok))
-                tok = []
+        elif lexeme == ")":
             stack.pop()
             if not stack:
                 raise ExportError("unbalanced ')'")
-        elif c in " \t\r\n":
-            if tok:
-                stack[-1].append("".join(tok))
-                tok = []
-        else:
-            tok.append(c)
-        i += 1
-    if tok:
-        stack[-1].append("".join(tok))
+        elif lexeme == "|":
+            raise ExportError("unterminated quoted symbol")
+        elif lexeme[0] != ";":
+            stack[-1].append(lexeme)
     if len(stack) != 1:
         raise ExportError("unbalanced '('")
     return out

@@ -4,9 +4,11 @@ The simplifier and the prover both normalise int/real terms to this form,
 through one walk from a term to a form (`simplify.linearize`); the prover
 rekeys the simplifier's atoms. This module holds the only copy of the
 arithmetic over it. Coefficients and constant are exact numbers: the
-simplifier's are `Fraction`s, and the prover's constraints hold Python
-ints, scaled to coprime integers by `primitive`. A zero coefficient is
-never stored, so a form is constant exactly when it has no keys.
+simplifier's are ints, and `Fraction`s only where a real literal or a
+division by a constant brings one in; the prover's constraints hold
+Python ints, scaled to coprime integers by `primitive`. A zero
+coefficient is never stored, so a form is constant exactly when it has no
+keys.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ class Lin:
     """const + sum(coeff * key) over hashable, ordered keys."""
     __slots__ = ("const", "coeffs")
 
-    def __init__(self, const=Fraction(0), coeffs=None):
+    def __init__(self, const=0, coeffs=None):
         self.const = const
-        self.coeffs = coeffs or {}      # key -> nonzero Fraction or int
+        self.coeffs = coeffs or {}      # key -> nonzero int or Fraction
 
     @property
     def is_const(self) -> bool:

@@ -17,12 +17,15 @@ simplified formula goes through four steps:
    fresh symbol.
 3. split each `a != b` into `a < b` or `a > b`; k of them give 2**k leaves.
 4. refute each leaf by Gaussian and Fourier-Motzkin elimination over
-   primitive integer constraints, whose witness is rational, with the facts
-   of two division sign rules, which reintroduce what the abstraction
-   loses:
+   primitive integer constraints, with the facts of two division sign
+   rules, which reintroduce what the abstraction loses:
 
     x > 0 && y > 0   gives   x / y > 0
     x == 0 && y != 0 gives   x / y == 0
+
+   A satisfiable leaf's rational witness is built from its elimination
+   only for a refutation attempt: when the leaf has no abstracted atom and
+   no integer-sorted key.
 
 Integer symbols are treated as rationals (sound for proving, incomplete
 for refuting). A `refuted` verdict is only issued for closed, havoc-free,
@@ -207,11 +210,20 @@ def _dnf(f: S.Expr, positive: bool, px, dropped: list) -> list:
 
 def _fm(constraints: list):
     """None when the conjunction is unsatisfiable over the rationals, else a
-    rational witness {key: Fraction}. Every form is primitive
-    (`Lin.primitive`): each step is an integer combination that comes out a
-    positive multiple of the rational step's result, made primitive again.
-    A positive multiple puts the same bound on each key, so the witness is
-    the rational one, and Fraction arithmetic happens only in building it."""
+    rational witness {key: Fraction}."""
+    eliminated = _eliminate(constraints)
+    return None if eliminated is None else _witness(*eliminated)
+
+
+def _eliminate(constraints: list):
+    """None when the conjunction is unsatisfiable over the rationals, else
+    (stack, solved): each eliminated key with its lower and upper bounds,
+    and each key solved by an equality, from which `_witness` builds a
+    witness. Every form is primitive (`Lin.primitive`): each step is an
+    integer combination that comes out a positive multiple of the rational
+    step's result, made primitive again. A positive multiple puts the same
+    bound on each key, so the witness is the rational one, and Fraction
+    arithmetic happens only in building it."""
     # Gaussian elimination of equalities, pivoting on the least key; each
     # other constraint is rewritten with key cancelled against the equality
     solved = []    # (key, equality form)
@@ -260,8 +272,12 @@ def _fm(constraints: list):
                 current.append(c)
             elif not c.holds_trivially():
                 return None
-    # satisfiable: build a witness backwards; keys never constrained by an
-    # inequality default to 0
+    return stack, solved
+
+
+def _witness(stack: list, solved: list) -> dict:
+    """A rational witness of a satisfiable elimination, built backwards;
+    keys never constrained by an inequality default to 0."""
     witness = {}
 
     def bound(lin, key):
@@ -382,17 +398,18 @@ def prove_internal(ob) -> ProofStatus:
     if result is None:
         trace.append("fourier-motzkin: every disjunct closed")
         return ProofStatus("proved-internal", rule_trace=trace)
-    witness, atoms = result
+    eliminated, atoms = result
     if atoms.opaque or atoms.int_keys:
         why = ("nonlinear terms abstracted" if atoms.opaque
                else "integer-sorted symbols (rational decision is incomplete)")
         return ProofStatus("unknown", reason=f"satisfiable abstraction: {why}",
                            rule_trace=trace)
-    return _try_refute(ob, witness, trace)
+    return _try_refute(ob, _witness(*eliminated), trace)
 
 
 def _refute_conjunct(conj: list, trace, forms: dict):
-    """None when refuted; (witness, atoms) when satisfiable-as-abstracted.
+    """None when refuted; (elimination, atoms) when satisfiable-as-abstracted,
+    the elimination `_eliminate`'s of the first satisfiable leaf.
     Each `a != b` splits the conjunct into `a < b` and `a > b`: the leaves,
     `<` first and in literal order, add one side of every split to the
     constraints of the other literals."""
@@ -416,9 +433,9 @@ def _refute_conjunct(conj: list, trace, forms: dict):
         leaf = constraints + list(leaf)
         facts, applied = _division_facts(leaf, atoms)
         trace.extend(applied)
-        witness = _fm(leaf + facts)
-        if witness is not None:
-            return witness, atoms
+        eliminated = _eliminate(leaf + facts)
+        if eliminated is not None:
+            return eliminated, atoms
     return None
 
 

@@ -41,7 +41,7 @@ class _Atom(str):
 
 
 def _atom(e: S.Expr):
-    return (Lin(coeffs={_Atom(e): Fraction(1)}),
+    return (Lin(coeffs={_Atom(e): 1}),
             S.REAL if e.ty == S.REAL else S.INT)
 
 
@@ -50,9 +50,11 @@ def _join(a: S.SemType, b: S.SemType) -> S.SemType:
 
 
 def linearize(e: S.Expr, ctx):
-    """(Lin, sort) of an int/real expression; nonlinear subterms stay atomic."""
+    """(Lin, sort) of an int/real expression; nonlinear subterms stay atomic.
+    Coefficients and constant are ints, and a `Fraction` only where the term
+    has a real literal or divides by a constant."""
     if isinstance(e, S.IntLit):
-        return Lin(Fraction(e.value)), S.INT
+        return Lin(e.value), S.INT
     if isinstance(e, S.RealLit):
         return Lin(e.value), S.REAL
     if isinstance(e, S.Coerce):
@@ -75,7 +77,7 @@ def linearize(e: S.Expr, ctx):
         if l.is_const and l.const == 0 and _known_nonzero(r, ctx):
             return Lin(), S.REAL
         if r.is_const and r.const != 0:
-            return l.scale(1 / r.const), S.REAL
+            return l.scale(Fraction(1, r.const)), S.REAL
         return _atom(replace(e, left=to_expr(lf, S.REAL), right=to_expr(rf, S.REAL)))
     # select/store reduction happens before atomization
     if isinstance(e, S.Index):
@@ -136,6 +138,7 @@ def _frac_lit(q: Fraction, ty: S.SemType) -> S.Expr:
         return S.IntLit(value=int(q), ty=S.INT)
     if q < 0:
         return S.Unary(op="-", operand=_frac_lit(-q, ty), ty=ty)
+    q = Fraction(q)
     text = decimal_text(q)
     if text is not None:
         return S.RealLit(text=text, value=q, ty=S.REAL)

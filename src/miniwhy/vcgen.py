@@ -271,6 +271,10 @@ class _Wp:
         self.exit_kind = exit_kind
         self.loops = loop_table(method)
         self.sid = itertools.count()
+        # (name, type) of each parameter and local, declarations in walk order
+        self.all_vars = [(n, t) for n, t in method.params] + [
+            (node.name, node.ty) for node in S.walk(method.body)
+            if isinstance(node, S.VarDecl)]
 
     def new_side(self, kind, formula, line, detail="") -> _Side:
         return _Side(next(self.sid), kind, line, detail, formula)
@@ -339,18 +343,11 @@ class _Wp:
 
     def index_guard(self, st: S.ArrayAssign) -> S.Expr:
         arr = S.Var(name=st.name, pos=st.pos,
-                    ty=next(t for n, t in self.all_vars() if n == st.name))
+                    ty=next(t for n, t in self.all_vars if n == st.name))
         length = S.LengthExpr(array=arr, pos=st.pos, ty=S.INT)
         return _and(_ge0(st.index),
                     S.Binary(op="<", left=st.index, right=length,
                              pos=st.pos, ty=S.BOOL))
-
-    def all_vars(self):
-        for n, t in self.method.params:
-            yield n, t
-        for node in S.walk(self.method.body):
-            if isinstance(node, S.VarDecl):
-                yield node.name, node.ty
 
     def merge_branches(self, cond, incoming, s1, s2):
         by_id1 = {s.sid: s for s in s1}
@@ -378,7 +375,7 @@ class _Wp:
         if annot is None or annot.invariant is None:
             raise VcgenError(f"loop at line {st.pos[0]} has no invariant")
         loop_id = self.loops[id(st)]
-        types = dict(self.all_vars())
+        types = dict(self.all_vars)
         mapping = {name: S.FreshVar(name=f"{name}@L{loop_id}", base=name,
                                     loop_id=loop_id, ty=types.get(name))
                    for name in sorted(assigned_vars(st.body))}
@@ -525,36 +522,35 @@ class _Wp:
 # ---------------------------------------------------------------------------
 # obligation assembly
 
-def free_symbols(f: S.Expr, bound=frozenset(), sorts=None, loop_ids=None):
-    """Free Var/FreshVar symbols of a formula with their sorts, respecting
-    quantifier scoping."""
-    if sorts is None:
-        sorts = {}
-        loop_ids = set()
-    if isinstance(f, S.Var):
-        if f.name not in bound and f.ty is not None:
+def _closure_info(goal: S.Expr, hyps=()):
+    """What closing an obligation reads from its formulas, in one walk: the
+    free Var/FreshVar symbols with their sorts, respecting quantifier
+    scoping, in walk order from the goal on; the sorted ids of the loops
+    whose havoc symbols occur; and the state-node classes (`_PINNED`) that
+    occur in the goal."""
+    sorts, loop_ids, states = {}, set(), set()
+
+    def visit(f, bound):
+        if isinstance(f, S.Var):
+            if f.name not in bound and f.ty is not None:
+                sorts[f.name] = f.ty
+        elif isinstance(f, S.FreshVar):
             sorts[f.name] = f.ty
-        return sorts, loop_ids
-    if isinstance(f, S.FreshVar):
-        sorts[f.name] = f.ty
-        if f.loop_id >= 0:
-            loop_ids.add(f.loop_id)
-        return sorts, loop_ids
-    if isinstance(f, S.Forall):
-        inner = bound | {n for n, _ in f.binders}
-        free_symbols(f.body, inner, sorts, loop_ids)
-        return sorts, loop_ids
-    for child in S.children(f):
-        free_symbols(child, bound, sorts, loop_ids)
-    return sorts, loop_ids
+            if f.loop_id >= 0:
+                loop_ids.add(f.loop_id)
+        elif isinstance(f, S.Forall):
+            visit(f.body, bound | {n for n, _ in f.binders})
+        else:
+            if isinstance(f, _PINNED):
+                states.add(type(f))
+            for child in S.children(f):
+                visit(child, bound)
 
-
-def _closure_info(ob_formulas):
-    sorts = {}
-    loop_ids = set()
-    for f in ob_formulas:
-        free_symbols(f, frozenset(), sorts, loop_ids)
-    return sorts, tuple(sorted(loop_ids))
+    visit(goal, frozenset())
+    goal_states = frozenset(states)
+    for h in hyps:
+        visit(h, frozenset())
+    return sorts, tuple(sorted(loop_ids)), goal_states
 
 
 _NAMES = {
@@ -573,11 +569,12 @@ _NAMES = {
 
 
 def _make_obligation(method, seq, kind, line, detail, goal, hyps, hyp_sources):
-    goal = unwrap_old(goal)
-    for n in S.walk(goal):
-        if isinstance(n, S.AtLabel):
-            raise VcgenError("internal: LoopEntry label escaped obligation closure")
-    sorts, loop_ids = _closure_info([goal] + hyps)
+    # unwrapping \old renames no symbol, so the walk may precede it
+    sorts, loop_ids, states = _closure_info(goal, hyps)
+    if S.AtLabel in states:
+        raise VcgenError("internal: LoopEntry label escaped obligation closure")
+    if S.OldExpr in states:
+        goal = unwrap_old(goal)
     name = _NAMES[kind]
     if detail:
         name = f"{name} ({detail})"
@@ -599,7 +596,7 @@ def generate_obligations(tunit: TypedUnit, method: str | None = None) -> Obligat
     for lem in unit.lemmas:
         g = lower(lem.statement)
         lemma_forms.append(g)
-        sorts, _ = _closure_info([g])
+        sorts, _, _ = _closure_info(g)
         obligations.append(Obligation(
             id=f"lemma:{lem.name}", name=f"lemma {lem.name}",
             origin=Origin(method="", line=lem.pos[0], kind="lemma", detail=lem.name),

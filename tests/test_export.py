@@ -1,11 +1,13 @@
+import json
 import os
+import random
 import re
 
 import pytest
 
 from miniwhy import corpus
 from miniwhy.errors import ExportError
-from miniwhy.export import (ExportDoc, export_sexp, export_smtlib, export_xml,
+from miniwhy.export import (ExportDoc, _parse_sexprs, export_sexp, export_smtlib, export_xml,
                             validate, validate_sexp, validate_smtlib,
                             validate_xml)
 from miniwhy.vcgen import ObligationSet, generate_obligations
@@ -173,3 +175,75 @@ def test_existential_quantifier_rejected_in_sexp():
                     hyp_sources=[], goal=goal)
     with pytest.raises(ExportError):
         export_sexp(ob)
+
+
+def _reader_inputs():
+    """2,000 seeded random strings over the reader's special characters."""
+    rng = random.Random(2013)
+    alphabet = "ab( )|;\n\t1-."
+    for _ in range(2000):
+        yield "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
+
+
+def _read(text):
+    try:
+        return _parse_sexprs(text)
+    except ExportError as ex:
+        return f"error: {ex}"
+
+
+def test_sexp_reader_matches_golden():
+    lines = [f"{json.dumps(text)}\t{json.dumps(_read(text))}\n"
+             for text in _reader_inputs()]
+    assert "".join(lines) == golden("sexp.reader.txt")
+
+
+def _reference_read(text):
+    """The reader's results, one character at a time: the reference that
+    `_parse_sexprs` must agree with."""
+    out = []
+    stack = [out]
+    tok = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == ";":
+            i = text.find("\n", i)
+            if i < 0:
+                break
+            continue
+        if c == "|":
+            j = text.find("|", i + 1)
+            if j < 0:
+                return "error: unterminated quoted symbol"
+            tok.append(text[i:j + 1])
+            i = j + 1
+            continue
+        if c in "() \t\r\n" and tok:
+            stack[-1].append("".join(tok))
+            tok = []
+        if c == "(":
+            stack[-1].append([])
+            stack.append(stack[-1][-1])
+        elif c == ")":
+            stack.pop()
+            if not stack:
+                return "error: unbalanced ')'"
+        elif c not in " \t\r\n":
+            tok.append(c)
+        i += 1
+    if tok:
+        stack[-1].append("".join(tok))
+    return out if len(stack) == 1 else "error: unbalanced '('"
+
+
+def test_every_corpus_export_reads_as_the_reference_reads_it():
+    texts = []
+    for entry in corpus.corpus_sources():
+        for ob in generate_obligations(corpus.unit(entry.name)):
+            texts += [export_smtlib(ob).text, export_sexp(ob).text]
+    assert len(texts) == 154
+    for text in texts:
+        assert _read(text) == _reference_read(text)
+    for text in _reader_inputs():
+        assert _read(text) == _reference_read(text), text

@@ -77,3 +77,10 @@ def test_primitive(form, expected):
 def test_primitive_of_a_primitive_form_is_itself():
     p = Lin(3, {"x": -2, "y": 5})
     assert p.primitive() is p
+
+
+def test_forms_over_ints_stay_ints():
+    assert type(Lin().const) is int
+    out = Lin(2, {"x": 3}).add(Lin(1, {"x": 1, "y": 4}), -2).scale(-1)
+    assert out.key() == (0, (("x", -1), ("y", 8)))
+    assert all(type(v) is int for v in (out.const, *out.coeffs.values()))

@@ -408,20 +408,20 @@ def _is_primitive(lin):
 
 
 def test_fm_runs_over_primitive_integer_forms(monkeypatch, quickselect_unit):
-    # every constraint reaching _fm, and every one it derives, holds
+    # every constraint reaching _eliminate, and every one it derives, holds
     # coprime ints: no Fraction arithmetic in the elimination loops
     seen = []
-    fm, cancel = prover._fm, prover._cancel
+    eliminate, cancel = prover._eliminate, prover._cancel
 
-    def spy_fm(constraints):
+    def spy_eliminate(constraints):
         seen.extend(c.lin for c in constraints)
-        return fm(constraints)
+        return eliminate(constraints)
 
     def spy_cancel(lin, by, key):
         seen.append(cancel(lin, by, key))
         return seen[-1]
 
-    monkeypatch.setattr(prover, "_fm", spy_fm)
+    monkeypatch.setattr(prover, "_eliminate", spy_eliminate)
     monkeypatch.setattr(prover, "_cancel", spy_cancel)
     for ob in generate_obligations(quickselect_unit):
         prove_internal(ob)
@@ -436,3 +436,43 @@ def test_fm_witnesses_match_golden():
     path = os.path.join(os.path.dirname(__file__), "golden", "fm.witnesses.txt")
     with open(path, encoding="utf-8") as fh:
         assert "".join(lines) == fh.read()
+
+
+def test_witness_is_built_only_for_a_refutation_attempt(monkeypatch):
+    # per obligation, the calls are none, a refutation of a formula that
+    # simplified to false, or one witness and then its refutation attempt
+    calls = []
+    witness, try_refute = prover._witness, prover._try_refute
+
+    def spy_witness(stack, solved):
+        calls.append("witness")
+        return witness(stack, solved)
+
+    def spy_try_refute(ob, w, trace):
+        calls.append("refute" if trace[-1] != "simplified to false"
+                     else "refute-false")
+        return try_refute(ob, w, trace)
+
+    monkeypatch.setattr(prover, "_witness", spy_witness)
+    monkeypatch.setattr(prover, "_try_refute", spy_try_refute)
+    allowed = ([], ["refute-false"], ["witness", "refute"])
+
+    satisfiable = 0
+    for entry in corpus.corpus_sources():
+        for ob in generate_obligations(corpus.unit(entry.name)):
+            calls.clear()
+            st = prove_internal(ob)
+            satisfiable += st.reason.startswith("satisfiable abstraction")
+            assert calls == [], ob.id
+    # each of these once built a witness that nothing read
+    assert satisfiable == 38
+
+    attempts = 0
+    for seed in range(300):
+        gen = FormulaGen(seed, reals_only=True)
+        calls.clear()
+        prove_internal(mk(typed_formula(gen.formula(), dict(gen.vars)),
+                          sorts=gen.vars))
+        assert calls in allowed, (seed, calls)
+        attempts += calls == ["witness", "refute"]
+    assert attempts >= 100, attempts

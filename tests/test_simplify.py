@@ -1,9 +1,10 @@
+from fractions import Fraction
 
 from miniwhy import syntax as S
 from miniwhy.errors import EvalError, ExecutionFault
 from miniwhy.interp import eval_formula
 from miniwhy.printer import expr_to_str
-from miniwhy.simplify import simplify
+from miniwhy.simplify import linear_form, simplify
 
 from helpers import FormulaGen, typed_formula
 
@@ -134,3 +135,33 @@ def test_simplify_preserves_evaluation_on_1000_random_formulas():
 def test_simplify_preserves_evaluation_with_division():
     failures = _evaluation_mismatches(division=True)
     assert not failures, failures[:3]
+
+
+# ---------------------------------------------------------------------------
+# the numbers in linear forms
+
+def test_int_terms_have_int_forms():
+    f = tf("2 * a - 3 * (b + 1) + 7 == 0", a=S.INT, b=S.INT)
+    lin = linear_form(f.left)
+    assert lin.key() == (4, (("a", 2), ("b", -3)))
+    assert all(type(v) is int for v in (lin.const, *lin.coeffs.values()))
+
+
+def test_division_by_an_int_constant_is_an_exact_fraction():
+    for x in (S.INT, S.REAL):
+        lin = linear_form(tf("x / 3 == 0.0", x=x).left)
+        assert lin.coeffs == {"x": Fraction(1, 3)}
+        assert type(lin.coeffs["x"]) is Fraction
+
+
+def test_simplified_real_coefficients_are_fraction_literals():
+    # int literals coerced to real keep int forms up to rendering
+    for text, expected, count in [
+            ("3 * x > 2 - x", "3.0 * x > -x + 2.0", 2),
+            ("2.0 * x + 3 * x - y / 3 > 1 + 0.5 * y",
+             "5.0 * x - 1.0 / 3.0 * y > 0.5 * y + 1.0", 5)]:
+        out = simplify(tf(text, x=S.REAL, y=S.REAL))
+        assert expr_to_str(out) == expected
+        lits = [n for n in S.walk(out) if isinstance(n, S.RealLit)]
+        assert len(lits) == count
+        assert all(type(n.value) is Fraction for n in lits)

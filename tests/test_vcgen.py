@@ -12,7 +12,7 @@ from miniwhy.interp import eval_formula, exec_method
 from miniwhy.parser import parse
 from miniwhy.printer import expr_to_str
 from miniwhy.simplify import simplify
-from miniwhy.typecheck import typecheck
+from miniwhy.typecheck import CTX_ENSURES, typecheck
 from miniwhy.vcgen import (Obligation, ObligationSet, Origin,
                            generate_obligations, instantiate_on_trace, wp)
 
@@ -389,3 +389,40 @@ def test_ghost_accesses_under_old_and_forall_are_guarded(case):
         state = {"a": a, "n": n}
         assert eval_formula(test, {"Here": dict(state), "Old": dict(state)},
                             "rational") == runs, (a, n)
+
+
+# ---------------------------------------------------------------------------
+# obligation closure
+
+def test_escaped_loop_entry_label_is_an_internal_error():
+    # a LoopEntry marker that no loop's havoc consumed, wherever it sits
+    x = S.Var(name="x", ty=S.INT)
+    at = S.AtLabel(operand=x, label="LoopEntry#3", ty=S.INT)
+    zero = S.IntLit(value=0, ty=S.INT)
+    plain = S.Binary(op="<", left=at, right=zero, ty=S.BOOL)
+    under_old = S.Binary(op="<", left=S.OldExpr(operand=at, ty=S.INT),
+                         right=zero, ty=S.BOOL)
+    under_forall = S.Forall(binders=[("k", S.INT)], body=plain, ty=S.BOOL)
+    for goal in (plain, under_old, under_forall):
+        with pytest.raises(VcgenError) as info:
+            vcgen._make_obligation("m", 0, "assert", 1, "", goal, [], [])
+        assert str(info.value) == \
+            "internal: LoopEntry label escaped obligation closure"
+
+
+def test_old_is_unwrapped_at_closure_and_symbols_keep_their_order():
+    types = {"z": S.REAL, "y": S.REAL, "n": S.INT, "a": S.ARRAY_REAL,
+             "b": S.ARRAY_REAL, "w": S.INT}
+    text = ("\\forall integer k; 0 <= k < n ==> "
+            "{a} + y == b[k] && {y} < z")
+    goal = typed_formula(text.format(a="\\old(a[k])", y="\\old(y)"), types,
+                         CTX_ENSURES)
+    hyp = typed_formula("w > 0 && n >= 0", types, CTX_ENSURES)
+    ob = vcgen._make_obligation("m", 0, "ensures", 1, "", goal, [hyp],
+                                ["requires"])
+    assert not any(isinstance(n, S.OldExpr) for n in S.walk(ob.goal))
+    assert ob.goal == typed_formula(text.format(a="a[k]", y="y"), types)
+    # goal symbols in walk order, then the hypotheses' new ones
+    assert list(ob.var_sorts) == ["n", "a", "y", "b", "z", "w"]
+    assert ob.var_sorts == {name: types[name] for name in ob.var_sorts}
+    assert ob.loop_ids == ()
