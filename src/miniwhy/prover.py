@@ -408,8 +408,8 @@ def prove_internal(ob) -> ProofStatus:
 
 
 def _refute_conjunct(conj: list, trace, forms: dict):
-    """None when refuted; (elimination, atoms) when satisfiable-as-abstracted,
-    the elimination `_eliminate`'s of the first satisfiable leaf.
+    """None when refuted; else (elimination, atoms), the elimination being
+    what `_eliminate` gave the first satisfiable leaf.
     Each `a != b` splits the conjunct into `a < b` and `a > b`: the leaves,
     `<` first and in literal order, add one side of every split to the
     constraints of the other literals."""

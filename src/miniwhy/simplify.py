@@ -131,7 +131,9 @@ def _reduce_select(e: S.Index, ctx):
     return None
 
 
-def _frac_lit(q: Fraction, ty: S.SemType) -> S.Expr:
+def _frac_lit(q, ty: S.SemType) -> S.Expr:
+    """The literal of an int or Fraction q of sort ty; a real literal's
+    value is a Fraction."""
     if ty == S.INT:
         if q < 0:
             return S.Unary(op="-", operand=S.IntLit(value=-int(q), ty=S.INT), ty=S.INT)

@@ -569,7 +569,8 @@ _NAMES = {
 
 
 def _make_obligation(method, seq, kind, line, detail, goal, hyps, hyp_sources):
-    # unwrapping \old renames no symbol, so the walk may precede it
+    # unwrapping \old keeps every symbol and their order, so the walk may
+    # precede it
     sorts, loop_ids, states = _closure_info(goal, hyps)
     if S.AtLabel in states:
         raise VcgenError("internal: LoopEntry label escaped obligation closure")
