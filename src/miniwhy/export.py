@@ -58,53 +58,45 @@ class _SmtRenderer:
         self.permut_sorts = set()
         self.length_sorts = set()
         self.newarray_sorts = set()
-        self.old_vars = {}        # name -> SemType
 
-    def term(self, e: S.Expr, old: bool = False) -> str:
+    def term(self, e: S.Expr) -> str:
         if isinstance(e, S.IntLit):
             return _smt_num(Fraction(e.value), False)
         if isinstance(e, S.RealLit):
             return _smt_num(e.value, True)
         if isinstance(e, S.BoolLit):
             return "true" if e.value else "false"
-        if isinstance(e, S.Var):
-            if old:
-                self.old_vars[e.name] = e.ty
-                return f"{e.name}@old"
-            return e.name
-        if isinstance(e, S.FreshVar):
+        if isinstance(e, (S.Var, S.FreshVar)):
             return e.name
         if isinstance(e, S.Coerce):
             if isinstance(e.operand, S.IntLit):
                 return _smt_num(Fraction(e.operand.value), True)
-            return f"(to_real {self.term(e.operand, old)})"
-        if isinstance(e, S.OldExpr):
-            return self.term(e.operand, old=True)
+            return f"(to_real {self.term(e.operand)})"
         if isinstance(e, S.Unary):
             op = "not" if e.op == "!" else "-"
-            return f"({op} {self.term(e.operand, old)})"
+            return f"({op} {self.term(e.operand)})"
         if isinstance(e, S.Binary):
             op = {"&&": "and", "||": "or", "==>": "=>", "==": "=", "!=": "distinct",
                   "+": "+", "-": "-", "*": "*", "/": "/", "<": "<", "<=": "<=",
                   ">": ">", ">=": ">="}[e.op]
-            return f"({op} {self.term(e.left, old)} {self.term(e.right, old)})"
+            return f"({op} {self.term(e.left)} {self.term(e.right)})"
         if isinstance(e, S.Index):
-            return f"(select {self.term(e.array, old)} {self.term(e.index, old)})"
+            return f"(select {self.term(e.array)} {self.term(e.index)})"
         if isinstance(e, S.Store):
-            return (f"(store {self.term(e.array, old)} {self.term(e.index, old)} "
-                    f"{self.term(e.value, old)})")
+            return (f"(store {self.term(e.array)} {self.term(e.index)} "
+                    f"{self.term(e.value)})")
         if isinstance(e, S.LengthExpr):
             elem = e.array.ty.elem if e.array.ty and e.array.ty.kind == "array" else "real"
             self.length_sorts.add(elem)
-            return f"(length.{elem} {self.term(e.array, old)})"
+            return f"(length.{elem} {self.term(e.array)})"
         if isinstance(e, S.NewArray):
             elem = e.elem.kind
             self.newarray_sorts.add(elem)
             self.length_sorts.add(elem)
-            return f"(newarray.{elem} {self.term(e.size, old)})"
+            return f"(newarray.{elem} {self.term(e.size)})"
         if isinstance(e, S.Forall):
             binders = " ".join(f"({n} {_smt_sort(t)})" for n, t in e.binders)
-            return f"(forall ({binders}) {self.term(e.body, old)})"
+            return f"(forall ({binders}) {self.term(e.body)})"
         if isinstance(e, S.PermutAtom):
             elem = "real"
             for side in (e.a1, e.a2):
@@ -112,8 +104,8 @@ class _SmtRenderer:
                 if t is not None and t.kind == "array":
                     elem = t.elem
             self.permut_sorts.add(elem)
-            return (f"(Permut.{elem} {self.term(e.a1, old)} {self.term(e.a2, old)} "
-                    f"{self.term(e.lo, old)} {self.term(e.hi, old)})")
+            return (f"(Permut.{elem} {self.term(e.a1)} {self.term(e.a2)} "
+                    f"{self.term(e.lo)} {self.term(e.hi)})")
         raise ExportError(f"cannot render {type(e).__name__} in SMT-LIB")
 
 
@@ -151,8 +143,6 @@ def export_smtlib(ob) -> ExportDoc:
     lines = [f"; obligation {ob.id}: {ob.name}", "(set-logic AUFNIRA)"]
     for name, ty in sorted(decls.items()):
         lines.append(f"(declare-fun {name} () {_smt_sort(ty)})")
-    for name, ty in sorted(r.old_vars.items()):
-        lines.append(f"(declare-fun {name}@old () {_smt_sort(ty)})")
     for elem in sorted(r.length_sorts):
         lines.append(f"(declare-fun length.{elem} ((Array Int {_SMT_SORT[elem]})) Int)")
     for elem in sorted(r.newarray_sorts):
@@ -258,7 +248,7 @@ class _XmlRenderer:
         a = "".join(f' {k}="{_xml_escape(str(v))}"' for k, v in attrs)
         self.line(f"<{tag}{a}/>")
 
-    def formula(self, e: S.Expr, state: str = "here"):
+    def formula(self, e: S.Expr):
         if isinstance(e, S.IntLit):
             self.leaf("const", [("type", "int"), ("value", str(e.value))])
         elif isinstance(e, S.RealLit):
@@ -268,26 +258,20 @@ class _XmlRenderer:
         elif isinstance(e, S.BoolLit):
             self.leaf("const", [("type", "bool"),
                                 ("value", "true" if e.value else "false")])
-        elif isinstance(e, S.Var):
-            self.leaf("var", [("name", e.name), ("state", state)])
-        elif isinstance(e, S.FreshVar):
-            self.leaf("var", [("name", e.name), ("state", state)])
+        elif isinstance(e, (S.Var, S.FreshVar)):
+            self.leaf("var", [("name", e.name), ("state", "here")])
         elif isinstance(e, S.Coerce):
             if isinstance(e.operand, S.IntLit):
                 self.leaf("const", [("type", "real"),
                                     ("value", f"{e.operand.value}.0")])
                 return
             self.open("coerce")
-            self.formula(e.operand, state)
+            self.formula(e.operand)
             self.close("coerce")
-        elif isinstance(e, S.OldExpr):
-            self.formula(e.operand, "old")
-        elif isinstance(e, S.AtLabel):
-            self.formula(e.operand, "loopentry")
         elif isinstance(e, S.Unary):
             tag = "not" if e.op == "!" else "neg"
             self.open(tag)
-            self.formula(e.operand, state)
+            self.formula(e.operand)
             self.close(tag)
         elif isinstance(e, S.Binary):
             if e.op == "==>":
@@ -301,63 +285,45 @@ class _XmlRenderer:
             else:
                 tag, attrs = "arith", [("op", _ARITH_NAME[e.op])]
             self.open(tag, attrs)
-            self.formula(e.left, state)
-            self.formula(e.right, state)
+            self.formula(e.left)
+            self.formula(e.right)
             self.close(tag)
         elif isinstance(e, S.Index):
             self.open("select")
-            self.formula(e.array, state)
-            self.formula(e.index, state)
+            self.formula(e.array)
+            self.formula(e.index)
             self.close("select")
         elif isinstance(e, S.Store):
             self.open("store")
-            self.formula(e.array, state)
-            self.formula(e.index, state)
-            self.formula(e.value, state)
+            self.formula(e.array)
+            self.formula(e.index)
+            self.formula(e.value)
             self.close("store")
         elif isinstance(e, S.LengthExpr):
             self.open("length")
-            self.formula(e.array, state)
+            self.formula(e.array)
             self.close("length")
         elif isinstance(e, S.NewArray):
             self.open("newarray", [("elem", e.elem.kind)])
-            self.formula(e.size, state)
+            self.formula(e.size)
             self.close("newarray")
         elif isinstance(e, S.Forall):
             (name, ty), rest = e.binders[0], e.binders[1:]
             self.open("forall", [("var", name), ("type", str(ty))])
             if rest:
-                self.formula(S.Forall(binders=rest, body=e.body, ty=S.BOOL), state)
+                self.formula(S.Forall(binders=rest, body=e.body, ty=S.BOOL))
             else:
-                self.formula(e.body, state)
+                self.formula(e.body)
             self.close("forall")
         elif isinstance(e, S.PermutAtom):
-            l1 = _state_of(e.a1)
-            l2 = _state_of(e.a2)
-            self.open("permut", [("lo-label", l1), ("hi-label", l2)])
-            self.formula(e.a1, state)
-            self.formula(e.a2, state)
-            self.formula(e.lo, state)
-            self.formula(e.hi, state)
-            self.close("permut")
-        elif isinstance(e, S.PermutPred):
-            self.open("permut", [("lo-label", e.label1.lower()),
-                                 ("hi-label", e.label2.lower())])
-            self.formula(e.array, state)
-            self.formula(e.array, state)
-            self.formula(e.lo, state)
-            self.formula(e.hi, state)
+            self.open("permut", [("lo-label", "here"), ("hi-label", "here")])
+            self.formula(e.a1)
+            self.formula(e.a2)
+            self.formula(e.lo)
+            self.formula(e.hi)
             self.close("permut")
         else:
             raise ExportError(f"cannot render {type(e).__name__} in XML")
-
-
-def _state_of(e: S.Expr) -> str:
-    if isinstance(e, S.OldExpr):
-        return "old"
-    if isinstance(e, S.AtLabel):
-        return "loopentry"
-    return "here"
 
 
 def export_xml(obset) -> ExportDoc:
@@ -381,13 +347,7 @@ def export_xml(obset) -> ExportDoc:
                      obligation_ids=tuple(ob.id for ob in obset.obligations))
 
 
-# structural rules mirrored from schemas/xll.xsd
-_XML_RULES = {
-    "obligations": (("unit",), ("obligation",)),
-    "obligation": (("id", "name", "kind"), ("hypotheses", "goal")),
-    "hypotheses": ((), "FORMULA"),
-    "goal": ((), "FORMULA"),
-}
+# formula elements mirrored from schemas/xll.xsd
 _FORMULA_TAGS = {
     "forall": ("var", "type"), "implies": (), "and": (), "or": (), "not": (),
     "neg": (), "cmp": ("op",), "arith": ("op",), "var": ("name", "state"),
@@ -473,9 +433,6 @@ def _sexp_term(e: S.Expr) -> str:
         return _sexp_name(e.name)
     if isinstance(e, S.Coerce):
         return _sexp_term(e.operand)
-    if isinstance(e, S.OldExpr):
-        op = _sexp_term(e.operand)
-        return op if not isinstance(e.operand, S.Var) else f"{op}_old"
     if isinstance(e, S.Unary):
         if e.op == "!":
             return f"(not {_sexp_term(e.operand)})"

@@ -11,6 +11,10 @@ literal bounds spanning at most 64 points.
 `linearize` is the package's one walk from an int/real term to a `Lin`.
 The prover reads its constraints through `linear_form`, so both modules
 abstract the same atoms.
+
+Obligations are state-free (vcgen closes them), so no `\\old`, label,
+`Permut` predicate or `\\result` reaches the simplifier from one. Called
+directly on such a node, it keeps the node as an opaque atom or formula.
 """
 
 from __future__ import annotations
@@ -89,9 +93,6 @@ def linearize(e: S.Expr, ctx):
     if isinstance(e, S.LengthExpr):
         arr = _strip_stores(_simp_expr(e.array, ctx))
         return _atom(replace(e, array=arr))
-    if isinstance(e, (S.OldExpr, S.AtLabel)) and e.operand.ty in (S.INT, S.REAL):
-        inner = to_expr(linearize(e.operand, ctx), e.operand.ty)
-        return _atom(replace(e, operand=inner))
     return _atom(e)
 
 
@@ -216,12 +217,11 @@ def _learn(ctx, f: S.Expr):
 
 def _simp_expr(e: S.Expr, ctx) -> S.Expr:
     """Simplify a non-boolean expression (or an opaque node's children)."""
-    if isinstance(e, (S.IntLit, S.RealLit, S.BoolLit, S.Var, S.FreshVar,
-                      S.ResultExpr)):
+    if isinstance(e, (S.IntLit, S.RealLit, S.BoolLit, S.Var, S.FreshVar)):
         return e
     if e.ty in (S.INT, S.REAL):
         return to_expr(linearize(e, ctx), e.ty)
-    if isinstance(e, (S.Store, S.OldExpr, S.AtLabel)):
+    if isinstance(e, S.Store):
         return S.map_children(e, lambda c: _simp_expr(c, ctx))
     if e.ty == S.BOOL:
         return simplify_in(e, ctx)
@@ -315,10 +315,6 @@ def simplify_in(f: S.Expr, ctx) -> S.Expr:
             return TRUE
         return replace(f, a1=a1, a2=a2, lo=_simp_expr(f.lo, ctx),
                        hi=_simp_expr(f.hi, ctx))
-    if isinstance(f, S.PermutPred):
-        return S.map_children(f, lambda c: _simp_expr(c, ctx))
-    if isinstance(f, S.OldExpr):
-        return S.map_children(f, lambda c: simplify_in(c, ctx))
     return f
 
 

@@ -6,7 +6,10 @@ branch-guard, loops replace assigned variables with fresh havoc symbols and
 wrap pending goals in `I && b ==> .` (inside the body) or `I && !b ==> .`
 (after the loop). A side obligation therefore arrives at the method entry as
 a closed formula over entry-state symbols, with the requires clause and the
-unit lemmas as hypotheses.
+unit lemmas as hypotheses. Obligations, hypotheses included, close to
+state-free formulas: requires, assumes and lemmas are closed where they are
+read, the goal's \\old collapses at closure, and any other state node left
+there is an internal error.
 """
 
 from __future__ import annotations
@@ -20,11 +23,6 @@ from .interp import (CompiledFormula, ExecutionOutcome, eval_formula,
                      loop_table, unit_digest)
 from .printer import expr_to_str
 from .typecheck import TypedUnit
-
-# obligation kinds (Origin.kind)
-KINDS = ("ensures", "behaviour", "invariant-init", "invariant-preserve",
-         "variant-nonneg", "variant-decrease", "assert", "call-requires",
-         "division-guard", "bounds-guard", "lemma")
 
 
 @dataclass(frozen=True)
@@ -249,6 +247,7 @@ class _Loop:
     inv: S.Expr             # lowered, LoopEntry markers tagged with id
     cond: S.Expr
     mapping: dict           # assigned variable -> its havoc symbol
+    first: S.Expr           # inv at its first check, where LoopEntry is Here
 
     def hv(self, f: S.Expr) -> S.Expr:
         return havoc(f, self.mapping, _entry_tag(self.id))
@@ -379,8 +378,9 @@ class _Wp:
         mapping = {name: S.FreshVar(name=f"{name}@L{loop_id}", base=name,
                                     loop_id=loop_id, ty=types.get(name))
                    for name in sorted(assigned_vars(st.body))}
-        return _Loop(loop_id, st.pos[0], lower(annot.invariant, loop_id),
-                     st.cond, mapping)
+        inv = lower(annot.invariant, loop_id)
+        return _Loop(loop_id, st.pos[0], inv, st.cond, mapping,
+                     havoc(inv, {}, _entry_tag(loop_id)))
 
     def loop(self, w: S.While, post, kind, sides):
         lp = self.loop_frame(w)
@@ -405,7 +405,7 @@ class _Wp:
         # the main postcondition becomes the loop-exit side obligation
         out.append(self.new_side(kind, lp.exit_ctx(post), lp.line,
                                  detail="loop exit"))
-        return lp.inv, "invariant-init", out
+        return lp.first, "invariant-init", out
 
     def variant_sides(self, st, lp):
         """Non-negativity, plus the decrease claim threaded through the body;
@@ -435,15 +435,18 @@ class _Wp:
         """do S while (b): the body runs once, then the loop rules apply with
         the invariant first checked at the head reached after that body. One
         wp pass over the body serves both the entry chain (pre) and the
-        preservation chain, so each obligation carries at most one havoc
-        generation per loop: trace instantiation then always corresponds to
-        an actual execution step."""
+        preservation chain (the entry chain has its own if LoopEntry occurs),
+        so each obligation carries at most one havoc generation per loop:
+        trace instantiation then always corresponds to an actual step."""
         lp = self.loop_frame(st)
         out = [replace(s, formula=lp.exit_ctx(s.formula)) for s in sides]
         p_body, body_kind, body_sides = self.wp(st.body, lp.inv,
                                                 "invariant-init", [])
+        pre, _, first_sides = (
+            (p_body, body_kind, body_sides) if lp.first is lp.inv
+            else self.wp(st.body, lp.first, "invariant-init", []))
         # goals from inside the body: once for the unconditional first run...
-        out.extend(body_sides)
+        out.extend(first_sides)
         # ...and once under the loop context for every later iteration
         for g in self.guard_sides(st.cond):
             out.append(replace(g, formula=lp.hv(_imp(lp.inv, g.formula))))
@@ -455,7 +458,7 @@ class _Wp:
         out.extend(self.variant_sides(st, lp))
         out.append(self.new_side(kind, lp.exit_ctx(post), lp.line,
                                  detail="loop exit"))
-        return p_body, body_kind, out
+        return pre, body_kind, out
 
     def reachable_callees(self, name, seen=None):
         if seen is None:
@@ -522,15 +525,21 @@ class _Wp:
 # ---------------------------------------------------------------------------
 # obligation assembly
 
+# the state nodes, each named as an escape from closure reports it
+_STATE_NODES = {S.AtLabel: "LoopEntry label", S.PermutPred: "Permut predicate",
+                S.ResultExpr: "\\result", S.OldExpr: "\\old"}
+
+
 def _closure_info(goal: S.Expr, hyps=()):
     """What closing an obligation reads from its formulas, in one walk: the
     free Var/FreshVar symbols with their sorts, respecting quantifier
     scoping, in walk order from the goal on; the sorted ids of the loops
-    whose havoc symbols occur; and the state-node classes (`_PINNED`) that
-    occur in the goal."""
-    sorts, loop_ids, states = {}, set(), set()
+    whose havoc symbols occur; and whether the goal holds an \\old, which
+    denotes the entry state there. Any other state node escaped the closure
+    of its clause, and is an internal error."""
+    sorts, loop_ids = {}, set()
 
-    def visit(f, bound):
+    def visit(f, bound, states):
         if isinstance(f, S.Var):
             if f.name not in bound and f.ty is not None:
                 sorts[f.name] = f.ty
@@ -539,18 +548,22 @@ def _closure_info(goal: S.Expr, hyps=()):
             if f.loop_id >= 0:
                 loop_ids.add(f.loop_id)
         elif isinstance(f, S.Forall):
-            visit(f.body, bound | {n for n, _ in f.binders})
+            visit(f.body, bound | {n for n, _ in f.binders}, states)
         else:
-            if isinstance(f, _PINNED):
+            if type(f) in _STATE_NODES:
                 states.add(type(f))
             for child in S.children(f):
-                visit(child, bound)
+                visit(child, bound, states)
 
-    visit(goal, frozenset())
-    goal_states = frozenset(states)
+    goal_states, escaped = set(), set()
+    visit(goal, frozenset(), goal_states)
     for h in hyps:
-        visit(h, frozenset())
-    return sorts, tuple(sorted(loop_ids)), goal_states
+        visit(h, frozenset(), escaped)
+    escaped |= goal_states - {S.OldExpr}
+    for cls, what in _STATE_NODES.items():
+        if cls in escaped:
+            raise VcgenError(f"internal: {what} escaped obligation closure")
+    return sorts, tuple(sorted(loop_ids)), S.OldExpr in goal_states
 
 
 _NAMES = {
@@ -571,11 +584,8 @@ _NAMES = {
 def _make_obligation(method, seq, kind, line, detail, goal, hyps, hyp_sources):
     # unwrapping \old keeps every symbol and their order, so the walk may
     # precede it
-    sorts, loop_ids, states = _closure_info(goal, hyps)
-    if S.AtLabel in states:
-        raise VcgenError("internal: LoopEntry label escaped obligation closure")
-    if S.OldExpr in states:
-        goal = unwrap_old(goal)
+    sorts, loop_ids, old = _closure_info(goal, hyps)
+    goal = unwrap_old(goal) if old else goal
     name = _NAMES[kind]
     if detail:
         name = f"{name} ({detail})"
@@ -595,7 +605,7 @@ def generate_obligations(tunit: TypedUnit, method: str | None = None) -> Obligat
     obligations = []
     lemma_forms = []
     for lem in unit.lemmas:
-        g = lower(lem.statement)
+        g = unwrap_old(lower(lem.statement))
         lemma_forms.append(g)
         sorts, _, _ = _closure_info(g)
         obligations.append(Obligation(
@@ -617,7 +627,7 @@ def generate_obligations(tunit: TypedUnit, method: str | None = None) -> Obligat
 
 def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
     m = tunit.method(mname)
-    requires = lower(m.spec.requires)
+    requires = unwrap_old(lower(m.spec.requires))
     base_hyps = list(lemma_forms) + [requires]
     base_sources = ["lemma"] * len(lemma_forms) + ["requires"]
     out = []
@@ -634,7 +644,7 @@ def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
 
     # behaviour passes contribute only their own postcondition chain
     for b in m.spec.behaviours:
-        hyps = base_hyps + [lower(b.assumes)]
+        hyps = base_hyps + [unwrap_old(lower(b.assumes))]
         sources = base_sources + ["assumes"]
         engine = _Wp(tunit, m, lower(b.ensures), "behaviour")
         pre, kind, sides = engine.wp(m.body, engine.exit_post, "behaviour", [])

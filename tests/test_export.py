@@ -247,3 +247,55 @@ def test_every_corpus_export_reads_as_the_reference_reads_it():
         assert _read(text) == _reference_read(text)
     for text in _reader_inputs():
         assert _read(text) == _reference_read(text), text
+
+
+# Permut{Old,..} in a requires and a behaviour's assumes: Old and Pre are the
+# current state there, so the hypotheses close to single-state formulas
+PRE_STATE_PERMUT = """
+/*@ requires n >= 0 && Permut{Old,Here}(a, 0, 0);
+  @ ensures \\result == n;
+  @ behaviour keep :
+  @   assumes Permut{Old,Pre}(a, 0, 0);
+  @   ensures \\result >= 0;
+  @*/
+int probe(int[] a, int n) {
+    return n;
+}
+"""
+
+
+def test_pre_state_hypotheses_export_without_old_state():
+    from miniwhy import syntax as S
+    from miniwhy.parser import parse
+    from miniwhy.typecheck import typecheck
+    obs = generate_obligations(typecheck(parse(PRE_STATE_PERMUT)))
+    assert [ob.hyp_sources for ob in obs] == [["requires"],
+                                              ["requires", "assumes"]]
+    for ob in obs:
+        assert not any(isinstance(n, S.OldExpr)
+                       for f in [ob.goal, *ob.hypotheses] for n in S.walk(f))
+        smt = export_smtlib(ob)
+        assert "(Permut.int a a 0 0)" in smt.text and "@old" not in smt.text
+        sexp = export_sexp(ob)
+        assert "(permut a a 0 0)" in sexp.text and "_old" not in sexp.text
+        validate(smt)
+        validate(sexp)
+    xml = export_xml(obs)
+    validate(xml)
+    assert 'state="old"' not in xml.text
+    assert xml.text.count('<permut lo-label="here" hi-label="here">') == 3
+
+
+def test_exporters_reject_a_goal_with_a_state_node():
+    from miniwhy import syntax as S
+    from miniwhy.vcgen import Obligation, Origin
+    x = S.Var(name="x", ty=S.INT)
+    goal = S.Binary(op="<", left=S.OldExpr(operand=x, ty=S.INT), right=x,
+                    ty=S.BOOL)
+    ob = Obligation(id="s:000:ensures", name="s",
+                    origin=Origin("m", 1, "ensures"), hypotheses=[],
+                    hyp_sources=[], goal=goal, var_sorts={"x": S.INT})
+    for export in (export_smtlib, export_sexp,
+                   lambda o: export_xml(ObligationSet("u", "", [o]))):
+        with pytest.raises(ExportError, match="cannot render OldExpr"):
+            export(ob)

@@ -5,18 +5,20 @@ from fractions import Fraction
 
 import pytest
 
+from miniwhy import corpus
 from miniwhy import syntax as S
 from miniwhy import vcgen
 from miniwhy.errors import EvalError, VcgenError
 from miniwhy.interp import eval_formula, exec_method
 from miniwhy.parser import parse
 from miniwhy.printer import expr_to_str
+from miniwhy.prover import prove_internal
 from miniwhy.simplify import simplify
 from miniwhy.typecheck import CTX_ENSURES, typecheck
 from miniwhy.vcgen import (Obligation, ObligationSet, Origin,
                            generate_obligations, instantiate_on_trace, wp)
 
-from helpers import typed_formula
+from helpers import ProgramGen, typed_formula
 
 TRANSLATE = """
 /*@ ensures x == \\old(x) + dx && y == \\old(y) + dy;
@@ -426,3 +428,118 @@ def test_old_is_unwrapped_at_closure_and_symbols_keep_their_order():
     assert list(ob.var_sorts) == ["n", "a", "y", "b", "z", "w"]
     assert ob.var_sorts == {name: types[name] for name in ob.var_sorts}
     assert ob.loop_ids == ()
+
+
+STATE_NODES = (S.OldExpr, S.AtLabel, S.PermutPred, S.ResultExpr)
+
+# every state construct in every clause position: \old and \result in
+# ensures, Permut labels in requires, assumes, ensures and both loop kinds'
+# invariants, LoopEntry in a variant's decrease, and a call to a method
+# whose ensures uses \old
+STATES = """
+/*@ requires n >= 0;
+  @ ensures \\result == \\old(n) + 1;
+  @*/
+int inc(int n) {
+    return n + 1;
+}
+
+/*@ requires 1 <= n && n <= \\length(a) && Permut{Old,Here}(a, 0, n - 1);
+  @ ensures \\result == \\old(n) + 1 && Permut{Old,Here}(a, 0, n - 1);
+  @ behaviour positive :
+  @   assumes Permut{Old,Pre}(a, 0, n - 1) && n >= 1;
+  @   ensures \\result >= 2;
+  @*/
+int shuffle(int[] a, int n) {
+    int i = 0;
+    /*@ loop_invariant 0 <= i <= n
+      @   && Permut{LoopEntry,Here}(a, 0, n - 1) && Permut{Pre,Here}(a, 0, n - 1);
+      @ loop_variant n - i;
+      @*/
+    while (i < n) {
+        int t = a[0];
+        a[0] = a[i];
+        a[i] = t;
+        i = i + 1;
+    }
+    int r = inc(n);
+    return r;
+}
+
+/*@ requires 1 <= n && n <= \\length(a);
+  @ ensures Permut{Old,Here}(a, 0, n - 1);
+  @*/
+void rotate(int[] a, int n) {
+    int i = 0;
+    /*@ loop_invariant 1 <= i <= n && Permut{LoopEntry,Here}(a, 0, n - 1);
+      @ loop_variant n - i;
+      @*/
+    do {
+        int t = a[0];
+        a[0] = a[i];
+        a[i] = t;
+        i = i + 1;
+    } while (i < n);
+}
+"""
+
+
+def _state_nodes(ob):
+    return [type(n).__name__ for f in [ob.goal, *ob.hypotheses]
+            for n in S.walk(f) if isinstance(n, STATE_NODES)]
+
+
+def test_corpus_obligations_are_state_free():
+    for entry in corpus.corpus_sources():
+        for ob in generate_obligations(corpus.unit(entry.name)):
+            assert _state_nodes(ob) == [], ob.id
+
+
+def test_random_programs_with_old_in_ensures_close_state_free():
+    for seed in range(200):
+        src, post = ProgramGen(seed).program()
+        post = post.replace("a", "\\old(a)").replace("u", "\\old(u)")
+        tu = typecheck(parse(src.replace("ensures true", f"ensures {post}")))
+        for ob in generate_obligations(tu):
+            assert _state_nodes(ob) == [], (seed, ob.id)
+
+
+def test_every_state_construct_closes_to_a_state_free_obligation():
+    tu = typecheck(parse(STATES))
+    obs = generate_obligations(tu)
+    assert {"ensures", "behaviour", "invariant-init", "invariant-preserve",
+            "variant-decrease", "call-requires"} <= {ob.kind for ob in obs}
+    for ob in obs:
+        assert _state_nodes(ob) == [], ob.id
+        assert prove_internal(ob).status != "refuted", ob.id
+    # LoopEntry is Here at a loop's first invariant check
+    for oid in ("shuffle:000:invariant-init", "rotate:000:invariant-init"):
+        assert prove_internal(obs.by_id(oid)).proved, oid
+    for method in ("shuffle", "rotate"):
+        out = exec_method(tu, method, [[3, 1, 2], 3], "rational", trace=True)
+        assert out.status == "normal"
+        rep = instantiate_on_trace(obs, out)
+        assert rep.failed == [] and rep.passed, method
+
+
+_X = S.Var(name="x", ty=S.INT)
+_ZERO = S.IntLit(value=0, ty=S.INT)
+
+
+@pytest.mark.parametrize("where, node, what", [
+    ("goal", S.PermutPred(array=S.Var(name="a", ty=S.ARRAY_INT), lo=_ZERO,
+                          hi=_ZERO, ty=S.BOOL), "Permut predicate"),
+    ("goal", S.Binary(op="==", left=S.ResultExpr(ty=S.INT), right=_ZERO,
+                      ty=S.BOOL), "\\result"),
+    ("hyp", S.Binary(op="<", left=S.AtLabel(operand=_X, label="LoopEntry#0",
+                                             ty=S.INT),
+                     right=_ZERO, ty=S.BOOL), "LoopEntry label"),
+    ("hyp", S.Binary(op="<", left=S.OldExpr(operand=_X, ty=S.INT),
+                     right=_ZERO, ty=S.BOOL), "\\old"),
+], ids=["permut-in-goal", "result-in-goal", "loopentry-in-hyp", "old-in-hyp"])
+def test_state_nodes_escaping_closure_are_internal_errors(where, node, what):
+    true = S.BoolLit(value=True, ty=S.BOOL)
+    goal, hyps = (node, [true]) if where == "goal" else (true, [node])
+    with pytest.raises(VcgenError) as info:
+        vcgen._make_obligation("m", 0, "assert", 1, "", goal, hyps, ["requires"])
+    assert str(info.value) == f"internal: {what} escaped obligation closure"
