@@ -5,6 +5,11 @@ Pipeline: parse -> typecheck -> (interpret with runtime checks | generate
 obligations -> prove internally -> export residue as SMT-LIB 2 / XML /
 s-expressions), with a corpus of annotated programs and a randomized /
 exhaustive testing harness.
+
+The package attributes `simplify` and `typecheck` are the functions of
+those names, which hide the modules `miniwhy.simplify` and
+`miniwhy.typecheck`. Reach a module with `from miniwhy.simplify import ...`
+or `importlib.import_module("miniwhy.simplify")`.
 """
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 The simplifier and the prover both normalise int/real terms to this form,
 through one walk from a term to a form (`simplify.linearize`); the prover
-rekeys the simplifier's atoms. This module holds the only copy of the
+takes the forms `simplify` computed for each comparison and rekeys their
+atoms. This module holds the only copy of the
 arithmetic over it. Coefficients and constant are exact numbers: the
 simplifier's are ints, and `Fraction`s only where a real literal or a
 division by a constant brings one in; the prover's constraints hold

@@ -4,17 +4,18 @@ Validity of `hypotheses ==> goal` is decided by refuting its negation. The
 simplified formula goes through four steps:
 
 1. negate and distribute in one walk into a disjunction of conjunctions of
-   literals: a numeric comparison `(op, left, right)`, its negation folded
+   literals: a numeric comparison `(op, comparison)`, its negation folded
    into `op`, or any other formula as an uninterpreted `(atom, truth)`.
    The goal's universal prefix is opened with fresh symbols; universally
    quantified hypotheses are dropped (sound).
 2. read each comparison into a constraint `lin op 0` over abstraction
    keys, once per obligation: `lin` is primitive, its coefficients and
-   constant coprime ints. Each int/real term is read through
-   `simplify.linear_form`, so the atoms are the simplifier's: division by a
-   nonzero constant is linear, and every other nonlinear term (variable
-   products, division, array selects, lengths) is an atom abstracted to a
-   fresh symbol.
+   constant coprime ints. Its sides' forms are the ones `simplify`
+   rendered it from, read from the table it filled; only a comparison
+   made by opening a quantifier is read through `simplify.linear_form`.
+   So the atoms are the simplifier's: division by a nonzero constant is
+   linear, and every other nonlinear term (variable products, division,
+   array selects, lengths) is an atom abstracted to a fresh symbol.
 3. split each `a != b` into `a < b` or `a > b`; k of them give 2**k leaves.
 4. refute each leaf by Gaussian and Fourier-Motzkin elimination over
    primitive integer constraints, with the facts of two division sign
@@ -93,10 +94,11 @@ class Constraint(NamedTuple):
 class _Atoms:
     """Abstraction registry of one conjunct: the keys its constraints
     mention that are integer-sorted, whether any is a non-variable atom, and
-    each division atom's numerator and denominator. Forms come from
-    `forms`, the obligation's map from id(term) to (term, _keyed form) and
-    from (op, id(left), id(right)) to (left, right, constraint, and what
-    reading its sides registered)."""
+    each division atom's numerator and denominator. `forms` is the
+    obligation's table: `simplify` fills it with id(comparison) ->
+    (comparison, Lin of left, Lin of right), and `constraint` adds
+    (op, id(comparison)) -> (comparison, constraint, and what reading its
+    sides registered)."""
 
     def __init__(self, forms: dict):
         self.forms = forms
@@ -109,32 +111,29 @@ class _Atoms:
         self.opaque = self.opaque or opaque
         self.divisions.update(divisions)
 
-    def lin(self, e: S.Expr) -> Lin:
-        """The linear form of an int/real term, its atoms registered."""
-        hit = self.forms.get(id(e))
-        if hit is None:
-            hit = self.forms[id(e)] = (e, *_keyed(linear_form(e)))
-        self._register(*hit[2:])
-        return hit[1]
-
-    def constraint(self, op: str, left: S.Expr, right: S.Expr) -> Constraint:
-        """The constraint `left op right`, as the primitive form of
+    def constraint(self, op: str, cmp: S.Binary) -> Constraint:
+        """The constraint `cmp.left op cmp.right`, as the primitive form of
         `left - right` or of its negation compared with 0, its atoms
-        registered. It is built once per obligation, with a registry of its
-        own whose findings each later conjunct takes over."""
-        cached = (op, id(left), id(right))
+        registered. It is built once per obligation from the sides' forms
+        in the table, or, for a comparison `simplify` did not emit, from
+        `linear_form` of each side; each later conjunct takes over what
+        reading the sides registered."""
+        cached = (op, id(cmp))
         hit = self.forms.get(cached)
         if hit is None:
-            sides = _Atoms(self.forms)
-            lin = sides.lin(left).add(sides.lin(right), -1)
+            _, left, right = self.forms.get(id(cmp)) or (
+                cmp, linear_form(cmp.left), linear_form(cmp.right))
+            # key each side alone, so that an atom cancelling between the
+            # sides is still registered
+            (left, *lreg), (right, *rreg) = _keyed(left), _keyed(right)
+            lin = left.add(right, -1)
             if op in (">", ">="):
                 lin, op = lin.scale(-1), "<" if op == ">" else "<="
-            hit = self.forms[cached] = (left, right,
-                                        Constraint(lin.primitive(), op),
-                                        sides.int_keys, sides.opaque,
-                                        sides.divisions)
-        self._register(*hit[3:])
-        return hit[2]
+            hit = self.forms[cached] = (cmp, Constraint(lin.primitive(), op),
+                                        lreg[0] | rreg[0], lreg[1] or rreg[1],
+                                        {**lreg[2], **rreg[2]})
+        self._register(*hit[2:])
+        return hit[1]
 
 
 def _keyed(form: Lin):
@@ -171,7 +170,7 @@ _NEG = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 def _dnf(f: S.Expr, positive: bool, px, dropped: list) -> list:
     """The conjunctions (lists of literals) whose disjunction is f, or its
     negation when positive=False. A numeric comparison is the literal
-    (op, left, right), any other formula (atom, truth). Universals are
+    (op, comparison), any other formula (atom, truth). Universals are
     opened with fresh symbols from the counter px where negated, dropped
     (and listed in dropped) where asserted."""
     if isinstance(f, S.BoolLit):
@@ -199,7 +198,7 @@ def _dnf(f: S.Expr, positive: bool, px, dropped: list) -> list:
         return _dnf(S.substitute(f.body, sub), False, px, dropped)
     if (isinstance(f, S.Binary) and f.op in _NEG
             and f.left.ty in (S.INT, S.REAL)):
-        return [[(f.op if positive else _NEG[f.op], f.left, f.right)]]
+        return [[(f.op if positive else _NEG[f.op], f)]]
     # everything else, boolean/array (dis)equality included, is an
     # uninterpreted boolean atom
     return [[(f, positive)]]
@@ -371,7 +370,9 @@ def prove_internal(ob) -> ProofStatus:
     f = ob.goal
     for h in reversed(hyps):
         f = S.Binary(op="==>", left=h, right=f, ty=S.BOOL)
-    f = simplify(f)
+    # the obligation's forms table (see _Atoms); no entry outlives this call
+    forms = {}
+    f = simplify(f, forms)
     trace.append("simplify")
     if isinstance(f, S.BoolLit):
         if f.value:
@@ -380,9 +381,6 @@ def prove_internal(ob) -> ProofStatus:
         return _try_refute(ob, {}, trace + ["simplified to false"])
 
     dropped = []
-    # id(term) -> (term, _keyed form) for this obligation only; holding the
-    # term keeps its id from being reused while the map lives
-    forms = {}
     result = None
     try:
         disjuncts = _dnf(f, False, itertools.count(), dropped)  # negation of f
@@ -419,16 +417,15 @@ def _refute_conjunct(conj: list, trace, forms: dict):
     atoms = _Atoms(forms)
     constraints = []
     bools = {}
-    for lit in conj:
-        if len(lit) == 2:
-            atom, truth = lit
+    for first, second in conj:
+        if isinstance(second, bool):        # (atom, truth)
             atoms.opaque = True
-            if bools.setdefault(expr_to_str(atom), truth) != truth:
+            if bools.setdefault(expr_to_str(first), second) != second:
                 return None
-        elif lit[0] != "!=":
-            constraints.append(atoms.constraint(*lit))
-    sides = [(atoms.constraint("<", l, r), atoms.constraint(">", l, r))
-             for _, l, r in splits]
+        elif first != "!=":
+            constraints.append(atoms.constraint(first, second))
+    sides = [(atoms.constraint("<", cmp), atoms.constraint(">", cmp))
+             for _, cmp in splits]
     for leaf in itertools.product(*sides):
         leaf = constraints + list(leaf)
         facts, applied = _division_facts(leaf, atoms)

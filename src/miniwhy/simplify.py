@@ -9,8 +9,9 @@ under a hypothesis `y != 0`; expansion of bounded integer quantifiers with
 literal bounds spanning at most 64 points.
 
 `linearize` is the package's one walk from an int/real term to a `Lin`.
-The prover reads its constraints through `linear_form`, so both modules
-abstract the same atoms.
+`simplify` puts each numeric comparison it emits in a table with its sides'
+forms, and `_learn` and the prover read them there: one reading of each
+comparison, so both modules abstract the same atoms.
 
 Obligations are state-free (vcgen closes them), so no `\\old`, label,
 `Permut` predicate or `\\result` reaches the simplifier from one. Called
@@ -190,29 +191,26 @@ def to_expr(form, ty: S.SemType) -> S.Expr:
 # the boolean layer
 
 class _Ctx:
-    def __init__(self):
+    def __init__(self, forms=None):
         self.nonzero = set()        # Lin keys known != 0
+        self.forms = {} if forms is None else forms    # shared with children
 
     def child(self):
-        c = _Ctx()
+        c = _Ctx(self.forms)
         c.nonzero = set(self.nonzero)
         return c
 
 
 def _learn(ctx, f: S.Expr):
-    """Record facts useful to later rewrites (currently: nonzero divisors)."""
+    """Record facts useful to later rewrites (currently: nonzero divisors).
+    f is simplified, so each numeric comparison in it has its forms in the
+    table: `l < r`, `l > r` and `l != r` make `l - r` and `r - l` nonzero."""
     for g in S.conjuncts(f):
-        if not (isinstance(g, S.Binary) and g.op in ("!=", ">", "<")):
-            continue
-        l, _ = linearize(g.left, ctx)
-        r, _ = linearize(g.right, ctx)
-        diff = l.add(r, -1)
-        if not diff.is_const:
+        entry = ctx.forms.get(id(g))
+        if entry is not None and g.op in ("!=", ">", "<"):
+            diff = entry[1].add(entry[2], -1)
             ctx.nonzero.add(diff.key())
-            # x != 0 with x on either side
-            if diff.const == 0:
-                ctx.nonzero.add(l.key())
-                ctx.nonzero.add(r.key())
+            ctx.nonzero.add(diff.scale(-1).key())
 
 
 def _simp_expr(e: S.Expr, ctx) -> S.Expr:
@@ -297,7 +295,9 @@ def simplify_in(f: S.Expr, ctx) -> S.Expr:
             diff = lf[0].add(rf[0], -1)
             if diff.is_const:
                 return S.BoolLit(value=S.COMPARE[f.op](diff.const, 0), ty=S.BOOL)
-            return replace(f, left=to_expr(lf, lt), right=to_expr(rf, rt))
+            out = replace(f, left=to_expr(lf, lt), right=to_expr(rf, rt))
+            ctx.forms[id(out)] = (out, lf[0], rf[0])
+            return out
         # boolean or array equality: simplify children, fold identical sides
         l = _simp_expr(f.left, ctx)
         r = _simp_expr(f.right, ctx)
@@ -369,9 +369,8 @@ def _literal_bounds(body, name):
     return max(ends["lo"]), min(ends["hi"])
 
 
-def simplify(f: S.Expr, hypotheses=()) -> S.Expr:
-    """Simplify a typed formula; hypotheses contribute context facts only."""
-    ctx = _Ctx()
-    for h in hypotheses:
-        _learn(ctx, h)
-    return simplify_in(f, ctx)
+def simplify(f: S.Expr, forms=None) -> S.Expr:
+    """Simplify a typed formula. A given dict `forms` receives, for each
+    numeric comparison emitted, id(comparison) -> (comparison, Lin of left,
+    Lin of right); holding the comparison keeps its id from being reused."""
+    return simplify_in(f, _Ctx(forms))

@@ -279,6 +279,23 @@ def test_division_sign_rules(hyp, goal, proved):
         assert st.status == "unknown", st.status
 
 
+@pytest.mark.parametrize("hyp, proved", [
+    ("x < y", False),
+    ("x != y", False),
+    ("y < x", False),
+    ("x != 0.0", True),
+    ("0.0 < x", True),
+    ("x > 0.0", True),
+])
+def test_zero_numerator_folds_only_under_a_nonzero_divisor(hyp, proved):
+    # x < y says nothing of x: at x = 0, y = 1 the quotient 0.0 / 0.0 is
+    # unconstrained
+    XY = {"x": S.REAL, "y": S.REAL}
+    st = prove_internal(mk(typed_formula(f"{hyp} ==> 0.0 / x == 0.0", XY), sorts=XY))
+    assert st.status == ("proved-internal" if proved else "unknown"), st.detail
+    assert (st.rule_trace[-1] == "closed by simplification") == proved
+
+
 def _check_verdicts_against_evaluation(division):
     """Count the verdicts on FormulaGen seeds 0-999 over mixed int/real and
     over real-only symbols, asserting that a proved formula holds on
