@@ -362,7 +362,14 @@ COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 
 
 # ---------------------------------------------------------------------------
-# The term core: every expression rewriter rebuilds terms through these
+# The term core: every expression rewriter rebuilds terms through these.
+# Terms are DAGs: wp shares an invariant, a condition or a continuation
+# between many formulas. So `rewrite` and `substitute` memoise their result
+# per node object, id(node) -> (node, result), and a shared subterm is
+# rewritten once. The entry holds the node so that its id cannot be reused
+# while the memo lives. A memo is valid for one transformation only; a
+# caller that applies one transformation to many formulas passes them all
+# the same memo dict.
 
 # the fields of each Expr class that hold child expressions (a list field
 # holds a list of them); classes absent here are leaves
@@ -403,20 +410,30 @@ def map_children(e: Expr, fn) -> Expr:
     return replace(e, **changed) if changed else e
 
 
-def rewrite(f: Expr, fn) -> Expr:
+def rewrite(f: Expr, fn, memo=None) -> Expr:
     """Top-down rewrite: fn(e) returns e's replacement, or None to descend
-    into e's children. Unchanged subtrees are returned as they are."""
+    into e's children. Unchanged subtrees are returned as they are. fn is
+    called once per node object: `memo` (a fresh dict when not given) maps
+    id(node) -> (node, result), and a caller may share it between calls
+    with the same fn, so that their common subterms are rewritten once."""
+    memo = {} if memo is None else memo
+
     def tr(e):
-        out = fn(e)
-        return map_children(e, tr) if out is None else out
+        hit = memo.get(id(e))
+        if hit is None:
+            out = fn(e)
+            hit = memo[id(e)] = (e, map_children(e, tr) if out is None else out)
+        return hit[1]
     return tr(f)
 
 
-def substitute(f: Expr, env: dict, pinned=()) -> Expr:
+def substitute(f: Expr, env: dict, pinned=(), memo=None) -> Expr:
     """Replace each free Var whose name is in env by env[name]. A quantifier
     binder shadows its name below it; nodes of the pinned classes (say
-    OldExpr, whose operand denotes another state) are left whole."""
-    def tr(e):
+    OldExpr, whose operand denotes another state) are left whole. `memo` is
+    as for `rewrite`, valid for this env and pinned alone: below a
+    shadowing binder the narrowed env gets a memo of its own."""
+    def fn(e):
         if isinstance(e, Var):
             return env.get(e.name, e)
         if isinstance(e, pinned):
@@ -425,8 +442,8 @@ def substitute(f: Expr, env: dict, pinned=()) -> Expr:
             inner = {k: v for k, v in env.items()
                      if all(k != n for n, _ in e.binders)}
             return map_children(e, lambda b: substitute(b, inner, pinned))
-        return map_children(e, tr)
-    return tr(f) if env else f
+        return None
+    return rewrite(f, fn, memo) if env else f
 
 
 def walk(node):

@@ -108,35 +108,38 @@ def lower(f: S.Expr, loop_id=None) -> S.Expr:
 _PINNED = (S.OldExpr, S.AtLabel)
 
 
-def subst(f: S.Expr, name: str, repl: S.Expr) -> S.Expr:
+def subst(f: S.Expr, name: str, repl: S.Expr, memo=None) -> S.Expr:
     """Replace current-state occurrences of a scalar variable.
 
     Occurrences inside \\old(...) and \\at(..., LoopEntry) are pinned to
-    their own state and left alone."""
-    return S.substitute(f, {name: repl}, _PINNED)
+    their own state and left alone. `memo` is the term core's, shared by
+    every formula one assignment transforms."""
+    return S.substitute(f, {name: repl}, _PINNED, memo)
 
 
-def subst_store(f: S.Expr, name: str, idx: S.Expr, val: S.Expr) -> S.Expr:
+def subst_store(f: S.Expr, name: str, idx: S.Expr, val: S.Expr,
+                memo=None) -> S.Expr:
     """Replace current-state occurrences of array `name` by store(name, idx, val)."""
     def tr(e):
         if isinstance(e, S.Var) and e.name == name:
             return S.Store(array=e, index=idx, value=val, pos=e.pos, ty=e.ty)
         return e if isinstance(e, _PINNED) else None
-    return S.rewrite(f, tr)
+    return S.rewrite(f, tr, memo)
 
 
 def subst_result(f: S.Expr, repl: S.Expr) -> S.Expr:
     return S.rewrite(f, lambda e: repl if isinstance(e, S.ResultExpr) else None)
 
 
-def unwrap_old(f: S.Expr) -> S.Expr:
+def unwrap_old(f: S.Expr, memo=None) -> S.Expr:
     """At obligation close every remaining current-state symbol denotes the
     entry state, so \\old(e) collapses to e."""
-    return S.rewrite(f, lambda e: unwrap_old(e.operand)
-                     if isinstance(e, S.OldExpr) else None)
+    memo = {} if memo is None else memo
+    return S.rewrite(f, lambda e: unwrap_old(e.operand, memo)
+                     if isinstance(e, S.OldExpr) else None, memo)
 
 
-def havoc(f: S.Expr, mapping: dict, entry_tag: str = None) -> S.Expr:
+def havoc(f: S.Expr, mapping: dict, entry_tag: str = None, memo=None) -> S.Expr:
     """Replace loop-assigned variables by fresh symbols. This loop's own
     \\at(e, LoopEntry) markers denote the iteration-start state, which IS
     the havoc state, so they unwrap under the same mapping; markers owned by
@@ -151,7 +154,7 @@ def havoc(f: S.Expr, mapping: dict, entry_tag: str = None) -> S.Expr:
                 return S.substitute(e.operand, mapping, (S.OldExpr,))
             return e
         return None
-    return S.rewrite(f, tr)
+    return S.rewrite(f, tr, memo)
 
 
 def assigned_vars(st: S.Stmt) -> set:
@@ -248,9 +251,10 @@ class _Loop:
     cond: S.Expr
     mapping: dict           # assigned variable -> its havoc symbol
     first: S.Expr           # inv at its first check, where LoopEntry is Here
+    memo: dict = field(default_factory=dict)    # of hv, for every formula
 
     def hv(self, f: S.Expr) -> S.Expr:
-        return havoc(f, self.mapping, _entry_tag(self.id))
+        return havoc(f, self.mapping, _entry_tag(self.id), self.memo)
 
     def exit_ctx(self, f: S.Expr) -> S.Expr:
         """I && !b ==> f, havocked: f after the loop."""
@@ -300,7 +304,8 @@ class _Wp:
                    [self.new_side("bounds-guard",
                                   self.index_guard(st), st.pos[0],
                                   f"store index {expr_to_str(st.index)} within {st.name}")])
-            tr = lambda f: subst_store(f, st.name, st.index, st.expr)
+            memo = {}
+            tr = lambda f: subst_store(f, st.name, st.index, st.expr, memo)
             return (tr(post), kind,
                     [replace(s, formula=tr(s.formula)) for s in sides] + new)
         if isinstance(st, S.If):
@@ -336,7 +341,8 @@ class _Wp:
         if isinstance(expr, S.Call):
             return self.call(st, expr, name, sides, post=post, kind=kind)
         new = self.guard_sides(expr)
-        tr = lambda f: subst(f, name, expr)
+        memo = {}
+        tr = lambda f: subst(f, name, expr, memo)
         return (tr(post), kind,
                 [replace(s, formula=tr(s.formula)) for s in sides] + new)
 
@@ -515,9 +521,10 @@ class _Wp:
             cont = subst_result(self.exit_post, res)
             out_kind = self.exit_kind
         else:
-            cont = subst(post, target, res)
+            memo = {}
+            cont = subst(post, target, res, memo)
             out_kind = kind
-            sides = [replace(s, formula=subst(s.formula, target, res))
+            sides = [replace(s, formula=subst(s.formula, target, res, memo))
                      for s in sides]
         return _imp(assumption, cont), out_kind, sides + new
 
@@ -581,11 +588,12 @@ _NAMES = {
 }
 
 
-def _make_obligation(method, seq, kind, line, detail, goal, hyps, hyp_sources):
+def _make_obligation(method, seq, kind, line, detail, goal, hyps, hyp_sources,
+                     old_memo=None):
     # unwrapping \old keeps every symbol and their order, so the walk may
-    # precede it
+    # precede it; old_memo is unwrap_old's, shared by the method's goals
     sorts, loop_ids, old = _closure_info(goal, hyps)
-    goal = unwrap_old(goal) if old else goal
+    goal = unwrap_old(goal, old_memo) if old else goal
     name = _NAMES[kind]
     if detail:
         name = f"{name} ({detail})"
@@ -632,15 +640,17 @@ def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
     base_sources = ["lemma"] * len(lemma_forms) + ["requires"]
     out = []
     seq = itertools.count()
+    old_memo = {}
 
     # main pass: the declared ensures, plus every post-independent obligation
     engine = _Wp(tunit, m, lower(m.spec.ensures), "ensures")
     pre, kind, sides = engine.wp(m.body, engine.exit_post, "ensures", [])
     out.append(_make_obligation(mname, next(seq), kind, m.pos[0], "",
-                                pre, base_hyps, base_sources))
+                                pre, base_hyps, base_sources, old_memo))
     for s in sides:
         out.append(_make_obligation(mname, next(seq), s.kind, s.line, s.detail,
-                                    s.formula, base_hyps, base_sources))
+                                    s.formula, base_hyps, base_sources,
+                                    old_memo))
 
     # behaviour passes contribute only their own postcondition chain
     for b in m.spec.behaviours:
@@ -650,12 +660,13 @@ def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
         pre, kind, sides = engine.wp(m.body, engine.exit_post, "behaviour", [])
         if kind == "behaviour":
             out.append(_make_obligation(mname, next(seq), "behaviour", m.pos[0],
-                                        b.name, pre, hyps, sources))
+                                        b.name, pre, hyps, sources, old_memo))
         for s in sides:
             if s.kind == "behaviour":
                 detail = b.name if not s.detail else f"{b.name}, {s.detail}"
                 out.append(_make_obligation(mname, next(seq), "behaviour", s.line,
-                                            detail, s.formula, hyps, sources))
+                                            detail, s.formula, hyps, sources,
+                                            old_memo))
     return out
 
 

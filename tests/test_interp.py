@@ -495,3 +495,44 @@ def test_strict_quickselect_checks_match_golden():
     got = strict_quickselect_checks()
     assert "contract-violation" in got and "normal" in got
     assert got.splitlines() == golden.splitlines()
+
+
+# \forall bodies that are a conjunction or another \forall: the compiler
+# splits the first into one quantifier per conjunct and merges the binders
+# of the second; each must agree with a plain loop over the instances
+FORALL_SHAPES = {
+    "conjunction": (
+        "\\forall integer k; (0 <= k && k < n ==> a[k] > x)"
+        " && (0 <= k && k < n ==> a[k] < 2.5)",
+        lambda a, n, x: all(x < a[k] < 2.5 for k in range(n))),
+    "guarded-conjunction": (
+        "\\forall integer k; 0 <= k && k < n ==> a[k] > x && a[k] < 2.5",
+        lambda a, n, x: all(x < a[k] < 2.5 for k in range(n))),
+    "nested": (
+        "\\forall integer i; \\forall integer j;"
+        " 0 <= i && i < n && 0 <= j && j < i ==> a[j] <= a[i]",
+        lambda a, n, x: all(a[j] <= a[i] for i in range(n) for j in range(i))),
+    "nested-in-conjunction": (
+        "\\forall integer i; (0 <= i && i < n ==> a[i] > x)"
+        " && (\\forall integer j; 0 <= i && i < n && 0 <= j && j < i"
+        " ==> a[j] <= a[i])",
+        lambda a, n, x: all(a[i] > x and all(a[j] <= a[i] for j in range(i))
+                            for i in range(n))),
+}
+
+
+@pytest.mark.parametrize("mode", ["rational", "binary64"])
+@pytest.mark.parametrize("shape", sorted(FORALL_SHAPES))
+def test_split_and_nested_quantifiers_agree_with_a_loop(shape, mode):
+    text, expected = FORALL_SHAPES[shape]
+    f = typed_formula(text, {"a": S.ARRAY_REAL, "n": S.INT, "x": S.REAL})
+    real = float if mode == "binary64" else (lambda v: v)
+    rng = random.Random(shape)
+    seen = set()
+    for _ in range(200):
+        a = [real(Fraction(rng.randint(-4, 6), 2)) for _ in range(rng.randint(0, 4))]
+        n, x = rng.randint(0, len(a)), real(Fraction(rng.randint(-4, 2), 2))
+        want = expected(a, n, x)
+        assert eval_formula(f, {"Here": {"a": a, "n": n, "x": x}}, mode) == want
+        seen.add(want)
+    assert seen == {True, False}

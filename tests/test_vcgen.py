@@ -543,3 +543,116 @@ def test_state_nodes_escaping_closure_are_internal_errors(where, node, what):
     with pytest.raises(VcgenError) as info:
         vcgen._make_obligation("m", 0, "assert", 1, "", goal, hyps, ["requires"])
     assert str(info.value) == f"internal: {what} escaped obligation closure"
+
+
+# ---------------------------------------------------------------------------
+# wp rules that no corpus unit reaches, pinned by each obligation's printed
+# goal and prover verdict
+
+WP_PATHS = {
+    # the bounds guard of a[x] differs between the branches, so it is
+    # merged under both conditions
+    "merge": """
+/*@ requires \\length(a) == 3;
+  @ ensures true;
+  @*/
+void m(int[] a, int n) {
+    int x = 0;
+    if (n > 5) { x = 1; } else { x = 2; }
+    a[x] = 0;
+}
+""",
+    # a guard made in the else branch alone is stated under !cond
+    "else_only": """
+/*@ requires 0 <= n && n < \\length(a);
+  @ ensures true;
+  @*/
+void m(int[] a, int n) {
+    int x = 0;
+    if (n > 5) { x = 1; } else { x = a[n]; }
+}
+""",
+    # a do loop's condition guards hold under its havocked invariant
+    "do_guard": """
+/*@ requires 1 <= n && n < \\length(a);
+  @ ensures true;
+  @*/
+void m(int[] a, int n) {
+    int i = 0;
+    /*@ loop_invariant 0 <= i && i <= n; @*/
+    do { i = i + 1; } while (i < n && a[i] > 0);
+}
+""",
+    # a callee's behaviours become assumes ==> ensures parts of the call's
+    # assumption; the pending assert is substituted, not assumed under it
+    "behaviours": """
+/*@ requires n >= 0;
+  @ ensures \\result >= 0;
+  @ behaviour small :
+  @   assumes n < 10;
+  @   ensures \\result == n;
+  @ behaviour large :
+  @   assumes n >= 10;
+  @   ensures \\result == 10;
+  @*/
+int clip(int n) {
+    int r = n;
+    if (n >= 10) { r = 10; }
+    return r;
+}
+
+/*@ requires k >= 0 && k < 5;
+  @ ensures \\result == k + 1;
+  @*/
+int m(int k) {
+    int c = clip(k);
+    /*@ assert c <= 4; @*/
+    return c + 1;
+}
+""",
+}
+
+WP_PATHS_EXPECTED = {
+    "merge": [
+        ("m:000:ensures", "(n > 5 ==> true) && (!(n > 5) ==> true)",
+         "proved-internal"),
+        ("m:001:bounds-guard",
+         "(n > 5 ==> 1 >= 0 && 1 < \\length(a))"
+         " && (!(n > 5) ==> 2 >= 0 && 2 < \\length(a))", "proved-internal"),
+    ],
+    "else_only": [
+        ("m:000:ensures", "(n > 5 ==> true) && (!(n > 5) ==> true)",
+         "proved-internal"),
+        ("m:001:bounds-guard", "!(n > 5) ==> n >= 0 && n < \\length(a)",
+         "proved-internal"),
+    ],
+    "do_guard": [
+        ("m:000:invariant-init", "0 <= 0 + 1 && 0 + 1 <= n",
+         "proved-internal"),
+        ("m:001:bounds-guard",
+         "0 <= i@L0 && i@L0 <= n ==> i@L0 < n"
+         " ==> i@L0 >= 0 && i@L0 < \\length(a)", "proved-internal"),
+        ("m:002:invariant-preserve",
+         "0 <= i@L0 && i@L0 <= n && (i@L0 < n && a[i@L0] > 0)"
+         " ==> 0 <= i@L0 + 1 && i@L0 + 1 <= n", "unknown"),
+        ("m:003:ensures",
+         "0 <= i@L0 && i@L0 <= n && !(i@L0 < n && a[i@L0] > 0) ==> true",
+         "proved-internal"),
+    ],
+    "behaviours": [
+        ("m:000:ensures",
+         "clip@r2 >= 0 && (k < 10 ==> clip@r2 == k)"
+         " && (k >= 10 ==> clip@r2 == 10)"
+         " ==> clip@r2 <= 4 ==> clip@r2 + 1 == k + 1", "proved-internal"),
+        ("m:001:assert", "clip@r2 <= 4", "unknown"),
+        ("m:002:call-requires", "k >= 0", "proved-internal"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WP_PATHS))
+def test_wp_rule_paths_are_pinned(case):
+    obs = generate_obligations(typecheck(parse(WP_PATHS[case])), "m")
+    got = [(ob.id, expr_to_str(ob.goal), prove_internal(ob).status)
+           for ob in obs]
+    assert got == WP_PATHS_EXPECTED[case]
