@@ -424,7 +424,11 @@ def rewrite(f: Expr, fn, memo=None) -> Expr:
             out = fn(e)
             hit = memo[id(e)] = (e, map_children(e, tr) if out is None else out)
         return hit[1]
-    return tr(f)
+    out = tr(f)
+    # tr's closure holds tr: unbinding it breaks that cycle, so a memo made
+    # here is freed now, not at the next cyclic garbage collection
+    del tr
+    return out
 
 
 def substitute(f: Expr, env: dict, pinned=(), memo=None) -> Expr:

@@ -10,6 +10,14 @@ unit lemmas as hypotheses. Obligations, hypotheses included, close to
 state-free formulas: requires, assumes and lemmas are closed where they are
 read, the goal's \\old collapses at closure, and any other state node left
 there is an internal error.
+
+The formulas share subterms (an invariant, a condition, a continuation),
+so one transformation applied to many of them passes them all one memo of
+the term core: an assignment's substitution into the post and every pending
+side, a loop's havoc of every context it builds, and a method's \\old
+removal at closure. A shared subterm is then rebuilt once per
+transformation; the obligations' text is the same as when each formula is
+rewritten alone.
 """
 
 from __future__ import annotations
