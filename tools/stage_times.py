@@ -1,10 +1,10 @@
 """Per-stage times of the prove pipeline on each corpus unit, optionally
 against a second checkout.
 
-    python3 tools/stage_times.py [--reps N] [--passes P] [--units a,b]
-                                 [--against PATH] [--json FILE]
+    python3 tools/stage_times.py [--reps N] [--passes P] [--against PATH]
+                                 [--json FILE]
 
-For each corpus unit one pass times five stages as `miniwhy prove
+For each unit of this checkout's corpus one pass times five stages as `miniwhy prove
 --export-unproved` runs them: parse+typecheck, vcgen, prover (every
 obligation), export (SMT-LIB and s-expression of each unproved obligation,
 and the XML of the unproved set) and validate (every exported document).
@@ -103,9 +103,9 @@ def child(root: Path, units, passes: int) -> dict:
                        for u, d in scaled.items()}}
 
 
-def _run_child(root: Path, units, passes: int) -> dict:
+def _run_child(root: Path, passes: int) -> dict:
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(root),
-           "--units", ",".join(units), "--passes", str(passes)]
+           "--passes", str(passes)]
     out = subprocess.run(cmd, capture_output=True, text=True)
     if out.returncode != 0:
         sys.exit(f"stage_times: the run of {root} failed:\n{out.stderr}")
@@ -132,8 +132,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--reps", type=int, default=5)
     ap.add_argument("--passes", type=int, default=3)
-    ap.add_argument("--units", default=None,
-                    help="comma-separated corpus file stems (default: all)")
     ap.add_argument("--against", default=None,
                     help="a second checkout to compare with")
     ap.add_argument("--json", default=None, help="write every rep here")
@@ -141,8 +139,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.reps < 1 or args.passes < 1:
         ap.error("--reps and --passes must be at least 1")
-    units = (args.units.split(",") if args.units else
-             sorted(p.stem for p in (ROOT / "src" / "miniwhy" / "corpus").glob("*.mjml")))
+    units = sorted(p.stem for p in (ROOT / "src" / "miniwhy" / "corpus").glob("*.mjml"))
     if args.child:
         print(json.dumps(child(Path(args.child), units, args.passes)))
         return 0
@@ -154,7 +151,7 @@ def main(argv=None) -> int:
     for i in range(args.reps):
         order = list(sides) if i % 2 == 0 else list(reversed(sides))
         for side in order:
-            reps[side].append(_run_child(sides[side], units, args.passes))
+            reps[side].append(_run_child(sides[side], args.passes))
     summary = {side: _summary(r, units) for side, r in reps.items()}
 
     head = f"{'stage':<16}{'unit':<20}{'this ms':>9}{'IQR':>16}"
