@@ -9,11 +9,14 @@ share one semantics.
 
 A standalone formula compiles into a CompiledFormula with a fixed slot
 layout, which eval_formula evaluates against any state bundle of that
-layout. Nothing here retains compiled formulas: a caller that evaluates one
-formula many times keeps its CompiledFormula only while it needs it, as
-trace validation does for the length of one instantiate_on_trace call.
-Closure trees are large next to the formulas they come from, so holding
-them past that would grow memory with every obligation ever validated.
+layout. Formulas of one layout and mode may share a compile memo, so that a
+node object they have in common (a hypothesis that recurs in every
+obligation of a method) becomes one closure that each of them calls.
+Nothing here retains compiled formulas or memos: a caller keeps them only
+while it needs them, as trace validation keeps one memo per layout for the
+length of one instantiate_on_trace call. Closure trees are large next to
+the formulas they come from, so holding them past that would grow memory
+with every obligation ever validated.
 
 A bounded `\\forall integer k1 ... kn; guards ==> consequent` is evaluated
 by enumeration. Each binder's range is lo..hi, the greatest lower and the
@@ -156,12 +159,15 @@ def mentions_loopentry(f: S.Expr) -> bool:
 # expression compiler
 
 class CompileCtx:
-    def __init__(self, slots, mode, cunit=None, binders=None, var_types=None):
+    def __init__(self, slots, mode, cunit=None, binders=None, var_types=None,
+                 memo=None):
         self.slots = slots                  # name -> slot index
         self.mode = mode
         self.cunit = cunit                  # CompiledUnit, for calls
         self.binders = binders or {}        # name -> cell (1-element list)
         self.var_types = {} if var_types is None else var_types   # slot read -> type
+        # (id(node), state) -> (node, closure, the subtree's var_types or None)
+        self.memo = memo
 
 
 def _state_list(frame, state):
@@ -178,7 +184,33 @@ def _state_list(frame, state):
 
 
 def compile_expr(e: S.Expr, ctx: CompileCtx, state: str = "cur"):
-    """Compile a typed expression to a closure frame -> value."""
+    """Compile a typed expression to a closure frame -> value.
+
+    With a memo in ctx, a node object met again in the same state reuses
+    its closure and re-records the variable types its subtree reads, so
+    ctx.var_types ends as an unmemoised compile leaves it. The entry holds
+    the node, so its id cannot be reused while the memo lives."""
+    memo = ctx.memo
+    if memo is None:
+        return _compile(e, ctx, state)
+    key = (id(e), state)
+    hit = memo.get(key)
+    if hit is not None:
+        if hit[2]:
+            ctx.var_types.update(hit[2])
+        return hit[1]
+    outer = ctx.var_types
+    ctx.var_types = reads = {}
+    try:
+        fn = _compile(e, ctx, state)
+    finally:
+        ctx.var_types = outer
+        outer.update(reads)
+    memo[key] = (e, fn, reads or None)
+    return fn
+
+
+def _compile(e: S.Expr, ctx: CompileCtx, state: str):
     mode = ctx.mode
     if isinstance(e, S.Var):
         cell = ctx.binders.get(e.name)
@@ -417,8 +449,9 @@ def _compile_forall(binders, body, ctx: CompileCtx, state: str):
 
     guards = S.conjuncts(body.left)
     cells = {name: [0] for name in names}
-    inner_ctx = CompileCtx(ctx.slots, ctx.mode, ctx.cunit,
-                           {**ctx.binders, **cells}, ctx.var_types)
+    # the cells belong to this compile, so a memo shares closures only below them
+    inner_ctx = CompileCtx(ctx.slots, ctx.mode, ctx.cunit, {**ctx.binders, **cells},
+                           ctx.var_types, None if ctx.memo is None else {})
     consumed = set()
     boxes = []
     for i, name in enumerate(names):
@@ -873,17 +906,24 @@ class CompiledFormula:
     coerces arguments. Compilation raises EvalError for a variable missing
     from the layout; a quantifier without derivable bounds raises only when
     reached.
+
+    A memo (a dict, empty at first) shares closures among the formulas
+    compiled into it, which must all have this layout and mode; each still
+    binds the slots an unmemoised compile would. The memo keeps every
+    closure compiled into it alive, so it should live no longer than the
+    formulas are needed: trace validation makes one per layout for one
+    instantiate_on_trace call.
     """
 
     __slots__ = ("names", "mode", "_fn", "_binds")
 
-    def __init__(self, f: S.Expr, states: dict, mode: str = RATIONAL):
+    def __init__(self, f: S.Expr, states: dict, mode: str = RATIONAL, memo=None):
         """Compile f for the layout of bundles shaped like `states`."""
         self.names = frozenset(_bundle(states)[3])
         self.mode = mode
         layout = sorted(self.names)
         slots = {n: i for i, n in enumerate(layout)}
-        ctx = CompileCtx(slots, mode)
+        ctx = CompileCtx(slots, mode, memo=memo)
         self._fn = compile_expr(f, ctx)
         self._binds = {n: (i, ctx.var_types.get(n)) for n, i in slots.items()}
 

@@ -733,6 +733,11 @@ def instantiate_on_trace(obset: ObligationSet,
     from the nearest preceding snapshot); remaining free symbols take method
     entry values. Universally quantified lemma hypotheses are skipped: they
     are valid, so conditioning on them cannot change a verdict.
+
+    Each obligation's test compiles once per state layout, and every test of
+    one layout shares that layout's compile memo, so a hypothesis that
+    recurs across the obligations compiles to one closure. The memos and
+    compiled tests are dropped when the call returns.
     """
     if outcome.status != "normal":
         raise VcgenError("trace validation needs an outcome with status 'normal'")
@@ -741,9 +746,8 @@ def instantiate_on_trace(obset: ObligationSet,
     if obset.unit_digest != outcome.unit_digest:
         raise VcgenError("unit mismatch between obligation set and outcome")
 
-    results = []
-    for ob in obset.obligations:
-        results.append(_validate_one(ob, outcome))
+    memos = {}      # state layout -> one compile memo, shared by every obligation
+    results = [_validate_one(ob, outcome, memos) for ob in obset.obligations]
     return TraceValidationReport(method=outcome.method, results=results)
 
 
@@ -812,7 +816,7 @@ def _trace_plan(ob: Obligation) -> _TracePlan:
     return plan
 
 
-def _validate_one(ob: Obligation, outcome) -> ObligationTraceResult:
+def _validate_one(ob: Obligation, outcome, memos: dict) -> ObligationTraceResult:
     if ob.kind == "lemma":
         return ObligationTraceResult(ob.id, "not-instantiable", "no program point")
     segs = _segments(outcome.trace, ob.origin.method)
@@ -833,7 +837,7 @@ def _validate_one(ob: Obligation, outcome) -> ObligationTraceResult:
                 ob.id, "not-instantiable", f"no recorded call of {callee}")
         result_choices.append([(name, v) for v in vals])
 
-    # the test compiles once per state layout and lives only for this call
+    # the test compiles once per state layout, into that layout's shared memo
     compiled = {}
     evaluated = 0
     for seg in segs:
@@ -861,7 +865,8 @@ def _validate_one(ob: Obligation, outcome) -> ObligationTraceResult:
                     test = compiled.get(layout)
                     if test is None:
                         test = compiled[layout] = CompiledFormula(
-                            plan.test, states, outcome.mode)
+                            plan.test, states, outcome.mode,
+                            memos.setdefault(layout, {}))
                     holds = eval_formula(test, states, outcome.mode)
                 except EvalError as ex:
                     return ObligationTraceResult(ob.id, "not-instantiable", str(ex))

@@ -1,13 +1,17 @@
+import gc
 import itertools
 import json
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
+from types import FunctionType
 
 import pytest
 
 from miniwhy import corpus
 from miniwhy import syntax as S
+from miniwhy import vcgen
 from miniwhy.errors import EvalError, ExecutionFault, MiniWhyError
 from miniwhy.interp import CompiledFormula, eval_formula, exec_method
 from miniwhy.parser import parse
@@ -536,3 +540,131 @@ def test_split_and_nested_quantifiers_agree_with_a_loop(shape, mode):
         assert eval_formula(f, {"Here": {"a": a, "n": n, "x": x}}, mode) == want
         seen.add(want)
     assert seen == {True, False}
+
+
+# compile memos: trace validation shares one memo per state layout across the
+# obligations of one instantiate_on_trace call
+
+def _memo_runs():
+    """Fixed traced runs of quickselect and both sqrt methods, in both modes."""
+    qs, sq = corpus.unit("find_nth_lowest_number"), corpus.unit("sqrt_newton")
+    runs = [(qs, "find_nth_lowest_number", [buf, len(buf), n], "rational")
+            for buf, n in (([3, 1, 2], 1), ([5, -1, 5, 0, 2], 2),
+                           ([4, 4, 1, -3, 7, 0], 3), ([2, 2, 2, 2], 0))]
+    runs += [(sq, "sqrt", [Fraction(9, 4)], "rational"),
+             (sq, "sqrt", [0], "rational"),
+             (sq, "sqrt_newton", [Fraction(2), Fraction(1, 100)], "rational"),
+             (sq, "sqrt", [2.0], "binary64")]
+    obsets = {qs.unit.name: vcgen.generate_obligations(qs, "find_nth_lowest_number"),
+              sq.unit.name: vcgen.generate_obligations(sq)}
+    for unit, method, args, mode in runs:
+        out = exec_method(unit, method, args, mode, trace=True)
+        assert out.status == "normal", out.error
+        yield obsets[unit.unit.name], out
+
+
+def _compiled(f, states, mode, memo=None):
+    try:
+        return CompiledFormula(f, states, mode, memo)
+    except EvalError as ex:
+        return str(ex)
+
+
+def test_memoised_compile_binds_and_evaluates_as_an_unmemoised_one(monkeypatch):
+    """For every validation formula and state layout met on the fixed
+    traces, a compile into a memo shared by the whole call binds the same
+    slots to the same types, and gives the same value or EvalError text on
+    every bundle, as a compile without one."""
+    bundles = []            # (formula, states, mode), in the order evaluated
+    source = {}
+    real_compile, real_eval = vcgen.CompiledFormula, vcgen.eval_formula
+
+    def record_compile(f, states, mode, memo):
+        cf = real_compile(f, states, mode, memo)
+        source[cf] = f
+        return cf
+
+    def record_eval(cf, states, mode):
+        bundles.append((source[cf], states, mode))
+        return real_eval(cf, states, mode)
+
+    monkeypatch.setattr(vcgen, "CompiledFormula", record_compile)
+    monkeypatch.setattr(vcgen, "eval_formula", record_eval)
+    checked = nodes = entries = 0
+    for obset, out in _memo_runs():
+        bundles.clear()
+        vcgen.instantiate_on_trace(obset, out)
+        memos, pairs = {}, {}
+        for f, states, mode in bundles:
+            layout = frozenset(_bundle_names(states))
+            key = (id(f), layout)
+            if key not in pairs:
+                pairs[key] = (_compiled(f, states, mode, memos.setdefault(layout, {})),
+                              _compiled(f, states, mode))
+                nodes += sum(1 for _ in S.walk(f))
+            shared, alone = pairs[key]
+            if isinstance(alone, str):
+                assert shared == alone
+                continue
+            assert shared._binds == alone._binds
+            assert _outcome(shared, states, mode) == _outcome(alone, states, mode)
+            checked += 1
+        entries += sum(map(len, memos.values()))
+    # the formulas share most of their nodes, so most compiles hit the memo
+    assert checked > 500 and 4 * entries < nodes, (checked, entries, nodes)
+
+
+def _bundle_names(states):
+    return set().union(*(s for s in states.values() if s))
+
+
+def test_a_shared_node_evaluates_as_in_the_unshared_formula():
+    """One node object read under two \\foralls over different ranges, and
+    under `\\old(e) == e`, evaluates in each place as its own copy does."""
+    types = {"a": S.ARRAY_INT, "n": S.INT, "m": S.INT, "x": S.INT}
+    texts = ("\\forall integer k; 0 <= k && k < n ==> a[k] + x > 0",
+             "\\forall integer k; n <= k && k < m ==> a[k] + x > 0",
+             "\\old(a[n] + x) == a[n] + x")
+    copies = [typed_formula(t, types, CTX_ENSURES) for t in texts]
+    first, second, old = [typed_formula(t, types, CTX_ENSURES) for t in texts]
+    second = replace(second, body=replace(second.body, right=first.body.right))
+    old = replace(old, right=old.left.operand)
+    assert second.body.right is first.body.right and old.right is old.left.operand
+    unshared, shared = S.conj(copies), S.conj([first, second, old])
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(300):
+        a = [rng.randint(-3, 3) for _ in range(4)]
+        here = {"a": a, "n": rng.randint(0, 3), "m": rng.randint(0, 4),
+                "x": rng.randint(-1, 3)}
+        old_state = {**here, "a": [rng.randint(-3, 3) for _ in range(4)],
+                     "x": rng.choice([here["x"], 0])}
+        states = {"Here": here, "Old": old_state}
+        memo = {}
+        # the parts compiled after the whole formula hit the memo
+        for part, copy in zip((shared, first, second, old), [unshared] + copies):
+            want = _outcome(copy, states, "rational")
+            got = _outcome(_compiled(part, states, "rational", memo), states, "rational")
+            assert got == want, (part, states)
+            seen.add(want)
+    assert {True, False} <= seen
+
+
+def test_trace_validation_keeps_no_compiled_formula(quickselect_unit):
+    """Compiled closures live no longer than one instantiate_on_trace call;
+    the obligations keep only their trace plans."""
+    obset, out = next(_memo_runs())
+
+    def alive():
+        gc.collect()
+        objs = gc.get_objects()
+        return (sum(isinstance(o, CompiledFormula) for o in objs),
+                sum(type(o) is FunctionType and o.__module__ == "miniwhy.interp"
+                    for o in objs))
+
+    before = alive()
+    report = vcgen.instantiate_on_trace(obset, out)
+    assert report.passed
+    assert alive() == before and before[0] == 0
+    fields = set(vcgen.Obligation.__dataclass_fields__)
+    assert all(set(vars(ob)) - fields <= {"_trace_plan"} for ob in obset)

@@ -267,9 +267,9 @@ def test_compiled_validation_formula_agrees_with_bare_evaluation(
     source = {}
     seen = Counter()
 
-    def checked_compile(f, states, mode):
+    def checked_compile(f, states, mode, memo):
         try:
-            cf = compile_formula(f, states, mode)
+            cf = compile_formula(f, states, mode, memo)
         except EvalError as ex:
             assert _outcome(evaluate, f, states, mode) == f"EvalError: {ex}"
             seen["compile error"] += 1
