@@ -532,7 +532,8 @@ class _Wp:
             memo = {}
             cont = subst(post, target, res, memo)
             out_kind = kind
-            sides = [replace(s, formula=subst(s.formula, target, res, memo))
+            # a side after the call holds once the callee's contract does
+            sides = [replace(s, formula=_imp(assumption, subst(s.formula, target, res, memo)))
                      for s in sides]
         return _imp(assumption, cont), out_kind, sides + new
 

@@ -584,7 +584,8 @@ void m(int[] a, int n) {
 }
 """,
     # a callee's behaviours become assumes ==> ensures parts of the call's
-    # assumption; the pending assert is substituted, not assumed under it
+    # assumption, under which the pending assert is stated too; it stays
+    # unknown, since k < 5 ==> k <= 4 needs integer tightening
     "behaviours": """
 /*@ requires n >= 0;
   @ ensures \\result >= 0;
@@ -644,7 +645,9 @@ WP_PATHS_EXPECTED = {
          "clip@r2 >= 0 && (k < 10 ==> clip@r2 == k)"
          " && (k >= 10 ==> clip@r2 == 10)"
          " ==> clip@r2 <= 4 ==> clip@r2 + 1 == k + 1", "proved-internal"),
-        ("m:001:assert", "clip@r2 <= 4", "unknown"),
+        ("m:001:assert",
+         "clip@r2 >= 0 && (k < 10 ==> clip@r2 == k)"
+         " && (k >= 10 ==> clip@r2 == 10) ==> clip@r2 <= 4", "unknown"),
         ("m:002:call-requires", "k >= 0", "proved-internal"),
     ],
 }
