@@ -7,7 +7,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("parse+typecheck", "vcgen", "prover", "export", "validate")
+TRACE_STAGES = ("exec+trace", "trace-validate")
 UNITS = ("calculate_std_dev", "lemmas", "quickselect", "sqrt_newton", "translate")
+TRACED = ("quickselect", "sqrt_newton")
 
 
 def test_stage_times_runs_one_rep_against_a_second_checkout(tmp_path):
@@ -19,7 +21,8 @@ def test_stage_times_runs_one_rep_against_a_second_checkout(tmp_path):
     assert run.returncode == 0, run.stderr
     rows = [line.split() for line in run.stdout.splitlines()[1:]]
     assert [(r[0], r[1]) for r in rows] == [
-        (s, u) for s in STAGES for u in UNITS + ("corpus",)]
+        (s, u) for s in STAGES for u in UNITS + ("corpus",)] + [
+        (s, u) for s in TRACE_STAGES for u in TRACED + ("corpus",)]
     assert all(len(r) == 7 for r in rows)          # this, IQR, against, IQR, ratio
     data = json.loads(out.read_text())
     assert set(data["reps"]) == {"this", "against"}
@@ -27,3 +30,5 @@ def test_stage_times_runs_one_rep_against_a_second_checkout(tmp_path):
         (rep,) = side
         assert set(rep["raw"]) == set(UNITS)
         assert all(rep["raw"][u]["vcgen"] > 0 for u in UNITS)
+        assert all(rep["raw"][u][s] > 0 for u in TRACED for s in TRACE_STAGES)
+        assert all(set(rep["raw"][u]) == set(STAGES) for u in UNITS if u not in TRACED)

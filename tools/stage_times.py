@@ -8,6 +8,11 @@ For each unit of this checkout's corpus one pass times five stages as `miniwhy p
 --export-unproved` runs them: parse+typecheck, vcgen, prover (every
 obligation), export (SMT-LIB and s-expression of each unproved obligation,
 and the XML of the unproved set) and validate (every exported document).
+For quickselect and sqrt_newton it then times two stages of trace
+validation on a fixed set of rational inputs (TRACE_INPUTS): exec+trace
+(`exec_method` with trace recording, the unit already compiled) and
+trace-validate (`instantiate_on_trace` of the unit's obligations on each
+trace).
 
 Each rep starts a fresh interpreter per checkout, this one and the one given
 by --against, alternating which goes first. A process imports the package
@@ -32,10 +37,19 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ("parse+typecheck", "vcgen", "prover", "export", "validate")
+STAGES = ("parse+typecheck", "vcgen", "prover", "export", "validate",
+          "exec+trace", "trace-validate")
+# (method, args) per unit for the trace stages; other units skip them
+TRACE_INPUTS = {
+    "quickselect": [("find_nth_lowest_number", [buf, len(buf), n]) for buf, n in (
+        ([3, -1, 4, 1], 2), ([5, 9, -2, 6, 5], 1), ([2, 7, 1, -8, 2, 8], 4),
+        ([0, 0, 3, -3, 0, 3], 0))],
+    "sqrt_newton": [("sqrt", [Fraction(c)]) for c in ("2", "9/4", "0", "37/2")],
+}
 
 
 def _perfbench_run():
@@ -47,8 +61,9 @@ def _perfbench_run():
 
 
 def _one_pass(pkg, sources):
-    """{unit: {stage: seconds}} of one pass over the units."""
-    parser, typecheck, vcgen, prover, export = pkg
+    """{unit: {stage: seconds}} of one pass over the units, the trace
+    stages only for units with TRACE_INPUTS."""
+    parser, typecheck, vcgen, prover, export, interp = pkg
     times = {}
     for name, text in sources.items():
         t = [time.perf_counter()]
@@ -70,6 +85,16 @@ def _one_pass(pkg, sources):
             export.validate(d)
         t.append(time.perf_counter())
         times[name] = {s: b - a for s, a, b in zip(STAGES, t, t[1:])}
+        if name in TRACE_INPUTS:
+            interp.compile_unit(tu, "rational")         # in no stage
+            t = [time.perf_counter()]
+            outcomes = [interp.exec_method(tu, m, args, "rational", trace=True)
+                        for m, args in TRACE_INPUTS[name]]
+            t.append(time.perf_counter())
+            for out in outcomes:
+                vcgen.instantiate_on_trace(obset, out)
+            t.append(time.perf_counter())
+            times[name].update(zip(STAGES[5:], (t[1] - t[0], t[2] - t[1])))
     return times
 
 
@@ -77,13 +102,13 @@ def child(root: Path, units, passes: int) -> dict:
     """Runs in a fresh process: the stage medians of one checkout."""
     sys.path.insert(0, str(root / "src"))
     pkg = [importlib.import_module(f"miniwhy.{m}")
-           for m in ("parser", "typecheck", "vcgen", "prover", "export")]
+           for m in ("parser", "typecheck", "vcgen", "prover", "export", "interp")]
     bench = _perfbench_run()
     corpus = root / "src" / "miniwhy" / "corpus"
     sources = {u: (corpus / f"{u}.mjml").read_text() for u in units}
     _one_pass(pkg, sources)
-    raw = {u: {s: [] for s in STAGES} for u in units}
-    scaled = {u: {s: [] for s in STAGES} for u in units}
+    raw = {u: {s: [] for s in STAGES if u in _units(s, units)} for u in units}
+    scaled = {u: {s: [] for s in d} for u, d in raw.items()}
     for _ in range(passes):
         for u in units:
             k0 = time.perf_counter()
@@ -94,7 +119,7 @@ def child(root: Path, units, passes: int) -> dict:
             bench.kernel()
             k3 = time.perf_counter()
             scale = 2 * bench.KERNEL_REFERENCE_S / ((k1 - k0) + (k3 - k2))
-            for s in STAGES:
+            for s in raw[u]:
                 raw[u][s].append(took[s])
                 scaled[u][s].append(took[s] * scale)
     med = statistics.median
@@ -112,13 +137,20 @@ def _run_child(root: Path, passes: int) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def _units(stage, units) -> list:
+    """The units a pass times `stage` for."""
+    return [u for u in units if stage in STAGES[:5] or u in TRACE_INPUTS]
+
+
 def _summary(reps: list, units) -> dict:
-    """{stage: {unit or 'corpus': (median, q1, q3)}} of the scaled ms."""
+    """{stage: {unit or 'corpus': (median, q1, q3)}} of the scaled ms, the
+    corpus row summing the units that ran the stage."""
     out = {}
     for s in STAGES:
         out[s] = {}
-        for u in list(units) + ["corpus"]:
-            vals = [1e3 * (sum(r["scaled"][x][s] for x in units) if u == "corpus"
+        ran = _units(s, units)
+        for u in ran + ["corpus"]:
+            vals = [1e3 * (sum(r["scaled"][x][s] for x in ran) if u == "corpus"
                            else r["scaled"][u][s]) for r in reps]
             if len(vals) > 1:
                 q1, _, q3 = statistics.quantiles(vals, n=4, method="inclusive")
@@ -159,7 +191,7 @@ def main(argv=None) -> int:
         head += f"{'against ms':>12}{'IQR':>16}{'ratio':>8}"
     print(head)
     for s in STAGES:
-        for u in list(units) + ["corpus"]:
+        for u in summary["this"][s]:
             m, q1, q3 = summary["this"][s][u]
             line = f"{s:<16}{u:<20}{m:>9.2f}{f'{q1:.2f}-{q3:.2f}':>16}"
             if args.against:
