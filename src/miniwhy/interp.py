@@ -449,7 +449,7 @@ def _compile_forall(binders, body, ctx: CompileCtx, state: str):
 
     guards = S.conjuncts(body.left)
     cells = {name: [0] for name in names}
-    # the cells belong to this compile, so a memo shares closures only below them
+    # the body's closures read this compile's binder cells: it gets a memo of its own
     inner_ctx = CompileCtx(ctx.slots, ctx.mode, ctx.cunit, {**ctx.binders, **cells},
                            ctx.var_types, None if ctx.memo is None else {})
     consumed = set()

@@ -23,9 +23,9 @@ stage times are scaled to the kernel's reference speed, as the benchmark's
 end-to-end times are; the unscaled times are kept in the JSON.
 
 The printout gives, per stage and unit (and `corpus`, the sum over the
-units), the median and interquartile range over the reps of the scaled
-times in ms, and with --against the ratio of this checkout's median to the
-other's.
+units that ran the stage), the median and interquartile range over the
+reps of the scaled times in ms, and with --against the ratio of this
+checkout's median to the other's.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ("parse+typecheck", "vcgen", "prover", "export", "validate",
-          "exec+trace", "trace-validate")
+PROVE_STAGES = ("parse+typecheck", "vcgen", "prover", "export", "validate")
+TRACE_STAGES = ("exec+trace", "trace-validate")
+STAGES = PROVE_STAGES + TRACE_STAGES
 # (method, args) per unit for the trace stages; other units skip them
 TRACE_INPUTS = {
     "quickselect": [("find_nth_lowest_number", [buf, len(buf), n]) for buf, n in (
@@ -84,7 +85,7 @@ def _one_pass(pkg, sources):
         for d in docs:
             export.validate(d)
         t.append(time.perf_counter())
-        times[name] = {s: b - a for s, a, b in zip(STAGES, t, t[1:])}
+        times[name] = {s: b - a for s, a, b in zip(PROVE_STAGES, t, t[1:])}
         if name in TRACE_INPUTS:
             interp.compile_unit(tu, "rational")         # in no stage
             t = [time.perf_counter()]
@@ -94,7 +95,7 @@ def _one_pass(pkg, sources):
             for out in outcomes:
                 vcgen.instantiate_on_trace(obset, out)
             t.append(time.perf_counter())
-            times[name].update(zip(STAGES[5:], (t[1] - t[0], t[2] - t[1])))
+            times[name].update(zip(TRACE_STAGES, (t[1] - t[0], t[2] - t[1])))
     return times
 
 
@@ -139,7 +140,7 @@ def _run_child(root: Path, passes: int) -> dict:
 
 def _units(stage, units) -> list:
     """The units a pass times `stage` for."""
-    return [u for u in units if stage in STAGES[:5] or u in TRACE_INPUTS]
+    return [u for u in units if stage in PROVE_STAGES or u in TRACE_INPUTS]
 
 
 def _summary(reps: list, units) -> dict:
