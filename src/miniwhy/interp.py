@@ -12,11 +12,14 @@ layout, which eval_formula evaluates against any state bundle of that
 layout. Formulas of one layout and mode may share a compile memo, so that a
 node object they have in common (a hypothesis that recurs in every
 obligation of a method) becomes one closure that each of them calls.
-Nothing here retains compiled formulas or memos: a caller keeps them only
-while it needs them, as trace validation keeps one memo per layout for the
-length of one instantiate_on_trace call. Closure trees are large next to
-the formulas they come from, so holding them past that would grow memory
-with every obligation ever validated.
+Nothing here retains compiled formulas or memos: their owner is the
+caller, and they live as long as it holds them. Trace validation keeps
+them with the obligations they test: each ObligationSet owns one memo per
+(mode, layout), and each obligation's trace plan owns its compiled tests
+under the same key. They die with the set and its obligations, and an
+obligation edited in place drops its tests with its old plan. Closure
+trees are large next to the formulas they come from, so no module-level
+cache holds them.
 
 A bounded `\\forall integer k1 ... kn; guards ==> consequent` is evaluated
 by enumeration. Each binder's range is lo..hi, the greatest lower and the
@@ -166,7 +169,8 @@ class CompileCtx:
         self.cunit = cunit                  # CompiledUnit, for calls
         self.binders = binders or {}        # name -> cell (1-element list)
         self.var_types = {} if var_types is None else var_types   # slot read -> type
-        # (id(node), state) -> (node, closure, the subtree's var_types or None)
+        # (id(node), state) -> (node, closure, the subtree's var_types or None),
+        # and a read set's sorted items -> the one dict its entries share
         self.memo = memo
 
 
@@ -206,6 +210,8 @@ def compile_expr(e: S.Expr, ctx: CompileCtx, state: str = "cur"):
     finally:
         ctx.var_types = outer
         outer.update(reads)
+    if reads:       # entries that read the same variables share one read set
+        reads = memo.setdefault(tuple(sorted(reads.items())), reads)
     memo[key] = (e, fn, reads or None)
     return fn
 
@@ -273,9 +279,6 @@ def _compile(e: S.Expr, ctx: CompileCtx, state: str):
         return lambda f: len(arr(f))
     if isinstance(e, S.OldExpr):
         return compile_expr(e.operand, ctx, "old")
-    if isinstance(e, S.AtLabel):
-        inner = {"Old": "old", "Pre": "old", "Here": state, "LoopEntry": "le"}[e.label]
-        return compile_expr(e.operand, ctx, inner)
     if isinstance(e, S.ResultExpr):
         return lambda f: f.res
     if isinstance(e, S.NewArray):
@@ -911,8 +914,8 @@ class CompiledFormula:
     compiled into it, which must all have this layout and mode; each still
     binds the slots an unmemoised compile would. The memo keeps every
     closure compiled into it alive, so it should live no longer than the
-    formulas are needed: trace validation makes one per layout for one
-    instantiate_on_trace call.
+    formulas are needed: trace validation keeps one per (mode, layout) on
+    the obligation set it validates, and drops it with the set.
     """
 
     __slots__ = ("names", "mode", "_fn", "_binds")

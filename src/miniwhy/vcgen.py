@@ -69,6 +69,8 @@ class ObligationSet:
     unit_digest: str
     obligations: list
     methods: tuple = ()
+    # trace validation's compile memos, (mode, state layout) -> memo
+    _memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.obligations)
@@ -735,10 +737,14 @@ def instantiate_on_trace(obset: ObligationSet,
     entry values. Universally quantified lemma hypotheses are skipped: they
     are valid, so conditioning on them cannot change a verdict.
 
-    Each obligation's test compiles once per state layout, and every test of
-    one layout shares that layout's compile memo, so a hypothesis that
-    recurs across the obligations compiles to one closure. The memos and
-    compiled tests are dropped when the call returns.
+    Each obligation's test compiles once per (mode, state layout), and every
+    test of one key shares that key's compile memo, so a hypothesis that
+    recurs across the obligations compiles to one closure. The compiled
+    tests and memos outlive the call: the obligation's trace plan holds its
+    tests and obset holds the memos, so a later call on the same set
+    compiles only for keys it has not met. They die with the set and its
+    obligations, and an obligation edited in place drops its tests with
+    its old plan.
     """
     if outcome.status != "normal":
         raise VcgenError("trace validation needs an outcome with status 'normal'")
@@ -747,8 +753,7 @@ def instantiate_on_trace(obset: ObligationSet,
     if obset.unit_digest != outcome.unit_digest:
         raise VcgenError("unit mismatch between obligation set and outcome")
 
-    memos = {}      # state layout -> one compile memo, shared by every obligation
-    results = [_validate_one(ob, outcome, memos) for ob in obset.obligations]
+    results = [_validate_one(ob, outcome, obset._memos) for ob in obset.obligations]
     return TraceValidationReport(method=outcome.method, results=results)
 
 
@@ -794,6 +799,8 @@ class _TracePlan:
     test: S.Expr            # validation_formula(ob)
     fresh: dict             # loop id -> {(havoc symbol, variable it stands for)}
     result_syms: list       # sorted (call-result symbol, callee)
+    # (mode, state layout) -> CompiledFormula of test
+    compiled: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _trace_plan(ob: Obligation) -> _TracePlan:
@@ -838,8 +845,6 @@ def _validate_one(ob: Obligation, outcome, memos: dict) -> ObligationTraceResult
                 ob.id, "not-instantiable", f"no recorded call of {callee}")
         result_choices.append([(name, v) for v in vals])
 
-    # the test compiles once per state layout, into that layout's shared memo
-    compiled = {}
     evaluated = 0
     for seg in segs:
         entry_env = dict(seg[0].state)
@@ -861,13 +866,12 @@ def _validate_one(ob: Obligation, outcome, memos: dict) -> ObligationTraceResult
                 env2 = dict(env)
                 env2.update(picks)
                 states = {"Here": env2, "Old": entry_env}
-                layout = frozenset(env2)        # entry_env's names are among env2's
+                key = (outcome.mode, frozenset(env2))   # entry_env's names are among env2's
                 try:
-                    test = compiled.get(layout)
+                    test = plan.compiled.get(key)
                     if test is None:
-                        test = compiled[layout] = CompiledFormula(
-                            plan.test, states, outcome.mode,
-                            memos.setdefault(layout, {}))
+                        test = plan.compiled[key] = CompiledFormula(
+                            plan.test, states, outcome.mode, memos.setdefault(key, {}))
                     holds = eval_formula(test, states, outcome.mode)
                 except EvalError as ex:
                     return ObligationTraceResult(ob.id, "not-instantiable", str(ex))

@@ -236,6 +236,19 @@ def test_eval_missing_label_errors():
         eval_formula(f, {"Here": {"buf": [1]}})
 
 
+@pytest.mark.parametrize("label", ["Old", "LoopEntry#3"])
+def test_a_state_label_node_is_an_eval_error(label):
+    # the parser builds no \at, and closure leaves none in an obligation
+    x = S.Var(name="x", ty=S.INT)
+    f = S.Binary(op=">", left=S.AtLabel(operand=x, label=label, ty=S.INT),
+                 right=S.IntLit(value=0, ty=S.INT), ty=S.BOOL)
+    states = {"Here": {"x": 1}, "Old": {"x": 1}}
+    with pytest.raises(EvalError, match="cannot evaluate AtLabel"):
+        CompiledFormula(f, states)
+    with pytest.raises(MiniWhyError):
+        eval_formula(f, states)
+
+
 def test_eval_multi_binder_box():
     f = typed_formula(
         "\\forall integer k1 k2; (0 <= k1 <= 1 && 2 <= k2 <= 3) ==> a[k1] <= a[k2]",
@@ -542,8 +555,8 @@ def test_split_and_nested_quantifiers_agree_with_a_loop(shape, mode):
     assert seen == {True, False}
 
 
-# compile memos: trace validation shares one memo per state layout across the
-# obligations of one instantiate_on_trace call
+# compile memos: trace validation shares one memo per (mode, state layout)
+# across the obligations of one set
 
 def _memo_runs():
     """Fixed traced runs of quickselect (rational) and of both sqrt methods
@@ -652,10 +665,19 @@ def test_a_shared_node_evaluates_as_in_the_unshared_formula():
     assert {True, False} <= seen
 
 
-def test_trace_validation_keeps_no_compiled_formula():
-    """Compiled closures live no longer than one instantiate_on_trace call;
-    the obligations keep only their trace plans."""
-    obset, out = next(_memo_runs())
+def test_trace_validation_keeps_compiled_tests_as_long_as_the_set(monkeypatch):
+    """Compiled tests and compile memos live as long as the obligation set:
+    a second call on the same set and layouts compiles nothing, and once the
+    set and the outcomes are gone, so are they. The obligations keep nothing
+    but their trace plans."""
+    runs = _memo_runs()
+    (obset, first), second = next(runs), next(runs)[1]
+    runs.close()
+    real_compile, compiles = vcgen.CompiledFormula, []
+
+    def counted_compile(*args):
+        compiles.append(None)
+        return real_compile(*args)
 
     def alive():
         gc.collect()
@@ -664,9 +686,14 @@ def test_trace_validation_keeps_no_compiled_formula():
                 sum(type(o) is FunctionType and o.__module__ == "miniwhy.interp"
                     for o in objs))
 
+    monkeypatch.setattr(vcgen, "CompiledFormula", counted_compile)
     before = alive()
-    report = vcgen.instantiate_on_trace(obset, out)
-    assert report.passed
-    assert alive() == before
+    assert len(vcgen.instantiate_on_trace(obset, first).passed) == len(obset)
+    made = len(compiles)
+    assert made >= len(obset) and alive()[0] == before[0] + made
+    assert len(vcgen.instantiate_on_trace(obset, second).passed) == len(obset)
+    assert len(compiles) == made
     fields = set(vcgen.Obligation.__dataclass_fields__)
     assert all(set(vars(ob)) - fields <= {"_trace_plan"} for ob in obset)
+    del obset, first, second
+    assert alive() == before

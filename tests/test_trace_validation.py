@@ -158,6 +158,32 @@ def test_validation_against_random_quickselect_runs(quickselect_unit):
     assert covered == {ob.id for ob in obs}
 
 
+def test_kept_tests_follow_the_mode_and_the_trace(quickselect_unit, sqrt_unit):
+    """One set validated on outcome after outcome (sqrt on rational and
+    binary64 outcomes in turn, quickselect on traces of several lengths)
+    reports on each what a freshly generated set reports."""
+    qs = "find_nth_lowest_number"
+    units = {"sqrt": sqrt_unit, qs: quickselect_unit}
+
+    def generate(method):
+        if method == "sqrt":
+            return generate_obligations(sqrt_unit)
+        return generate_obligations(quickselect_unit, method)
+
+    kept = {method: generate(method) for method in units}
+    runs = [("sqrt", [Fraction(9, 4)], "rational"), ("sqrt", [2.0], "binary64"),
+            ("sqrt", [Fraction(2)], "rational"), ("sqrt", [9.0], "binary64"),
+            ("sqrt", [0], "rational")]
+    runs += [(qs, [buf, len(buf), n], "rational")
+             for buf, n in (([3, 1, 2], 1), ([5, -1, 5, 0, 2], 2), ([7], 0),
+                            ([2, 2, 2, 2], 3), ([4, 4, 1, -3, 7, 0], 3))]
+    for method, args, mode in runs:
+        out = run_traced(units[method], method, args, mode)
+        fresh = instantiate_on_trace(generate(method), out)
+        assert fresh.passed
+        assert instantiate_on_trace(kept[method], out).results == fresh.results, args
+
+
 def test_monotonicity_of_added_true_assert(sqrt_unit):
     base = corpus.source_text("sqrt_newton")
     with_assert = base.replace(
