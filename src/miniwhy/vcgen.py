@@ -866,7 +866,8 @@ def _validate_one(ob: Obligation, outcome, memos: dict) -> ObligationTraceResult
                 env2 = dict(env)
                 env2.update(picks)
                 states = {"Here": env2, "Old": entry_env}
-                key = (outcome.mode, frozenset(env2))   # entry_env's names are among env2's
+                # the layout is env2's names: entry_env's are among them
+                key = (outcome.mode, frozenset(env2))
                 try:
                     test = plan.compiled.get(key)
                     if test is None:
