@@ -9,10 +9,13 @@ simplified formula goes through four steps:
    The goal's universal prefix is opened with fresh symbols; universally
    quantified hypotheses are dropped (sound).
 2. read each comparison into a constraint `lin op 0` over abstraction
-   keys, once per obligation: `lin` is primitive, its coefficients and
+   keys, once per obligation set: `lin` is primitive, its coefficients and
    constant coprime ints. Its sides' forms are the ones `simplify`
    rendered it from, read from the table it filled; only a comparison
    made by opening a quantifier is read through `simplify.linear_form`.
+   The obligations of one set share that table, and with it simplify's
+   memo, so a hypothesis or subterm they share is simplified, linearised
+   and keyed once.
    So the atoms are the simplifier's: division by a nonzero constant is
    linear, and every other nonlinear term (variable products, division,
    array selects, lengths) is an atom abstracted to a fresh symbol.
@@ -95,11 +98,12 @@ class _Atoms:
     """Abstraction registry of one conjunct: the keys its constraints
     mention that are integer-sorted, whether any is a non-variable atom, and
     each division atom's numerator and denominator. `forms` is the
-    obligation's table: `simplify` fills it with id(comparison) ->
-    (comparison, Lin of left, Lin of right), and `constraint` adds
-    ("-", id(comparison)) -> (comparison, primitive form of left - right,
-    and what reading its sides registered), and (op, id(comparison)) ->
-    (comparison, constraint, the same registered items)."""
+    obligation's table, shared by the obligations of its set: `simplify`
+    fills it with id(comparison) -> (comparison, Lin of left, Lin of
+    right) and its own memo, and `constraint` adds ("-", id(comparison))
+    -> (comparison, primitive form of left - right, and what reading its
+    sides registered), and (op, id(comparison)) -> (comparison,
+    constraint, the same registered items)."""
 
     def __init__(self, forms: dict):
         self.forms = forms
@@ -115,7 +119,7 @@ class _Atoms:
     def constraint(self, op: str, cmp: S.Binary) -> Constraint:
         """The constraint `cmp.left op cmp.right`, as the primitive form of
         `left - right` or of its negation compared with 0, its atoms
-        registered. The sides are keyed once per obligation, whatever the
+        registered. The sides are keyed once per table, whatever the
         op (the `<` and `>` leaves of a `!=` split share them), from their
         forms in the table, or, for a comparison `simplify` did not emit,
         from `linear_form` of each side; each later conjunct takes over
@@ -363,7 +367,9 @@ def prove_internal(ob) -> ProofStatus:
     """Decide an obligation in the linear-rational fragment.
 
     Accepts a vcgen Obligation (or anything with .hypotheses/.hyp_sources/
-    .goal/.has_fresh/.var_sorts attributes).
+    .goal/.has_fresh/.var_sorts attributes). An obligation of a generated
+    set carries the set's table as `_forms`, which every proof of the set
+    reads and fills.
     """
     trace = []
     hyps = []
@@ -375,8 +381,11 @@ def prove_internal(ob) -> ProofStatus:
     f = ob.goal
     for h in reversed(hyps):
         f = S.Binary(op="==>", left=h, right=f, ty=S.BOOL)
-    # the obligation's forms table (see _Atoms); no entry outlives this call
-    forms = {}
+    # the forms table (see _Atoms) and simplify's memo: the set's, shared
+    # by its obligations, or for an obligation built alone a fresh one
+    forms = getattr(ob, "_forms", None)
+    if forms is None:
+        forms = {}
     f = simplify(f, forms)
     trace.append("simplify")
     if isinstance(f, S.BoolLit):

@@ -11,7 +11,10 @@ literal bounds spanning at most 64 points.
 `linearize` is the package's one walk from an int/real term to a `Lin`.
 `simplify` puts each numeric comparison it emits in a table with its sides'
 forms, and `_learn` and the prover read them there: one reading of each
-comparison, so both modules abstract the same atoms.
+comparison, so both modules abstract the same atoms. The same table memoises
+`simplify_in` per node object and nonzero facts, so a caller that passes one
+table to many formulas (the prover, for the obligations of one set)
+simplifies each shared subterm once per context.
 
 Obligations are state-free (vcgen closes them), so no `\\old`, label,
 `Permut` predicate or `\\result` reaches the simplifier from one. Called
@@ -192,12 +195,12 @@ def to_expr(form, ty: S.SemType) -> S.Expr:
 
 class _Ctx:
     def __init__(self, forms=None):
-        self.nonzero = set()        # Lin keys known != 0
+        self.nonzero = frozenset()  # Lin keys known != 0
         self.forms = {} if forms is None else forms    # shared with children
 
     def child(self):
         c = _Ctx(self.forms)
-        c.nonzero = set(self.nonzero)
+        c.nonzero = self.nonzero
         return c
 
 
@@ -205,12 +208,15 @@ def _learn(ctx, f: S.Expr):
     """Record facts useful to later rewrites (currently: nonzero divisors).
     f is simplified, so each numeric comparison in it has its forms in the
     table: `l < r`, `l > r` and `l != r` make `l - r` and `r - l` nonzero."""
+    learnt = set()
     for g in S.conjuncts(f):
         entry = ctx.forms.get(id(g))
         if entry is not None and g.op in ("!=", ">", "<"):
             diff = entry[1].add(entry[2], -1)
-            ctx.nonzero.add(diff.key())
-            ctx.nonzero.add(diff.scale(-1).key())
+            learnt.add(diff.key())
+            learnt.add(diff.scale(-1).key())
+    if learnt:
+        ctx.nonzero = ctx.nonzero | learnt
 
 
 def _simp_expr(e: S.Expr, ctx) -> S.Expr:
@@ -234,7 +240,38 @@ def _flatten(op, f, out):
         out.append(f)
 
 
+def _keep(sp: S.Expr, out: list, seen: set, forms) -> None:
+    """Append the simplified operand sp to out unless it repeats a kept one:
+    the same object, a numeric comparison with the op and side forms of a
+    kept one, or any other formula equal to a kept one. seen holds the kept
+    operands' ids and comparison keys."""
+    if id(sp) in seen:
+        return
+    entry = forms.get(id(sp))
+    if entry is not None:
+        key = (sp.op, entry[1].key(), entry[2].key())
+        if key in seen:
+            return
+        seen.add(key)
+    elif any(sp == q for q in out):
+        return
+    seen.add(id(sp))
+    out.append(sp)
+
+
 def simplify_in(f: S.Expr, ctx) -> S.Expr:
+    """f simplified under ctx's facts. The result depends only on f and the
+    nonzero keys, and the comparisons it holds have their forms in the
+    table, so it is memoised there on (id(f), nonzero keys); the entry
+    holds f, so that its id cannot be reused while the table lives."""
+    key = (id(f), ctx.nonzero)
+    hit = ctx.forms.get(key)
+    if hit is None:
+        hit = ctx.forms[key] = (f, _simplify_node(f, ctx))
+    return hit[1]
+
+
+def _simplify_node(f: S.Expr, ctx) -> S.Expr:
     TRUE, FALSE = S.BoolLit(value=True, ty=S.BOOL), S.BoolLit(value=False, ty=S.BOOL)
     if isinstance(f, S.BoolLit):
         return replace(f, ty=S.BOOL)
@@ -246,7 +283,7 @@ def simplify_in(f: S.Expr, ctx) -> S.Expr:
             return inner.operand
         return replace(f, operand=inner)
     if isinstance(f, S.Binary) and f.op == "&&":
-        out = []
+        out, seen = [], set()
         sub = ctx.child()
         for p in S.conjuncts(f):
             sp = simplify_in(p, sub)
@@ -254,22 +291,20 @@ def simplify_in(f: S.Expr, ctx) -> S.Expr:
                 if not sp.value:
                     return FALSE
                 continue
-            if all(sp != q for q in out):
-                out.append(sp)
+            _keep(sp, out, seen, ctx.forms)
             _learn(sub, sp)
         return S.conj([replace(p, ty=S.BOOL) if p.ty is None else p for p in out])
     if isinstance(f, S.Binary) and f.op == "||":
         parts = []
         _flatten("||", f, parts)
-        out = []
+        out, seen = [], set()
         for p in parts:
             sp = simplify_in(p, ctx)
             if isinstance(sp, S.BoolLit):
                 if sp.value:
                     return TRUE
                 continue
-            if all(sp != q for q in out):
-                out.append(sp)
+            _keep(sp, out, seen, ctx.forms)
         if not out:
             return FALSE
         res = out[0]
@@ -372,5 +407,9 @@ def _literal_bounds(body, name):
 def simplify(f: S.Expr, forms=None) -> S.Expr:
     """Simplify a typed formula. A given dict `forms` receives, for each
     numeric comparison emitted, id(comparison) -> (comparison, Lin of left,
-    Lin of right); holding the comparison keeps its id from being reused."""
+    Lin of right); holding the comparison keeps its id from being reused.
+    It also receives the memo of `simplify_in`, (id(node), frozenset of
+    nonzero keys) -> (node, result), so a later call given the same dict
+    reuses what an earlier one simplified; the entries live as long as the
+    dict."""
     return simplify_in(f, _Ctx(forms))

@@ -63,6 +63,10 @@ class Obligation:
         return bool(self.loop_ids)
 
 
+class _Table(dict):
+    """A dict that a weak reference can follow."""
+
+
 @dataclass
 class ObligationSet:
     unit: str
@@ -71,6 +75,10 @@ class ObligationSet:
     methods: tuple = ()
     # trace validation's compile memos, (mode, state layout) -> memo
     _memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the prover's forms table and simplify memo, which every obligation
+    # of the set holds as `_forms`
+    _forms: dict = field(default_factory=_Table, init=False, repr=False,
+                         compare=False)
 
     def __iter__(self):
         return iter(self.obligations)
@@ -640,8 +648,11 @@ def generate_obligations(tunit: TypedUnit, method: str | None = None) -> Obligat
 
     for mname in targets:
         obligations.extend(_method_obligations(tunit, mname, lemma_forms))
-    return ObligationSet(unit=unit.name, unit_digest=unit_digest(tunit),
-                         obligations=obligations, methods=tuple(targets))
+    obset = ObligationSet(unit=unit.name, unit_digest=unit_digest(tunit),
+                          obligations=obligations, methods=tuple(targets))
+    for ob in obligations:
+        ob._forms = obset._forms
+    return obset
 
 
 def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:

@@ -666,7 +666,7 @@ def test_trace_validation_keeps_compiled_tests_as_long_as_the_set(monkeypatch):
     """Compiled tests and compile memos live as long as the obligation set:
     a second call on the same set and layouts compiles nothing, and once the
     set and the outcomes are gone, so are they. The obligations keep nothing
-    but their trace plans."""
+    but their trace plans and the set's prover table."""
     runs = _memo_runs()
     (obset, first), second = next(runs), next(runs)[1]
     runs.close()
@@ -691,6 +691,7 @@ def test_trace_validation_keeps_compiled_tests_as_long_as_the_set(monkeypatch):
     assert len(vcgen.instantiate_on_trace(obset, second).passed) == len(obset)
     assert len(compiles) == made
     fields = set(vcgen.Obligation.__dataclass_fields__)
-    assert all(set(vars(ob)) - fields <= {"_trace_plan"} for ob in obset)
+    assert all(set(vars(ob)) - fields <= {"_trace_plan", "_forms"} for ob in obset)
+    assert all(ob._forms is obset._forms for ob in obset)
     del obset, first, second
     assert alive() == before

@@ -1,7 +1,10 @@
+import gc
 import math
 import os
 import random
 import time
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -493,3 +496,101 @@ def test_witness_is_built_only_for_a_refutation_attempt(monkeypatch):
         assert calls in allowed, (seed, calls)
         attempts += calls == ["witness", "refute"]
     assert attempts >= 100, attempts
+
+
+# ---------------------------------------------------------------------------
+# the prover's table (forms and simplify memo), shared by one set's
+# obligations
+
+def _verdict(ob):
+    st = prove_internal(ob)
+    return st.status, st.reason, st.rule_trace, st.counterexample
+
+
+def _alone(ob):
+    """A copy of ob with a table of its own."""
+    return replace(ob)
+
+
+def _formulagen_obligations(reals_only, division):
+    """The FormulaGen formulas of seeds 0-299 as goals, each alone and each
+    under the previous one as a hypothesis, so that one node object is
+    simplified under different nonzero facts."""
+    obs, prev = [], None
+    for seed in range(300):
+        gen = FormulaGen(seed, reals_only, division)
+        f = typed_formula(gen.formula(), dict(gen.vars))
+        obs.append(mk(f, sorts=gen.vars))
+        if prev is not None:
+            obs.append(mk(f, hyps=[prev], sorts=gen.vars))
+        prev = f
+    return obs
+
+
+def _ordered(obs, order):
+    if order == "forward":
+        return list(obs)
+    if order == "reverse":
+        return obs[::-1]
+    return random.Random(23).sample(obs, len(obs))
+
+
+def test_a_shared_table_gives_the_verdicts_of_a_table_per_obligation():
+    """In forward, reverse and shuffled order, every corpus obligation and
+    every FormulaGen obligation above gets the status, reason, rule trace
+    and counterexample that a copy with a table of its own gets."""
+    orders = ("forward", "reverse", "shuffled")
+    for entry in corpus.corpus_sources():
+        want = None
+        for order in orders:
+            obset = generate_obligations(corpus.unit(entry.name))
+            assert all(ob._forms is obset._forms for ob in obset)
+            if want is None:
+                want = {ob.id: _verdict(_alone(ob)) for ob in obset}
+            got = {ob.id: _verdict(ob) for ob in _ordered(obset.obligations, order)}
+            assert got == want, (entry.name, order)
+    for division in (False, True):
+        for reals_only in (False, True):
+            obs = _formulagen_obligations(reals_only, division)
+            want = [_verdict(_alone(ob)) for ob in obs]
+            for order in orders:
+                table = {}
+                for ob in obs:
+                    ob._forms = table
+                got = {id(ob): _verdict(ob) for ob in _ordered(obs, order)}
+                assert [got[id(ob)] for ob in obs] == want, (reals_only, division, order)
+
+
+def test_the_table_dies_with_its_set(quickselect_unit):
+    obset = generate_obligations(quickselect_unit)
+    statuses = [prove_internal(ob) for ob in obset]
+    table = weakref.ref(obset._forms)
+    assert len(table()) > len(obset)
+    obs = list(obset)
+    del obset, obs
+    gc.collect()
+    # the statuses outlive the set and hold none of the table
+    assert table() is None and len(statuses) == 51
+
+
+def test_an_obligation_edited_in_place_gets_its_new_verdict():
+    """Edits of one obligation that shares its table with another: each
+    verdict is that of a copy with a table of its own, never a stale one."""
+    sorts = {"y": S.REAL}
+    quotient = typed_formula("0.0 / y == 0.0", sorts)
+    alone = mk(quotient, sorts=sorts)
+    guarded = mk(typed_formula("y > 0.0 || y < 0.0", sorts),
+                 hyps=[typed_formula("y != 0.0", sorts)], sorts=sorts)
+    alone._forms = guarded._forms = {}
+    assert _verdict(alone)[0] == "unknown"
+    assert _verdict(guarded)[0] == "proved-internal"
+    # the goal that `alone` simplified under no facts, now under y != 0
+    guarded.goal = quotient
+    assert _verdict(guarded) == _verdict(_alone(guarded))
+    assert _verdict(guarded)[2][-1] == "closed by simplification"
+    alone.goal = typed_formula("y + 1.0 > y", sorts)
+    assert _verdict(alone) == _verdict(_alone(alone))
+    assert _verdict(alone)[0] == "proved-internal"
+    alone.hypotheses, alone.hyp_sources = [typed_formula("y > 0.0", sorts)], ["requires"]
+    alone.goal = quotient
+    assert _verdict(alone) == _verdict(_alone(alone))

@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 import miniwhy
-from miniwhy import corpus
+from miniwhy import corpus, prover
 from miniwhy import syntax as S
 from miniwhy.errors import EvalError, ExecutionFault
 from miniwhy.interp import eval_formula
 from miniwhy.printer import expr_to_str
 from miniwhy.simplify import linear_form, simplify
-from miniwhy.vcgen import generate_obligations
+from miniwhy.vcgen import Obligation, Origin, generate_obligations
 
 from helpers import FormulaGen, typed_formula
 
@@ -61,6 +61,58 @@ def test_expansion_respects_the_size_limit():
     f = tf("\\forall integer k; 0 <= k <= 100 ==> k >= 0")
     out = simplify(f)
     assert isinstance(out, S.Forall)
+
+
+@pytest.mark.parametrize("text, expected", [
+    # an empty literal range
+    ("\\forall integer k; 3 <= k <= 2 ==> a[k] > 0", "true"),
+    # a binder left over after the other is peeled
+    ("\\forall integer j, k; 0 <= k <= 1 ==> a[j] >= k",
+     "\\forall integer j; a[j] >= 0 && a[j] >= 1"),
+    # a body that folds to a literal
+    ("\\forall integer k; k >= 0 ==> k + 1 > k", "true"),
+    ("\\forall real x; x < x", "false"),
+])
+def test_quantifier_expansion_paths_agree_with_a_shared_table(monkeypatch, text,
+                                                              expected):
+    """Each path, simplified with a fresh table and then by two obligations
+    that share one table, as the obligations of a set do."""
+    f = tf(text, a=S.ARRAY_INT)
+    assert expr_to_str(simplify(f)) == expected
+    seen = []
+
+    def spy(g, forms=None):
+        seen.append(simplify(g, forms))
+        return seen[-1]
+
+    monkeypatch.setattr(prover, "simplify", spy)
+    table = {}
+    obs = [Obligation(id=f"t:00{i}:assert", name="t", origin=Origin("m", 1, "assert"),
+                      hypotheses=[], goal=f, var_sorts={"a": S.ARRAY_INT})
+           for i in range(2)]
+    alone = prover.prove_internal(obs[0])
+    for ob in obs:
+        ob._forms = table
+    shared = [prover.prove_internal(ob) for ob in obs]
+    assert [expr_to_str(g) for g in seen] == [expected] * 3
+    assert seen[1] is seen[2]                   # the second read the memo
+    assert [st.detail for st in shared] == [alone.detail] * 2
+
+
+def test_repeated_operands_are_dropped_and_the_first_kept():
+    """Operands equal to a kept one are dropped, whether the same object,
+    a comparison with the same op and side forms, or another equal formula,
+    and the kept ones stay in their order."""
+    v = dict(x=S.REAL, y=S.REAL, z=S.REAL, p=S.BOOL)
+    f = tf("x < y && y != 0.0 && x < y && (x > 1.0 || x > 1.0) && (z > 0.0 ==> p)"
+           " && x > 1.0 && (z > 0.0 ==> p)", **v)
+    assert expr_to_str(simplify(f)) == "x < y && y != 0.0 && x > 1.0 && (z > 0.0 ==> p)"
+    g = tf("x < y || (z > 0.0 && p) || y > x || (z > 0.0 && p) || x < y", **v)
+    assert expr_to_str(simplify(g)) == "x < y || z > 0.0 && p || y > x"
+    q = tf("z / y > x", **v)
+    same = S.Binary(op="&&", left=q, right=S.Binary(op="&&", left=tf("p", **v),
+                                                     right=q, ty=S.BOOL), ty=S.BOOL)
+    assert expr_to_str(simplify(same)) == "z / y > x && p"
 
 
 def test_zero_division_rewrite_under_hypothesis():
