@@ -21,6 +21,15 @@ obligation edited in place drops its tests with its old plan. Closure
 trees are large next to the formulas they come from, so no module-level
 cache holds them.
 
+Binding a state coerces each value a formula reads to its variable's
+type. A BindCache, passed to eval_formula, shares that work among the
+evaluations of one batch of states: each (value, type) is coerced once,
+and each (state dict, read signature) is bound to one slot list, which
+every formula with that signature reads. Its keys name objects by id(),
+and each entry holds the objects its key names. Trace validation makes
+one cache per call and drops it when the call returns; without a cache,
+every evaluation binds afresh.
+
 A bounded `\\forall integer k1 ... kn; guards ==> consequent` is evaluated
 by enumeration. Each binder's range is lo..hi, the greatest lower and the
 least upper bound among the guard conjuncts that compare it with a term of
@@ -916,9 +925,15 @@ class CompiledFormula:
     closure compiled into it alive, so it should live no longer than the
     formulas are needed: trace validation keeps one per (mode, layout) on
     the obligation set it validates, and drops it with the set.
+
+    The read signature is the names the formula reads with their types,
+    computed at compile time. Formulas of one memo that read the same names
+    share one signature object, interned in the memo, so its identity
+    stands for (mode, layout, reads): a BindCache keys bound slot lists by
+    it. Without a memo every formula has a signature of its own.
     """
 
-    __slots__ = ("names", "mode", "_fn", "_binds")
+    __slots__ = ("names", "mode", "_fn", "_binds", "_sig")
 
     def __init__(self, f: S.Expr, states: dict, mode: str = RATIONAL, memo=None):
         """Compile f for the layout of bundles shaped like `states`."""
@@ -928,30 +943,76 @@ class CompiledFormula:
         slots = {n: i for i, n in enumerate(layout)}
         ctx = CompileCtx(slots, mode, memo=memo)
         self._fn = compile_expr(f, ctx)
-        self._binds = {n: (i, ctx.var_types.get(n)) for n, i in slots.items()}
+        reads = ctx.var_types
+        self._binds = {n: (i, reads.get(n)) for n, i in slots.items()}
+        # the key compile_expr interns a read set under, so the signature of
+        # a formula is its root's interned read set when it reads anything
+        self._sig = reads if memo is None else memo.setdefault(
+            tuple(sorted(reads.items())), reads)
 
-    def _bind(self, d):
+    def _bind(self, d, cache=None):
         if d is None:
             return None
+        if cache is not None:
+            key = (id(d), id(self._sig))
+            hit = cache.lists.get(key)
+            if hit is not None:
+                return hit[2]
         out = [None] * len(self._binds)
         mode = self.mode
         for n, v in d.items():
             i, ty = self._binds[n]
-            out[i] = coerce_arg(v, ty, mode) if ty is not None else v
+            if ty is None:
+                out[i] = v
+            elif cache is None:
+                out[i] = coerce_arg(v, ty, mode)
+            else:
+                out[i] = cache.coerce(v, ty, mode)
+        if cache is not None:
+            cache.lists[key] = (d, self._sig, out)
         return out
 
-    def _evaluate(self, states: dict, result=None) -> bool:
+    def _evaluate(self, states: dict, result=None, cache=None) -> bool:
         here, old, le, names = _bundle(states)
         if names != self.names:
             raise EvalError("state bundle names differ from the compiled "
                             f"layout: {sorted(names ^ self.names)}")
         frame = Frame(len(self._binds), Kernel(self.mode, False, False, 10**9, 10**4),
                       "<formula>")
-        frame.cur = self._bind(here)
-        frame.old = self._bind(old)
-        frame.loopentry = self._bind(le)
+        frame.cur = self._bind(here, cache)
+        frame.old = self._bind(old, cache)
+        frame.loopentry = self._bind(le, cache)
         frame.res = result
         return bool(self._fn(frame))
+
+
+class BindCache:
+    """Coerced values and bound slot lists shared by the evaluations of one
+    batch of state bundles; trace validation makes one per call and drops
+    it when the call returns.
+
+    `values` maps (id(value), id(type), mode) to (value, type, coerced
+    value), so each value is coerced once per type; `lists` maps
+    (id(state dict), id(read signature)) to (state dict, signature, slot
+    list), so each state is bound once per read signature and the formulas
+    that share the signature share the list. An entry holds every object
+    its key names by id, so no id is reused while the cache lives. The
+    state dicts must not change while it lives; formulas never change a
+    slot list or a value in it (a store copies its array).
+    """
+
+    __slots__ = ("values", "lists")
+
+    def __init__(self):
+        self.values = {}
+        self.lists = {}
+
+    def coerce(self, v, ty, mode):
+        key = (id(v), id(ty), mode)
+        hit = self.values.get(key)
+        if hit is None:
+            hit = self.values[key] = (v, ty, coerce_arg(v, ty, mode))
+        return hit[2]
 
 
 def _bundle(states: dict):
@@ -965,17 +1026,19 @@ def _bundle(states: dict):
 
 
 def eval_formula(f, states: dict, mode: str = RATIONAL, *,
-                 result=None) -> bool:
+                 result=None, cache: BindCache = None) -> bool:
     """Evaluate a typed two-state formula against labeled state snapshots.
 
     f is an S.Expr, compiled here for the bundle's layout, or a
     CompiledFormula of the same mode, whose layout the bundle must match.
     states maps labels ('Here' required; 'Old'/'Pre', 'LoopEntry' optional)
     to name->value dicts. Bounded integer quantifiers are enumerated; a
-    quantifier without derivable finite bounds raises EvalError.
+    quantifier without derivable finite bounds raises EvalError. With a
+    cache, the states are bound through it (see BindCache), so they must
+    not change while the cache lives.
     """
     if not isinstance(f, CompiledFormula):
         f = CompiledFormula(f, states, mode)
     elif f.mode != mode:
         raise EvalError(f"formula compiled for {f.mode} mode, evaluated in {mode}")
-    return f._evaluate(states, result)
+    return f._evaluate(states, result, cache)

@@ -363,7 +363,7 @@ def _expand_forall(f: S.Forall, ctx) -> S.Expr:
         if bounds is None:
             continue
         lo, hi = bounds
-        if hi - lo + 1 > EXPAND_LIMIT or hi < lo - 1:
+        if hi - lo + 1 > EXPAND_LIMIT:      # hi < lo is an empty range
             continue
         rest = f.binders[:i] + f.binders[i + 1:]
         insts = [S.substitute(body, {name: S.IntLit(value=k, ty=S.INT)})

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, replace
 
 from . import syntax as S
 from .errors import EvalError, VcgenError
-from .interp import (CompiledFormula, ExecutionOutcome, eval_formula,
-                     loop_table, unit_digest)
+from .interp import (BindCache, CompiledFormula, ExecutionOutcome,
+                     eval_formula, loop_table, unit_digest)
 from .printer import expr_to_str
 from .typecheck import TypedUnit
 
@@ -756,6 +756,15 @@ def instantiate_on_trace(obset: ObligationSet,
     compiles only for keys it has not met. They die with the set and its
     obligations, and an obligation edited in place drops its tests with
     its old plan.
+
+    What depends on the trace alone is derived once per call, in an index
+    that the obligations share: each method's segments, each callee's
+    recorded results, and the state bundles of each (method, havoc set,
+    call-result symbols). Its BindCache coerces each recorded value once
+    per type and binds each state once per read signature, so the tests
+    that read the same names share one slot list. The index and its cache
+    belong to the call alone: nothing keeps them once it returns, and a
+    later call starts afresh.
     """
     if outcome.status != "normal":
         raise VcgenError("trace validation needs an outcome with status 'normal'")
@@ -764,23 +773,66 @@ def instantiate_on_trace(obset: ObligationSet,
     if obset.unit_digest != outcome.unit_digest:
         raise VcgenError("unit mismatch between obligation set and outcome")
 
-    results = [_validate_one(ob, outcome, obset._memos) for ob in obset.obligations]
+    index = _TraceIndex(outcome)
+    results = [_validate_one(ob, index, obset._memos) for ob in obset.obligations]
     return TraceValidationReport(method=outcome.method, results=results)
 
 
-def _segments(trace, method):
-    """Contiguous per-invocation segments of the trace for `method`."""
-    segs = []
-    cur = None
-    for snap in trace:
-        if snap.method != method:
-            continue
-        if snap.kind == "entry":
-            cur = [snap]
-            segs.append(cur)
-        elif cur is not None:
-            cur.append(snap)
-    return segs
+class _TraceIndex:
+    """What one instantiate_on_trace call derives from its trace, whatever
+    the obligation, and the BindCache its evaluations share."""
+
+    def __init__(self, outcome: ExecutionOutcome):
+        self.mode = outcome.mode
+        self.cache = BindCache()
+        # method -> (entry state, segment) of each invocation: the entry
+        # state a dict of its own, the segment its contiguous snapshots
+        self.segments = {}
+        self.results = {}       # method -> its recorded return values
+        self._bundles = {}      # (method, havoc, result_syms) -> bundles
+        open_segs = {}
+        for snap in outcome.trace:
+            if snap.kind == "entry":
+                open_segs[snap.method] = seg = [snap]
+                self.segments.setdefault(snap.method, []).append((dict(snap.state), seg))
+            elif snap.method in open_segs:
+                open_segs[snap.method].append(snap)
+            if snap.kind == "exit":
+                self.results.setdefault(snap.method, []).append(snap.result)
+
+    def bundles(self, method, plan):
+        """(states, compile key) of every instantiation of the plan's free
+        symbols, in evaluation order: segment by segment, combo by combo,
+        then each pick of recorded callee results.
+
+        A call-result symbol is universally quantified in the obligation,
+        so any recorded return value of the callee is a legitimate
+        instantiation; the assumed callee contract vacuously discharges
+        mispaired ones. A segment's entry state is the Old state of every
+        bundle of that segment, whatever the plan, and the Here state of
+        those that instantiate nothing."""
+        key = (method, plan.havoc, plan.result_syms)
+        out = self._bundles.get(key)
+        if out is not None:
+            return out
+        out = self._bundles[key] = []
+        choices = [[(name, v) for v in self.results[callee]]
+                   for name, callee in plan.result_syms]
+        loops = sorted({loop_id for loop_id, _, _ in plan.havoc})
+        for old, seg in self.segments[method]:
+            for combo in _combos(seg, loops):
+                env = {}
+                for loop_id, name, base in plan.havoc:
+                    state = combo[loop_id].state
+                    if base not in state:
+                        break
+                    env[name] = state[base]
+                else:
+                    for picks in itertools.product(*choices):
+                        here = {**old, **env, **dict(picks)} if env or picks else old
+                        out.append(({"Here": here, "Old": old},
+                                    (self.mode, frozenset(here))))
+        return out
 
 
 def sourced_hypotheses(ob) -> list:
@@ -808,8 +860,8 @@ class _TracePlan:
     """What trace validation needs of one obligation, whatever the trace."""
     key: tuple              # the fields the plan was derived from
     test: S.Expr            # validation_formula(ob)
-    fresh: dict             # loop id -> {(havoc symbol, variable it stands for)}
-    result_syms: list       # sorted (call-result symbol, callee)
+    havoc: tuple            # sorted (loop id, havoc symbol, variable it stands for)
+    result_syms: tuple      # sorted (call-result symbol, callee)
     # (mode, state layout) -> CompiledFormula of test
     compiled: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -821,95 +873,69 @@ def _trace_plan(ob: Obligation) -> _TracePlan:
     plan = getattr(ob, "_trace_plan", None)
     if plan is not None and plan.key == key:
         return plan
-    fresh = {}
+    havoc = set()
     result_syms = set()
     for f in [ob.goal] + list(ob.hypotheses):
         for n in S.walk(f):
             if isinstance(n, S.FreshVar):
                 if n.loop_id >= 0:
-                    fresh.setdefault(n.loop_id, set()).add((n.name, n.base))
+                    havoc.add((n.loop_id, n.name, n.base))
                 elif n.base.endswith(".result"):
                     result_syms.add((n.name, n.base[:-len(".result")]))
-    plan = _TracePlan(key, validation_formula(ob), fresh, sorted(result_syms))
+    plan = _TracePlan(key, validation_formula(ob), tuple(sorted(havoc)),
+                      tuple(sorted(result_syms)))
     ob._trace_plan = plan
     return plan
 
 
-def _validate_one(ob: Obligation, outcome, memos: dict) -> ObligationTraceResult:
+def _validate_one(ob: Obligation, index: _TraceIndex, memos: dict) -> ObligationTraceResult:
     if ob.kind == "lemma":
         return ObligationTraceResult(ob.id, "not-instantiable", "no program point")
-    segs = _segments(outcome.trace, ob.origin.method)
-    if not segs:
+    method = ob.origin.method
+    if method not in index.segments:
         return ObligationTraceResult(ob.id, "not-instantiable",
-                                     f"method {ob.origin.method} not in trace")
+                                     f"method {method} not in trace")
     plan = _trace_plan(ob)
-    fresh = plan.fresh
-    # a call-result symbol is universally quantified in the obligation, so any
-    # recorded return value of the callee is a legitimate instantiation; the
-    # assumed callee contract vacuously discharges mispaired ones
-    result_choices = []
-    for name, callee in plan.result_syms:
-        vals = [s.result for s in outcome.trace
-                if s.kind == "exit" and s.method == callee]
-        if not vals:
+    for _, callee in plan.result_syms:
+        if callee not in index.results:
             return ObligationTraceResult(
                 ob.id, "not-instantiable", f"no recorded call of {callee}")
-        result_choices.append([(name, v) for v in vals])
 
+    mode, cache, compiled = index.mode, index.cache, plan.compiled
     evaluated = 0
-    for seg in segs:
-        entry_env = dict(seg[0].state)
-        combos = _combos(seg, fresh)
-        for combo in combos:
-            env = dict(entry_env)
-            ok_combo = True
-            for loop_id, snap in combo.items():
-                for name, base in fresh[loop_id]:
-                    if base not in snap.state:
-                        ok_combo = False
-                        break
-                    env[name] = snap.state[base]
-                if not ok_combo:
-                    break
-            if not ok_combo:
-                continue
-            for picks in itertools.product(*result_choices):
-                env2 = dict(env)
-                env2.update(picks)
-                states = {"Here": env2, "Old": entry_env}
-                # the layout is env2's names: entry_env's are among them
-                key = (outcome.mode, frozenset(env2))
-                try:
-                    test = plan.compiled.get(key)
-                    if test is None:
-                        test = plan.compiled[key] = CompiledFormula(
-                            plan.test, states, outcome.mode, memos.setdefault(key, {}))
-                    holds = eval_formula(test, states, outcome.mode)
-                except EvalError as ex:
-                    return ObligationTraceResult(ob.id, "not-instantiable", str(ex))
-                evaluated += 1
-                if not holds:
-                    witness = {k: repr(v) for k, v in env2.items()}
-                    return ObligationTraceResult(ob.id, "fail",
-                                                 "falsified by recorded state",
-                                                 witness)
+    for states, key in index.bundles(method, plan):
+        try:
+            test = compiled.get(key)
+            if test is None:
+                # the layout is the Here state's names: Old's are among them
+                test = compiled[key] = CompiledFormula(
+                    plan.test, states, mode, memos.setdefault(key, {}))
+            holds = eval_formula(test, states, mode, cache=cache)
+        except EvalError as ex:
+            return ObligationTraceResult(ob.id, "not-instantiable", str(ex))
+        evaluated += 1
+        if not holds:
+            witness = {k: repr(v) for k, v in states["Here"].items()}
+            return ObligationTraceResult(ob.id, "fail",
+                                         "falsified by recorded state", witness)
     if evaluated == 0:
         return ObligationTraceResult(ob.id, "not-instantiable",
                                      "no matching snapshots in trace")
     return ObligationTraceResult(ob.id, "pass", f"{evaluated} instantiation(s)")
 
 
-def _combos(seg, fresh):
-    """Snapshot choices per loop: one combo per snapshot of the obligation's
-    innermost loop, every other loop pinned to its nearest preceding
-    snapshot. Each obligation carries at most one havoc generation per loop,
-    so the preceding-snapshot rule reconstructs exactly the enclosing
-    iteration the inner snapshot was recorded in: the instantiated formula
-    then restates a check the runtime actually performed."""
-    if not fresh:
+def _combos(seg, loops):
+    """Snapshot choices per loop of `loops` (sorted loop ids): one combo per
+    snapshot of the obligation's innermost loop, every other loop pinned
+    to its nearest preceding snapshot. Each obligation carries at most one
+    havoc generation per loop, so the preceding-snapshot rule reconstructs
+    exactly the enclosing iteration the inner snapshot was recorded in: the
+    instantiated formula then restates a check the runtime actually
+    performed."""
+    if not loops:
         return [{}]
-    inner = max(fresh)
-    others = [l for l in fresh if l != inner]
+    inner = loops[-1]
+    others = loops[:-1]
     by_loop = {}
     for idx, snap in enumerate(seg):
         if snap.kind == "loop-head":

@@ -595,9 +595,9 @@ def test_memoised_compile_binds_and_evaluates_as_an_unmemoised_one(monkeypatch):
         source[cf] = f
         return cf
 
-    def record_eval(cf, states, mode):
+    def record_eval(cf, states, mode, cache=None):
         bundles.append((source[cf], states, mode))
-        return real_eval(cf, states, mode)
+        return real_eval(cf, states, mode, cache=cache)
 
     monkeypatch.setattr(vcgen, "CompiledFormula", record_compile)
     monkeypatch.setattr(vcgen, "eval_formula", record_eval)

@@ -64,8 +64,10 @@ def test_expansion_respects_the_size_limit():
 
 
 @pytest.mark.parametrize("text, expected", [
-    # an empty literal range
+    # an empty literal range, whether hi is lo - 1 or below it
     ("\\forall integer k; 3 <= k <= 2 ==> a[k] > 0", "true"),
+    ("\\forall integer k; 3 <= k <= 1 ==> a[k] > 0", "true"),
+    ("\\forall integer j, k; 5 <= k <= 0 ==> a[j] >= k", "true"),
     # a binder left over after the other is peeled
     ("\\forall integer j, k; 0 <= k <= 1 ==> a[j] >= k",
      "\\forall integer j; a[j] >= 0 && a[j] >= 1"),

@@ -1,12 +1,15 @@
+import gc
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from miniwhy import corpus
+from helpers import typed_formula
+from miniwhy import corpus, vcgen
 from miniwhy import syntax as S
 from miniwhy.errors import VcgenError
-from miniwhy.interp import exec_method
+from miniwhy.interp import (BindCache, ExecutionOutcome, TraceSnapshot,
+                            exec_method)
 from miniwhy.parser import parse
 from miniwhy.printer import expr_to_str
 from miniwhy.typecheck import typecheck
@@ -265,3 +268,68 @@ def test_guards_follow_the_short_circuit(case):
     rep = instantiate_on_trace(obs, run_traced(tu, "f", args))
     assert [(r.id, r.verdict) for r in rep.results
             if r.verdict != "pass"] == []
+
+
+# two tests of one state layout {x, y} that read different names: bound
+# coerced, x reads False (0.1 is not a tenth as an exact rational) and
+# uncoerced True; y holds a string in the second call of m, which no test
+# that reaches it reads
+READS = {"A": ("x * 10 != 1", {"x": S.REAL}), "B": ("y < 0", {"y": S.INT})}
+
+
+def _two_calls_of_m(names):
+    obs = [Obligation(id=f"m:{n}:assert", name=n, origin=Origin("m", 1, "assert"),
+                      hypotheses=[], hyp_sources=[], goal=typed_formula(*READS[n]))
+           for n in names]
+    trace = []
+    for y in (1, "junk"):
+        state = {"x": 0.1, "y": y}
+        trace += [TraceSnapshot("entry", "m", state=state),
+                  TraceSnapshot("exit", "m", state=dict(state))]
+    out = ExecutionOutcome(status="normal", method="m", mode="rational",
+                           trace=trace, unit_digest="d")
+    return ObligationSet(unit="u", unit_digest="d", obligations=obs), out
+
+
+@pytest.mark.parametrize("names", [("A", "B"), ("B", "A")])
+def test_tests_with_different_reads_bind_a_shared_state_apart(names, monkeypatch):
+    """Tests that read different names of one state each get the slots they
+    read coerced and no other: the verdicts are those of evaluation without
+    the call's bind cache, whichever test binds the state first."""
+    cached = instantiate_on_trace(*_two_calls_of_m(names)).results
+    real_eval = vcgen.eval_formula
+    monkeypatch.setattr(vcgen, "eval_formula",
+                        lambda cf, states, mode, cache=None: real_eval(cf, states, mode))
+    assert cached == instantiate_on_trace(*_two_calls_of_m(names)).results
+    # B fails in the first call, so only A meets the string, and reads x alone
+    assert {r.id: (r.verdict, r.detail, r.witness) for r in cached} == {
+        "m:A:assert": ("pass", "2 instantiation(s)", {}),
+        "m:B:assert": ("fail", "falsified by recorded state", {"x": "0.1", "y": "1"})}
+
+
+def test_a_call_keeps_nothing_and_a_later_call_starts_afresh(quickselect_unit):
+    """The index and bind cache of a call die with it: once the call's
+    compiles are kept, a second call leaves the set, its obligations, their
+    trace plans and the outcome as they were, and no cache is alive. Each
+    later outcome on the same set gets a freshly generated set's report."""
+    qs = "find_nth_lowest_number"
+    kept = generate_obligations(quickselect_unit, qs)
+    first = run_traced(quickselect_unit, qs, [[4, 4, 1, -3, 7, 0], 6, 3])
+    instantiate_on_trace(kept, first)
+
+    def held():
+        return (sorted(vars(kept)), {k: len(m) for k, m in kept._memos.items()},
+                [sorted(vars(ob)) for ob in kept],
+                [len(ob._trace_plan.compiled) for ob in kept], sorted(vars(first)))
+
+    before = held()
+    assert instantiate_on_trace(kept, first).passed
+    gc.collect()
+    assert not [o for o in gc.get_objects()
+                if isinstance(o, (BindCache, vcgen._TraceIndex))]
+    assert held() == before
+    for buf, n in (([3, 1, 2], 1), ([5, -1, 5, 0, 2], 2), ([2, 2, 2, 2], 3),
+                   ([4, 4, 1, -3, 7, 0], 3)):
+        out = run_traced(quickselect_unit, qs, [buf, len(buf), n])
+        fresh = instantiate_on_trace(generate_obligations(quickselect_unit, qs), out)
+        assert instantiate_on_trace(kept, out).results == fresh.results, buf

@@ -251,9 +251,9 @@ def _traced_runs(quickselect_unit, sqrt_unit, seed):
     return out
 
 
-def _outcome(fn, *args):
+def _outcome(fn, *args, **kwargs):
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except EvalError as ex:
         return f"EvalError: {ex}"
 
@@ -262,7 +262,8 @@ def test_compiled_validation_formula_agrees_with_bare_evaluation(
         quickselect_unit, sqrt_unit, monkeypatch):
     """For every instantiation trace validation makes, the compiled formula
     gives the value, or the EvalError message, that eval_formula gives on
-    the bare expression."""
+    the bare expression: bound through the call's cache as validation binds
+    it, against a fresh compile and bind."""
     compile_formula, evaluate = vcgen.CompiledFormula, vcgen.eval_formula
     source = {}
     seen = Counter()
@@ -277,10 +278,11 @@ def test_compiled_validation_formula_agrees_with_bare_evaluation(
         source[cf] = f
         return cf
 
-    def checked_eval(cf, states, mode):
-        got = _outcome(evaluate, cf, states, mode)
+    def checked_eval(cf, states, mode, cache=None):
+        got = _outcome(evaluate, cf, states, mode, cache=cache)
         assert got == _outcome(evaluate, source[cf], states, mode)
         seen["error" if isinstance(got, str) else "value"] += 1
+        seen["cached"] += cache is not None
         if isinstance(got, str):
             raise EvalError(got[len("EvalError: "):])
         return got
@@ -306,6 +308,7 @@ def test_compiled_validation_formula_agrees_with_bare_evaluation(
             modes[out.mode] += 1
     assert modes["rational"] >= 12 and modes["binary64"] >= 1
     assert seen["value"] > 500 and seen["error"] and seen["compile error"], seen
+    assert seen["cached"] == seen["value"] + seen["error"], seen
 
 
 def _hand_built(ob):
