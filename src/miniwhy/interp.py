@@ -179,7 +179,8 @@ class CompileCtx:
         self.binders = binders or {}        # name -> cell (1-element list)
         self.var_types = {} if var_types is None else var_types   # slot read -> type
         # (id(node), state) -> (node, closure, the subtree's var_types or None),
-        # and a read set's sorted items -> the one dict its entries share
+        # and a read set's sorted items (() when empty) -> the one dict that
+        # its entries share, and the read signature of its formulas
         self.memo = memo
 
 
@@ -960,14 +961,10 @@ class CompiledFormula:
                 return hit[2]
         out = [None] * len(self._binds)
         mode = self.mode
+        coerce = coerce_arg if cache is None else cache.coerce
         for n, v in d.items():
             i, ty = self._binds[n]
-            if ty is None:
-                out[i] = v
-            elif cache is None:
-                out[i] = coerce_arg(v, ty, mode)
-            else:
-                out[i] = cache.coerce(v, ty, mode)
+            out[i] = coerce(v, ty, mode) if ty is not None else v
         if cache is not None:
             cache.lists[key] = (d, self._sig, out)
         return out
