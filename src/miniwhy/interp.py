@@ -122,8 +122,8 @@ class Kernel:
 class Frame:
     __slots__ = ("cur", "old", "res", "loopentry", "K", "method")
 
-    def __init__(self, n, K, method):
-        self.cur = [None] * n
+    def __init__(self, cur, K, method):
+        self.cur = cur
         self.old = None
         self.res = None
         self.loopentry = None
@@ -160,8 +160,6 @@ def loop_table(method: S.MethodDecl) -> dict:
 
 def mentions_loopentry(f: S.Expr) -> bool:
     for n in S.walk(f):
-        if isinstance(n, S.PermutPred) and "LoopEntry" in (n.label1, n.label2):
-            return True
         if isinstance(n, S.AtLabel) and n.label == "LoopEntry":
             return True
     return False
@@ -175,7 +173,7 @@ class CompileCtx:
                  memo=None):
         self.slots = slots                  # name -> slot index
         self.mode = mode
-        self.cunit = cunit                  # CompiledUnit, for calls
+        self.cunit = cunit                  # CompiledUnit, for calls and \result
         self.binders = binders or {}        # name -> cell (1-element list)
         self.var_types = {} if var_types is None else var_types   # slot read -> type
         # (id(node), state) -> (node, closure, the subtree's var_types or None),
@@ -290,7 +288,11 @@ def _compile(e: S.Expr, ctx: CompileCtx, state: str):
     if isinstance(e, S.OldExpr):
         return compile_expr(e.operand, ctx, "old")
     if isinstance(e, S.ResultExpr):
+        if ctx.cunit is None:
+            raise EvalError("\\result cannot appear in standalone formulas")
         return lambda f: f.res
+    if isinstance(e, S.AtLabel) and e.label == "LoopEntry":
+        return compile_expr(e.operand, ctx, "le")
     if isinstance(e, S.NewArray):
         size = compile_expr(e.size, ctx, state)
         zero = 0 if (e.elem == S.INT or mode == RATIONAL) else 0.0
@@ -326,18 +328,6 @@ def _compile(e: S.Expr, ctx: CompileCtx, state: str):
             a[i] = val(f)
             return a
         return store
-    if isinstance(e, S.PermutPred):
-        s1 = {"Old": "old", "Pre": "old", "Here": state, "LoopEntry": "le"}[e.label1]
-        s2 = {"Old": "old", "Pre": "old", "Here": state, "LoopEntry": "le"}[e.label2]
-        a1 = compile_expr(e.array, ctx, s1)
-        a2 = compile_expr(e.array, ctx, s2)
-        lo = compile_expr(e.lo, ctx, state)
-        hi = compile_expr(e.hi, ctx, state)
-        line = e.pos[0]
-
-        def permut(f):
-            return _permut(a1(f), a2(f), lo(f), hi(f), line)
-        return permut
     if isinstance(e, S.PermutAtom):
         a1 = compile_expr(e.a1, ctx, state)
         a2 = compile_expr(e.a2, ctx, state)
@@ -653,7 +643,7 @@ class CompiledMethod:
             K.depth -= 1
             raise ExecutionFault(f"call depth limit {K.max_depth} exceeded")
         try:
-            frame = Frame(len(self.slot_names), K, self.name)
+            frame = Frame([None] * len(self.slot_names), K, self.name)
             for i, a in zip(self.param_slots, args):
                 frame.cur[i] = list(a) if isinstance(a, list) else a
             frame.old = _snapshot_slots(frame.cur)
@@ -814,6 +804,7 @@ class _MethodCompiler:
                 if first_body(f) is RET:
                     return RET
             it = 0
+            outer = f.loopentry     # an enclosing loop's, restored on exit
             if needs_le:
                 f.loopentry = _snapshot_slots(f.cur)
             if K.tracing:
@@ -842,6 +833,7 @@ class _MethodCompiler:
                 if variant is not None:
                     v1 = variant(f)
                     cm.check(f, "variant-decrease", lambda fr: v1 < v0, line)
+            f.loopentry = outer
             return None
         return run
 
@@ -969,17 +961,16 @@ class CompiledFormula:
             cache.lists[key] = (d, self._sig, out)
         return out
 
-    def _evaluate(self, states: dict, result=None, cache=None) -> bool:
+    def _evaluate(self, states: dict, cache=None) -> bool:
         here, old, le, names = _bundle(states)
         if names != self.names:
             raise EvalError("state bundle names differ from the compiled "
                             f"layout: {sorted(names ^ self.names)}")
-        frame = Frame(len(self._binds), Kernel(self.mode, False, False, 10**9, 10**4),
-                      "<formula>")
-        frame.cur = self._bind(here, cache)
+        # a standalone formula calls no method and reads no \result (both
+        # fail to compile), so its frame needs no kernel
+        frame = Frame(self._bind(here, cache), None, "<formula>")
         frame.old = self._bind(old, cache)
         frame.loopentry = self._bind(le, cache)
-        frame.res = result
         return bool(self._fn(frame))
 
 
@@ -1023,7 +1014,7 @@ def _bundle(states: dict):
 
 
 def eval_formula(f, states: dict, mode: str = RATIONAL, *,
-                 result=None, cache: BindCache = None) -> bool:
+                 cache: BindCache = None) -> bool:
     """Evaluate a typed two-state formula against labeled state snapshots.
 
     f is an S.Expr, compiled here for the bundle's layout, or a
@@ -1038,4 +1029,4 @@ def eval_formula(f, states: dict, mode: str = RATIONAL, *,
         f = CompiledFormula(f, states, mode)
     elif f.mode != mode:
         raise EvalError(f"formula compiled for {f.mode} mode, evaluated in {mode}")
-    return f._evaluate(states, result, cache)
+    return f._evaluate(states, cache)

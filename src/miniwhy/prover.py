@@ -216,13 +216,6 @@ def _dnf(f: S.Expr, positive: bool, px, dropped: list) -> list:
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin with witness extraction
 
-def _fm(constraints: list):
-    """None when the conjunction is unsatisfiable over the rationals, else a
-    rational witness {key: Fraction}."""
-    eliminated = _eliminate(constraints)
-    return None if eliminated is None else _witness(*eliminated)
-
-
 def _eliminate(constraints: list):
     """None when the conjunction is unsatisfiable over the rationals, else
     (stack, solved): each eliminated key with its lower and upper bounds,

@@ -144,7 +144,8 @@ class Forall(Expr):
 @dataclass(eq=True)
 class PermutPred(Expr):
     """Permut{L1,L2}(a, lo, hi) — multiset equality of a[lo..hi] between the
-    two labeled snapshots."""
+    two labeled snapshots. Parse-only: typecheck lowers it to a PermutAtom,
+    so no typed unit holds one."""
     label1: str = "Old"
     label2: str = "Here"
     array: Expr = None
@@ -177,7 +178,10 @@ class FreshVar(Expr):
 
 @dataclass(eq=True)
 class AtLabel(Expr):
-    """e evaluated in a labeled state (vcgen-internal: LoopEntry snapshots)."""
+    """e evaluated in a labeled state. Typecheck reads a Permut LoopEntry
+    label as an untagged one, which the interpreter evaluates in the
+    loop-entry state; vcgen tags each with its loop (`LoopEntry#k`), so only
+    that loop's havoc consumes it. No other label is evaluated."""
     operand: Expr = None
     label: str = "LoopEntry"
 
@@ -193,7 +197,9 @@ class Store(Expr):
 @dataclass(eq=True)
 class PermutAtom(Expr):
     """Lowered Permut: multiset equality of two explicit array terms on
-    [lo..hi] (vcgen-internal; label resolution already applied)."""
+    [lo..hi]. Typecheck builds it, with each term the one typed array read
+    in its label's state: \\old(a) for Old and Pre, an AtLabel for
+    LoopEntry, a itself for Here."""
     a1: Expr = None
     a2: Expr = None
     lo: Expr = None

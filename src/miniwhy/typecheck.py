@@ -1,7 +1,9 @@
 """Typechecker: resolves identifiers, infers expression types, inserts
 explicit int->real widenings, enforces ghost/program separation and the
 structural rules (\\result only in ensures of non-void methods, calls only
-in whole-right-hand-side positions, definite returns).
+in whole-right-hand-side positions, definite returns). Each
+Permut{L1,L2}(a, lo, hi) becomes a PermutAtom over a read in each labelled
+state, so no later stage meets the labels.
 
 typecheck() returns a TypedUnit holding a rewritten copy of the AST: the
 parsed tree is never mutated, so round-trip laws over surface syntax are
@@ -395,7 +397,8 @@ class _Checker:
                 if lab == "Here" and ctx == CTX_ASSUMES:
                     self.error("behaviour assumes clauses are pre-state formulas; "
                                "label Here is not allowed", e)
-            return S.PermutPred(label1=e.label1, label2=e.label2, array=arr,
+            return S.PermutAtom(a1=_at_label(e.label1, arr),
+                                a2=_at_label(e.label2, arr),
                                 lo=lo, hi=hi, pos=e.pos, ty=S.BOOL)
         if isinstance(e, S.PredCall):
             if e.name != "is_sqrt":
@@ -459,6 +462,17 @@ def is_sqrt_definition(r: S.Expr, v: S.Expr, pos) -> S.Expr:
                    left=S.Binary(op="&&", left=c1, right=c2, pos=pos, ty=S.BOOL),
                    right=c3, pos=pos, ty=S.BOOL)
     return out
+
+
+def _at_label(label: str, arr: S.Expr) -> S.Expr:
+    """The typed array `arr` read in the state a Permut label names: Old and
+    Pre as \\old(arr), LoopEntry as an untagged \\at(arr, LoopEntry) that
+    vcgen tags with its loop, Here as arr itself."""
+    if label in ("Old", "Pre"):
+        return S.OldExpr(operand=arr, pos=arr.pos, ty=arr.ty)
+    if label == "LoopEntry":
+        return S.AtLabel(operand=arr, label=label, pos=arr.pos, ty=arr.ty)
+    return arr
 
 
 def _check(unit: S.SourceUnit):

@@ -100,27 +100,6 @@ def _entry_tag(loop_id) -> str:
     return f"LoopEntry#{loop_id}"
 
 
-def lower(f: S.Expr, loop_id=None) -> S.Expr:
-    """Resolve Permut labels into explicit per-state array terms. LoopEntry
-    markers are tagged with the owning loop so that only that loop's havoc
-    consumes them."""
-    def tr(e):
-        if not isinstance(e, S.PermutPred):
-            return None
-        def wrap(label, arr):
-            if label in ("Old", "Pre"):
-                return S.OldExpr(operand=arr, pos=arr.pos, ty=arr.ty)
-            if label == "LoopEntry":
-                return S.AtLabel(operand=arr, label=_entry_tag(loop_id),
-                                 pos=arr.pos, ty=arr.ty)
-            return arr
-        arr = lower(e.array, loop_id)
-        return S.PermutAtom(a1=wrap(e.label1, arr), a2=wrap(e.label2, arr),
-                            lo=lower(e.lo, loop_id), hi=lower(e.hi, loop_id),
-                            pos=e.pos, ty=S.BOOL)
-    return S.rewrite(f, tr)
-
-
 # \old(e) and \at(e, LoopEntry) are evaluated in their own state, so a
 # substitution for the current state leaves them alone
 _PINNED = (S.OldExpr, S.AtLabel)
@@ -265,7 +244,7 @@ class _Loop:
     havoc of the variables its body assigns."""
     id: int
     line: int
-    inv: S.Expr             # lowered, LoopEntry markers tagged with id
+    inv: S.Expr             # LoopEntry markers tagged with id
     cond: S.Expr
     mapping: dict           # assigned variable -> its havoc symbol
     first: S.Expr           # inv at its first check, where LoopEntry is Here
@@ -350,7 +329,7 @@ class _Wp:
             return (subst_result(self.exit_post, st.expr), self.exit_kind,
                     sides + new)
         if isinstance(st, S.AssertStmt):
-            f = lower(st.formula)
+            f = st.formula
             side = self.new_side("assert", f, st.pos[0])
             return _imp(f, post), kind, sides + [side]
         raise VcgenError(f"cannot compute wp of {type(st).__name__}")
@@ -402,7 +381,11 @@ class _Wp:
         mapping = {name: S.FreshVar(name=f"{name}@L{loop_id}", base=name,
                                     loop_id=loop_id, ty=types.get(name))
                    for name in sorted(assigned_vars(st.body))}
-        inv = lower(annot.invariant, loop_id)
+        # typecheck leaves the invariant's LoopEntry reads untagged; tagging
+        # them with this loop lets only its havoc consume them
+        tag = _entry_tag(loop_id)
+        inv = S.rewrite(annot.invariant, lambda e: replace(e, label=tag)
+                        if isinstance(e, S.AtLabel) else None)
         return _Loop(loop_id, st.pos[0], inv, st.cond, mapping,
                      havoc(inv, {}, _entry_tag(loop_id)))
 
@@ -508,7 +491,7 @@ class _Wp:
 
         def inst(f):
             # one simultaneous substitution: an actual may name a parameter
-            return S.substitute(unwrap_old(lower(f)), actuals, _PINNED)
+            return S.substitute(unwrap_old(f), actuals, _PINNED)
 
         req = inst(callee.spec.requires)
         new.append(self.new_side("call-requires", req, st.pos[0],
@@ -632,7 +615,7 @@ def generate_obligations(tunit: TypedUnit, method: str | None = None) -> Obligat
     obligations = []
     lemma_forms = []
     for lem in unit.lemmas:
-        g = unwrap_old(lower(lem.statement))
+        g = unwrap_old(lem.statement)
         lemma_forms.append(g)
         sorts, _, _ = _closure_info(g)
         obligations.append(Obligation(
@@ -657,7 +640,7 @@ def generate_obligations(tunit: TypedUnit, method: str | None = None) -> Obligat
 
 def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
     m = tunit.method(mname)
-    requires = unwrap_old(lower(m.spec.requires))
+    requires = unwrap_old(m.spec.requires)
     base_hyps = list(lemma_forms) + [requires]
     base_sources = ["lemma"] * len(lemma_forms) + ["requires"]
     out = []
@@ -665,7 +648,7 @@ def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
     old_memo = {}
 
     # main pass: the declared ensures, plus every post-independent obligation
-    engine = _Wp(tunit, m, lower(m.spec.ensures), "ensures")
+    engine = _Wp(tunit, m, m.spec.ensures, "ensures")
     pre, kind, sides = engine.wp(m.body, engine.exit_post, "ensures", [])
     out.append(_make_obligation(mname, next(seq), kind, m.pos[0], "",
                                 pre, base_hyps, base_sources, old_memo))
@@ -676,9 +659,9 @@ def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
 
     # behaviour passes contribute only their own postcondition chain
     for b in m.spec.behaviours:
-        hyps = base_hyps + [unwrap_old(lower(b.assumes))]
+        hyps = base_hyps + [unwrap_old(b.assumes)]
         sources = base_sources + ["assumes"]
-        engine = _Wp(tunit, m, lower(b.ensures), "behaviour")
+        engine = _Wp(tunit, m, b.ensures, "behaviour")
         pre, kind, sides = engine.wp(m.body, engine.exit_post, "behaviour", [])
         if kind == "behaviour":
             out.append(_make_obligation(mname, next(seq), "behaviour", m.pos[0],
@@ -700,8 +683,8 @@ def wp(tunit: TypedUnit, method: str, stmt: S.Stmt, post: S.Expr):
     (kind, formula) pairs). Statement and post must come from the typed unit's
     method scope."""
     m = tunit.method(method)
-    engine = _Wp(tunit, m, lower(post), "ensures")
-    pre, _, sides = engine.wp(stmt, lower(post), "ensures", [])
+    engine = _Wp(tunit, m, post, "ensures")
+    pre, _, sides = engine.wp(stmt, post, "ensures", [])
     return pre, [(s.kind, s.formula) for s in sides]
 
 

@@ -695,3 +695,11 @@ def test_trace_validation_keeps_compiled_tests_as_long_as_the_set(monkeypatch):
     assert all(ob._forms is obset._forms for ob in obset)
     del obset, first, second
     assert alive() == before
+
+
+def test_result_in_a_standalone_formula_is_an_eval_error():
+    # no method is running, so no result exists to read
+    f = S.Binary(op=">", left=S.ResultExpr(ty=S.INT),
+                 right=S.IntLit(value=0, ty=S.INT), ty=S.BOOL)
+    with pytest.raises(EvalError, match="\\\\result cannot appear"):
+        eval_formula(f, {"Here": {}})

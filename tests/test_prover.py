@@ -15,7 +15,7 @@ from miniwhy.errors import EvalError, ExecutionFault
 from miniwhy.interp import eval_formula, exec_method
 from miniwhy.parser import parse
 from miniwhy.linear import Lin
-from miniwhy.prover import Constraint, _fm, prove_internal
+from miniwhy.prover import Constraint, _eliminate, _witness, prove_internal
 from miniwhy.typecheck import typecheck
 from miniwhy.vcgen import (Obligation, Origin, generate_obligations,
                            instantiate_on_trace)
@@ -407,13 +407,15 @@ def _fm_witness_lines():
     """One line per system of seeds 0-1999: seed, then `None` or the
     witness sorted by key. Each witness is checked against the system.
     Scaling a form by a positive factor moves no bound, so the primitive
-    forms given to _fm have the witnesses of the unscaled ones."""
+    forms given to _eliminate have the witnesses of the unscaled ones."""
     for seed in range(2000):
         system = _fm_system(seed)
-        witness = _fm([Constraint(lin.primitive(), op) for lin, op in system])
-        if witness is None:
+        eliminated = _eliminate([Constraint(lin.primitive(), op)
+                                 for lin, op in system])
+        if eliminated is None:
             yield f"{seed}\tNone\n"
             continue
+        witness = _witness(*eliminated)
         for lin, op in system:
             value = lin.const + sum(v * witness.get(k, 0)
                                     for k, v in lin.coeffs.items())

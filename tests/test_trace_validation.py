@@ -333,3 +333,66 @@ def test_a_call_keeps_nothing_and_a_later_call_starts_afresh(quickselect_unit):
         out = run_traced(quickselect_unit, qs, [buf, len(buf), n])
         fresh = instantiate_on_trace(generate_obligations(quickselect_unit, qs), out)
         assert instantiate_on_trace(kept, out).results == fresh.results, buf
+
+
+# both loops' invariants read LoopEntry; BUMP, before the inner loop, may
+# change the multiset that the outer loop's invariant keeps
+NESTED_LOOPENTRY = """
+/*@ requires 1 <= n && n <= \\length(a);
+  @ ensures true;
+  @*/
+void m(int[] a, int n) {
+    int i = 0;
+    int j = 0;
+    /*@ loop_invariant OUTER;
+      @ loop_variant n - i;
+      @*/
+    while (i < n) {
+        BUMP
+        j = 0;
+        /*@ loop_invariant 0 <= j <= n && Permut{LoopEntry,Here}(a, 0, n - 1);
+          @ loop_variant n - j;
+          @*/
+        while (j < n) {
+            j = j + 1;
+        }
+        i = i + 1;
+    }
+}
+"""
+_OUTER = "0 <= i <= n && Permut{LoopEntry,Here}(a, 0, n - 1)"
+
+
+def _nested(bump, outer=_OUTER):
+    src = NESTED_LOOPENTRY.replace("BUMP", bump).replace("OUTER", outer)
+    return typecheck(parse(src, "nested"))
+
+
+def test_an_inner_loop_entry_state_does_not_reach_the_outer_loop_checks():
+    # the runtime checks the outer invariant against the outer loop's own
+    # entry state, not the one the inner loop took after the bump
+    tu = _nested("a[0] = a[0] + 1;")
+    out = exec_method(tu, "m", [[1, 2, 3], 3], "rational")
+    assert out.status == "contract-violation"
+    assert out.error == "invariant-preserved violated in m at line 8"
+
+    # trace validation agrees: the outer invariant's preservation after the
+    # inner loop exits, rehosted into a unit whose outer invariant reads no
+    # LoopEntry (the same body, so the same loops and havoc symbols), is
+    # falsified by that unit's trace
+    bad = generate_obligations(tu).by_id("m:005:invariant-preserve")
+    assert bad.loop_ids == (0, 1) and "\\permut(a@L0, " in expr_to_str(bad.goal)
+    weak = _nested("a[0] = a[0] + 1;", "0 <= i <= n")
+    weak_obs = generate_obligations(weak)
+    rehosted = ObligationSet(
+        unit=weak_obs.unit, unit_digest=weak_obs.unit_digest,
+        obligations=list(weak_obs) + [replace(bad, id="injected:outer")])
+    rep = instantiate_on_trace(rehosted, run_traced(weak, "m", [[1, 2, 3], 3]))
+    assert [r.id for r in rep.failed] == ["injected:outer"]
+
+
+def test_nested_loop_entry_states_pass_when_the_multiset_is_kept():
+    tu = _nested("")
+    out = run_traced(tu, "m", [[1, 2, 3], 3])
+    rep = instantiate_on_trace(generate_obligations(tu), out)
+    assert rep.failed == [] and rep.passed

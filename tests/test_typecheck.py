@@ -6,6 +6,8 @@ from miniwhy.errors import TypeCheckFailure
 from miniwhy.parser import parse
 from miniwhy.typecheck import check_unit, typecheck
 
+from helpers import parse_formula, typed_formula
+
 
 def issues_of(src):
     return check_unit(parse(src))
@@ -184,3 +186,34 @@ def test_nesting_too_deep_to_typecheck_is_a_type_error():
     assert [i.message for i in exc.value.issues] == ["nesting too deep"]
     assert exc.value.issues[0].pos == unit.methods[0].pos
     assert [i.message for i in check_unit(unit)] == ["nesting too deep"]
+
+
+@pytest.mark.parametrize("label, wrapper", [
+    ("Old", S.OldExpr), ("Pre", S.OldExpr), ("LoopEntry", S.AtLabel),
+    ("Here", None)])
+def test_permut_lowers_to_an_atom_over_state_reads_of_one_array(label, wrapper):
+    text = f"Permut{{{label},Here}}(a, 0, n - 1)"
+    f = typed_formula(text, {"a": S.ARRAY_INT, "n": S.INT})
+    assert type(f) is S.PermutAtom and f.ty == S.BOOL
+    assert f.pos == parse_formula(text).pos
+    arr = f.a2              # Here reads the typed array itself
+    assert arr == S.Var(name="a", ty=S.ARRAY_INT)
+    if wrapper is None:
+        assert f.a1 is arr
+    else:
+        # the wrapper shares the array node, with its position and type;
+        # LoopEntry is left for vcgen to tag with its loop
+        assert type(f.a1) is wrapper and f.a1.operand is arr
+        assert (f.a1.pos, f.a1.ty) == (arr.pos, arr.ty)
+    if wrapper is S.AtLabel:
+        assert f.a1.label == "LoopEntry"
+
+
+def test_typed_units_hold_no_permut_predicate():
+    from test_vcgen import STATES
+    units = [corpus.unit(e.name) for e in corpus.corpus_sources()]
+    units.append(typecheck(parse(STATES)))
+    for tu in units:
+        nodes = [type(n) for n in S.walk(tu.unit)]
+        assert S.PermutPred not in nodes, tu.name
+    assert S.PermutAtom in nodes        # STATES uses every label
