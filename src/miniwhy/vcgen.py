@@ -329,9 +329,8 @@ class _Wp:
             return (subst_result(self.exit_post, st.expr), self.exit_kind,
                     sides + new)
         if isinstance(st, S.AssertStmt):
-            f = st.formula
-            side = self.new_side("assert", f, st.pos[0])
-            return _imp(f, post), kind, sides + [side]
+            side = self.new_side("assert", st.formula, st.pos[0])
+            return _imp(st.formula, post), kind, sides + [side]
         raise VcgenError(f"cannot compute wp of {type(st).__name__}")
 
     def assign_like(self, st, name, expr, post, kind, sides):
@@ -387,7 +386,7 @@ class _Wp:
         inv = S.rewrite(annot.invariant, lambda e: replace(e, label=tag)
                         if isinstance(e, S.AtLabel) else None)
         return _Loop(loop_id, st.pos[0], inv, st.cond, mapping,
-                     havoc(inv, {}, _entry_tag(loop_id)))
+                     havoc(inv, {}, tag))
 
     def loop(self, w: S.While, post, kind, sides):
         lp = self.loop_frame(w)
