@@ -1,6 +1,12 @@
 """Obligation exporters: SMT-LIB 2, XLL-dialect XML, and defthm-style
 s-expressions, each with its own well-formedness validator. All output is
 UTF-8 with LF line endings and byte-stable across runs.
+
+Each dialect states its operator vocabulary once, in a module-level table
+(`_SMT_OP`, `_XML_BINARY`, `_SEXP_OP`). The XML writer is one function from
+a node to its element (`_xml_element`) and one emitter. The XML validator's
+table mirrors `schemas/xll.xsd` and is kept apart from the renderer's
+tables on purpose: it is the check on them.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ def _free_symbols(ob):
 # SMT-LIB 2
 
 _SMT_SORT = {"int": "Int", "real": "Real", "bool": "Bool"}
+_SMT_OP = {"&&": "and", "||": "or", "==>": "=>", "==": "=", "!=": "distinct",
+           "+": "+", "-": "-", "*": "*", "/": "/", "<": "<", "<=": "<=",
+           ">": ">", ">=": ">="}
 
 
 def _smt_sort(ty: S.SemType) -> str:
@@ -76,10 +85,7 @@ class _SmtRenderer:
             op = "not" if e.op == "!" else "-"
             return f"({op} {self.term(e.operand)})"
         if isinstance(e, S.Binary):
-            op = {"&&": "and", "||": "or", "==>": "=>", "==": "=", "!=": "distinct",
-                  "+": "+", "-": "-", "*": "*", "/": "/", "<": "<", "<=": "<=",
-                  ">": ">", ">=": ">="}[e.op]
-            return f"({op} {self.term(e.left)} {self.term(e.right)})"
+            return f"({_SMT_OP[e.op]} {self.term(e.left)} {self.term(e.right)})"
         if isinstance(e, S.Index):
             return f"(select {self.term(e.array)} {self.term(e.index)})"
         if isinstance(e, S.Store):
@@ -227,103 +233,81 @@ _CMP_NAME = {"==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge
 _ARITH_NAME = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
 
+def _attrs(*pairs) -> str:
+    """` k="v"` for each pair, the values escaped."""
+    return "".join(f' {k}="{_xml_escape(str(v))}"' for k, v in pairs)
+
+
+# binary operator -> (tag, rendered attributes)
+_XML_BINARY = {"==>": ("implies", ""), "&&": ("and", ""), "||": ("or", ""),
+               **{op: ("cmp", _attrs(("op", n))) for op, n in _CMP_NAME.items()},
+               **{op: ("arith", _attrs(("op", n))) for op, n in _ARITH_NAME.items()}}
+_UNARY_TAG = {"!": "not", "-": "neg"}
+_BOOL_ATTRS = {False: ' type="bool" value="false"', True: ' type="bool" value="true"'}
+_PERMUT_ATTRS = _attrs(("lo-label", "here"), ("hi-label", "here"))
+
+
+def _xml_element(e: S.Expr) -> tuple:
+    """(tag, rendered attributes, child formulas) of e's element."""
+    if isinstance(e, S.Binary):
+        tag, attrs = _XML_BINARY[e.op]
+        return tag, attrs, (e.left, e.right)
+    if isinstance(e, (S.Var, S.FreshVar)):
+        return "var", f' name="{_xml_escape(e.name)}" state="here"', ()
+    # a number's text needs no escaping
+    if isinstance(e, S.IntLit):
+        return "const", f' type="int" value="{e.value}"', ()
+    if isinstance(e, S.RealLit):
+        dec = decimal_text(e.value)
+        val = dec if dec is not None else f"{e.value.numerator}/{e.value.denominator}"
+        return "const", f' type="real" value="{val}"', ()
+    if isinstance(e, S.BoolLit):
+        return "const", _BOOL_ATTRS[e.value], ()
+    if isinstance(e, S.Coerce):
+        if isinstance(e.operand, S.IntLit):
+            return "const", f' type="real" value="{e.operand.value}.0"', ()
+        return "coerce", "", (e.operand,)
+    if isinstance(e, S.Unary):
+        return _UNARY_TAG[e.op], "", (e.operand,)
+    if isinstance(e, S.Index):
+        return "select", "", (e.array, e.index)
+    if isinstance(e, S.Store):
+        return "store", "", (e.array, e.index, e.value)
+    if isinstance(e, S.LengthExpr):
+        return "length", "", (e.array,)
+    if isinstance(e, S.NewArray):
+        return "newarray", _attrs(("elem", e.elem.kind)), (e.size,)
+    if isinstance(e, S.Forall):
+        (name, ty), rest = e.binders[0], e.binders[1:]
+        body = S.Forall(binders=rest, body=e.body, ty=S.BOOL) if rest else e.body
+        return "forall", _attrs(("var", name), ("type", ty)), (body,)
+    if isinstance(e, S.PermutAtom):
+        return "permut", _PERMUT_ATTRS, (e.a1, e.a2, e.lo, e.hi)
+    raise ExportError(f"cannot render {type(e).__name__} in XML")
+
+
 class _XmlRenderer:
     def __init__(self, out: list, indent: int):
         self.out = out
         self.depth = indent
 
-    def line(self, text: str):
-        self.out.append("  " * self.depth + text)
-
-    def open(self, tag: str, attrs=()):
-        a = "".join(f' {k}="{_xml_escape(str(v))}"' for k, v in attrs)
-        self.line(f"<{tag}{a}>")
+    def open(self, tag: str, attrs: str = ""):
+        self.out.append(f"{'  ' * self.depth}<{tag}{attrs}>")
         self.depth += 1
 
     def close(self, tag: str):
         self.depth -= 1
-        self.line(f"</{tag}>")
-
-    def leaf(self, tag: str, attrs=()):
-        a = "".join(f' {k}="{_xml_escape(str(v))}"' for k, v in attrs)
-        self.line(f"<{tag}{a}/>")
+        self.out.append(f"{'  ' * self.depth}</{tag}>")
 
     def formula(self, e: S.Expr):
-        if isinstance(e, S.IntLit):
-            self.leaf("const", [("type", "int"), ("value", str(e.value))])
-        elif isinstance(e, S.RealLit):
-            dec = decimal_text(e.value)
-            val = dec if dec is not None else f"{e.value.numerator}/{e.value.denominator}"
-            self.leaf("const", [("type", "real"), ("value", val)])
-        elif isinstance(e, S.BoolLit):
-            self.leaf("const", [("type", "bool"),
-                                ("value", "true" if e.value else "false")])
-        elif isinstance(e, (S.Var, S.FreshVar)):
-            self.leaf("var", [("name", e.name), ("state", "here")])
-        elif isinstance(e, S.Coerce):
-            if isinstance(e.operand, S.IntLit):
-                self.leaf("const", [("type", "real"),
-                                    ("value", f"{e.operand.value}.0")])
-                return
-            self.open("coerce")
-            self.formula(e.operand)
-            self.close("coerce")
-        elif isinstance(e, S.Unary):
-            tag = "not" if e.op == "!" else "neg"
-            self.open(tag)
-            self.formula(e.operand)
-            self.close(tag)
-        elif isinstance(e, S.Binary):
-            if e.op == "==>":
-                tag, attrs = "implies", []
-            elif e.op == "&&":
-                tag, attrs = "and", []
-            elif e.op == "||":
-                tag, attrs = "or", []
-            elif e.op in _CMP_NAME:
-                tag, attrs = "cmp", [("op", _CMP_NAME[e.op])]
-            else:
-                tag, attrs = "arith", [("op", _ARITH_NAME[e.op])]
-            self.open(tag, attrs)
-            self.formula(e.left)
-            self.formula(e.right)
-            self.close(tag)
-        elif isinstance(e, S.Index):
-            self.open("select")
-            self.formula(e.array)
-            self.formula(e.index)
-            self.close("select")
-        elif isinstance(e, S.Store):
-            self.open("store")
-            self.formula(e.array)
-            self.formula(e.index)
-            self.formula(e.value)
-            self.close("store")
-        elif isinstance(e, S.LengthExpr):
-            self.open("length")
-            self.formula(e.array)
-            self.close("length")
-        elif isinstance(e, S.NewArray):
-            self.open("newarray", [("elem", e.elem.kind)])
-            self.formula(e.size)
-            self.close("newarray")
-        elif isinstance(e, S.Forall):
-            (name, ty), rest = e.binders[0], e.binders[1:]
-            self.open("forall", [("var", name), ("type", str(ty))])
-            if rest:
-                self.formula(S.Forall(binders=rest, body=e.body, ty=S.BOOL))
-            else:
-                self.formula(e.body)
-            self.close("forall")
-        elif isinstance(e, S.PermutAtom):
-            self.open("permut", [("lo-label", "here"), ("hi-label", "here")])
-            self.formula(e.a1)
-            self.formula(e.a2)
-            self.formula(e.lo)
-            self.formula(e.hi)
-            self.close("permut")
-        else:
-            raise ExportError(f"cannot render {type(e).__name__} in XML")
+        tag, attrs, children = _xml_element(e)
+        if not children:
+            self.out.append(f"{'  ' * self.depth}<{tag}{attrs}/>")
+            return
+        self.open(tag, attrs)
+        for child in children:
+            self.formula(child)
+        self.close(tag)
 
 
 def export_xml(obset) -> ExportDoc:
@@ -332,8 +316,7 @@ def export_xml(obset) -> ExportDoc:
            f'<obligations unit="{_xml_escape(obset.unit)}">']
     r = _XmlRenderer(out, 1)
     for ob in obset.obligations:
-        r.open("obligation", [("id", ob.id), ("name", ob.name),
-                              ("kind", ob.kind)])
+        r.open("obligation", _attrs(("id", ob.id), ("name", ob.name), ("kind", ob.kind)))
         r.open("hypotheses")
         for h in ob.hypotheses:
             r.formula(h)
@@ -347,17 +330,15 @@ def export_xml(obset) -> ExportDoc:
                      obligation_ids=tuple(ob.id for ob in obset.obligations))
 
 
-# formula elements mirrored from schemas/xll.xsd
-_FORMULA_TAGS = {
-    "forall": ("var", "type"), "implies": (), "and": (), "or": (), "not": (),
-    "neg": (), "cmp": ("op",), "arith": ("op",), "var": ("name", "state"),
-    "const": ("type", "value"), "select": (), "store": (), "length": (),
-    "coerce": (), "permut": ("lo-label", "hi-label"), "newarray": ("elem",),
-}
-_FORMULA_ARITY = {
-    "implies": 2, "and": 2, "or": 2, "not": 1, "neg": 1, "cmp": 2, "arith": 2,
-    "select": 2, "store": 3, "length": 1, "coerce": 1, "permut": 4,
-    "forall": 1, "var": 0, "const": 0, "newarray": 1,
+# formula elements mirrored from schemas/xll.xsd: tag -> (attributes,
+# number of children)
+_FORMULA_ELEMENTS = {
+    "forall": (("var", "type"), 1), "implies": ((), 2), "and": ((), 2),
+    "or": ((), 2), "not": ((), 1), "neg": ((), 1), "cmp": (("op",), 2),
+    "arith": (("op",), 2), "var": (("name", "state"), 0),
+    "const": (("type", "value"), 0), "select": ((), 2), "store": ((), 3),
+    "length": ((), 1), "coerce": ((), 1), "permut": (("lo-label", "hi-label"), 4),
+    "newarray": (("elem",), 1),
 }
 
 
@@ -370,18 +351,17 @@ def validate_xml(doc: ExportDoc) -> bool:
         raise ExportError(f"root element must be <obligations>, got <{root.tag}>")
 
     def check_formula(el):
-        if el.tag not in _FORMULA_TAGS:
+        if el.tag not in _FORMULA_ELEMENTS:
             raise ExportError(f"unknown formula element <{el.tag}>")
-        need = _FORMULA_TAGS[el.tag]
+        need, arity = _FORMULA_ELEMENTS[el.tag]
         for a in need:
             if a not in el.attrib:
                 raise ExportError(f"<{el.tag}> is missing attribute {a!r}")
         for a in el.attrib:
             if a not in need:
                 raise ExportError(f"<{el.tag}> has unexpected attribute {a!r}")
-        if len(el) != _FORMULA_ARITY[el.tag]:
-            raise ExportError(
-                f"<{el.tag}> needs {_FORMULA_ARITY[el.tag]} children, has {len(el)}")
+        if len(el) != arity:
+            raise ExportError(f"<{el.tag}> needs {arity} children, has {len(el)}")
         for ch in el:
             check_formula(ch)
 
@@ -408,6 +388,8 @@ def validate_xml(doc: ExportDoc) -> bool:
 # defthm-style s-expressions
 
 _SEXP_TYPE_PRED = {"int": "integerp", "real": "realp", "bool": "booleanp"}
+# the operators not written as themselves; `!=` is (not (equal ...))
+_SEXP_OP = {"==": "equal", "!=": "equal", "&&": "and", "||": "or", "==>": "implies"}
 
 
 def _sexp_name(oid: str) -> str:
@@ -438,17 +420,8 @@ def _sexp_term(e: S.Expr) -> str:
             return f"(not {_sexp_term(e.operand)})"
         return f"(- {_sexp_term(e.operand)})"
     if isinstance(e, S.Binary):
-        if e.op == "==":
-            return f"(equal {_sexp_term(e.left)} {_sexp_term(e.right)})"
-        if e.op == "!=":
-            return f"(not (equal {_sexp_term(e.left)} {_sexp_term(e.right)}))"
-        if e.op == "&&":
-            return f"(and {_sexp_term(e.left)} {_sexp_term(e.right)})"
-        if e.op == "||":
-            return f"(or {_sexp_term(e.left)} {_sexp_term(e.right)})"
-        if e.op == "==>":
-            return f"(implies {_sexp_term(e.left)} {_sexp_term(e.right)})"
-        return f"({e.op} {_sexp_term(e.left)} {_sexp_term(e.right)})"
+        text = f"({_SEXP_OP.get(e.op, e.op)} {_sexp_term(e.left)} {_sexp_term(e.right)})"
+        return f"(not {text})" if e.op == "!=" else text
     if isinstance(e, S.Index):
         return f"(select {_sexp_term(e.array)} {_sexp_term(e.index)})"
     if isinstance(e, S.Store):

@@ -100,10 +100,8 @@ class _Atoms:
     each division atom's numerator and denominator. `forms` is the
     obligation's table, shared by the obligations of its set: `simplify`
     fills it with id(comparison) -> (comparison, Lin of left, Lin of
-    right) and its own memo, and `constraint` adds ("-", id(comparison))
-    -> (comparison, primitive form of left - right, and what reading its
-    sides registered), and (op, id(comparison)) -> (comparison,
-    constraint, the same registered items)."""
+    right) and its own memo, and `constraint` adds (op, id(comparison)) ->
+    (comparison, constraint, and what reading its sides registered)."""
 
     def __init__(self, forms: dict):
         self.forms = forms
@@ -119,28 +117,23 @@ class _Atoms:
     def constraint(self, op: str, cmp: S.Binary) -> Constraint:
         """The constraint `cmp.left op cmp.right`, as the primitive form of
         `left - right` or of its negation compared with 0, its atoms
-        registered. The sides are keyed once per table, whatever the
-        op (the `<` and `>` leaves of a `!=` split share them), from their
+        registered. The sides are keyed once per op and table, from their
         forms in the table, or, for a comparison `simplify` did not emit,
         from `linear_form` of each side; each later conjunct takes over
         what reading the sides registered."""
         cached = (op, id(cmp))
         hit = self.forms.get(cached)
         if hit is None:
-            diff = self.forms.get(("-", id(cmp)))
-            if diff is None:
-                _, left, right = self.forms.get(id(cmp)) or (
-                    cmp, linear_form(cmp.left), linear_form(cmp.right))
-                # key each side alone, so that an atom cancelling between
-                # the sides is still registered
-                (left, *lreg), (right, *rreg) = _keyed(left), _keyed(right)
-                diff = self.forms[("-", id(cmp))] = (
-                    cmp, left.add(right, -1).primitive(), lreg[0] | rreg[0],
-                    lreg[1] or rreg[1], {**lreg[2], **rreg[2]})
-            lin = diff[1]
+            _, left, right = self.forms.get(id(cmp)) or (
+                cmp, linear_form(cmp.left), linear_form(cmp.right))
+            # key each side alone, so that an atom cancelling between the
+            # sides is still registered
+            (left, *lreg), (right, *rreg) = _keyed(left), _keyed(right)
+            lin = left.add(right, -1).primitive()
             if op in (">", ">="):
                 lin, op = lin.scale(-1), "<" if op == ">" else "<="
-            hit = self.forms[cached] = (cmp, Constraint(lin, op), *diff[2:])
+            hit = self.forms[cached] = (cmp, Constraint(lin, op), lreg[0] | rreg[0],
+                                        lreg[1] or rreg[1], {**lreg[2], **rreg[2]})
         self._register(*hit[2:])
         return hit[1]
 

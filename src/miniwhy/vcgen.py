@@ -913,25 +913,14 @@ def _combos(seg, loops):
     havoc generation per loop, so the preceding-snapshot rule reconstructs
     exactly the enclosing iteration the inner snapshot was recorded in: the
     instantiated formula then restates a check the runtime actually
-    performed."""
+    performed. One pass over the segment keeps each loop's latest snapshot."""
     if not loops:
         return [{}]
     inner = loops[-1]
-    others = loops[:-1]
-    by_loop = {}
-    for idx, snap in enumerate(seg):
+    latest, combos = {}, []
+    for snap in seg:
         if snap.kind == "loop-head":
-            by_loop.setdefault(snap.loop_id, []).append((idx, snap))
-    combos = []
-    for pos, snap in by_loop.get(inner, ()):
-        combo = {inner: snap}
-        ok = True
-        for l in others:
-            before = [s for i, s in by_loop.get(l, ()) if i <= pos]
-            if not before:
-                ok = False
-                break
-            combo[l] = before[-1]
-        if ok:
-            combos.append(combo)
+            latest[snap.loop_id] = snap
+            if snap.loop_id == inner and all(l in latest for l in loops):
+                combos.append({l: latest[l] for l in loops})
     return combos

@@ -299,3 +299,103 @@ def test_exporters_reject_a_goal_with_a_state_node():
                    lambda o: export_xml(ObligationSet("u", "", [o]))):
         with pytest.raises(ExportError, match="cannot render OldExpr"):
             export(ob)
+
+
+def _node_obligations():
+    """Small hand-built obligations that together hold every node class the
+    exporters render, each binary and unary operator, and the literal,
+    coercion, array, Permut, quantifier and havoc-name cases the corpus
+    may not reach."""
+    from fractions import Fraction
+
+    from miniwhy import syntax as S
+    from miniwhy.vcgen import Obligation, Origin
+
+    def var(name, ty):
+        return S.Var(name=name, ty=ty)
+
+    def binop(op, left, right, ty=S.BOOL):
+        return S.Binary(op=op, left=left, right=right, ty=ty)
+
+    def num(value):
+        if isinstance(value, int):
+            return S.IntLit(value=value, ty=S.INT)
+        return S.RealLit(text=str(value), value=Fraction(value), ty=S.REAL)
+
+    x, y = var("x", S.INT), var("y", S.INT)
+    r, s = var("r", S.REAL), var("s", S.REAL)
+    p, q = var("p", S.BOOL), var("q", S.BOOL)
+    a, b = var("a", S.ARRAY_INT), var("b", S.ARRAY_REAL)
+    i = S.FreshVar(name="i@L2", base="i", loop_id=2, ty=S.INT)
+    j, k, t = var("j", S.INT), var("k", S.INT), var("t", S.REAL)
+
+    def forall(binders, body):
+        return S.Forall(binders=binders, body=body, ty=S.BOOL)
+
+    def ob(n, kind, hyps, goal, sorts, detail=""):
+        return Obligation(id=f"nodes:{n:03d}:{kind}", name=f"nodes{n}",
+                          origin=Origin("m", n, kind, detail), hypotheses=hyps,
+                          hyp_sources=["requires"] * len(hyps), goal=goal,
+                          var_sorts=sorts)
+
+    scalars = {"x": S.INT, "y": S.INT, "r": S.REAL, "s": S.REAL,
+               "p": S.BOOL, "q": S.BOOL}
+    operators = ob(0, "assert", [
+        binop("<", binop("+", x, y, S.INT), binop("-", x, y, S.INT)),
+        binop("<=", binop("*", x, y, S.INT), num(3)),
+        binop(">", binop("/", r, s, S.REAL), num("1.5")),
+        binop(">=", x, num(-3)),
+        binop("==", x, y), binop("!=", x, y),
+        binop("&&", p, q), binop("||", p, q), binop("==>", p, q),
+    ], binop("&&", S.Unary(op="!", operand=p, ty=S.BOOL),
+           binop("<", S.Unary(op="-", operand=x, ty=S.INT), y)), scalars)
+    literals = ob(1, "ensures", [
+        binop("==", r, num(Fraction(1, 3))),
+        binop("!=", r, num(Fraction(-5, 4))),
+        binop("<", r, num(Fraction(-1, 7))),
+        binop("<=", S.Coerce(operand=num(2), ty=S.REAL), r),
+        binop("<=", S.Coerce(operand=num(-2), ty=S.REAL), r),
+        binop("<", S.Coerce(operand=x, ty=S.REAL), num("3.0")),
+        S.BoolLit(value=True, ty=S.BOOL), S.BoolLit(value=False, ty=S.BOOL),
+    ], binop("==>", binop(">", r, num("0.0")), binop(">", r, num(Fraction(-7)))), scalars)
+    stored = S.Store(array=a, index=i, value=num(5), ty=S.ARRAY_INT)
+    arrays = ob(2, "bounds-guard", [
+        binop("==", S.Index(array=a, index=i, ty=S.INT), num(0)),
+        binop("==", S.Index(array=stored, index=i, ty=S.INT), num(5)),
+        binop(">=", S.LengthExpr(array=a, ty=S.INT), num(0)),
+        binop("==", S.LengthExpr(array=S.NewArray(elem=S.INT, size=num(3),
+                                                ty=S.ARRAY_INT), ty=S.INT), num(3)),
+        binop("==", S.Index(array=S.NewArray(elem=S.REAL, size=i, ty=S.ARRAY_REAL),
+                          index=num(0), ty=S.REAL), num("0.0")),
+        S.PermutAtom(a1=a, a2=stored, lo=num(0), hi=i, ty=S.BOOL),
+        S.PermutAtom(a1=b, a2=b, lo=num(0), hi=i, ty=S.BOOL),
+    ], binop(">", S.LengthExpr(array=b, ty=S.INT), i),
+        {"a": S.ARRAY_INT, "b": S.ARRAY_REAL, "i@L2": S.INT})
+    nested_one = forall([("j", S.INT)], binop("<", S.Index(array=a, index=j, ty=S.INT), k))
+    nested_two = forall([("j", S.INT), ("t", S.REAL)],
+                        binop("==>", binop("<", S.Coerce(operand=j, ty=S.REAL), t),
+                            binop("<=", S.Index(array=b, index=j, ty=S.REAL), t)))
+    prefixed = forall([("k", S.INT)], forall(
+        [("t", S.REAL), ("j", S.INT)],
+        binop("==>", nested_one, binop("||", nested_two, binop("<", j, k)))))
+    quantifiers = ob(3, "lemma", [nested_one, nested_two], prefixed,
+                     {"a": S.ARRAY_INT, "b": S.ARRAY_REAL}, detail="quantified")
+    return [operators, literals, arrays, quantifiers]
+
+
+def _node_documents():
+    from miniwhy.vcgen import ObligationSet
+    obs = _node_obligations()
+    out = []
+    for ob in obs:
+        for doc in (export_smtlib(ob), export_sexp(ob)):
+            validate(doc)
+            out.append(f"=== {ob.id} {doc.format}\n{doc.text}")
+    doc = export_xml(ObligationSet(unit="nodes", unit_digest="0", obligations=obs))
+    validate(doc)
+    out.append(f"=== nodes {doc.format}\n{doc.text}")
+    return "".join(out)
+
+
+def test_every_node_class_exports_as_the_golden_says():
+    assert _node_documents() == golden("export.nodes.txt")

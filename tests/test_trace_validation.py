@@ -396,3 +396,24 @@ def test_nested_loop_entry_states_pass_when_the_multiset_is_kept():
     out = run_traced(tu, "m", [[1, 2, 3], 3])
     rep = instantiate_on_trace(generate_obligations(tu), out)
     assert rep.failed == [] and rep.passed
+
+
+def test_combos_pair_each_inner_snapshot_with_its_own_outer_iteration():
+    def head(loop_id, iteration):
+        return TraceSnapshot(kind="loop-head", method="m", loop_id=loop_id,
+                             iteration=iteration)
+    # an inner snapshot before any outer one, then two outer iterations
+    # with two inner snapshots each, and the method's exit (the iteration
+    # numbers tell every snapshot apart)
+    early = head(2, 99)
+    outer = [head(1, 0), head(1, 1)]
+    inner = [[head(2, 10), head(2, 11)], [head(2, 20), head(2, 21)]]
+    seg = [TraceSnapshot(kind="entry", method="m"), early,
+           outer[0], *inner[0], outer[1], *inner[1],
+           TraceSnapshot(kind="exit", method="m")]
+    combos = vcgen._combos(seg, [1, 2])
+    assert [(c[1], c[2]) for c in combos] == [
+        (outer[k], snap) for k in (0, 1) for snap in inner[k]]
+    assert all(c[2] != early for c in combos)
+    assert vcgen._combos(seg, [2]) == [{2: s} for s in [early, *inner[0], *inner[1]]]
+    assert vcgen._combos(seg, []) == [{}]
