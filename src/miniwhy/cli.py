@@ -190,6 +190,9 @@ def cmd_prove(args) -> int:
             residue.append(ob)
         records.append({"id": ob.id, "name": ob.name, "kind": ob.kind,
                         "status": ob.status, "detail": st.detail})
+    # export reads none of the prover's table; held on, it slows the
+    # collector through export and validation
+    obset._forms.clear()
     exported = 0
     if args.export_unproved and residue:
         os.makedirs(args.out_dir, exist_ok=True)

@@ -10,6 +10,10 @@ division by a constant brings one in; the prover's constraints hold
 Python ints, scaled to coprime integers by `primitive`. A zero
 coefficient is never stored, so a form is constant exactly when it has no
 keys.
+
+A form is never changed after it is built: every operation returns a new
+one (or the form itself). So a form computes its key, and the key of its
+negation, at most once and keeps them.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ from math import gcd, lcm
 
 class Lin:
     """const + sum(coeff * key) over hashable, ordered keys."""
-    __slots__ = ("const", "coeffs")
+    __slots__ = ("const", "coeffs", "_key", "_neg_key")
 
     def __init__(self, const=0, coeffs=None):
         self.const = const
         self.coeffs = coeffs or {}      # key -> nonzero int or Fraction
+        self._key = self._neg_key = None
 
     @property
     def is_const(self) -> bool:
@@ -49,7 +54,16 @@ class Lin:
 
     def key(self) -> tuple:
         """A hashable identity: equal forms have equal keys."""
-        return self.const, tuple(sorted(self.coeffs.items()))
+        if self._key is None:
+            self._key = self.const, tuple(sorted(self.coeffs.items()))
+        return self._key
+
+    def neg_key(self) -> tuple:
+        """The key of the negated form, `scale(-1).key()`."""
+        if self._neg_key is None:
+            const, items = self.key()
+            self._neg_key = -const, tuple((k, -v) for k, v in items)
+        return self._neg_key
 
     def ratio(self, other: Lin):
         """The k with self == k * other, or None when there is none. A

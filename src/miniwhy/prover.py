@@ -20,12 +20,17 @@ simplified formula goes through four steps:
    linear, and every other nonlinear term (variable products, division,
    array selects, lengths) is an atom abstracted to a fresh symbol.
 3. split each `a != b` into `a < b` or `a > b`; k of them give 2**k leaves.
-4. refute each leaf by Gaussian and Fourier-Motzkin elimination over
-   primitive integer constraints, with the facts of two division sign
-   rules, which reintroduce what the abstraction loses:
+4. refute each leaf, with the facts of two division sign rules, which
+   reintroduce what the abstraction loses:
 
     x > 0 && y > 0   gives   x / y > 0
     x == 0 && y != 0 gives   x / y == 0
+
+   A leaf that holds a strict bound beside its complement (`lin < 0`
+   beside `-lin < 0`, `-lin <= 0` or `-lin == 0`, or beside `lin == 0`)
+   is closed by looking up the constraints' keys; any other goes on to
+   Gaussian and Fourier-Motzkin elimination over primitive integer
+   constraints.
 
    A satisfiable leaf's rational witness is built from its elimination
    only for a refutation attempt: when the leaf has no abstracted atom and
@@ -42,6 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from . import syntax as S
@@ -218,6 +224,8 @@ def _eliminate(constraints: list):
     step's result, made primitive again. A positive multiple puts the same
     bound on each key, so the witness is the rational one, and Fraction
     arithmetic happens only in building it."""
+    if _complementary(constraints):
+        return None
     # Gaussian elimination of equalities, pivoting on the least key; each
     # other constraint is rewritten with key cancelled against the equality
     solved = []    # (key, equality form)
@@ -269,6 +277,17 @@ def _eliminate(constraints: list):
     return stack, solved
 
 
+def _complementary(constraints: list) -> bool:
+    """Whether two of the constraints hold at no point together: `lin < 0`
+    beside `-lin < 0`, `-lin <= 0` or `-lin == 0`, or beside `lin == 0`.
+    A satisfiable conjunction holds no such pair, so closing on one changes
+    no witness."""
+    strict = {c.lin.key() for c in constraints if c.op == "<"}
+    return bool(strict) and any(
+        c.lin.neg_key() in strict or (c.op == "==" and c.lin.key() in strict)
+        for c in constraints)
+
+
 def _witness(stack: list, solved: list) -> dict:
     """A rational witness of a satisfiable elimination, built backwards;
     keys never constrained by an inequality default to 0."""
@@ -304,7 +323,20 @@ def _cancel(lin: Lin, by: Lin, key) -> Lin:
     weight. With by an equality this substitutes key's value; with lin a
     lower bound on key and by an upper bound it is their FM combination."""
     a, b = lin.coeffs[key], by.coeffs[key]
-    return lin.scale(abs(b)).add(by, -a if b > 0 else a).primitive()
+    m, k = abs(b), (-a if b > 0 else a)
+    # one dict, in the key order of lin.scale(m).add(by, k)
+    coeffs = {x: v * m for x, v in lin.coeffs.items()}
+    for x, v in by.coeffs.items():
+        c = coeffs.pop(x, 0) + k * v
+        if c:
+            coeffs[x] = c
+    const = lin.const * m + k * by.const
+    g = gcd(const, *coeffs.values())
+    if g > 1:
+        const //= g
+        for x in coeffs:
+            coeffs[x] //= g
+    return Lin(const, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import os
 import jsonschema
 import pytest
 
-from miniwhy import corpus
+from miniwhy import cli, corpus
 from miniwhy.cli import main
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "miniwhy",
@@ -130,6 +130,25 @@ def test_prove_exports_xml_residue(capsys, corpus_file, tmp_path):
     assert code == 0
     files = os.listdir(out_dir)
     assert files == ["find_nth_lowest_number.xll.xml"]
+
+
+@pytest.mark.parametrize("fmt, exporter", [
+    ("smt2", "export_smtlib"), ("sexp", "export_sexp"), ("xml", "export_xml")])
+def test_prove_releases_the_prover_table_before_export(
+        capsys, corpus_file, tmp_path, monkeypatch, fmt, exporter):
+    sizes = []
+    export = getattr(cli, exporter)
+
+    def spy(doc_source):
+        obs = doc_source.obligations if fmt == "xml" else [doc_source]
+        sizes.extend(len(ob._forms) for ob in obs)
+        return export(doc_source)
+
+    monkeypatch.setattr(cli, exporter, spy)
+    code, _, _ = run_cli(capsys, "prove", corpus_file("find_nth_lowest_number"),
+                         "--export-unproved", fmt, "--out-dir", str(tmp_path / "out"))
+    assert code == 0
+    assert sizes and set(sizes) == {0}
 
 
 def test_prove_refuted_exits_one(capsys, tmp_path):

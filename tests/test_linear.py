@@ -33,6 +33,17 @@ def test_key_is_equal_for_equal_forms():
     assert a.key() != a.scale(2).key()
 
 
+def test_keys_are_computed_once_and_match_a_fresh_computation():
+    for lin in (Lin(F(1), {"y": F(2), "x": F(-1, 3)}), Lin(-4, {"b": 3, "a": -1}),
+                Lin(), Lin(7)):
+        key = lin.key()
+        assert key == Lin(lin.const, dict(lin.coeffs)).key()
+        assert lin.key() is key
+        assert lin.neg_key() == lin.scale(-1).key()
+        assert lin.neg_key() is lin.neg_key()
+        assert lin.scale(-1).neg_key() == key
+
+
 def test_ratio():
     x1 = Lin(F(1), {"x": F(1)})
     assert x1.scale(F(-3, 2)).ratio(x1) == F(-3, 2)

@@ -460,6 +460,94 @@ def test_fm_witnesses_match_golden():
         assert "".join(lines) == fh.read()
 
 
+# ---------------------------------------------------------------------------
+# a strict bound beside its complement closes a leaf before elimination
+
+_LIN = Lin(3, {"x": 1, "y": -2})          # x - 2y + 3, primitive
+
+
+def _without_pair_check(monkeypatch):
+    monkeypatch.setattr(prover, "_complementary", lambda constraints: False)
+
+
+@pytest.mark.parametrize("first, second", [
+    ((_LIN, "<"), (_LIN.scale(-1), "<")),
+    ((_LIN, "<"), (_LIN.scale(-1), "<=")),
+    ((_LIN, "<"), (_LIN.scale(-1), "==")),
+    ((_LIN, "=="), (_LIN, "<")),
+])
+def test_a_strict_bound_beside_its_complement_closes_the_leaf(first, second):
+    for pair in ((first, second), (second, first)):
+        leaf = [Constraint(lin, op) for lin, op in pair]
+        assert prover._complementary(leaf)
+        assert _eliminate(leaf) is None
+
+
+@pytest.mark.parametrize("first, second", [
+    ((_LIN, "<="), (_LIN.scale(-1), "<=")),
+    ((_LIN, "=="), (_LIN.scale(-1), "==")),
+    ((_LIN, "<"), (_LIN, "<=")),
+])
+def test_a_satisfiable_pair_gets_the_witness_of_elimination(monkeypatch, first, second):
+    for pair in ((first, second), (second, first)):
+        leaf = [Constraint(lin, op) for lin, op in pair]
+        assert not prover._complementary(leaf)
+        got = _witness(*_eliminate(leaf))
+        with monkeypatch.context() as m:
+            _without_pair_check(m)
+            assert got == _witness(*_eliminate(leaf))
+
+
+@pytest.fixture(scope="module")
+def corpus_leaves():
+    """Every constraint list that proving the corpus gives `_eliminate`."""
+    leaves = []
+    eliminate = prover._eliminate
+
+    def spy(constraints):
+        leaves.append(list(constraints))
+        return eliminate(constraints)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(prover, "_eliminate", spy)
+        for entry in corpus.corpus_sources():
+            for ob in generate_obligations(corpus.unit(entry.name)):
+                prove_internal(ob)
+    return leaves
+
+
+def test_elimination_refutes_every_leaf_the_pair_check_closes(monkeypatch,
+                                                               corpus_leaves):
+    systems = [[Constraint(lin.primitive(), op) for lin, op in _fm_system(seed)]
+               for seed in range(2000)]
+    closed = [leaf for leaf in systems + corpus_leaves
+              if prover._complementary(leaf)]
+    assert closed
+    _without_pair_check(monkeypatch)
+    assert all(_eliminate(leaf) is None for leaf in closed)
+
+
+def test_the_pair_check_closes_most_corpus_leaves(corpus_leaves):
+    # 267 of 351 leaves, 313 of them unsatisfiable, when it was added
+    assert sum(map(prover._complementary, corpus_leaves)) >= 250
+
+
+def test_a_leaf_with_a_pair_closes_past_the_fourier_motzkin_cap(monkeypatch):
+    # _bounded_x(64)'s core passes MAX_CONSTRAINTS; z < 0 and z >= 0 close
+    # the leaf before elimination starts
+    XZ = {"x": S.REAL, "z": S.REAL}
+    hyps = [typed_formula(f"x > {i}.0", XZ) for i in range(64)]
+    hyps += [typed_formula(f"x < {1000 + i}.0", XZ) for i in range(63)]
+    hyps += [typed_formula("z < 0.0", XZ), typed_formula("z >= 0.0", XZ)]
+    ob = mk(typed_formula("x > -1.0", XZ), hyps, XZ)
+    st = prove_internal(ob)
+    assert st.proved
+    assert st.rule_trace[-1] == "fourier-motzkin: every disjunct closed"
+    _without_pair_check(monkeypatch)
+    st = prove_internal(ob)
+    assert st.reason == "resource cap: Fourier-Motzkin blowup"
+
+
 def test_witness_is_built_only_for_a_refutation_attempt(monkeypatch):
     # per obligation, the calls are none, a refutation of a formula that
     # simplified to false, or one witness and then its refutation attempt

@@ -6,7 +6,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ("parse+typecheck", "vcgen", "prover", "prover.simplify", "export", "validate")
+STAGES = ("parse+typecheck", "vcgen", "prover", "prover.simplify", "prover.fm",
+          "export", "validate")
 TRACE_STAGES = ("exec+trace", "trace-validate")
 UNITS = ("calculate_std_dev", "lemmas", "quickselect", "sqrt_newton", "translate")
 TRACED = ("quickselect", "sqrt_newton")
@@ -30,8 +31,8 @@ def test_stage_times_runs_one_rep_against_a_second_checkout(tmp_path):
         (rep,) = side
         assert set(rep["raw"]) == set(UNITS)
         assert all(rep["raw"][u]["vcgen"] > 0 for u in UNITS)
-        # simplify is timed as a part of the prover
-        assert all(0 < rep["raw"][u]["prover.simplify"] < rep["raw"][u]["prover"]
-                   for u in UNITS)
+        # simplify and elimination are timed as parts of the prover
+        assert all(0 < rep["raw"][u][s] < rep["raw"][u]["prover"]
+                   for u in UNITS for s in ("prover.simplify", "prover.fm"))
         assert all(rep["raw"][u][s] > 0 for u in TRACED for s in TRACE_STAGES)
         assert all(set(rep["raw"][u]) == set(STAGES) for u in UNITS if u not in TRACED)

@@ -8,10 +8,12 @@ For each unit of this checkout's corpus one pass times five stages as `miniwhy p
 --export-unproved` runs them: parse+typecheck, vcgen, prover (every
 obligation), export (SMT-LIB and s-expression of each unproved obligation,
 and the XML of the unproved set) and validate (every exported document).
-prover.simplify is the part of prover spent in `simplify`, timed by
-wrapping the name `miniwhy.prover.simplify` that the prover calls, as
-perfbench's traced run does; so it is timed alike in any checkout whose
-prover calls simplify through that name.
+Two sub-stages are parts of prover: prover.simplify, the time spent in
+`simplify`, and prover.fm, the time spent in `_eliminate` (Gaussian and
+Fourier-Motzkin elimination of each leaf). Each is timed by wrapping the
+name in `miniwhy.prover` that the prover calls, as perfbench's traced run
+does; so it is timed alike in any checkout whose prover calls the function
+through that name.
 For quickselect and sqrt_newton it then times two stages of trace
 validation on a fixed set of rational inputs (TRACE_INPUTS): exec+trace
 (`exec_method` with trace recording, the unit already compiled) and
@@ -47,8 +49,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # consecutive stages of one unit's pass
 PIPELINE = ("parse+typecheck", "vcgen", "prover", "export", "validate")
-# the same with prover's sub-stage after it
-PROVE_STAGES = PIPELINE[:3] + ("prover.simplify",) + PIPELINE[3:]
+# prover's sub-stages: the name in miniwhy.prover each one times
+SUB_STAGES = {"prover.simplify": "simplify", "prover.fm": "_eliminate"}
+# the pipeline with prover's sub-stages after it
+PROVE_STAGES = PIPELINE[:3] + tuple(SUB_STAGES) + PIPELINE[3:]
 TRACE_STAGES = ("exec+trace", "trace-validate")
 STAGES = PROVE_STAGES + TRACE_STAGES
 # (method, args) per unit for the trace stages; other units skip them
@@ -68,26 +72,26 @@ def _perfbench_run():
     return mod
 
 
-def _time_simplify(prover) -> list:
-    """Wrap `prover.simplify` so that each call adds its duration to the
+def _time_calls(prover, name) -> list:
+    """Wrap `prover.<name>` so that each call adds its duration to the
     one-element list returned."""
-    spent, simplify = [0.0], prover.simplify
+    spent, function = [0.0], getattr(prover, name)
 
     def timed(*args):
         t0 = time.perf_counter()
         try:
-            return simplify(*args)
+            return function(*args)
         finally:
             spent[0] += time.perf_counter() - t0
 
-    prover.simplify = timed
+    setattr(prover, name, timed)
     return spent
 
 
-def _one_pass(pkg, sources, simplify_spent):
+def _one_pass(pkg, sources, sub_spent):
     """{unit: {stage: seconds}} of one pass over the units, the trace
-    stages only for units with TRACE_INPUTS. simplify_spent is the list
-    `_time_simplify` returned."""
+    stages only for units with TRACE_INPUTS. sub_spent maps each of
+    SUB_STAGES to the list `_time_calls` returned for it."""
     parser, typecheck, vcgen, prover, export, interp = pkg
     times = {}
     for name, text in sources.items():
@@ -96,11 +100,10 @@ def _one_pass(pkg, sources, simplify_spent):
         t.append(time.perf_counter())
         obset = vcgen.generate_obligations(tu)
         t.append(time.perf_counter())
-        simplify_before = simplify_spent[0]
+        sub_before = {s: spent[0] for s, spent in sub_spent.items()}
         residue = [ob for ob in obset
                    if prover.prove_internal(ob).status == "unknown"]
         t.append(time.perf_counter())
-        simplify_took = simplify_spent[0] - simplify_before
         docs = [d for ob in residue
                 for d in (export.export_smtlib(ob), export.export_sexp(ob))]
         if residue:
@@ -112,7 +115,8 @@ def _one_pass(pkg, sources, simplify_spent):
             export.validate(d)
         t.append(time.perf_counter())
         times[name] = {s: b - a for s, a, b in zip(PIPELINE, t, t[1:])}
-        times[name]["prover.simplify"] = simplify_took
+        times[name].update((s, spent[0] - sub_before[s])
+                           for s, spent in sub_spent.items())
         if name in TRACE_INPUTS:
             interp.compile_unit(tu, "rational")         # in no stage
             t = [time.perf_counter()]
@@ -134,8 +138,8 @@ def child(root: Path, units, passes: int) -> dict:
     bench = _perfbench_run()
     corpus = root / "src" / "miniwhy" / "corpus"
     sources = {u: (corpus / f"{u}.mjml").read_text() for u in units}
-    simplify_spent = _time_simplify(pkg[3])
-    _one_pass(pkg, sources, simplify_spent)
+    sub_spent = {s: _time_calls(pkg[3], name) for s, name in SUB_STAGES.items()}
+    _one_pass(pkg, sources, sub_spent)
     raw = {u: {s: [] for s in STAGES if u in _units(s, units)} for u in units}
     scaled = {u: {s: [] for s in d} for u, d in raw.items()}
     for _ in range(passes):
@@ -143,7 +147,7 @@ def child(root: Path, units, passes: int) -> dict:
             k0 = time.perf_counter()
             bench.kernel()
             k1 = time.perf_counter()
-            took = _one_pass(pkg, {u: sources[u]}, simplify_spent)[u]
+            took = _one_pass(pkg, {u: sources[u]}, sub_spent)[u]
             k2 = time.perf_counter()
             bench.kernel()
             k3 = time.perf_counter()
