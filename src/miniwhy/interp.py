@@ -844,7 +844,10 @@ def compile_unit(tunit: TypedUnit, mode: str) -> CompiledUnit:
         cache = {}
         tunit._compiled_cache = cache
     if mode not in cache:
-        cache[mode] = CompiledUnit(tunit, mode)
+        try:
+            cache[mode] = CompiledUnit(tunit, mode)
+        except RecursionError:
+            raise ExecutionFault("nesting too deep to compile") from None
     return cache[mode]
 
 
@@ -909,8 +912,8 @@ class CompiledFormula:
     is evaluated against; each name owns one slot. Binding coerces the value
     of every slot the formula reads to that variable's type, as exec_method
     coerces arguments. Compilation raises EvalError for a variable missing
-    from the layout; a quantifier without derivable bounds raises only when
-    reached.
+    from the layout or for nesting too deep to compile; a quantifier without
+    derivable bounds raises only when reached.
 
     A memo (a dict, empty at first) shares closures among the formulas
     compiled into it, which must all have this layout and mode; each still
@@ -935,7 +938,10 @@ class CompiledFormula:
         layout = sorted(self.names)
         slots = {n: i for i, n in enumerate(layout)}
         ctx = CompileCtx(slots, mode, memo=memo)
-        self._fn = compile_expr(f, ctx)
+        try:
+            self._fn = compile_expr(f, ctx)
+        except RecursionError:
+            raise EvalError("formula nesting too deep to compile") from None
         reads = ctx.var_types
         self._binds = {n: (i, reads.get(n)) for n, i in slots.items()}
         # the key compile_expr interns a read set under, so the signature of

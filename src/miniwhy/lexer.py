@@ -121,24 +121,24 @@ def tokenize(text: str) -> list[Token]:
             i = j + 2
             continue
         # numbers
-        if c.isdigit():
+        if c.isdecimal():
             j = i
             isreal = False
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdecimal():
                 isreal = True
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k].isdecimal():
                     isreal = True
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j].isdecimal():
                         j += 1
             if j < n and (text[j].isalpha() or text[j] == "_"):
                 err(f"malformed numeric literal {text[i:j + 1]!r} (suffixes are not allowed)")

@@ -18,10 +18,13 @@ simplified formula goes through four steps:
    and keyed once.
    So the atoms are the simplifier's: division by a nonzero constant is
    linear, and every other nonlinear term (variable products, division,
-   array selects, lengths) is an atom abstracted to a fresh symbol.
+   array selects, lengths) is an atom abstracted to a fresh symbol. Each
+   constraint carries what its sides abstract: their integer-sorted keys,
+   whether one is a non-variable atom, and their division atoms.
 3. split each `a != b` into `a < b` or `a > b`; k of them give 2**k leaves.
-4. refute each leaf, with the facts of two division sign rules, which
-   reintroduce what the abstraction loses:
+4. refute each leaf, with the facts of two division sign rules on the
+   divisions its constraints carry, which reintroduce what the abstraction
+   loses:
 
     x > 0 && y > 0   gives   x / y > 0
     x == 0 && y != 0 gives   x / y == 0
@@ -33,8 +36,9 @@ simplified formula goes through four steps:
    constraints.
 
    A satisfiable leaf's rational witness is built from its elimination
-   only for a refutation attempt: when the leaf has no abstracted atom and
-   no integer-sorted key.
+   only for a refutation attempt: when its conjunct holds no boolean atom
+   and its constraints carry no abstracted atom and no integer-sorted key;
+   else the unknown's reason is read from the same facts.
 
 Integer symbols are treated as rationals (sound for proving, incomplete
 for refuting). A `refuted` verdict is only issued for closed, havoc-free,
@@ -92,56 +96,46 @@ class _ResourceCap(Exception):
 # literals: linear constraints over abstraction keys
 
 class Constraint(NamedTuple):
-    """lin OP 0, OP in {'<', '<=', '=='}."""
+    """lin OP 0, OP in {'<', '<=', '=='}. One read from a comparison also
+    carries what its sides abstract: their integer-sorted keys, whether one
+    is a non-variable atom, and each division atom as (key, numerator,
+    denominator), inner quotients first. One derived by elimination carries
+    none of these."""
     lin: Lin
     op: str
+    int_keys: frozenset = frozenset()
+    opaque: bool = False
+    divisions: tuple = ()
 
     def holds_trivially(self):
         return S.COMPARE[self.op](self.lin.const, 0)
 
 
-class _Atoms:
-    """Abstraction registry of one conjunct: the keys its constraints
-    mention that are integer-sorted, whether any is a non-variable atom, and
-    each division atom's numerator and denominator. `forms` is the
+def _constraint(op: str, cmp: S.Binary, forms: dict) -> Constraint:
+    """The constraint `cmp.left op cmp.right`, as the primitive form of
+    `left - right` or of its negation compared with 0. `forms` is the
     obligation's table, shared by the obligations of its set: `simplify`
-    fills it with id(comparison) -> (comparison, Lin of left, Lin of
-    right) and its own memo, and `constraint` adds (op, id(comparison)) ->
-    (comparison, constraint, and what reading its sides registered)."""
-
-    def __init__(self, forms: dict):
-        self.forms = forms
-        self.divisions = {}      # key -> (numerator Lin, denominator Lin)
-        self.int_keys = set()
-        self.opaque = False      # saw a non-variable abstraction
-
-    def _register(self, int_keys, opaque, divisions):
-        self.int_keys |= int_keys
-        self.opaque = self.opaque or opaque
-        self.divisions.update(divisions)
-
-    def constraint(self, op: str, cmp: S.Binary) -> Constraint:
-        """The constraint `cmp.left op cmp.right`, as the primitive form of
-        `left - right` or of its negation compared with 0, its atoms
-        registered. The sides are keyed once per op and table, from their
-        forms in the table, or, for a comparison `simplify` did not emit,
-        from `linear_form` of each side; each later conjunct takes over
-        what reading the sides registered."""
-        cached = (op, id(cmp))
-        hit = self.forms.get(cached)
-        if hit is None:
-            _, left, right = self.forms.get(id(cmp)) or (
-                cmp, linear_form(cmp.left), linear_form(cmp.right))
-            # key each side alone, so that an atom cancelling between the
-            # sides is still registered
-            (left, *lreg), (right, *rreg) = _keyed(left), _keyed(right)
-            lin = left.add(right, -1).primitive()
-            if op in (">", ">="):
-                lin, op = lin.scale(-1), "<" if op == ">" else "<="
-            hit = self.forms[cached] = (cmp, Constraint(lin, op), lreg[0] | rreg[0],
-                                        lreg[1] or rreg[1], {**lreg[2], **rreg[2]})
-        self._register(*hit[2:])
-        return hit[1]
+    fills it with id(comparison) -> (comparison, Lin of left, Lin of right)
+    and its own memo, and this adds (op, id(comparison)) -> (comparison,
+    constraint). The sides are keyed once per op and table, from their forms
+    in the table, or, for a comparison `simplify` did not emit, from
+    `linear_form` of each side."""
+    cached = (op, id(cmp))
+    hit = forms.get(cached)
+    if hit is None:
+        _, left, right = forms.get(id(cmp)) or (
+            cmp, linear_form(cmp.left), linear_form(cmp.right))
+        # key each side alone, so that an atom cancelling between the
+        # sides is still carried
+        left, lint, lopaque, ldivs = _keyed(left)
+        right, rint, ropaque, rdivs = _keyed(right)
+        lin = left.add(right, -1).primitive()
+        if op in (">", ">="):
+            lin, op = lin.scale(-1), "<" if op == ">" else "<="
+        divisions = tuple((k, n, d) for k, (n, d) in {**ldivs, **rdivs}.items())
+        hit = forms[cached] = cmp, Constraint(lin, op, frozenset(lint | rint),
+                                              lopaque or ropaque, divisions)
+    return hit[1]
 
 
 def _keyed(form: Lin):
@@ -360,14 +354,16 @@ def _signs(lin: Lin, conj: list) -> set:
     return out
 
 
-def _division_facts(conj: list, atoms: _Atoms):
+def _division_facts(leaf: list):
     """Extra constraints from the two division sign rules, and their trace
-    entries. Inner quotients come first in `atoms.divisions`, so the signs
-    of each are read from conj and the facts derived before it."""
+    entries. The divisions the leaf's constraints carry are taken once
+    each, in leaf order, inner quotients first, so the signs of each are
+    read from the leaf and the facts derived before it."""
+    divisions = {k: (n, d) for c in leaf for k, n, d in c.divisions}
     out = []
     applied = []
-    for key, (num, den) in atoms.divisions.items():
-        known = conj + out
+    for key, (num, den) in divisions.items():
+        known = leaf + out
         num_signs, den_signs = _signs(num, known), _signs(den, known)
         if 1 in num_signs and 1 in den_signs:
             out.append(Constraint(Lin(0, {key: -1}), "<"))
@@ -399,8 +395,8 @@ def prove_internal(ob) -> ProofStatus:
     f = ob.goal
     for h in reversed(hyps):
         f = S.Binary(op="==>", left=h, right=f, ty=S.BOOL)
-    # the forms table (see _Atoms) and simplify's memo: the set's, shared
-    # by its obligations, or for an obligation built alone a fresh one
+    # the forms table (see _constraint) and simplify's memo: the set's,
+    # shared by its obligations, or for an obligation built alone a fresh one
     forms = getattr(ob, "_forms", None)
     if forms is None:
         forms = {}
@@ -428,43 +424,44 @@ def prove_internal(ob) -> ProofStatus:
     if result is None:
         trace.append("fourier-motzkin: every disjunct closed")
         return ProofStatus("proved-internal", rule_trace=trace)
-    eliminated, atoms = result
-    if atoms.opaque or atoms.int_keys:
-        why = ("nonlinear terms abstracted" if atoms.opaque
-               else "integer-sorted symbols (rational decision is incomplete)")
-        return ProofStatus("unknown", reason=f"satisfiable abstraction: {why}",
-                           rule_trace=trace)
-    return _try_refute(ob, _witness(*eliminated), trace)
+    eliminated, leaf, held_bool = result
+    if held_bool or any(c.opaque for c in leaf):
+        why = "nonlinear terms abstracted"
+    elif any(c.int_keys for c in leaf):
+        why = "integer-sorted symbols (rational decision is incomplete)"
+    else:
+        return _try_refute(ob, _witness(*eliminated), trace)
+    return ProofStatus("unknown", reason=f"satisfiable abstraction: {why}",
+                       rule_trace=trace)
 
 
 def _refute_conjunct(conj: list, trace, forms: dict):
-    """None when refuted; else (elimination, atoms), the elimination being
-    what `_eliminate` gave the first satisfiable leaf.
+    """None when refuted; else (elimination, leaf, held_bool): what
+    `_eliminate` gave the first satisfiable leaf, that leaf, and whether
+    the conjunct held a boolean atom.
     Each `a != b` splits the conjunct into `a < b` and `a > b`: the leaves,
     `<` first and in literal order, add one side of every split to the
     constraints of the other literals."""
     splits = [lit for lit in conj if lit[0] == "!="]
     if 2 ** len(splits) > MAX_DISJUNCTS:
         raise _ResourceCap(f"disequality split ({len(splits)} literals)")
-    atoms = _Atoms(forms)
     constraints = []
     bools = {}
     for first, second in conj:
         if isinstance(second, bool):        # (atom, truth)
-            atoms.opaque = True
             if bools.setdefault(expr_to_str(first), second) != second:
                 return None
         elif first != "!=":
-            constraints.append(atoms.constraint(first, second))
-    sides = [(atoms.constraint("<", cmp), atoms.constraint(">", cmp))
+            constraints.append(_constraint(first, second, forms))
+    sides = [(_constraint("<", cmp, forms), _constraint(">", cmp, forms))
              for _, cmp in splits]
     for leaf in itertools.product(*sides):
         leaf = constraints + list(leaf)
-        facts, applied = _division_facts(leaf, atoms)
+        facts, applied = _division_facts(leaf)
         trace.extend(applied)
         eliminated = _eliminate(leaf + facts)
         if eliminated is not None:
-            return eliminated, atoms
+            return eliminated, leaf, bool(bools)
     return None
 
 

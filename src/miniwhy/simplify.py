@@ -214,7 +214,7 @@ def _learn(ctx, f: S.Expr):
         if entry is not None and g.op in ("!=", ">", "<"):
             diff = entry[1].add(entry[2], -1)
             learnt.add(diff.key())
-            learnt.add(diff.scale(-1).key())
+            learnt.add(diff.neg_key())
     if learnt:
         ctx.nonzero = ctx.nonzero | learnt
 

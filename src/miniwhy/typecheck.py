@@ -83,6 +83,7 @@ class _Checker:
         self.issues: list[TypeIssue] = []
         self.methods = {m.name: m for m in unit.methods}
         self.method: S.MethodDecl | None = None
+        self.decl = None         # the lemma or method being checked
 
     def error(self, msg, node):
         pos = getattr(node, "pos", (0, 0))
@@ -106,6 +107,7 @@ class _Checker:
         return S.SourceUnit(name=self.unit.name, lemmas=lemmas, methods=methods)
 
     def check_lemma(self, lem: S.LemmaDecl) -> S.LemmaDecl:
+        self.decl = lem
         scope = _Scope()
         body = self.formula(lem.statement, scope, CTX_LEMMA)
         if not isinstance(lem.statement, S.Forall):
@@ -113,7 +115,7 @@ class _Checker:
         return S.LemmaDecl(name=lem.name, statement=body, pos=lem.pos)
 
     def check_method(self, m: S.MethodDecl) -> S.MethodDecl:
-        self.method = m
+        self.method = self.decl = m
         scope = _Scope()
         seen = set()
         for name, ty in m.params:
@@ -477,12 +479,13 @@ def _at_label(label: str, arr: S.Expr) -> S.Expr:
 
 def _check(unit: S.SourceUnit):
     """(rewritten unit, issues). Nesting too deep for the recursive checker
-    is an issue at the method being checked, not a RecursionError."""
+    is an issue at the lemma or method being checked, not a
+    RecursionError."""
     c = _Checker(unit)
     try:
         return c.run(), c.issues
     except RecursionError:
-        where = getattr(c.method, "pos", (0, 0))
+        where = getattr(c.decl, "pos", (0, 0))
         return None, c.issues + [TypeIssue("nesting too deep", where)]
 
 

@@ -248,3 +248,22 @@ def test_nesting_too_deep_exits_2_without_a_traceback(capsys, tmp_path, text):
         code, _, err = run_cli(capsys, *argv[:1], str(src), *argv[1:])
         assert code == 2, argv
         assert "nesting too deep" in err and "Traceback" not in err
+
+
+def test_a_unit_too_deep_to_compile_exits_2_on_run(capsys, tmp_path):
+    # the requires has 400 conjuncts: it typechecks, compiling overflows
+    src = tmp_path / "deep.mjml"
+    src.write_text("/*@ requires " + " && ".join(f"x > {-i}" for i in range(400))
+                   + "; @*/\nint f(int x) { return x; }", encoding="utf-8")
+    assert run_cli(capsys, "check", str(src))[0] == 0
+    code, _, err = run_cli(capsys, "run", str(src), "--method", "f", "--args", "[1]")
+    assert code == 2
+    assert "nesting too deep to compile" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal", ["\u00b2", "1\u00b2", "1.\u00b2", "1e\u00b2"])
+def test_digits_that_are_not_decimal_exit_2(capsys, tmp_path, literal):
+    src = tmp_path / "digits.mjml"
+    src.write_text(f"/*@ lemma l: {literal} > 0; @*/", encoding="utf-8")
+    assert cli.main(["check", str(src)]) == 2
+    assert "parse error" in capsys.readouterr().err

@@ -151,6 +151,20 @@ def test_recursion_depth_limit():
     assert "depth limit" in out.error
 
 
+LONG_REQUIRES = ("/*@ requires " + " && ".join(f"x > {-i}" for i in range(400))
+                 + "; @*/\nint f(int x) { return x; }")
+
+
+def test_a_unit_that_typechecks_but_is_too_deep_to_compile_is_an_error():
+    # compiling takes about three frames per nesting level, checking fewer
+    tu = typecheck(parse(LONG_REQUIRES))
+    with pytest.raises(MiniWhyError, match="nesting too deep to compile"):
+        exec_method(tu, "f", [1])
+    f = tu.unit.methods[0].spec.requires
+    with pytest.raises(EvalError, match="nesting too deep to compile"):
+        CompiledFormula(f, {"Here": {"x": 1}})
+
+
 def test_do_while_checks_invariant_after_first_body():
     # invariant is false on entry but true after one body execution: the
     # do-while head check happens only after the first body run

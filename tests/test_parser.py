@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from miniwhy import syntax as S
@@ -93,6 +95,18 @@ def test_scientific_literal_value():
     u = parse("void m() { real eps = 1.2E-7; }")
     lit = u.methods[0].body.stmts[0].init
     assert isinstance(lit, S.RealLit) and lit.text == "1.2E-7"
+
+
+@pytest.mark.parametrize("literal", ["\u00b2", "1\u00b2", "1.\u00b2", "1e\u00b2"])
+def test_digits_that_are_not_decimal_are_a_parse_error(literal):
+    # str.isdigit holds for a superscript, which int() rejects
+    with pytest.raises(ParseError):
+        parse(f"/*@ lemma l: {literal} > 0; @*/")
+
+
+def test_decimal_digits_of_any_script_are_read():
+    u = parse("/*@ lemma l: \u0661.\u0665 > 0.0; @*/")    # Arabic-Indic 1.5
+    assert u.lemmas[0].statement.left.value == Fraction(3, 2)
 
 
 def test_lemma_parses():

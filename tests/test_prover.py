@@ -260,6 +260,54 @@ def test_disequality_split_leaves_keep_their_order():
     ]
 
 
+XYK = {"x": S.REAL, "y": S.REAL, "k": S.INT}
+
+
+@pytest.mark.parametrize("text, int_keys, opaque, divisions", [
+    # the outer quotient cancels between the sides and is still carried,
+    # after the quotients inside it
+    ("(x / y) / (y / x) + 1.0 != (x / y) / (y / x)", set(), True,
+     ["|x / y|", "|y / x|", "|x / y / (y / x)|"]),
+    ("k * k != k", {"k", "|k * k|"}, True, []),
+    ("x != y", set(), False, []),
+])
+def test_both_sides_of_a_split_carry_what_their_comparison_abstracts(
+        text, int_keys, opaque, divisions):
+    cmp, forms = typed_formula(text, XYK), {}
+    lt, gt = prover._constraint("<", cmp, forms), prover._constraint(">", cmp, forms)
+    assert lt.lin.neg_key() == gt.lin.key()
+    for c in (lt, gt):
+        assert (c.int_keys, c.opaque) == (int_keys, opaque)
+        assert [k for k, _, _ in c.divisions] == divisions
+    assert ([(n.key(), d.key()) for _, n, d in lt.divisions]
+            == [(n.key(), d.key()) for _, n, d in gt.divisions])
+    assert prover._constraint("<", cmp, forms) is lt     # once per op and table
+
+
+PKX = {"p": S.BOOL, "k": S.INT, "x": S.REAL}
+
+
+@pytest.mark.parametrize("text, why", [
+    ("p ==> k > 0", "nonlinear terms abstracted"),
+    ("p ==> x > 0.0", "nonlinear terms abstracted"),
+    ("k > 0 ==> k > 1", "integer-sorted symbols (rational decision is incomplete)"),
+    ("(p && x > 0.0) ==> !p || x > 1.0", "nonlinear terms abstracted"),
+])
+def test_a_boolean_atom_or_an_integer_key_leaves_a_satisfiable_leaf_unknown(text, why):
+    # a boolean atom in the conjunct counts as abstracted even when the
+    # leaf's constraints carry nothing (p ==> x > 0.0)
+    st = prove_internal(mk(typed_formula(text, PKX), sorts=PKX))
+    assert st.status == "unknown"
+    assert st.reason == f"satisfiable abstraction: {why}"
+
+
+def test_a_boolean_atom_beside_its_negation_closes_the_disjunct():
+    st = prove_internal(mk(typed_formula("(p && !p) ==> k > 1", PKX), sorts=PKX))
+    assert st.proved
+    assert st.rule_trace == ["simplify", "negate/nnf/dnf: 1 disjunct(s)",
+                             "fourier-motzkin: every disjunct closed"]
+
+
 @pytest.mark.parametrize("hyp, goal, proved", [
     ("x > 0 && y > 0", "x / y > 0", True),
     ("2 * x > 0 && 3 * y > 0", "x / y > 0", True),

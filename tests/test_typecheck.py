@@ -188,6 +188,15 @@ def test_nesting_too_deep_to_typecheck_is_a_type_error():
     assert [i.message for i in check_unit(unit)] == ["nesting too deep"]
 
 
+def test_nesting_too_deep_in_a_lemma_is_reported_at_the_lemma():
+    unit = parse("\n/*@ lemma l: \\forall integer q; "
+                 + " + ".join(["q"] * 500) + " >= 0; @*/")
+    issues = check_unit(unit)
+    assert [i.message for i in issues] == ["nesting too deep"]
+    assert issues[0].pos == unit.lemmas[0].pos
+    assert unit.lemmas[0].pos[0] == 2
+
+
 @pytest.mark.parametrize("label, wrapper", [
     ("Old", S.OldExpr), ("Pre", S.OldExpr), ("LoopEntry", S.AtLabel),
     ("Here", None)])

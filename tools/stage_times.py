@@ -103,6 +103,8 @@ def _one_pass(pkg, sources, sub_spent):
         sub_before = {s: spent[0] for s, spent in sub_spent.items()}
         residue = [ob for ob in obset
                    if prover.prove_internal(ob).status == "unknown"]
+        # as `miniwhy prove`, release the prover table before export
+        obset._forms.clear()
         t.append(time.perf_counter())
         docs = [d for ob in residue
                 for d in (export.export_smtlib(ob), export.export_sexp(ob))]
