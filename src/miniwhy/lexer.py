@@ -1,13 +1,17 @@
 """Tokenizer for MiniJML source text.
 
-Annotation blocks are delimited by /*@ ... @*/ and tokenized in the same
-stream as program text; a leading '@' on annotation continuation lines is
-skipped, JML-style. Ordinary // and /* */ comments are discarded. Numeric
-literals take no suffix: `50f` is a lex error by design.
+One table, `_LEXEME`, states every lexeme class as a regular expression;
+`tokenize` matches their ordered alternation and dispatches on the class
+that matched. Annotation blocks are delimited by /*@ ... @*/ and tokenized
+in the same stream as program text; a leading '@' on annotation
+continuation lines is skipped, JML-style. Ordinary // and /* */ comments
+are discarded. Identifiers are ASCII. Numeric literals take no suffix:
+`50f` is a lex error by design.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,127 +72,76 @@ def decimal_value(text: str) -> Fraction:
     return base / Fraction(10) ** (-exp)
 
 
+# The lexeme classes, tried in order at each position: the first class that
+# matches names the lexeme, and `other` catches any character that starts
+# none. A number keeps the letter that follows it, which makes it a
+# malformed literal. A word is ASCII, the alphabet that every export dialect
+# can carry.
+_LEXEME = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in (
+    ("newline", r"\n"),
+    ("blanks", r"[ \t\r]+"),
+    ("at", r"@(?!\*/)"),
+    ("line_comment", r"//[^\n]*"),
+    ("block_comment", r"/\*(?!@).*?\*/"),
+    ("open_comment", r"/\*(?!@)"),
+    ("number", r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?[A-Za-z_]?"),
+    ("word", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("backslash", r"\\[A-Za-z]*"),
+    ("symbol", "|".join(map(re.escape, sorted(SYMBOLS, key=len, reverse=True)))),
+    ("other", "."),
+)), re.DOTALL)
+
+
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
+    line, col = 1, 1
     in_annot = False
     at_line_start = True
-
-    def err(msg):
-        raise ParseError(msg, line, col)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            at_line_start = True
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
+    for m in _LEXEME.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
         # JML continuation marker: '@' after line start inside an annotation
-        if c == "@" and not text.startswith("@*/", i):
-            if in_annot and at_line_start:
-                i += 1
-                col += 1
-                continue
-            err("unexpected '@'")
-        at_line_start = False
-        # comments
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            if j < 0:
-                break
-            i = j
+        if kind == "at" and not (in_annot and at_line_start):
+            raise ParseError("unexpected '@'", line, col)
+        at_line_start = kind == "newline" or (at_line_start and kind in ("blanks", "at"))
+        if "\n" in lexeme:     # a newline, or a comment over several lines
+            line += lexeme.count("\n")
+            col = len(lexeme) - lexeme.rfind("\n")
             continue
-        if text.startswith("/*", i) and not text.startswith("/*@", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                err("unterminated comment")
-            skipped = text[i:j + 2]
-            nl = skipped.count("\n")
-            if nl:
-                line += nl
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = j + 2
+        if kind == "line_comment":
+            # the column stays at the comment: the eof token takes it when
+            # the input ends inside the comment
             continue
-        # numbers
-        if c.isdecimal():
-            j = i
-            isreal = False
-            while j < n and text[j].isdecimal():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdecimal():
-                isreal = True
-                j += 1
-                while j < n and text[j].isdecimal():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdecimal():
-                    isreal = True
-                    j = k
-                    while j < n and text[j].isdecimal():
-                        j += 1
-            if j < n and (text[j].isalpha() or text[j] == "_"):
-                err(f"malformed numeric literal {text[i:j + 1]!r} (suffixes are not allowed)")
-            lit = text[i:j]
-            toks.append(Token("real" if isreal else "int", lit, line, col))
-            col += j - i
-            i = j
-            continue
-        # identifiers / keywords
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in FORBIDDEN_WORDS:
-                err(f"reserved word {word!r} is not part of the language")
-            kind = "keyword" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        # backslash constructs
-        if c == "\\":
-            j = i + 1
-            while j < n and text[j].isalpha():
-                j += 1
-            word = text[i + 1:j]
-            if word not in BACKSLASH_WORDS:
-                err(f"unknown construct '\\{word}'")
-            toks.append(Token("backslash", word, line, col))
-            col += j - i
-            i = j
-            continue
-        # symbols, longest match first
-        for s in SYMBOLS:
-            if text.startswith(s, i):
-                if s == "/*@":
-                    if in_annot:
-                        err("nested annotation block")
-                    in_annot = True
-                elif s == "@*/":
-                    if not in_annot:
-                        err("'@*/' outside an annotation block")
-                    in_annot = False
-                toks.append(Token("symbol", s, line, col))
-                col += len(s)
-                i += len(s)
-                break
-        else:
-            err(f"unexpected character {c!r}")
+        if kind == "number":
+            if not lexeme[-1].isdecimal():
+                raise ParseError(f"malformed numeric literal {lexeme!r} "
+                                 "(suffixes are not allowed)", line, col)
+            toks.append(Token("int" if lexeme.isdecimal() else "real",
+                              lexeme, line, col))
+        elif kind == "word":
+            if lexeme in FORBIDDEN_WORDS:
+                raise ParseError(f"reserved word {lexeme!r} is not part of the language",
+                                 line, col)
+            toks.append(Token("keyword" if lexeme in KEYWORDS else "ident",
+                              lexeme, line, col))
+        elif kind == "backslash":
+            if lexeme[1:] not in BACKSLASH_WORDS:
+                raise ParseError(f"unknown construct '{lexeme}'", line, col)
+            toks.append(Token("backslash", lexeme[1:], line, col))
+        elif kind == "symbol":
+            if lexeme == "/*@":
+                if in_annot:
+                    raise ParseError("nested annotation block", line, col)
+                in_annot = True
+            elif lexeme == "@*/":
+                if not in_annot:
+                    raise ParseError("'@*/' outside an annotation block", line, col)
+                in_annot = False
+            toks.append(Token("symbol", lexeme, line, col))
+        elif kind == "open_comment":
+            raise ParseError("unterminated comment", line, col)
+        elif kind == "other":
+            raise ParseError(f"unexpected character {lexeme!r}", line, col)
+        col += len(lexeme)
     if in_annot:
         raise ParseError("unterminated annotation block", line, col)
     toks.append(Token("eof", "", line, col))

@@ -6,7 +6,10 @@ Grammar highlights:
   method := spec? rettype IDENT '(' params? ')' block
   spec   := '/*@' ('requires' f ';')* ('ensures' f ';')* behaviour* '@*/'
 
-Relational chains (a <= b < c) are desugared to conjunctions at parse time.
+Binary operators are read by precedence climbing over the one precedence
+table, `syntax.PREC`, which the printer reads too; the lexeme table is
+`lexer._LEXEME`. Relational chains (a <= b < c) are desugared to
+conjunctions at parse time.
 Formula-only constructs (\\old, \\result, \\forall, \\length, Permut, ==>)
 are rejected in program expressions.
 """
@@ -19,6 +22,9 @@ from . import syntax as S
 
 CHAIN_OPS = {"<", "<=", ">", ">="}
 REL_OPS = CHAIN_OPS | {"==", "!="}
+# starting levels in S.PREC: a formula may be an implication, a term (a
+# program expression, an index, an argument) may not
+_IMPLIES, _TERM, _REL = S.PREC["==>"], S.PREC["||"], S.PREC["=="]
 
 
 class _Parser:
@@ -289,61 +295,45 @@ class _Parser:
 
     def expression(self) -> S.Expr:
         """Program expression: two-state constructs and ==> are rejected."""
-        saved = self.in_formula
-        self.in_formula = False
-        try:
-            return self.or_expr()
-        finally:
-            self.in_formula = saved
+        return self.scoped(False, _TERM)
 
     def formula(self) -> S.Expr:
-        saved = self.in_formula
-        self.in_formula = True
-        try:
-            return self.implication()
-        finally:
-            self.in_formula = saved
+        return self.scoped(True, _IMPLIES)
 
     def formula_expr(self) -> S.Expr:
         """Expression in annotation context (ghost init, loop_variant):
         \\old etc. allowed, but it is a term, not an implication."""
+        return self.scoped(True, _TERM)
+
+    def scoped(self, in_formula: bool, prec: int) -> S.Expr:
         saved = self.in_formula
-        self.in_formula = True
+        self.in_formula = in_formula
         try:
-            return self.or_expr()
+            return self.binary(prec)
         finally:
             self.in_formula = saved
 
-    def implication(self) -> S.Expr:
-        left = self.or_expr()
-        if self.at("==>"):
+    def binary(self, prec: int) -> S.Expr:
+        """The operators of S.PREC that bind at level prec or tighter, by
+        precedence climbing. Comparisons do not associate: rel_expr reads
+        them, and a comparison left over after it ends the loop."""
+        left = self.rel_expr() if prec <= _REL else self.unary_expr()
+        while self.cur.kind == "symbol":
+            op = self.cur.text
+            op_prec = S.PREC.get(op)
+            if op_prec is None or op_prec < prec or op_prec == _REL:
+                break
             p = self.pos()
             self.advance()
-            right = self.implication()      # right associative
-            return S.Binary(op="==>", left=left, right=right, pos=p)
-        return left
-
-    def or_expr(self) -> S.Expr:
-        left = self.and_expr()
-        while self.at("||"):
-            p = self.pos()
-            self.advance()
-            left = S.Binary(op="||", left=left, right=self.and_expr(), pos=p)
-        return left
-
-    def and_expr(self) -> S.Expr:
-        left = self.rel_expr()
-        while self.at("&&"):
-            p = self.pos()
-            self.advance()
-            left = S.Binary(op="&&", left=left, right=self.rel_expr(), pos=p)
+            right = self.binary(op_prec if op == "==>" else op_prec + 1)
+            left = S.Binary(op=op, left=left, right=right, pos=p)
         return left
 
     def rel_expr(self) -> S.Expr:
-        left = self.add_expr()
+        left = self.binary(_REL + 1)
         if self.cur.text in ("==", "!="):
             op = self.advance().text
-            right = self.add_expr()
+            right = self.binary(_REL + 1)
             node = S.Binary(op=op, left=left, right=right, pos=left.pos)
             if self.cur.text in REL_OPS:
                 self.fail(f"{op!r} cannot be chained")
@@ -353,26 +343,10 @@ class _Parser:
             ops = []
             while self.cur.text in CHAIN_OPS:
                 ops.append(self.advance().text)
-                links.append(self.add_expr())
+                links.append(self.binary(_REL + 1))
             parts = [S.Binary(op=o, left=links[k], right=links[k + 1], pos=links[k].pos)
                      for k, o in enumerate(ops)]
             return S.conj(parts)
-        return left
-
-    def add_expr(self) -> S.Expr:
-        left = self.mul_expr()
-        while self.cur.text in ("+", "-") and self.cur.kind == "symbol":
-            p = self.pos()
-            op = self.advance().text
-            left = S.Binary(op=op, left=left, right=self.mul_expr(), pos=p)
-        return left
-
-    def mul_expr(self) -> S.Expr:
-        left = self.unary_expr()
-        while self.cur.text in ("*", "/") and self.cur.kind == "symbol":
-            p = self.pos()
-            op = self.advance().text
-            left = S.Binary(op=op, left=left, right=self.unary_expr(), pos=p)
         return left
 
     def unary_expr(self) -> S.Expr:
@@ -390,7 +364,7 @@ class _Parser:
         while self.at("["):
             p = self.pos()
             self.advance()
-            idx = self.expression() if not self.in_formula else self.formula_expr()
+            idx = self.binary(_TERM)
             self.expect("]")
             e = S.Index(array=e, index=idx, pos=p)
         return e
@@ -416,7 +390,7 @@ class _Parser:
             return S.BoolLit(value=False, pos=p)
         if self.at("("):
             self.advance()
-            e = self.implication() if self.in_formula else self.or_expr()
+            e = self.binary(_IMPLIES if self.in_formula else _TERM)
             self.expect(")")
             return e
         if self.at("new"):
@@ -480,8 +454,7 @@ class _Parser:
                 args = []
                 if not self.at(")"):
                     while True:
-                        args.append(self.formula_expr() if self.in_formula
-                                    else self.expression())
+                        args.append(self.binary(_TERM))
                         if not self.at(","):
                             break
                         self.advance()

@@ -4,17 +4,6 @@ from __future__ import annotations
 
 from . import syntax as S
 
-# binding strength, loosest first; unary/postfix handled structurally
-_PREC = {
-    "==>": 1,
-    "||": 2,
-    "&&": 3,
-    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6,
-}
-_UNARY_PREC = 7
-
 
 def expr_to_str(e: S.Expr, parent_prec: int = 0) -> str:
     if isinstance(e, S.IntLit):
@@ -30,10 +19,11 @@ def expr_to_str(e: S.Expr, parent_prec: int = 0) -> str:
     if isinstance(e, S.Coerce):
         return expr_to_str(e.operand, parent_prec)
     if isinstance(e, S.Unary):
-        s = f"{e.op}{expr_to_str(e.operand, _UNARY_PREC)}"
-        return s if parent_prec <= _UNARY_PREC else f"({s})"
+        s = f"{e.op}{expr_to_str(e.operand, S.UNARY_PREC)}"
+        return s if parent_prec <= S.UNARY_PREC else f"({s})"
     if isinstance(e, S.Binary):
-        prec = _PREC[e.op]
+        # binding strengths come from the one table in syntax
+        prec = S.PREC[e.op]
         if e.op == "==>":
             # right associative
             s = f"{expr_to_str(e.left, prec + 1)} {e.op} {expr_to_str(e.right, prec)}"
@@ -41,7 +31,7 @@ def expr_to_str(e: S.Expr, parent_prec: int = 0) -> str:
             s = f"{expr_to_str(e.left, prec)} {e.op} {expr_to_str(e.right, prec + 1)}"
         return s if prec >= parent_prec else f"({s})"
     if isinstance(e, S.Index):
-        return f"{expr_to_str(e.array, _UNARY_PREC)}[{expr_to_str(e.index)}]"
+        return f"{expr_to_str(e.array, S.UNARY_PREC)}[{expr_to_str(e.index)}]"
     if isinstance(e, S.Call):
         return f"{e.name}({', '.join(expr_to_str(a) for a in e.args)})"
     if isinstance(e, S.PredCall):

@@ -366,6 +366,17 @@ def bound_from(g: Expr, name: str):
 COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
+# binding strength of each binary operator, loosest first; the parser and
+# the printer read this one table. Operators associate to the left, except
+# `==>` (to the right) and the comparisons, which share a level and do not
+# associate. Unary operators bind tighter than any binary one.
+PREC = {
+    "==>": 1, "||": 2, "&&": 3,
+    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6,
+}
+UNARY_PREC = 7
+
 
 # ---------------------------------------------------------------------------
 # The term core: every expression rewriter rebuilds terms through these.
@@ -377,19 +388,28 @@ COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 # caller that applies one transformation to many formulas passes them all
 # the same memo dict.
 
-# the fields of each Expr class that hold child expressions (a list field
-# holds a list of them); classes absent here are leaves
+# the fields of each node class that hold child nodes, in dataclass field
+# order (a list field holds a list of them), for expressions, statements and
+# declarations alike; classes absent here are leaves
 CHILDREN = {
     Unary: ("operand",), Coerce: ("operand",), OldExpr: ("operand",),
     AtLabel: ("operand",), LengthExpr: ("array",), NewArray: ("size",),
     Forall: ("body",), Binary: ("left", "right"), Index: ("array", "index"),
     Store: ("array", "index", "value"), Call: ("args",), PredCall: ("args",),
     PermutPred: ("array", "lo", "hi"), PermutAtom: ("a1", "a2", "lo", "hi"),
+    VarDecl: ("init",), Assign: ("expr",), ArrayAssign: ("index", "expr"),
+    If: ("cond", "then", "orelse"), LoopAnnot: ("invariant", "variant"),
+    While: ("annot", "cond", "body"), DoWhile: ("annot", "body", "cond"),
+    Return: ("expr",), AssertStmt: ("formula",), Block: ("stmts",),
+    Behaviour: ("assumes", "ensures"),
+    MethodSpec: ("requires", "ensures", "behaviours"),
+    MethodDecl: ("spec", "body"), LemmaDecl: ("statement",),
+    SourceUnit: ("lemmas", "methods"),
 }
 
 
-def children(e: Expr):
-    """The child expressions of e, in table order."""
+def children(e: Node):
+    """The child nodes of e, in table order."""
     for name in CHILDREN.get(type(e), ()):
         v = getattr(e, name)
         if isinstance(v, list):
@@ -456,21 +476,11 @@ def substitute(f: Expr, env: dict, pinned=(), memo=None) -> Expr:
     return rewrite(f, fn, memo) if env else f
 
 
-def walk(node):
-    """Yield node and all Expr/Stmt descendants (declaration bodies included)."""
+def walk(node: Node):
+    """Yield node and all its descendants through `children`, depth first,
+    the last child's subtree first (declaration bodies included)."""
     stack = [node]
     while stack:
         n = stack.pop()
-        if n is None or not isinstance(n, Node):
-            continue
         yield n
-        for f in getattr(n, "__dataclass_fields__", {}):
-            v = getattr(n, f)
-            if isinstance(v, Node):
-                stack.append(v)
-            elif isinstance(v, list):
-                for item in v:
-                    if isinstance(item, Node):
-                        stack.append(item)
-                    elif isinstance(item, tuple):
-                        stack.extend(x for x in item if isinstance(x, Node))
+        stack.extend(children(n))

@@ -656,17 +656,20 @@ def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
                                     s.formula, base_hyps, base_sources,
                                     old_memo))
 
-    # behaviour passes contribute only their own postcondition chain
+    # behaviour passes contribute only their own postcondition chain. A pass
+    # walks the main pass's statements, so its pre and sides line up one to
+    # one with the main pass's: the chain is in those of kind `behaviour`,
+    # and in any other whose formula differs from the main pass's (a pre
+    # that reached a loop, a return inside a loop body)
+    main = [pre] + [s.formula for s in sides]
     for b in m.spec.behaviours:
         hyps = base_hyps + [unwrap_old(b.assumes)]
         sources = base_sources + ["assumes"]
         engine = _Wp(tunit, m, b.ensures, "behaviour")
         pre, kind, sides = engine.wp(m.body, engine.exit_post, "behaviour", [])
-        if kind == "behaviour":
-            out.append(_make_obligation(mname, next(seq), "behaviour", m.pos[0],
-                                        b.name, pre, hyps, sources, old_memo))
-        for s in sides:
-            if s.kind == "behaviour":
+        chain = [_Side(-1, kind, m.pos[0], "", pre)] + sides
+        for s, main_formula in zip(chain, main):
+            if s.kind == "behaviour" or s.formula != main_formula:
                 detail = b.name if not s.detail else f"{b.name}, {s.detail}"
                 out.append(_make_obligation(mname, next(seq), "behaviour", s.line,
                                             detail, s.formula, hyps, sources,

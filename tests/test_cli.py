@@ -267,3 +267,16 @@ def test_digits_that_are_not_decimal_exit_2(capsys, tmp_path, literal):
     src.write_text(f"/*@ lemma l: {literal} > 0; @*/", encoding="utf-8")
     assert cli.main(["check", str(src)]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def test_a_non_ascii_identifier_exits_2_and_writes_no_document(capsys, tmp_path):
+    src = tmp_path / "square.mjml"
+    src.write_text("/*@ ensures \\result >= 0; @*/\n"
+                   "int f(int x\u00b2) { return x\u00b2 * x\u00b2; }", encoding="utf-8")
+    out_dir = tmp_path / "residue"
+    for argv in (["check"], ["prove", "--export-unproved", "smt2",
+                             "--out-dir", str(out_dir)]):
+        code, _, err = run_cli(capsys, argv[0], str(src), *argv[1:])
+        assert code == 2, argv
+        assert "parse error" in err or "unexpected character" in err, err
+    assert not out_dir.exists() or not os.listdir(out_dir)

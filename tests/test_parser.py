@@ -109,6 +109,14 @@ def test_decimal_digits_of_any_script_are_read():
     assert u.lemmas[0].statement.left.value == Fraction(3, 2)
 
 
+def test_identifiers_are_ascii():
+    # x\u00b2 is no SMT-LIB simple symbol: the scanner reads x and stops
+    with pytest.raises(ParseError) as exc:
+        parse("int f(int x\u00b2) { return 0; }")
+    assert "unexpected character" in str(exc.value)
+    assert exc.value.col == 12
+
+
 def test_lemma_parses():
     u = parse("/*@ lemma pos : \\forall real x y; x > 0 && y > 0 ==> x / y > 0; @*/")
     assert len(u.lemmas) == 1

@@ -211,6 +211,43 @@ def test_behaviour_hypotheses_include_assumes(stddev_unit):
         assert "requires" in ob.hyp_sources
 
 
+BEHAVIOUR_SPEC = ("/*@ requires n >= 0; ensures true;\n"
+                  "  @ behaviour seven: assumes n >= 0; ensures \\result == 7; @*/\n")
+# two bodies in which the behaviour's chain shares an obligation with another
+# kind, each with the statement that breaks the behaviour and one that keeps it
+BEHAVIOUR_BODIES = {
+    # a loop on one path only: the pre's kind is invariant-init
+    "loop-on-one-path": (
+        "int m(int n) { int r = 0; if (n > 5) { int i = 0; "
+        "/*@ loop_invariant 0 <= i; @*/ while (i < 3) { i = i + 1; } r = 7; } "
+        "else { r = %d; } return r; }"),
+    # a return inside the loop body: the chain is in invariant-preserve
+    "return-in-loop": (
+        "int m(int n) { int i = 0; /*@ loop_invariant 0 <= i; @*/ "
+        "while (i < 3) { if (n == 2) { return %d; } i = i + 1; } return 7; }"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BEHAVIOUR_BODIES))
+def test_a_behaviour_chain_in_another_kinds_obligation_is_kept(shape):
+    tu = typecheck(parse(BEHAVIOUR_SPEC + BEHAVIOUR_BODIES[shape] % 1))
+    assert exec_method(tu, "m", [2], "rational").status == "contract-violation"
+    statuses = [prove_internal(ob).status for ob in generate_obligations(tu)
+                if ob.kind == "behaviour"]
+    assert any(st != "proved-internal" for st in statuses), statuses
+
+
+@pytest.mark.parametrize("shape", sorted(BEHAVIOUR_BODIES))
+def test_a_kept_behaviour_chain_is_proved_and_holds_on_traces(shape):
+    tu = typecheck(parse(BEHAVIOUR_SPEC + BEHAVIOUR_BODIES[shape] % 7))
+    obs = generate_obligations(tu)
+    assert all(prove_internal(ob).status == "proved-internal" for ob in obs)
+    for n in (2, 7):
+        out = exec_method(tu, "m", [n], "rational", trace=True)
+        assert out.status == "normal", out.error
+        assert not instantiate_on_trace(obs, out).failed, n
+
+
 def test_assert_becomes_side_obligation_and_assumption():
     src = ("/*@ requires n >= 1; ensures \\result >= 2; @*/\n"
            "int f(int n) {\n"

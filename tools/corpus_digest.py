@@ -3,7 +3,9 @@ optionally compared with a second checkout.
 
     python3 tools/corpus_digest.py [--against PATH]
 
-For each corpus unit it generates the obligations and hashes (SHA-256), per
+For each corpus unit it hashes (SHA-256) the unit's token stream (kind,
+text, line and column of each token) and `repr` of its parse tree (source
+positions included); then it generates the obligations and hashes, per
 obligation: the id, the name, `repr` of the goal (source positions
 included), the printed hypotheses, the sorted `var_sorts`, the status and
 detail of `prove_internal`, and the SMT-LIB and s-expression exports (or
@@ -32,6 +34,8 @@ def _unit_digest(name: str) -> str:
     from miniwhy import corpus
     from miniwhy.errors import ExportError
     from miniwhy.export import export_sexp, export_smtlib, export_xml
+    from miniwhy.lexer import tokenize
+    from miniwhy.parser import parse
     from miniwhy.printer import expr_to_str
     from miniwhy.prover import prove_internal
     from miniwhy.vcgen import generate_obligations
@@ -43,6 +47,10 @@ def _unit_digest(name: str) -> str:
             return f"ExportError: {ex}"
 
     digest = hashlib.sha256()
+    text = corpus.source_text(name)
+    digest.update(json.dumps([(t.kind, t.text, t.line, t.col)
+                              for t in tokenize(text)]).encode())
+    digest.update(repr(parse(text, name)).encode())
     obset = generate_obligations(corpus.unit(name))
     for ob in obset:
         status = prove_internal(ob)
