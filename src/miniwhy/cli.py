@@ -1,8 +1,12 @@
 """Command-line front-end: check, run, vc, prove, test, corpus.
 
 Exit codes: 0 success, 1 contract/proof/harness failure, 2 usage or
-input errors. Reports are deterministic JSON (stable key order, LF,
-timing omitted unless MINIWHY_TIMINGS=1).
+input errors. Each subcommand returns its exit code and its report (None
+when it prints no report). `main` is the one failure boundary: a
+MiniWhyError or OSError from any subcommand ends there as the stderr line
+`<file>: <what>: <message>` and exit 2, with no report written; otherwise
+`main` adds the timing and writes the report. Reports are deterministic
+JSON (stable key order, LF, timing omitted unless MINIWHY_TIMINGS=1).
 """
 
 from __future__ import annotations
@@ -12,16 +16,21 @@ import hashlib
 import json
 import os
 import sys
+import time
 
 from . import __version__, corpus
-from .errors import MiniWhyError, ParseError, TypeCheckFailure
+from .errors import ExportError, MiniWhyError, ParseError, TypeCheckFailure
 from .export import export_smtlib, export_sexp, export_xml, validate
 from .interp import exec_method
 from .parser import parse
 from .prover import prove_internal
-from .typecheck import check_unit, typecheck
+from .typecheck import typecheck
 from .values import BINARY64, MODES, RATIONAL
-from .vcgen import generate_obligations
+from .vcgen import ObligationSet, generate_obligations
+
+# what each failure is called on stderr; any other MiniWhyError is an `error`
+_LABELS = ((ParseError, "parse error"), (TypeCheckFailure, "type error"),
+           (ExportError, "export error"), (OSError, "i/o error"))
 
 
 def _seed_default():
@@ -59,62 +68,48 @@ def write_report(report: dict, path=None):
 
 
 def _load(path: str):
+    """The file's typed unit and the SHA-256 of its bytes; bytes that are not
+    UTF-8 are a parse error at the first bad one."""
     with open(path, "rb") as fh:
         data = fh.read()
-    digest = hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as ex:
+        line_start = data.rfind(b"\n", 0, ex.start) + 1
+        raise ParseError(f"invalid UTF-8 byte 0x{data[ex.start]:02x}",
+                         data.count(b"\n", 0, ex.start) + 1,
+                         len(data[line_start:ex.start].decode("utf-8")) + 1) from None
     name = os.path.splitext(os.path.basename(path))[0]
-    return parse(data.decode("utf-8"), name), digest
+    return typecheck(parse(text, name)), hashlib.sha256(data).hexdigest()
 
 
-def _maybe_timing(report, t0):
-    if os.environ.get("MINIWHY_TIMINGS") == "1":
-        import time
-        report["timing"] = {"elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)}
+def _obligations(args):
+    tunit, digest = _load(args.file)
+    return generate_obligations(tunit, args.method), digest
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, report or None)
 
-def cmd_check(args) -> int:
-    try:
-        unit, _ = _load(args.file)
-    except ParseError as ex:
-        print(f"{args.file}: parse error: {ex}", file=sys.stderr)
-        return 2
-    issues = check_unit(unit)
-    for issue in issues:
-        print(f"{args.file}:{issue}", file=sys.stderr)
-    if issues:
-        return 2
+def cmd_check(args):
+    unit = _load(args.file)[0].source
     print(f"{args.file}: OK ({len(unit.methods)} method(s), "
           f"{len(unit.lemmas)} lemma(s))")
-    return 0
+    return 0, None
 
 
-def cmd_run(args) -> int:
-    import time
-    t0 = time.perf_counter()
-    try:
-        unit, digest = _load(args.file)
-        tunit = typecheck(unit)
-    except (ParseError, TypeCheckFailure) as ex:
-        print(f"{args.file}: {ex}", file=sys.stderr)
-        return 2
+def cmd_run(args):
+    tunit, digest = _load(args.file)
     try:
         call_args = json.loads(args.args)
     except json.JSONDecodeError as ex:
-        print(f"--args is not valid JSON: {ex}", file=sys.stderr)
-        return 2
+        raise MiniWhyError(f"--args is not valid JSON: {ex}") from None
+    except RecursionError:
+        raise MiniWhyError("--args is nested too deeply") from None
     if not isinstance(call_args, list):
-        print("--args must be a JSON array matching parameter order",
-              file=sys.stderr)
-        return 2
-    try:
-        outcome = exec_method(tunit, args.method, call_args, args.mode,
-                              collect_events=True)
-    except MiniWhyError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
+        raise MiniWhyError("--args must be a JSON array matching parameter order")
+    outcome = exec_method(tunit, args.method, call_args, args.mode,
+                          collect_events=True)
     report = _report("run", args.file, digest)
     report["checks"] = [
         {"case": f"{e.method}:{e.kind}" + (f":{e.label}" if e.label else ""),
@@ -129,9 +124,7 @@ def cmd_run(args) -> int:
         "error": outcome.error,
         "checks_passed": outcome.checks_passed,
     }
-    _maybe_timing(report, t0)
-    write_report(report, args.out)
-    return 0 if outcome.status == "normal" else 1
+    return (0 if outcome.status == "normal" else 1), report
 
 
 def _jsonable(v):
@@ -143,16 +136,8 @@ def _jsonable(v):
     return v
 
 
-def cmd_vc(args) -> int:
-    import time
-    t0 = time.perf_counter()
-    try:
-        unit, digest = _load(args.file)
-        tunit = typecheck(unit)
-        obset = generate_obligations(tunit, args.method)
-    except (ParseError, TypeCheckFailure, MiniWhyError) as ex:
-        print(f"{args.file}: {ex}", file=sys.stderr)
-        return 2
+def cmd_vc(args):
+    obset, digest = _obligations(args)
     report = _report("vc", args.file, digest)
     report["obligations"] = [
         {"id": ob.id, "name": ob.name, "kind": ob.kind, "status": ob.status,
@@ -160,99 +145,73 @@ def cmd_vc(args) -> int:
         for ob in obset]
     report["summary"] = {"unit": obset.unit, "unit_sha": obset.unit_digest,
                          "count": len(obset)}
-    _maybe_timing(report, t0)
-    write_report(report, args.out)
-    return 0
+    return 0, report
 
 
 _EXPORT_EXT = {"smt2": ".smt2", "sexp": ".lisp.sexp"}
 
 
-def cmd_prove(args) -> int:
-    import time
-    t0 = time.perf_counter()
-    try:
-        unit, digest = _load(args.file)
-        tunit = typecheck(unit)
-        obset = generate_obligations(tunit, args.method)
-    except (ParseError, TypeCheckFailure, MiniWhyError) as ex:
-        print(f"{args.file}: {ex}", file=sys.stderr)
-        return 2
-    refuted = 0
-    residue = []
-    records = []
-    for ob in obset:
-        st = prove_internal(ob)
-        ob.status = st.status
-        if st.status == "refuted":
-            refuted += 1
-        elif not st.proved:
-            residue.append(ob)
-        records.append({"id": ob.id, "name": ob.name, "kind": ob.kind,
-                        "status": ob.status, "detail": st.detail})
+def _documents(fmt, obset, residue):
+    """(file name, validated document) for each document of the residue."""
+    if fmt == "xml":
+        sub = ObligationSet(unit=obset.unit, unit_digest=obset.unit_digest,
+                            obligations=residue, methods=obset.methods)
+        docs = [(f"{obset.unit}.xll.xml", export_xml(sub))]
+    else:
+        exporter = export_smtlib if fmt == "smt2" else export_sexp
+        docs = [(ob.id.replace(":", "_") + _EXPORT_EXT[fmt], exporter(ob))
+                for ob in residue]
+    for _, doc in docs:
+        validate(doc)
+    return docs
+
+
+def cmd_prove(args):
+    obset, digest = _obligations(args)
+    proofs = [prove_internal(ob) for ob in obset]
     # export reads none of the prover's table; held on, it slows the
     # collector through export and validation
     obset._forms.clear()
-    exported = 0
-    if args.export_unproved and residue:
+    residue = [ob for ob, st in zip(obset, proofs) if st.status == "unknown"]
+    # every document is rendered before any is written, so an ExportError
+    # leaves no output behind
+    docs = _documents(args.export_unproved, obset, residue) \
+        if args.export_unproved and residue else []
+    if docs:
         os.makedirs(args.out_dir, exist_ok=True)
-        if args.export_unproved == "xml":
-            from .vcgen import ObligationSet
-            sub = ObligationSet(unit=obset.unit, unit_digest=obset.unit_digest,
-                                obligations=residue, methods=obset.methods)
-            doc = export_xml(sub)
-            validate(doc)
-            fname = os.path.join(args.out_dir, f"{obset.unit}.xll.xml")
-            with open(fname, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(doc.text)
-            exported = len(residue)
-        else:
-            exporter = export_smtlib if args.export_unproved == "smt2" else export_sexp
-            for ob in residue:
-                doc = exporter(ob)
-                validate(doc)
-                fname = os.path.join(
-                    args.out_dir,
-                    ob.id.replace(":", "_") + _EXPORT_EXT[args.export_unproved])
-                with open(fname, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(doc.text)
-                exported += 1
-        for ob in residue:
-            ob.status = "exported"
-        for rec in records:
-            if rec["status"] == "unknown":
-                rec["status"] = "exported"
+    for fname, doc in docs:
+        with open(os.path.join(args.out_dir, fname), "w", encoding="utf-8",
+                  newline="\n") as fh:
+            fh.write(doc.text)
+    unproved = "exported" if docs else "unknown"
+    records = [{"id": ob.id, "name": ob.name, "kind": ob.kind,
+                "status": unproved if st.status == "unknown" else st.status,
+                "detail": st.detail}
+               for ob, st in zip(obset, proofs)]
+    statuses = [r["status"] for r in records]
     report = _report("prove", args.file, digest)
     report["obligations"] = records
     report["summary"] = {
         "count": len(obset),
-        "proved_internal": sum(1 for r in records if r["status"] == "proved-internal"),
-        "unknown": sum(1 for r in records if r["status"] == "unknown"),
-        "exported": exported,
-        "refuted": refuted,
+        "proved_internal": statuses.count("proved-internal"),
+        "unknown": statuses.count("unknown"),
+        "exported": statuses.count("exported"),
+        "refuted": statuses.count("refuted"),
     }
-    _maybe_timing(report, t0)
-    write_report(report, args.out)
-    return 1 if refuted else 0
+    return (1 if statuses.count("refuted") else 0), report
 
 
-def cmd_test(args) -> int:
-    import time
-    t0 = time.perf_counter()
+def cmd_test(args):
     seed = args.seed if args.seed is not None else _seed_default()
     entries = [args.entry] if args.entry else \
         [e.name for e in corpus.corpus_sources() if e.method is not None]
     report = _report("test")
     total_failures = 0
     for name in entries:
-        try:
-            if args.exhaustive:
-                rep = corpus.run_exhaustive(name, mode=args.mode)
-            else:
-                rep = corpus.run_randomized(name, args.cases, seed, args.mode)
-        except MiniWhyError as ex:
-            print(f"{name}: {ex}", file=sys.stderr)
-            return 2
+        if args.exhaustive:
+            rep = corpus.run_exhaustive(name, mode=args.mode)
+        else:
+            rep = corpus.run_randomized(name, args.cases, seed, args.mode)
         total_failures += len(rep.failures)
         for idx, case_args, reason in rep.failures[:args.max_failures]:
             report["checks"].append({"case": f"{name}[{idx}]", "verdict": "fail",
@@ -261,18 +220,13 @@ def cmd_test(args) -> int:
             "cases": rep.cases, "failures": len(rep.failures),
             "seed": rep.seed, "mode": rep.mode,
         }
-    _maybe_timing(report, t0)
-    write_report(report, args.out)
-    return 0 if total_failures == 0 else 1
+    return (0 if total_failures == 0 else 1), report
 
 
-def cmd_corpus(args) -> int:
-    if args.action == "list":
-        for e in corpus.corpus_sources():
-            print(e.name)
-        return 0
-    print(f"unknown corpus action {args.action!r}", file=sys.stderr)
-    return 2
+def cmd_corpus(args):
+    for e in corpus.corpus_sources():
+        print(e.name)
+    return 0, None
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
-    except OSError as ex:
-        print(f"i/o error: {ex}", file=sys.stderr)
+        code, report = args.fn(args)
+        if report is not None:
+            if os.environ.get("MINIWHY_TIMINGS") == "1":
+                report["timing"] = {
+                    "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)}
+            write_report(report, args.out)
+    except (MiniWhyError, OSError) as ex:
+        what = next((w for cls, w in _LABELS if isinstance(ex, cls)), "error")
+        subject = vars(args).get("file") or vars(args).get("entry") or "miniwhy"
+        print(f"{subject}: {what}: {ex}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -104,21 +104,14 @@ def _stddev_expected(n, sum_, sum2, mode):
     Returns ('zero', None) when the result must be exactly 0, else
     ('sqrt-bound', v) where the result must satisfy the sqrt bound for v.
     """
-    if mode == RATIONAL:
-        n, sum_, sum2 = Fraction(n), Fraction(sum_), Fraction(sum2)
-        if n <= 0:
-            return "zero", None
-        d = (n * sum2 - sum_ * sum_) / n
-        if d <= 0:
-            return "zero", None
-        return "sqrt-bound", d / (n - 1)
-    n, sum_, sum2 = float(n), float(sum_), float(sum2)
-    if n <= 0.0:
+    num = Fraction if mode == RATIONAL else float
+    n, sum_, sum2 = num(n), num(sum_), num(sum2)
+    if n <= 0:
         return "zero", None
     d = (n * sum2 - sum_ * sum_) / n
-    if d <= 0.0:
+    if d <= 0:
         return "zero", None
-    return "sqrt-bound", d / (n - 1.0)
+    return "sqrt-bound", d / (n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +172,13 @@ def _check_oracle(e: CorpusEntry, args, result, mode) -> str | None:
             if result != 0:
                 return f"expected exactly 0, got {result!r}"
             return None
-        r = Fraction(result)
-        vf = Fraction(v)
-        if not (result >= 0 and r * r >= vf and r * r - vf < SQRT_EPS):
+        if not _sqrt_bound_ok(result, v):
             return f"stddev bound violated for v={v!r}: result {result!r}"
         return None
     if e.oracle == "translate-identity":
         x, y, dx, dy = args
-        if mode == RATIONAL:
-            want = [Fraction(x) + Fraction(dx), Fraction(y) + Fraction(dy)]
-        else:
-            want = [float(x) + float(dx), float(y) + float(dy)]
+        num = Fraction if mode == RATIONAL else float
+        want = [num(x) + num(dx), num(y) + num(dy)]
         if list(result) != want:
             return f"result {result!r} != {want!r}"
         return None
@@ -205,26 +194,30 @@ def run_case(name: str, args, mode: str):
     return out, _check_oracle(e, args, out.return_value, mode)
 
 
-def run_randomized(name: str, cases: int, seed: int, mode: str = BINARY64) -> HarnessReport:
-    """Run `cases` generated inputs through the interpreter with contract
-    checking and oracle comparison; failures list case index, args, reason."""
-    e = entry(name)
+def _run_cases(name: str, cases, mode: str, seed: int = 0) -> HarnessReport:
+    """Run each (index, args) case; failures list case index, args, reason."""
     report = HarnessReport(entry=name, cases=0, seed=seed, mode=mode)
     t0 = time.perf_counter()
-    if e.method is None:
-        report.elapsed = time.perf_counter() - t0
-        return report
-    for i in range(cases):
-        args = random_case(name, seed, i)
-        if mode == BINARY64:
-            args = [[float(x) for x in a] if isinstance(a, list)
-                    else (float(a) if isinstance(a, Fraction) else a) for a in args]
+    for i, args in cases:
         _, reason = run_case(name, args, mode)
         report.cases += 1
         if reason is not None:
             report.failures.append((i, args, reason))
     report.elapsed = time.perf_counter() - t0
     return report
+
+
+def run_randomized(name: str, cases: int, seed: int, mode: str = BINARY64) -> HarnessReport:
+    """Run `cases` generated inputs through the interpreter with contract
+    checking and oracle comparison."""
+    def case(i):
+        args = random_case(name, seed, i)
+        if mode == BINARY64:
+            args = [[float(x) for x in a] if isinstance(a, list)
+                    else (float(a) if isinstance(a, Fraction) else a) for a in args]
+        return i, args
+    count = cases if entry(name).method is not None else 0
+    return _run_cases(name, map(case, range(count)), mode, seed)
 
 
 def exhaustive_quickselect_cases(max_len: int = 6, values=(0, 1, 2, 3)):
@@ -240,12 +233,5 @@ def run_exhaustive(name: str = "find_nth_lowest_number", mode: str = RATIONAL,
     """Exhaustive quickselect grid; the desk-scale total-correctness check."""
     if name != "find_nth_lowest_number":
         raise MiniWhyError(f"no exhaustive grid is defined for {name!r}")
-    report = HarnessReport(entry=name, cases=0, seed=0, mode=mode)
-    t0 = time.perf_counter()
-    for i, (buf, buflen, n) in enumerate(exhaustive_quickselect_cases(max_len, values)):
-        _, reason = run_case(name, [buf, buflen, n], mode)
-        report.cases += 1
-        if reason is not None:
-            report.failures.append((i, [buf, buflen, n], reason))
-    report.elapsed = time.perf_counter() - t0
-    return report
+    grid = exhaustive_quickselect_cases(max_len, values)
+    return _run_cases(name, ((i, list(case)) for i, case in enumerate(grid)), mode)

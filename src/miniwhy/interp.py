@@ -101,13 +101,12 @@ class ExecutionOutcome:
 
 
 class Kernel:
-    """Per-execution context: mode flags, counters, event/trace sinks."""
+    """Per-execution context: event and trace flags, counters, sinks."""
 
-    __slots__ = ("mode", "collect_events", "tracing", "events", "trace",
+    __slots__ = ("collect_events", "tracing", "events", "trace",
                  "passed", "steps", "max_steps", "depth", "max_depth")
 
-    def __init__(self, mode, collect_events, tracing, max_steps, max_depth):
-        self.mode = mode
+    def __init__(self, collect_events, tracing, max_steps, max_depth):
         self.collect_events = collect_events
         self.tracing = tracing
         self.events = []
@@ -120,15 +119,14 @@ class Kernel:
 
 
 class Frame:
-    __slots__ = ("cur", "old", "res", "loopentry", "K", "method")
+    __slots__ = ("cur", "old", "res", "loopentry", "K")
 
-    def __init__(self, cur, K, method):
+    def __init__(self, cur, K):
         self.cur = cur
         self.old = None
         self.res = None
         self.loopentry = None
         self.K = K
-        self.method = method
 
 
 def _snapshot_slots(slots):
@@ -643,7 +641,7 @@ class CompiledMethod:
             K.depth -= 1
             raise ExecutionFault(f"call depth limit {K.max_depth} exceeded")
         try:
-            frame = Frame([None] * len(self.slot_names), K, self.name)
+            frame = Frame([None] * len(self.slot_names), K)
             for i, a in zip(self.param_slots, args):
                 frame.cur[i] = list(a) if isinstance(a, list) else a
             frame.old = _snapshot_slots(frame.cur)
@@ -871,7 +869,7 @@ def exec_method(tunit: TypedUnit, method: str, args, mode: str = RATIONAL, *,
     if len(args) != len(cm.decl.params):
         raise ExecutionFault(f"{method!r} expects {len(cm.decl.params)} arguments")
     vals = [coerce_arg(a, ty, mode) for a, (_, ty) in zip(args, cm.decl.params)]
-    K = Kernel(mode, collect_events, trace, max_loop_steps, max_depth)
+    K = Kernel(collect_events, trace, max_loop_steps, max_depth)
     outcome = ExecutionOutcome(status="normal", method=method, mode=mode,
                                unit_digest=unit_digest(tunit))
     try:
@@ -879,15 +877,15 @@ def exec_method(tunit: TypedUnit, method: str, args, mode: str = RATIONAL, *,
     except ContractViolation as cv:
         outcome.status = "contract-violation"
         outcome.error = str(cv)
-    except ExecutionFault as ef:
+    except (ExecutionFault, EvalError) as ex:
         outcome.status = "runtime-error"
-        outcome.error = str(ef)
-    except EvalError as ee:
+        outcome.error = str(ex)
+    except RecursionError:
+        # each call takes several Python frames, so deep recursion can use
+        # up Python's stack before it reaches max_depth
         outcome.status = "runtime-error"
-        outcome.error = str(ee)
-    except (TypeError, RecursionError) as ex:
-        outcome.status = "runtime-error"
-        outcome.error = f"invalid runtime operation: {ex}"
+        outcome.error = ("Python stack exhausted before the call depth limit "
+                         f"{max_depth}")
     outcome.report = K.events
     outcome.trace = K.trace
     outcome.checks_passed = K.passed
@@ -974,7 +972,7 @@ class CompiledFormula:
                             f"layout: {sorted(names ^ self.names)}")
         # a standalone formula calls no method and reads no \result (both
         # fail to compile), so its frame needs no kernel
-        frame = Frame(self._bind(here, cache), None, "<formula>")
+        frame = Frame(self._bind(here, cache), None)
         frame.old = self._bind(old, cache)
         frame.loopentry = self._bind(le, cache)
         return bool(self._fn(frame))

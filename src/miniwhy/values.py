@@ -45,10 +45,15 @@ def coerce_value(v, ty_kind: str, mode: str):
             if isinstance(v, Fraction):
                 return norm_rational(v)
             if isinstance(v, float):
+                if not math.isfinite(v):
+                    raise ExecutionFault(f"expected a finite real argument, got {v!r}")
                 return norm_rational(Fraction(v))
             raise ExecutionFault(f"expected a real argument, got {v!r}")
         if isinstance(v, (int, Fraction)):
-            return float(v)
+            try:
+                return float(v)
+            except OverflowError:
+                raise ExecutionFault("real argument out of binary64 range") from None
         if isinstance(v, float):
             return v
         raise ExecutionFault(f"expected a real argument, got {v!r}")

@@ -96,6 +96,12 @@ class ObligationSet:
 # ---------------------------------------------------------------------------
 # formula transformations
 
+# most nodes the substitution memos of one wp pass over a method may hold
+# together; the corpus's largest pass holds far fewer, and n sequential
+# branches double the count with each branch
+VCGEN_BUDGET = 100_000
+
+
 def _entry_tag(loop_id) -> str:
     return f"LoopEntry#{loop_id}"
 
@@ -271,6 +277,7 @@ class _Wp:
         self.exit_kind = exit_kind
         self.loops = loop_table(method)
         self.sid = itertools.count()
+        self.spent = 0          # nodes in the substitution memos filled so far
         # (name, type) of each parameter and local, declarations in walk order
         self.all_vars = [(n, t) for n, t in method.params] + [
             (node.name, node.ty) for node in S.walk(method.body)
@@ -301,10 +308,9 @@ class _Wp:
                    [self.new_side("bounds-guard",
                                   self.index_guard(st), st.pos[0],
                                   f"store index {expr_to_str(st.index)} within {st.name}")])
-            memo = {}
-            tr = lambda f: subst_store(f, st.name, st.index, st.expr, memo)
-            return (tr(post), kind,
-                    [replace(s, formula=tr(s.formula)) for s in sides] + new)
+            return self.rewritten(
+                lambda f, memo: subst_store(f, st.name, st.index, st.expr, memo),
+                post, kind, sides, new)
         if isinstance(st, S.If):
             new_cond = self.guard_sides(st.cond)
             p1, k1, s1 = self.wp(st.then, post, kind, sides)
@@ -336,11 +342,25 @@ class _Wp:
     def assign_like(self, st, name, expr, post, kind, sides):
         if isinstance(expr, S.Call):
             return self.call(st, expr, name, sides, post=post, kind=kind)
-        new = self.guard_sides(expr)
+        return self.rewritten(lambda f, memo: subst(f, name, expr, memo),
+                              post, kind, sides, self.guard_sides(expr))
+
+    def rewritten(self, tr, post, kind, sides, new):
+        """The post and every pending side through tr(formula, memo), all
+        with one memo, which is charged to the budget; then the new sides."""
         memo = {}
-        tr = lambda f: subst(f, name, expr, memo)
-        return (tr(post), kind,
-                [replace(s, formula=tr(s.formula)) for s in sides] + new)
+        out = (tr(post, memo), kind,
+               [replace(s, formula=tr(s.formula, memo)) for s in sides] + new)
+        self.spend(memo)
+        return out
+
+    def spend(self, memo):
+        """Charge a filled substitution memo to the method's budget."""
+        self.spent += len(memo)
+        if self.spent > VCGEN_BUDGET:
+            raise VcgenError(
+                f"obligations of method {self.method.name!r} exceed the vcgen "
+                f"budget of {VCGEN_BUDGET} substituted nodes")
 
     def index_guard(self, st: S.ArrayAssign) -> S.Expr:
         arr = S.Var(name=st.name, pos=st.pos,
@@ -411,6 +431,7 @@ class _Wp:
         # the main postcondition becomes the loop-exit side obligation
         out.append(self.new_side(kind, lp.exit_ctx(post), lp.line,
                                  detail="loop exit"))
+        self.spend(lp.memo)
         return lp.first, "invariant-init", out
 
     def variant_sides(self, st, lp):
@@ -464,6 +485,7 @@ class _Wp:
         out.extend(self.variant_sides(st, lp))
         out.append(self.new_side(kind, lp.exit_ctx(post), lp.line,
                                  detail="loop exit"))
+        self.spend(lp.memo)
         return pre, body_kind, out
 
     def reachable_callees(self, name, seen=None):
@@ -527,6 +549,7 @@ class _Wp:
             # a side after the call holds once the callee's contract does
             sides = [replace(s, formula=_imp(assumption, subst(s.formula, target, res, memo)))
                      for s in sides]
+            self.spend(memo)
         return _imp(assumption, cont), out_kind, sides + new
 
 
@@ -624,9 +647,10 @@ def generate_obligations(tunit: TypedUnit, method: str | None = None) -> Obligat
 
     if method is None:
         targets = [m.name for m in unit.methods]
-    else:
-        tunit.method(method)
+    elif method in tunit.method_index:
         targets = [method]
+    else:
+        raise VcgenError(f"unknown method {method!r}")
 
     for mname in targets:
         obligations.extend(_method_obligations(tunit, mname, lemma_forms))

@@ -29,6 +29,15 @@ def typed_formula(text: str, var_types: dict, ctx: str = CTX_INVARIANT):
     return out
 
 
+def sequential_branches(n: int) -> str:
+    """A unit whose one method runs n `if`s in sequence, each of which
+    changes y by +1 or -1: its wp doubles with every `if`."""
+    body = "".join(f"    if (x > {i}) {{ y = y + 1; }} else {{ y = y - 1; }}\n"
+                   for i in range(n))
+    return (f"/*@ ensures \\result >= x - {n}; @*/\n"
+            f"int f(int x) {{\n    int y = x;\n{body}    return y;\n}}\n")
+
+
 class FormulaGen:
     """Random ground formulas over `a`, `b` (int) and `u`, `v` (real), with
     bounded integer quantifiers. With `reals_only` all four are real, so

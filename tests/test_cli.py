@@ -1,11 +1,14 @@
 import json
 import os
+import random
 
 import jsonschema
 import pytest
 
 from miniwhy import cli, corpus
 from miniwhy.cli import main
+
+from helpers import sequential_branches
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "miniwhy",
                            "schemas", "report.schema.json")
@@ -82,6 +85,21 @@ def test_run_usage_errors(capsys, corpus_file):
                            "--method", "find_nth_lowest_number",
                            "--args", "{}")
     assert code == 2 and "array" in err
+
+
+@pytest.mark.parametrize("mode, call_args, message", [
+    ("rational", "[[1e400], 1, 0]", "expected a finite real argument, got inf"),
+    ("rational", "[[NaN], 1, 0]", "expected a finite real argument, got nan"),
+    ("binary64", f"[[1{'0' * 400}], 1, 0]", "real argument out of binary64 range"),
+    ("rational", "[" + "[" * 3000 + "]" * 3000 + ", 1, 0]", "--args is nested too deeply")],
+    ids=["inf", "nan", "huge", "deep"])
+def test_run_arguments_that_are_no_values_exit_2(capsys, corpus_file, mode,
+                                                 call_args, message):
+    qs = corpus_file("find_nth_lowest_number")
+    code, out, err = run_cli(capsys, "run", qs, "--method", "find_nth_lowest_number",
+                             "--args", call_args, "--mode", mode)
+    assert code == 2 and out == ""
+    assert err == f"{qs}: error: {message}\n"
 
 
 def test_vc_report(capsys, corpus_file, schema, tmp_path):
@@ -280,3 +298,95 @@ def test_a_non_ascii_identifier_exits_2_and_writes_no_document(capsys, tmp_path)
         assert code == 2, argv
         assert "parse error" in err or "unexpected character" in err, err
     assert not out_dir.exists() or not os.listdir(out_dir)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["run", "--method", "f", "--args", "[1]"], ["vc"], ["prove"]],
+    ids=lambda argv: argv[0])
+def test_input_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, argv):
+    src = tmp_path / "latin1.mjml"
+    src.write_bytes(b"int f(int x) {\n  return x; // caf\xe9\n}\n")
+    code, out, err = run_cli(capsys, argv[0], str(src), *argv[1:])
+    assert code == 2 and out == ""
+    assert err == f"{src}: parse error: 2:19: invalid UTF-8 byte 0xe9\n"
+
+
+NEGATED_FORALL = ("/*@ requires n >= 0;\n"
+                  "  @ ensures !(\\forall integer k; 0 <= k && k < n ==> k < x);\n"
+                  "  @*/\n"
+                  "int f(int n, int x) { return x; }\n")
+
+
+def test_an_obligation_with_no_sexp_form_exits_2_and_writes_nothing(capsys, tmp_path):
+    src = tmp_path / "exists.mjml"
+    src.write_text(NEGATED_FORALL, encoding="utf-8")
+    out_dir = tmp_path / "residue"
+    code, out, err = run_cli(capsys, "prove", str(src), "--export-unproved", "sexp",
+                             "--out-dir", str(out_dir))
+    assert code == 2 and out == ""
+    assert err.startswith(f"{src}: export error: existential quantification")
+    assert not out_dir.exists() or not os.listdir(out_dir)
+
+
+@pytest.mark.parametrize("fmt", ["smt2", "xml"])
+def test_the_same_obligation_exports_to_smt2_and_xml(capsys, tmp_path, fmt):
+    src = tmp_path / "exists.mjml"
+    src.write_text(NEGATED_FORALL, encoding="utf-8")
+    out_dir = tmp_path / "residue"
+    code, out, _ = run_cli(capsys, "prove", str(src), "--export-unproved", fmt,
+                           "--out-dir", str(out_dir))
+    assert code == 0
+    assert json.loads(out)["summary"]["exported"] == 1
+    assert len(os.listdir(out_dir)) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--args", "[]"], ["vc"], ["prove"]], ids=lambda argv: argv[0])
+def test_an_unknown_method_exits_2(capsys, corpus_file, argv):
+    src = corpus_file("rectangle_translate")
+    code, out, err = run_cli(capsys, argv[0], src, "--method", "nope", *argv[1:])
+    assert code == 2 and out == ""
+    assert err == f"{src}: error: unknown method 'nope'\n"
+
+
+def test_obligations_past_the_vcgen_budget_exit_2(capsys, tmp_path):
+    src = tmp_path / "branches.mjml"
+    src.write_text(sequential_branches(24), encoding="utf-8")
+    for cmd in ("vc", "prove"):
+        code, out, err = run_cli(capsys, cmd, str(src))
+        assert code == 2 and out == ""
+        assert err == (f"{src}: error: obligations of method 'f' exceed the "
+                       f"vcgen budget of 100000 substituted nodes\n")
+
+
+def _mutants(count, seed):
+    """Corpus sources with 1 to 3 characters deleted, inserted (one drawn
+    from the same source) or swapped."""
+    rng = random.Random(seed)
+    sources = [corpus.source_text(e.name) for e in corpus.corpus_sources()]
+    for _ in range(count):
+        text = list(rng.choice(sources))
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(len(text)), rng.randrange(len(text))
+            edit = rng.randrange(3)
+            if edit == 0:
+                del text[i]
+            elif edit == 1:
+                text.insert(i, text[j])
+            else:
+                text[i], text[j] = text[j], text[i]
+        yield "".join(text)
+
+
+def test_mutated_sources_end_in_an_exit_code(capsys, tmp_path):
+    # an exception escaping main fails this test with its traceback
+    src = tmp_path / "mutant.mjml"
+    codes = []
+    for text in _mutants(200, seed=33):
+        src.write_text(text, encoding="utf-8")
+        for argv in (["check"], ["vc"], ["prove", "--export-unproved", "sexp",
+                                         "--out-dir", str(tmp_path / "residue")]):
+            codes.append(main([argv[0], str(src), *argv[1:]]))
+    capsys.readouterr()
+    assert set(codes) <= {0, 1, 2}
+    assert {0, 2} <= set(codes)

@@ -13,7 +13,8 @@ from miniwhy import corpus
 from miniwhy import syntax as S
 from miniwhy import vcgen
 from miniwhy.errors import EvalError, ExecutionFault, MiniWhyError
-from miniwhy.interp import CompiledFormula, eval_formula, exec_method
+from miniwhy.interp import (CompiledFormula, CompiledMethod, eval_formula,
+                            exec_method)
 from miniwhy.parser import parse
 from miniwhy.typecheck import CTX_ENSURES, typecheck
 from miniwhy.values import value_repr
@@ -149,6 +150,27 @@ def test_recursion_depth_limit():
     out = exec_method(tu, "f", [0], "rational", max_depth=100)
     assert out.status == "runtime-error"
     assert "depth limit" in out.error
+
+
+def test_recursion_deeper_than_the_python_stack_is_a_runtime_error():
+    src = ("/*@ requires n >= 0; @*/\n"
+           "int f(int n) { if (n == 0) { return 0; } int t = f(n - 1); return t + 1; }")
+    tu = typecheck(parse(src))
+    out = exec_method(tu, "f", [5_000], "rational")
+    assert out.status == "runtime-error"
+    assert out.error == "Python stack exhausted before the call depth limit 10000"
+
+
+def test_a_type_error_inside_a_run_is_not_a_verdict(monkeypatch):
+    # a typechecked unit cannot raise TypeError, so one that escapes the
+    # interpreter is its own fault and must not read as `runtime-error`
+    def broken(self, args, K):
+        raise TypeError("interpreter fault")
+
+    monkeypatch.setattr(CompiledMethod, "invoke", broken)
+    tu = typecheck(parse("int f(int n) { return n; }"))
+    with pytest.raises(TypeError, match="interpreter fault"):
+        exec_method(tu, "f", [1], "rational")
 
 
 LONG_REQUIRES = ("/*@ requires " + " && ".join(f"x > {-i}" for i in range(400))

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -18,7 +19,7 @@ from miniwhy.typecheck import CTX_ENSURES, typecheck
 from miniwhy.vcgen import (Obligation, ObligationSet, Origin,
                            generate_obligations, instantiate_on_trace, wp)
 
-from helpers import ProgramGen, typed_formula
+from helpers import ProgramGen, sequential_branches, typed_formula
 
 TRANSLATE = """
 /*@ ensures x == \\old(x) + dx && y == \\old(y) + dy;
@@ -183,6 +184,31 @@ def test_recursion_is_rejected():
     with pytest.raises(VcgenError) as exc:
         generate_obligations(tu, "f")
     assert "recursive" in str(exc.value)
+
+
+def test_sequential_branches_stop_at_the_vcgen_budget():
+    tu = typecheck(parse(sequential_branches(24)))
+    t0 = time.perf_counter()
+    with pytest.raises(VcgenError, match=r"method 'f' exceed the vcgen budget "
+                                         r"of 100000 substituted nodes"):
+        generate_obligations(tu)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_the_corpus_stays_far_below_the_vcgen_budget(monkeypatch):
+    spent = []
+    spend = vcgen._Wp.spend
+
+    def record(engine, memo):
+        spend(engine, memo)
+        spent.append(engine.spent)
+
+    monkeypatch.setattr(vcgen._Wp, "spend", record)
+    for e in corpus.corpus_sources():
+        generate_obligations(corpus.unit(e.name))
+    # quickselect's main pass holds the most: 14 717 nodes
+    assert max(spent) == 14_717
+    assert 5 * max(spent) <= vcgen.VCGEN_BUDGET
 
 
 def test_mutual_recursion_is_rejected():
