@@ -203,8 +203,12 @@ def cmd_prove(args):
 
 def cmd_test(args):
     seed = args.seed if args.seed is not None else _seed_default()
-    entries = [args.entry] if args.entry else \
-        [e.name for e in corpus.corpus_sources() if e.method is not None]
+    if args.entry:
+        entries = [args.entry]
+    elif args.exhaustive:
+        entries = list(corpus.EXHAUSTIVE_ENTRIES)
+    else:
+        entries = [e.name for e in corpus.corpus_sources() if e.method is not None]
     report = _report("test")
     total_failures = 0
     for name in entries:

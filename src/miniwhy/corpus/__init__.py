@@ -228,10 +228,14 @@ def exhaustive_quickselect_cases(max_len: int = 6, values=(0, 1, 2, 3)):
                 yield list(vals), length, n
 
 
+# the entries that define an exhaustive grid
+EXHAUSTIVE_ENTRIES = ("find_nth_lowest_number",)
+
+
 def run_exhaustive(name: str = "find_nth_lowest_number", mode: str = RATIONAL,
                    max_len: int = 6, values=(0, 1, 2, 3)) -> HarnessReport:
     """Exhaustive quickselect grid; the desk-scale total-correctness check."""
-    if name != "find_nth_lowest_number":
+    if name not in EXHAUSTIVE_ENTRIES:
         raise MiniWhyError(f"no exhaustive grid is defined for {name!r}")
     grid = exhaustive_quickselect_cases(max_len, values)
     return _run_cases(name, ((i, list(case)) for i, case in enumerate(grid)), mode)

@@ -7,11 +7,29 @@ semantics places them. The same expression compiler backs eval_formula, so
 runtime checks, trace validation and the prover's counterexample verifier
 share one semantics.
 
+Most of a check's time is Python calls between closures, so the compiler
+fuses the commonest shapes into one closure each (superoperators). A leaf
+operand of a comparison, or of `+ - *` (except binary64 real arithmetic,
+which checks each result), is read inside the operator's closure rather
+than through a closure of its own: a variable of the
+current state or a havoc symbol as its slot f.cur[i], a quantifier binder
+or a literal as cell[0] of a one-element list. Reads of the Old and
+LoopEntry states, and every other operand, stay closures. An array read
+`a[i]` with `a` a slot and `i` a leaf reads both in place, and so does a
+quantifier's lone lower and upper bound, `leaf + c` or `leaf - c`
+included. A chain of one connective (`A && B && C`, with any nesting of
+`&&`, likewise `||`, and `A1 && A2 ==> B ==> C` along its right spine) is
+one closure over the tuple of its operands' closures. Operands are still
+evaluated left to right (but a divisor before its dividend), with
+the short circuit of the nested form, so values, faults and their order
+are those of the plain tree.
+
 A standalone formula compiles into a CompiledFormula with a fixed slot
 layout, which eval_formula evaluates against any state bundle of that
 layout. Formulas of one layout and mode may share a compile memo, so that a
 node object they have in common (a hypothesis that recurs in every
-obligation of a method) becomes one closure that each of them calls.
+obligation of a method) is compiled once, and each of them calls its
+closures.
 Nothing here retains compiled formulas or memos: their owner is the
 caller, and they live as long as it holds them. Trace validation keeps
 them with the obligations they test: each ObligationSet owns one memo per
@@ -50,6 +68,7 @@ made the consequent false.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import repeat
@@ -222,40 +241,86 @@ def compile_expr(e: S.Expr, ctx: CompileCtx, state: str = "cur"):
     return fn
 
 
-def _compile(e: S.Expr, ctx: CompileCtx, state: str):
-    mode = ctx.mode
+# An operand of a fused operator: (_SLOT, i) is read in place as f.cur[i],
+# (_CELL, cell) as cell[0], and (_FN, fn) by calling fn(f).
+_SLOT, _CELL, _FN = "slot", "cell", "fn"
+
+
+def _leaf(e: S.Expr, ctx: CompileCtx, state: str):
+    """(_SLOT, i) for a variable of the current state or a havoc symbol,
+    (_CELL, cell) for a quantifier binder or a literal (a one-element list
+    of its own), or None for any other node. Records the slot's type."""
     if isinstance(e, S.Var):
         cell = ctx.binders.get(e.name)
         if cell is not None:
-            return lambda f: cell[0]
+            return _CELL, cell
+        if state != "cur":
+            return None
+    elif isinstance(e, (S.IntLit, S.RealLit, S.BoolLit)):
+        if isinstance(e, S.RealLit):
+            return _CELL, [norm_rational(e.value) if ctx.mode == RATIONAL
+                           else float(e.text)]
+        return _CELL, [e.value]
+    elif not isinstance(e, S.FreshVar):
+        return None
+    i = ctx.slots.get(e.name)
+    if i is None:
+        return None
+    if e.ty is not None:
+        ctx.var_types[e.name] = e.ty
+    return _SLOT, i
+
+
+def _operand(e: S.Expr, ctx: CompileCtx, state: str):
+    """e as an operand (kind, x) read in place when it is a leaf."""
+    return _leaf(e, ctx, state) or (_FN, compile_expr(e, ctx, state))
+
+
+def _reader(kind, x):
+    """The closure f -> value of an operand."""
+    if kind is _SLOT:
+        return lambda f: f.cur[x]
+    if kind is _CELL:
+        return lambda f: x[0]
+    return x
+
+
+# f -> op(left value, right value), for each pair of operand kinds
+_FUSED = {
+    (_SLOT, _SLOT): lambda op, a, b: lambda f: op(f.cur[a], f.cur[b]),
+    (_SLOT, _CELL): lambda op, a, b: lambda f: op(f.cur[a], b[0]),
+    (_SLOT, _FN): lambda op, a, b: lambda f: op(f.cur[a], b(f)),
+    (_CELL, _SLOT): lambda op, a, b: lambda f: op(a[0], f.cur[b]),
+    (_CELL, _CELL): lambda op, a, b: lambda f: op(a[0], b[0]),
+    (_CELL, _FN): lambda op, a, b: lambda f: op(a[0], b(f)),
+    (_FN, _SLOT): lambda op, a, b: lambda f: op(a(f), f.cur[b]),
+    (_FN, _CELL): lambda op, a, b: lambda f: op(a(f), b[0]),
+    (_FN, _FN): lambda op, a, b: lambda f: op(a(f), b(f)),
+}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _bounds_fault(i, n, line):
+    return ExecutionFault(f"array index {i} out of bounds 0..{n - 1}", line)
+
+
+def _compile(e: S.Expr, ctx: CompileCtx, state: str):
+    mode = ctx.mode
+    leaf = _leaf(e, ctx, state)
+    if leaf is not None:
+        return _reader(*leaf)
+    if isinstance(e, S.Var):
         try:
             i = ctx.slots[e.name]
         except KeyError:
             raise EvalError(f"unbound variable {e.name!r}") from None
         if e.ty is not None:
             ctx.var_types[e.name] = e.ty
-        if state == "cur":
-            return lambda f: f.cur[i]
         if state == "old":
             return lambda f: _state_list(f, "old")[i]
         return lambda f: _state_list(f, "le")[i]
     if isinstance(e, S.FreshVar):
-        try:
-            i = ctx.slots[e.name]
-        except KeyError:
-            raise EvalError(f"unbound havoc symbol {e.name!r}") from None
-        if e.ty is not None:
-            ctx.var_types[e.name] = e.ty
-        return lambda f: f.cur[i]
-    if isinstance(e, S.IntLit):
-        c = e.value
-        return lambda f: c
-    if isinstance(e, S.RealLit):
-        c = norm_rational(e.value) if mode == RATIONAL else float(e.text)
-        return lambda f: c
-    if isinstance(e, S.BoolLit):
-        c = e.value
-        return lambda f: c
+        raise EvalError(f"unbound havoc symbol {e.name!r}")
     if isinstance(e, S.Coerce):
         op = compile_expr(e.operand, ctx, state)
         if mode == RATIONAL:
@@ -269,17 +334,7 @@ def _compile(e: S.Expr, ctx: CompileCtx, state: str):
     if isinstance(e, S.Binary):
         return _compile_binary(e, ctx, state)
     if isinstance(e, S.Index):
-        arr = compile_expr(e.array, ctx, state)
-        idx = compile_expr(e.index, ctx, state)
-        line = e.pos[0]
-
-        def read(f):
-            a = arr(f)
-            i = idx(f)
-            if 0 <= i < len(a):
-                return a[i]
-            raise ExecutionFault(f"array index {i} out of bounds 0..{len(a) - 1}", line)
-        return read
+        return _compile_index(e, ctx, state)
     if isinstance(e, S.LengthExpr):
         arr = compile_expr(e.array, ctx, state)
         return lambda f: len(arr(f))
@@ -321,7 +376,7 @@ def _compile(e: S.Expr, ctx: CompileCtx, state: str):
             a = arr(f)
             i = idx(f)
             if not (0 <= i < len(a)):
-                raise ExecutionFault(f"array index {i} out of bounds 0..{len(a) - 1}", line)
+                raise _bounds_fault(i, len(a), line)
             a = list(a)
             a[i] = val(f)
             return a
@@ -341,48 +396,123 @@ def _compile(e: S.Expr, ctx: CompileCtx, state: str):
     raise EvalError(f"cannot evaluate {type(e).__name__}")
 
 
+def _compile_index(e: S.Index, ctx: CompileCtx, state: str):
+    """a[i], with a slot array and a leaf index read in place."""
+    ak, a = _operand(e.array, ctx, state)
+    ik, i = _operand(e.index, ctx, state)
+    line = e.pos[0]
+    if ak is _SLOT and ik is _SLOT:
+        def read_slots(f):
+            cur = f.cur
+            arr, k = cur[a], cur[i]
+            if 0 <= k < len(arr):
+                return arr[k]
+            raise _bounds_fault(k, len(arr), line)
+        return read_slots
+    if ak is _SLOT and ik is _CELL:
+        def read_cell(f):
+            arr, k = f.cur[a], i[0]
+            if 0 <= k < len(arr):
+                return arr[k]
+            raise _bounds_fault(k, len(arr), line)
+        return read_cell
+    arr_fn, idx = _reader(ak, a), _reader(ik, i)
+
+    def read(f):
+        arr = arr_fn(f)
+        k = idx(f)
+        if 0 <= k < len(arr):
+            return arr[k]
+        raise _bounds_fault(k, len(arr), line)
+    return read
+
+
+def _chain(e: S.Expr, op: str) -> list:
+    """The operands of the maximal chain of `op` at e, left to right."""
+    parts, todo = [], [e]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, S.Binary) and n.op == op:
+            todo += (n.right, n.left)
+        else:
+            parts.append(n)
+    return parts
+
+
+def _all(parts):
+    """f -> the value of `p1 && p2 && ...` over the closures parts."""
+    if len(parts) == 2:         # a call is cheaper than a loop over two
+        l, r = parts
+        return lambda f: l(f) and r(f)
+
+    def conj(f):
+        for p in parts:
+            v = p(f)
+            if not v:
+                return v
+        return v
+    return conj
+
+
+def _compile_connective(e: S.Binary, ctx: CompileCtx, state: str):
+    """One closure for a chain of one connective, its operands evaluated
+    left to right with the short circuit of the nested form. A `==>` chain
+    `A1 && A2 ==> B ==> C` runs as `!A1 || !A2 || !B || C`."""
+    def compile_all(nodes):
+        return tuple(compile_expr(n, ctx, state) for n in nodes)
+    if e.op == "&&":
+        return _all(compile_all(_chain(e, "&&")))
+    if e.op == "||":
+        parts = compile_all(_chain(e, "||"))
+        if len(parts) == 2:
+            l, r = parts
+            return lambda f: l(f) or r(f)
+
+        def disj(f):
+            for p in parts:
+                v = p(f)
+                if v:
+                    return v
+            return v
+        return disj
+    antecedents = []
+    while isinstance(e, S.Binary) and e.op == "==>":
+        antecedents += _chain(e.left, "&&")
+        e = e.right
+    antecedents = compile_all(antecedents)
+    consequent = compile_expr(e, ctx, state)
+    if len(antecedents) == 1:
+        [l] = antecedents
+        return lambda f: not l(f) or consequent(f)
+
+    def implies(f):
+        for p in antecedents:
+            if not p(f):
+                return True
+        return consequent(f)
+    return implies
+
+
 def _compile_binary(e: S.Binary, ctx: CompileCtx, state: str):
     op = e.op
-    if op == "&&":
-        l = compile_expr(e.left, ctx, state)
-        r = compile_expr(e.right, ctx, state)
-        return lambda f: l(f) and r(f)
-    if op == "||":
-        l = compile_expr(e.left, ctx, state)
-        r = compile_expr(e.right, ctx, state)
-        return lambda f: l(f) or r(f)
-    if op == "==>":
-        l = compile_expr(e.left, ctx, state)
-        r = compile_expr(e.right, ctx, state)
-        return lambda f: (not l(f)) or r(f)
-    l = compile_expr(e.left, ctx, state)
-    r = compile_expr(e.right, ctx, state)
-    if op == "==":
-        return lambda f: l(f) == r(f)
-    if op == "!=":
-        return lambda f: l(f) != r(f)
-    if op == "<":
-        return lambda f: l(f) < r(f)
-    if op == "<=":
-        return lambda f: l(f) <= r(f)
-    if op == ">":
-        return lambda f: l(f) > r(f)
-    if op == ">=":
-        return lambda f: l(f) >= r(f)
+    if op in ("&&", "||", "==>"):
+        return _compile_connective(e, ctx, state)
     line = e.pos[0]
     real64 = ctx.mode == BINARY64 and e.ty == S.REAL
+    # binary64 real arithmetic checks each result: a fused closure that
+    # calls a checking function measured slower than these
+    if op in S.COMPARE or (op in _ARITH and not real64):
+        lk, l = _operand(e.left, ctx, state)
+        rk, r = _operand(e.right, ctx, state)
+        return _FUSED[lk, rk](S.COMPARE.get(op) or _ARITH[op], l, r)
+    l = compile_expr(e.left, ctx, state)
+    r = compile_expr(e.right, ctx, state)
     if op == "+":
-        if real64:
-            return lambda f: check_finite(l(f) + r(f), line)
-        return lambda f: l(f) + r(f)
+        return lambda f: check_finite(l(f) + r(f), line)
     if op == "-":
-        if real64:
-            return lambda f: check_finite(l(f) - r(f), line)
-        return lambda f: l(f) - r(f)
+        return lambda f: check_finite(l(f) - r(f), line)
     if op == "*":
-        if real64:
-            return lambda f: check_finite(l(f) * r(f), line)
-        return lambda f: l(f) * r(f)
+        return lambda f: check_finite(l(f) * r(f), line)
     if op == "/":
         if ctx.mode == BINARY64:
             def div64(f):
@@ -435,9 +565,8 @@ def _compile_forall(binders, body, ctx: CompileCtx, state: str):
     them once per level gives the values every instance would see.
     """
     if isinstance(body, S.Binary) and body.op == "&&":
-        l = _compile_forall(binders, body.left, ctx, state)
-        r = _compile_forall(binders, body.right, ctx, state)
-        return lambda f: l(f) and r(f)
+        return _all(tuple(_compile_forall(binders, part, ctx, state)
+                          for part in _chain(body, "&&")))
     if isinstance(body, S.Forall):
         return _compile_forall(list(binders) + list(body.binders), body.body, ctx, state)
 
@@ -467,10 +596,10 @@ def _compile_forall(binders, body, ctx: CompileCtx, state: str):
             if _mentions(expr_side, later):
                 continue
             try:
-                fn = compile_expr(expr_side, inner_ctx, state)
+                bound = _bound(expr_side, delta, inner_ctx, state)
             except EvalError:
                 continue
-            (lowers if kind == "lo" else uppers).append((fn, delta))
+            (lowers if kind == "lo" else uppers).append(bound)
             consumed.add(j)
         if not lowers or not uppers:
             return _unbounded(f"no finite bounds for quantified variable {name!r}")
@@ -491,23 +620,36 @@ def _compile_forall(binders, body, ctx: CompileCtx, state: str):
     return level
 
 
+def _bound(e: S.Expr, delta: int, ctx: CompileCtx, state: str):
+    """A binder's bound e + delta as (kind, x, delta), x an operand; an
+    integer `leaf + c` or `leaf - c` reads the leaf and adds c to delta."""
+    if (isinstance(e, S.Binary) and e.op in ("+", "-") and e.ty == S.INT
+            and isinstance(e.right, S.IntLit)):
+        leaf = _leaf(e.left, ctx, state)
+        if leaf is not None:
+            c = e.right.value
+            return (*leaf, delta + c if e.op == "+" else delta - c)
+    return (*_operand(e, ctx, state), delta)
+
+
 def _box(lowers, uppers):
-    """f -> (lo, hi): one binder's range from its (bound, delta) lists."""
+    """f -> (lo, hi): one binder's range from its bounds (see _bound). A
+    lone lower and upper bound are read in place."""
     if len(lowers) == 1 and len(uppers) == 1:
-        [(lo_fn, lo_d)] = lowers
-        [(hi_fn, hi_d)] = uppers
+        [(lk, lo_x, lo_d)] = lowers
+        [(hk, hi_x, hi_d)] = uppers
 
         def box(f):
-            lo = lo_fn(f)
-            if lo_d:
-                lo += lo_d
-            hi = hi_fn(f)
-            if hi_d:
-                hi += hi_d
+            lo = (f.cur[lo_x] if lk is _SLOT else lo_x[0] if lk is _CELL
+                  else lo_x(f)) + lo_d
+            hi = (f.cur[hi_x] if hk is _SLOT else hi_x[0] if hk is _CELL
+                  else hi_x(f)) + hi_d
             if not isinstance(lo, int) or not isinstance(hi, int):
                 raise EvalError("quantifier bounds are not ground integers")
             return lo, hi
         return box
+    lowers = [(_reader(k, x), d) for k, x, d in lowers]
+    uppers = [(_reader(k, x), d) for k, x, d in uppers]
 
     def box(f):
         lo = max(fn(f) + d for fn, d in lowers)
@@ -554,29 +696,31 @@ def _slice_scan(name, box, cons, ctx: CompileCtx, state: str):
         return None
     op = S.COMPARE[cons.op]
     if read_first:
-        arr = compile_expr(read.array, ctx, state)
-        val = compile_expr(other, ctx, state)
+        ak, arr = _operand(read.array, ctx, state)
+        vk, val = _operand(other, ctx, state)
     else:
-        val = compile_expr(other, ctx, state)
-        arr = compile_expr(read.array, ctx, state)
+        vk, val = _operand(other, ctx, state)
+        ak, arr = _operand(read.array, ctx, state)
     line = read.pos[0]
 
     def scan(f):
         lo, hi = box(f)
         if lo > hi:
             return True
-        v = None if read_first else val(f)
-        a = arr(f)
+        cur = f.cur
+        if not read_first:
+            v = cur[val] if vk is _SLOT else val[0] if vk is _CELL else val(f)
+        a = cur[arr] if ak is _SLOT else arr(f)
         n = len(a)
         if not 0 <= lo < n:
-            raise ExecutionFault(f"array index {lo} out of bounds 0..{n - 1}", line)
+            raise _bounds_fault(lo, n, line)
         if read_first:
-            v = val(f)
+            v = cur[val] if vk is _SLOT else val[0] if vk is _CELL else val(f)
             ok = all(map(op, a[lo:hi + 1], repeat(v)))
         else:
             ok = all(map(op, repeat(v), a[lo:hi + 1]))
         if ok and hi >= n:
-            raise ExecutionFault(f"array index {n} out of bounds 0..{n - 1}", line)
+            raise _bounds_fault(n, n, line)
         return ok
     return scan
 
@@ -743,8 +887,7 @@ class _MethodCompiler:
                 a = f.cur[i]
                 k = idx(f)
                 if not (0 <= k < len(a)):
-                    raise ExecutionFault(
-                        f"array index {k} out of bounds 0..{len(a) - 1}", line)
+                    raise _bounds_fault(k, len(a), line)
                 a[k] = val(f)
             return astore
         if isinstance(st, S.If):

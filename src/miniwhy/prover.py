@@ -383,8 +383,16 @@ def prove_internal(ob) -> ProofStatus:
     Accepts a vcgen Obligation (or anything with .hypotheses/.hyp_sources/
     .goal/.has_fresh/.var_sorts attributes). An obligation of a generated
     set carries the set's table as `_forms`, which every proof of the set
-    reads and fills.
+    reads and fills. A formula nested deeper than Python's stack ends in
+    `unknown`, as the other resource caps do.
     """
+    try:
+        return _prove(ob)
+    except RecursionError:
+        return ProofStatus("unknown", reason="resource cap: nesting too deep")
+
+
+def _prove(ob) -> ProofStatus:
     trace = []
     hyps = []
     for h, src in sourced_hypotheses(ob):

@@ -73,7 +73,7 @@ def coerce_arg(v, ty, mode: str):
 
 
 def check_finite(x: float, line=None) -> float:
-    if math.isinf(x) or math.isnan(x):
+    if not math.isfinite(x):
         raise ExecutionFault("real overflow in binary64 mode", line)
     return x
 

@@ -653,7 +653,13 @@ def generate_obligations(tunit: TypedUnit, method: str | None = None) -> Obligat
         raise VcgenError(f"unknown method {method!r}")
 
     for mname in targets:
-        obligations.extend(_method_obligations(tunit, mname, lemma_forms))
+        try:
+            obligations.extend(_method_obligations(tunit, mname, lemma_forms))
+        except RecursionError:
+            # a formula nested deeper than Python's stack (a long run of
+            # asserts wraps the post once per assert)
+            raise VcgenError(f"obligations of method {mname!r}: nesting too deep "
+                             "to generate") from None
     obset = ObligationSet(unit=unit.name, unit_digest=unit_digest(tunit),
                           obligations=obligations, methods=tuple(targets))
     for ob in obligations:

@@ -248,6 +248,20 @@ def test_exhaustive_flag(capsys):
     assert report["summary"]["find_nth_lowest_number"]["cases"] == 30948
 
 
+def test_exhaustive_without_an_entry_runs_every_grid(capsys, monkeypatch):
+    small = corpus.exhaustive_quickselect_cases
+    monkeypatch.setattr(corpus, "exhaustive_quickselect_cases",
+                        lambda max_len, values: small(3, (0, 1)))
+    code, out, err = run_cli(capsys, "test", "--exhaustive", "--mode", "rational")
+    assert code == 0 and err == ""
+    summary = json.loads(out)["summary"]
+    assert list(summary) == list(corpus.EXHAUSTIVE_ENTRIES) == ["find_nth_lowest_number"]
+    assert summary["find_nth_lowest_number"]["cases"] == 2 + 2 * 4 + 3 * 8
+    code, _, err = run_cli(capsys, "test", "--entry", "sqrt_newton", "--exhaustive")
+    assert code == 2
+    assert err == "sqrt_newton: error: no exhaustive grid is defined for 'sqrt_newton'\n"
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -269,10 +283,10 @@ def test_nesting_too_deep_exits_2_without_a_traceback(capsys, tmp_path, text):
 
 
 def test_a_unit_too_deep_to_compile_exits_2_on_run(capsys, tmp_path):
-    # the requires has 400 conjuncts: it typechecks, compiling overflows
+    # the requires is a sum of 400 terms: it typechecks, compiling overflows
     src = tmp_path / "deep.mjml"
-    src.write_text("/*@ requires " + " && ".join(f"x > {-i}" for i in range(400))
-                   + "; @*/\nint f(int x) { return x; }", encoding="utf-8")
+    src.write_text("/*@ requires " + " + ".join(["x"] * 400)
+                   + " > 0; @*/\nint f(int x) { return x; }", encoding="utf-8")
     assert run_cli(capsys, "check", str(src))[0] == 0
     code, _, err = run_cli(capsys, "run", str(src), "--method", "f", "--args", "[1]")
     assert code == 2
@@ -358,6 +372,35 @@ def test_obligations_past_the_vcgen_budget_exit_2(capsys, tmp_path):
         assert err == (f"{src}: error: obligations of method 'f' exceed the "
                        f"vcgen budget of 100000 substituted nodes\n")
 
+
+def _sequential_asserts(tmp_path, n):
+    src = tmp_path / f"asserts{n}.mjml"
+    src.write_text("/*@ requires x > 0; @*/\nint f(int x) {\n"
+                   + "    /*@ assert x > 0; @*/\n" * n + "    return x;\n}\n",
+                   encoding="utf-8")
+    return str(src)
+
+
+def test_obligations_deeper_than_the_python_stack_exit_2(capsys, tmp_path):
+    # each assert wraps the post once more: 1 000 of them overflow vcgen
+    src = _sequential_asserts(tmp_path, 1000)
+    assert run_cli(capsys, "check", src)[0] == 0
+    for cmd in ("vc", "prove"):
+        code, out, err = run_cli(capsys, cmd, src)
+        assert code == 2 and out == ""
+        assert err == (f"{src}: error: obligations of method 'f': nesting too "
+                       "deep to generate\n")
+
+
+def test_a_goal_too_deep_to_prove_is_unknown(capsys, tmp_path):
+    # 700 asserts are generated, but the first goal overflows the prover
+    code, out, err = run_cli(capsys, "prove", _sequential_asserts(tmp_path, 700))
+    assert code == 0 and err == ""
+    records = json.loads(out)["obligations"]
+    assert len(records) == 701
+    assert (records[0]["status"], records[0]["detail"]) == \
+        ("unknown", "resource cap: nesting too deep")
+    assert all(r["status"] == "proved-internal" for r in records[1:])
 
 def _mutants(count, seed):
     """Corpus sources with 1 to 3 characters deleted, inserted (one drawn

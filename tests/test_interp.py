@@ -1,8 +1,11 @@
 import gc
 import itertools
 import json
+import math
+import operator
 import os
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from types import FunctionType
@@ -175,16 +178,30 @@ def test_a_type_error_inside_a_run_is_not_a_verdict(monkeypatch):
 
 LONG_REQUIRES = ("/*@ requires " + " && ".join(f"x > {-i}" for i in range(400))
                  + "; @*/\nint f(int x) { return x; }")
+LONG_SUM_REQUIRES = ("/*@ requires " + " + ".join(["x"] * 400)
+                     + " > 0; @*/\nint f(int x) { return x; }")
 
 
 def test_a_unit_that_typechecks_but_is_too_deep_to_compile_is_an_error():
-    # compiling takes about three frames per nesting level, checking fewer
-    tu = typecheck(parse(LONG_REQUIRES))
+    # compiling takes about three frames per level of the left-nested sum,
+    # checking fewer
+    tu = typecheck(parse(LONG_SUM_REQUIRES))
     with pytest.raises(MiniWhyError, match="nesting too deep to compile"):
         exec_method(tu, "f", [1])
     f = tu.unit.methods[0].spec.requires
     with pytest.raises(EvalError, match="nesting too deep to compile"):
         CompiledFormula(f, {"Here": {"x": 1}})
+
+
+def test_a_long_conjunction_compiles_to_one_flat_chain():
+    # a chain of one connective takes one frame, whatever its length
+    tu = typecheck(parse(LONG_REQUIRES))
+    assert exec_method(tu, "f", [1]).status == "normal"
+    out = exec_method(tu, "f", [-500], collect_events=True)
+    assert out.status == "contract-violation" and out.report[-1].kind == "requires"
+    f = tu.unit.methods[0].spec.requires
+    assert eval_formula(f, {"Here": {"x": 1}})
+    assert not eval_formula(f, {"Here": {"x": -399}})
 
 
 def test_do_while_checks_invariant_after_first_body():
@@ -430,6 +447,181 @@ def test_quantifiers_evaluate_as_the_conjunction_of_their_instances(mode):
             assert _outcome(f, states, mode) == want, (text, here, old)
             outcomes.add(want if isinstance(want, bool) else want[0])
     assert outcomes == {True, False, ExecutionFault, EvalError}
+
+
+# operators whose leaf operands are read in place, and chains of one
+# connective, against a tree-walking evaluator written here
+
+FUSED_TYPES = {"n": S.INT, "m": S.INT, "a": S.ARRAY_INT,
+               "x": S.REAL, "y": S.REAL, "b": S.ARRAY_REAL}
+FUSED_OPERANDS = {  # (type, operand kind) -> texts; k is the binder
+    ("int", "slot"): ["n", "m"],
+    ("int", "cell"): ["k"],
+    ("int", "const"): ["0", "1", "3"],
+    ("int", "old"): ["\\old(n)", "\\old(m)"],
+    ("int", "compound"): ["a[m]", "a[k]", "(n * m)", "-n"],
+    ("real", "slot"): ["x", "y"],
+    ("real", "const"): ["0.0", "0.5", "1.5"],
+    ("real", "old"): ["\\old(x)"],
+    ("real", "compound"): ["b[m]", "x / y", "(x - 0.5)"],
+}
+FUSED_KINDS = ("slot", "cell", "const", "old", "compound")
+FUSED_RANGE = range(0, 2)       # the binder's range in every quantifier
+FUSED_QUANTIFIER = "\\forall integer k; 0 <= k && k <= 1 ==> "
+
+
+def _fused_atoms():
+    """One formula text per pair of operand kinds and per comparison and
+    arithmetic operator, in both types (binders are ints only)."""
+    atoms = []
+    for ty in ("int", "real"):
+        kinds = [k for k in FUSED_KINDS if (ty, k) in FUSED_OPERANDS]
+        rng = random.Random(ty)
+        for lk, rk in itertools.product(kinds, kinds):
+            for op in QuantifierGen.OPS + ["+", "-", "*"]:
+                left = rng.choice(FUSED_OPERANDS[ty, lk])
+                right = rng.choice(FUSED_OPERANDS[ty, rk])
+                if op in QuantifierGen.OPS:
+                    atoms.append(f"{left} {op} {right}")
+                else:
+                    third = rng.choice(FUSED_OPERANDS[ty, rng.choice(kinds)])
+                    atoms.append(f"{left} {op} {right} {rng.choice(QuantifierGen.OPS)} {third}")
+    return atoms
+
+
+def _fused_chain(rng, atoms, first):
+    """A chain of 1-5 operands of one connective, `first` among them, some
+    of them parenthesised chains of another connective."""
+    op = rng.choice(["&&", "||", "==>"])
+    parts = [rng.choice(atoms) for _ in range(rng.randint(0, 4))]
+    parts.insert(rng.randint(0, len(parts)), first)
+    for i, part in enumerate(parts):
+        if rng.random() < 0.15:
+            inner = rng.choice([o for o in ("&&", "||", "==>") if o != op])
+            parts[i] = f"({part} {inner} {rng.choice(atoms)})"
+        elif len(parts) > 1:
+            parts[i] = f"({part})"
+    text = f" {op} ".join(parts)
+    if len(parts) > 2 and rng.random() < 0.3:      # nested the other way
+        text = (f"{parts[0]} {op} ({f' {op} '.join(parts[1:])})" if op != "==>"
+                else f"({parts[0]} {op} {parts[1]}) {op} {f' {op} '.join(parts[2:])}")
+    if re.search(r"\bk\b", text) or rng.random() < 0.3:
+        text = FUSED_QUANTIFIER + "(" + text + ")"
+    return text
+
+
+def _fused_state(rng, mode):
+    real = float if mode == "binary64" else (lambda v: v)
+
+    def value():
+        return real(Fraction(rng.randint(-2, 4), 2))
+
+    def one():
+        return {"n": rng.randint(-1, 3), "m": rng.randint(-1, 3),
+                "a": [rng.randint(-2, 3) for _ in range(rng.randint(0, 3))],
+                "x": value(), "y": value(),
+                "b": [value() for _ in range(rng.randint(0, 3))]}
+    return one(), one()
+
+
+def _walk(e, here, old, env, mode):
+    """The value of e by a plain walk over the tree: operands left to
+    right (a divisor before its dividend, as the interpreter does),
+    connectives short-circuit, and a quantifier over FUSED_RANGE."""
+    def ev(x):
+        return _walk(x, here, old, env, mode)
+    line = e.pos[0]
+    if isinstance(e, S.Var):
+        return env[e.name] if e.name in env else here[e.name]
+    if isinstance(e, S.OldExpr):
+        if old is None:
+            raise EvalError("state label Old/Pre is not available here")
+        return _walk(e.operand, old, old, env, mode)
+    if isinstance(e, (S.IntLit, S.BoolLit)):
+        return e.value
+    if isinstance(e, S.RealLit):
+        return float(e.text) if mode == "binary64" else e.value
+    if isinstance(e, S.Coerce):
+        return float(ev(e.operand)) if mode == "binary64" else ev(e.operand)
+    if isinstance(e, S.Unary):
+        return -ev(e.operand) if e.op == "-" else not ev(e.operand)
+    if isinstance(e, S.Index):
+        arr, i = ev(e.array), ev(e.index)
+        if not 0 <= i < len(arr):
+            raise ExecutionFault(f"array index {i} out of bounds 0..{len(arr) - 1}", line)
+        return arr[i]
+    if isinstance(e, S.Forall):
+        for k in FUSED_RANGE:
+            if not _walk(e.body.right, here, old, {**env, "k": k}, mode):
+                return False
+        return True
+    if e.op == "&&":
+        return ev(e.left) and ev(e.right)
+    if e.op == "||":
+        return ev(e.left) or ev(e.right)
+    if e.op == "==>":
+        return not ev(e.left) or ev(e.right)
+    if e.op == "/":
+        d = ev(e.right)
+        if d == 0:
+            raise ExecutionFault("division by zero", line)
+        v = ev(e.left) / (d if mode == "binary64" else Fraction(d))
+    else:
+        v = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             **S.COMPARE}[e.op](ev(e.left), ev(e.right))
+    if mode == "binary64" and e.ty == S.REAL and not math.isfinite(v):
+        raise ExecutionFault("real overflow in binary64 mode", line)
+    return v
+
+
+def _walked(f, states, mode):
+    try:
+        return bool(_walk(f, states["Here"], states.get("Old"), {}, mode))
+    except MiniWhyError as ex:
+        return type(ex), str(ex)
+
+
+@pytest.mark.parametrize("mode", ["rational", "binary64"])
+def test_fused_operators_and_flat_chains_evaluate_as_the_tree(mode):
+    """Every pair of operand kinds under each comparison and under + - *,
+    in chains of 1-5 operands of &&, || and ==>, gives the value, or the
+    fault class and text, of a plain walk over the tree."""
+    atoms = _fused_atoms()
+    rng = random.Random(mode)
+    outcomes, lengths = set(), set()
+    for atom in atoms:
+        text = _fused_chain(rng, atoms, atom)
+        f = typed_formula(text, FUSED_TYPES, CTX_ENSURES)
+        for i in range(3):
+            here, old = _fused_state(rng, mode)
+            states = {"Here": here, "Old": old} if i < 2 else {"Here": here}
+            want = _walked(f, states, mode)
+            assert _outcome(f, states, mode) == want, (text, states)
+            outcomes.add(want if isinstance(want, bool) else want[0])
+    assert outcomes == {True, False, ExecutionFault, EvalError}
+
+
+@pytest.mark.parametrize("mode", ["rational", "binary64"])
+@pytest.mark.parametrize("text, want", [
+    ("n != n && x / y > 0.0 && n == n", False),
+    ("n == n && x / y > 0.0 && n == n",
+     (ExecutionFault, "division by zero at line 1")),
+    ("n != n && a[3] > 0 && n == n", False),
+    ("n == n && a[3] > 0 && n == n",
+     (ExecutionFault, "array index 3 out of bounds 0..2 at line 1")),
+    ("n == n || x / y > 0.0 || n != n", True),
+    ("n != n || a[n + 3] > 0 || n == n",
+     (ExecutionFault, "array index 3 out of bounds 0..2 at line 1")),
+    ("n != n ==> a[3] > 0 ==> n == n", True),
+    ("n == n && n == n ==> x / y > 0.0 ==> n != n",
+     (ExecutionFault, "division by zero at line 1")),
+])
+def test_a_fault_is_reached_only_where_the_short_circuit_reaches_it(mode, text, want):
+    f = typed_formula(text, FUSED_TYPES, CTX_ENSURES)
+    real = float if mode == "binary64" else (lambda v: v)
+    states = {"Here": {"n": 0, "m": 0, "a": [1, 2, 3], "x": real(1), "y": real(0),
+                       "b": []}}
+    assert _outcome(f, states, mode) == _walked(f, states, mode) == want
 
 
 def test_compiled_formula_rejects_a_bundle_of_another_layout():
