@@ -140,7 +140,7 @@ def cmd_vc(args):
     obset, digest = _obligations(args)
     report = _report("vc", args.file, digest)
     report["obligations"] = [
-        {"id": ob.id, "name": ob.name, "kind": ob.kind, "status": ob.status,
+        {"id": ob.id, "name": ob.name, "kind": ob.kind, "status": "unknown",
          "detail": ob.detail}
         for ob in obset]
     report["summary"] = {"unit": obset.unit, "unit_sha": obset.unit_digest,

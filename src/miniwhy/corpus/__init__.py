@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -37,7 +36,6 @@ class HarnessReport:
     entry: str
     cases: int
     failures: list = field(default_factory=list)   # (case index, args, reason)
-    elapsed: float = 0.0
     seed: int = 0
     mode: str = RATIONAL
 
@@ -197,13 +195,11 @@ def run_case(name: str, args, mode: str):
 def _run_cases(name: str, cases, mode: str, seed: int = 0) -> HarnessReport:
     """Run each (index, args) case; failures list case index, args, reason."""
     report = HarnessReport(entry=name, cases=0, seed=seed, mode=mode)
-    t0 = time.perf_counter()
     for i, args in cases:
         _, reason = run_case(name, args, mode)
         report.cases += 1
         if reason is not None:
             report.failures.append((i, args, reason))
-    report.elapsed = time.perf_counter() - t0
     return report
 
 

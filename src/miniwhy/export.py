@@ -25,7 +25,6 @@ from .values import decimal_text
 class ExportDoc:
     format: str               # 'smtlib2' | 'xll-xml' | 'sexp'
     text: str
-    obligation_ids: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +163,7 @@ def export_smtlib(ob) -> ExportDoc:
         lines.append(f"(assert {h})")
     lines.append(f"(assert (not {goal_term}))")
     lines.append("(check-sat)")
-    return ExportDoc(format="smtlib2", text="\n".join(lines) + "\n",
-                     obligation_ids=(ob.id,))
+    return ExportDoc(format="smtlib2", text="\n".join(lines) + "\n")
 
 
 # a `;` comment to the end of its line, a parenthesis, a token (which may
@@ -326,8 +324,7 @@ def export_xml(obset) -> ExportDoc:
         r.close("goal")
         r.close("obligation")
     out.append("</obligations>")
-    return ExportDoc(format="xll-xml", text="\n".join(out) + "\n",
-                     obligation_ids=tuple(ob.id for ob in obset.obligations))
+    return ExportDoc(format="xll-xml", text="\n".join(out) + "\n")
 
 
 # formula elements mirrored from schemas/xll.xsd: tag -> (attributes,
@@ -496,7 +493,7 @@ def export_sexp(ob) -> ExportDoc:
     body = f"(implies (and {' '.join(items)}) {consequent})" if items \
         else consequent
     text = f"(defthm {name}\n {body})\n"
-    return ExportDoc(format="sexp", text=text, obligation_ids=(ob.id,))
+    return ExportDoc(format="sexp", text=text)
 
 
 def validate_sexp(doc: ExportDoc) -> bool:

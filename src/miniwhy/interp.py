@@ -20,9 +20,8 @@ quantifier's lone lower and upper bound, `leaf + c` or `leaf - c`
 included. A chain of one connective (`A && B && C`, with any nesting of
 `&&`, likewise `||`, and `A1 && A2 ==> B ==> C` along its right spine) is
 one closure over the tuple of its operands' closures. Operands are still
-evaluated left to right (but a divisor before its dividend), with
-the short circuit of the nested form, so values, faults and their order
-are those of the plain tree.
+evaluated left to right, with the short circuit of the nested form, so
+values, faults and their order are those of the plain tree.
 
 A standalone formula compiles into a CompiledFormula with a fixed slot
 layout, which eval_formula evaluates against any state bundle of that
@@ -427,18 +426,6 @@ def _compile_index(e: S.Index, ctx: CompileCtx, state: str):
     return read
 
 
-def _chain(e: S.Expr, op: str) -> list:
-    """The operands of the maximal chain of `op` at e, left to right."""
-    parts, todo = [], [e]
-    while todo:
-        n = todo.pop()
-        if isinstance(n, S.Binary) and n.op == op:
-            todo += (n.right, n.left)
-        else:
-            parts.append(n)
-    return parts
-
-
 def _all(parts):
     """f -> the value of `p1 && p2 && ...` over the closures parts."""
     if len(parts) == 2:         # a call is cheaper than a loop over two
@@ -461,9 +448,9 @@ def _compile_connective(e: S.Binary, ctx: CompileCtx, state: str):
     def compile_all(nodes):
         return tuple(compile_expr(n, ctx, state) for n in nodes)
     if e.op == "&&":
-        return _all(compile_all(_chain(e, "&&")))
+        return _all(compile_all(S.chain(e, "&&")))
     if e.op == "||":
-        parts = compile_all(_chain(e, "||"))
+        parts = compile_all(S.chain(e, "||"))
         if len(parts) == 2:
             l, r = parts
             return lambda f: l(f) or r(f)
@@ -477,7 +464,7 @@ def _compile_connective(e: S.Binary, ctx: CompileCtx, state: str):
         return disj
     antecedents = []
     while isinstance(e, S.Binary) and e.op == "==>":
-        antecedents += _chain(e.left, "&&")
+        antecedents += S.chain(e.left, "&&")
         e = e.right
     antecedents = compile_all(antecedents)
     consequent = compile_expr(e, ctx, state)
@@ -516,17 +503,16 @@ def _compile_binary(e: S.Binary, ctx: CompileCtx, state: str):
     if op == "/":
         if ctx.mode == BINARY64:
             def div64(f):
-                d = r(f)
+                n, d = l(f), r(f)
                 if d == 0.0:
                     raise ExecutionFault("division by zero", line)
-                return check_finite(l(f) / d, line)
+                return check_finite(n / d, line)
             return div64
 
         def divq(f):
-            d = r(f)
+            n, d = l(f), r(f)
             if d == 0:
                 raise ExecutionFault("division by zero", line)
-            n = l(f)
             if type(n) is int and type(d) is int:
                 q = Fraction(n, d)
             else:
@@ -566,7 +552,7 @@ def _compile_forall(binders, body, ctx: CompileCtx, state: str):
     """
     if isinstance(body, S.Binary) and body.op == "&&":
         return _all(tuple(_compile_forall(binders, part, ctx, state)
-                          for part in _chain(body, "&&")))
+                          for part in S.chain(body, "&&")))
     if isinstance(body, S.Forall):
         return _compile_forall(list(binders) + list(body.binders), body.body, ctx, state)
 
@@ -577,7 +563,7 @@ def _compile_forall(binders, body, ctx: CompileCtx, state: str):
     if not (isinstance(body, S.Binary) and body.op == "==>"):
         return _unbounded("quantifier body gives no bounds (no guard implication)")
 
-    guards = S.conjuncts(body.left)
+    guards = S.chain(body.left, "&&")
     cells = {name: [0] for name in names}
     # the body's closures read this compile's binder cells: it gets a memo of its own
     inner_ctx = CompileCtx(ctx.slots, ctx.mode, ctx.cunit, {**ctx.binders, **cells},

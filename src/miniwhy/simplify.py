@@ -209,7 +209,7 @@ def _learn(ctx, f: S.Expr):
     f is simplified, so each numeric comparison in it has its forms in the
     table: `l < r`, `l > r` and `l != r` make `l - r` and `r - l` nonzero."""
     learnt = set()
-    for g in S.conjuncts(f):
+    for g in S.chain(f, "&&"):
         entry = ctx.forms.get(id(g))
         if entry is not None and g.op in ("!=", ">", "<"):
             diff = entry[1].add(entry[2], -1)
@@ -230,14 +230,6 @@ def _simp_expr(e: S.Expr, ctx) -> S.Expr:
     if e.ty == S.BOOL:
         return simplify_in(e, ctx)
     return e
-
-
-def _flatten(op, f, out):
-    if isinstance(f, S.Binary) and f.op == op:
-        _flatten(op, f.left, out)
-        _flatten(op, f.right, out)
-    else:
-        out.append(f)
 
 
 def _keep(sp: S.Expr, out: list, seen: set, forms) -> None:
@@ -285,7 +277,7 @@ def _simplify_node(f: S.Expr, ctx) -> S.Expr:
     if isinstance(f, S.Binary) and f.op == "&&":
         out, seen = [], set()
         sub = ctx.child()
-        for p in S.conjuncts(f):
+        for p in S.chain(f, "&&"):
             sp = simplify_in(p, sub)
             if isinstance(sp, S.BoolLit):
                 if not sp.value:
@@ -295,10 +287,8 @@ def _simplify_node(f: S.Expr, ctx) -> S.Expr:
             _learn(sub, sp)
         return S.conj([replace(p, ty=S.BOOL) if p.ty is None else p for p in out])
     if isinstance(f, S.Binary) and f.op == "||":
-        parts = []
-        _flatten("||", f, parts)
         out, seen = [], set()
-        for p in parts:
+        for p in S.chain(f, "||"):
             sp = simplify_in(p, ctx)
             if isinstance(sp, S.BoolLit):
                 if sp.value:
@@ -394,7 +384,7 @@ def _literal_bounds(body, name):
     if not (isinstance(body, S.Binary) and body.op == "==>"):
         return None
     ends = {"lo": [], "hi": []}
-    for g in S.conjuncts(body.left):
+    for g in S.chain(body.left, "&&"):
         got = S.bound_from(g, name)
         if got is not None and _int_of(got[1]) is not None:
             kind, e, delta = got

@@ -340,11 +340,17 @@ def conj(parts: list) -> Expr:
     return out
 
 
-def conjuncts(f: Expr) -> list:
-    """The conjuncts of f, left to right: the inverse of conj."""
-    if isinstance(f, Binary) and f.op == "&&":
-        return conjuncts(f.left) + conjuncts(f.right)
-    return [f]
+def chain(e: Expr, op: str) -> list:
+    """The operands of the maximal chain of `op` at e, left to right, under
+    any nesting; chain(f, "&&") is the inverse of conj."""
+    parts, todo = [], [e]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, Binary) and n.op == op:
+            todo += (n.right, n.left)
+        else:
+            parts.append(n)
+    return parts
 
 
 def bound_from(g: Expr, name: str):

@@ -2,14 +2,16 @@
 
 wp walks statements backward. The postcondition and every pending side
 obligation are transformed alike: assignments substitute, conditionals
-branch-guard, loops replace assigned variables with fresh havoc symbols and
-wrap pending goals in `I && b ==> .` (inside the body) or `I && !b ==> .`
-(after the loop). A side obligation therefore arrives at the method entry as
-a closed formula over entry-state symbols, with the requires clause and the
-unit lemmas as hypotheses. Obligations, hypotheses included, close to
-state-free formulas: requires, assumes and lemmas are closed where they are
-read, the goal's \\old collapses at closure, and any other state node left
-there is an internal error.
+branch-guard, and one loop rule, for `while` and `do` alike, replaces
+assigned variables with fresh havoc symbols and wraps pending goals in
+`I && b ==> .` (inside the body) or `I && !b ==> .` (after the loop). A
+return ends its path: every side pending after it is `true` on that path.
+A side obligation therefore arrives at the method entry as a closed formula
+over entry-state symbols, with the requires clause and the unit lemmas as
+hypotheses. Obligations, hypotheses included, close to state-free
+formulas: requires, assumes and lemmas are closed where they are read, the
+goal's \\old collapses at closure, and any other state node left there is
+an internal error.
 
 The formulas share subterms (an invariant, a condition, a continuation),
 so one transformation applied to many of them passes them all one memo of
@@ -48,7 +50,6 @@ class Obligation:
     origin: Origin
     hypotheses: list          # formulas (lemmas + requires [+ assumes])
     goal: S.Expr
-    status: str = "unknown"   # unknown | proved-internal | exported | trace-validated
     hyp_sources: list = field(default_factory=list)   # 'lemma'|'requires'|'assumes'
     var_sorts: dict = field(default_factory=dict)     # free symbol -> SemType
     loop_ids: tuple = ()                              # loops whose havoc symbols occur
@@ -322,11 +323,12 @@ class _Wp:
             merged = self.merge_branches(st.cond, sides, s1, s2)
             out_kind = k1 if k1 != kind else k2
             return pre, out_kind, merged + new_cond
-        if isinstance(st, S.While):
+        if isinstance(st, (S.While, S.DoWhile)):
             return self.loop(st, post, kind, sides)
-        if isinstance(st, S.DoWhile):
-            return self.do_loop(st, post, kind, sides)
         if isinstance(st, S.Return):
+            # a return ends its path: no side pending after it is required here
+            true = S.BoolLit(value=True, pos=st.pos, ty=S.BOOL)
+            sides = [replace(s, formula=true) for s in sides]
             if st.expr is None:
                 return self.exit_post, self.exit_kind, sides
             if isinstance(st.expr, S.Call):
@@ -408,31 +410,46 @@ class _Wp:
         return _Loop(loop_id, st.pos[0], inv, st.cond, mapping,
                      havoc(inv, {}, tag))
 
-    def loop(self, w: S.While, post, kind, sides):
-        lp = self.loop_frame(w)
-        out = []
-        # pending goals from after the loop: I && !b ==> goal, havocked
-        for s in sides:
-            out.append(replace(s, formula=lp.exit_ctx(s.formula)))
+    def loop(self, st, post, kind, sides):
+        """while (b) S and do S while (b) with invariant I, over the havoc
+        of the body's variables: goals pending after the loop hold under
+        I && !b, the condition's guards under I, the body preserves I
+        (I && b ==> wp(S, I)), and the post becomes the loop-exit side. A
+        while loop's pre is I at its first check. A do loop's body runs once
+        before that check, so its pre and first-run sides come from the
+        preservation pass itself, or from a pass of their own to the first
+        check's I when I reads LoopEntry, and its body passes are labelled
+        invariant-init. Each obligation thus carries at most one havoc
+        generation per loop, so trace instantiation always corresponds to
+        an actual step.
 
-        # loop condition guards hold whenever the invariant does
-        for g in self.guard_sides(w.cond):
-            out.append(replace(g, formula=lp.hv(_imp(lp.inv, g.formula))))
-
-        # invariant preservation
-        p_body, _, body_sides = self.wp(w.body, lp.inv, "invariant-preserve", [])
+        The sides' ids also number the call-result symbols (f@rN), so they
+        are drawn in one order: a while loop's condition guards before its
+        body pass, a do loop's after it."""
+        lp = self.loop_frame(st)
+        out = [replace(s, formula=lp.exit_ctx(s.formula)) for s in sides]
+        do = isinstance(st, S.DoWhile)
+        guards = [] if do else self.guard_sides(st.cond)
+        p_body, body_kind, body_sides = self.wp(
+            st.body, lp.inv, "invariant-init" if do else "invariant-preserve", [])
+        pre, pre_kind = lp.first, "invariant-init"
+        if do:
+            pre, pre_kind, first_sides = (
+                (p_body, body_kind, body_sides) if lp.first is lp.inv
+                else self.wp(st.body, lp.first, "invariant-init", []))
+            # the first run's goals hold unconditionally, under ids of their own
+            out.extend(replace(s, sid=next(self.sid)) for s in first_sides)
+            guards = self.guard_sides(st.cond)
+        out.extend(replace(g, formula=lp.hv(_imp(lp.inv, g.formula)))
+                   for g in guards)
         out.append(self.new_side("invariant-preserve", lp.body_ctx(p_body),
                                  lp.line))
-        for s in body_sides:
-            out.append(replace(s, formula=lp.body_ctx(s.formula)))
-
-        out.extend(self.variant_sides(w, lp))
-
-        # the main postcondition becomes the loop-exit side obligation
+        out.extend(replace(s, formula=lp.body_ctx(s.formula)) for s in body_sides)
+        out.extend(self.variant_sides(st, lp))
         out.append(self.new_side(kind, lp.exit_ctx(post), lp.line,
                                  detail="loop exit"))
         self.spend(lp.memo)
-        return lp.first, "invariant-init", out
+        return pre, pre_kind, out
 
     def variant_sides(self, st, lp):
         """Non-negativity, plus the decrease claim threaded through the body;
@@ -457,36 +474,6 @@ class _Wp:
                 out.append(self.new_side("variant-decrease",
                                          lp.body_ctx(s.formula), s.line, s.detail))
         return out
-
-    def do_loop(self, st: S.DoWhile, post, kind, sides):
-        """do S while (b): the body runs once, then the loop rules apply with
-        the invariant first checked at the head reached after that body. One
-        wp pass over the body serves both the entry chain (pre) and the
-        preservation chain (the entry chain has its own if LoopEntry occurs),
-        so each obligation carries at most one havoc generation per loop:
-        trace instantiation then always corresponds to an actual step."""
-        lp = self.loop_frame(st)
-        out = [replace(s, formula=lp.exit_ctx(s.formula)) for s in sides]
-        p_body, body_kind, body_sides = self.wp(st.body, lp.inv,
-                                                "invariant-init", [])
-        pre, _, first_sides = (
-            (p_body, body_kind, body_sides) if lp.first is lp.inv
-            else self.wp(st.body, lp.first, "invariant-init", []))
-        # goals from inside the body: once for the unconditional first run...
-        out.extend(first_sides)
-        # ...and once under the loop context for every later iteration
-        for g in self.guard_sides(st.cond):
-            out.append(replace(g, formula=lp.hv(_imp(lp.inv, g.formula))))
-        out.append(self.new_side("invariant-preserve", lp.body_ctx(p_body),
-                                 lp.line))
-        for s in body_sides:
-            out.append(self.new_side(s.kind, lp.body_ctx(s.formula), s.line,
-                                     s.detail))
-        out.extend(self.variant_sides(st, lp))
-        out.append(self.new_side(kind, lp.exit_ctx(post), lp.line,
-                                 detail="loop exit"))
-        self.spend(lp.memo)
-        return pre, body_kind, out
 
     def reachable_callees(self, name, seen=None):
         if seen is None:

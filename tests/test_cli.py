@@ -192,6 +192,32 @@ def test_prove_faulting_counterexample_reports_unknown(capsys, tmp_path):
     assert ob["detail"] == "counterexample not checkable: division by zero at line 1"
 
 
+EARLY_RETURN = """/*@ requires true;
+  @ ensures \\result >= 0;
+  @*/
+real m(real x) {
+    if (x < 0) { return 0.0; }
+    /*@ assert x >= 0; @*/
+    return x;
+}
+"""
+
+
+def test_an_assert_after_an_early_return_is_proved(capsys, tmp_path):
+    """A return ends its path: a run at x = -1 returns before the assert,
+    so the assert is not required there, and prove exits 0."""
+    src = tmp_path / "early.mjml"
+    src.write_text(EARLY_RETURN, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "run", str(src), "--method", "m",
+                           "--args", "[-1]")
+    assert code == 0 and json.loads(out)["summary"]["status"] == "normal"
+    code, out, _ = run_cli(capsys, "prove", str(src))
+    assert code == 0
+    assert [(o["id"], o["status"]) for o in json.loads(out)["obligations"]] == [
+        ("m:000:ensures", "proved-internal"),
+        ("m:001:assert", "proved-internal")]
+
+
 def test_test_subcommand_translate_ok(capsys, schema):
     code, out, _ = run_cli(capsys, "test", "--entry", "rectangle_translate",
                            "--cases", "50", "--seed", "3", "--mode", "rational")

@@ -526,8 +526,7 @@ def _fused_state(rng, mode):
 
 def _walk(e, here, old, env, mode):
     """The value of e by a plain walk over the tree: operands left to
-    right (a divisor before its dividend, as the interpreter does),
-    connectives short-circuit, and a quantifier over FUSED_RANGE."""
+    right, connectives short-circuit, and a quantifier over FUSED_RANGE."""
     def ev(x):
         return _walk(x, here, old, env, mode)
     line = e.pos[0]
@@ -562,10 +561,10 @@ def _walk(e, here, old, env, mode):
     if e.op == "==>":
         return not ev(e.left) or ev(e.right)
     if e.op == "/":
-        d = ev(e.right)
+        n, d = ev(e.left), ev(e.right)
         if d == 0:
             raise ExecutionFault("division by zero", line)
-        v = ev(e.left) / (d if mode == "binary64" else Fraction(d))
+        v = n / (d if mode == "binary64" else Fraction(d))
     else:
         v = {"+": operator.add, "-": operator.sub, "*": operator.mul,
              **S.COMPARE}[e.op](ev(e.left), ev(e.right))
@@ -622,6 +621,22 @@ def test_a_fault_is_reached_only_where_the_short_circuit_reaches_it(mode, text, 
     states = {"Here": {"n": 0, "m": 0, "a": [1, 2, 3], "x": real(1), "y": real(0),
                        "b": []}}
     assert _outcome(f, states, mode) == _walked(f, states, mode) == want
+
+
+@pytest.mark.parametrize("mode", ["rational", "binary64"])
+def test_a_dividend_is_evaluated_before_its_divisor(mode):
+    """`a[5] / x` with a = [1.0] and x = 0.0 faults on the read, as
+    left-to-right evaluation does, in a formula and in a method body."""
+    real = float if mode == "binary64" else Fraction
+    f = typed_formula("b[5] / x > 0.0", FUSED_TYPES, CTX_ENSURES)
+    states = {"Here": {"n": 0, "m": 0, "a": [], "x": real(0), "y": real(0),
+                       "b": [real(1)]}}
+    want = (ExecutionFault, "array index 5 out of bounds 0..0 at line 1")
+    assert _outcome(f, states, mode) == _walked(f, states, mode) == want
+    tu = typecheck(parse("real f(real[] a, real x) { return a[5] / x; }"))
+    out = exec_method(tu, "f", [[real(1)], real(0)], mode)
+    assert out.status == "runtime-error"
+    assert "array index 5 out of bounds 0..0" in out.error
 
 
 def test_compiled_formula_rejects_a_bundle_of_another_layout():

@@ -677,6 +677,27 @@ int m(int k) {
     return c + 1;
 }
 """,
+    # a return ends its path: the sides pending after it, the assert and
+    # the second call's requires, are true on the path that returns, also
+    # through a call with no target
+    "early_return": """
+/*@ requires n >= 0;
+  @ ensures \\result == n + 1;
+  @*/
+int inc(int n) {
+    return n + 1;
+}
+
+/*@ requires true;
+  @ ensures \\result >= 0;
+  @*/
+int m(int x) {
+    if (x < 0) { return inc(0); }
+    int y = inc(x);
+    /*@ assert y > 0; @*/
+    return y;
+}
+""",
 }
 
 WP_PATHS_EXPECTED = {
@@ -716,6 +737,18 @@ WP_PATHS_EXPECTED = {
          " && (k >= 10 ==> clip@r2 == 10) ==> clip@r2 <= 4", "unknown"),
         ("m:002:call-requires", "k >= 0", "proved-internal"),
     ],
+    "early_return": [
+        ("m:000:ensures",
+         "(x < 0 ==> inc@r4 == 0 + 1 ==> inc@r4 >= 0)"
+         " && (!(x < 0) ==> inc@r2 == x + 1 ==> inc@r2 > 0 ==> inc@r2 >= 0)",
+         "proved-internal"),
+        ("m:001:assert",
+         "(x < 0 ==> true) && (!(x < 0) ==> inc@r2 == x + 1 ==> inc@r2 > 0)",
+         "proved-internal"),
+        ("m:002:call-requires", "(x < 0 ==> true) && (!(x < 0) ==> x >= 0)",
+         "proved-internal"),
+        ("m:003:call-requires", "x < 0 ==> 0 >= 0", "proved-internal"),
+    ],
 }
 
 
@@ -725,3 +758,148 @@ def test_wp_rule_paths_are_pinned(case):
     got = [(ob.id, expr_to_str(ob.goal), prove_internal(ob).status)
            for ob in obs]
     assert got == WP_PATHS_EXPECTED[case]
+
+
+# calls in a while body and in a do body, both under conditions with
+# array-read guards, a call before each loop, and a do invariant that reads
+# LoopEntry: the sides' ids number the call-result symbols (inc@rN), so
+# this pins the order in which the loop rule draws them
+LOOP_NUMBERING = """
+/*@ requires n >= 0;
+  @ ensures \\result == n + 1;
+  @*/
+int inc(int n) {
+    return n + 1;
+}
+
+/*@ requires 1 <= n && n <= \\length(a);
+  @ ensures true;
+  @*/
+void m(int[] a, int n) {
+    int i = inc(0);
+    int j = 0;
+    /*@ loop_invariant 0 <= j && j <= n;
+      @ loop_variant n - j;
+      @*/
+    while (j < n && a[j] > 0) {
+        j = inc(j);
+    }
+    int k = inc(j);
+    /*@ loop_invariant 1 <= i && i <= n && Permut{LoopEntry,Here}(a, 0, n - 1);
+      @ loop_variant n - i;
+      @*/
+    do {
+        a[0] = a[0];
+        i = inc(i);
+    } while (i < n && a[i] > 0);
+}
+"""
+
+LOOP_NUMBERING_EXPECTED = [
+    ("m:000:invariant-init",
+     "loop invariant initially holds [line 9]",
+     "inc@r32 == 0 + 1 ==> 0 <= 0 && 0 <= n"),
+    ("m:001:call-requires",
+     "callee precondition holds (requires of inc) [line 27]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && !(j@L0 < n"
+     " && a[j@L0] > 0) ==> inc@r21 == j@L0 + 1 ==> inc@r32 >= 0"),
+    ("m:002:bounds-guard",
+     "array access within bounds (index 0 within a) [line 26]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && !(j@L0 < n"
+     " && a[j@L0] > 0) ==> inc@r21 == j@L0 + 1 ==> 0 >= 0 && 0 < \\length(a)"),
+    ("m:003:bounds-guard",
+     "array access within bounds (store index 0 within a) [line 26]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && !(j@L0 < n"
+     " && a[j@L0] > 0) ==> inc@r21 == j@L0 + 1 ==> 0 >= 0 && 0 < \\length(a)"),
+    ("m:004:bounds-guard",
+     "array access within bounds (index i within a) [line 28]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && !(j@L0 < n"
+     " && a[j@L0] > 0) ==> inc@r21 == j@L0 + 1 ==> 1 <= i@L1 && i@L1 <= n"
+     " && \\permut(a@L1, a@L1, 0, n - 1) ==> i@L1 < n ==> i@L1 >= 0"
+     " && i@L1 < \\length(a@L1)"),
+    ("m:005:invariant-preserve",
+     "loop invariant preserved [line 22]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && !(j@L0 < n"
+     " && a[j@L0] > 0) ==> inc@r21 == j@L0 + 1 ==> 1 <= i@L1 && i@L1 <= n"
+     " && \\permut(a@L1, a@L1, 0, n - 1) && (i@L1 < n && a@L1[i@L1] > 0)"
+     " ==> inc@r1 == i@L1 + 1 ==> 1 <= inc@r1 && inc@r1 <= n"
+     " && \\permut(a@L1, \\store(a@L1, 0, a@L1[0]), 0, n - 1)"),
+    ("m:006:call-requires",
+     "callee precondition holds (requires of inc) [line 27]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && !(j@L0 < n"
+     " && a[j@L0] > 0) ==> inc@r21 == j@L0 + 1 ==> 1 <= i@L1 && i@L1 <= n"
+     " && \\permut(a@L1, a@L1, 0, n - 1) && (i@L1 < n && a@L1[i@L1] > 0)"
+     " ==> i@L1 >= 0"),
+    ("m:007:bounds-guard",
+     "array access within bounds (index 0 within a) [line 26]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && !(j@L0 < n"
+     " && a[j@L0] > 0) ==> inc@r21 == j@L0 + 1 ==> 1 <= i@L1 && i@L1 <= n"
+     " && \\permut(a@L1, a@L1, 0, n - 1) && (i@L1 < n && a@L1[i@L1] > 0)"
+     " ==> 0 >= 0 && 0 < \\length(a@L1)"),
+    ("m:008:bounds-guard",
+     "array access within bounds (store index 0 within a) [line 26]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && !(j@L0 < n"
+     " && a[j@L0] > 0) ==> inc@r21 == j@L0 + 1 ==> 1 <= i@L1 && i@L1 <= n"
+     " && \\permut(a@L1, a@L1, 0, n - 1) && (i@L1 < n && a@L1[i@L1] > 0)"
+     " ==> 0 >= 0 && 0 < \\length(a@L1)"),
+    ("m:009:variant-nonneg",
+     "loop variant non-negative [line 22]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && !(j@L0 < n"
+     " && a[j@L0] > 0) ==> inc@r21 == j@L0 + 1 ==> 1 <= i@L1 && i@L1 <= n"
+     " && \\permut(a@L1, a@L1, 0, n - 1) && (i@L1 < n && a@L1[i@L1] > 0)"
+     " ==> n - i@L1 >= 0"),
+    ("m:010:variant-decrease",
+     "loop variant decreases [line 22]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && !(j@L0 < n"
+     " && a[j@L0] > 0) ==> inc@r21 == j@L0 + 1 ==> 1 <= i@L1 && i@L1 <= n"
+     " && \\permut(a@L1, a@L1, 0, n - 1) && (i@L1 < n && a@L1[i@L1] > 0)"
+     " ==> inc@r15 == i@L1 + 1 ==> n - inc@r15 < n - i@L1"),
+    ("m:011:ensures",
+     "postcondition holds (loop exit) [line 22]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && !(j@L0 < n"
+     " && a[j@L0] > 0) ==> inc@r21 == j@L0 + 1 ==> 1 <= i@L1 && i@L1 <= n"
+     " && \\permut(a@L1, a@L1, 0, n - 1) && !(i@L1 < n && a@L1[i@L1] > 0)"
+     " ==> true"),
+    ("m:012:call-requires",
+     "callee precondition holds (requires of inc) [line 21]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && !(j@L0 < n"
+     " && a[j@L0] > 0) ==> j@L0 >= 0"),
+    ("m:013:bounds-guard",
+     "array access within bounds (index j within a) [line 18]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n ==> j@L0 < n ==> j@L0 >= 0"
+     " && j@L0 < \\length(a)"),
+    ("m:014:invariant-preserve",
+     "loop invariant preserved [line 15]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && (j@L0 < n"
+     " && a[j@L0] > 0) ==> inc@r24 == j@L0 + 1 ==> 0 <= inc@r24"
+     " && inc@r24 <= n"),
+    ("m:015:call-requires",
+     "callee precondition holds (requires of inc) [line 19]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && (j@L0 < n"
+     " && a[j@L0] > 0) ==> j@L0 >= 0"),
+    ("m:016:variant-nonneg",
+     "loop variant non-negative [line 15]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && (j@L0 < n"
+     " && a[j@L0] > 0) ==> n - j@L0 >= 0"),
+    ("m:017:variant-decrease",
+     "loop variant decreases [line 15]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && (j@L0 < n"
+     " && a[j@L0] > 0) ==> inc@r28 == j@L0 + 1 ==> n - inc@r28 < n - j@L0"),
+    ("m:018:invariant-init",
+     "loop invariant initially holds (loop exit) [line 15]",
+     "inc@r32 == 0 + 1 ==> 0 <= j@L0 && j@L0 <= n && !(j@L0 < n"
+     " && a[j@L0] > 0) ==> inc@r21 == j@L0 + 1 ==> inc@r5 == inc@r32 + 1"
+     " ==> 1 <= inc@r5 && inc@r5 <= n"
+     " && \\permut(\\store(a, 0, a[0]), \\store(a, 0, a[0]), 0, n - 1)"),
+    ("m:019:call-requires",
+     "callee precondition holds (requires of inc) [line 13]",
+     "0 >= 0"),
+]
+
+
+def test_loop_rule_draws_ids_in_a_fixed_order():
+    obs = generate_obligations(typecheck(parse(LOOP_NUMBERING)), "m")
+    assert [(ob.id, ob.name, expr_to_str(ob.goal)) for ob in obs] == \
+        LOOP_NUMBERING_EXPECTED
+    assert all([expr_to_str(h) for h in ob.hypotheses] ==
+               ["1 <= n && n <= \\length(a)"] for ob in obs)
