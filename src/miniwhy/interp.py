@@ -47,6 +47,18 @@ and each entry holds the objects its key names. Trace validation makes
 one cache per call and drops it when the call returns; without a cache,
 every evaluation binds afresh.
 
+A BindCache also keeps one record per state bundle: its Here, Old and
+LoopEntry states, the set of their names, built once, and a value table.
+Many tests share their hypotheses (a requires, an invariant, a path
+condition), so under a compile memo and outside every quantifier binder a
+`==>` chain reads each antecedent's value on the bundle from that table,
+keyed by the antecedent's closure: the first test that reaches the
+antecedent evaluates and stores it, and every later test reads it. The
+chain keeps its order and short circuit, and a fault is never stored, so
+every test that reaches a faulting antecedent raises its fault. Runtime
+checks compile without a memo and eval_formula without a cache has no
+table, so neither reads one.
+
 A bounded `\\forall integer k1 ... kn; guards ==> consequent` is evaluated
 by enumeration. Each binder's range is lo..hi, the greatest lower and the
 least upper bound among the guard conjuncts that compare it with a term of
@@ -137,7 +149,9 @@ class Kernel:
 
 
 class Frame:
-    __slots__ = ("cur", "old", "res", "loopentry", "K")
+    # values: a standalone formula's bundle value table (see BindCache), or
+    # None; set by CompiledFormula._evaluate, never on a method's frame
+    __slots__ = ("cur", "old", "res", "loopentry", "K", "values")
 
     def __init__(self, cur, K):
         self.cur = cur
@@ -468,6 +482,8 @@ def _compile_connective(e: S.Binary, ctx: CompileCtx, state: str):
         e = e.right
     antecedents = compile_all(antecedents)
     consequent = compile_expr(e, ctx, state)
+    if ctx.memo is not None and not ctx.binders:
+        return _implies_tabled(antecedents, consequent)
     if len(antecedents) == 1:
         [l] = antecedents
         return lambda f: not l(f) or consequent(f)
@@ -475,6 +491,28 @@ def _compile_connective(e: S.Binary, ctx: CompileCtx, state: str):
     def implies(f):
         for p in antecedents:
             if not p(f):
+                return True
+        return consequent(f)
+    return implies
+
+
+def _implies_tabled(antecedents, consequent):
+    """The `==>` chain of a memoised compile outside every binder: an
+    antecedent's value on the frame's bundle is read from the bundle's
+    value table (f.values) when a test has stored it, else computed and
+    stored. A memo hands every test the same closure for a node it shares,
+    so the closure is the key. A fault stores nothing; without a table
+    (f.values None) every antecedent is evaluated."""
+    def implies(f):
+        values = f.values
+        for p in antecedents:
+            if values is None:
+                v = p(f)
+            else:
+                v = values.get(p, values)   # the table is never a value
+                if v is values:
+                    v = values[p] = p(f)
+            if not v:
                 return True
         return consequent(f)
     return implies
@@ -1095,7 +1133,11 @@ class CompiledFormula:
         return out
 
     def _evaluate(self, states: dict, cache=None) -> bool:
-        here, old, le, names = _bundle(states)
+        if cache is None:
+            here, old, le, names = _bundle(states)
+            values = None
+        else:
+            _, here, old, le, names, values = cache.bundle(states)
         if names != self.names:
             raise EvalError("state bundle names differ from the compiled "
                             f"layout: {sorted(names ^ self.names)}")
@@ -1104,29 +1146,44 @@ class CompiledFormula:
         frame = Frame(self._bind(here, cache), None)
         frame.old = self._bind(old, cache)
         frame.loopentry = self._bind(le, cache)
+        frame.values = values
         return bool(self._fn(frame))
 
 
 class BindCache:
-    """Coerced values and bound slot lists shared by the evaluations of one
-    batch of state bundles; trace validation makes one per call and drops
-    it when the call returns.
+    """Coerced values, bound slot lists and bundle records shared by the
+    evaluations of one batch of state bundles; trace validation makes one
+    per call and drops it when the call returns.
 
     `values` maps (id(value), id(type), mode) to (value, type, coerced
     value), so each value is coerced once per type; `lists` maps
     (id(state dict), id(read signature)) to (state dict, signature, slot
     list), so each state is bound once per read signature and the formulas
-    that share the signature share the list. An entry holds every object
-    its key names by id, so no id is reused while the cache lives. The
-    state dicts must not change while it lives; formulas never change a
-    slot list or a value in it (a store copies its array).
+    that share the signature share the list; `bundles` maps id(states),
+    the bundle's label -> state dict, to its record (states, Here, Old,
+    LoopEntry, the set of their names, the value table), so the name union
+    is built once per bundle. The value table maps the closure of an
+    antecedent of a memoised `==>` chain to its value on the bundle, stored
+    by the first test that reaches it and read by every later one (never a
+    fault). An entry holds every object its key names by id, so no id is
+    reused while the cache lives. The bundles and their state dicts must
+    not change while it lives; formulas never change a slot list or a value
+    in it (a store copies its array).
     """
 
-    __slots__ = ("values", "lists")
+    __slots__ = ("values", "lists", "bundles")
 
     def __init__(self):
         self.values = {}
         self.lists = {}
+        self.bundles = {}
+
+    def bundle(self, states):
+        """The record of the bundle `states` (see above)."""
+        hit = self.bundles.get(id(states))
+        if hit is None:
+            hit = self.bundles[id(states)] = (states, *_bundle(states), {})
+        return hit
 
     def coerce(self, v, ty, mode):
         key = (id(v), id(ty), mode)

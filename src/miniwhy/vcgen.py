@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 from . import syntax as S
-from .errors import EvalError, VcgenError
+from .errors import EvalError, ExecutionFault, VcgenError
 from .interp import (BindCache, CompiledFormula, ExecutionOutcome,
                      eval_formula, loop_table, unit_digest)
 from .printer import expr_to_str
@@ -764,9 +764,16 @@ def instantiate_on_trace(obset: ObligationSet,
     recorded results, and the state bundles of each (method, havoc set,
     call-result symbols). Its BindCache coerces each recorded value once
     per type and binds each state once per read signature, so the tests
-    that read the same names share one slot list. The index and its cache
+    that read the same names share one slot list. It also keeps one record
+    per state bundle, with the bundle's value table: the first test that
+    reaches an antecedent of its `==>` chain on a bundle stores the
+    antecedent's value there, and every later test that reaches it on that
+    bundle reads it (a fault is not stored). The index and its cache
     belong to the call alone: nothing keeps them once it returns, and a
     later call starts afresh.
+
+    A fault (EvalError or ExecutionFault) in a test makes its obligation
+    not-instantiable with the fault's message; it never ends the call.
     """
     if outcome.status != "normal":
         raise VcgenError("trace validation needs an outcome with status 'normal'")
@@ -913,7 +920,7 @@ def _validate_one(ob: Obligation, index: _TraceIndex, memos: dict) -> Obligation
                 test = compiled[key] = CompiledFormula(
                     plan.test, states, mode, memos.setdefault(key, {}))
             holds = eval_formula(test, states, mode, cache=cache)
-        except EvalError as ex:
+        except (EvalError, ExecutionFault) as ex:
             return ObligationTraceResult(ob.id, "not-instantiable", str(ex))
         evaluated += 1
         if not holds:

@@ -417,3 +417,34 @@ def test_combos_pair_each_inner_snapshot_with_its_own_outer_iteration():
     assert all(c[2] != early for c in combos)
     assert vcgen._combos(seg, [2]) == [{2: s} for s in [early, *inner[0], *inner[1]]]
     assert vcgen._combos(seg, []) == [{}]
+
+
+# pick's contract ties its result to the array it was given; a test that
+# pairs m's second call with the result of the first reads a[3] with
+# \length(a) == 1
+MISPAIRED_PICK = """
+/*@ requires 0 <= i && i < \\length(a);
+  @ ensures a[\\result] == a[i] && \\result == i;
+  @*/
+int pick(int[] a, int i) {
+    return i;
+}
+
+/*@ requires \\length(a) == 1 && \\length(b) == 5;
+  @ ensures \\result >= 0;
+  @*/
+int m(int[] a, int[] b) {
+    int s = pick(b, 3);
+    int r = pick(a, 0);
+    return r + s;
+}
+"""
+
+
+def test_a_fault_in_a_test_is_reported_not_raised():
+    tu = typecheck(parse(MISPAIRED_PICK, "mispaired"))
+    out = run_traced(tu, "m", [[7], [1, 2, 3, 4, 5]])
+    rep = instantiate_on_trace(generate_obligations(tu, "m"), out)
+    assert [(r.id, r.verdict, r.detail) for r in rep.not_instantiable] == [
+        ("m:000:ensures", "not-instantiable", "array index 3 out of bounds 0..0 at line 3")]
+    assert not rep.failed and len(rep.passed) == 2
