@@ -383,13 +383,36 @@ def prove_internal(ob) -> ProofStatus:
     Accepts a vcgen Obligation (or anything with .hypotheses/.hyp_sources/
     .goal/.has_fresh/.var_sorts attributes). An obligation of a generated
     set carries the set's table as `_forms`, which every proof of the set
-    reads and fills. A formula nested deeper than Python's stack ends in
-    `unknown`, as the other resource caps do.
+    reads and fills. The table also keeps the first status of each goal
+    object under its hypothesis objects and sources, from which vcgen
+    derives the sorts and havoc loops the prover reads too, and holds those
+    objects, so that no id of the key is reused: a repeat, which vcgen
+    lists where two listings state one obligation, takes a copy of that
+    status without being simplified or proved again. A formula nested
+    deeper than Python's stack ends in `unknown`, as the other resource
+    caps do.
     """
+    forms = getattr(ob, "_forms", None)
+    if forms is not None:
+        hyps = tuple(ob.hypotheses)
+        key = ("status", id(ob.goal), tuple(map(id, hyps)),
+               tuple(ob.hyp_sources or ()))
+        hit = forms.get(key)
+        if hit is not None:
+            return _copy(hit[2])
     try:
-        return _prove(ob)
+        status = _prove(ob)
     except RecursionError:
-        return ProofStatus("unknown", reason="resource cap: nesting too deep")
+        status = ProofStatus("unknown", reason="resource cap: nesting too deep")
+    if forms is not None:
+        forms[key] = ob.goal, hyps, _copy(status)
+    return status
+
+
+def _copy(st: ProofStatus) -> ProofStatus:
+    cex = st.counterexample
+    return ProofStatus(st.status, st.reason, list(st.rule_trace),
+                       None if cex is None else dict(cex))
 
 
 def _prove(ob) -> ProofStatus:

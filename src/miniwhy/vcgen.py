@@ -13,6 +13,19 @@ formulas: requires, assumes and lemmas are closed where they are read, the
 goal's \\old collapses at closure, and any other state node left there is
 an internal error.
 
+wp carries a tuple of posts, each with its kind. A method pass has one; a
+loop body with a variant has two, the invariant and the decrease post
+`v < \\at(v, LoopEntry)`, so the body is walked once for both. Each post
+follows the post's rules (an `if` builds `c ==> p1 && !c ==> p2`, a return
+makes it the exit post, an inner loop makes it an exit side at the end of
+that loop's list), and posts that are one object give one formula. Each
+side records the post it came from, or None when it is both posts': the
+preservation listing reads the invariant's and the shared sides, and the
+variant listing reads the decrease post's and the shared sides of kind
+variant-decrease. A shared side listed twice is one goal object in both
+listings, so it is closed and proved once; the repeat stays in the
+inventory, whose ids and count the listings define.
+
 The formulas share subterms (an invariant, a condition, a continuation),
 so one transformation applied to many of them passes them all one memo of
 the term core: an assignment's substitution into the post and every pending
@@ -243,30 +256,55 @@ class _Side:
     line: int
     detail: str
     formula: S.Expr
+    post: int | None = None     # index of the post it came from; None: every post's
 
 
 @dataclass
 class _Loop:
-    """One loop's verification frame: its invariant and condition, and the
-    havoc of the variables its body assigns."""
+    """One loop's verification frame: its invariant and condition, its
+    decrease post (None without a variant), and the havoc of the variables
+    its body assigns."""
     id: int
     line: int
     inv: S.Expr             # LoopEntry markers tagged with id
     cond: S.Expr
+    decrease: S.Expr        # v < \at(v, LoopEntry), tagged with id
     mapping: dict           # assigned variable -> its havoc symbol
     first: S.Expr           # inv at its first check, where LoopEntry is Here
     memo: dict = field(default_factory=dict)    # of hv, for every formula
+    # (exit, id(f)) -> (f, its context): a formula listed twice gets one
+    ctx: dict = field(default_factory=dict)
 
     def hv(self, f: S.Expr) -> S.Expr:
         return havoc(f, self.mapping, _entry_tag(self.id), self.memo)
 
+    def context(self, f: S.Expr, exit: bool) -> S.Expr:
+        hit = self.ctx.get((exit, id(f)))
+        if hit is None:
+            cond = _not(self.cond) if exit else self.cond
+            hit = self.ctx[exit, id(f)] = f, self.hv(_imp(_and(self.inv, cond), f))
+        return hit[1]
+
     def exit_ctx(self, f: S.Expr) -> S.Expr:
         """I && !b ==> f, havocked: f after the loop."""
-        return self.hv(_imp(_and(self.inv, _not(self.cond)), f))
+        return self.context(f, True)
 
     def body_ctx(self, f: S.Expr) -> S.Expr:
         """I && b ==> f, havocked: f at the start of an iteration."""
-        return self.hv(_imp(_and(self.inv, self.cond), f))
+        return self.context(f, False)
+
+
+def _each(build, *cols) -> tuple:
+    """build over the posts, column by column: posts whose arguments are
+    the same objects as an earlier post's share that post's result, so
+    posts that are one object stay one."""
+    built, out = {}, []
+    for args in zip(*cols):
+        key = tuple(map(id, args))
+        if key not in built:
+            built[key] = build(*args)
+        out.append(built[key])
+    return tuple(out)
 
 
 class _Wp:
@@ -284,26 +322,29 @@ class _Wp:
             (node.name, node.ty) for node in S.walk(method.body)
             if isinstance(node, S.VarDecl)]
 
-    def new_side(self, kind, formula, line, detail="") -> _Side:
-        return _Side(next(self.sid), kind, line, detail, formula)
+    def new_side(self, kind, formula, line, detail="", post=None) -> _Side:
+        return _Side(next(self.sid), kind, line, detail, formula, post)
 
     def guard_sides(self, e: S.Expr) -> list:
         return [self.new_side(kind, f, line, detail)
                 for kind, f, line, detail in collect_guards(e)]
 
-    def wp(self, st: S.Stmt, post: S.Expr, kind: str, sides: list):
-        """Returns (pre, pre_kind, sides'). sides' entries with sid matching
-        an input side are its transformed continuation."""
+    def wp(self, st: S.Stmt, posts: tuple, kinds: tuple, sides: list):
+        """Returns (pres, pre_kinds, sides'): a pre and its kind per post
+        (posts and kinds are tuples of one length), and the sides. sides'
+        entries with sid matching an input side are its transformed
+        continuation. Each post follows the post's rules; where two posts
+        are one object the rules build one formula for both."""
         if isinstance(st, S.Block):
             for s in reversed(st.stmts):
-                post, kind, sides = self.wp(s, post, kind, sides)
-            return post, kind, sides
+                posts, kinds, sides = self.wp(s, posts, kinds, sides)
+            return posts, kinds, sides
         if isinstance(st, S.VarDecl):
             if st.init is None:
-                return post, kind, sides
-            return self.assign_like(st, st.name, st.init, post, kind, sides)
+                return posts, kinds, sides
+            return self.assign_like(st, st.name, st.init, posts, kinds, sides)
         if isinstance(st, S.Assign):
-            return self.assign_like(st, st.name, st.expr, post, kind, sides)
+            return self.assign_like(st, st.name, st.expr, posts, kinds, sides)
         if isinstance(st, S.ArrayAssign):
             new = (self.guard_sides(st.index) + self.guard_sides(st.expr) +
                    [self.new_side("bounds-guard",
@@ -311,47 +352,50 @@ class _Wp:
                                   f"store index {expr_to_str(st.index)} within {st.name}")])
             return self.rewritten(
                 lambda f, memo: subst_store(f, st.name, st.index, st.expr, memo),
-                post, kind, sides, new)
+                posts, kinds, sides, new)
         if isinstance(st, S.If):
             new_cond = self.guard_sides(st.cond)
-            p1, k1, s1 = self.wp(st.then, post, kind, sides)
+            p1, k1, s1 = self.wp(st.then, posts, kinds, sides)
             if st.orelse is not None:
-                p2, k2, s2 = self.wp(st.orelse, post, kind, sides)
+                p2, k2, s2 = self.wp(st.orelse, posts, kinds, sides)
             else:
-                p2, k2, s2 = post, kind, list(sides)
-            pre = _and(_imp(st.cond, p1), _imp(_not(st.cond), p2))
+                p2, k2, s2 = posts, kinds, list(sides)
+            pres = _each(lambda a, b: _and(_imp(st.cond, a), _imp(_not(st.cond), b)),
+                         p1, p2)
             merged = self.merge_branches(st.cond, sides, s1, s2)
-            out_kind = k1 if k1 != kind else k2
-            return pre, out_kind, merged + new_cond
+            out_kinds = tuple(a if a != k else b for k, a, b in zip(kinds, k1, k2))
+            return pres, out_kinds, merged + new_cond
         if isinstance(st, (S.While, S.DoWhile)):
-            return self.loop(st, post, kind, sides)
+            return self.loop(st, posts, kinds, sides)
         if isinstance(st, S.Return):
-            # a return ends its path: no side pending after it is required here
+            # a return ends its path: no side pending after it is required
+            # here, and every post is the exit post
             true = S.BoolLit(value=True, pos=st.pos, ty=S.BOOL)
             sides = [replace(s, formula=true) for s in sides]
-            if st.expr is None:
-                return self.exit_post, self.exit_kind, sides
             if isinstance(st.expr, S.Call):
-                return self.call(st, st.expr, None, sides)
-            new = self.guard_sides(st.expr)
-            return (subst_result(self.exit_post, st.expr), self.exit_kind,
-                    sides + new)
+                return self.call(st, st.expr, None, posts, kinds, sides)
+            pre = self.exit_post
+            if st.expr is not None:
+                pre = subst_result(pre, st.expr)
+                sides = sides + self.guard_sides(st.expr)
+            return (pre,) * len(posts), (self.exit_kind,) * len(posts), sides
         if isinstance(st, S.AssertStmt):
             side = self.new_side("assert", st.formula, st.pos[0])
-            return _imp(st.formula, post), kind, sides + [side]
+            return (_each(lambda p: _imp(st.formula, p), posts), kinds,
+                    sides + [side])
         raise VcgenError(f"cannot compute wp of {type(st).__name__}")
 
-    def assign_like(self, st, name, expr, post, kind, sides):
+    def assign_like(self, st, name, expr, posts, kinds, sides):
         if isinstance(expr, S.Call):
-            return self.call(st, expr, name, sides, post=post, kind=kind)
+            return self.call(st, expr, name, posts, kinds, sides)
         return self.rewritten(lambda f, memo: subst(f, name, expr, memo),
-                              post, kind, sides, self.guard_sides(expr))
+                              posts, kinds, sides, self.guard_sides(expr))
 
-    def rewritten(self, tr, post, kind, sides, new):
-        """The post and every pending side through tr(formula, memo), all
+    def rewritten(self, tr, posts, kinds, sides, new):
+        """The posts and every pending side through tr(formula, memo), all
         with one memo, which is charged to the budget; then the new sides."""
         memo = {}
-        out = (tr(post, memo), kind,
+        out = (tuple(tr(p, memo) for p in posts), kinds,
                [replace(s, formula=tr(s.formula, memo)) for s in sides] + new)
         self.spend(memo)
         return out
@@ -407,21 +451,33 @@ class _Wp:
         tag = _entry_tag(loop_id)
         inv = S.rewrite(annot.invariant, lambda e: replace(e, label=tag)
                         if isinstance(e, S.AtLabel) else None)
-        return _Loop(loop_id, st.pos[0], inv, st.cond, mapping,
+        v, decrease = annot.variant, None
+        if v is not None:
+            v_entry = S.AtLabel(operand=v, label=tag, pos=v.pos, ty=v.ty)
+            decrease = S.Binary(op="<", left=v, right=v_entry, pos=v.pos, ty=S.BOOL)
+        return _Loop(loop_id, st.pos[0], inv, st.cond, decrease, mapping,
                      havoc(inv, {}, tag))
 
-    def loop(self, st, post, kind, sides):
+    def loop(self, st, posts, kinds, sides):
         """while (b) S and do S while (b) with invariant I, over the havoc
         of the body's variables: goals pending after the loop hold under
         I && !b, the condition's guards under I, the body preserves I
-        (I && b ==> wp(S, I)), and the post becomes the loop-exit side. A
-        while loop's pre is I at its first check. A do loop's body runs once
-        before that check, so its pre and first-run sides come from the
-        preservation pass itself, or from a pass of their own to the first
-        check's I when I reads LoopEntry, and its body passes are labelled
+        (I && b ==> wp(S, I)), and each post becomes a loop-exit side, at
+        the end of the loop's list (one side for posts that are one formula
+        of one kind). A while loop's pre is I at its first check, the same
+        object for every post. A do loop's body runs once before that
+        check, so its pre and first-run sides come from the preservation
+        pass itself, or from a pass of their own to the first check's I
+        when I reads LoopEntry, and its body passes are labelled
         invariant-init. Each obligation thus carries at most one havoc
         generation per loop, so trace instantiation always corresponds to
         an actual step.
+
+        A loop with a variant walks its body once: the decrease post rides
+        along as a second post beside I, and variant_sides reads the
+        decrease claim from that pass. The pass's sides each record the
+        post they came from (0 for I's, 1 for the decrease's, None for
+        both); the preservation listing takes I's and the shared ones.
 
         The sides' ids also number the call-result symbols (f@rN), so they
         are drawn in one order: a while loop's condition guards before its
@@ -430,47 +486,59 @@ class _Wp:
         out = [replace(s, formula=lp.exit_ctx(s.formula)) for s in sides]
         do = isinstance(st, S.DoWhile)
         guards = [] if do else self.guard_sides(st.cond)
-        p_body, body_kind, body_sides = self.wp(
-            st.body, lp.inv, "invariant-init" if do else "invariant-preserve", [])
+        body_posts = (lp.inv,) + ((lp.decrease,) if lp.decrease is not None else ())
+        body_kinds = ("invariant-init" if do else "invariant-preserve",
+                      "variant-decrease")[:len(body_posts)]
+        (p_body, *p_dec), (body_kind, *_), body_sides = self.wp(
+            st.body, body_posts, body_kinds, [])
+        preserve = [s for s in body_sides if s.post != 1]
         pre, pre_kind = lp.first, "invariant-init"
         if do:
-            pre, pre_kind, first_sides = (
-                (p_body, body_kind, body_sides) if lp.first is lp.inv
-                else self.wp(st.body, lp.first, "invariant-init", []))
+            if lp.first is lp.inv:
+                pre, pre_kind, first_sides = p_body, body_kind, preserve
+            else:
+                (pre,), (pre_kind,), first_sides = self.wp(
+                    st.body, (lp.first,), ("invariant-init",), [])
             # the first run's goals hold unconditionally, under ids of their own
-            out.extend(replace(s, sid=next(self.sid)) for s in first_sides)
+            out.extend(replace(s, sid=next(self.sid), post=None) for s in first_sides)
             guards = self.guard_sides(st.cond)
         out.extend(replace(g, formula=lp.hv(_imp(lp.inv, g.formula)))
                    for g in guards)
         out.append(self.new_side("invariant-preserve", lp.body_ctx(p_body),
                                  lp.line))
-        out.extend(replace(s, formula=lp.body_ctx(s.formula)) for s in body_sides)
-        out.extend(self.variant_sides(st, lp))
-        out.append(self.new_side(kind, lp.exit_ctx(post), lp.line,
-                                 detail="loop exit"))
+        out.extend(replace(s, formula=lp.body_ctx(s.formula), post=None)
+                   for s in preserve)
+        if p_dec:
+            out.extend(self.variant_sides(st, lp, p_dec[0], body_sides))
+        # one exit side per post, or one for the posts that are one formula
+        # of one kind
+        exits = {}
+        for i, (post, kind) in enumerate(zip(posts, kinds)):
+            exits.setdefault((id(post), kind), (post, kind, []))[2].append(i)
+        for post, kind, of in exits.values():
+            out.append(self.new_side(kind, lp.exit_ctx(post), lp.line, "loop exit",
+                                     None if len(of) == len(posts) else of[0]))
         self.spend(lp.memo)
-        return pre, pre_kind, out
+        return (pre,) * len(posts), (pre_kind,) * len(posts), out
 
-    def variant_sides(self, st, lp):
-        """Non-negativity, plus the decrease claim threaded through the body;
-        none without a variant.
+    def variant_sides(self, st, lp, p_dec, body_sides):
+        """Non-negativity, and the decrease claim read from the body's one
+        pass: its pre for the decrease post, p_dec, then, in pass order,
+        the pass's sides of the decrease post and its shared sides of kind
+        variant-decrease.
 
         When the body contains loops, wp bottoms out at the first inner
-        invariant and the decrease content continues through the inner
-        loops' exit chains: those are the sides whose kind tag matches this
-        run, and they belong to the obligation set (the rest of the run's
-        sides duplicate the invariant pass and are dropped)."""
-        v = st.annot.variant
-        if v is None:
-            return []
-        out = [self.new_side("variant-nonneg", lp.body_ctx(_ge0(v)), lp.line)]
-        v_entry = S.AtLabel(operand=v, label=_entry_tag(lp.id),
-                            pos=v.pos, ty=v.ty)
-        dec_post = S.Binary(op="<", left=v, right=v_entry, pos=v.pos, ty=S.BOOL)
-        p_dec, _, dec_sides = self.wp(st.body, dec_post, "variant-decrease", [])
-        out.append(self.new_side("variant-decrease", lp.body_ctx(p_dec), lp.line))
-        for s in dec_sides:
-            if s.kind == "variant-decrease":
+        invariant and the decrease claim continues through the inner loops'
+        exit chains: those are the decrease post's sides, whatever kind a
+        return on their path gave them. The inner loops' own decrease
+        claims are shared, and are listed here as well as in the
+        preservation listing: both listings hold one goal object, and the
+        repeat stays in the inventory."""
+        out = [self.new_side("variant-nonneg", lp.body_ctx(_ge0(st.annot.variant)),
+                             lp.line),
+               self.new_side("variant-decrease", lp.body_ctx(p_dec), lp.line)]
+        for s in body_sides:
+            if s.post == 1 or s.post is None and s.kind == "variant-decrease":
                 out.append(self.new_side("variant-decrease",
                                          lp.body_ctx(s.formula), s.line, s.detail))
         return out
@@ -486,8 +554,7 @@ class _Wp:
                 self.reachable_callees(node.name, seen)
         return seen
 
-    def call(self, st, call: S.Call, target: str | None, sides,
-             post=None, kind=None):
+    def call(self, st, call: S.Call, target: str | None, posts, kinds, sides):
         """x = f(args) or return f(args): modular contract reasoning."""
         callee = self.tunit.method(call.name)
         if self.method.name in self.reachable_callees(call.name):
@@ -527,17 +594,15 @@ class _Wp:
         assumption = S.conj(ens_parts)
 
         if target is None:
-            cont = subst_result(self.exit_post, res)
-            out_kind = self.exit_kind
-        else:
-            memo = {}
-            cont = subst(post, target, res, memo)
-            out_kind = kind
-            # a side after the call holds once the callee's contract does
-            sides = [replace(s, formula=_imp(assumption, subst(s.formula, target, res, memo)))
-                     for s in sides]
-            self.spend(memo)
-        return _imp(assumption, cont), out_kind, sides + new
+            pre = _imp(assumption, subst_result(self.exit_post, res))
+            return (pre,) * len(posts), (self.exit_kind,) * len(posts), sides + new
+        memo = {}
+        conts = tuple(subst(p, target, res, memo) for p in posts)
+        # a side after the call holds once the callee's contract does
+        sides = [replace(s, formula=_imp(assumption, subst(s.formula, target, res, memo)))
+                 for s in sides]
+        self.spend(memo)
+        return _each(lambda c: _imp(assumption, c), conts), kinds, sides + new
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +665,18 @@ _NAMES = {
 
 
 def _make_obligation(method, seq, kind, line, detail, goal, hyps, hyp_sources,
-                     old_memo=None):
+                     old_memo=None, closed=None):
     # unwrapping \old keeps every symbol and their order, so the walk may
-    # precede it; old_memo is unwrap_old's, shared by the method's goals
-    sorts, loop_ids, old = _closure_info(goal, hyps)
-    goal = unwrap_old(goal, old_memo) if old else goal
+    # precede it; old_memo is unwrap_old's, shared by the method's goals, and
+    # closed keeps what closing gave each (goal, hypotheses) pair of objects,
+    # so that a goal listed twice is walked and unwrapped once
+    closed = {} if closed is None else closed
+    hit = closed.get((id(goal), id(hyps)))
+    if hit is None:
+        sorts, loop_ids, old = _closure_info(goal, hyps)
+        hit = closed[id(goal), id(hyps)] = (
+            goal, hyps, sorts, loop_ids, unwrap_old(goal, old_memo) if old else goal)
+    _, _, sorts, loop_ids, goal = hit
     name = _NAMES[kind]
     if detail:
         name = f"{name} ({detail})"
@@ -613,7 +685,7 @@ def _make_obligation(method, seq, kind, line, detail, goal, hyps, hyp_sources,
         name=f"{name} [line {line}]",
         origin=Origin(method=method, line=line, kind=kind, detail=detail),
         hypotheses=hyps, hyp_sources=hyp_sources,
-        goal=goal, var_sorts=sorts, loop_ids=loop_ids, detail=detail)
+        goal=goal, var_sorts=dict(sorts), loop_ids=loop_ids, detail=detail)
 
 
 def generate_obligations(tunit: TypedUnit, method: str | None = None) -> ObligationSet:
@@ -661,17 +733,16 @@ def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
     base_sources = ["lemma"] * len(lemma_forms) + ["requires"]
     out = []
     seq = itertools.count()
-    old_memo = {}
+    memos = {}, {}      # unwrap_old's and the closures', see _make_obligation
 
     # main pass: the declared ensures, plus every post-independent obligation
     engine = _Wp(tunit, m, m.spec.ensures, "ensures")
-    pre, kind, sides = engine.wp(m.body, engine.exit_post, "ensures", [])
+    (pre,), (kind,), sides = engine.wp(m.body, (engine.exit_post,), ("ensures",), [])
     out.append(_make_obligation(mname, next(seq), kind, m.pos[0], "",
-                                pre, base_hyps, base_sources, old_memo))
+                                pre, base_hyps, base_sources, *memos))
     for s in sides:
         out.append(_make_obligation(mname, next(seq), s.kind, s.line, s.detail,
-                                    s.formula, base_hyps, base_sources,
-                                    old_memo))
+                                    s.formula, base_hyps, base_sources, *memos))
 
     # behaviour passes contribute only their own postcondition chain. A pass
     # walks the main pass's statements, so its pre and sides line up one to
@@ -683,14 +754,15 @@ def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
         hyps = base_hyps + [unwrap_old(b.assumes)]
         sources = base_sources + ["assumes"]
         engine = _Wp(tunit, m, b.ensures, "behaviour")
-        pre, kind, sides = engine.wp(m.body, engine.exit_post, "behaviour", [])
+        (pre,), (kind,), sides = engine.wp(m.body, (engine.exit_post,),
+                                           ("behaviour",), [])
         chain = [_Side(-1, kind, m.pos[0], "", pre)] + sides
         for s, main_formula in zip(chain, main):
             if s.kind == "behaviour" or s.formula != main_formula:
                 detail = b.name if not s.detail else f"{b.name}, {s.detail}"
                 out.append(_make_obligation(mname, next(seq), "behaviour", s.line,
                                             detail, s.formula, hyps, sources,
-                                            old_memo))
+                                            *memos))
     return out
 
 
@@ -703,7 +775,7 @@ def wp(tunit: TypedUnit, method: str, stmt: S.Stmt, post: S.Expr):
     method scope."""
     m = tunit.method(method)
     engine = _Wp(tunit, m, post, "ensures")
-    pre, _, sides = engine.wp(stmt, post, "ensures", [])
+    (pre,), _, sides = engine.wp(stmt, (post,), ("ensures",), [])
     return pre, [(s.kind, s.formula) for s in sides]
 
 

@@ -38,6 +38,29 @@ def sequential_branches(n: int) -> str:
             f"int f(int x) {{\n    int y = x;\n{body}    return y;\n}}\n")
 
 
+def nested_variants(d: int) -> str:
+    """A unit whose one method nests d `while` loops, each with an
+    invariant and a variant: every loop's decrease passes through the
+    loops inside it."""
+    def loop(k):
+        pad = "    " * (k + 1)
+        inner = loop(k + 1) if k + 1 < d else ""
+        return (f"{pad}int i{k} = 0;\n"
+                f"{pad}/*@ loop_invariant 0 <= i{k} && i{k} <= n;\n"
+                f"{pad}  @ loop_variant n - i{k};\n{pad}  @*/\n"
+                f"{pad}while (i{k} < n) {{\n{inner}"
+                f"{pad}    i{k} = i{k} + 1;\n{pad}}}\n")
+    return ("/*@ requires n >= 0;\n  @ ensures true;\n  @*/\n"
+            f"void f(int n) {{\n{loop(0)}}}\n")
+
+
+def straight_line(n: int) -> str:
+    """A unit whose one method runs n `y = y + 1;` in sequence."""
+    body = "    y = y + 1;\n" * n
+    return (f"/*@ requires y == 0;\n  @ ensures \\result == {n};\n  @*/\n"
+            f"int f(int y) {{\n{body}    return y;\n}}\n")
+
+
 class FormulaGen:
     """Random ground formulas over `a`, `b` (int) and `u`, `v` (real), with
     bounded integer quantifiers. With `reals_only` all four are real, so

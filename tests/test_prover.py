@@ -424,6 +424,40 @@ def test_corpus_verdicts_match_goldens(entry):
         assert "".join(lines) == fh.read()
 
 
+def test_a_repeated_obligation_takes_a_copy_of_the_first_status(monkeypatch,
+                                                                 quickselect_unit):
+    """Quickselect lists 51 obligations, 12 of them repeats of an earlier
+    one's goal object and hypotheses (a variant's decrease listing repeats
+    claims of the preservation listing): each is proved once, and every
+    verdict is the golden's."""
+    proved = []
+    prove = prover._prove
+    monkeypatch.setattr(prover, "_prove", lambda ob: proved.append(ob) or prove(ob))
+    obs = generate_obligations(quickselect_unit).obligations
+    statuses = [prove_internal(ob) for ob in obs]
+    assert len(obs) == 51 and len(proved) <= 39
+    path = os.path.join(os.path.dirname(__file__), "golden",
+                        "find_nth_lowest_number.verdicts.txt")
+    with open(path, encoding="utf-8") as fh:
+        assert "".join(f"{ob.id}\t{st.status}\t{st.detail}\n"
+                       for ob, st in zip(obs, statuses)) == fh.read()
+    repeats = [i for i, ob in enumerate(obs) if all(ob is not p for p in proved)]
+    assert len(repeats) == 12
+    firsts = [next(j for j, ob in enumerate(obs) if ob.goal is obs[i].goal)
+              for i in repeats]
+    for i, first in zip(repeats, firsts):
+        assert obs[first].hypotheses is obs[i].hypotheses
+        assert statuses[i] == statuses[first] and statuses[i] is not statuses[first]
+    # copies: editing one status leaves the others and the table alone
+    for i, first in zip(repeats, firsts):
+        statuses[i].rule_trace.append("edited")
+        statuses[first].rule_trace.clear()
+        assert statuses[i].rule_trace[-1] == "edited"
+        assert prove_internal(obs[i]) == prove_internal(obs[first]) != statuses[i]
+        assert prove_internal(obs[i]).rule_trace
+    assert len(proved) <= 39
+
+
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin on seeded random systems
 

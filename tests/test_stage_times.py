@@ -8,7 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("parse+typecheck", "vcgen", "prover", "prover.simplify", "prover.fm",
           "export", "validate")
-TRACE_STAGES = ("exec+trace", "trace-validate")
+TRACE_STAGES = ("exec+trace", "trace-first", "trace-later")
 UNITS = ("calculate_std_dev", "lemmas", "quickselect", "sqrt_newton", "translate")
 TRACED = ("quickselect", "sqrt_newton")
 

@@ -14,11 +14,14 @@ Fourier-Motzkin elimination of each leaf). Each is timed by wrapping the
 name in `miniwhy.prover` that the prover calls, as perfbench's traced run
 does; so it is timed alike in any checkout whose prover calls the function
 through that name.
-For quickselect and sqrt_newton it then times two stages of trace
+For quickselect and sqrt_newton it then times three stages of trace
 validation on a fixed set of rational inputs (TRACE_INPUTS): exec+trace
-(`exec_method` with trace recording, the unit already compiled) and
-trace-validate (`instantiate_on_trace` of the unit's obligations on each
-trace).
+(`exec_method` with trace recording, the unit already compiled), and
+`instantiate_on_trace` of the unit's obligations on each trace, split in
+two: trace-first, the call on the first trace, which meets the pass's
+fresh obligation set and so compiles every test, and trace-later, the
+calls on the other traces, which reuse the compiled tests and so time
+evaluation.
 
 Each rep starts a fresh interpreter per checkout, this one and the one given
 by --against, alternating which goes first. A process imports the package
@@ -53,7 +56,7 @@ PIPELINE = ("parse+typecheck", "vcgen", "prover", "export", "validate")
 SUB_STAGES = {"prover.simplify": "simplify", "prover.fm": "_eliminate"}
 # the pipeline with prover's sub-stages after it
 PROVE_STAGES = PIPELINE[:3] + tuple(SUB_STAGES) + PIPELINE[3:]
-TRACE_STAGES = ("exec+trace", "trace-validate")
+TRACE_STAGES = ("exec+trace", "trace-first", "trace-later")
 STAGES = PROVE_STAGES + TRACE_STAGES
 # (method, args) per unit for the trace stages; other units skip them
 TRACE_INPUTS = {
@@ -127,8 +130,9 @@ def _one_pass(pkg, sources, sub_spent):
             t.append(time.perf_counter())
             for out in outcomes:
                 vcgen.instantiate_on_trace(obset, out)
-            t.append(time.perf_counter())
-            times[name].update(zip(TRACE_STAGES, (t[1] - t[0], t[2] - t[1])))
+                t.append(time.perf_counter())
+            times[name].update(zip(TRACE_STAGES, (t[1] - t[0], t[2] - t[1],
+                                                  t[-1] - t[2])))
     return times
 
 
