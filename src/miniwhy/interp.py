@@ -25,8 +25,9 @@ values, faults and their order are those of the plain tree.
 
 A standalone formula compiles into a CompiledFormula with a fixed slot
 layout, which eval_formula evaluates against any state bundle of that
-layout. Formulas of one layout and mode may share a compile memo, so that a
-node object they have in common (a hypothesis that recurs in every
+layout. Every standalone formula compiles under a memo, a fresh one unless
+the caller passes one. Formulas of one layout and mode may share a memo, so
+that a node object they have in common (a hypothesis that recurs in every
 obligation of a method) is compiled once, and each of them calls its
 closures.
 Nothing here retains compiled formulas or memos: their owner is the
@@ -39,13 +40,13 @@ trees are large next to the formulas they come from, so no module-level
 cache holds them.
 
 Binding a state coerces each value a formula reads to its variable's
-type. A BindCache, passed to eval_formula, shares that work among the
-evaluations of one batch of states: each (value, type) is coerced once,
-and each (state dict, read signature) is bound to one slot list, which
-every formula with that signature reads. Its keys name objects by id(),
-and each entry holds the objects its key names. Trace validation makes
-one cache per call and drops it when the call returns; without a cache,
-every evaluation binds afresh.
+type. Every evaluation binds through a BindCache, a fresh one per
+eval_formula call unless the caller passes one, which shares that work
+among the evaluations of one batch of states: each (value, type) is
+coerced once, and each (state dict, read signature) is bound to one slot
+list, which every formula with that signature reads. Its keys name objects
+by id(), and each entry holds the objects its key names. Trace validation
+makes one cache per call and drops it when the call returns.
 
 A BindCache also keeps one record per state bundle: its Here, Old and
 LoopEntry states, the set of their names, built once, and a value table.
@@ -56,8 +57,7 @@ keyed by the antecedent's closure: the first test that reaches the
 antecedent evaluates and stores it, and every later test reads it. The
 chain keeps its order and short circuit, and a fault is never stored, so
 every test that reaches a faulting antecedent raises its fault. Runtime
-checks compile without a memo and eval_formula without a cache has no
-table, so neither reads one.
+checks compile without a memo, so they read no table.
 
 A bounded `\\forall integer k1 ... kn; guards ==> consequent` is evaluated
 by enumeration. Each binder's range is lo..hi, the greatest lower and the
@@ -149,8 +149,8 @@ class Kernel:
 
 
 class Frame:
-    # values: a standalone formula's bundle value table (see BindCache), or
-    # None; set by CompiledFormula._evaluate, never on a method's frame
+    # values: a standalone formula's bundle value table (see BindCache), set
+    # by CompiledFormula._evaluate, never on a method's frame
     __slots__ = ("cur", "old", "res", "loopentry", "K", "values")
 
     def __init__(self, cur, K):
@@ -501,17 +501,13 @@ def _implies_tabled(antecedents, consequent):
     antecedent's value on the frame's bundle is read from the bundle's
     value table (f.values) when a test has stored it, else computed and
     stored. A memo hands every test the same closure for a node it shares,
-    so the closure is the key. A fault stores nothing; without a table
-    (f.values None) every antecedent is evaluated."""
+    so the closure is the key. A fault stores nothing."""
     def implies(f):
         values = f.values
         for p in antecedents:
-            if values is None:
-                v = p(f)
-            else:
-                v = values.get(p, values)   # the table is never a value
-                if v is values:
-                    v = values[p] = p(f)
+            v = values.get(p, values)   # the table is never a value
+            if v is values:
+                v = values[p] = p(f)
             if not v:
                 return True
         return consequent(f)
@@ -1004,10 +1000,7 @@ class _MethodCompiler:
 
 
 def compile_unit(tunit: TypedUnit, mode: str) -> CompiledUnit:
-    cache = getattr(tunit, "_compiled_cache", None)
-    if cache is None:
-        cache = {}
-        tunit._compiled_cache = cache
+    cache = tunit._compiled
     if mode not in cache:
         try:
             cache[mode] = CompiledUnit(tunit, mode)
@@ -1063,11 +1056,9 @@ def unit_digest(tunit: TypedUnit) -> str:
     import hashlib
 
     from .printer import pretty_print
-    cached = getattr(tunit, "_digest", None)
-    if cached is None:
-        cached = hashlib.sha256(pretty_print(tunit.source).encode()).hexdigest()[:16]
-        tunit._digest = cached
-    return cached
+    if not tunit._digest:
+        tunit._digest = hashlib.sha256(pretty_print(tunit.source).encode()).hexdigest()[:16]
+    return tunit._digest
 
 
 class CompiledFormula:
@@ -1080,18 +1071,19 @@ class CompiledFormula:
     from the layout or for nesting too deep to compile; a quantifier without
     derivable bounds raises only when reached.
 
-    A memo (a dict, empty at first) shares closures among the formulas
+    The formula compiles under `memo`, a dict empty at first, or a fresh
+    one when none is given. A memo shares closures among the formulas
     compiled into it, which must all have this layout and mode; each still
-    binds the slots an unmemoised compile would. The memo keeps every
-    closure compiled into it alive, so it should live no longer than the
-    formulas are needed: trace validation keeps one per (mode, layout) on
-    the obligation set it validates, and drops it with the set.
+    binds the slots it would bind alone. The memo keeps every closure
+    compiled into it alive, so it should live no longer than the formulas
+    are needed: trace validation keeps one per (mode, layout) on the
+    obligation set it validates, and drops it with the set.
 
     The read signature is the names the formula reads with their types,
     computed at compile time. Formulas of one memo that read the same names
     share one signature object, interned in the memo, so its identity
     stands for (mode, layout, reads): a BindCache keys bound slot lists by
-    it. Without a memo every formula has a signature of its own.
+    it.
     """
 
     __slots__ = ("names", "mode", "_fn", "_binds", "_sig")
@@ -1102,6 +1094,7 @@ class CompiledFormula:
         self.mode = mode
         layout = sorted(self.names)
         slots = {n: i for i, n in enumerate(layout)}
+        memo = {} if memo is None else memo
         ctx = CompileCtx(slots, mode, memo=memo)
         try:
             self._fn = compile_expr(f, ctx)
@@ -1111,33 +1104,26 @@ class CompiledFormula:
         self._binds = {n: (i, reads.get(n)) for n, i in slots.items()}
         # the key compile_expr interns a read set under, so the signature of
         # a formula is its root's interned read set when it reads anything
-        self._sig = reads if memo is None else memo.setdefault(
-            tuple(sorted(reads.items())), reads)
+        self._sig = memo.setdefault(tuple(sorted(reads.items())), reads)
 
-    def _bind(self, d, cache=None):
+    def _bind(self, d, cache):
         if d is None:
             return None
-        if cache is not None:
-            key = (id(d), id(self._sig))
-            hit = cache.lists.get(key)
-            if hit is not None:
-                return hit[2]
+        key = (id(d), id(self._sig))
+        hit = cache.lists.get(key)
+        if hit is not None:
+            return hit[2]
         out = [None] * len(self._binds)
         mode = self.mode
-        coerce = coerce_arg if cache is None else cache.coerce
+        coerce = cache.coerce
         for n, v in d.items():
             i, ty = self._binds[n]
             out[i] = coerce(v, ty, mode) if ty is not None else v
-        if cache is not None:
-            cache.lists[key] = (d, self._sig, out)
+        cache.lists[key] = (d, self._sig, out)
         return out
 
-    def _evaluate(self, states: dict, cache=None) -> bool:
-        if cache is None:
-            here, old, le, names = _bundle(states)
-            values = None
-        else:
-            _, here, old, le, names, values = cache.bundle(states)
+    def _evaluate(self, states: dict, cache) -> bool:
+        _, here, old, le, names, values = cache.bundle(states)
         if names != self.names:
             raise EvalError("state bundle names differ from the compiled "
                             f"layout: {sorted(names ^ self.names)}")
@@ -1153,7 +1139,8 @@ class CompiledFormula:
 class BindCache:
     """Coerced values, bound slot lists and bundle records shared by the
     evaluations of one batch of state bundles; trace validation makes one
-    per call and drops it when the call returns.
+    per call and drops it when the call returns, and eval_formula makes
+    one per call when given none.
 
     `values` maps (id(value), id(type), mode) to (value, type, coerced
     value), so each value is coerced once per type; `lists` maps
@@ -1211,12 +1198,13 @@ def eval_formula(f, states: dict, mode: str = RATIONAL, *,
     CompiledFormula of the same mode, whose layout the bundle must match.
     states maps labels ('Here' required; 'Old'/'Pre', 'LoopEntry' optional)
     to name->value dicts. Bounded integer quantifiers are enumerated; a
-    quantifier without derivable finite bounds raises EvalError. With a
-    cache, the states are bound through it (see BindCache), so they must
-    not change while the cache lives.
+    quantifier without derivable finite bounds raises EvalError. The
+    states are bound through `cache` (see BindCache), so they must not
+    change while it lives; without one the call binds through a fresh
+    cache of its own.
     """
     if not isinstance(f, CompiledFormula):
         f = CompiledFormula(f, states, mode)
     elif f.mode != mode:
         raise EvalError(f"formula compiled for {f.mode} mode, evaluated in {mode}")
-    return f._evaluate(states, cache)
+    return f._evaluate(states, BindCache() if cache is None else cache)

@@ -60,7 +60,7 @@ from .interp import eval_formula
 from .linear import Lin
 from .printer import expr_to_str
 from .simplify import linear_form, simplify
-from .vcgen import sourced_hypotheses, validation_formula
+from .vcgen import Obligation, sourced_hypotheses, validation_formula
 
 MAX_DISJUNCTS = 256
 MAX_CONSTRAINTS = 4000
@@ -377,35 +377,30 @@ def _division_facts(leaf: list):
 # ---------------------------------------------------------------------------
 # the prover
 
-def prove_internal(ob) -> ProofStatus:
+def prove_internal(ob: Obligation) -> ProofStatus:
     """Decide an obligation in the linear-rational fragment.
 
-    Accepts a vcgen Obligation (or anything with .hypotheses/.hyp_sources/
-    .goal/.has_fresh/.var_sorts attributes). An obligation of a generated
-    set carries the set's table as `_forms`, which every proof of the set
-    reads and fills. The table also keeps the first status of each goal
-    object under its hypothesis objects and sources, from which vcgen
-    derives the sorts and havoc loops the prover reads too, and holds those
-    objects, so that no id of the key is reused: a repeat, which vcgen
-    lists where two listings state one obligation, takes a copy of that
-    status without being simplified or proved again. A formula nested
-    deeper than Python's stack ends in `unknown`, as the other resource
-    caps do.
+    Every proof reads and fills the obligation's table `_forms`: the set's,
+    shared by its members, or the obligation's own. The table also keeps
+    the first status of each goal object under its hypothesis objects and
+    sources, from which vcgen derives the sorts and havoc loops the prover
+    reads too, and holds those objects, so that no id of the key is reused:
+    a repeat, which vcgen lists where two listings state one obligation,
+    takes a copy of that status without being simplified or proved again.
+    A formula nested deeper than Python's stack ends in `unknown`, as the
+    other resource caps do.
     """
-    forms = getattr(ob, "_forms", None)
-    if forms is not None:
-        hyps = tuple(ob.hypotheses)
-        key = ("status", id(ob.goal), tuple(map(id, hyps)),
-               tuple(ob.hyp_sources or ()))
-        hit = forms.get(key)
-        if hit is not None:
-            return _copy(hit[2])
+    forms = ob._forms
+    hyps = tuple(ob.hypotheses)
+    key = ("status", id(ob.goal), tuple(map(id, hyps)), tuple(ob.hyp_sources or ()))
+    hit = forms.get(key)
+    if hit is not None:
+        return _copy(hit[2])
     try:
         status = _prove(ob)
     except RecursionError:
         status = ProofStatus("unknown", reason="resource cap: nesting too deep")
-    if forms is not None:
-        forms[key] = ob.goal, hyps, _copy(status)
+    forms[key] = ob.goal, hyps, _copy(status)
     return status
 
 
@@ -415,7 +410,7 @@ def _copy(st: ProofStatus) -> ProofStatus:
                        None if cex is None else dict(cex))
 
 
-def _prove(ob) -> ProofStatus:
+def _prove(ob: Obligation) -> ProofStatus:
     trace = []
     hyps = []
     for h, src in sourced_hypotheses(ob):
@@ -426,11 +421,8 @@ def _prove(ob) -> ProofStatus:
     f = ob.goal
     for h in reversed(hyps):
         f = S.Binary(op="==>", left=h, right=f, ty=S.BOOL)
-    # the forms table (see _constraint) and simplify's memo: the set's,
-    # shared by its obligations, or for an obligation built alone a fresh one
-    forms = getattr(ob, "_forms", None)
-    if forms is None:
-        forms = {}
+    # the forms table (see _constraint) and simplify's memo
+    forms = ob._forms
     f = simplify(f, forms)
     trace.append("simplify")
     if isinstance(f, S.BoolLit):
@@ -496,12 +488,12 @@ def _refute_conjunct(conj: list, trace, forms: dict):
     return None
 
 
-def _try_refute(ob, witness, trace) -> ProofStatus:
-    if getattr(ob, "has_fresh", False):
+def _try_refute(ob: Obligation, witness, trace) -> ProofStatus:
+    if ob.has_fresh:
         return ProofStatus("unknown",
                            reason="havoc symbols: ground refutation is meaningless",
                            rule_trace=trace)
-    sorts = getattr(ob, "var_sorts", {})
+    sorts = ob.var_sorts
     if any(t is not None and t != S.REAL for t in sorts.values()):
         return ProofStatus("unknown",
                            reason="non-real symbols: refutation incomplete",

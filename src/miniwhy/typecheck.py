@@ -37,6 +37,9 @@ class TypedUnit:
     unit: S.SourceUnit                      # the rewritten tree
     source: S.SourceUnit                    # the tree typecheck() was given
     method_index: dict = field(default_factory=dict)
+    # interp's caches: mode -> CompiledUnit, and the unit digest once computed
+    _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _digest: str = field(default="", init=False, repr=False, compare=False)
 
     @property
     def name(self):

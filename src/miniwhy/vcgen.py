@@ -67,6 +67,12 @@ class Obligation:
     var_sorts: dict = field(default_factory=dict)     # free symbol -> SemType
     loop_ids: tuple = ()                              # loops whose havoc symbols occur
     detail: str = ""
+    # the prover's forms table and simplify memo: the set's for a set
+    # member, else the obligation's own
+    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # trace validation's plan (see _trace_plan), None until first derived
+    _trace_plan: _TracePlan = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @property
     def kind(self) -> str:
@@ -75,10 +81,6 @@ class Obligation:
     @property
     def has_fresh(self) -> bool:
         return bool(self.loop_ids)
-
-
-class _Table(dict):
-    """A dict that a weak reference can follow."""
 
 
 @dataclass
@@ -91,8 +93,7 @@ class ObligationSet:
     _memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the prover's forms table and simplify memo, which every obligation
     # of the set holds as `_forms`
-    _forms: dict = field(default_factory=_Table, init=False, repr=False,
-                         compare=False)
+    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.obligations)
@@ -110,9 +111,9 @@ class ObligationSet:
 # ---------------------------------------------------------------------------
 # formula transformations
 
-# most nodes the substitution memos of one wp pass over a method may hold
-# together; the corpus's largest pass holds far fewer, and n sequential
-# branches double the count with each branch
+# most nodes the substitutions of one wp pass over a method may create;
+# the corpus's largest pass creates far fewer, and n sequential branches
+# double the count with each branch
 VCGEN_BUDGET = 100_000
 
 
@@ -316,7 +317,7 @@ class _Wp:
         self.exit_kind = exit_kind
         self.loops = loop_table(method)
         self.sid = itertools.count()
-        self.spent = 0          # nodes in the substitution memos filled so far
+        self.spent = 0          # nodes the substitutions created so far
         # (name, type) of each parameter and local, declarations in walk order
         self.all_vars = [(n, t) for n, t in method.params] + [
             (node.name, node.ty) for node in S.walk(method.body)
@@ -363,7 +364,7 @@ class _Wp:
             pres = _each(lambda a, b: _and(_imp(st.cond, a), _imp(_not(st.cond), b)),
                          p1, p2)
             merged = self.merge_branches(st.cond, sides, s1, s2)
-            out_kinds = tuple(a if a != k else b for k, a, b in zip(kinds, k1, k2))
+            out_kinds = tuple(a if a == b else k for k, a, b in zip(kinds, k1, k2))
             return pres, out_kinds, merged + new_cond
         if isinstance(st, (S.While, S.DoWhile)):
             return self.loop(st, posts, kinds, sides)
@@ -401,8 +402,9 @@ class _Wp:
         return out
 
     def spend(self, memo):
-        """Charge a filled substitution memo to the method's budget."""
-        self.spent += len(memo)
+        """Charge the nodes a filled substitution memo created to the
+        method's budget: its entries whose result is a new node."""
+        self.spent += sum(e is not out for e, out in memo.values())
         if self.spent > VCGEN_BUDGET:
             raise VcgenError(
                 f"obligations of method {self.method.name!r} exceed the vcgen "
@@ -951,7 +953,7 @@ def _trace_plan(ob: Obligation) -> _TracePlan:
     """The obligation's plan, derived once and kept on the obligation while
     its goal, hypotheses and their sources stay the same."""
     key = (ob.goal, tuple(ob.hypotheses), tuple(ob.hyp_sources or ()))
-    plan = getattr(ob, "_trace_plan", None)
+    plan = ob._trace_plan
     if plan is not None and plan.key == key:
         return plan
     havoc = set()

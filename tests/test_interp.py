@@ -19,6 +19,7 @@ from miniwhy.errors import EvalError, ExecutionFault, MiniWhyError
 from miniwhy.interp import (CompiledFormula, CompiledMethod, eval_formula,
                             exec_method)
 from miniwhy.parser import parse
+from miniwhy.prover import prove_internal
 from miniwhy.typecheck import CTX_ENSURES, typecheck
 from miniwhy.values import value_repr
 
@@ -828,7 +829,7 @@ def test_memoised_compile_binds_and_evaluates_as_an_unmemoised_one(monkeypatch):
     """For every validation formula and state layout met on the fixed
     traces, a compile into a memo shared by the whole call binds the same
     slots to the same types, and gives the same value or EvalError text on
-    every bundle, as a compile without one."""
+    every bundle, as a compile alone, into a fresh memo of its own."""
     bundles = []            # (formula, states, mode), in the order evaluated
     source = {}
     real_compile, real_eval = vcgen.CompiledFormula, vcgen.eval_formula
@@ -933,11 +934,46 @@ def test_trace_validation_keeps_compiled_tests_as_long_as_the_set(monkeypatch):
     assert made >= len(obset) and alive()[0] == before[0] + made
     assert len(vcgen.instantiate_on_trace(obset, second).passed) == len(obset)
     assert len(compiles) == made
-    fields = set(vcgen.Obligation.__dataclass_fields__)
-    assert all(set(vars(ob)) - fields <= {"_trace_plan", "_forms"} for ob in obset)
     assert all(ob._forms is obset._forms for ob in obset)
     del obset, first, second
     assert alive() == before
+
+
+def _undeclared(obj):
+    return set(vars(obj)) - set(type(obj).__dataclass_fields__)
+
+
+def test_every_cache_is_a_declared_field():
+    """After generation, proof, execution and trace validation, no
+    obligation, obligation set or typed unit holds an attribute its class
+    does not declare."""
+    for obset, out in _memo_runs():
+        vcgen.instantiate_on_trace(obset, out)
+        for ob in obset:
+            prove_internal(ob)
+        assert [o for o in [obset, *obset] if _undeclared(o)] == []
+    for name in ("find_nth_lowest_number", "sqrt_newton"):
+        tu = corpus.unit(name)
+        assert tu._compiled and tu._digest
+        assert _undeclared(tu) == set()
+
+
+def test_eval_formula_without_a_cache_reads_nothing_an_earlier_call_stored():
+    """A memoised compile evaluated on one state dict, the dict changed in
+    place, then evaluated again: without a cache each call binds and
+    tables afresh, so the second verdict is the changed state's."""
+    sorts = {"x": S.INT, "y": S.INT}
+    f = typed_formula("x > 0 && y >= 0 ==> y > x", sorts)
+    state = {"x": 1, "y": 0}
+    states = {"Here": state}
+    for memo in ({}, None):
+        compiled = CompiledFormula(f, states, "rational", memo)
+        state.update(x=1, y=0)
+        assert eval_formula(compiled, states, "rational") is False
+        state["x"] = 0          # the antecedent is now false
+        assert eval_formula(compiled, states, "rational") is True
+        state.update(x=1, y=2)
+        assert eval_formula(compiled, states, "rational") is True
 
 
 def test_result_in_a_standalone_formula_is_an_eval_error():

@@ -626,7 +626,8 @@ def test_a_leaf_with_a_pair_closes_past_the_fourier_motzkin_cap(monkeypatch):
     assert st.proved
     assert st.rule_trace[-1] == "fourier-motzkin: every disjunct closed"
     _without_pair_check(monkeypatch)
-    st = prove_internal(ob)
+    # ob keeps its status; a copy with a table of its own proves afresh
+    st = prove_internal(_alone(ob))
     assert st.reason == "resource cap: Fourier-Motzkin blowup"
 
 
@@ -733,16 +734,22 @@ def test_a_shared_table_gives_the_verdicts_of_a_table_per_obligation():
                 assert [got[id(ob)] for ob in obs] == want, (reals_only, division, order)
 
 
+class _Probe:
+    """An object that a weak reference can follow."""
+
+
 def test_the_table_dies_with_its_set(quickselect_unit):
     obset = generate_obligations(quickselect_unit)
     statuses = [prove_internal(ob) for ob in obset]
-    table = weakref.ref(obset._forms)
-    assert len(table()) > len(obset)
+    assert len(obset._forms) > len(obset)
+    # a probe that only the table holds dies with it
+    obset._forms["probe"] = probe = _Probe()
+    held = weakref.ref(probe)
     obs = list(obset)
-    del obset, obs
+    del obset, obs, probe
     gc.collect()
     # the statuses outlive the set and hold none of the table
-    assert table() is None and len(statuses) == 51
+    assert held() is None and len(statuses) == 51
 
 
 def test_an_obligation_edited_in_place_gets_its_new_verdict():

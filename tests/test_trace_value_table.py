@@ -1,7 +1,8 @@
 """The per-bundle value table of trace validation: within one
 instantiate_on_trace call, an antecedent of a test's `==>` chain is
 evaluated once per state bundle and read by every later test that reaches
-it, and the verdicts are those of evaluation without any table."""
+it, and the verdicts are those of evaluations that each have a table of
+their own."""
 
 import random
 from collections import Counter
@@ -24,8 +25,9 @@ QS = "find_nth_lowest_number"
 
 def _reference(obset, outcome):
     """(id, verdict, detail, witness) of every obligation, each test
-    compiled without a memo and evaluated by eval_formula without a cache,
-    so no value table, on the bundles instantiate_on_trace derives."""
+    compiled alone and evaluated by eval_formula without a cache, so with a
+    fresh value table per evaluation, on the bundles instantiate_on_trace
+    derives."""
     index = vcgen._TraceIndex(outcome)
     return [_reference_one(ob, index, outcome.mode) for ob in obset]
 
@@ -201,7 +203,8 @@ def test_a_call_evaluates_each_permut_hypothesis_once_per_bundle(
     assert permut_calls and max(permut_calls.values()) == 1
     once = sum(permut_calls.values())
 
-    # without the call's cache there is no table, as before it existed
+    # without the call's cache each evaluation has a fresh table, so no test
+    # reads a value another stored
     permut_calls.clear()
     spied = vcgen.eval_formula
     monkeypatch.setattr(vcgen, "eval_formula",
