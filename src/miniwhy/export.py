@@ -7,6 +7,22 @@ Each dialect states its operator vocabulary once, in a module-level table
 a node to its element (`_xml_element`) and one emitter. The XML validator's
 table mirrors `schemas/xll.xsd` and is kept apart from the renderer's
 tables on purpose: it is the check on them.
+
+The obligations of a set share subterms (invariants, path conditions), so
+every writer renders each node object once and reuses its text:
+
+- SMT-LIB and s-expressions render through the obligation's `_renders`,
+  the set's memo for a set member, else the obligation's own. A key is
+  the format name and `id(node)`; an entry holds the node, its text and,
+  for SMT-LIB, the (kind, elem) declarations its subtree needs, which
+  every document that reads the entry adds to its own. An entry is read
+  only for the node it holds, which also keeps that node's id from being
+  reused while the memo lives; the memo dies with the set.
+- XML renders through a memo of its own call, keyed by `(id(node),
+  depth)`, since indentation depends on depth: the entry holds the node
+  and the span of its element's lines in the document. It holds the
+  binder-peeled `forall` nodes the writer builds too, so their ids stay
+  unused until the call returns and the memo dies.
 """
 
 from __future__ import annotations
@@ -62,12 +78,27 @@ def _smt_num(q: Fraction, real: bool) -> str:
 
 
 class _SmtRenderer:
-    def __init__(self):
-        self.permut_sorts = set()
-        self.length_sorts = set()
-        self.newarray_sorts = set()
+    """Renders one document's terms through `memo`, the obligation's
+    (see the module docstring). `needs` collects the declarations the
+    document's terms use, as (kind, elem) pairs of kind `length`,
+    `newarray` or `permut`."""
+
+    def __init__(self, memo: dict):
+        self.memo = memo
+        self.needs = set()
 
     def term(self, e: S.Expr) -> str:
+        """e's text; the declarations its subtree needs join `needs`."""
+        key = ("smtlib2", id(e))
+        hit = self.memo.get(key)
+        if hit is None or hit[0] is not e:
+            outer, self.needs = self.needs, set()
+            hit = self.memo[key] = (e, self._render(e), self.needs)
+            self.needs = outer
+        self.needs.update(hit[2])
+        return hit[1]
+
+    def _render(self, e: S.Expr) -> str:
         if isinstance(e, S.IntLit):
             return _smt_num(Fraction(e.value), False)
         if isinstance(e, S.RealLit):
@@ -92,12 +123,11 @@ class _SmtRenderer:
                     f"{self.term(e.value)})")
         if isinstance(e, S.LengthExpr):
             elem = e.array.ty.elem if e.array.ty and e.array.ty.kind == "array" else "real"
-            self.length_sorts.add(elem)
+            self.needs.add(("length", elem))
             return f"(length.{elem} {self.term(e.array)})"
         if isinstance(e, S.NewArray):
             elem = e.elem.kind
-            self.newarray_sorts.add(elem)
-            self.length_sorts.add(elem)
+            self.needs.update((("newarray", elem), ("length", elem)))
             return f"(newarray.{elem} {self.term(e.size)})"
         if isinstance(e, S.Forall):
             binders = " ".join(f"({n} {_smt_sort(t)})" for n, t in e.binders)
@@ -108,10 +138,15 @@ class _SmtRenderer:
                 t = side.ty
                 if t is not None and t.kind == "array":
                     elem = t.elem
-            self.permut_sorts.add(elem)
+            self.needs.add(("permut", elem))
             return (f"(Permut.{elem} {self.term(e.a1)} {self.term(e.a2)} "
                     f"{self.term(e.lo)} {self.term(e.hi)})")
         raise ExportError(f"cannot render {type(e).__name__} in SMT-LIB")
+
+
+def _needed(needs: set, kind: str) -> list:
+    """The sorted element sorts of the declarations of `kind` in needs."""
+    return sorted(elem for k, elem in needs if k == kind)
 
 
 def _permut_axioms(elem: str) -> list:
@@ -135,7 +170,7 @@ def export_smtlib(ob) -> ExportDoc:
     """One SMT-LIB 2 script per obligation: hypotheses asserted, goal negated;
     `unsat` from a conforming solver means the obligation is valid. The
     goal's universal prefix is opened into declared constants."""
-    r = _SmtRenderer()
+    r = _SmtRenderer(ob._renders)
     goal = ob.goal
     decls = dict(_free_symbols(ob))
     while isinstance(goal, S.Forall):
@@ -148,16 +183,16 @@ def export_smtlib(ob) -> ExportDoc:
     lines = [f"; obligation {ob.id}: {ob.name}", "(set-logic AUFNIRA)"]
     for name, ty in sorted(decls.items()):
         lines.append(f"(declare-fun {name} () {_smt_sort(ty)})")
-    for elem in sorted(r.length_sorts):
+    for elem in _needed(r.needs, "length"):
         lines.append(f"(declare-fun length.{elem} ((Array Int {_SMT_SORT[elem]})) Int)")
-    for elem in sorted(r.newarray_sorts):
+    for elem in _needed(r.needs, "newarray"):
         zero = "0.0" if elem == "real" else "0"
         lines.append(f"(declare-fun newarray.{elem} (Int) (Array Int {_SMT_SORT[elem]}))")
         lines.append(f"(assert (forall ((n Int) (i Int)) "
                      f"(= (select (newarray.{elem} n) i) {zero})))")
         lines.append(f"(assert (forall ((n Int)) "
                      f"(= (length.{elem} (newarray.{elem} n)) n)))")
-    for elem in sorted(r.permut_sorts):
+    for elem in _needed(r.needs, "permut"):
         lines.extend(_permut_axioms(elem))
     for h in hyp_terms:
         lines.append(f"(assert {h})")
@@ -288,6 +323,9 @@ class _XmlRenderer:
     def __init__(self, out: list, indent: int):
         self.out = out
         self.depth = indent
+        # (id(node), depth) -> (node, start, end): out[start:end] are the
+        # node's element lines at that depth
+        self.memo = {}
 
     def open(self, tag: str, attrs: str = ""):
         self.out.append(f"{'  ' * self.depth}<{tag}{attrs}>")
@@ -298,14 +336,21 @@ class _XmlRenderer:
         self.out.append(f"{'  ' * self.depth}</{tag}>")
 
     def formula(self, e: S.Expr):
+        out, key = self.out, (id(e), self.depth)
+        hit = self.memo.get(key)
+        if hit is not None:
+            out.extend(out[hit[1]:hit[2]])
+            return
+        start = len(out)
         tag, attrs, children = _xml_element(e)
         if not children:
-            self.out.append(f"{'  ' * self.depth}<{tag}{attrs}/>")
-            return
-        self.open(tag, attrs)
-        for child in children:
-            self.formula(child)
-        self.close(tag)
+            out.append(f"{'  ' * self.depth}<{tag}{attrs}/>")
+        else:
+            self.open(tag, attrs)
+            for child in children:
+                self.formula(child)
+            self.close(tag)
+        self.memo[key] = e, start, len(out)
 
 
 def export_xml(obset) -> ExportDoc:
@@ -399,7 +444,17 @@ def _sexp_num(q: Fraction) -> str:
     return f"(/ {q.numerator} {q.denominator})"
 
 
-def _sexp_term(e: S.Expr) -> str:
+def _sexp_term(e: S.Expr, memo: dict) -> str:
+    """e's text, through `memo`, the obligation's (see the module
+    docstring)."""
+    key = ("sexp", id(e))
+    hit = memo.get(key)
+    if hit is None or hit[0] is not e:
+        hit = memo[key] = e, _sexp_render(e, memo)
+    return hit[1]
+
+
+def _sexp_render(e: S.Expr, memo: dict) -> str:
     if isinstance(e, S.IntLit):
         return _sexp_num(Fraction(e.value))
     if isinstance(e, S.RealLit):
@@ -411,31 +466,32 @@ def _sexp_term(e: S.Expr) -> str:
     if isinstance(e, S.FreshVar):
         return _sexp_name(e.name)
     if isinstance(e, S.Coerce):
-        return _sexp_term(e.operand)
+        return _sexp_term(e.operand, memo)
     if isinstance(e, S.Unary):
         if e.op == "!":
-            return f"(not {_sexp_term(e.operand)})"
-        return f"(- {_sexp_term(e.operand)})"
+            return f"(not {_sexp_term(e.operand, memo)})"
+        return f"(- {_sexp_term(e.operand, memo)})"
     if isinstance(e, S.Binary):
-        text = f"({_SEXP_OP.get(e.op, e.op)} {_sexp_term(e.left)} {_sexp_term(e.right)})"
+        text = (f"({_SEXP_OP.get(e.op, e.op)} {_sexp_term(e.left, memo)} "
+                f"{_sexp_term(e.right, memo)})")
         return f"(not {text})" if e.op == "!=" else text
     if isinstance(e, S.Index):
-        return f"(select {_sexp_term(e.array)} {_sexp_term(e.index)})"
+        return f"(select {_sexp_term(e.array, memo)} {_sexp_term(e.index, memo)})"
     if isinstance(e, S.Store):
-        return (f"(store {_sexp_term(e.array)} {_sexp_term(e.index)} "
-                f"{_sexp_term(e.value)})")
+        return (f"(store {_sexp_term(e.array, memo)} {_sexp_term(e.index, memo)} "
+                f"{_sexp_term(e.value, memo)})")
     if isinstance(e, S.LengthExpr):
-        return f"(len {_sexp_term(e.array)})"
+        return f"(len {_sexp_term(e.array, memo)})"
     if isinstance(e, S.NewArray):
-        return f"(newarray {_sexp_term(e.size)})"
+        return f"(newarray {_sexp_term(e.size, memo)})"
     if isinstance(e, S.PermutAtom):
-        return (f"(permut {_sexp_term(e.a1)} {_sexp_term(e.a2)} "
-                f"{_sexp_term(e.lo)} {_sexp_term(e.hi)})")
+        return (f"(permut {_sexp_term(e.a1, memo)} {_sexp_term(e.a2, memo)} "
+                f"{_sexp_term(e.lo, memo)} {_sexp_term(e.hi, memo)})")
     if isinstance(e, S.Forall):
         # inner universal (not part of the prefix): rendered in-dialect
         names = " ".join(n for n, _ in e.binders)
         preds = " ".join(f"({_SEXP_TYPE_PRED[t.kind]} {n})" for n, t in e.binders)
-        return f"(forall ({names}) (implies (and {preds}) {_sexp_term(e.body)}))"
+        return f"(forall ({names}) (implies (and {preds}) {_sexp_term(e.body, memo)}))"
     raise ExportError(f"cannot render {type(e).__name__} as an s-expression")
 
 
@@ -481,14 +537,15 @@ def export_sexp(ob) -> ExportDoc:
                 raise ExportError(f"unsupported binder sort {ty}")
             typehyps.append(f"({_SEXP_TYPE_PRED[ty.kind]} {name})")
         goal = goal.body
+    memo = ob._renders
     items = list(typehyps)
     for h in ob.hypotheses:
-        items.append(_sexp_term(h))
+        items.append(_sexp_term(h, memo))
     if isinstance(goal, S.Binary) and goal.op == "==>":
-        items.append(_sexp_term(goal.left))
-        consequent = _sexp_term(goal.right)
+        items.append(_sexp_term(goal.left, memo))
+        consequent = _sexp_term(goal.right, memo)
     else:
-        consequent = _sexp_term(goal)
+        consequent = _sexp_term(goal, memo)
     name = _sexp_name(ob.id) if ob.kind != "lemma" else ob.origin.detail
     body = f"(implies (and {' '.join(items)}) {consequent})" if items \
         else consequent

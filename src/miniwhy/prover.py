@@ -387,6 +387,7 @@ def prove_internal(ob: Obligation) -> ProofStatus:
     reads too, and holds those objects, so that no id of the key is reused:
     a repeat, which vcgen lists where two listings state one obligation,
     takes a copy of that status without being simplified or proved again.
+    It keeps the printed key of each boolean atom object too (`_atom_text`).
     A formula nested deeper than Python's stack ends in `unknown`, as the
     other resource caps do.
     """
@@ -472,7 +473,7 @@ def _refute_conjunct(conj: list, trace, forms: dict):
     bools = {}
     for first, second in conj:
         if isinstance(second, bool):        # (atom, truth)
-            if bools.setdefault(expr_to_str(first), second) != second:
+            if bools.setdefault(_atom_text(first, forms), second) != second:
                 return None
         elif first != "!=":
             constraints.append(_constraint(first, second, forms))
@@ -486,6 +487,17 @@ def _refute_conjunct(conj: list, trace, forms: dict):
         if eliminated is not None:
             return eliminated, leaf, bool(bools)
     return None
+
+
+def _atom_text(atom: S.Expr, forms: dict) -> str:
+    """The printed text that keys a boolean atom, kept in the table as
+    ("atom", id(atom)) -> (atom, text), so each atom object is printed
+    once per table."""
+    key = ("atom", id(atom))
+    hit = forms.get(key)
+    if hit is None:
+        hit = forms[key] = atom, expr_to_str(atom)
+    return hit[1]
 
 
 def _try_refute(ob: Obligation, witness, trace) -> ProofStatus:

@@ -47,6 +47,10 @@ class _Atom(str):
         key.expr = e
         return key
 
+    def __getnewargs__(self):
+        # copy and pickle rebuild an atom from its subterm, not its text
+        return (self.expr,)
+
 
 def _atom(e: S.Expr):
     return (Lin(coeffs={_Atom(e): 1}),

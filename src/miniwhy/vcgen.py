@@ -70,6 +70,9 @@ class Obligation:
     # the prover's forms table and simplify memo: the set's for a set
     # member, else the obligation's own
     _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the exporters' memo of rendered terms (see export): the set's for a
+    # set member, else the obligation's own
+    _renders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # trace validation's plan (see _trace_plan), None until first derived
     _trace_plan: _TracePlan = field(default=None, init=False, repr=False,
                                     compare=False)
@@ -94,6 +97,9 @@ class ObligationSet:
     # the prover's forms table and simplify memo, which every obligation
     # of the set holds as `_forms`
     _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the exporters' memo of rendered terms, which every obligation of the
+    # set holds as `_renders`
+    _renders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.obligations)
@@ -615,35 +621,70 @@ _STATE_NODES = {S.AtLabel: "LoopEntry label", S.PermutPred: "Permut predicate",
                 S.ResultExpr: "\\result", S.OldExpr: "\\old"}
 
 
-def _closure_info(goal: S.Expr, hyps=()):
-    """What closing an obligation reads from its formulas, in one walk: the
-    free Var/FreshVar symbols with their sorts, respecting quantifier
-    scoping, in walk order from the goal on; the sorted ids of the loops
-    whose havoc symbols occur; and whether the goal holds an \\old, which
-    denotes the entry state there. Any other state node escaped the closure
-    of its clause, and is an internal error."""
-    sorts, loop_ids = {}, set()
+def _union(a, b):
+    """a | b of two dicts (a's order, b's values) or two frozensets, or the
+    one that is not empty, which is then not copied."""
+    return a | b if a and b else a or b
 
-    def visit(f, bound, states):
-        if isinstance(f, S.Var):
-            if f.name not in bound and f.ty is not None:
-                sorts[f.name] = f.ty
-        elif isinstance(f, S.FreshVar):
-            sorts[f.name] = f.ty
-            if f.loop_id >= 0:
-                loop_ids.add(f.loop_id)
-        elif isinstance(f, S.Forall):
-            visit(f.body, bound | {n for n, _ in f.binders}, states)
+
+def _closure_info(goal: S.Expr, hyps=(), memo=None):
+    """What closing an obligation reads from its formulas: the free
+    Var/FreshVar symbols with their sorts, respecting quantifier scoping,
+    in walk order from the goal on; the sorted ids of the loops whose havoc
+    symbols occur; and whether the goal holds an \\old, which denotes the
+    entry state there. Any other state node escaped the closure of its
+    clause, and is an internal error.
+
+    The formulas are walked as the DAG they are, through `memo`: the
+    obligations of one method share one, which dies once they are built,
+    and a call without one gets a fresh dict. It maps (id(node), names
+    bound above it) to (node, (sorts, loop ids, state classes)) of the
+    node's subtree; holding the node keeps its id from being reused while
+    the memo lives. A node merges its children's sorts in walk order as
+    dict.update does (`_union`), keeping each name at its first position
+    with its last sort, as a walk of the tree does."""
+    memo = {} if memo is None else memo
+    # the info of a subtree without symbols, loops or state nodes; no
+    # sorts dict is changed once built, so entries share them
+    nothing = ({}, frozenset(), frozenset())
+
+    def info(f, bound):
+        key = (id(f), bound)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit[1]
+        cls = type(f)
+        if cls is S.Var:
+            out = (({f.name: f.ty}, nothing[1], nothing[2])
+                   if f.name not in bound and f.ty is not None else nothing)
+        elif cls is S.FreshVar:
+            out = ({f.name: f.ty}, frozenset((f.loop_id,) if f.loop_id >= 0 else ()),
+                   nothing[2])
+        elif cls is S.Forall:
+            out = info(f.body, bound | {n for n, _ in f.binders})
         else:
-            if type(f) in _STATE_NODES:
-                states.add(type(f))
+            out = nothing if cls not in _STATE_NODES else (
+                nothing[0], nothing[1], frozenset((cls,)))
             for child in S.children(f):
-                visit(child, bound, states)
+                # a side that adds nothing leaves the other as it is
+                more = info(child, bound)
+                if out is nothing:
+                    out = more
+                elif more is not nothing:
+                    out = tuple(map(_union, out, more))
+        memo[key] = f, out
+        return out
 
-    goal_states, escaped = set(), set()
-    visit(goal, frozenset(), goal_states)
-    for h in hyps:
-        visit(h, frozenset(), escaped)
+    sorts, loop_ids, goal_states = {}, set(), set()
+    escaped = set()
+    for f, states in [(goal, goal_states)] + [(h, escaped) for h in hyps]:
+        f_sorts, f_loops, f_states = info(f, frozenset())
+        sorts.update(f_sorts)
+        loop_ids.update(f_loops)
+        states.update(f_states)
+    # info's closure holds info: unbinding it breaks that cycle, so the
+    # memo is freed with its last holder, not at the next collection
+    del info
     escaped |= goal_states - {S.OldExpr}
     for cls, what in _STATE_NODES.items():
         if cls in escaped:
@@ -667,15 +708,16 @@ _NAMES = {
 
 
 def _make_obligation(method, seq, kind, line, detail, goal, hyps, hyp_sources,
-                     old_memo=None, closed=None):
+                     old_memo=None, closed=None, info_memo=None):
     # unwrapping \old keeps every symbol and their order, so the walk may
-    # precede it; old_memo is unwrap_old's, shared by the method's goals, and
-    # closed keeps what closing gave each (goal, hypotheses) pair of objects,
-    # so that a goal listed twice is walked and unwrapped once
+    # precede it; old_memo is unwrap_old's and info_memo _closure_info's,
+    # each shared by the method's goals, and closed keeps what closing gave
+    # each (goal, hypotheses) pair of objects, so that a goal listed twice
+    # is walked and unwrapped once
     closed = {} if closed is None else closed
     hit = closed.get((id(goal), id(hyps)))
     if hit is None:
-        sorts, loop_ids, old = _closure_info(goal, hyps)
+        sorts, loop_ids, old = _closure_info(goal, hyps, info_memo)
         hit = closed[id(goal), id(hyps)] = (
             goal, hyps, sorts, loop_ids, unwrap_old(goal, old_memo) if old else goal)
     _, _, sorts, loop_ids, goal = hit
@@ -724,7 +766,7 @@ def generate_obligations(tunit: TypedUnit, method: str | None = None) -> Obligat
     obset = ObligationSet(unit=unit.name, unit_digest=unit_digest(tunit),
                           obligations=obligations, methods=tuple(targets))
     for ob in obligations:
-        ob._forms = obset._forms
+        ob._forms, ob._renders = obset._forms, obset._renders
     return obset
 
 
@@ -735,7 +777,8 @@ def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
     base_sources = ["lemma"] * len(lemma_forms) + ["requires"]
     out = []
     seq = itertools.count()
-    memos = {}, {}      # unwrap_old's and the closures', see _make_obligation
+    # unwrap_old's, the closures' and _closure_info's, see _make_obligation
+    memos = {}, {}, {}
 
     # main pass: the declared ensures, plus every post-independent obligation
     engine = _Wp(tunit, m, m.spec.ensures, "ensures")

@@ -1,16 +1,22 @@
+import copy
+import gc
 import json
 import os
 import random
 import re
+import weakref
+from dataclasses import replace
 
 import pytest
 
 from miniwhy import corpus
+from miniwhy import syntax as S
 from miniwhy.errors import ExportError
 from miniwhy.export import (ExportDoc, _parse_sexprs, export_sexp, export_smtlib, export_xml,
                             validate, validate_sexp, validate_smtlib,
                             validate_xml)
-from miniwhy.vcgen import ObligationSet, generate_obligations
+from miniwhy.prover import prove_internal
+from miniwhy.vcgen import Obligation, ObligationSet, Origin, generate_obligations
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -399,3 +405,166 @@ def _node_documents():
 
 def test_every_node_class_exports_as_the_golden_says():
     assert _node_documents() == golden("export.nodes.txt")
+
+
+# ---------------------------------------------------------------------------
+# the render memos: the set's for SMT-LIB and s-expressions, one per call
+# for XML
+
+def _residue_ids() -> dict:
+    """unit name -> ids of its unproved obligations, per corpus unit."""
+    return {entry.name: {ob.id for ob in generate_obligations(corpus.unit(entry.name))
+                         if prove_internal(ob).status == "unknown"}
+            for entry in corpus.corpus_sources()}
+
+
+def _residue(name, ids) -> list:
+    """The obligations of a fresh set of the unit whose ids are in ids."""
+    return [ob for ob in generate_obligations(corpus.unit(name)) if ob.id in ids]
+
+
+def _xml_blocks(obs) -> dict:
+    """obligation id -> the lines of its element in the XML document of obs."""
+    text = export_xml(ObligationSet("u", "0", obs)).text
+    blocks = re.findall(r"(?ms)^  <obligation .*?^  </obligation>$", text)
+    assert len(blocks) == len(obs)
+    return dict(zip((ob.id for ob in obs), blocks))
+
+
+def _documents(obs) -> dict:
+    """obligation id -> (SMT-LIB text, s-expression text, XML element), the
+    obligations exported in the order given."""
+    xml = _xml_blocks(obs)
+    return {ob.id: (export_smtlib(ob).text, export_sexp(ob).text, xml[ob.id])
+            for ob in obs}
+
+
+def test_every_residue_exports_alike_in_any_order_and_from_unshared_copies():
+    shuffle = random.Random(40)
+    residues = _residue_ids()
+    assert sum(map(len, residues.values())) == 38
+    for name, ids in residues.items():
+        residue = _residue(name, ids)
+        reference = _documents(residue)
+        assert all(ob._renders for ob in residue), name
+        for order in ("reversed", "shuffled", "copied"):
+            again = _residue(name, ids)
+            if order == "reversed":
+                again = again[::-1]
+            elif order == "shuffled":
+                shuffle.shuffle(again)
+            else:
+                # each copy holds nodes and a memo of its own
+                again = [copy.deepcopy(ob) for ob in again]
+                assert not any(set(map(id, S.walk(a.goal))) & set(map(id, S.walk(b.goal)))
+                               for a, b in zip(again, again[1:]))
+            assert _documents(again) == reference, (name, order)
+
+
+def test_a_memo_entry_holding_another_node_is_not_read(sqrt_unit):
+    """An entry answers only for the node it holds: a memo copied with
+    its obligation is keyed by the ids of the original nodes."""
+    ob = generate_obligations(sqrt_unit).obligations[0]
+    reference = export_smtlib(replace(ob)).text, export_sexp(replace(ob)).text
+    other = copy.deepcopy(ob.goal)
+    for node in S.walk(ob.goal):
+        ob._renders["smtlib2", id(node)] = other, "bogus", set()
+        ob._renders["sexp", id(node)] = other, "bogus"
+    assert (export_smtlib(ob).text, export_sexp(ob).text) == reference
+
+
+def _shared_node_obligations():
+    """Pairs of obligations whose goals hold one \\length, Permut or
+    new T[n] node object, with the declarations it needs."""
+    a = S.Var(name="a", ty=S.ARRAY_REAL)
+    b = S.Var(name="b", ty=S.ARRAY_INT)
+    n = S.Var(name="n", ty=S.INT)
+    zero = S.IntLit(value=0, ty=S.INT)
+    length = S.LengthExpr(array=a, ty=S.INT)
+    permut = S.PermutAtom(a1=b, a2=b, lo=zero, hi=n, ty=S.BOOL)
+    fresh = S.NewArray(elem=S.INT, size=n, ty=S.ARRAY_INT)
+    sorts = {"a": S.ARRAY_REAL, "b": S.ARRAY_INT, "n": S.INT}
+
+    def ob(i, goal):
+        return Obligation(id=f"s:{i:03d}:assert", name=f"s{i}",
+                          origin=Origin("m", i, "assert"), hypotheses=[],
+                          hyp_sources=[], goal=goal, var_sorts=sorts)
+
+    def cmp(op, left, right):
+        return S.Binary(op=op, left=left, right=right, ty=S.BOOL)
+
+    yield [ob(0, cmp(">=", length, zero)), ob(1, cmp("<", n, length))], [
+        "(declare-fun length.real ((Array Int Real)) Int)"]
+    yield [ob(0, permut), ob(1, cmp("&&", cmp("<", zero, n), permut))], [
+        "(declare-fun Permut.int ((Array Int Int) (Array Int Int) Int Int) Bool)"]
+    yield [ob(0, cmp("==", S.LengthExpr(array=fresh, ty=S.INT), n)),
+           ob(1, cmp("==", S.Index(array=fresh, index=zero, ty=S.INT), zero))], [
+        "(declare-fun length.int ((Array Int Int)) Int)",
+        "(declare-fun newarray.int (Int) (Array Int Int))"]
+
+
+def test_a_shared_node_is_declared_in_every_document_whatever_goes_first():
+    for obs, declarations in _shared_node_obligations():
+        # each rendered alone, through a memo of its own
+        alone = [export_smtlib(replace(ob)).text for ob in obs]
+        for order in (obs, obs[::-1]):
+            memo = {}
+            for ob in order:
+                ob._renders = memo
+            texts = {ob.id: export_smtlib(ob).text for ob in order}
+            assert [texts[ob.id] for ob in obs] == alone
+            for text in alone:
+                assert all(d + "\n" in text for d in declarations), text
+
+
+def _check_indentation(text: str):
+    """Every element line is indented two blanks per enclosing element."""
+    depth = 0
+    for line in text.splitlines()[1:]:
+        closing = line.lstrip().startswith("</")
+        depth -= closing
+        assert line == "  " * depth + line.lstrip(), line
+        depth += not closing and not line.endswith("/>")
+    assert depth == 0
+
+
+def test_one_node_at_two_xml_depths_is_indented_for_each():
+    x, y = S.Var(name="x", ty=S.INT), S.Var(name="y", ty=S.INT)
+    shared = S.Binary(op="<", left=x, right=y, ty=S.BOOL)
+    deeper = S.Binary(op="&&", left=shared,
+                      right=S.Unary(op="!", operand=shared, ty=S.BOOL), ty=S.BOOL)
+    quantified = S.Forall(binders=[("z", S.INT), ("w", S.INT)], body=deeper, ty=S.BOOL)
+    sorts = {"x": S.INT, "y": S.INT}
+    obs = [Obligation(id=f"d:{i:03d}:assert", name="d", origin=Origin("m", i, "assert"),
+                      hypotheses=hyps, hyp_sources=["requires"] * len(hyps), goal=goal,
+                      var_sorts=sorts)
+           for i, (hyps, goal) in enumerate([([shared], deeper), ([deeper], quantified),
+                                             ([quantified, shared], shared)])]
+    doc = export_xml(ObligationSet("d", "0", obs))
+    validate_xml(doc)
+    _check_indentation(doc.text)
+    # the same formulas as trees, which share no node
+    trees = export_xml(ObligationSet("d", "0", [copy.deepcopy(ob) for ob in obs]))
+    assert doc.text == trees.text
+
+
+def test_the_render_memo_dies_with_its_set(quickselect_unit):
+    obset = generate_obligations(quickselect_unit)
+    assert all(ob._renders is obset._renders for ob in obset)
+    for ob in obset:
+        export_smtlib(ob)
+        export_sexp(ob)
+    assert obset._renders
+    # a copy renders through a memo of its own
+    assert replace(obset.obligations[0])._renders == {}
+    # a probe that only the memo holds dies with it
+    obset._renders["probe"] = probe = _Probe()
+    held = weakref.ref(probe)
+    obs = list(obset)
+    del obset, obs, ob, probe
+    gc.collect()
+    assert held() is None
+
+
+class _Probe:
+    pass

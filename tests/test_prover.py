@@ -773,3 +773,38 @@ def test_an_obligation_edited_in_place_gets_its_new_verdict():
     alone.hypotheses, alone.hyp_sources = [typed_formula("y > 0.0", sorts)], ["requires"]
     alone.goal = quotient
     assert _verdict(alone) == _verdict(_alone(alone))
+
+
+def test_each_boolean_atom_is_printed_once_per_set(monkeypatch):
+    """The prover keys a boolean atom by its text, kept in the set's table:
+    over a set, no atom object is printed twice."""
+    printed = []
+
+    def counted(e):
+        printed.append(e)
+        return text(e)
+
+    text = prover.expr_to_str
+    monkeypatch.setattr(prover, "expr_to_str", counted)
+    atoms = 0
+    for entry in corpus.corpus_sources():
+        printed.clear()
+        obset = generate_obligations(corpus.unit(entry.name))
+        for ob in obset:
+            prove_internal(ob)
+        assert len({id(e) for e in printed}) == len(printed), entry.name
+        assert all(obset._forms["atom", id(e)][1] == text(e) for e in printed)
+        atoms += len(printed)
+    assert atoms == 9
+
+
+def test_a_proved_obligation_copies_with_its_table(quickselect_unit):
+    """copy.deepcopy of a proved obligation copies its table, whose linear
+    forms are keyed by printed atoms, and keeps its verdict."""
+    import copy
+    obset = generate_obligations(quickselect_unit)
+    ob = obset.by_id("find_nth_lowest_number:004:bounds-guard")
+    status = _verdict(ob)
+    twin = copy.deepcopy(ob)
+    assert twin._forms is not ob._forms and len(twin._forms) == len(ob._forms)
+    assert _verdict(twin) == status == _verdict(_alone(twin))

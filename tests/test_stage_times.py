@@ -24,12 +24,19 @@ def test_stage_times_runs_one_rep_against_a_second_checkout(tmp_path):
     assert [(r[0], r[1]) for r in rows] == [
         (s, u) for s in STAGES for u in UNITS + ("corpus",)] + [
         (s, u) for s in TRACE_STAGES for u in TRACED + ("corpus",)]
-    assert all(len(r) == 7 for r in rows)          # this, IQR, against, IQR, ratio
+    # per side: ms, IQR, full collections, collector ms; then the ratio
+    assert all(len(r) == 11 for r in rows)
     data = json.loads(out.read_text())
     assert set(data["reps"]) == {"this", "against"}
     for side in data["reps"].values():
         (rep,) = side
         assert set(rep["raw"]) == set(UNITS)
+        # the collector's work is counted for every stage the pass timed
+        for u in UNITS:
+            assert set(rep["gc_full"][u]) == set(rep["gc_s"][u]) == set(rep["raw"][u])
+            assert all(n >= 0 and n == int(n) for n in rep["gc_full"][u].values())
+            assert all(0 <= rep["gc_s"][u][s] <= rep["raw"][u][s]
+                       for s in rep["raw"][u])
         assert all(rep["raw"][u]["vcgen"] > 0 for u in UNITS)
         # simplify and elimination are timed as parts of the prover
         assert all(0 < rep["raw"][u][s] < rep["raw"][u]["prover"]

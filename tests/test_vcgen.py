@@ -1032,3 +1032,47 @@ def test_loop_rule_draws_ids_in_a_fixed_order():
         LOOP_NUMBERING_EXPECTED
     assert all([expr_to_str(h) for h in ob.hypotheses] ==
                ["1 <= n && n <= \\length(a)"] for ob in obs)
+
+
+def _tree_sorts(formulas) -> list:
+    """(name, sort) of the free symbols of the formulas, read by a walk of
+    the tree: a name keeps its first position and takes its last sort."""
+    sorts = {}
+
+    def visit(f, bound):
+        if isinstance(f, S.Var):
+            if f.name not in bound and f.ty is not None:
+                sorts[f.name] = f.ty
+        elif isinstance(f, S.FreshVar):
+            sorts[f.name] = f.ty
+        elif isinstance(f, S.Forall):
+            visit(f.body, bound | {n for n, _ in f.binders})
+        else:
+            for child in S.children(f):
+                visit(child, bound)
+
+    for f in formulas:
+        visit(f, frozenset())
+    return list(sorts.items())
+
+
+def test_var_sorts_are_those_of_a_walk_of_the_tree():
+    for entry in corpus.corpus_sources():
+        for ob in generate_obligations(corpus.unit(entry.name)):
+            assert list(ob.var_sorts.items()) == _tree_sorts(
+                [ob.goal, *ob.hypotheses]), ob.id
+    # one subterm object under \forall x and outside it, in either order,
+    # and one name of two sorts; the memo is shared by every call
+    x, y, z = (S.Var(name=n, ty=S.REAL) for n in "xyz")
+    y_int = S.Var(name="y", ty=S.INT)
+    shared = S.Binary(op=">", left=S.Binary(op="+", left=x, right=y, ty=S.REAL),
+                      right=z, ty=S.BOOL)
+    quantified = S.Forall(binders=[("x", S.REAL)], body=shared, ty=S.BOOL)
+    other = S.Binary(op="==", left=y_int, right=y_int, ty=S.BOOL)
+    memo = {}
+    for goal, hyps in [(S.conj([quantified, other, shared]), ()),
+                       (S.conj([shared, quantified]), (other,)),
+                       (quantified, (shared,)), (other, (quantified, shared))]:
+        sorts, _, _ = vcgen._closure_info(goal, hyps, memo)
+        assert list(sorts.items()) == _tree_sorts([goal, *hyps])
+    assert list(sorts.items()) == [("y", S.REAL), ("z", S.REAL), ("x", S.REAL)]

@@ -31,15 +31,23 @@ unit's pass is bracketed by the speed kernel of `perfbench/run.py`, and its
 stage times are scaled to the kernel's reference speed, as the benchmark's
 end-to-end times are; the unscaled times are kept in the JSON.
 
+Each stage also counts the cyclic garbage collector's work in it, read
+through `gc.callbacks`: the full (generation-2) collections that started
+in the stage and the unscaled time of every collection in it, whatever its
+generation, which is part of the stage's time.
+
 The printout gives, per stage and unit (and `corpus`, the sum over the
 units that ran the stage), the median and interquartile range over the
-reps of the scaled times in ms, and with --against the ratio of this
-checkout's median to the other's.
+reps of the scaled times in ms, then the medians over the reps of the full
+collections per pass (`gc2`) and of the collector's ms (`gc ms`); with
+--against the same for the other checkout, and the ratio of this
+checkout's median time to the other's.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import statistics
@@ -75,64 +83,94 @@ def _perfbench_run():
     return mod
 
 
-def _time_calls(prover, name) -> list:
-    """Wrap `prover.<name>` so that each call adds its duration to the
-    one-element list returned."""
-    spent, function = [0.0], getattr(prover, name)
+class _Collector:
+    """Running totals of the cyclic garbage collector's work in this
+    process, kept by a `gc.callbacks` hook: the full (generation-2)
+    collections started and the seconds spent in any collection."""
+
+    def __init__(self):
+        self.full, self.seconds, self._start = 0, 0.0, 0.0
+        gc.callbacks.append(self._callback)
+
+    def _callback(self, phase, info):
+        if phase == "start":
+            self._start = time.perf_counter()
+            self.full += info["generation"] == 2
+        else:
+            self.seconds += time.perf_counter() - self._start
+
+    def mark(self) -> tuple:
+        """(now, full collections, collector seconds) so far."""
+        return time.perf_counter(), self.full, self.seconds
+
+
+def _diff(a: tuple, b: tuple) -> tuple:
+    """What passed between two marks: (seconds, full collections,
+    collector seconds)."""
+    return tuple(y - x for x, y in zip(a, b))
+
+
+def _time_calls(prover, name, collector: _Collector) -> list:
+    """Wrap `prover.<name>` so that each call adds what passed in it,
+    (seconds, full collections, collector seconds), to the three-element
+    list returned."""
+    spent, function = [0.0, 0, 0.0], getattr(prover, name)
 
     def timed(*args):
-        t0 = time.perf_counter()
+        start = collector.mark()
         try:
             return function(*args)
         finally:
-            spent[0] += time.perf_counter() - t0
+            for i, d in enumerate(_diff(start, collector.mark())):
+                spent[i] += d
 
     setattr(prover, name, timed)
     return spent
 
 
-def _one_pass(pkg, sources, sub_spent):
-    """{unit: {stage: seconds}} of one pass over the units, the trace
-    stages only for units with TRACE_INPUTS. sub_spent maps each of
-    SUB_STAGES to the list `_time_calls` returned for it."""
+def _one_pass(pkg, sources, sub_spent, collector):
+    """{unit: {stage: (seconds, full collections, collector seconds)}} of
+    one pass over the units, the trace stages only for units with
+    TRACE_INPUTS. sub_spent maps each of SUB_STAGES to the list
+    `_time_calls` returned for it."""
     parser, typecheck, vcgen, prover, export, interp = pkg
     times = {}
     for name, text in sources.items():
-        t = [time.perf_counter()]
+        t = [collector.mark()]
         tu = typecheck.typecheck(parser.parse(text, name))
-        t.append(time.perf_counter())
+        t.append(collector.mark())
         obset = vcgen.generate_obligations(tu)
-        t.append(time.perf_counter())
-        sub_before = {s: spent[0] for s, spent in sub_spent.items()}
+        t.append(collector.mark())
+        sub_before = {s: list(spent) for s, spent in sub_spent.items()}
         residue = [ob for ob in obset
                    if prover.prove_internal(ob).status == "unknown"]
         # as `miniwhy prove`, release the prover table before export
         obset._forms.clear()
-        t.append(time.perf_counter())
+        t.append(collector.mark())
         docs = [d for ob in residue
                 for d in (export.export_smtlib(ob), export.export_sexp(ob))]
         if residue:
             docs.append(export.export_xml(vcgen.ObligationSet(
                 unit=obset.unit, unit_digest=obset.unit_digest,
                 obligations=residue, methods=obset.methods)))
-        t.append(time.perf_counter())
+        t.append(collector.mark())
         for d in docs:
             export.validate(d)
-        t.append(time.perf_counter())
-        times[name] = {s: b - a for s, a, b in zip(PIPELINE, t, t[1:])}
-        times[name].update((s, spent[0] - sub_before[s])
+        t.append(collector.mark())
+        times[name] = {s: _diff(a, b) for s, a, b in zip(PIPELINE, t, t[1:])}
+        times[name].update((s, _diff(sub_before[s], spent))
                            for s, spent in sub_spent.items())
         if name in TRACE_INPUTS:
             interp.compile_unit(tu, "rational")         # in no stage
-            t = [time.perf_counter()]
+            t = [collector.mark()]
             outcomes = [interp.exec_method(tu, m, args, "rational", trace=True)
                         for m, args in TRACE_INPUTS[name]]
-            t.append(time.perf_counter())
+            t.append(collector.mark())
             for out in outcomes:
                 vcgen.instantiate_on_trace(obset, out)
-                t.append(time.perf_counter())
-            times[name].update(zip(TRACE_STAGES, (t[1] - t[0], t[2] - t[1],
-                                                  t[-1] - t[2])))
+                t.append(collector.mark())
+            times[name].update(zip(TRACE_STAGES, (
+                _diff(t[0], t[1]), _diff(t[1], t[2]), _diff(t[2], t[-1]))))
     return times
 
 
@@ -144,27 +182,34 @@ def child(root: Path, units, passes: int) -> dict:
     bench = _perfbench_run()
     corpus = root / "src" / "miniwhy" / "corpus"
     sources = {u: (corpus / f"{u}.mjml").read_text() for u in units}
-    sub_spent = {s: _time_calls(pkg[3], name) for s, name in SUB_STAGES.items()}
-    _one_pass(pkg, sources, sub_spent)
+    collector = _Collector()
+    sub_spent = {s: _time_calls(pkg[3], name, collector)
+                 for s, name in SUB_STAGES.items()}
+    _one_pass(pkg, sources, sub_spent, collector)
     raw = {u: {s: [] for s in STAGES if u in _units(s, units)} for u in units}
     scaled = {u: {s: [] for s in d} for u, d in raw.items()}
+    gc_full = {u: {s: [] for s in d} for u, d in raw.items()}
+    gc_s = {u: {s: [] for s in d} for u, d in raw.items()}
     for _ in range(passes):
         for u in units:
             k0 = time.perf_counter()
             bench.kernel()
             k1 = time.perf_counter()
-            took = _one_pass(pkg, {u: sources[u]}, sub_spent)[u]
+            took = _one_pass(pkg, {u: sources[u]}, sub_spent, collector)[u]
             k2 = time.perf_counter()
             bench.kernel()
             k3 = time.perf_counter()
             scale = 2 * bench.KERNEL_REFERENCE_S / ((k1 - k0) + (k3 - k2))
             for s in raw[u]:
-                raw[u][s].append(took[s])
-                scaled[u][s].append(took[s] * scale)
+                seconds, full, collector_s = took[s]
+                raw[u][s].append(seconds)
+                scaled[u][s].append(seconds * scale)
+                gc_full[u][s].append(full)
+                gc_s[u][s].append(collector_s)
     med = statistics.median
-    return {"raw": {u: {s: med(v) for s, v in d.items()} for u, d in raw.items()},
-            "scaled": {u: {s: med(v) for s, v in d.items()}
-                       for u, d in scaled.items()}}
+    return {name: {u: {s: med(v) for s, v in d.items()} for u, d in table.items()}
+            for name, table in (("raw", raw), ("scaled", scaled),
+                                ("gc_full", gc_full), ("gc_s", gc_s))}
 
 
 def _run_child(root: Path, passes: int) -> dict:
@@ -182,20 +227,26 @@ def _units(stage, units) -> list:
 
 
 def _summary(reps: list, units) -> dict:
-    """{stage: {unit or 'corpus': (median, q1, q3)}} of the scaled ms, the
+    """{stage: {unit or 'corpus': (median, q1, q3, full collections,
+    collector ms)}}: the median and quartiles of the scaled ms, and the
+    medians of the full collections per pass and of the collector's ms, the
     corpus row summing the units that ran the stage."""
     out = {}
     for s in STAGES:
         out[s] = {}
         ran = _units(s, units)
         for u in ran + ["corpus"]:
-            vals = [1e3 * (sum(r["scaled"][x][s] for x in ran) if u == "corpus"
-                           else r["scaled"][u][s]) for r in reps]
+            def per_rep(table, scale=1.0):
+                return [scale * (sum(r[table][x][s] for x in ran) if u == "corpus"
+                                 else r[table][u][s]) for r in reps]
+            vals = per_rep("scaled", 1e3)
             if len(vals) > 1:
                 q1, _, q3 = statistics.quantiles(vals, n=4, method="inclusive")
             else:
                 q1 = q3 = vals[0]
-            out[s][u] = (statistics.median(vals), q1, q3)
+            out[s][u] = (statistics.median(vals), q1, q3,
+                         statistics.median(per_rep("gc_full")),
+                         statistics.median(per_rep("gc_s", 1e3)))
     return out
 
 
@@ -225,18 +276,24 @@ def main(argv=None) -> int:
             reps[side].append(_run_child(sides[side], args.passes))
     summary = {side: _summary(r, units) for side, r in reps.items()}
 
-    head = f"{'stage':<16}{'unit':<20}{'this ms':>9}{'IQR':>16}"
+    head = f"{'stage':<16}{'unit':<20}{'this ms':>9}{'IQR':>16}{'gc2':>6}{'gc ms':>8}"
     if args.against:
-        head += f"{'against ms':>12}{'IQR':>16}{'ratio':>8}"
+        head += f"{'against ms':>12}{'IQR':>16}{'gc2':>6}{'gc ms':>8}{'ratio':>8}"
     print(head)
+
+    def columns(row, width):
+        m, q1, q3, full, collector_ms = row
+        return (f"{m:>{width}.2f}{f'{q1:.2f}-{q3:.2f}':>16}"
+                f"{full:>6g}{collector_ms:>8.2f}")
+
     for s in STAGES:
         for u in summary["this"][s]:
-            m, q1, q3 = summary["this"][s][u]
-            line = f"{s:<16}{u:<20}{m:>9.2f}{f'{q1:.2f}-{q3:.2f}':>16}"
+            row = summary["this"][s][u]
+            line = f"{s:<16}{u:<20}{columns(row, 9)}"
             if args.against:
-                pm, pq1, pq3 = summary["against"][s][u]
-                line += (f"{pm:>12.2f}{f'{pq1:.2f}-{pq3:.2f}':>16}"
-                         f"{m / pm if pm else float('nan'):>8.3f}")
+                other = summary["against"][s][u]
+                line += (f"{columns(other, 12)}"
+                         f"{row[0] / other[0] if other[0] else float('nan'):>8.3f}")
             print(line)
     if args.json:
         Path(args.json).write_text(json.dumps(
