@@ -9,20 +9,17 @@ table mirrors `schemas/xll.xsd` and is kept apart from the renderer's
 tables on purpose: it is the check on them.
 
 The obligations of a set share subterms (invariants, path conditions), so
-every writer renders each node object once and reuses its text:
+every writer renders each node object once and reuses its text, through a
+`syntax.Memo`:
 
 - SMT-LIB and s-expressions render through the obligation's `_renders`,
-  the set's memo for a set member, else the obligation's own. A key is
-  the format name and `id(node)`; an entry holds the node, its text and,
-  for SMT-LIB, the (kind, elem) declarations its subtree needs, which
-  every document that reads the entry adds to its own. An entry is read
-  only for the node it holds, which also keeps that node's id from being
-  reused while the memo lives; the memo dies with the set.
-- XML renders through a memo of its own call, keyed by `(id(node),
-  depth)`, since indentation depends on depth: the entry holds the node
-  and the span of its element's lines in the document. It holds the
-  binder-peeled `forall` nodes the writer builds too, so their ids stay
-  unused until the call returns and the memo dies.
+  the set's memo for a set member, else the obligation's own, which keeps
+  each node's text per format name and, for SMT-LIB, the (kind, elem)
+  declarations its subtree needs, which every document that reads the
+  entry adds to its own; the memo dies with the set.
+- XML renders through a memo of its own call, which keeps each node's
+  span of element lines in the document per depth, since indentation
+  depends on depth.
 """
 
 from __future__ import annotations
@@ -77,71 +74,59 @@ def _smt_num(q: Fraction, real: bool) -> str:
     return f"(/ {q.numerator}.0 {q.denominator}.0)"
 
 
-class _SmtRenderer:
-    """Renders one document's terms through `memo`, the obligation's
-    (see the module docstring). `needs` collects the declarations the
-    document's terms use, as (kind, elem) pairs of kind `length`,
-    `newarray` or `permut`."""
-
-    def __init__(self, memo: dict):
-        self.memo = memo
-        self.needs = set()
-
-    def term(self, e: S.Expr) -> str:
-        """e's text; the declarations its subtree needs join `needs`."""
-        key = ("smtlib2", id(e))
-        hit = self.memo.get(key)
-        if hit is None or hit[0] is not e:
-            outer, self.needs = self.needs, set()
-            hit = self.memo[key] = (e, self._render(e), self.needs)
-            self.needs = outer
-        self.needs.update(hit[2])
-        return hit[1]
-
-    def _render(self, e: S.Expr) -> str:
-        if isinstance(e, S.IntLit):
-            return _smt_num(Fraction(e.value), False)
-        if isinstance(e, S.RealLit):
-            return _smt_num(e.value, True)
-        if isinstance(e, S.BoolLit):
-            return "true" if e.value else "false"
-        if isinstance(e, (S.Var, S.FreshVar)):
-            return e.name
-        if isinstance(e, S.Coerce):
-            if isinstance(e.operand, S.IntLit):
-                return _smt_num(Fraction(e.operand.value), True)
-            return f"(to_real {self.term(e.operand)})"
-        if isinstance(e, S.Unary):
-            op = "not" if e.op == "!" else "-"
-            return f"({op} {self.term(e.operand)})"
-        if isinstance(e, S.Binary):
-            return f"({_SMT_OP[e.op]} {self.term(e.left)} {self.term(e.right)})"
-        if isinstance(e, S.Index):
-            return f"(select {self.term(e.array)} {self.term(e.index)})"
-        if isinstance(e, S.Store):
-            return (f"(store {self.term(e.array)} {self.term(e.index)} "
-                    f"{self.term(e.value)})")
-        if isinstance(e, S.LengthExpr):
-            elem = e.array.ty.elem if e.array.ty and e.array.ty.kind == "array" else "real"
-            self.needs.add(("length", elem))
-            return f"(length.{elem} {self.term(e.array)})"
-        if isinstance(e, S.NewArray):
-            elem = e.elem.kind
-            self.needs.update((("newarray", elem), ("length", elem)))
-            return f"(newarray.{elem} {self.term(e.size)})"
-        if isinstance(e, S.Forall):
-            binders = " ".join(f"({n} {_smt_sort(t)})" for n, t in e.binders)
-            return f"(forall ({binders}) {self.term(e.body)})"
-        if isinstance(e, S.PermutAtom):
-            elem = "real"
-            for side in (e.a1, e.a2):
-                t = side.ty
-                if t is not None and t.kind == "array":
-                    elem = t.elem
-            self.needs.add(("permut", elem))
-            return (f"(Permut.{elem} {self.term(e.a1)} {self.term(e.a2)} "
-                    f"{self.term(e.lo)} {self.term(e.hi)})")
-        raise ExportError(f"cannot render {type(e).__name__} in SMT-LIB")
+def _smt_term(e: S.Expr, term) -> tuple:
+    """e's text and the declarations its subtree needs, a frozenset of
+    (kind, elem) pairs of kind `length`, `newarray` or `permut`; its
+    children's come from term, through the obligation's memo (see the
+    module docstring)."""
+    if isinstance(e, S.IntLit):
+        return _smt_num(Fraction(e.value), False), frozenset()
+    if isinstance(e, S.RealLit):
+        return _smt_num(e.value, True), frozenset()
+    if isinstance(e, S.BoolLit):
+        return "true" if e.value else "false", frozenset()
+    if isinstance(e, (S.Var, S.FreshVar)):
+        return e.name, frozenset()
+    if isinstance(e, S.Coerce):
+        if isinstance(e.operand, S.IntLit):
+            return _smt_num(Fraction(e.operand.value), True), frozenset()
+        x, needs = term(e.operand)
+        return f"(to_real {x})", needs
+    if isinstance(e, S.Unary):
+        x, needs = term(e.operand)
+        return f"({'not' if e.op == '!' else '-'} {x})", needs
+    if isinstance(e, S.Binary):
+        (l, ln), (r, rn) = term(e.left), term(e.right)
+        return f"({_SMT_OP[e.op]} {l} {r})", ln | rn
+    if isinstance(e, S.Index):
+        (a, an), (i, i_n) = term(e.array), term(e.index)
+        return f"(select {a} {i})", an | i_n
+    if isinstance(e, S.Store):
+        (a, an), (i, i_n), (v, vn) = term(e.array), term(e.index), term(e.value)
+        return f"(store {a} {i} {v})", an | i_n | vn
+    if isinstance(e, S.LengthExpr):
+        elem = e.array.ty.elem if e.array.ty and e.array.ty.kind == "array" else "real"
+        a, needs = term(e.array)
+        return f"(length.{elem} {a})", needs | {("length", elem)}
+    if isinstance(e, S.NewArray):
+        elem = e.elem.kind
+        n, needs = term(e.size)
+        return f"(newarray.{elem} {n})", needs | {("newarray", elem), ("length", elem)}
+    if isinstance(e, S.Forall):
+        binders = " ".join(f"({n} {_smt_sort(t)})" for n, t in e.binders)
+        body, needs = term(e.body)
+        return f"(forall ({binders}) {body})", needs
+    if isinstance(e, S.PermutAtom):
+        elem = "real"
+        for side in (e.a1, e.a2):
+            t = side.ty
+            if t is not None and t.kind == "array":
+                elem = t.elem
+        (a1, n1), (a2, n2), (lo, n3), (hi, n4) = (term(e.a1), term(e.a2),
+                                                  term(e.lo), term(e.hi))
+        return (f"(Permut.{elem} {a1} {a2} {lo} {hi})",
+                n1 | n2 | n3 | n4 | {("permut", elem)})
+    raise ExportError(f"cannot render {type(e).__name__} in SMT-LIB")
 
 
 def _needed(needs: set, kind: str) -> list:
@@ -170,31 +155,31 @@ def export_smtlib(ob) -> ExportDoc:
     """One SMT-LIB 2 script per obligation: hypotheses asserted, goal negated;
     `unsat` from a conforming solver means the obligation is valid. The
     goal's universal prefix is opened into declared constants."""
-    r = _SmtRenderer(ob._renders)
     goal = ob.goal
     decls = dict(_free_symbols(ob))
     while isinstance(goal, S.Forall):
         for name, ty in goal.binders:
             decls[name] = ty
         goal = goal.body
-    hyp_terms = [r.term(h) for h in ob.hypotheses]
-    goal_term = r.term(goal)
+    *hyps, (goal_term, needs) = ob._renders.cached([*ob.hypotheses, goal], _smt_term,
+                                                   "smtlib2")
+    needs = needs.union(*(n for _, n in hyps))
 
     lines = [f"; obligation {ob.id}: {ob.name}", "(set-logic AUFNIRA)"]
     for name, ty in sorted(decls.items()):
         lines.append(f"(declare-fun {name} () {_smt_sort(ty)})")
-    for elem in _needed(r.needs, "length"):
+    for elem in _needed(needs, "length"):
         lines.append(f"(declare-fun length.{elem} ((Array Int {_SMT_SORT[elem]})) Int)")
-    for elem in _needed(r.needs, "newarray"):
+    for elem in _needed(needs, "newarray"):
         zero = "0.0" if elem == "real" else "0"
         lines.append(f"(declare-fun newarray.{elem} (Int) (Array Int {_SMT_SORT[elem]}))")
         lines.append(f"(assert (forall ((n Int) (i Int)) "
                      f"(= (select (newarray.{elem} n) i) {zero})))")
         lines.append(f"(assert (forall ((n Int)) "
                      f"(= (length.{elem} (newarray.{elem} n)) n)))")
-    for elem in _needed(r.needs, "permut"):
+    for elem in _needed(needs, "permut"):
         lines.extend(_permut_axioms(elem))
-    for h in hyp_terms:
+    for h, _ in hyps:
         lines.append(f"(assert {h})")
     lines.append(f"(assert (not {goal_term}))")
     lines.append("(check-sat)")
@@ -323,9 +308,9 @@ class _XmlRenderer:
     def __init__(self, out: list, indent: int):
         self.out = out
         self.depth = indent
-        # (id(node), depth) -> (node, start, end): out[start:end] are the
-        # node's element lines at that depth
-        self.memo = {}
+        # (start, end) per node and depth: out[start:end] are the node's
+        # element lines at that depth
+        self.memo = S.Memo()
 
     def open(self, tag: str, attrs: str = ""):
         self.out.append(f"{'  ' * self.depth}<{tag}{attrs}>")
@@ -336,21 +321,29 @@ class _XmlRenderer:
         self.out.append(f"{'  ' * self.depth}</{tag}>")
 
     def formula(self, e: S.Expr):
-        out, key = self.out, (id(e), self.depth)
-        hit = self.memo.get(key)
+        out, depth = self.out, self.depth
+        pad = "  " * depth
+        if type(e) not in S.CHILDREN:
+            # a leaf is one line, written faster than looked up
+            tag, attrs, _ = _xml_element(e)
+            out.append(f"{pad}<{tag}{attrs}/>")
+            return
+        hit = self.memo.get(e, depth)
         if hit is not None:
-            out.extend(out[hit[1]:hit[2]])
+            out.extend(out[hit[0]:hit[1]])
             return
         start = len(out)
         tag, attrs, children = _xml_element(e)
         if not children:
-            out.append(f"{'  ' * self.depth}<{tag}{attrs}/>")
+            out.append(f"{pad}<{tag}{attrs}/>")
         else:
-            self.open(tag, attrs)
+            out.append(f"{pad}<{tag}{attrs}>")
+            self.depth = depth + 1
             for child in children:
                 self.formula(child)
-            self.close(tag)
-        self.memo[key] = e, start, len(out)
+            self.depth = depth
+            out.append(f"{pad}</{tag}>")
+        self.memo.put(e, (start, len(out)), depth)
 
 
 def export_xml(obset) -> ExportDoc:
@@ -444,17 +437,9 @@ def _sexp_num(q: Fraction) -> str:
     return f"(/ {q.numerator} {q.denominator})"
 
 
-def _sexp_term(e: S.Expr, memo: dict) -> str:
-    """e's text, through `memo`, the obligation's (see the module
-    docstring)."""
-    key = ("sexp", id(e))
-    hit = memo.get(key)
-    if hit is None or hit[0] is not e:
-        hit = memo[key] = e, _sexp_render(e, memo)
-    return hit[1]
-
-
-def _sexp_render(e: S.Expr, memo: dict) -> str:
+def _sexp_term(e: S.Expr, term) -> str:
+    """e's text; its children's come from term, through the obligation's
+    memo (see the module docstring)."""
     if isinstance(e, S.IntLit):
         return _sexp_num(Fraction(e.value))
     if isinstance(e, S.RealLit):
@@ -466,32 +451,29 @@ def _sexp_render(e: S.Expr, memo: dict) -> str:
     if isinstance(e, S.FreshVar):
         return _sexp_name(e.name)
     if isinstance(e, S.Coerce):
-        return _sexp_term(e.operand, memo)
+        return term(e.operand)
     if isinstance(e, S.Unary):
         if e.op == "!":
-            return f"(not {_sexp_term(e.operand, memo)})"
-        return f"(- {_sexp_term(e.operand, memo)})"
+            return f"(not {term(e.operand)})"
+        return f"(- {term(e.operand)})"
     if isinstance(e, S.Binary):
-        text = (f"({_SEXP_OP.get(e.op, e.op)} {_sexp_term(e.left, memo)} "
-                f"{_sexp_term(e.right, memo)})")
+        text = f"({_SEXP_OP.get(e.op, e.op)} {term(e.left)} {term(e.right)})"
         return f"(not {text})" if e.op == "!=" else text
     if isinstance(e, S.Index):
-        return f"(select {_sexp_term(e.array, memo)} {_sexp_term(e.index, memo)})"
+        return f"(select {term(e.array)} {term(e.index)})"
     if isinstance(e, S.Store):
-        return (f"(store {_sexp_term(e.array, memo)} {_sexp_term(e.index, memo)} "
-                f"{_sexp_term(e.value, memo)})")
+        return f"(store {term(e.array)} {term(e.index)} {term(e.value)})"
     if isinstance(e, S.LengthExpr):
-        return f"(len {_sexp_term(e.array, memo)})"
+        return f"(len {term(e.array)})"
     if isinstance(e, S.NewArray):
-        return f"(newarray {_sexp_term(e.size, memo)})"
+        return f"(newarray {term(e.size)})"
     if isinstance(e, S.PermutAtom):
-        return (f"(permut {_sexp_term(e.a1, memo)} {_sexp_term(e.a2, memo)} "
-                f"{_sexp_term(e.lo, memo)} {_sexp_term(e.hi, memo)})")
+        return f"(permut {term(e.a1)} {term(e.a2)} {term(e.lo)} {term(e.hi)})"
     if isinstance(e, S.Forall):
         # inner universal (not part of the prefix): rendered in-dialect
         names = " ".join(n for n, _ in e.binders)
         preds = " ".join(f"({_SEXP_TYPE_PRED[t.kind]} {n})" for n, t in e.binders)
-        return f"(forall ({names}) (implies (and {preds}) {_sexp_term(e.body, memo)}))"
+        return f"(forall ({names}) (implies (and {preds}) {term(e.body)}))"
     raise ExportError(f"cannot render {type(e).__name__} as an s-expression")
 
 
@@ -537,15 +519,10 @@ def export_sexp(ob) -> ExportDoc:
                 raise ExportError(f"unsupported binder sort {ty}")
             typehyps.append(f"({_SEXP_TYPE_PRED[ty.kind]} {name})")
         goal = goal.body
-    memo = ob._renders
-    items = list(typehyps)
-    for h in ob.hypotheses:
-        items.append(_sexp_term(h, memo))
-    if isinstance(goal, S.Binary) and goal.op == "==>":
-        items.append(_sexp_term(goal.left, memo))
-        consequent = _sexp_term(goal.right, memo)
-    else:
-        consequent = _sexp_term(goal, memo)
+    implication = isinstance(goal, S.Binary) and goal.op == "==>"
+    parts = (goal.left, goal.right) if implication else (goal,)
+    *terms, consequent = ob._renders.cached([*ob.hypotheses, *parts], _sexp_term, "sexp")
+    items = typehyps + terms
     name = _sexp_name(ob.id) if ob.kind != "lemma" else ob.origin.detail
     body = f"(implies (and {' '.join(items)}) {consequent})" if items \
         else consequent

@@ -25,11 +25,11 @@ values, faults and their order are those of the plain tree.
 
 A standalone formula compiles into a CompiledFormula with a fixed slot
 layout, which eval_formula evaluates against any state bundle of that
-layout. Every standalone formula compiles under a memo, a fresh one unless
-the caller passes one. Formulas of one layout and mode may share a memo, so
-that a node object they have in common (a hypothesis that recurs in every
-obligation of a method) is compiled once, and each of them calls its
-closures.
+layout. Every standalone formula compiles under a memo (a `syntax.Memo`), a
+fresh one unless the caller passes one. Formulas of one layout and mode may
+share a memo, so that a node object they have in common (a hypothesis that
+recurs in every obligation of a method) is compiled once, and each of them
+calls its closures.
 Nothing here retains compiled formulas or memos: their owner is the
 caller, and they live as long as it holds them. Trace validation keeps
 them with the obligations they test: each ObligationSet owns one memo per
@@ -44,8 +44,7 @@ type. Every evaluation binds through a BindCache, a fresh one per
 eval_formula call unless the caller passes one, which shares that work
 among the evaluations of one batch of states: each (value, type) is
 coerced once, and each (state dict, read signature) is bound to one slot
-list, which every formula with that signature reads. Its keys name objects
-by id(), and each entry holds the objects its key names. Trace validation
+list, which every formula with that signature reads. Trace validation
 makes one cache per call and drops it when the call returns.
 
 A BindCache also keeps one record per state bundle: its Here, Old and
@@ -168,9 +167,9 @@ def _snapshot_slots(slots):
 # ---------------------------------------------------------------------------
 # loop numbering shared with vcgen
 
-def loop_table(method: S.MethodDecl) -> dict:
-    """id(loop node) -> stable loop index, in pre-order over the body."""
-    table = {}
+def loop_table(method: S.MethodDecl) -> S.Memo:
+    """Each loop node's stable index, in pre-order over the body."""
+    table = S.Memo()
 
     def visit(st):
         if isinstance(st, S.Block):
@@ -181,7 +180,7 @@ def loop_table(method: S.MethodDecl) -> dict:
             if st.orelse is not None:
                 visit(st.orelse)
         elif isinstance(st, (S.While, S.DoWhile)):
-            table[id(st)] = len(table)
+            table.put(st, len(table))
             visit(st.body)
 
     visit(method.body)
@@ -206,9 +205,8 @@ class CompileCtx:
         self.cunit = cunit                  # CompiledUnit, for calls and \result
         self.binders = binders or {}        # name -> cell (1-element list)
         self.var_types = {} if var_types is None else var_types   # slot read -> type
-        # (id(node), state) -> (node, closure, the subtree's var_types or None),
-        # and a read set's sorted items (() when empty) -> the one dict that
-        # its entries share, and the read signature of its formulas
+        # (closure, the subtree's var_types or None) per node and state, and
+        # the read sets (see _read_set)
         self.memo = memo
 
 
@@ -230,17 +228,15 @@ def compile_expr(e: S.Expr, ctx: CompileCtx, state: str = "cur"):
 
     With a memo in ctx, a node object met again in the same state reuses
     its closure and re-records the variable types its subtree reads, so
-    ctx.var_types ends as an unmemoised compile leaves it. The entry holds
-    the node, so its id cannot be reused while the memo lives."""
+    ctx.var_types ends as an unmemoised compile leaves it."""
     memo = ctx.memo
     if memo is None:
         return _compile(e, ctx, state)
-    key = (id(e), state)
-    hit = memo.get(key)
+    hit = memo.get(e, state)
     if hit is not None:
-        if hit[2]:
-            ctx.var_types.update(hit[2])
-        return hit[1]
+        if hit[1]:
+            ctx.var_types.update(hit[1])
+        return hit[0]
     outer = ctx.var_types
     ctx.var_types = reads = {}
     try:
@@ -248,10 +244,17 @@ def compile_expr(e: S.Expr, ctx: CompileCtx, state: str = "cur"):
     finally:
         ctx.var_types = outer
         outer.update(reads)
-    if reads:       # entries that read the same variables share one read set
-        reads = memo.setdefault(tuple(sorted(reads.items())), reads)
-    memo[key] = (e, fn, reads or None)
+    memo.put(e, (fn, _read_set(memo, reads) if reads else None), state)
     return fn
+
+
+def _read_set(memo, reads: dict) -> dict:
+    """The memo's one read set with the items of reads, kept under this
+    function by the items, so that its entries that read the same
+    variables share one, and a formula's read signature is its root's."""
+    items = tuple(sorted(reads.items()))
+    hit = memo.get(_read_set, items)
+    return memo.put(_read_set, reads, items) if hit is None else hit
 
 
 # An operand of a fused operator: (_SLOT, i) is read in place as f.cur[i],
@@ -601,7 +604,7 @@ def _compile_forall(binders, body, ctx: CompileCtx, state: str):
     cells = {name: [0] for name in names}
     # the body's closures read this compile's binder cells: it gets a memo of its own
     inner_ctx = CompileCtx(ctx.slots, ctx.mode, ctx.cunit, {**ctx.binders, **cells},
-                           ctx.var_types, None if ctx.memo is None else {})
+                           ctx.var_types, None if ctx.memo is None else S.Memo())
     consumed = set()
     boxes = []
     for i, name in enumerate(names):
@@ -950,7 +953,7 @@ class _MethodCompiler:
 
     def loop(self, st, first_body):
         cm = self.cm
-        loop_id = self.loops[id(st)]
+        loop_id = self.loops.get(st)
         cond = compile_expr(st.cond, self.ctx)
         body = self.stmt(st.body)
         inv = compile_expr(st.annot.invariant, self.ctx)
@@ -1071,7 +1074,7 @@ class CompiledFormula:
     from the layout or for nesting too deep to compile; a quantifier without
     derivable bounds raises only when reached.
 
-    The formula compiles under `memo`, a dict empty at first, or a fresh
+    The formula compiles under `memo`, a Memo empty at first, or a fresh
     one when none is given. A memo shares closures among the formulas
     compiled into it, which must all have this layout and mode; each still
     binds the slots it would bind alone. The memo keeps every closure
@@ -1094,7 +1097,7 @@ class CompiledFormula:
         self.mode = mode
         layout = sorted(self.names)
         slots = {n: i for i, n in enumerate(layout)}
-        memo = {} if memo is None else memo
+        memo = S.Memo() if memo is None else memo
         ctx = CompileCtx(slots, mode, memo=memo)
         try:
             self._fn = compile_expr(f, ctx)
@@ -1102,82 +1105,75 @@ class CompiledFormula:
             raise EvalError("formula nesting too deep to compile") from None
         reads = ctx.var_types
         self._binds = {n: (i, reads.get(n)) for n, i in slots.items()}
-        # the key compile_expr interns a read set under, so the signature of
-        # a formula is its root's interned read set when it reads anything
-        self._sig = memo.setdefault(tuple(sorted(reads.items())), reads)
+        self._sig = _read_set(memo, reads)
 
-    def _bind(self, d, cache):
+    def _bind(self, d, lists, cache):
+        """d's slot list from lists, the cache's table for this formula's
+        read signature."""
         if d is None:
             return None
-        key = (id(d), id(self._sig))
-        hit = cache.lists.get(key)
+        hit = lists.get(d)
         if hit is not None:
-            return hit[2]
+            return hit
         out = [None] * len(self._binds)
         mode = self.mode
         coerce = cache.coerce
         for n, v in d.items():
             i, ty = self._binds[n]
             out[i] = coerce(v, ty, mode) if ty is not None else v
-        cache.lists[key] = (d, self._sig, out)
-        return out
+        return lists.put(d, out)
 
     def _evaluate(self, states: dict, cache) -> bool:
-        _, here, old, le, names, values = cache.bundle(states)
+        here, old, le, names, values, bound = cache.bundle(states)
         if names != self.names:
             raise EvalError("state bundle names differ from the compiled "
                             f"layout: {sorted(names ^ self.names)}")
+        slots = bound.get(self._sig)
+        if slots is None:
+            lists = cache.get(self._sig)
+            if lists is None:
+                lists = cache.put(self._sig, S.Memo())
+            slots = bound.put(self._sig, [self._bind(d, lists, cache) for d in (here, old, le)])
         # a standalone formula calls no method and reads no \result (both
         # fail to compile), so its frame needs no kernel
-        frame = Frame(self._bind(here, cache), None)
-        frame.old = self._bind(old, cache)
-        frame.loopentry = self._bind(le, cache)
+        frame = Frame(slots[0], None)
+        frame.old, frame.loopentry = slots[1], slots[2]
         frame.values = values
         return bool(self._fn(frame))
 
 
-class BindCache:
+class BindCache(S.Memo):
     """Coerced values, bound slot lists and bundle records shared by the
     evaluations of one batch of state bundles; trace validation makes one
     per call and drops it when the call returns, and eval_formula makes
     one per call when given none.
 
-    `values` maps (id(value), id(type), mode) to (value, type, coerced
-    value), so each value is coerced once per type; `lists` maps
-    (id(state dict), id(read signature)) to (state dict, signature, slot
-    list), so each state is bound once per read signature and the formulas
-    that share the signature share the list; `bundles` maps id(states),
-    the bundle's label -> state dict, to its record (states, Here, Old,
-    LoopEntry, the set of their names, the value table), so the name union
-    is built once per bundle. The value table maps the closure of an
-    antecedent of a memoised `==>` chain to its value on the bundle, stored
-    by the first test that reaches it and read by every later one (never a
-    fault). An entry holds every object its key names by id, so no id is
-    reused while the cache lives. The bundles and their state dicts must
-    not change while it lives; formulas never change a slot list or a value
-    in it (a store copies its array).
+    The table keeps each value coerced to a type in a mode, so each value
+    is coerced once per type; per read signature, a table of the slot list
+    of each state dict, so each state is bound once per read signature and
+    the formulas that share the signature share the list; and the record of
+    each bundle (the label -> state dict `states`): its Here, Old,
+    LoopEntry, the set of their names, the value table and a table of its
+    three slot lists per read signature, so the name union is built and a
+    formula's lists are found once per bundle. The value table maps the
+    closure of an antecedent of a memoised `==>` chain to its value on the
+    bundle, stored by the first test that reaches it and read by every
+    later one (never a fault). The bundles and their state dicts must not
+    change while the cache lives; formulas never change a slot list or a
+    value in it (a store copies its array).
     """
 
-    __slots__ = ("values", "lists", "bundles")
-
-    def __init__(self):
-        self.values = {}
-        self.lists = {}
-        self.bundles = {}
+    __slots__ = ()
 
     def bundle(self, states):
         """The record of the bundle `states` (see above)."""
-        hit = self.bundles.get(id(states))
-        if hit is None:
-            hit = self.bundles[id(states)] = (states, *_bundle(states), {})
-        return hit
+        hit = self.get(states)
+        return self.put(states, (*_bundle(states), {}, S.Memo())) if hit is None else hit
 
     def coerce(self, v, ty, mode):
-        key = (id(v), id(ty), mode)
-        hit = self.values.get(key)
-        if hit is None:
-            hit = self.values[key] = (v, ty, coerce_arg(v, ty, mode))
-        return hit[2]
+        key = (ty.kind, ty.elem, mode)
+        hit = self.get(v, key)
+        return self.put(v, coerce_arg(v, ty, mode), key) if hit is None else hit
 
 
 def _bundle(states: dict):

@@ -111,31 +111,28 @@ class Constraint(NamedTuple):
         return S.COMPARE[self.op](self.lin.const, 0)
 
 
-def _constraint(op: str, cmp: S.Binary, forms: dict) -> Constraint:
+def _constraint(op: str, cmp: S.Binary, forms) -> Constraint:
     """The constraint `cmp.left op cmp.right`, as the primitive form of
     `left - right` or of its negation compared with 0. `forms` is the
     obligation's table, shared by the obligations of its set: `simplify`
-    fills it with id(comparison) -> (comparison, Lin of left, Lin of right)
-    and its own memo, and this adds (op, id(comparison)) -> (comparison,
-    constraint). The sides are keyed once per op and table, from their forms
-    in the table, or, for a comparison `simplify` did not emit, from
-    `linear_form` of each side."""
-    cached = (op, id(cmp))
-    hit = forms.get(cached)
+    fills it with each comparison's side forms and its own memo, and this
+    adds each comparison's constraint per op. The sides are keyed once per
+    op and table, from their forms in the table, or, for a comparison
+    `simplify` did not emit, from `linear_form` of each side."""
+    hit = forms.get(cmp, op)
     if hit is None:
-        _, left, right = forms.get(id(cmp)) or (
-            cmp, linear_form(cmp.left), linear_form(cmp.right))
+        left, right = forms.get(cmp) or (linear_form(cmp.left), linear_form(cmp.right))
         # key each side alone, so that an atom cancelling between the
         # sides is still carried
         left, lint, lopaque, ldivs = _keyed(left)
         right, rint, ropaque, rdivs = _keyed(right)
-        lin = left.add(right, -1).primitive()
+        lin, rel = left.add(right, -1).primitive(), op
         if op in (">", ">="):
-            lin, op = lin.scale(-1), "<" if op == ">" else "<="
+            lin, rel = lin.scale(-1), "<" if op == ">" else "<="
         divisions = tuple((k, n, d) for k, (n, d) in {**ldivs, **rdivs}.items())
-        hit = forms[cached] = cmp, Constraint(lin, op, frozenset(lint | rint),
-                                              lopaque or ropaque, divisions)
-    return hit[1]
+        hit = forms.put(cmp, Constraint(lin, rel, frozenset(lint | rint),
+                                        lopaque or ropaque, divisions), op)
+    return hit
 
 
 def _keyed(form: Lin):
@@ -384,24 +381,22 @@ def prove_internal(ob: Obligation) -> ProofStatus:
     shared by its members, or the obligation's own. The table also keeps
     the first status of each goal object under its hypothesis objects and
     sources, from which vcgen derives the sorts and havoc loops the prover
-    reads too, and holds those objects, so that no id of the key is reused:
-    a repeat, which vcgen lists where two listings state one obligation,
-    takes a copy of that status without being simplified or proved again.
-    It keeps the printed key of each boolean atom object too (`_atom_text`).
+    reads too: a repeat, which vcgen lists where two listings state one
+    obligation, takes a copy of that status without being simplified or
+    proved again. It keeps the printed key of each boolean atom object too
+    (`_atom_text`).
     A formula nested deeper than Python's stack ends in `unknown`, as the
     other resource caps do.
     """
-    forms = ob._forms
-    hyps = tuple(ob.hypotheses)
-    key = ("status", id(ob.goal), tuple(map(id, hyps)), tuple(ob.hyp_sources or ()))
-    hit = forms.get(key)
+    objs, sources = (ob.goal, *ob.hypotheses), tuple(ob.hyp_sources or ())
+    hit = ob._forms.get_all(objs, sources)
     if hit is not None:
-        return _copy(hit[2])
+        return _copy(hit)
     try:
         status = _prove(ob)
     except RecursionError:
         status = ProofStatus("unknown", reason="resource cap: nesting too deep")
-    forms[key] = ob.goal, hyps, _copy(status)
+    ob._forms.put_all(objs, _copy(status), sources)
     return status
 
 
@@ -459,7 +454,7 @@ def _prove(ob: Obligation) -> ProofStatus:
                        rule_trace=trace)
 
 
-def _refute_conjunct(conj: list, trace, forms: dict):
+def _refute_conjunct(conj: list, trace, forms):
     """None when refuted; else (elimination, leaf, held_bool): what
     `_eliminate` gave the first satisfiable leaf, that leaf, and whether
     the conjunct held a boolean atom.
@@ -489,15 +484,11 @@ def _refute_conjunct(conj: list, trace, forms: dict):
     return None
 
 
-def _atom_text(atom: S.Expr, forms: dict) -> str:
-    """The printed text that keys a boolean atom, kept in the table as
-    ("atom", id(atom)) -> (atom, text), so each atom object is printed
-    once per table."""
-    key = ("atom", id(atom))
-    hit = forms.get(key)
-    if hit is None:
-        hit = forms[key] = atom, expr_to_str(atom)
-    return hit[1]
+def _atom_text(atom: S.Expr, forms) -> str:
+    """The printed text that keys a boolean atom, kept in the table, so
+    each atom object is printed once per table."""
+    hit = forms.get(atom, "atom")
+    return forms.put(atom, expr_to_str(atom), "atom") if hit is None else hit
 
 
 def _try_refute(ob: Obligation, witness, trace) -> ProofStatus:

@@ -9,12 +9,13 @@ under a hypothesis `y != 0`; expansion of bounded integer quantifiers with
 literal bounds spanning at most 64 points.
 
 `linearize` is the package's one walk from an int/real term to a `Lin`.
-`simplify` puts each numeric comparison it emits in a table with its sides'
-forms, and `_learn` and the prover read them there: one reading of each
-comparison, so both modules abstract the same atoms. The same table memoises
-`simplify_in` per node object and nonzero facts, so a caller that passes one
-table to many formulas (the prover, for the obligations of one set)
-simplifies each shared subterm once per context.
+`simplify` puts each numeric comparison it emits in a table (a
+`syntax.Memo`) with its sides' forms, and `_learn` and the prover read them
+there: one reading of each comparison, so both modules abstract the same
+atoms. The same table memoises `simplify_in` per node object and nonzero
+facts, so a caller that passes one table to many formulas (the prover, for
+the obligations of one set) simplifies each shared subterm once per
+context.
 
 Obligations are state-free (vcgen closes them), so no `\\old`, label,
 `Permut` predicate or `\\result` reaches the simplifier from one. Called
@@ -200,7 +201,7 @@ def to_expr(form, ty: S.SemType) -> S.Expr:
 class _Ctx:
     def __init__(self, forms=None):
         self.nonzero = frozenset()  # Lin keys known != 0
-        self.forms = {} if forms is None else forms    # shared with children
+        self.forms = S.Memo() if forms is None else forms    # shared with children
 
     def child(self):
         c = _Ctx(self.forms)
@@ -214,9 +215,9 @@ def _learn(ctx, f: S.Expr):
     table: `l < r`, `l > r` and `l != r` make `l - r` and `r - l` nonzero."""
     learnt = set()
     for g in S.chain(f, "&&"):
-        entry = ctx.forms.get(id(g))
+        entry = ctx.forms.get(g)
         if entry is not None and g.op in ("!=", ">", "<"):
-            diff = entry[1].add(entry[2], -1)
+            diff = entry[0].add(entry[1], -1)
             learnt.add(diff.key())
             learnt.add(diff.neg_key())
     if learnt:
@@ -238,33 +239,27 @@ def _simp_expr(e: S.Expr, ctx) -> S.Expr:
 
 def _keep(sp: S.Expr, out: list, seen: set, forms) -> None:
     """Append the simplified operand sp to out unless it repeats a kept one:
-    the same object, a numeric comparison with the op and side forms of a
-    kept one, or any other formula equal to a kept one. seen holds the kept
-    operands' ids and comparison keys."""
-    if id(sp) in seen:
-        return
-    entry = forms.get(id(sp))
+    a numeric comparison with the op and side forms of a kept one, or any
+    other formula equal to a kept one. seen holds the kept comparisons'
+    keys."""
+    entry = forms.get(sp)
     if entry is not None:
-        key = (sp.op, entry[1].key(), entry[2].key())
+        key = (sp.op, entry[0].key(), entry[1].key())
         if key in seen:
             return
         seen.add(key)
     elif any(sp == q for q in out):
         return
-    seen.add(id(sp))
     out.append(sp)
 
 
 def simplify_in(f: S.Expr, ctx) -> S.Expr:
     """f simplified under ctx's facts. The result depends only on f and the
     nonzero keys, and the comparisons it holds have their forms in the
-    table, so it is memoised there on (id(f), nonzero keys); the entry
-    holds f, so that its id cannot be reused while the table lives."""
-    key = (id(f), ctx.nonzero)
-    hit = ctx.forms.get(key)
-    if hit is None:
-        hit = ctx.forms[key] = (f, _simplify_node(f, ctx))
-    return hit[1]
+    table, so it is memoised there per node and nonzero keys."""
+    nonzero = ctx.nonzero
+    hit = ctx.forms.get(f, nonzero)
+    return ctx.forms.put(f, _simplify_node(f, ctx), nonzero) if hit is None else hit
 
 
 def _simplify_node(f: S.Expr, ctx) -> S.Expr:
@@ -325,7 +320,7 @@ def _simplify_node(f: S.Expr, ctx) -> S.Expr:
             if diff.is_const:
                 return S.BoolLit(value=S.COMPARE[f.op](diff.const, 0), ty=S.BOOL)
             out = replace(f, left=to_expr(lf, lt), right=to_expr(rf, rt))
-            ctx.forms[id(out)] = (out, lf[0], rf[0])
+            ctx.forms.put(out, (lf[0], rf[0]))
             return out
         # boolean or array equality: simplify children, fold identical sides
         l = _simp_expr(f.left, ctx)
@@ -399,11 +394,8 @@ def _literal_bounds(body, name):
 
 
 def simplify(f: S.Expr, forms=None) -> S.Expr:
-    """Simplify a typed formula. A given dict `forms` receives, for each
-    numeric comparison emitted, id(comparison) -> (comparison, Lin of left,
-    Lin of right); holding the comparison keeps its id from being reused.
-    It also receives the memo of `simplify_in`, (id(node), frozenset of
-    nonzero keys) -> (node, result), so a later call given the same dict
-    reuses what an earlier one simplified; the entries live as long as the
-    dict."""
+    """Simplify a typed formula. A given Memo `forms` receives, for each
+    numeric comparison emitted, (Lin of left, Lin of right) under the
+    comparison alone, and the memo of `simplify_in`, so a later call given
+    the same table reuses what an earlier one simplified."""
     return simplify_in(f, _Ctx(forms))

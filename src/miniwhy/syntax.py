@@ -8,8 +8,9 @@ units safe to share between threads.
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -386,13 +387,101 @@ UNARY_PREC = 7
 
 # ---------------------------------------------------------------------------
 # The term core: every expression rewriter rebuilds terms through these.
+#
 # Terms are DAGs: wp shares an invariant, a condition or a continuation
-# between many formulas. So `rewrite` and `substitute` memoise their result
-# per node object, id(node) -> (node, result), and a shared subterm is
-# rewritten once. The entry holds the node so that its id cannot be reused
-# while the memo lives. A memo is valid for one transformation only; a
+# between many formulas, and the obligations of a set share hypotheses. So
+# every stage that keeps a result per node object keeps it in a `Memo`, the
+# one identity table. A key names a node, or each object of a tuple, by
+# identity, plus one extra part compared by value (a state name, a depth).
+# An entry holds the objects its key names, so no id of a key is reused
+# while the table lives, and a hit requires the very objects: a table
+# copied with its owner (copy.deepcopy, pickle) answers for none of the
+# copies. A hit costs one dict lookup and the identity check; the
+# recursions that make most lookups run inside the table (`rewrite`,
+# `cached`). A table lives as long as its owner holds it. A memo of
+# `rewrite` or `substitute` is valid for one transformation only, and a
 # caller that applies one transformation to many formulas passes them all
-# the same memo dict.
+# the same memo, so a shared subterm is rewritten once.
+
+class Memo:
+    """The identity table of the term core (see above). A stored value is
+    never None, which the lookups return for a miss."""
+
+    __slots__ = ("_entries", "created", "limit", "full")
+
+    def __init__(self, limit=math.inf, full=None):
+        self._entries = {}
+        # the nodes `rewrite` built through the table; once they pass
+        # limit, each one more calls full(table)
+        self.created = 0
+        self.limit = limit
+        self.full = full
+
+    def __len__(self):
+        return len(self._entries)
+
+    def clear(self):
+        self._entries.clear()
+
+    def get(self, node, extra=None):
+        """The value put for this very node under extra (None: no extra
+        part; a tuple for several)."""
+        entry = self._entries.get(id(node) if extra is None else (id(node), extra))
+        return entry[1] if entry is not None and entry[0] is node else None
+
+    def put(self, node, value, extra=None):
+        self._entries[id(node) if extra is None else (id(node), extra)] = node, value
+        return value
+
+    def get_all(self, objs: tuple, extra=None):
+        """As `get`, for a key that names each object of objs."""
+        entry = self._entries.get((tuple(map(id, objs)), extra))
+        if entry is not None and all(map(operator.is_, entry[0], objs)):
+            return entry[1]
+        return None
+
+    def put_all(self, objs: tuple, value, extra=None):
+        self._entries[tuple(map(id, objs)), extra] = objs, value
+        return value
+
+    def cached(self, nodes, compute, extra=None) -> list:
+        """compute(node, it)'s value for each of nodes, through the table
+        under extra: compute runs once per node object, and reaches the
+        node's children through the function it is given."""
+        entries = self._entries
+
+        def call(node):
+            key = id(node) if extra is None else (id(node), extra)
+            entry = entries.get(key)
+            if entry is None or entry[0] is not node:
+                entry = entries[key] = node, compute(node, call)
+            return entry[1]
+        out = [call(n) for n in nodes]
+        # call's closure holds call: unbinding it breaks that cycle
+        del call
+        return out
+
+    def rewrite(self, f: Expr, fn) -> Expr:
+        """`rewrite` through the table, each node's result kept under the
+        node alone."""
+        entries = self._entries
+
+        def tr(e):
+            entry = entries.get(id(e))
+            if entry is None or entry[0] is not e:
+                out = fn(e)
+                entry = entries[id(e)] = e, map_children(e, tr) if out is None else out
+                if entry[1] is not e:
+                    self.created += 1
+                    if self.created > self.limit:
+                        self.full(self)
+            return entry[1]
+        out = tr(f)
+        # tr's closure holds tr: unbinding it breaks that cycle, so a table
+        # made for this call is freed now, not at the next cyclic collection
+        del tr
+        return out
+
 
 # the fields of each node class that hold child nodes, in dataclass field
 # order (a list field holds a list of them), for expressions, statements and
@@ -439,28 +528,17 @@ def map_children(e: Expr, fn) -> Expr:
             new = fn(old)
             if new is not old:
                 changed[name] = new
-    return replace(e, **changed) if changed else e
+    # what dataclasses.replace does, at a third of its cost
+    return type(e)(**{**e.__dict__, **changed}) if changed else e
 
 
 def rewrite(f: Expr, fn, memo=None) -> Expr:
     """Top-down rewrite: fn(e) returns e's replacement, or None to descend
     into e's children. Unchanged subtrees are returned as they are. fn is
-    called once per node object: `memo` (a fresh dict when not given) maps
-    id(node) -> (node, result), and a caller may share it between calls
-    with the same fn, so that their common subterms are rewritten once."""
-    memo = {} if memo is None else memo
-
-    def tr(e):
-        hit = memo.get(id(e))
-        if hit is None:
-            out = fn(e)
-            hit = memo[id(e)] = (e, map_children(e, tr) if out is None else out)
-        return hit[1]
-    out = tr(f)
-    # tr's closure holds tr: unbinding it breaks that cycle, so a memo made
-    # here is freed now, not at the next cyclic garbage collection
-    del tr
-    return out
+    called once per node object, through `memo` (a fresh Memo when not
+    given), which a caller may share between calls with the same fn, so
+    that their common subterms are rewritten once."""
+    return (Memo() if memo is None else memo).rewrite(f, fn)
 
 
 def substitute(f: Expr, env: dict, pinned=(), memo=None) -> Expr:

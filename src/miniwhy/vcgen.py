@@ -28,11 +28,11 @@ inventory, whose ids and count the listings define.
 
 The formulas share subterms (an invariant, a condition, a continuation),
 so one transformation applied to many of them passes them all one memo of
-the term core: an assignment's substitution into the post and every pending
-side, a loop's havoc of every context it builds, and a method's \\old
-removal at closure. A shared subterm is then rebuilt once per
-transformation; the obligations' text is the same as when each formula is
-rewritten alone.
+the term core (`syntax.Memo`): an assignment's substitution into the post
+and every pending side, a loop's havoc of every context it builds, and a
+method's \\old removal at closure. A shared subterm is then rebuilt once
+per transformation; the obligations' text is the same as when each formula
+is rewritten alone.
 """
 
 from __future__ import annotations
@@ -69,10 +69,10 @@ class Obligation:
     detail: str = ""
     # the prover's forms table and simplify memo: the set's for a set
     # member, else the obligation's own
-    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _forms: S.Memo = field(default_factory=S.Memo, init=False, repr=False, compare=False)
     # the exporters' memo of rendered terms (see export): the set's for a
     # set member, else the obligation's own
-    _renders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _renders: S.Memo = field(default_factory=S.Memo, init=False, repr=False, compare=False)
     # trace validation's plan (see _trace_plan), None until first derived
     _trace_plan: _TracePlan = field(default=None, init=False, repr=False,
                                     compare=False)
@@ -96,10 +96,10 @@ class ObligationSet:
     _memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the prover's forms table and simplify memo, which every obligation
     # of the set holds as `_forms`
-    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _forms: S.Memo = field(default_factory=S.Memo, init=False, repr=False, compare=False)
     # the exporters' memo of rendered terms, which every obligation of the
     # set holds as `_renders`
-    _renders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _renders: S.Memo = field(default_factory=S.Memo, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.obligations)
@@ -158,7 +158,7 @@ def subst_result(f: S.Expr, repl: S.Expr) -> S.Expr:
 def unwrap_old(f: S.Expr, memo=None) -> S.Expr:
     """At obligation close every remaining current-state symbol denotes the
     entry state, so \\old(e) collapses to e."""
-    memo = {} if memo is None else memo
+    memo = S.Memo() if memo is None else memo
     return S.rewrite(f, lambda e: unwrap_old(e.operand, memo)
                      if isinstance(e, S.OldExpr) else None, memo)
 
@@ -278,19 +278,19 @@ class _Loop:
     decrease: S.Expr        # v < \at(v, LoopEntry), tagged with id
     mapping: dict           # assigned variable -> its havoc symbol
     first: S.Expr           # inv at its first check, where LoopEntry is Here
-    memo: dict = field(default_factory=dict)    # of hv, for every formula
-    # (exit, id(f)) -> (f, its context): a formula listed twice gets one
-    ctx: dict = field(default_factory=dict)
+    # hv's memo, for every formula, and each formula's context under exit,
+    # so that a formula listed twice gets one
+    memo: S.Memo
 
     def hv(self, f: S.Expr) -> S.Expr:
         return havoc(f, self.mapping, _entry_tag(self.id), self.memo)
 
     def context(self, f: S.Expr, exit: bool) -> S.Expr:
-        hit = self.ctx.get((exit, id(f)))
+        hit = self.memo.get(f, exit)
         if hit is None:
             cond = _not(self.cond) if exit else self.cond
-            hit = self.ctx[exit, id(f)] = f, self.hv(_imp(_and(self.inv, cond), f))
-        return hit[1]
+            hit = self.memo.put(f, self.hv(_imp(_and(self.inv, cond), f)), exit)
+        return hit
 
     def exit_ctx(self, f: S.Expr) -> S.Expr:
         """I && !b ==> f, havocked: f after the loop."""
@@ -305,12 +305,10 @@ def _each(build, *cols) -> tuple:
     """build over the posts, column by column: posts whose arguments are
     the same objects as an earlier post's share that post's result, so
     posts that are one object stay one."""
-    built, out = {}, []
+    built, out = S.Memo(), []
     for args in zip(*cols):
-        key = tuple(map(id, args))
-        if key not in built:
-            built[key] = build(*args)
-        out.append(built[key])
+        hit = built.get_all(args)
+        out.append(built.put_all(args, build(*args)) if hit is None else hit)
     return tuple(out)
 
 
@@ -400,17 +398,19 @@ class _Wp:
 
     def rewritten(self, tr, posts, kinds, sides, new):
         """The posts and every pending side through tr(formula, memo), all
-        with one memo, which is charged to the budget; then the new sides."""
-        memo = {}
+        with one memo, which is charged to the budget; then the new sides.
+        A memo spends as soon as it has created more nodes than the budget
+        has left, so a substitution past the budget stops at once."""
+        memo = S.Memo(VCGEN_BUDGET - self.spent, self.spend)
         out = (tuple(tr(p, memo) for p in posts), kinds,
                [replace(s, formula=tr(s.formula, memo)) for s in sides] + new)
         self.spend(memo)
         return out
 
     def spend(self, memo):
-        """Charge the nodes a filled substitution memo created to the
-        method's budget: its entries whose result is a new node."""
-        self.spent += sum(e is not out for e, out in memo.values())
+        """Charge the nodes a substitution memo created to the method's
+        budget."""
+        self.spent += memo.created
         if self.spent > VCGEN_BUDGET:
             raise VcgenError(
                 f"obligations of method {self.method.name!r} exceed the vcgen "
@@ -449,7 +449,7 @@ class _Wp:
         annot = st.annot
         if annot is None or annot.invariant is None:
             raise VcgenError(f"loop at line {st.pos[0]} has no invariant")
-        loop_id = self.loops[id(st)]
+        loop_id = self.loops.get(st)
         types = dict(self.all_vars)
         mapping = {name: S.FreshVar(name=f"{name}@L{loop_id}", base=name,
                                     loop_id=loop_id, ty=types.get(name))
@@ -464,7 +464,7 @@ class _Wp:
             v_entry = S.AtLabel(operand=v, label=tag, pos=v.pos, ty=v.ty)
             decrease = S.Binary(op="<", left=v, right=v_entry, pos=v.pos, ty=S.BOOL)
         return _Loop(loop_id, st.pos[0], inv, st.cond, decrease, mapping,
-                     havoc(inv, {}, tag))
+                     havoc(inv, {}, tag), S.Memo(VCGEN_BUDGET - self.spent, self.spend))
 
     def loop(self, st, posts, kinds, sides):
         """while (b) S and do S while (b) with invariant I, over the havoc
@@ -520,12 +520,11 @@ class _Wp:
             out.extend(self.variant_sides(st, lp, p_dec[0], body_sides))
         # one exit side per post, or one for the posts that are one formula
         # of one kind
-        exits = {}
         for i, (post, kind) in enumerate(zip(posts, kinds)):
-            exits.setdefault((id(post), kind), (post, kind, []))[2].append(i)
-        for post, kind, of in exits.values():
-            out.append(self.new_side(kind, lp.exit_ctx(post), lp.line, "loop exit",
-                                     None if len(of) == len(posts) else of[0]))
+            of = [j for j, (p, k) in enumerate(zip(posts, kinds)) if p is post and k == kind]
+            if of[0] == i:
+                out.append(self.new_side(kind, lp.exit_ctx(post), lp.line, "loop exit",
+                                         None if len(of) == len(posts) else i))
         self.spend(lp.memo)
         return (pre,) * len(posts), (pre_kind,) * len(posts), out
 
@@ -604,7 +603,7 @@ class _Wp:
         if target is None:
             pre = _imp(assumption, subst_result(self.exit_post, res))
             return (pre,) * len(posts), (self.exit_kind,) * len(posts), sides + new
-        memo = {}
+        memo = S.Memo(VCGEN_BUDGET - self.spent, self.spend)
         conts = tuple(subst(p, target, res, memo) for p in posts)
         # a side after the call holds once the callee's contract does
         sides = [replace(s, formula=_imp(assumption, subst(s.formula, target, res, memo)))
@@ -637,22 +636,20 @@ def _closure_info(goal: S.Expr, hyps=(), memo=None):
 
     The formulas are walked as the DAG they are, through `memo`: the
     obligations of one method share one, which dies once they are built,
-    and a call without one gets a fresh dict. It maps (id(node), names
-    bound above it) to (node, (sorts, loop ids, state classes)) of the
-    node's subtree; holding the node keeps its id from being reused while
-    the memo lives. A node merges its children's sorts in walk order as
-    dict.update does (`_union`), keeping each name at its first position
-    with its last sort, as a walk of the tree does."""
-    memo = {} if memo is None else memo
+    and a call without one gets a fresh Memo. It keeps (sorts, loop ids,
+    state classes) of each node's subtree under the names bound above it.
+    A node merges its children's sorts in walk order as dict.update does
+    (`_union`), keeping each name at its first position with its last
+    sort, as a walk of the tree does."""
+    memo = S.Memo() if memo is None else memo
     # the info of a subtree without symbols, loops or state nodes; no
     # sorts dict is changed once built, so entries share them
     nothing = ({}, frozenset(), frozenset())
 
     def info(f, bound):
-        key = (id(f), bound)
-        hit = memo.get(key)
+        hit = memo.get(f, bound)
         if hit is not None:
-            return hit[1]
+            return hit
         cls = type(f)
         if cls is S.Var:
             out = (({f.name: f.ty}, nothing[1], nothing[2])
@@ -672,8 +669,7 @@ def _closure_info(goal: S.Expr, hyps=(), memo=None):
                     out = more
                 elif more is not nothing:
                     out = tuple(map(_union, out, more))
-        memo[key] = f, out
-        return out
+        return memo.put(f, out, bound)
 
     sorts, loop_ids, goal_states = {}, set(), set()
     escaped = set()
@@ -708,19 +704,18 @@ _NAMES = {
 
 
 def _make_obligation(method, seq, kind, line, detail, goal, hyps, hyp_sources,
-                     old_memo=None, closed=None, info_memo=None):
+                     memo=None):
     # unwrapping \old keeps every symbol and their order, so the walk may
-    # precede it; old_memo is unwrap_old's and info_memo _closure_info's,
-    # each shared by the method's goals, and closed keeps what closing gave
-    # each (goal, hypotheses) pair of objects, so that a goal listed twice
-    # is walked and unwrapped once
-    closed = {} if closed is None else closed
-    hit = closed.get((id(goal), id(hyps)))
+    # precede it; memo, the method's, serves unwrap_old and _closure_info
+    # and keeps what closing gave each (goal, hypotheses) pair of objects,
+    # so that a goal listed twice is walked and unwrapped once
+    memo = S.Memo() if memo is None else memo
+    hit = memo.get_all((goal, hyps))
     if hit is None:
-        sorts, loop_ids, old = _closure_info(goal, hyps, info_memo)
-        hit = closed[id(goal), id(hyps)] = (
-            goal, hyps, sorts, loop_ids, unwrap_old(goal, old_memo) if old else goal)
-    _, _, sorts, loop_ids, goal = hit
+        sorts, loop_ids, old = _closure_info(goal, hyps, memo)
+        hit = memo.put_all((goal, hyps), (
+            sorts, loop_ids, unwrap_old(goal, memo) if old else goal))
+    sorts, loop_ids, goal = hit
     name = _NAMES[kind]
     if detail:
         name = f"{name} ({detail})"
@@ -777,17 +772,17 @@ def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
     base_sources = ["lemma"] * len(lemma_forms) + ["requires"]
     out = []
     seq = itertools.count()
-    # unwrap_old's, the closures' and _closure_info's, see _make_obligation
-    memos = {}, {}, {}
+    # the method's memo, see _make_obligation
+    memo = S.Memo()
 
     # main pass: the declared ensures, plus every post-independent obligation
     engine = _Wp(tunit, m, m.spec.ensures, "ensures")
     (pre,), (kind,), sides = engine.wp(m.body, (engine.exit_post,), ("ensures",), [])
     out.append(_make_obligation(mname, next(seq), kind, m.pos[0], "",
-                                pre, base_hyps, base_sources, *memos))
+                                pre, base_hyps, base_sources, memo))
     for s in sides:
         out.append(_make_obligation(mname, next(seq), s.kind, s.line, s.detail,
-                                    s.formula, base_hyps, base_sources, *memos))
+                                    s.formula, base_hyps, base_sources, memo))
 
     # behaviour passes contribute only their own postcondition chain. A pass
     # walks the main pass's statements, so its pre and sides line up one to
@@ -807,7 +802,7 @@ def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
                 detail = b.name if not s.detail else f"{b.name}, {s.detail}"
                 out.append(_make_obligation(mname, next(seq), "behaviour", s.line,
                                             detail, s.formula, hyps, sources,
-                                            *memos))
+                                            memo))
     return out
 
 
@@ -1035,7 +1030,7 @@ def _validate_one(ob: Obligation, index: _TraceIndex, memos: dict) -> Obligation
             if test is None:
                 # the layout is the Here state's names: Old's are among them
                 test = compiled[key] = CompiledFormula(
-                    plan.test, states, mode, memos.setdefault(key, {}))
+                    plan.test, states, mode, memos.setdefault(key, S.Memo()))
             holds = eval_formula(test, states, mode, cache=cache)
         except (EvalError, ExecutionFault) as ex:
             return ObligationTraceResult(ob.id, "not-instantiable", str(ex))

@@ -466,10 +466,12 @@ def test_a_memo_entry_holding_another_node_is_not_read(sqrt_unit):
     its obligation is keyed by the ids of the original nodes."""
     ob = generate_obligations(sqrt_unit).obligations[0]
     reference = export_smtlib(replace(ob)).text, export_sexp(replace(ob)).text
-    other = copy.deepcopy(ob.goal)
+    bogus = S.Memo()
     for node in S.walk(ob.goal):
-        ob._renders["smtlib2", id(node)] = other, "bogus", set()
-        ob._renders["sexp", id(node)] = other, "bogus"
+        bogus.put(node, ("bogus", set()), "smtlib2")
+        bogus.put(node, "bogus", "sexp")
+    # the copy's entries hold copies of the nodes, under the originals' ids
+    ob._renders = copy.deepcopy(bogus)
     assert (export_smtlib(ob).text, export_sexp(ob).text) == reference
 
 
@@ -508,7 +510,7 @@ def test_a_shared_node_is_declared_in_every_document_whatever_goes_first():
         # each rendered alone, through a memo of its own
         alone = [export_smtlib(replace(ob)).text for ob in obs]
         for order in (obs, obs[::-1]):
-            memo = {}
+            memo = S.Memo()
             for ob in order:
                 ob._renders = memo
             texts = {ob.id: export_smtlib(ob).text for ob in order}
@@ -556,9 +558,10 @@ def test_the_render_memo_dies_with_its_set(quickselect_unit):
         export_sexp(ob)
     assert obset._renders
     # a copy renders through a memo of its own
-    assert replace(obset.obligations[0])._renders == {}
+    assert len(replace(obset.obligations[0])._renders) == 0
     # a probe that only the memo holds dies with it
-    obset._renders["probe"] = probe = _Probe()
+    probe = _Probe()
+    obset._renders.put(probe, True)
     held = weakref.ref(probe)
     obs = list(obset)
     del obset, obs, ob, probe

@@ -849,15 +849,14 @@ def test_memoised_compile_binds_and_evaluates_as_an_unmemoised_one(monkeypatch):
     for obset, out in _memo_runs():
         bundles.clear()
         vcgen.instantiate_on_trace(obset, out)
-        memos, pairs = {}, {}
+        memos, pairs = {}, S.Memo()
         for f, states, mode in bundles:
             layout = frozenset(_bundle_names(states))
-            key = (id(f), layout)
-            if key not in pairs:
-                pairs[key] = (_compiled(f, states, mode, memos.setdefault(layout, {})),
-                              _compiled(f, states, mode))
+            if pairs.get(f, layout) is None:
+                pairs.put(f, (_compiled(f, states, mode, memos.setdefault(layout, S.Memo())),
+                              _compiled(f, states, mode)), layout)
                 nodes += sum(1 for _ in S.walk(f))
-            shared, alone = pairs[key]
+            shared, alone = pairs.get(f, layout)
             if isinstance(alone, str):
                 assert shared == alone
                 continue
@@ -895,7 +894,7 @@ def test_a_shared_node_evaluates_as_in_the_unshared_formula():
         old_state = {**here, "a": [rng.randint(-3, 3) for _ in range(4)],
                      "x": rng.choice([here["x"], 0])}
         states = {"Here": here, "Old": old_state}
-        memo = {}
+        memo = S.Memo()
         # the parts compiled after the whole formula hit the memo
         for part, copy in zip((shared, first, second, old), [unshared] + copies):
             want = _outcome(copy, states, "rational")
@@ -966,7 +965,7 @@ def test_eval_formula_without_a_cache_reads_nothing_an_earlier_call_stored():
     f = typed_formula("x > 0 && y >= 0 ==> y > x", sorts)
     state = {"x": 1, "y": 0}
     states = {"Here": state}
-    for memo in ({}, None):
+    for memo in (S.Memo(), None):
         compiled = CompiledFormula(f, states, "rational", memo)
         state.update(x=1, y=0)
         assert eval_formula(compiled, states, "rational") is False

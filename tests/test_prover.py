@@ -273,7 +273,7 @@ XYK = {"x": S.REAL, "y": S.REAL, "k": S.INT}
 ])
 def test_both_sides_of_a_split_carry_what_their_comparison_abstracts(
         text, int_keys, opaque, divisions):
-    cmp, forms = typed_formula(text, XYK), {}
+    cmp, forms = typed_formula(text, XYK), S.Memo()
     lt, gt = prover._constraint("<", cmp, forms), prover._constraint(">", cmp, forms)
     assert lt.lin.neg_key() == gt.lin.key()
     for c in (lt, gt):
@@ -727,7 +727,7 @@ def test_a_shared_table_gives_the_verdicts_of_a_table_per_obligation():
             obs = _formulagen_obligations(reals_only, division)
             want = [_verdict(_alone(ob)) for ob in obs]
             for order in orders:
-                table = {}
+                table = S.Memo()
                 for ob in obs:
                     ob._forms = table
                 got = {id(ob): _verdict(ob) for ob in _ordered(obs, order)}
@@ -743,7 +743,8 @@ def test_the_table_dies_with_its_set(quickselect_unit):
     statuses = [prove_internal(ob) for ob in obset]
     assert len(obset._forms) > len(obset)
     # a probe that only the table holds dies with it
-    obset._forms["probe"] = probe = _Probe()
+    probe = _Probe()
+    obset._forms.put(probe, True)
     held = weakref.ref(probe)
     obs = list(obset)
     del obset, obs, probe
@@ -760,7 +761,7 @@ def test_an_obligation_edited_in_place_gets_its_new_verdict():
     alone = mk(quotient, sorts=sorts)
     guarded = mk(typed_formula("y > 0.0 || y < 0.0", sorts),
                  hyps=[typed_formula("y != 0.0", sorts)], sorts=sorts)
-    alone._forms = guarded._forms = {}
+    alone._forms = guarded._forms = S.Memo()
     assert _verdict(alone)[0] == "unknown"
     assert _verdict(guarded)[0] == "proved-internal"
     # the goal that `alone` simplified under no facts, now under y != 0
@@ -793,7 +794,7 @@ def test_each_boolean_atom_is_printed_once_per_set(monkeypatch):
         for ob in obset:
             prove_internal(ob)
         assert len({id(e) for e in printed}) == len(printed), entry.name
-        assert all(obset._forms["atom", id(e)][1] == text(e) for e in printed)
+        assert all(obset._forms.get(e, "atom") == text(e) for e in printed)
         atoms += len(printed)
     assert atoms == 9
 

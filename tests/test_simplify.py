@@ -88,7 +88,7 @@ def test_quantifier_expansion_paths_agree_with_a_shared_table(monkeypatch, text,
         return seen[-1]
 
     monkeypatch.setattr(prover, "simplify", spy)
-    table = {}
+    table = S.Memo()
     obs = [Obligation(id=f"t:00{i}:assert", name="t", origin=Origin("m", 1, "assert"),
                       hypotheses=[], goal=f, var_sorts={"a": S.ARRAY_INT})
            for i in range(2)]
@@ -250,16 +250,16 @@ def _table_formulas():
 def test_every_simplified_comparison_has_its_forms_in_the_table():
     checked = 0
     for where, f in _table_formulas():
-        forms = {}
+        forms = S.Memo()
         out = simplify(f, forms)
         for n in S.walk(out):
             if not (isinstance(n, S.Binary) and n.op in S.COMPARE
                     and n.left.ty in (S.INT, S.REAL)):
                 continue
-            entry = forms.get(id(n))
-            assert entry is not None and entry[0] is n, (where, expr_to_str(n))
-            assert entry[1].key() == linear_form(n.left).key(), where
-            assert entry[2].key() == linear_form(n.right).key(), where
+            entry = forms.get(n)
+            assert entry is not None, (where, expr_to_str(n))
+            assert entry[0].key() == linear_form(n.left).key(), where
+            assert entry[1].key() == linear_form(n.right).key(), where
             checked += 1
     assert checked > 1000, checked
 

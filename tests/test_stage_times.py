@@ -1,6 +1,8 @@
 """Smoke test of tools/stage_times.py: one rep, one pass, against itself."""
 
+import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +28,7 @@ def test_stage_times_runs_one_rep_against_a_second_checkout(tmp_path):
         (s, u) for s in TRACE_STAGES for u in TRACED + ("corpus",)]
     # per side: ms, IQR, full collections, collector ms; then the ratio
     assert all(len(r) == 11 for r in rows)
+    assert all(re.fullmatch(r"\d+\.\d{3}~?", r[-1]) for r in rows)
     data = json.loads(out.read_text())
     assert set(data["reps"]) == {"this", "against"}
     for side in data["reps"].values():
@@ -43,3 +46,17 @@ def test_stage_times_runs_one_rep_against_a_second_checkout(tmp_path):
                    for u in UNITS for s in ("prover.simplify", "prover.fm"))
         assert all(rep["raw"][u][s] > 0 for u in TRACED for s in TRACE_STAGES)
         assert all(set(rep["raw"][u]) == set(STAGES) for u in UNITS if u not in TRACED)
+
+
+def test_a_ratio_is_unresolved_when_the_iqrs_overlap():
+    spec = importlib.util.spec_from_file_location(
+        "stage_times", ROOT / "tools" / "stage_times.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    # (median, q1, q3, full collections, collector ms)
+    parent = (10.0, 9.5, 10.5, 0, 0.1)
+    assert tool._ratio((10.8, 10.4, 11.2, 0, 0.1), parent) == "1.080~"
+    assert tool._ratio((10.8, 10.6, 11.2, 0, 0.1), parent) == "1.080"
+    assert tool._ratio((9.0, 8.8, 9.5, 0, 0.1), parent) == "0.900~"
+    assert tool._ratio((9.0, 8.8, 9.4, 0, 0.1), parent) == "0.900"
+    assert tool._ratio((1.0, 1.0, 1.0, 0, 0.0), (0.0, 0.0, 0.0, 0, 0.0)) == "nan"

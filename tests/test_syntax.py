@@ -1,7 +1,14 @@
 """The term core: the child table, map_children, rewrite and substitute."""
 
+import ast
+import copy
 import gc
+import pickle
 import typing
+import weakref
+from pathlib import Path
+
+import pytest
 
 from miniwhy import syntax as S
 from miniwhy import vcgen
@@ -114,7 +121,7 @@ def test_a_subterm_shared_inside_and_outside_a_binder():
     env = {"x": one, "y": two}
     for f in (S.Binary(op="&&", left=shared, right=quant, ty=S.BOOL),
               S.Binary(op="&&", left=quant, right=shared, ty=S.BOOL)):
-        g = S.substitute(f, env, memo={})
+        g = S.substitute(f, env, memo=S.Memo())
         assert S.substitute(f, env) == g
         outside, inside = ((g.left, g.right.body) if f.left is shared
                            else (g.right, g.left.body))
@@ -125,15 +132,114 @@ def test_a_subterm_shared_inside_and_outside_a_binder():
 
 def test_a_shared_memo_holds_its_nodes():
     one = S.IntLit(value=1, ty=S.INT)
-    memo = {}
+    memo = S.Memo()
     f = typed_formula("x + 1 > x * 2", {"x": S.INT})
+    held = [weakref.ref(n) for n in S.walk(f)]
     S.substitute(f, {"x": one}, memo=memo)
     del f
     gc.collect()
     # while the memo lives no node of f is freed, so no new node can take
     # an id it has an entry for
-    assert all(id(node) == key for key, (node, _) in memo.items())
+    assert all(ref() is not None for ref in held)
     for k in range(50):
         g = typed_formula(f"x - {k} < x", {"x": S.INT})
         assert S.substitute(g, {"x": one}, memo=memo) == \
             S.substitute(g, {"x": one})
+    del memo
+    gc.collect()
+    assert all(ref() is None for ref in held)
+
+
+# ---------------------------------------------------------------------------
+# the identity table
+
+class _Obj:
+    """An object that a weak reference can follow."""
+
+
+def test_a_hit_needs_the_very_node():
+    x, twin = S.Var(name="x", ty=S.INT), S.Var(name="x", ty=S.INT)
+    assert x == twin
+    table = S.Memo()
+    assert table.get(x) is None
+    assert table.put(x, "x's") == "x's"
+    assert table.get(x) == "x's" and table.get(twin) is None
+    table.put_all((x, twin), "pair")
+    assert table.get_all((x, twin)) == "pair"
+    assert table.get_all((twin, x)) is None and table.get_all((x, x)) is None
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy,
+                                     lambda o: pickle.loads(pickle.dumps(o))])
+def test_a_copied_table_answers_for_no_node(copy_of):
+    """A copy's entries hold copies of the nodes under the originals' ids:
+    it answers neither for the originals nor for the copies."""
+    x, y = S.Var(name="x", ty=S.INT), S.Var(name="y", ty=S.INT)
+    table = S.Memo()
+    table.put(x, 1)
+    table.put(x, 2, "extra")
+    table.put_all((x, y), 3)
+    copied, cx, cy = copy_of((table, x, y))
+    assert len(copied) == 3 and cx == x and cx is not x
+    for nx, ny in ((x, y), (cx, cy)):
+        assert copied.get(nx) is None and copied.get(nx, "extra") is None
+        assert copied.get_all((nx, ny)) is None
+    assert table.get(x) == 1 and table.get_all((x, y)) == 3
+
+
+def test_extra_key_parts_keep_entries_apart():
+    x, y = _Obj(), _Obj()
+    table = S.Memo()
+    table.put(x, "alone")
+    table.put(x, "smtlib2", "smtlib2")
+    table.put(x, "depth 2", 2)
+    table.put(x, "facts", frozenset({"k"}))
+    table.put_all((x,), "one-object tuple")
+    table.put_all((x, y), "pair")
+    table.put_all((x, y), "pair, extra", ("status", ("requires",)))
+    table.put_all((), "no object", ("interned", 1))
+    assert [table.get(x), table.get(x, "smtlib2"), table.get(x, 2),
+            table.get(x, frozenset({"k"})), table.get_all((x,)), table.get_all((x, y)),
+            table.get_all((x, y), ("status", ("requires",))),
+            table.get_all((), ("interned", 1))] == [
+        "alone", "smtlib2", "depth 2", "facts", "one-object tuple", "pair",
+        "pair, extra", "no object"]
+    # the parts compare by value: an equal part finds the entry
+    assert table.get(x, frozenset(["k"])) == "facts"
+    assert table.get(x, "sexp") is None and table.get(x, 3) is None
+    assert table.get(y) is None and table.get_all((y, x)) is None
+
+
+def test_every_object_of_a_key_is_pinned_while_the_table_lives():
+    table = S.Memo()
+    objs = [_Obj() for _ in range(4)]
+    held = [weakref.ref(o) for o in objs]
+    table.put(objs[0], 0)
+    table.put_all((objs[1], objs[2], objs[3]), 1, "extra")
+    del objs
+    gc.collect()
+    assert all(ref() is not None for ref in held)
+    table.clear()
+    gc.collect()
+    assert all(ref() is None for ref in held)
+
+
+def _id_uses(path: Path):
+    """Line numbers where the module reads the name `id` outside
+    `syntax.Memo`."""
+    tree = ast.parse(path.read_text(), str(path))
+    skip = {n for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef) and c.name == "Memo" and path.name == "syntax.py"
+            for n in ast.walk(c)}
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and n.id == "id" and isinstance(n.ctx, ast.Load)
+            and n not in skip]
+
+
+def test_only_the_table_calls_id():
+    """Every memo keyed by node identity goes through `syntax.Memo`: no
+    module of the package reads the builtin `id` anywhere else."""
+    package = Path(S.__file__).parent
+    uses = {p.name: _id_uses(p) for p in sorted(package.glob("*.py"))}
+    assert "syntax.py" in uses
+    assert {name: lines for name, lines in uses.items() if lines} == {}

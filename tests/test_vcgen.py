@@ -1069,7 +1069,7 @@ def test_var_sorts_are_those_of_a_walk_of_the_tree():
                       right=z, ty=S.BOOL)
     quantified = S.Forall(binders=[("x", S.REAL)], body=shared, ty=S.BOOL)
     other = S.Binary(op="==", left=y_int, right=y_int, ty=S.BOOL)
-    memo = {}
+    memo = S.Memo()
     for goal, hyps in [(S.conj([quantified, other, shared]), ()),
                        (S.conj([shared, quantified]), (other,)),
                        (quantified, (shared,)), (other, (quantified, shared))]:

@@ -41,7 +41,9 @@ units that ran the stage), the median and interquartile range over the
 reps of the scaled times in ms, then the medians over the reps of the full
 collections per pass (`gc2`) and of the collector's ms (`gc ms`); with
 --against the same for the other checkout, and the ratio of this
-checkout's median time to the other's.
+checkout's median time to the other's. A ratio marked `~` is unresolved:
+the two checkouts' IQRs overlap, and stages whose code did not change move
+by several percent from run to run, so such a ratio tells no difference.
 """
 
 from __future__ import annotations
@@ -250,6 +252,15 @@ def _summary(reps: list, units) -> dict:
     return out
 
 
+def _ratio(row, other) -> str:
+    """The ratio column: row's median over other's, marked `~` when the
+    two rows' IQRs overlap."""
+    if not other[0]:
+        return "nan"
+    overlap = row[1] <= other[2] and other[1] <= row[2]
+    return f"{row[0] / other[0]:.3f}" + ("~" if overlap else "")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--reps", type=int, default=5)
@@ -292,8 +303,7 @@ def main(argv=None) -> int:
             line = f"{s:<16}{u:<20}{columns(row, 9)}"
             if args.against:
                 other = summary["against"][s][u]
-                line += (f"{columns(other, 12)}"
-                         f"{row[0] / other[0] if other[0] else float('nan'):>8.3f}")
+                line += f"{columns(other, 12)}{_ratio(row, other):>8}"
             print(line)
     if args.json:
         Path(args.json).write_text(json.dumps(
