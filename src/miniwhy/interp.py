@@ -31,13 +31,8 @@ share a memo, so that a node object they have in common (a hypothesis that
 recurs in every obligation of a method) is compiled once, and each of them
 calls its closures.
 Nothing here retains compiled formulas or memos: their owner is the
-caller, and they live as long as it holds them. Trace validation keeps
-them with the obligations they test: each ObligationSet owns one memo per
-(mode, layout), and each obligation's trace plan owns its compiled tests
-under the same key. They die with the set and its obligations, and an
-obligation edited in place drops its tests with its old plan. Closure
-trees are large next to the formulas they come from, so no module-level
-cache holds them.
+caller, and they live as long as it holds them. Closure trees are large
+next to the formulas they come from, so no module-level cache holds them.
 
 Binding a state coerces each value a formula reads to its variable's
 type. Every evaluation binds through a BindCache, a fresh one per
@@ -47,16 +42,27 @@ coerced once, and each (state dict, read signature) is bound to one slot
 list, which every formula with that signature reads. Trace validation
 makes one cache per call and drops it when the call returns.
 
-A BindCache also keeps one record per state bundle: its Here, Old and
-LoopEntry states, the set of their names, built once, and a value table.
-Many tests share their hypotheses (a requires, an invariant, a path
-condition), so under a compile memo and outside every quantifier binder a
-`==>` chain reads each antecedent's value on the bundle from that table,
-keyed by the antecedent's closure: the first test that reaches the
-antecedent evaluates and stores it, and every later test reads it. The
-chain keeps its order and short circuit, and a fault is never stored, so
-every test that reaches a faulting antecedent raises its fault. Runtime
-checks compile without a memo, so they read no table.
+Trace validation evaluates many tests on the same bundles, and they share
+their hypotheses (a requires, an invariant, a path condition). So the
+tests of one group of obligations compile together into a CompiledTests,
+which eval_formula evaluates a bundle at a time. For each (mode, layout)
+every test is split into the antecedents of its `==>` chain and its
+consequent, all compiled under one memo, and the chains go into one
+prefix trie keyed by closure, compressed into runs of closures; each
+consequent hangs at the node where its chain ends. One walk of the trie
+per bundle evaluates each shared prefix once: a false antecedent passes
+every live test under it vacuously, a fault ends every live test under it
+with the fault's message, and a test that ends is skipped by the later
+walks through the same cache. A closure that sits on more than one edge is
+read through a table the walk clears, so it runs once per bundle; a fault
+is never stored there. The tests that read no name at two types share a
+bind class, one frame per bundle: Old is bound once per cache, and Here
+starts as a copy of Old's slot list, so only the names whose values are
+not Old's very objects (in trace validation, the havoc and call-result
+values) are bound again. A value that fails to coerce ends only the
+tests that read its name, with the coercion's message. The caller owns
+the CompiledTests, which keeps its tries; trace validation keeps one per
+group on the ObligationSet.
 
 A bounded `\\forall integer k1 ... kn; guards ==> consequent` is evaluated
 by enumeration. Each binder's range is lo..hi, the greatest lower and the
@@ -148,9 +154,7 @@ class Kernel:
 
 
 class Frame:
-    # values: a standalone formula's bundle value table (see BindCache), set
-    # by CompiledFormula._evaluate, never on a method's frame
-    __slots__ = ("cur", "old", "res", "loopentry", "K", "values")
+    __slots__ = ("cur", "old", "res", "loopentry", "K")
 
     def __init__(self, cur, K):
         self.cur = cur
@@ -458,6 +462,17 @@ def _all(parts):
     return conj
 
 
+def _split_implication(e: S.Expr):
+    """(antecedents, consequent) of e's `==>` chain along its right spine:
+    `A1 && A2 ==> B ==> C` gives ([A1, A2, B], C), and any other formula
+    ([], e)."""
+    antecedents = []
+    while isinstance(e, S.Binary) and e.op == "==>":
+        antecedents += S.chain(e.left, "&&")
+        e = e.right
+    return antecedents, e
+
+
 def _compile_connective(e: S.Binary, ctx: CompileCtx, state: str):
     """One closure for a chain of one connective, its operands evaluated
     left to right with the short circuit of the nested form. A `==>` chain
@@ -479,14 +494,9 @@ def _compile_connective(e: S.Binary, ctx: CompileCtx, state: str):
                     return v
             return v
         return disj
-    antecedents = []
-    while isinstance(e, S.Binary) and e.op == "==>":
-        antecedents += S.chain(e.left, "&&")
-        e = e.right
+    antecedents, consequent = _split_implication(e)
     antecedents = compile_all(antecedents)
-    consequent = compile_expr(e, ctx, state)
-    if ctx.memo is not None and not ctx.binders:
-        return _implies_tabled(antecedents, consequent)
+    consequent = compile_expr(consequent, ctx, state)
     if len(antecedents) == 1:
         [l] = antecedents
         return lambda f: not l(f) or consequent(f)
@@ -494,24 +504,6 @@ def _compile_connective(e: S.Binary, ctx: CompileCtx, state: str):
     def implies(f):
         for p in antecedents:
             if not p(f):
-                return True
-        return consequent(f)
-    return implies
-
-
-def _implies_tabled(antecedents, consequent):
-    """The `==>` chain of a memoised compile outside every binder: an
-    antecedent's value on the frame's bundle is read from the bundle's
-    value table (f.values) when a test has stored it, else computed and
-    stored. A memo hands every test the same closure for a node it shares,
-    so the closure is the key. A fault stores nothing."""
-    def implies(f):
-        values = f.values
-        for p in antecedents:
-            v = values.get(p, values)   # the table is never a value
-            if v is values:
-                v = values[p] = p(f)
-            if not v:
                 return True
         return consequent(f)
     return implies
@@ -1079,8 +1071,7 @@ class CompiledFormula:
     compiled into it, which must all have this layout and mode; each still
     binds the slots it would bind alone. The memo keeps every closure
     compiled into it alive, so it should live no longer than the formulas
-    are needed: trace validation keeps one per (mode, layout) on the
-    obligation set it validates, and drops it with the set.
+    are needed.
 
     The read signature is the names the formula reads with their types,
     computed at compile time. Formulas of one memo that read the same names
@@ -1102,7 +1093,7 @@ class CompiledFormula:
         try:
             self._fn = compile_expr(f, ctx)
         except RecursionError:
-            raise EvalError("formula nesting too deep to compile") from None
+            raise EvalError(_TOO_DEEP) from None
         reads = ctx.var_types
         self._binds = {n: (i, reads.get(n)) for n, i in slots.items()}
         self._sig = _read_set(memo, reads)
@@ -1124,51 +1115,346 @@ class CompiledFormula:
         return lists.put(d, out)
 
     def _evaluate(self, states: dict, cache) -> bool:
-        here, old, le, names, values, bound = cache.bundle(states)
+        here, old, le, names = _bundle(states)
         if names != self.names:
             raise EvalError("state bundle names differ from the compiled "
                             f"layout: {sorted(names ^ self.names)}")
-        slots = bound.get(self._sig)
-        if slots is None:
-            lists = cache.get(self._sig)
-            if lists is None:
-                lists = cache.put(self._sig, S.Memo())
-            slots = bound.put(self._sig, [self._bind(d, lists, cache) for d in (here, old, le)])
+        lists = cache.get(self._sig)
+        if lists is None:
+            lists = cache.put(self._sig, S.Memo())
         # a standalone formula calls no method and reads no \result (both
         # fail to compile), so its frame needs no kernel
-        frame = Frame(slots[0], None)
-        frame.old, frame.loopentry = slots[1], slots[2]
-        frame.values = values
+        frame = Frame(self._bind(here, lists, cache), None)
+        frame.old = self._bind(old, lists, cache)
+        frame.loopentry = self._bind(le, lists, cache)
         return bool(self._fn(frame))
 
 
+_TOO_DEEP = "formula nesting too deep to compile"
+_FAULTS = (EvalError, ExecutionFault)
+_ABSENT = object()          # a name missing from a state dict
+
+
+class CompiledTests:
+    """The tests of one group of obligations, compiled together for each
+    (mode, state layout) they are evaluated in and evaluated a bundle at a
+    time (see the module docstring).
+
+    Each test is split at its `==>` chain into antecedents and a
+    consequent, as the compiler splits the chain, and every part is
+    compiled under one memo per (mode, layout). The tests that read no name
+    at two types form a bind class, bound to one frame per bundle; each
+    class keeps its tests in one prefix trie of antecedent closures (see
+    _Class). A test that fails to compile ends with its EvalError's message
+    on the first bundle of that layout that reaches it, and no other test
+    is affected. The tries live as long as this object.
+    """
+
+    __slots__ = ("tests", "_tries")
+
+    def __init__(self, tests):
+        self.tests = tuple(tests)
+        self._tries = []            # one _Trie per (mode, layout) met
+
+    def _evaluate(self, states: dict, mode: str, cache) -> list:
+        here, old, le = _labels(states)
+        # the layout is Here's names when they hold Old's, as they mostly do
+        names = here.keys()
+        if le is not None or old is not None and not names >= old.keys():
+            names = _bundle(states)[3]
+        for trie in self._tries:
+            if trie.names == names and trie.mode == mode:
+                break
+        else:
+            trie = _Trie(self.tests, frozenset(names), mode)
+            self._tries.append(trie)
+        run = cache.get(self)
+        if run is None:
+            run = cache.put(self, _Run(len(self.tests)))
+        ended = []
+        for t, message in trie.errors:
+            if run.alive[t]:
+                run.end(t, message, ended)
+        live = run.live_counts(trie)
+        for cls in trie.classes:
+            if live[cls.root[0]]:
+                cls.evaluate(here, old, le, cache, run, live, ended)
+        return ended
+
+
+class _Run:
+    """What one BindCache keeps of a CompiledTests: which tests have ended,
+    and for each trie met, the number of live tests under each node."""
+
+    __slots__ = ("alive", "live")
+
+    def __init__(self, n):
+        self.alive = [True] * n
+        self.live = {}              # _Trie -> live tests per node id
+
+    def live_counts(self, trie) -> list:
+        live = self.live.get(trie)
+        if live is None:
+            live = self.live[trie] = list(trie.counts)
+            for t, alive in enumerate(self.alive):
+                if not alive:
+                    for i in trie.paths[t]:
+                        live[i] -= 1
+        return live
+
+    def end(self, t, outcome, ended):
+        """End test t with outcome, False or a fault's message."""
+        self.alive[t] = False
+        ended.append((t, outcome))
+        for trie, live in self.live.items():
+            for i in trie.paths[t]:
+                live[i] -= 1
+
+
+class _Trie:
+    """The tests of a CompiledTests compiled for one (mode, layout): the
+    compile errors as (test, message), the bind classes, each test's path
+    of node ids from its class's root, and the number of tests under each
+    node."""
+
+    __slots__ = ("names", "mode", "errors", "classes", "paths", "counts")
+
+    def __init__(self, tests, names, mode):
+        self.names, self.mode = names, mode
+        slots = {n: i for i, n in enumerate(sorted(names))}
+        memo = S.Memo()
+        self.errors = []
+        classes = []                # (types read, [(test, antecedents, consequent, reads)])
+        for t, f in enumerate(tests):
+            ctx = CompileCtx(slots, mode, memo=memo)
+            antecedents, consequent = _split_implication(f)
+            try:
+                antecedents = tuple(compile_expr(a, ctx) for a in antecedents)
+                consequent = compile_expr(consequent, ctx)
+            except EvalError as ex:
+                self.errors.append((t, str(ex)))
+                continue
+            except RecursionError:
+                self.errors.append((t, _TOO_DEEP))
+                continue
+            reads = ctx.var_types
+            for types, members in classes:
+                if all(types.get(n, ty) == ty for n, ty in reads.items()):
+                    break
+            else:
+                types, members = {}, []
+                classes.append((types, members))
+            types.update(reads)
+            members.append((t, antecedents, consequent, reads))
+        self.paths = [()] * len(tests)
+        self.counts = []
+        self.classes = [_Class(types, members, slots, mode, self)
+                        for types, members in classes]
+
+
+def _tabled(p, table):
+    """p read through table: its value on the bundle is computed by the
+    first edge that reaches it and read by every later one. A fault
+    stores nothing, so each edge that reaches p raises it."""
+    def read(f):
+        v = table.get(p, table)         # the table is never a value
+        if v is table:
+            v = table[p] = p(f)
+        return v
+    return read
+
+
+class _Class:
+    """One bind class of a trie. Every name of the layout has a slot; a
+    name some test reads is coerced to the type it is read at, any other
+    is bound as recorded. The tests' chains form one prefix trie keyed by
+    closure (a memo gives shared nodes one closure), compressed so that a
+    node with one child and no test ending at it is merged into that
+    child's run. A closure on more than one edge is read through a table
+    local to the bundle, so it runs once per bundle; a fault is never
+    stored, so each edge that reaches a faulting closure raises it."""
+
+    __slots__ = ("mode", "width", "types", "reads", "root", "table")
+
+    def __init__(self, types, members, slots, mode, trie):
+        self.mode = mode
+        self.width = len(slots)
+        # name -> (slot, type read or None, whether an int coerces to itself)
+        self.types = {}
+        for n, i in slots.items():
+            ty = types.get(n)
+            self.types[n] = (i, ty, ty is not None and (
+                ty.kind == "int" or ty.kind == "real" and mode == RATIONAL))
+        self.reads = [(t, frozenset(reads)) for t, _, _, reads in members]
+        # uncompressed: [closure, children by closure, tests by consequent]
+        root = [None, {}, {}]
+        edges = {}
+        for t, antecedents, consequent, _ in members:
+            node = root
+            for a in antecedents:
+                child = node[1].get(a)
+                if child is None:
+                    child = node[1][a] = [a, {}, {}]
+                    edges[a] = edges.get(a, 0) + 1
+                node = child
+            node[2].setdefault(consequent, []).append(t)
+        # the bundle's values of the closures on more than one edge, cleared
+        # before each walk; each such closure is read through a wrapper
+        self.table = {}
+        tabled = {a: _tabled(a, self.table) for a, n in edges.items() if n > 1}
+        self.root = self._compress(root, (), trie, tabled)
+
+    def _compress(self, b, path, trie, tabled):
+        """The compressed node of the uncompressed node b: (id, the run of
+        closures on the edge into it, the tests whose chain ends there as
+        (consequent, tests), its children in reverse order, every test
+        under it). path holds the ids of the nodes above."""
+        run = [] if b[0] is None else [b[0]]
+        while len(b[1]) == 1 and not b[2]:
+            (b,) = b[1].values()
+            run.append(b[0])
+        nid = len(trie.counts)
+        trie.counts.append(0)
+        ends = tuple((c, tuple(ts)) for c, ts in b[2].items())
+        path += (nid,)
+        for _, ts in ends:
+            for t in ts:
+                trie.paths[t] = path
+        children = [self._compress(c, path, trie, tabled) for c in b[1].values()]
+        tests = tuple(t for _, ts in ends for t in ts) + tuple(
+            t for c in children for t in c[4])
+        trie.counts[nid] = len(tests)
+        return (nid, tuple(tabled.get(a, a) for a in run), ends,
+                tuple(reversed(children)), tests)
+
+    def evaluate(self, here, old, le, cache, run, live, ended):
+        """Walk the trie once on the bundle, ending each live test that
+        the bundle falsifies or that faults."""
+        f, faults = self._frame(here, old, le, cache)
+        alive = run.alive
+        if faults:
+            for t, reads in self.reads:
+                if alive[t]:
+                    for name, message in faults:
+                        if name in reads:
+                            run.end(t, message, ended)
+                            break
+        self.table.clear()
+        todo = [self.root]
+        while todo:
+            nid, antecedents, ends, down, tests = todo.pop()
+            if not live[nid]:
+                continue
+            try:
+                for p in antecedents:
+                    if not p(f):
+                        break
+                else:
+                    p = None
+            except _FAULTS as ex:
+                message = str(ex)
+                for t in tests:
+                    if alive[t]:
+                        run.end(t, message, ended)
+                continue
+            if p is not None:
+                continue            # every test under the node holds vacuously
+            for c, ts in ends:
+                for t in ts:
+                    if alive[t]:
+                        break
+                else:
+                    continue
+                try:
+                    if c(f):
+                        continue
+                    outcome = False
+                except _FAULTS as ex:
+                    outcome = str(ex)
+                for t in ts:
+                    if alive[t]:
+                        run.end(t, outcome, ended)
+            todo += down
+
+    def _frame(self, here, old, le, cache):
+        """The bundle's frame, and the coercion faults of the names read,
+        (name, message) in binding order: Here's, Old's, then LoopEntry's,
+        each in its dict's order. Old and LoopEntry are bound once per
+        cache; Here starts as a copy of Old's slot list, and only a name
+        whose value is not Old's very object is bound again."""
+        old_slots, old_faults = self._bound(old, cache)
+        le_slots, le_faults = self._bound(le, cache)
+        if here is old:
+            cur, faults = old_slots, old_faults
+        else:
+            cur, faults = self._bind(here, cache, old and (old, old_slots, old_faults))
+        f = Frame(cur, None)
+        f.old, f.loopentry = old_slots, le_slots
+        if old_faults or le_faults:
+            faults = [*faults, *old_faults, *le_faults]
+        return f, faults
+
+    def _bound(self, d, cache):
+        """d's slot list and coercion faults, bound once per cache."""
+        if d is None:
+            return None, ()
+        hit = cache.get(d, self)
+        if hit is None:
+            hit = cache.put(d, self._bind(d, cache), self)
+        return hit
+
+    def _bind(self, d, cache, base=None):
+        """d's slot list and coercion faults (see _frame). base, when
+        given, is (a state dict, its slot list, its faults): a name whose
+        value is the base's very object keeps the base's slot and fault."""
+        old, failed = {}, None
+        if base is None:
+            out = [None] * self.width
+        else:
+            old, out, failed = base[0], list(base[1]), dict(base[2])
+        faults = []
+        types, mode, coerce = self.types, self.mode, cache.coerce
+        shared = 0
+        for n, v in d.items():
+            w = old.get(n, _ABSENT)
+            if w is not _ABSENT:
+                shared += 1
+                if v is w:
+                    if failed and n in failed:
+                        faults.append((n, failed[n]))
+                    continue
+            i, ty, same_int = types[n]
+            if ty is None or same_int and type(v) is int:
+                out[i] = v
+                continue
+            try:
+                out[i] = coerce(v, ty, mode)
+            except _FAULTS as ex:
+                out[i] = None
+                faults.append((n, str(ex)))
+        if shared != len(old):
+            for n in old:
+                if n not in d:
+                    out[types[n][0]] = None
+        return out, faults
+
+
 class BindCache(S.Memo):
-    """Coerced values, bound slot lists and bundle records shared by the
-    evaluations of one batch of state bundles; trace validation makes one
-    per call and drops it when the call returns, and eval_formula makes
-    one per call when given none.
+    """What the evaluations of one batch of state bundles share; trace
+    validation makes one per call and drops it when the call returns, and
+    eval_formula makes one per call when given none.
 
     The table keeps each value coerced to a type in a mode, so each value
-    is coerced once per type; per read signature, a table of the slot list
-    of each state dict, so each state is bound once per read signature and
-    the formulas that share the signature share the list; and the record of
-    each bundle (the label -> state dict `states`): its Here, Old,
-    LoopEntry, the set of their names, the value table and a table of its
-    three slot lists per read signature, so the name union is built and a
-    formula's lists are found once per bundle. The value table maps the
-    closure of an antecedent of a memoised `==>` chain to its value on the
-    bundle, stored by the first test that reaches it and read by every
-    later one (never a fault). The bundles and their state dicts must not
-    change while the cache lives; formulas never change a slot list or a
-    value in it (a store copies its array).
+    is coerced once per type; per read signature of a CompiledFormula, the
+    slot list of each state dict, so each state is bound once per read
+    signature and the formulas that share the signature share the list;
+    per bind class of a CompiledTests, the slot list of each Old and
+    LoopEntry state dict; and per CompiledTests, which of its tests have
+    ended. The state dicts must not change while the cache lives; formulas
+    never change a slot list or a value in it (a store copies its array).
     """
 
     __slots__ = ()
-
-    def bundle(self, states):
-        """The record of the bundle `states` (see above)."""
-        hit = self.get(states)
-        return self.put(states, (*_bundle(states), {}, S.Memo())) if hit is None else hit
 
     def coerce(self, v, ty, mode):
         key = (ty.kind, ty.elem, mode)
@@ -1176,18 +1462,22 @@ class BindCache(S.Memo):
         return self.put(v, coerce_arg(v, ty, mode), key) if hit is None else hit
 
 
-def _bundle(states: dict):
-    """(Here, Old, LoopEntry, the set of names over all three)."""
+def _labels(states: dict):
+    """(Here, Old, LoopEntry) of a bundle, None for a label it lacks."""
     here = states.get("Here")
     if here is None:
         raise EvalError("state bundle must contain 'Here'")
-    old = states.get("Old", states.get("Pre"))
-    le = states.get("LoopEntry")
+    return here, states.get("Old", states.get("Pre")), states.get("LoopEntry")
+
+
+def _bundle(states: dict):
+    """(Here, Old, LoopEntry, the set of names over all three)."""
+    here, old, le = _labels(states)
     return here, old, le, set(here).union(old or (), le or ())
 
 
 def eval_formula(f, states: dict, mode: str = RATIONAL, *,
-                 cache: BindCache = None) -> bool:
+                 cache: BindCache = None):
     """Evaluate a typed two-state formula against labeled state snapshots.
 
     f is an S.Expr, compiled here for the bundle's layout, or a
@@ -1198,9 +1488,19 @@ def eval_formula(f, states: dict, mode: str = RATIONAL, *,
     states are bound through `cache` (see BindCache), so they must not
     change while it lives; without one the call binds through a fresh
     cache of its own.
+
+    f may also be a CompiledTests. The call then evaluates each of its
+    tests that has not ended through `cache`, on this one bundle, and
+    returns the tests that end on it as (index, outcome) pairs: outcome is
+    False for a test the bundle falsifies, or the message of the EvalError
+    or ExecutionFault that ends it in compiling, binding or evaluating. A
+    test that holds is not listed and stays live.
     """
+    cache = BindCache() if cache is None else cache
+    if isinstance(f, CompiledTests):
+        return f._evaluate(states, mode, cache)
     if not isinstance(f, CompiledFormula):
         f = CompiledFormula(f, states, mode)
     elif f.mode != mode:
         raise EvalError(f"formula compiled for {f.mode} mode, evaluated in {mode}")
-    return f._evaluate(states, BindCache() if cache is None else cache)
+    return f._evaluate(states, cache)

@@ -38,11 +38,12 @@ is rewritten alone.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 
 from . import syntax as S
-from .errors import EvalError, ExecutionFault, VcgenError
-from .interp import (BindCache, CompiledFormula, ExecutionOutcome,
+from .errors import VcgenError
+from .interp import (BindCache, CompiledTests, ExecutionOutcome,
                      eval_formula, loop_table, unit_digest)
 from .printer import expr_to_str
 from .typecheck import TypedUnit
@@ -92,8 +93,9 @@ class ObligationSet:
     unit_digest: str
     obligations: list
     methods: tuple = ()
-    # trace validation's compile memos, (mode, state layout) -> memo
-    _memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # trace validation's compiled tests, one CompiledTests per obligation
+    # group (see instantiate_on_trace)
+    _tries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the prover's forms table and simplify memo, which every obligation
     # of the set holds as `_forms`
     _forms: S.Memo = field(default_factory=S.Memo, init=False, repr=False, compare=False)
@@ -862,27 +864,27 @@ def instantiate_on_trace(obset: ObligationSet,
     entry values. Universally quantified lemma hypotheses are skipped: they
     are valid, so conditioning on them cannot change a verdict.
 
-    Each obligation's test compiles once per (mode, state layout), and every
-    test of one key shares that key's compile memo, so a hypothesis that
-    recurs across the obligations compiles to one closure. The compiled
-    tests and memos outlive the call: the obligation's trace plan holds its
-    tests and obset holds the memos, so a later call on the same set
-    compiles only for keys it has not met. They die with the set and its
-    obligations, and an obligation edited in place drops its tests with
-    its old plan.
+    The obligations that share (method, havoc symbols, call-result symbols)
+    form a group: they are instantiated on one list of state bundles, so
+    they are evaluated together, bundle by bundle. For each bundle one
+    eval_formula call evaluates every test of the group that has not ended
+    (a CompiledTests; see interp): each test's `==>` chain is a path in a
+    prefix trie of antecedent closures, walked once per bundle, so an
+    antecedent that many tests share runs once and a false one passes
+    every test under it vacuously. A test that a bundle falsifies or that
+    faults ends there and is not evaluated again. The compiled tests
+    outlive the call: obset keeps one CompiledTests per group, replaced
+    when the group's tests are no longer the same objects (an obligation
+    edited in place, added or removed), and a later call compiles only for
+    the (mode, state layout) pairs it has not met.
 
     What depends on the trace alone is derived once per call, in an index
-    that the obligations share: each method's segments, each callee's
-    recorded results, and the state bundles of each (method, havoc set,
-    call-result symbols). Its BindCache coerces each recorded value once
-    per type and binds each state once per read signature, so the tests
-    that read the same names share one slot list. It also keeps one record
-    per state bundle, with the bundle's value table: the first test that
-    reaches an antecedent of its `==>` chain on a bundle stores the
-    antecedent's value there, and every later test that reaches it on that
-    bundle reads it (a fault is not stored). The index and its cache
-    belong to the call alone: nothing keeps them once it returns, and a
-    later call starts afresh.
+    that the groups share: each method's segments, each callee's recorded
+    results, and the state bundles of each group. Its BindCache coerces
+    each recorded value once per type, binds each Old state once per bind
+    class and keeps which tests have ended. The index and its cache belong
+    to the call alone: nothing keeps them once it returns, and a later call
+    starts afresh.
 
     A fault (EvalError or ExecutionFault) in a test makes its obligation
     not-instantiable with the fault's message; it never ends the call.
@@ -895,8 +897,60 @@ def instantiate_on_trace(obset: ObligationSet,
         raise VcgenError("unit mismatch between obligation set and outcome")
 
     index = _TraceIndex(outcome)
-    results = [_validate_one(ob, index, obset._memos) for ob in obset.obligations]
+    obligations = obset.obligations
+    results = [None] * len(obligations)
+    groups = {}                 # (method, havoc, result_syms) -> [(position, plan)]
+    for k, ob in enumerate(obligations):
+        results[k], plan = _unmet(ob, index)
+        if plan is not None:
+            groups.setdefault((ob.origin.method, plan.havoc, plan.result_syms),
+                              []).append((k, plan))
+    tries = {}
+    for key, members in groups.items():
+        tests = obset._tries.get(key)
+        if tests is None or not _same(tests.tests, [plan.test for _, plan in members]):
+            tests = CompiledTests(plan.test for _, plan in members)
+        tries[key] = tests
+        bundles = index.bundles(*key)
+        for states in bundles:
+            for t, end in eval_formula(tests, states, index.mode, cache=index.cache):
+                k = members[t][0]
+                if end is False:
+                    witness = {n: repr(v) for n, v in states["Here"].items()}
+                    results[k] = ObligationTraceResult(
+                        obligations[k].id, "fail", "falsified by recorded state", witness)
+                else:
+                    results[k] = ObligationTraceResult(
+                        obligations[k].id, "not-instantiable", end)
+        verdict, detail = (("pass", f"{len(bundles)} instantiation(s)") if bundles else
+                           ("not-instantiable", "no matching snapshots in trace"))
+        for k, _ in members:
+            if results[k] is None:
+                results[k] = ObligationTraceResult(obligations[k].id, verdict, detail)
+    obset._tries = tries
     return TraceValidationReport(method=outcome.method, results=results)
+
+
+def _same(a, b) -> bool:
+    """Whether the sequences a and b hold the same objects."""
+    return len(a) == len(b) and all(map(operator.is_, a, b))
+
+
+def _unmet(ob: Obligation, index: _TraceIndex) -> tuple:
+    """(the not-instantiable result, None) of an obligation that the trace
+    gives no state bundles, else (None, its trace plan)."""
+    if ob.kind == "lemma":
+        return ObligationTraceResult(ob.id, "not-instantiable", "no program point"), None
+    method = ob.origin.method
+    if method not in index.segments:
+        return ObligationTraceResult(ob.id, "not-instantiable",
+                                     f"method {method} not in trace"), None
+    plan = _trace_plan(ob)
+    for _, callee in plan.result_syms:
+        if callee not in index.results:
+            return ObligationTraceResult(
+                ob.id, "not-instantiable", f"no recorded call of {callee}"), None
+    return None, plan
 
 
 class _TraceIndex:
@@ -906,53 +960,51 @@ class _TraceIndex:
     def __init__(self, outcome: ExecutionOutcome):
         self.mode = outcome.mode
         self.cache = BindCache()
-        # method -> (entry state, segment) of each invocation: the entry
-        # state a dict of its own, the segment its contiguous snapshots
+        # method -> (entry state, loop heads) of each invocation: the entry
+        # state a dict of its own, the loop heads those of its segment, its
+        # contiguous snapshots (see _heads)
         self.segments = {}
         self.results = {}       # method -> its recorded return values
-        self._bundles = {}      # (method, havoc, result_syms) -> bundles
-        open_segs = {}
+        segments, open_segs = {}, {}
         for snap in outcome.trace:
             if snap.kind == "entry":
                 open_segs[snap.method] = seg = [snap]
-                self.segments.setdefault(snap.method, []).append((dict(snap.state), seg))
+                segments.setdefault(snap.method, []).append((dict(snap.state), seg))
             elif snap.method in open_segs:
                 open_segs[snap.method].append(snap)
             if snap.kind == "exit":
                 self.results.setdefault(snap.method, []).append(snap.result)
+        for method, segs in segments.items():
+            self.segments[method] = [(old, _heads(seg)) for old, seg in segs]
 
-    def bundles(self, method, plan):
-        """(states, compile key) of every instantiation of the plan's free
-        symbols, in evaluation order: segment by segment, combo by combo,
-        then each pick of recorded callee results.
+    def bundles(self, method, havoc, result_syms) -> list:
+        """The state bundle of every instantiation of the free symbols
+        havoc and result_syms (as a trace plan holds them) in method, in
+        evaluation order: segment by segment, combo by combo, then each
+        pick of recorded callee results.
 
         A call-result symbol is universally quantified in the obligation,
         so any recorded return value of the callee is a legitimate
         instantiation; the assumed callee contract vacuously discharges
         mispaired ones. A segment's entry state is the Old state of every
-        bundle of that segment, whatever the plan, and the Here state of
-        those that instantiate nothing."""
-        key = (method, plan.havoc, plan.result_syms)
-        out = self._bundles.get(key)
-        if out is not None:
-            return out
-        out = self._bundles[key] = []
-        choices = [[(name, v) for v in self.results[callee]]
-                   for name, callee in plan.result_syms]
-        loops = sorted({loop_id for loop_id, _, _ in plan.havoc})
-        for old, seg in self.segments[method]:
-            for combo in _combos(seg, loops):
+        bundle of that segment, and the Here state of those that
+        instantiate nothing."""
+        out = []
+        picks = [dict(p) for p in itertools.product(
+            *[[(name, v) for v in self.results[callee]] for name, callee in result_syms])]
+        loops = sorted({loop_id for loop_id, _, _ in havoc})
+        for old, heads in self.segments[method]:
+            for combo in _combos(heads, loops):
                 env = {}
-                for loop_id, name, base in plan.havoc:
+                for loop_id, name, base in havoc:
                     state = combo[loop_id].state
                     if base not in state:
                         break
                     env[name] = state[base]
                 else:
-                    for picks in itertools.product(*choices):
-                        here = {**old, **env, **dict(picks)} if env or picks else old
-                        out.append(({"Here": here, "Old": old},
-                                    (self.mode, frozenset(here))))
+                    for pick in picks:
+                        here = {**old, **env, **pick} if env or pick else old
+                        out.append({"Here": here, "Old": old})
         return out
 
 
@@ -983,8 +1035,6 @@ class _TracePlan:
     test: S.Expr            # validation_formula(ob)
     havoc: tuple            # sorted (loop id, havoc symbol, variable it stands for)
     result_syms: tuple      # sorted (call-result symbol, callee)
-    # (mode, state layout) -> CompiledFormula of test
-    compiled: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _trace_plan(ob: Obligation) -> _TracePlan:
@@ -1009,57 +1059,28 @@ def _trace_plan(ob: Obligation) -> _TracePlan:
     return plan
 
 
-def _validate_one(ob: Obligation, index: _TraceIndex, memos: dict) -> ObligationTraceResult:
-    if ob.kind == "lemma":
-        return ObligationTraceResult(ob.id, "not-instantiable", "no program point")
-    method = ob.origin.method
-    if method not in index.segments:
-        return ObligationTraceResult(ob.id, "not-instantiable",
-                                     f"method {method} not in trace")
-    plan = _trace_plan(ob)
-    for _, callee in plan.result_syms:
-        if callee not in index.results:
-            return ObligationTraceResult(
-                ob.id, "not-instantiable", f"no recorded call of {callee}")
-
-    mode, cache, compiled = index.mode, index.cache, plan.compiled
-    evaluated = 0
-    for states, key in index.bundles(method, plan):
-        try:
-            test = compiled.get(key)
-            if test is None:
-                # the layout is the Here state's names: Old's are among them
-                test = compiled[key] = CompiledFormula(
-                    plan.test, states, mode, memos.setdefault(key, S.Memo()))
-            holds = eval_formula(test, states, mode, cache=cache)
-        except (EvalError, ExecutionFault) as ex:
-            return ObligationTraceResult(ob.id, "not-instantiable", str(ex))
-        evaluated += 1
-        if not holds:
-            witness = {k: repr(v) for k, v in states["Here"].items()}
-            return ObligationTraceResult(ob.id, "fail",
-                                         "falsified by recorded state", witness)
-    if evaluated == 0:
-        return ObligationTraceResult(ob.id, "not-instantiable",
-                                     "no matching snapshots in trace")
-    return ObligationTraceResult(ob.id, "pass", f"{evaluated} instantiation(s)")
-
-
-def _combos(seg, loops):
-    """Snapshot choices per loop of `loops` (sorted loop ids): one combo per
-    snapshot of the obligation's innermost loop, every other loop pinned
-    to its nearest preceding snapshot. Each obligation carries at most one
-    havoc generation per loop, so the preceding-snapshot rule reconstructs
-    exactly the enclosing iteration the inner snapshot was recorded in: the
-    instantiated formula then restates a check the runtime actually
-    performed. One pass over the segment keeps each loop's latest snapshot."""
-    if not loops:
-        return [{}]
-    inner = loops[-1]
-    latest, combos = {}, []
+def _heads(seg) -> dict:
+    """The loop-head snapshots of a segment, by loop id: for each snapshot
+    of a loop, in order, the latest snapshot of every loop at that point
+    (itself for its own loop), as a map from loop id."""
+    latest, heads = {}, {}
     for snap in seg:
         if snap.kind == "loop-head":
             latest[snap.loop_id] = snap
-            if snap.loop_id == inner and all(l in latest for l in loops):
-                combos.append({l: latest[l] for l in loops})
-    return combos
+            heads.setdefault(snap.loop_id, []).append(dict(latest))
+    return heads
+
+
+def _combos(heads, loops):
+    """Snapshot choices per loop of `loops` (sorted loop ids), from a
+    segment's heads: one combo per snapshot of the obligation's innermost
+    loop, every other loop pinned to its nearest preceding snapshot (a
+    combo may also map loops outside `loops`). Each obligation carries at
+    most one havoc generation per loop, so the preceding-snapshot rule
+    reconstructs exactly the enclosing iteration the inner snapshot was
+    recorded in: the instantiated formula then restates a check the
+    runtime actually performed."""
+    if not loops:
+        return [{}]
+    need = set(loops)
+    return [at for at in heads.get(loops[-1], ()) if at.keys() >= need]

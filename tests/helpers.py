@@ -7,7 +7,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from miniwhy import interp, vcgen
 from miniwhy import syntax as S
+from miniwhy.errors import EvalError, ExecutionFault
 from miniwhy.lexer import tokenize
 from miniwhy.parser import _Parser
 from miniwhy.typecheck import CTX_INVARIANT, _Checker, _Scope
@@ -27,6 +29,53 @@ def typed_formula(text: str, var_types: dict, ctx: str = CTX_INVARIANT):
     out = ck.formula(f, sc, ctx)
     assert not ck.issues, ck.issues
     return out
+
+
+def reference_rows(obset, outcome) -> list:
+    """(id, verdict, detail, witness) of every obligation of obset on the
+    outcome's trace, as trace validation must report them: on the state
+    bundles that validation derives, each obligation's test is compiled
+    alone for each state layout, with a fresh memo, and evaluated by
+    `interp.eval_formula` with a fresh cache per bundle, until a bundle
+    falsifies it or a fault ends it."""
+    index = vcgen._TraceIndex(outcome)
+    return [_reference_row(ob, index, outcome.mode) for ob in obset]
+
+
+def _reference_row(ob, index, mode):
+    method = ob.origin.method
+    if ob.kind == "lemma":
+        return ob.id, "not-instantiable", "no program point", {}
+    if method not in index.segments:
+        return ob.id, "not-instantiable", f"method {method} not in trace", {}
+    plan = vcgen._trace_plan(ob)
+    for _, callee in plan.result_syms:
+        if callee not in index.results:
+            return ob.id, "not-instantiable", f"no recorded call of {callee}", {}
+    compiled = {}
+    evaluated = 0
+    for states in index.bundles(method, plan.havoc, plan.result_syms):
+        layout = frozenset(states["Here"]).union(states["Old"])
+        try:
+            if layout not in compiled:
+                compiled[layout] = interp.CompiledFormula(
+                    vcgen.validation_formula(ob), states, mode)
+            holds = interp.eval_formula(compiled[layout], states, mode)
+        except (EvalError, ExecutionFault) as ex:
+            return ob.id, "not-instantiable", str(ex), {}
+        evaluated += 1
+        if not holds:
+            witness = {k: repr(v) for k, v in states["Here"].items()}
+            return ob.id, "fail", "falsified by recorded state", witness
+    if evaluated == 0:
+        return ob.id, "not-instantiable", "no matching snapshots in trace", {}
+    return ob.id, "pass", f"{evaluated} instantiation(s)", {}
+
+
+def report_rows(report) -> list:
+    """(id, verdict, detail, witness) of every result of a trace
+    validation report."""
+    return [(r.id, r.verdict, r.detail, r.witness) for r in report.results]
 
 
 def sequential_branches(n: int) -> str:

@@ -14,7 +14,7 @@ import pytest
 
 from miniwhy import corpus
 from miniwhy import syntax as S
-from miniwhy import vcgen
+from miniwhy import interp, vcgen
 from miniwhy.errors import EvalError, ExecutionFault, MiniWhyError
 from miniwhy.interp import (CompiledFormula, CompiledMethod, eval_formula,
                             exec_method)
@@ -831,19 +831,12 @@ def test_memoised_compile_binds_and_evaluates_as_an_unmemoised_one(monkeypatch):
     slots to the same types, and gives the same value or EvalError text on
     every bundle, as a compile alone, into a fresh memo of its own."""
     bundles = []            # (formula, states, mode), in the order evaluated
-    source = {}
-    real_compile, real_eval = vcgen.CompiledFormula, vcgen.eval_formula
+    real_eval = vcgen.eval_formula
 
-    def record_compile(f, states, mode, memo):
-        cf = real_compile(f, states, mode, memo)
-        source[cf] = f
-        return cf
+    def record_eval(tests, states, mode, cache=None):
+        bundles.extend((f, states, mode) for f in tests.tests)
+        return real_eval(tests, states, mode, cache=cache)
 
-    def record_eval(cf, states, mode, cache=None):
-        bundles.append((source[cf], states, mode))
-        return real_eval(cf, states, mode, cache=cache)
-
-    monkeypatch.setattr(vcgen, "CompiledFormula", record_compile)
     monkeypatch.setattr(vcgen, "eval_formula", record_eval)
     checked = nodes = entries = 0
     for obset, out in _memo_runs():
@@ -905,34 +898,30 @@ def test_a_shared_node_evaluates_as_in_the_unshared_formula():
     assert {True, False} <= seen
 
 
-def test_trace_validation_keeps_compiled_tests_as_long_as_the_set(monkeypatch):
-    """Compiled tests and compile memos live as long as the obligation set:
-    a second call on the same set and layouts compiles nothing, and once the
-    set and the outcomes are gone, so are they. The obligations keep nothing
-    but their trace plans and the set's prover table."""
+def test_trace_validation_keeps_compiled_tests_as_long_as_the_set():
+    """Compiled tests live as long as the obligation set: a second call on
+    the same set and layouts compiles nothing, and once the set and the
+    outcomes are gone, so are the tries and their closures. The
+    obligations keep nothing but their trace plans and the set's prover
+    table."""
     runs = _memo_runs()
     (obset, first), second = next(runs), next(runs)[1]
     runs.close()
-    real_compile, compiles = vcgen.CompiledFormula, []
-
-    def counted_compile(*args):
-        compiles.append(None)
-        return real_compile(*args)
 
     def alive():
         gc.collect()
         objs = gc.get_objects()
-        return (sum(isinstance(o, CompiledFormula) for o in objs),
+        return (sum(isinstance(o, interp._Trie) for o in objs),
                 sum(type(o) is FunctionType and o.__module__ == "miniwhy.interp"
                     for o in objs))
 
-    monkeypatch.setattr(vcgen, "CompiledFormula", counted_compile)
     before = alive()
     assert len(vcgen.instantiate_on_trace(obset, first).passed) == len(obset)
-    made = len(compiles)
-    assert made >= len(obset) and alive()[0] == before[0] + made
+    made = alive()
+    # one trie per group of obligations, each with its own closures
+    assert made[0] - before[0] == len(obset._tries) > 1 and made[1] > before[1]
     assert len(vcgen.instantiate_on_trace(obset, second).passed) == len(obset)
-    assert len(compiles) == made
+    assert alive() == made
     assert all(ob._forms is obset._forms for ob in obset)
     del obset, first, second
     assert alive() == before

@@ -22,18 +22,30 @@ def test_stage_times_runs_one_rep_against_a_second_checkout(tmp_path):
          "--passes", "1", "--against", str(ROOT), "--json", str(out)],
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    rows = [line.split() for line in run.stdout.splitlines()[1:]]
+    lines = run.stdout.splitlines()
+    blank = lines.index("")
+    rows = [line.split() for line in lines[1:blank]]
     assert [(r[0], r[1]) for r in rows] == [
         (s, u) for s in STAGES for u in UNITS + ("corpus",)] + [
         (s, u) for s in TRACE_STAGES for u in TRACED + ("corpus",)]
     # per side: ms, IQR, full collections, collector ms; then the ratio
     assert all(len(r) == 11 for r in rows)
     assert all(re.fullmatch(r"\d+\.\d{3}~?", r[-1]) for r in rows)
+    # then eval_formula calls and instantiations per pass, per side: the
+    # same for a checkout against itself, and never more calls than
+    # instantiations
+    counts = [line.split() for line in lines[blank + 2:]]
+    assert [(r[0], r[1]) for r in counts] == [
+        (s, u) for s in TRACE_STAGES[1:] for u in TRACED]
+    assert all(len(r) == 6 and r[2:4] == r[4:6] for r in counts)
+    assert all(0 < int(r[2]) <= int(r[3]) for r in counts)
     data = json.loads(out.read_text())
     assert set(data["reps"]) == {"this", "against"}
     for side in data["reps"].values():
         (rep,) = side
         assert set(rep["raw"]) == set(UNITS)
+        assert {u: set(c) for u, c in rep["counts"].items()} == {
+            u: set(TRACE_STAGES[1:]) for u in TRACED}
         # the collector's work is counted for every stage the pass timed
         for u in UNITS:
             assert set(rep["gc_full"][u]) == set(rep["gc_s"][u]) == set(rep["raw"][u])

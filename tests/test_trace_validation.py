@@ -1,11 +1,12 @@
 import gc
+import operator
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from helpers import typed_formula
-from miniwhy import corpus, vcgen
+from helpers import reference_rows, report_rows, typed_formula
+from miniwhy import corpus, interp, vcgen
 from miniwhy import syntax as S
 from miniwhy.errors import VcgenError
 from miniwhy.interp import (BindCache, ExecutionOutcome, TraceSnapshot,
@@ -270,11 +271,12 @@ def test_guards_follow_the_short_circuit(case):
             if r.verdict != "pass"] == []
 
 
-# two tests of one state layout {x, y} that read different names: bound
+# tests of one state layout {x, y} that read different names: bound
 # coerced, x reads False (0.1 is not a tenth as an exact rational) and
-# uncoerced True; y holds a string in the second call of m, which no test
-# that reaches it reads
-READS = {"A": ("x * 10 != 1", {"x": S.REAL}), "B": ("y < 0", {"y": S.INT})}
+# uncoerced True; y holds a string in the second call of m, which only C
+# reads once it gets there
+READS = {"A": ("x * 10 != 1", {"x": S.REAL}), "B": ("y < 0", {"y": S.INT}),
+         "C": ("y > 0", {"y": S.INT})}
 
 
 def _two_calls_of_m(names):
@@ -291,43 +293,52 @@ def _two_calls_of_m(names):
     return ObligationSet(unit="u", unit_digest="d", obligations=obs), out
 
 
-@pytest.mark.parametrize("names", [("A", "B"), ("B", "A")])
-def test_tests_with_different_reads_bind_a_shared_state_apart(names, monkeypatch):
+@pytest.mark.parametrize("names", [("A", "B", "C"), ("C", "B", "A")])
+def test_tests_with_different_reads_bind_a_shared_state_apart(names):
     """Tests that read different names of one state each get the slots they
-    read coerced and no other: the verdicts are those of evaluation without
-    the call's bind cache, whichever test binds the state first."""
-    cached = instantiate_on_trace(*_two_calls_of_m(names)).results
-    real_eval = vcgen.eval_formula
-    monkeypatch.setattr(vcgen, "eval_formula",
-                        lambda cf, states, mode, cache=None: real_eval(cf, states, mode))
-    assert cached == instantiate_on_trace(*_two_calls_of_m(names)).results
-    # B fails in the first call, so only A meets the string, and reads x alone
-    assert {r.id: (r.verdict, r.detail, r.witness) for r in cached} == {
+    read coerced and no other, and a value that does not coerce ends only
+    the tests that read it: the verdicts are those of each test compiled
+    and bound alone, whichever test comes first in the group."""
+    obset, out = _two_calls_of_m(names)
+    report = instantiate_on_trace(obset, out)
+    assert report_rows(report) == reference_rows(obset, out)
+    # B fails in the first call, so only A and C meet the string, and A
+    # reads x alone
+    assert {r.id: (r.verdict, r.detail, r.witness) for r in report.results} == {
         "m:A:assert": ("pass", "2 instantiation(s)", {}),
-        "m:B:assert": ("fail", "falsified by recorded state", {"x": "0.1", "y": "1"})}
+        "m:B:assert": ("fail", "falsified by recorded state", {"x": "0.1", "y": "1"}),
+        "m:C:assert": ("not-instantiable", "expected an int argument, got 'junk'", {})}
 
 
 def test_a_call_keeps_nothing_and_a_later_call_starts_afresh(quickselect_unit):
-    """The index and bind cache of a call die with it: once the call's
-    compiles are kept, a second call leaves the set, its obligations, their
-    trace plans and the outcome as they were, and no cache is alive. Each
-    later outcome on the same set gets a freshly generated set's report."""
+    """The index and bind cache of a call die with it, and with the cache
+    which tests have ended: once the call's compiles are kept, a second
+    call leaves the set, its compiled tests, its obligations, their trace
+    plans and the outcome as they were, and no cache is alive. Each later
+    outcome on the same set gets a freshly generated set's report."""
     qs = "find_nth_lowest_number"
     kept = generate_obligations(quickselect_unit, qs)
     first = run_traced(quickselect_unit, qs, [[4, 4, 1, -3, 7, 0], 6, 3])
     instantiate_on_trace(kept, first)
 
     def held():
-        return (sorted(vars(kept)), {k: len(m) for k, m in kept._memos.items()},
+        return (sorted(vars(kept)),
+                {k: (tests, list(tests._tries)) for k, tests in kept._tries.items()},
                 [sorted(vars(ob)) for ob in kept],
-                [len(ob._trace_plan.compiled) for ob in kept], sorted(vars(first)))
+                [ob._trace_plan for ob in kept], sorted(vars(first)))
 
     before = held()
     assert instantiate_on_trace(kept, first).passed
     gc.collect()
     assert not [o for o in gc.get_objects()
-                if isinstance(o, (BindCache, vcgen._TraceIndex))]
-    assert held() == before
+                if isinstance(o, (BindCache, vcgen._TraceIndex, interp._Run))]
+    after = held()
+    assert after[0] == before[0] and after[2:] == before[2:]
+    assert after[1].keys() == before[1].keys()
+    for key, (tests, tries) in after[1].items():
+        assert tests is before[1][key][0]
+        assert all(map(operator.is_, tries, before[1][key][1]))
+    assert all(map(operator.is_, after[3], before[3]))
     for buf, n in (([3, 1, 2], 1), ([5, -1, 5, 0, 2], 2), ([2, 2, 2, 2], 3),
                    ([4, 4, 1, -3, 7, 0], 3)):
         out = run_traced(quickselect_unit, qs, [buf, len(buf), n])
@@ -411,12 +422,13 @@ def test_combos_pair_each_inner_snapshot_with_its_own_outer_iteration():
     seg = [TraceSnapshot(kind="entry", method="m"), early,
            outer[0], *inner[0], outer[1], *inner[1],
            TraceSnapshot(kind="exit", method="m")]
-    combos = vcgen._combos(seg, [1, 2])
+    heads = vcgen._heads(seg)
+    combos = vcgen._combos(heads, [1, 2])
     assert [(c[1], c[2]) for c in combos] == [
         (outer[k], snap) for k in (0, 1) for snap in inner[k]]
     assert all(c[2] != early for c in combos)
-    assert vcgen._combos(seg, [2]) == [{2: s} for s in [early, *inner[0], *inner[1]]]
-    assert vcgen._combos(seg, []) == [{}]
+    assert [c[2] for c in vcgen._combos(heads, [2])] == [early, *inner[0], *inner[1]]
+    assert vcgen._combos(heads, []) == [{}]
 
 
 # pick's contract ties its result to the array it was given; a test that

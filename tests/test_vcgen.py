@@ -11,7 +11,7 @@ from miniwhy import corpus
 from miniwhy import syntax as S
 from miniwhy import prover, vcgen
 from miniwhy.errors import EvalError, VcgenError
-from miniwhy.interp import eval_formula, exec_method
+from miniwhy.interp import CompiledFormula, eval_formula, exec_method
 from miniwhy.parser import parse
 from miniwhy.printer import expr_to_str
 from miniwhy.prover import prove_internal
@@ -450,34 +450,35 @@ def _outcome(fn, *args, **kwargs):
 
 def test_compiled_validation_formula_agrees_with_bare_evaluation(
         quickselect_unit, sqrt_unit, monkeypatch):
-    """For every instantiation trace validation makes, the compiled formula
-    gives the value, or the EvalError message, that eval_formula gives on
-    the bare expression: bound through the call's cache as validation binds
-    it, against a fresh compile and bind."""
-    compile_formula, evaluate = vcgen.CompiledFormula, vcgen.eval_formula
-    source = {}
+    """For every instantiation trace validation makes, the group call gives
+    each live test the outcome that eval_formula gives on the test's bare
+    expression, compiled and bound afresh: a test that holds stays live, a
+    false one ends with False, and one that raises EvalError (in compiling
+    or evaluating) ends with its message. A test that ended is not
+    evaluated again in the call."""
+    evaluate = vcgen.eval_formula
+    ended = {}                  # (cache, group) -> tests ended in the call
     seen = Counter()
 
-    def checked_compile(f, states, mode, memo):
-        try:
-            cf = compile_formula(f, states, mode, memo)
-        except EvalError as ex:
-            assert _outcome(evaluate, f, states, mode) == f"EvalError: {ex}"
-            seen["compile error"] += 1
-            raise
-        source[cf] = f
-        return cf
+    def checked_eval(tests, states, mode, cache=None):
+        got = dict(evaluate(tests, states, mode, cache=cache))
+        done = ended.setdefault((id(cache), id(tests)), set())
+        assert not done & got.keys()
+        for t, f in enumerate(tests.tests):
+            if t in done:
+                continue
+            bare = _outcome(evaluate, f, states, mode)
+            if isinstance(bare, str):
+                assert got[t] == bare[len("EvalError: "):]
+                compiles = not isinstance(_outcome(CompiledFormula, f, states, mode), str)
+                seen["error" if compiles else "compile error"] += 1
+            else:
+                assert got.get(t, True) is bare
+                seen["value"] += 1
+            seen["cached"] += cache is not None
+        done |= got.keys()
+        return list(got.items())
 
-    def checked_eval(cf, states, mode, cache=None):
-        got = _outcome(evaluate, cf, states, mode, cache=cache)
-        assert got == _outcome(evaluate, source[cf], states, mode)
-        seen["error" if isinstance(got, str) else "value"] += 1
-        seen["cached"] += cache is not None
-        if isinstance(got, str):
-            raise EvalError(got[len("EvalError: "):])
-        return got
-
-    monkeypatch.setattr(vcgen, "CompiledFormula", checked_compile)
     monkeypatch.setattr(vcgen, "eval_formula", checked_eval)
     qs = generate_obligations(quickselect_unit, "find_nth_lowest_number")
     # goals no trace can evaluate: one fails to compile, one when it runs
@@ -493,12 +494,13 @@ def test_compiled_validation_formula_agrees_with_bare_evaluation(
     modes = Counter()
     for seed in (1, 2, 3):
         for unit, _method, out in _traced_runs(quickselect_unit, sqrt_unit, seed):
+            ended.clear()
             rep = instantiate_on_trace(obsets[unit.unit.name], out)
             assert not rep.failed
             modes[out.mode] += 1
     assert modes["rational"] >= 12 and modes["binary64"] >= 1
     assert seen["value"] > 500 and seen["error"] and seen["compile error"], seen
-    assert seen["cached"] == seen["value"] + seen["error"], seen
+    assert seen["cached"] == seen["value"] + seen["error"] + seen["compile error"], seen
 
 
 def _hand_built(ob):
@@ -538,8 +540,17 @@ def test_validation_follows_an_obligation_edited_in_place(quickselect_unit):
     out = exec_method(quickselect_unit, "find_nth_lowest_number",
                       [[3, 1, 2], 3, 1], "rational", trace=True)
     assert instantiate_on_trace(single, out).results[0].verdict == "pass"
+    (tests,) = single._tries.values()
+    # the negated goal has the same free symbols, so the obligation stays
+    # in its group, whose tests are compiled afresh
+    ob.goal = S.Unary(op="!", operand=ob.goal, ty=S.BOOL)
+    assert instantiate_on_trace(single, out).results[0].verdict == "fail"
+    (fresh,) = single._tries.values()
+    assert fresh is not tests and fresh.tests[0] is ob._trace_plan.test
     ob.goal = S.BoolLit(value=False, ty=S.BOOL)
     assert instantiate_on_trace(single, out).results[0].verdict == "fail"
+    # a set keeps the compiled tests of the groups its latest call met
+    assert [t.tests[0] for t in single._tries.values()] == [ob._trace_plan.test]
 
 
 def test_call_arguments_are_substituted_simultaneously():

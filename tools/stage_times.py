@@ -21,7 +21,10 @@ validation on a fixed set of rational inputs (TRACE_INPUTS): exec+trace
 two: trace-first, the call on the first trace, which meets the pass's
 fresh obligation set and so compiles every test, and trace-later, the
 calls on the other traces, which reuse the compiled tests and so time
-evaluation.
+evaluation. The untimed warm-up pass counts, for each of the two, the
+calls of `vcgen.eval_formula` (one per evaluation the validator asks of
+the interpreter) and the instantiations its reports pass (the sum of each
+passed obligation's `N instantiation(s)`, the same in every checkout).
 
 Each rep starts a fresh interpreter per checkout, this one and the one given
 by --against, alternating which goes first. A process imports the package
@@ -44,6 +47,8 @@ collections per pass (`gc2`) and of the collector's ms (`gc ms`); with
 checkout's median time to the other's. A ratio marked `~` is unresolved:
 the two checkouts' IQRs overlap, and stages whose code did not change move
 by several percent from run to run, so such a ratio tells no difference.
+After a blank line, a second table gives the counts per pass of the trace
+stages of each traced unit, for each checkout.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ SUB_STAGES = {"prover.simplify": "simplify", "prover.fm": "_eliminate"}
 # the pipeline with prover's sub-stages after it
 PROVE_STAGES = PIPELINE[:3] + tuple(SUB_STAGES) + PIPELINE[3:]
 TRACE_STAGES = ("exec+trace", "trace-first", "trace-later")
+COUNTED = TRACE_STAGES[1:]      # the trace stages that count eval_formula calls
 STAGES = PROVE_STAGES + TRACE_STAGES
 # (method, args) per unit for the trace stages; other units skip them
 TRACE_INPUTS = {
@@ -130,13 +136,21 @@ def _time_calls(prover, name, collector: _Collector) -> list:
     return spent
 
 
-def _one_pass(pkg, sources, sub_spent, collector):
-    """{unit: {stage: (seconds, full collections, collector seconds)}} of
-    one pass over the units, the trace stages only for units with
-    TRACE_INPUTS. sub_spent maps each of SUB_STAGES to the list
-    `_time_calls` returned for it."""
+def _instantiations(report) -> int:
+    """The instantiations a trace validation report passes."""
+    return sum(int(r.detail.split()[0]) for r in report.results if r.verdict == "pass")
+
+
+def _one_pass(pkg, sources, sub_spent, collector, calls=None):
+    """({unit: {stage: (seconds, full collections, collector seconds)}},
+    {unit: {stage: (eval_formula calls, instantiations)}}) of one pass over
+    the units, the trace stages only for units with TRACE_INPUTS. sub_spent
+    maps each of SUB_STAGES to the list `_time_calls` returned for it;
+    calls, when given, is the one-element list that counts the calls of
+    `vcgen.eval_formula` (see _count_calls), else the counts are 0."""
     parser, typecheck, vcgen, prover, export, interp = pkg
-    times = {}
+    calls = [0] if calls is None else calls
+    times, counts = {}, {}
     for name, text in sources.items():
         t = [collector.mark()]
         tu = typecheck.typecheck(parser.parse(text, name))
@@ -168,12 +182,31 @@ def _one_pass(pkg, sources, sub_spent, collector):
             outcomes = [interp.exec_method(tu, m, args, "rational", trace=True)
                         for m, args in TRACE_INPUTS[name]]
             t.append(collector.mark())
+            reports, seen = [], [calls[0]]
             for out in outcomes:
-                vcgen.instantiate_on_trace(obset, out)
+                reports.append(vcgen.instantiate_on_trace(obset, out))
                 t.append(collector.mark())
+                seen.append(calls[0])
             times[name].update(zip(TRACE_STAGES, (
                 _diff(t[0], t[1]), _diff(t[1], t[2]), _diff(t[2], t[-1]))))
-    return times
+            counts[name] = {
+                "trace-first": (seen[1] - seen[0], _instantiations(reports[0])),
+                "trace-later": (seen[-1] - seen[1],
+                                sum(map(_instantiations, reports[1:])))}
+    return times, counts
+
+
+def _count_calls(vcgen) -> list:
+    """Wrap `vcgen.eval_formula` so that each call adds one to the
+    one-element list returned."""
+    function, counter = vcgen.eval_formula, [0]
+
+    def counted(*args, **kwargs):
+        counter[0] += 1
+        return function(*args, **kwargs)
+
+    vcgen.eval_formula = counted
+    return counter
 
 
 def child(root: Path, units, passes: int) -> dict:
@@ -187,7 +220,10 @@ def child(root: Path, units, passes: int) -> dict:
     collector = _Collector()
     sub_spent = {s: _time_calls(pkg[3], name, collector)
                  for s, name in SUB_STAGES.items()}
-    _one_pass(pkg, sources, sub_spent, collector)
+    # the warm-up pass, untimed, counts; the timed passes run unwrapped
+    evaluate = pkg[2].eval_formula
+    _, counts = _one_pass(pkg, sources, sub_spent, collector, _count_calls(pkg[2]))
+    pkg[2].eval_formula = evaluate
     raw = {u: {s: [] for s in STAGES if u in _units(s, units)} for u in units}
     scaled = {u: {s: [] for s in d} for u, d in raw.items()}
     gc_full = {u: {s: [] for s in d} for u, d in raw.items()}
@@ -197,7 +233,7 @@ def child(root: Path, units, passes: int) -> dict:
             k0 = time.perf_counter()
             bench.kernel()
             k1 = time.perf_counter()
-            took = _one_pass(pkg, {u: sources[u]}, sub_spent, collector)[u]
+            took = _one_pass(pkg, {u: sources[u]}, sub_spent, collector)[0][u]
             k2 = time.perf_counter()
             bench.kernel()
             k3 = time.perf_counter()
@@ -209,9 +245,11 @@ def child(root: Path, units, passes: int) -> dict:
                 gc_full[u][s].append(full)
                 gc_s[u][s].append(collector_s)
     med = statistics.median
-    return {name: {u: {s: med(v) for s, v in d.items()} for u, d in table.items()}
-            for name, table in (("raw", raw), ("scaled", scaled),
-                                ("gc_full", gc_full), ("gc_s", gc_s))}
+    out = {name: {u: {s: med(v) for s, v in d.items()} for u, d in table.items()}
+           for name, table in (("raw", raw), ("scaled", scaled),
+                               ("gc_full", gc_full), ("gc_s", gc_s))}
+    out["counts"] = counts
+    return out
 
 
 def _run_child(root: Path, passes: int) -> dict:
@@ -304,6 +342,19 @@ def main(argv=None) -> int:
             if args.against:
                 other = summary["against"][s][u]
                 line += f"{columns(other, 12)}{_ratio(row, other):>8}"
+            print(line)
+    print()
+    head = f"{'counts per pass':<16}{'unit':<20}{'this calls':>11}{'inst':>8}"
+    if args.against:
+        head += f"{'against calls':>15}{'inst':>8}"
+    print(head)
+    for s in COUNTED:
+        for u in _units(s, units):
+            line = f"{s:<16}{u:<20}"
+            for side, width in (("this", 11), ("against", 15)):
+                if side in reps:
+                    n, inst = reps[side][0]["counts"][u][s]
+                    line += f"{n:>{width}}{inst:>8}"
             print(line)
     if args.json:
         Path(args.json).write_text(json.dumps(
