@@ -25,22 +25,19 @@ values, faults and their order are those of the plain tree.
 
 A standalone formula compiles into a CompiledFormula with a fixed slot
 layout, which eval_formula evaluates against any state bundle of that
-layout. Every standalone formula compiles under a memo (a `syntax.Memo`), a
-fresh one unless the caller passes one. Formulas of one layout and mode may
-share a memo, so that a node object they have in common (a hypothesis that
-recurs in every obligation of a method) is compiled once, and each of them
-calls its closures.
-Nothing here retains compiled formulas or memos: their owner is the
-caller, and they live as long as it holds them. Closure trees are large
-next to the formulas they come from, so no module-level cache holds them.
+layout. Every standalone formula compiles under a memo (a `syntax.Memo`) of
+its own, so that a node object it holds more than once compiles to one
+closure. Nothing here retains compiled formulas or memos: their owner is
+the caller, and they live as long as it holds them. Closure trees are
+large next to the formulas they come from, so no module-level cache holds
+them.
 
 Binding a state coerces each value a formula reads to its variable's
 type. Every evaluation binds through a BindCache, a fresh one per
 eval_formula call unless the caller passes one, which shares that work
 among the evaluations of one batch of states: each (value, type) is
-coerced once, and each (state dict, read signature) is bound to one slot
-list, which every formula with that signature reads. Trace validation
-makes one cache per call and drops it when the call returns.
+coerced once. Trace validation makes one cache per call and drops it when
+the call returns.
 
 Trace validation evaluates many tests on the same bundles, and they share
 their hypotheses (a requires, an invariant, a path condition). So the
@@ -54,15 +51,16 @@ per bundle evaluates each shared prefix once: a false antecedent passes
 every live test under it vacuously, a fault ends every live test under it
 with the fault's message, and a test that ends is skipped by the later
 walks through the same cache. A closure that sits on more than one edge is
-read through a table the walk clears, so it runs once per bundle; a fault
-is never stored there. The tests that read no name at two types share a
-bind class, one frame per bundle: Old is bound once per cache, and Here
-starts as a copy of Old's slot list, so only the names whose values are
-not Old's very objects (in trace validation, the havoc and call-result
-values) are bound again. A value that fails to coerce ends only the
-tests that read its name, with the coercion's message. The caller owns
-the CompiledTests, which keeps its tries; trace validation keeps one per
-group on the ObligationSet.
+read through a table that each walk makes afresh on its frame, so it runs
+once per bundle; a fault is never stored there. The tests that read no
+name at two types share a bind class, one frame per bundle: Old is bound
+once per cache, and Here starts as a copy of Old's slot list, so only the
+names whose values are not Old's very objects (in trace validation, the
+havoc and call-result values) are bound again. A value that fails to
+coerce ends only the tests that read its name, with the coercion's
+message. The caller owns the CompiledTests, which keeps its tries and
+nothing of an evaluation; trace validation keeps one per group on the
+ObligationSet.
 
 A bounded `\\forall integer k1 ... kn; guards ==> consequent` is evaluated
 by enumeration. Each binder's range is lo..hi, the greatest lower and the
@@ -255,7 +253,7 @@ def compile_expr(e: S.Expr, ctx: CompileCtx, state: str = "cur"):
 def _read_set(memo, reads: dict) -> dict:
     """The memo's one read set with the items of reads, kept under this
     function by the items, so that its entries that read the same
-    variables share one, and a formula's read signature is its root's."""
+    variables share one."""
     items = tuple(sorted(reads.items()))
     hit = memo.get(_read_set, items)
     return memo.put(_read_set, reads, items) if hit is None else hit
@@ -1064,69 +1062,49 @@ class CompiledFormula:
     of every slot the formula reads to that variable's type, as exec_method
     coerces arguments. Compilation raises EvalError for a variable missing
     from the layout or for nesting too deep to compile; a quantifier without
-    derivable bounds raises only when reached.
-
-    The formula compiles under `memo`, a Memo empty at first, or a fresh
-    one when none is given. A memo shares closures among the formulas
-    compiled into it, which must all have this layout and mode; each still
-    binds the slots it would bind alone. The memo keeps every closure
-    compiled into it alive, so it should live no longer than the formulas
-    are needed.
-
-    The read signature is the names the formula reads with their types,
-    computed at compile time. Formulas of one memo that read the same names
-    share one signature object, interned in the memo, so its identity
-    stands for (mode, layout, reads): a BindCache keys bound slot lists by
-    it.
+    derivable bounds raises only when reached. The formula compiles under a
+    memo of its own, so a node object it holds more than once compiles to
+    one closure.
     """
 
-    __slots__ = ("names", "mode", "_fn", "_binds", "_sig")
+    __slots__ = ("names", "mode", "_fn", "_binds")
 
-    def __init__(self, f: S.Expr, states: dict, mode: str = RATIONAL, memo=None):
+    def __init__(self, f: S.Expr, states: dict, mode: str = RATIONAL):
         """Compile f for the layout of bundles shaped like `states`."""
         self.names = frozenset(_bundle(states)[3])
         self.mode = mode
-        layout = sorted(self.names)
-        slots = {n: i for i, n in enumerate(layout)}
-        memo = S.Memo() if memo is None else memo
-        ctx = CompileCtx(slots, mode, memo=memo)
+        slots = {n: i for i, n in enumerate(sorted(self.names))}
+        ctx = CompileCtx(slots, mode, memo=S.Memo())
         try:
             self._fn = compile_expr(f, ctx)
         except RecursionError:
             raise EvalError(_TOO_DEEP) from None
         reads = ctx.var_types
         self._binds = {n: (i, reads.get(n)) for n, i in slots.items()}
-        self._sig = _read_set(memo, reads)
 
-    def _bind(self, d, lists, cache):
-        """d's slot list from lists, the cache's table for this formula's
-        read signature."""
+    def _bind(self, d, cache):
+        """d's slot list, each value the formula reads coerced through the
+        cache."""
         if d is None:
             return None
-        hit = lists.get(d)
-        if hit is not None:
-            return hit
         out = [None] * len(self._binds)
         mode = self.mode
         coerce = cache.coerce
         for n, v in d.items():
             i, ty = self._binds[n]
             out[i] = coerce(v, ty, mode) if ty is not None else v
-        return lists.put(d, out)
+        return out
 
     def _evaluate(self, states: dict, cache) -> bool:
         here, old, le, names = _bundle(states)
         if names != self.names:
             raise EvalError("state bundle names differ from the compiled "
                             f"layout: {sorted(names ^ self.names)}")
-        lists = cache.get(self._sig)
-        if lists is None:
-            lists = cache.put(self._sig, S.Memo())
         # a standalone formula calls no method and reads no \result (both
         # fail to compile), so its frame needs no kernel
-        frame = Frame(self._bind(here, lists, cache), None)
-        frame.old = self._bind(old, lists, cache)
-        frame.loopentry = self._bind(le, lists, cache)
+        frame = Frame(self._bind(here, cache), None)
+        frame.old = frame.cur if old is here else self._bind(old, cache)
+        frame.loopentry = self._bind(le, cache)
         return bool(self._fn(frame))
 
 
@@ -1147,7 +1125,9 @@ class CompiledTests:
     class keeps its tests in one prefix trie of antecedent closures (see
     _Class). A test that fails to compile ends with its EvalError's message
     on the first bundle of that layout that reaches it, and no other test
-    is affected. The tries live as long as this object.
+    is affected. The tries live as long as this object; which tests have
+    ended, and every value computed on a bundle, live in the evaluation's
+    BindCache and frame.
     """
 
     __slots__ = ("tests", "_tries")
@@ -1168,56 +1148,31 @@ class CompiledTests:
         else:
             trie = _Trie(self.tests, frozenset(names), mode)
             self._tries.append(trie)
-        run = cache.get(self)
-        if run is None:
-            run = cache.put(self, _Run(len(self.tests)))
+        alive = cache.get(self)     # whether each test is still live
+        if alive is None:
+            alive = cache.put(self, [True] * len(self.tests))
         ended = []
         for t, message in trie.errors:
-            if run.alive[t]:
-                run.end(t, message, ended)
-        live = run.live_counts(trie)
+            _end(alive, ended, (t,), message)
         for cls in trie.classes:
-            if live[cls.root[0]]:
-                cls.evaluate(here, old, le, cache, run, live, ended)
+            cls.evaluate(here, old, le, cache, alive, ended)
         return ended
 
 
-class _Run:
-    """What one BindCache keeps of a CompiledTests: which tests have ended,
-    and for each trie met, the number of live tests under each node."""
-
-    __slots__ = ("alive", "live")
-
-    def __init__(self, n):
-        self.alive = [True] * n
-        self.live = {}              # _Trie -> live tests per node id
-
-    def live_counts(self, trie) -> list:
-        live = self.live.get(trie)
-        if live is None:
-            live = self.live[trie] = list(trie.counts)
-            for t, alive in enumerate(self.alive):
-                if not alive:
-                    for i in trie.paths[t]:
-                        live[i] -= 1
-        return live
-
-    def end(self, t, outcome, ended):
-        """End test t with outcome, False or a fault's message."""
-        self.alive[t] = False
-        ended.append((t, outcome))
-        for trie, live in self.live.items():
-            for i in trie.paths[t]:
-                live[i] -= 1
+def _end(alive, ended, tests, outcome):
+    """End each live test of tests with outcome, False or a fault's
+    message."""
+    for t in tests:
+        if alive[t]:
+            alive[t] = False
+            ended.append((t, outcome))
 
 
 class _Trie:
     """The tests of a CompiledTests compiled for one (mode, layout): the
-    compile errors as (test, message), the bind classes, each test's path
-    of node ids from its class's root, and the number of tests under each
-    node."""
+    compile errors as (test, message), and the bind classes."""
 
-    __slots__ = ("names", "mode", "errors", "classes", "paths", "counts")
+    __slots__ = ("names", "mode", "errors", "classes")
 
     def __init__(self, tests, names, mode):
         self.names, self.mode = names, mode
@@ -1246,17 +1201,23 @@ class _Trie:
                 classes.append((types, members))
             types.update(reads)
             members.append((t, antecedents, consequent, reads))
-        self.paths = [()] * len(tests)
-        self.counts = []
-        self.classes = [_Class(types, members, slots, mode, self)
+        self.classes = [_Class(types, members, slots, mode)
                         for types, members in classes]
 
 
-def _tabled(p, table):
-    """p read through table: its value on the bundle is computed by the
-    first edge that reaches it and read by every later one. A fault
-    stores nothing, so each edge that reaches p raises it."""
+class _WalkFrame(Frame):
+    """The frame of one trie walk, with the walk's table of the values of
+    the closures read through _tabled."""
+
+    __slots__ = ("table",)
+
+
+def _tabled(p):
+    """p read through the walk's table, f.table: its value on the bundle
+    is computed by the first edge that reaches it and read by every later
+    one. A fault stores nothing, so each edge that reaches p raises it."""
     def read(f):
+        table = f.table
         v = table.get(p, table)         # the table is never a value
         if v is table:
             v = table[p] = p(f)
@@ -1264,19 +1225,36 @@ def _tabled(p, table):
     return read
 
 
+def _compress(b, tabled):
+    """The compressed node of the uncompressed node b: (the run of
+    closures on the edge into it, the tests whose chain ends there as
+    (consequent, tests), its children in reverse order, every test under
+    it). A node with one child and no test ending at it is merged into
+    that child's run."""
+    run = [] if b[0] is None else [b[0]]
+    while len(b[1]) == 1 and not b[2]:
+        (b,) = b[1].values()
+        run.append(b[0])
+    ends = tuple((c, tuple(ts)) for c, ts in b[2].items())
+    children = [_compress(c, tabled) for c in b[1].values()]
+    tests = tuple(t for _, ts in ends for t in ts) + tuple(
+        t for c in children for t in c[3])
+    return (tuple(tabled.get(a, a) for a in run), ends,
+            tuple(reversed(children)), tests)
+
+
 class _Class:
     """One bind class of a trie. Every name of the layout has a slot; a
     name some test reads is coerced to the type it is read at, any other
     is bound as recorded. The tests' chains form one prefix trie keyed by
-    closure (a memo gives shared nodes one closure), compressed so that a
-    node with one child and no test ending at it is merged into that
-    child's run. A closure on more than one edge is read through a table
-    local to the bundle, so it runs once per bundle; a fault is never
-    stored, so each edge that reaches a faulting closure raises it."""
+    closure (a memo gives shared nodes one closure), compressed into runs
+    (see _compress). A closure on more than one edge is read through the
+    walk's table, so it runs once per bundle; a fault is never stored, so
+    each edge that reaches a faulting closure raises it."""
 
-    __slots__ = ("mode", "width", "types", "reads", "root", "table")
+    __slots__ = ("mode", "width", "types", "reads", "root")
 
-    def __init__(self, types, members, slots, mode, trie):
+    def __init__(self, types, members, slots, mode):
         self.mode = mode
         self.width = len(slots)
         # name -> (slot, type read or None, whether an int coerces to itself)
@@ -1298,52 +1276,28 @@ class _Class:
                     edges[a] = edges.get(a, 0) + 1
                 node = child
             node[2].setdefault(consequent, []).append(t)
-        # the bundle's values of the closures on more than one edge, cleared
-        # before each walk; each such closure is read through a wrapper
-        self.table = {}
-        tabled = {a: _tabled(a, self.table) for a, n in edges.items() if n > 1}
-        self.root = self._compress(root, (), trie, tabled)
+        tabled = {a: _tabled(a) for a, n in edges.items() if n > 1}
+        self.root = _compress(root, tabled)
 
-    def _compress(self, b, path, trie, tabled):
-        """The compressed node of the uncompressed node b: (id, the run of
-        closures on the edge into it, the tests whose chain ends there as
-        (consequent, tests), its children in reverse order, every test
-        under it). path holds the ids of the nodes above."""
-        run = [] if b[0] is None else [b[0]]
-        while len(b[1]) == 1 and not b[2]:
-            (b,) = b[1].values()
-            run.append(b[0])
-        nid = len(trie.counts)
-        trie.counts.append(0)
-        ends = tuple((c, tuple(ts)) for c, ts in b[2].items())
-        path += (nid,)
-        for _, ts in ends:
-            for t in ts:
-                trie.paths[t] = path
-        children = [self._compress(c, path, trie, tabled) for c in b[1].values()]
-        tests = tuple(t for _, ts in ends for t in ts) + tuple(
-            t for c in children for t in c[4])
-        trie.counts[nid] = len(tests)
-        return (nid, tuple(tabled.get(a, a) for a in run), ends,
-                tuple(reversed(children)), tests)
-
-    def evaluate(self, here, old, le, cache, run, live, ended):
+    def evaluate(self, here, old, le, cache, alive, ended):
         """Walk the trie once on the bundle, ending each live test that
-        the bundle falsifies or that faults."""
+        the bundle falsifies or that faults. A node with no live test
+        under it is skipped."""
+        live = alive.__getitem__
+        if not any(map(live, self.root[3])):
+            return
         f, faults = self._frame(here, old, le, cache)
-        alive = run.alive
         if faults:
             for t, reads in self.reads:
                 if alive[t]:
                     for name, message in faults:
                         if name in reads:
-                            run.end(t, message, ended)
+                            _end(alive, ended, (t,), message)
                             break
-        self.table.clear()
         todo = [self.root]
         while todo:
-            nid, antecedents, ends, down, tests = todo.pop()
-            if not live[nid]:
+            antecedents, ends, down, tests = todo.pop()
+            if not any(map(live, tests)):
                 continue
             try:
                 for p in antecedents:
@@ -1352,18 +1306,12 @@ class _Class:
                 else:
                     p = None
             except _FAULTS as ex:
-                message = str(ex)
-                for t in tests:
-                    if alive[t]:
-                        run.end(t, message, ended)
+                _end(alive, ended, tests, str(ex))
                 continue
             if p is not None:
                 continue            # every test under the node holds vacuously
             for c, ts in ends:
-                for t in ts:
-                    if alive[t]:
-                        break
-                else:
+                if not any(map(live, ts)):
                     continue
                 try:
                     if c(f):
@@ -1371,25 +1319,24 @@ class _Class:
                     outcome = False
                 except _FAULTS as ex:
                     outcome = str(ex)
-                for t in ts:
-                    if alive[t]:
-                        run.end(t, outcome, ended)
+                _end(alive, ended, ts, outcome)
             todo += down
 
     def _frame(self, here, old, le, cache):
-        """The bundle's frame, and the coercion faults of the names read,
-        (name, message) in binding order: Here's, Old's, then LoopEntry's,
-        each in its dict's order. Old and LoopEntry are bound once per
-        cache; Here starts as a copy of Old's slot list, and only a name
-        whose value is not Old's very object is bound again."""
+        """The bundle's frame, with an empty table, and the coercion
+        faults of the names read, (name, message) in binding order:
+        Here's, Old's, then LoopEntry's, each in its dict's order. Old and
+        LoopEntry are bound once per cache; Here starts as a copy of Old's
+        slot list, and only a name whose value is not Old's very object is
+        bound again."""
         old_slots, old_faults = self._bound(old, cache)
         le_slots, le_faults = self._bound(le, cache)
         if here is old:
             cur, faults = old_slots, old_faults
         else:
             cur, faults = self._bind(here, cache, old and (old, old_slots, old_faults))
-        f = Frame(cur, None)
-        f.old, f.loopentry = old_slots, le_slots
+        f = _WalkFrame(cur, None)
+        f.old, f.loopentry, f.table = old_slots, le_slots, {}
         if old_faults or le_faults:
             faults = [*faults, *old_faults, *le_faults]
         return f, faults
@@ -1445,13 +1392,11 @@ class BindCache(S.Memo):
     eval_formula makes one per call when given none.
 
     The table keeps each value coerced to a type in a mode, so each value
-    is coerced once per type; per read signature of a CompiledFormula, the
-    slot list of each state dict, so each state is bound once per read
-    signature and the formulas that share the signature share the list;
-    per bind class of a CompiledTests, the slot list of each Old and
-    LoopEntry state dict; and per CompiledTests, which of its tests have
-    ended. The state dicts must not change while the cache lives; formulas
-    never change a slot list or a value in it (a store copies its array).
+    is coerced once per type; per bind class of a CompiledTests, the slot
+    list and coercion faults of each Old and LoopEntry state dict; and per
+    CompiledTests, which of its tests have ended. The state dicts must not
+    change while the cache lives; formulas never change a slot list or a
+    value in it (a store copies its array).
     """
 
     __slots__ = ()

@@ -873,10 +873,10 @@ def instantiate_on_trace(obset: ObligationSet,
     antecedent that many tests share runs once and a false one passes
     every test under it vacuously. A test that a bundle falsifies or that
     faults ends there and is not evaluated again. The compiled tests
-    outlive the call: obset keeps one CompiledTests per group, replaced
-    when the group's tests are no longer the same objects (an obligation
-    edited in place, added or removed), and a later call compiles only for
-    the (mode, state layout) pairs it has not met.
+    outlive the call: obset keeps one CompiledTests for each group any call
+    has met, replaced when the group's tests are no longer the same objects
+    (an obligation edited in place, added or removed), and a later call
+    compiles only for the (mode, state layout) pairs it has not met.
 
     What depends on the trace alone is derived once per call, in an index
     that the groups share: each method's segments, each callee's recorded
@@ -905,12 +905,10 @@ def instantiate_on_trace(obset: ObligationSet,
         if plan is not None:
             groups.setdefault((ob.origin.method, plan.havoc, plan.result_syms),
                               []).append((k, plan))
-    tries = {}
     for key, members in groups.items():
         tests = obset._tries.get(key)
         if tests is None or not _same(tests.tests, [plan.test for _, plan in members]):
-            tests = CompiledTests(plan.test for _, plan in members)
-        tries[key] = tests
+            tests = obset._tries[key] = CompiledTests(plan.test for _, plan in members)
         bundles = index.bundles(*key)
         for states in bundles:
             for t, end in eval_formula(tests, states, index.mode, cache=index.cache):
@@ -927,7 +925,6 @@ def instantiate_on_trace(obset: ObligationSet,
         for k, _ in members:
             if results[k] is None:
                 results[k] = ObligationTraceResult(obligations[k].id, verdict, detail)
-    obset._tries = tries
     return TraceValidationReport(method=outcome.method, results=results)
 
 
@@ -960,22 +957,19 @@ class _TraceIndex:
     def __init__(self, outcome: ExecutionOutcome):
         self.mode = outcome.mode
         self.cache = BindCache()
-        # method -> (entry state, loop heads) of each invocation: the entry
-        # state a dict of its own, the loop heads those of its segment, its
-        # contiguous snapshots (see _heads)
+        # method -> (entry state, segment) of each invocation: the entry
+        # state a dict of its own, the segment its contiguous snapshots
         self.segments = {}
         self.results = {}       # method -> its recorded return values
-        segments, open_segs = {}, {}
+        open_segs = {}
         for snap in outcome.trace:
             if snap.kind == "entry":
                 open_segs[snap.method] = seg = [snap]
-                segments.setdefault(snap.method, []).append((dict(snap.state), seg))
+                self.segments.setdefault(snap.method, []).append((dict(snap.state), seg))
             elif snap.method in open_segs:
                 open_segs[snap.method].append(snap)
             if snap.kind == "exit":
                 self.results.setdefault(snap.method, []).append(snap.result)
-        for method, segs in segments.items():
-            self.segments[method] = [(old, _heads(seg)) for old, seg in segs]
 
     def bundles(self, method, havoc, result_syms) -> list:
         """The state bundle of every instantiation of the free symbols
@@ -993,8 +987,8 @@ class _TraceIndex:
         picks = [dict(p) for p in itertools.product(
             *[[(name, v) for v in self.results[callee]] for name, callee in result_syms])]
         loops = sorted({loop_id for loop_id, _, _ in havoc})
-        for old, heads in self.segments[method]:
-            for combo in _combos(heads, loops):
+        for old, seg in self.segments[method]:
+            for combo in _combos(seg, loops):
                 env = {}
                 for loop_id, name, base in havoc:
                     state = combo[loop_id].state
@@ -1059,28 +1053,21 @@ def _trace_plan(ob: Obligation) -> _TracePlan:
     return plan
 
 
-def _heads(seg) -> dict:
-    """The loop-head snapshots of a segment, by loop id: for each snapshot
-    of a loop, in order, the latest snapshot of every loop at that point
-    (itself for its own loop), as a map from loop id."""
-    latest, heads = {}, {}
+def _combos(seg, loops):
+    """Snapshot choices per loop of `loops` (sorted loop ids): one combo per
+    snapshot of the obligation's innermost loop, every other loop pinned
+    to its nearest preceding snapshot. Each obligation carries at most one
+    havoc generation per loop, so the preceding-snapshot rule reconstructs
+    exactly the enclosing iteration the inner snapshot was recorded in: the
+    instantiated formula then restates a check the runtime actually
+    performed. One pass over the segment keeps each loop's latest snapshot."""
+    if not loops:
+        return [{}]
+    inner = loops[-1]
+    latest, combos = {}, []
     for snap in seg:
         if snap.kind == "loop-head":
             latest[snap.loop_id] = snap
-            heads.setdefault(snap.loop_id, []).append(dict(latest))
-    return heads
-
-
-def _combos(heads, loops):
-    """Snapshot choices per loop of `loops` (sorted loop ids), from a
-    segment's heads: one combo per snapshot of the obligation's innermost
-    loop, every other loop pinned to its nearest preceding snapshot (a
-    combo may also map loops outside `loops`). Each obligation carries at
-    most one havoc generation per loop, so the preceding-snapshot rule
-    reconstructs exactly the enclosing iteration the inner snapshot was
-    recorded in: the instantiated formula then restates a check the
-    runtime actually performed."""
-    if not loops:
-        return [{}]
-    need = set(loops)
-    return [at for at in heads.get(loops[-1], ()) if at.keys() >= need]
+            if snap.loop_id == inner and all(l in latest for l in loops):
+                combos.append({l: latest[l] for l in loops})
+    return combos

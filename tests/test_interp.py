@@ -818,46 +818,67 @@ def _memo_runs():
         yield obsets[unit.unit.name], out
 
 
-def _compiled(f, states, mode, memo=None):
-    try:
-        return CompiledFormula(f, states, mode, memo)
-    except EvalError as ex:
-        return str(ex)
+def _outcomes(tests, states, mode):
+    """Each test's outcome on one bundle, through a fresh cache: True when
+    it holds, else False or its fault's message."""
+    ended = dict(eval_formula(tests, states, mode))
+    return [ended.get(t, True) for t in range(len(tests.tests))]
+
+
+def _bound_reads(trie, t):
+    """The slot, type and int shortcut of each name test t reads in a
+    trie, or its compile error's message."""
+    for u, message in trie.errors:
+        if u == t:
+            return message
+    for cls in trie.classes:
+        for u, reads in cls.reads:
+            if u == t:
+                return {n: cls.types[n] for n in reads}
 
 
 def test_memoised_compile_binds_and_evaluates_as_an_unmemoised_one(monkeypatch):
-    """For every validation formula and state layout met on the fixed
-    traces, a compile into a memo shared by the whole call binds the same
-    slots to the same types, and gives the same value or EvalError text on
-    every bundle, as a compile alone, into a fresh memo of its own."""
-    bundles = []            # (formula, states, mode), in the order evaluated
-    real_eval = vcgen.eval_formula
+    """For every group of tests and state layout met on the fixed traces,
+    a trie that compiles the whole group under one memo binds the slots
+    each test reads to the same types, and gives each test the same value
+    or fault text on every bundle, as a trie of that test alone, under a
+    fresh memo of its own."""
+    bundles = []            # (the group's tests, states, mode), in the order evaluated
+    real_eval, real_compile = vcgen.eval_formula, interp._compile
 
     def record_eval(tests, states, mode, cache=None):
-        bundles.extend((f, states, mode) for f in tests.tests)
+        bundles.append((tests.tests, states, mode))
         return real_eval(tests, states, mode, cache=cache)
+
+    def counted_compile(e, ctx, state):
+        compiles.append(None)
+        return real_compile(e, ctx, state)
 
     monkeypatch.setattr(vcgen, "eval_formula", record_eval)
     checked = nodes = entries = 0
     for obset, out in _memo_runs():
         bundles.clear()
         vcgen.instantiate_on_trace(obset, out)
-        memos, pairs = {}, S.Memo()
-        for f, states, mode in bundles:
+        pairs = S.Memo()
+        for tests, states, mode in bundles:
             layout = frozenset(_bundle_names(states))
-            if pairs.get(f, layout) is None:
-                pairs.put(f, (_compiled(f, states, mode, memos.setdefault(layout, S.Memo())),
-                              _compiled(f, states, mode)), layout)
-                nodes += sum(1 for _ in S.walk(f))
-            shared, alone = pairs.get(f, layout)
-            if isinstance(alone, str):
-                assert shared == alone
-                continue
-            assert shared._binds == alone._binds
-            assert _outcome(shared, states, mode) == _outcome(alone, states, mode)
-            checked += 1
-        entries += sum(map(len, memos.values()))
-    # the formulas share most of their nodes, so most compiles hit the memo
+            if pairs.get(tests, layout) is None:
+                compiles = []
+                monkeypatch.setattr(interp, "_compile", counted_compile)
+                trie = interp._Trie(tests, layout, mode)
+                monkeypatch.setattr(interp, "_compile", real_compile)
+                entries += len(compiles)
+                nodes += sum(1 for f in tests for _ in S.walk(f))
+                for t, f in enumerate(tests):
+                    assert _bound_reads(trie, t) == _bound_reads(
+                        interp._Trie((f,), layout, mode), 0)
+                pairs.put(tests, (interp.CompiledTests(tests),
+                                  [interp.CompiledTests((f,)) for f in tests]), layout)
+            shared, alone = pairs.get(tests, layout)
+            got = _outcomes(shared, states, mode)
+            assert got == [_outcomes(a, states, mode)[0] for a in alone]
+            checked += len(got)
+    # the tests share most of their nodes, so most compiles hit the memo
     assert checked > 500 and 4 * entries < nodes, (checked, entries, nodes)
 
 
@@ -887,13 +908,13 @@ def test_a_shared_node_evaluates_as_in_the_unshared_formula():
         old_state = {**here, "a": [rng.randint(-3, 3) for _ in range(4)],
                      "x": rng.choice([here["x"], 0])}
         states = {"Here": here, "Old": old_state}
-        memo = S.Memo()
-        # the parts compiled after the whole formula hit the memo
-        for part, copy in zip((shared, first, second, old), [unshared] + copies):
+        # the four parts compile under one memo: those after the whole
+        # formula hit it
+        parts = interp.CompiledTests((shared, first, second, old))
+        got = _outcomes(parts, states, "rational")
+        for part, copy, value in zip(parts.tests, [unshared] + copies, got):
             want = _outcome(copy, states, "rational")
-            got = _outcome(CompiledFormula(part, states, "rational", memo), states,
-                           "rational")
-            assert got == want, (part, states)
+            assert value == (want if isinstance(want, bool) else want[1]), (part, states)
             seen.add(want)
     assert {True, False} <= seen
 
@@ -947,21 +968,31 @@ def test_every_cache_is_a_declared_field():
 
 
 def test_eval_formula_without_a_cache_reads_nothing_an_earlier_call_stored():
-    """A memoised compile evaluated on one state dict, the dict changed in
-    place, then evaluated again: without a cache each call binds and
-    tables afresh, so the second verdict is the changed state's."""
+    """A compiled formula, and compiled tests whose trie reads a closure on
+    two edges through the walk's table, evaluated on one state dict, the
+    dict changed in place, then evaluated again: without a cache each call
+    binds and tables afresh, so the second verdict is the changed state's."""
     sorts = {"x": S.INT, "y": S.INT}
     f = typed_formula("x > 0 && y >= 0 ==> y > x", sorts)
+    # `x > 0` is one node on two edges: after the root, and after `y >= 0`
+    g = typed_formula("x > 0 ==> y > x", sorts)
+    g2 = S.Binary(op="==>", left=typed_formula("y >= 0", sorts), right=g, ty=S.BOOL)
     state = {"x": 1, "y": 0}
     states = {"Here": state}
-    for memo in (S.Memo(), None):
-        compiled = CompiledFormula(f, states, "rational", memo)
+    tests = interp.CompiledTests((g, g2))
+    for compiled, false, true in ((CompiledFormula(f, states, "rational"), False, True),
+                                  (tests, [(0, False), (1, False)], [])):
         state.update(x=1, y=0)
-        assert eval_formula(compiled, states, "rational") is False
+        assert eval_formula(compiled, states, "rational") == false
         state["x"] = 0          # the antecedent is now false
-        assert eval_formula(compiled, states, "rational") is True
+        assert eval_formula(compiled, states, "rational") == true
         state.update(x=1, y=2)
-        assert eval_formula(compiled, states, "rational") is True
+        assert eval_formula(compiled, states, "rational") == true
+    (trie,) = tests._tries
+    (cls,) = trie.classes
+    runs = [cls.root]
+    runs += [c for node in runs for c in node[2]]
+    assert [p.__qualname__ for node in runs for p in node[0]].count("_tabled.<locals>.read") == 2
 
 
 def test_result_in_a_standalone_formula_is_an_eval_error():

@@ -312,7 +312,8 @@ def test_tests_with_different_reads_bind_a_shared_state_apart(names):
 
 def test_a_call_keeps_nothing_and_a_later_call_starts_afresh(quickselect_unit):
     """The index and bind cache of a call die with it, and with the cache
-    which tests have ended: once the call's compiles are kept, a second
+    which tests have ended, and with the frames every value computed on a
+    bundle: once the call's compiles are kept, a second
     call leaves the set, its compiled tests, its obligations, their trace
     plans and the outcome as they were, and no cache is alive. Each later
     outcome on the same set gets a freshly generated set's report."""
@@ -331,7 +332,7 @@ def test_a_call_keeps_nothing_and_a_later_call_starts_afresh(quickselect_unit):
     assert instantiate_on_trace(kept, first).passed
     gc.collect()
     assert not [o for o in gc.get_objects()
-                if isinstance(o, (BindCache, vcgen._TraceIndex, interp._Run))]
+                if isinstance(o, (BindCache, vcgen._TraceIndex, interp.Frame))]
     after = held()
     assert after[0] == before[0] and after[2:] == before[2:]
     assert after[1].keys() == before[1].keys()
@@ -422,13 +423,12 @@ def test_combos_pair_each_inner_snapshot_with_its_own_outer_iteration():
     seg = [TraceSnapshot(kind="entry", method="m"), early,
            outer[0], *inner[0], outer[1], *inner[1],
            TraceSnapshot(kind="exit", method="m")]
-    heads = vcgen._heads(seg)
-    combos = vcgen._combos(heads, [1, 2])
+    combos = vcgen._combos(seg, [1, 2])
     assert [(c[1], c[2]) for c in combos] == [
         (outer[k], snap) for k in (0, 1) for snap in inner[k]]
     assert all(c[2] != early for c in combos)
-    assert [c[2] for c in vcgen._combos(heads, [2])] == [early, *inner[0], *inner[1]]
-    assert vcgen._combos(heads, []) == [{}]
+    assert vcgen._combos(seg, [2]) == [{2: s} for s in [early, *inner[0], *inner[1]]]
+    assert vcgen._combos(seg, []) == [{}]
 
 
 # pick's contract ties its result to the array it was given; a test that

@@ -549,8 +549,10 @@ def test_validation_follows_an_obligation_edited_in_place(quickselect_unit):
     assert fresh is not tests and fresh.tests[0] is ob._trace_plan.test
     ob.goal = S.BoolLit(value=False, ty=S.BOOL)
     assert instantiate_on_trace(single, out).results[0].verdict == "fail"
-    # a set keeps the compiled tests of the groups its latest call met
-    assert [t.tests[0] for t in single._tries.values()] == [ob._trace_plan.test]
+    # the goal has no free symbol now, so the obligation is in a new group;
+    # the set keeps the compiled tests of every group a call has met
+    kept, new = single._tries.values()
+    assert kept is fresh and new.tests[0] is ob._trace_plan.test
 
 
 def test_call_arguments_are_substituted_simultaneously():
