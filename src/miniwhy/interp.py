@@ -25,12 +25,12 @@ values, faults and their order are those of the plain tree.
 
 A standalone formula compiles into a CompiledFormula with a fixed slot
 layout, which eval_formula evaluates against any state bundle of that
-layout. Every standalone formula compiles under a memo (a `syntax.Memo`) of
-its own, so that a node object it holds more than once compiles to one
-closure. Nothing here retains compiled formulas or memos: their owner is
-the caller, and they live as long as it holds them. Closure trees are
-large next to the formulas they come from, so no module-level cache holds
-them.
+layout. Every compile runs under a memo (a `syntax.Memo`), one per method of
+a unit and one per standalone formula, so that a node object met more than
+once compiles to one closure. Nothing here retains compiled formulas or
+memos: their owner is the caller, and they live as long as it holds them.
+Closure trees are large next to the formulas they come from, so no
+module-level cache holds them.
 
 Binding a state coerces each value a formula reads to its variable's
 type. Every evaluation binds through a BindCache, a fresh one per
@@ -200,16 +200,15 @@ def mentions_loopentry(f: S.Expr) -> bool:
 # expression compiler
 
 class CompileCtx:
-    def __init__(self, slots, mode, cunit=None, binders=None, var_types=None,
-                 memo=None):
+    def __init__(self, slots, mode, memo, cunit=None, binders=None, var_types=None):
         self.slots = slots                  # name -> slot index
         self.mode = mode
-        self.cunit = cunit                  # CompiledUnit, for calls and \result
-        self.binders = binders or {}        # name -> cell (1-element list)
-        self.var_types = {} if var_types is None else var_types   # slot read -> type
         # (closure, the subtree's var_types or None) per node and state, and
         # the read sets (see _read_set)
         self.memo = memo
+        self.cunit = cunit                  # CompiledUnit, for calls and \result
+        self.binders = binders or {}        # name -> cell (1-element list)
+        self.var_types = {} if var_types is None else var_types   # slot read -> type
 
 
 def _state_list(frame, state):
@@ -228,12 +227,10 @@ def _state_list(frame, state):
 def compile_expr(e: S.Expr, ctx: CompileCtx, state: str = "cur"):
     """Compile a typed expression to a closure frame -> value.
 
-    With a memo in ctx, a node object met again in the same state reuses
+    A node object met again in the same state, under ctx's memo, reuses
     its closure and re-records the variable types its subtree reads, so
-    ctx.var_types ends as an unmemoised compile leaves it."""
+    ctx.var_types ends as compiling it afresh leaves it."""
     memo = ctx.memo
-    if memo is None:
-        return _compile(e, ctx, state)
     hit = memo.get(e, state)
     if hit is not None:
         if hit[1]:
@@ -593,8 +590,8 @@ def _compile_forall(binders, body, ctx: CompileCtx, state: str):
     guards = S.chain(body.left, "&&")
     cells = {name: [0] for name in names}
     # the body's closures read this compile's binder cells: it gets a memo of its own
-    inner_ctx = CompileCtx(ctx.slots, ctx.mode, ctx.cunit, {**ctx.binders, **cells},
-                           ctx.var_types, None if ctx.memo is None else S.Memo())
+    inner_ctx = CompileCtx(ctx.slots, ctx.mode, S.Memo(), ctx.cunit,
+                           {**ctx.binders, **cells}, ctx.var_types)
     consumed = set()
     boxes = []
     for i, name in enumerate(names):
@@ -849,7 +846,7 @@ class _MethodCompiler:
             if isinstance(n, S.VarDecl):
                 cm.slot(n.name)
         self.loops = loop_table(decl)
-        self.ctx = CompileCtx(cm.slots, self.mode, self.cunit)
+        self.ctx = CompileCtx(cm.slots, self.mode, S.Memo(), self.cunit)
         cm.body_fn = self.stmt(decl.body)
         cm.requires_fn = compile_expr(decl.spec.requires, self.ctx)
         cm.ensures_fn = compile_expr(decl.spec.ensures, self.ctx)
@@ -937,7 +934,7 @@ class _MethodCompiler:
             line = st.pos[0]
 
             def check_assert(f):
-                self.cm.check(f, "assert", fn, line)
+                cm.check(f, "assert", fn, line)
             return check_assert
         raise TypeError(f"cannot compile {type(st).__name__}")
 
@@ -1074,7 +1071,7 @@ class CompiledFormula:
         self.names = frozenset(_bundle(states)[3])
         self.mode = mode
         slots = {n: i for i, n in enumerate(sorted(self.names))}
-        ctx = CompileCtx(slots, mode, memo=S.Memo())
+        ctx = CompileCtx(slots, mode, S.Memo())
         try:
             self._fn = compile_expr(f, ctx)
         except RecursionError:
@@ -1181,7 +1178,7 @@ class _Trie:
         self.errors = []
         classes = []                # (types read, [(test, antecedents, consequent, reads)])
         for t, f in enumerate(tests):
-            ctx = CompileCtx(slots, mode, memo=memo)
+            ctx = CompileCtx(slots, mode, memo)
             antecedents, consequent = _split_implication(f)
             try:
                 antecedents = tuple(compile_expr(a, ctx) for a in antecedents)

@@ -74,9 +74,6 @@ class Obligation:
     # the exporters' memo of rendered terms (see export): the set's for a
     # set member, else the obligation's own
     _renders: S.Memo = field(default_factory=S.Memo, init=False, repr=False, compare=False)
-    # trace validation's plan (see _trace_plan), None until first derived
-    _trace_plan: _TracePlan = field(default=None, init=False, repr=False,
-                                    compare=False)
 
     @property
     def kind(self) -> str:
@@ -93,9 +90,11 @@ class ObligationSet:
     unit_digest: str
     obligations: list
     methods: tuple = ()
-    # trace validation's compiled tests, one CompiledTests per obligation
-    # group (see instantiate_on_trace)
-    _tries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # trace validation's plan (see _trace_groups) and what it was derived
+    # from, derived by the first call and again by a call that finds an
+    # obligation changed
+    _trace_groups: tuple = field(default=((), ()), init=False, repr=False,
+                                 compare=False)
     # the prover's forms table and simplify memo, which every obligation
     # of the set holds as `_forms`
     _forms: S.Memo = field(default_factory=S.Memo, init=False, repr=False, compare=False)
@@ -872,11 +871,11 @@ def instantiate_on_trace(obset: ObligationSet,
     prefix trie of antecedent closures, walked once per bundle, so an
     antecedent that many tests share runs once and a false one passes
     every test under it vacuously. A test that a bundle falsifies or that
-    faults ends there and is not evaluated again. The compiled tests
-    outlive the call: obset keeps one CompiledTests for each group any call
-    has met, replaced when the group's tests are no longer the same objects
-    (an obligation edited in place, added or removed), and a later call
-    compiles only for the (mode, state layout) pairs it has not met.
+    faults ends there and is not evaluated again.
+
+    The groups and their CompiledTests are derived once per set and kept
+    on it (see _trace_groups): a later call on an unchanged set neither
+    groups nor compiles, but for a (mode, state layout) it has not met.
 
     What depends on the trace alone is derived once per call, in an index
     that the groups share: each method's segments, each callee's recorded
@@ -899,20 +898,23 @@ def instantiate_on_trace(obset: ObligationSet,
     index = _TraceIndex(outcome)
     obligations = obset.obligations
     results = [None] * len(obligations)
-    groups = {}                 # (method, havoc, result_syms) -> [(position, plan)]
-    for k, ob in enumerate(obligations):
-        results[k], plan = _unmet(ob, index)
-        if plan is not None:
-            groups.setdefault((ob.origin.method, plan.havoc, plan.result_syms),
-                              []).append((k, plan))
-    for key, members in groups.items():
-        tests = obset._tries.get(key)
-        if tests is None or not _same(tests.tests, [plan.test for _, plan in members]):
-            tests = obset._tries[key] = CompiledTests(plan.test for _, plan in members)
+    for key, members, tests in _trace_groups(obset):
+        if key is None:
+            unmet = "no program point"
+        elif key[0] not in index.segments:
+            unmet = f"method {key[0]} not in trace"
+        else:
+            unmet = next((f"no recorded call of {callee}" for _, callee in key[2]
+                          if callee not in index.results), None)
+        if unmet is not None:
+            for k in members:
+                results[k] = ObligationTraceResult(obligations[k].id,
+                                                   "not-instantiable", unmet)
+            continue
         bundles = index.bundles(*key)
         for states in bundles:
             for t, end in eval_formula(tests, states, index.mode, cache=index.cache):
-                k = members[t][0]
+                k = members[t]
                 if end is False:
                     witness = {n: repr(v) for n, v in states["Here"].items()}
                     results[k] = ObligationTraceResult(
@@ -922,32 +924,46 @@ def instantiate_on_trace(obset: ObligationSet,
                         obligations[k].id, "not-instantiable", end)
         verdict, detail = (("pass", f"{len(bundles)} instantiation(s)") if bundles else
                            ("not-instantiable", "no matching snapshots in trace"))
-        for k, _ in members:
+        for k in members:
             if results[k] is None:
                 results[k] = ObligationTraceResult(obligations[k].id, verdict, detail)
     return TraceValidationReport(method=outcome.method, results=results)
 
 
-def _same(a, b) -> bool:
-    """Whether the sequences a and b hold the same objects."""
-    return len(a) == len(b) and all(map(operator.is_, a, b))
-
-
-def _unmet(ob: Obligation, index: _TraceIndex) -> tuple:
-    """(the not-instantiable result, None) of an obligation that the trace
-    gives no state bundles, else (None, its trace plan)."""
-    if ob.kind == "lemma":
-        return ObligationTraceResult(ob.id, "not-instantiable", "no program point"), None
-    method = ob.origin.method
-    if method not in index.segments:
-        return ObligationTraceResult(ob.id, "not-instantiable",
-                                     f"method {method} not in trace"), None
-    plan = _trace_plan(ob)
-    for _, callee in plan.result_syms:
-        if callee not in index.results:
-            return ObligationTraceResult(
-                ob.id, "not-instantiable", f"no recorded call of {callee}"), None
-    return None, plan
+def _trace_groups(obset: ObligationSet) -> tuple:
+    """The set's groups as (key, positions, tests): key is (method, havoc,
+    result_syms), havoc the sorted (loop id, symbol, variable it stands
+    for) and result_syms the sorted (call-result symbol, callee) of the
+    members' free symbols, and tests a CompiledTests of the members'
+    validation formulas. The lemmas are one group, with key and tests None.
+    The groups are kept on the set beside what they were derived from, each
+    obligation's origin, goal, hypotheses and sources, and derived again
+    when one of those is not the same object."""
+    basis = [x for ob in obset.obligations
+             for x in (ob.origin, ob.goal, *ob.hypotheses, *(ob.hyp_sources or ()))]
+    kept, groups = obset._trace_groups
+    if len(kept) == len(basis) and all(map(operator.is_, kept, basis)):
+        return groups
+    members = {}
+    for k, ob in enumerate(obset.obligations):
+        key = None
+        if ob.kind != "lemma":
+            havoc, result_syms = set(), set()
+            for f in [ob.goal, *ob.hypotheses]:
+                for n in S.walk(f):
+                    if isinstance(n, S.FreshVar):
+                        if n.loop_id >= 0:
+                            havoc.add((n.loop_id, n.name, n.base))
+                        elif n.base.endswith(".result"):
+                            result_syms.add((n.name, n.base[:-len(".result")]))
+            key = (ob.origin.method, tuple(sorted(havoc)), tuple(sorted(result_syms)))
+        members.setdefault(key, []).append(k)
+    groups = tuple(
+        (key, ks, None if key is None else
+         CompiledTests(validation_formula(obset.obligations[k]) for k in ks))
+        for key, ks in members.items())
+    obset._trace_groups = basis, groups
+    return groups
 
 
 class _TraceIndex:
@@ -973,7 +989,7 @@ class _TraceIndex:
 
     def bundles(self, method, havoc, result_syms) -> list:
         """The state bundle of every instantiation of the free symbols
-        havoc and result_syms (as a trace plan holds them) in method, in
+        havoc and result_syms (as a group's key holds them) in method, in
         evaluation order: segment by segment, combo by combo, then each
         pick of recorded callee results.
 
@@ -1020,37 +1036,6 @@ def validation_formula(ob) -> S.Expr:
         if src != "lemma":
             test = _imp(h, test)
     return test
-
-
-@dataclass(frozen=True)
-class _TracePlan:
-    """What trace validation needs of one obligation, whatever the trace."""
-    key: tuple              # the fields the plan was derived from
-    test: S.Expr            # validation_formula(ob)
-    havoc: tuple            # sorted (loop id, havoc symbol, variable it stands for)
-    result_syms: tuple      # sorted (call-result symbol, callee)
-
-
-def _trace_plan(ob: Obligation) -> _TracePlan:
-    """The obligation's plan, derived once and kept on the obligation while
-    its goal, hypotheses and their sources stay the same."""
-    key = (ob.goal, tuple(ob.hypotheses), tuple(ob.hyp_sources or ()))
-    plan = ob._trace_plan
-    if plan is not None and plan.key == key:
-        return plan
-    havoc = set()
-    result_syms = set()
-    for f in [ob.goal] + list(ob.hypotheses):
-        for n in S.walk(f):
-            if isinstance(n, S.FreshVar):
-                if n.loop_id >= 0:
-                    havoc.add((n.loop_id, n.name, n.base))
-                elif n.base.endswith(".result"):
-                    result_syms.add((n.name, n.base[:-len(".result")]))
-    plan = _TracePlan(key, validation_formula(ob), tuple(sorted(havoc)),
-                      tuple(sorted(result_syms)))
-    ob._trace_plan = plan
-    return plan
 
 
 def _combos(seg, loops):

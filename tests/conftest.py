@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from miniwhy import corpus
@@ -26,3 +28,12 @@ def translate_unit():
 @pytest.fixture(scope="session")
 def lemmas_unit():
     return corpus.unit("lemmas")
+
+
+@pytest.fixture(scope="session")
+def quickselect_grid():
+    """The report of the exhaustive 30 948-case quickselect grid, run once
+    per session, and the seconds it took."""
+    t0 = time.perf_counter()
+    rep = corpus.run_exhaustive("find_nth_lowest_number", mode="rational")
+    return rep, time.perf_counter() - t0

@@ -48,13 +48,13 @@ def _reference_row(ob, index, mode):
         return ob.id, "not-instantiable", "no program point", {}
     if method not in index.segments:
         return ob.id, "not-instantiable", f"method {method} not in trace", {}
-    plan = vcgen._trace_plan(ob)
-    for _, callee in plan.result_syms:
+    havoc, result_syms = _free_symbols(ob)
+    for _, callee in result_syms:
         if callee not in index.results:
             return ob.id, "not-instantiable", f"no recorded call of {callee}", {}
     compiled = {}
     evaluated = 0
-    for states in index.bundles(method, plan.havoc, plan.result_syms):
+    for states in index.bundles(method, havoc, result_syms):
         layout = frozenset(states["Here"]).union(states["Old"])
         try:
             if layout not in compiled:
@@ -70,6 +70,27 @@ def _reference_row(ob, index, mode):
     if evaluated == 0:
         return ob.id, "not-instantiable", "no matching snapshots in trace", {}
     return ob.id, "pass", f"{evaluated} instantiation(s)", {}
+
+
+def _free_symbols(ob):
+    """(havoc, result_syms) of an obligation, found by a walk over every
+    field of every node of its goal and hypotheses: the sorted (loop id,
+    havoc symbol, variable it stands for) of each loop's havoc symbol, and
+    the sorted (call-result symbol, callee) of each call's result."""
+    havoc, result_syms = set(), set()
+    todo = [ob.goal, *ob.hypotheses]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, list):
+            todo += e
+        elif isinstance(e, S.FreshVar):
+            if e.loop_id >= 0:
+                havoc.add((e.loop_id, e.name, e.base))
+            elif e.base.endswith(".result"):
+                result_syms.add((e.name, e.base.removesuffix(".result")))
+        elif isinstance(e, S.Node):
+            todo += vars(e).values()
+    return tuple(sorted(havoc)), tuple(sorted(result_syms))
 
 
 def report_rows(report) -> list:

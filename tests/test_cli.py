@@ -265,10 +265,18 @@ def test_inputs_never_mutated(capsys, corpus_file):
     assert open(path, "rb").read() == before
 
 
-def test_exhaustive_flag(capsys):
+def test_exhaustive_flag(capsys, monkeypatch, quickselect_grid):
+    # the session runs the full grid once, for criterion 2 as well; here
+    # the flag's wiring hands its report to the CLI
+    calls = []
+
+    def run_exhaustive(name, mode):
+        calls.append((name, mode))
+        return quickselect_grid[0]
+    monkeypatch.setattr(corpus, "run_exhaustive", run_exhaustive)
     code, out, _ = run_cli(capsys, "test", "--entry", "find_nth_lowest_number",
                            "--exhaustive", "--mode", "rational")
-    # full grid runs in the acceptance suite; here just check the wiring
+    assert calls == [("find_nth_lowest_number", "rational")]
     assert code == 0
     report = json.loads(out)
     assert report["summary"]["find_nth_lowest_number"]["cases"] == 30948

@@ -922,9 +922,9 @@ def test_a_shared_node_evaluates_as_in_the_unshared_formula():
 def test_trace_validation_keeps_compiled_tests_as_long_as_the_set():
     """Compiled tests live as long as the obligation set: a second call on
     the same set and layouts compiles nothing, and once the set and the
-    outcomes are gone, so are the tries and their closures. The
-    obligations keep nothing but their trace plans and the set's prover
-    table."""
+    outcomes are gone, so are the tries and their closures. The set's
+    plan holds the tests, and the obligations keep nothing but the set's
+    prover table."""
     runs = _memo_runs()
     (obset, first), second = next(runs), next(runs)[1]
     runs.close()
@@ -940,7 +940,8 @@ def test_trace_validation_keeps_compiled_tests_as_long_as_the_set():
     assert len(vcgen.instantiate_on_trace(obset, first).passed) == len(obset)
     made = alive()
     # one trie per group of obligations, each with its own closures
-    assert made[0] - before[0] == len(obset._tries) > 1 and made[1] > before[1]
+    groups = sum(tests is not None for _, _, tests in obset._trace_groups[1])
+    assert made[0] - before[0] == groups > 1 and made[1] > before[1]
     assert len(vcgen.instantiate_on_trace(obset, second).passed) == len(obset)
     assert alive() == made
     assert all(ob._forms is obset._forms for ob in obset)

@@ -313,38 +313,103 @@ def test_tests_with_different_reads_bind_a_shared_state_apart(names):
 def test_a_call_keeps_nothing_and_a_later_call_starts_afresh(quickselect_unit):
     """The index and bind cache of a call die with it, and with the cache
     which tests have ended, and with the frames every value computed on a
-    bundle: once the call's compiles are kept, a second
-    call leaves the set, its compiled tests, its obligations, their trace
-    plans and the outcome as they were, and no cache is alive. Each later
-    outcome on the same set gets a freshly generated set's report."""
+    bundle: once the first call has derived the set's plan and compiled
+    its tests, a second call leaves the set, its plan, the plan's compiled
+    tests and their tries, its obligations and the outcome as they were,
+    and no cache is alive. Each later outcome on the same set gets a
+    freshly generated set's report."""
     qs = "find_nth_lowest_number"
     kept = generate_obligations(quickselect_unit, qs)
     first = run_traced(quickselect_unit, qs, [[4, 4, 1, -3, 7, 0], 6, 3])
     instantiate_on_trace(kept, first)
 
     def held():
-        return (sorted(vars(kept)),
-                {k: (tests, list(tests._tries)) for k, tests in kept._tries.items()},
-                [sorted(vars(ob)) for ob in kept],
-                [ob._trace_plan for ob in kept], sorted(vars(first)))
+        return (sorted(vars(kept)), kept._trace_groups,
+                [(tests, list(tests._tries)) for _, _, tests in kept._trace_groups[1]
+                 if tests is not None],
+                [sorted(vars(ob)) for ob in kept], sorted(vars(first)))
 
     before = held()
+    assert before[2] and all(tries for _, tries in before[2])
     assert instantiate_on_trace(kept, first).passed
     gc.collect()
     assert not [o for o in gc.get_objects()
                 if isinstance(o, (BindCache, vcgen._TraceIndex, interp.Frame))]
     after = held()
-    assert after[0] == before[0] and after[2:] == before[2:]
-    assert after[1].keys() == before[1].keys()
-    for key, (tests, tries) in after[1].items():
-        assert tests is before[1][key][0]
-        assert all(map(operator.is_, tries, before[1][key][1]))
-    assert all(map(operator.is_, after[3], before[3]))
+    assert after[0] == before[0] and after[3:] == before[3:]
+    assert after[1] is before[1]
+    assert len(after[2]) == len(before[2])
+    for (tests, tries), (was, were) in zip(after[2], before[2]):
+        assert tests is was and all(map(operator.is_, tries, were))
     for buf, n in (([3, 1, 2], 1), ([5, -1, 5, 0, 2], 2), ([2, 2, 2, 2], 3),
                    ([4, 4, 1, -3, 7, 0], 3)):
         out = run_traced(quickselect_unit, qs, [buf, len(buf), n])
         fresh = instantiate_on_trace(generate_obligations(quickselect_unit, qs), out)
         assert instantiate_on_trace(kept, out).results == fresh.results, buf
+
+
+def test_a_later_call_on_an_unchanged_set_neither_groups_nor_compiles(
+        quickselect_unit, monkeypatch):
+    """The first call derives the set's plan; a second call, on another
+    outcome, builds no validation formula and no CompiledTests, and
+    reports what a fresh set reports."""
+    qs = "find_nth_lowest_number"
+    kept = generate_obligations(quickselect_unit, qs)
+    calls = {"validation_formula": 0, "CompiledTests": 0}
+
+    def spy(name):
+        function = getattr(vcgen, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(vcgen, name, counted)
+
+    spy("validation_formula")
+    spy("CompiledTests")
+    instantiate_on_trace(kept, run_traced(quickselect_unit, qs, [[3, 1, 2], 3, 1]))
+    assert calls == {"validation_formula": len(kept),
+                     "CompiledTests": len(kept._trace_groups[1])}
+    out = run_traced(quickselect_unit, qs, [[5, -1, 5, 0, 2], 5, 2])
+    calls.update(validation_formula=0, CompiledTests=0)
+    report = instantiate_on_trace(kept, out)
+    assert calls == {"validation_formula": 0, "CompiledTests": 0}
+    monkeypatch.undo()
+    fresh = generate_obligations(quickselect_unit, qs)
+    assert report.results == instantiate_on_trace(fresh, out).results
+
+
+def test_every_edit_in_place_gives_the_reference_rows(quickselect_unit):
+    """A goal replaced, a hypothesis appended in place, a source changed
+    from requires to lemma and an obligation removed each change the
+    verdicts, and after each the report is the reference's."""
+    qs = "find_nth_lowest_number"
+    obs = generate_obligations(quickselect_unit, qs)
+    out = run_traced(quickselect_unit, qs, [[4, 4, 1, -3, 7, 0], 6, 3])
+    ob = next(ob for ob in obs if ob.has_fresh)
+
+    def negate_goal():
+        ob.goal = S.Unary(op="!", operand=ob.goal, ty=S.BOOL)
+
+    def append_false():
+        # the hypothesis and source lists are shared with other obligations
+        ob.hypotheses.append(S.BoolLit(value=False, ty=S.BOOL))
+        ob.hyp_sources.append("requires")
+
+    def to_lemma():
+        ob.hyp_sources[-1] = "lemma"
+
+    def remove():
+        obs.obligations.remove(ob)
+
+    rows = report_rows(instantiate_on_trace(obs, out))
+    assert rows == reference_rows(obs, out)
+    for edit in (negate_goal, append_false, to_lemma, remove):
+        edit()
+        edited = report_rows(instantiate_on_trace(obs, out))
+        assert edited != rows, edit.__name__
+        assert edited == reference_rows(obs, out), edit.__name__
+        rows = edited
 
 
 # both loops' invariants read LoopEntry; BUMP, before the inner loop, may

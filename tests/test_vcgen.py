@@ -540,19 +540,19 @@ def test_validation_follows_an_obligation_edited_in_place(quickselect_unit):
     out = exec_method(quickselect_unit, "find_nth_lowest_number",
                       [[3, 1, 2], 3, 1], "rational", trace=True)
     assert instantiate_on_trace(single, out).results[0].verdict == "pass"
-    (tests,) = single._tries.values()
-    # the negated goal has the same free symbols, so the obligation stays
-    # in its group, whose tests are compiled afresh
+    ((key, _, tests),) = single._trace_groups[1]
+    # the negated goal has the same free symbols, so the obligation keeps
+    # its group's key, and the set's plan is derived afresh
     ob.goal = S.Unary(op="!", operand=ob.goal, ty=S.BOOL)
     assert instantiate_on_trace(single, out).results[0].verdict == "fail"
-    (fresh,) = single._tries.values()
-    assert fresh is not tests and fresh.tests[0] is ob._trace_plan.test
+    ((same_key, _, fresh),) = single._trace_groups[1]
+    assert same_key == key and fresh is not tests
+    assert fresh.tests == (vcgen.validation_formula(ob),)
     ob.goal = S.BoolLit(value=False, ty=S.BOOL)
     assert instantiate_on_trace(single, out).results[0].verdict == "fail"
-    # the goal has no free symbol now, so the obligation is in a new group;
-    # the set keeps the compiled tests of every group a call has met
-    kept, new = single._tries.values()
-    assert kept is fresh and new.tests[0] is ob._trace_plan.test
+    # the goal has no free symbol now, so the obligation is in a new group
+    ((new_key, _, _),) = single._trace_groups[1]
+    assert new_key == (ob.origin.method, (), ())
 
 
 def test_call_arguments_are_substituted_simultaneously():
