@@ -60,7 +60,7 @@ from .interp import eval_formula
 from .linear import Lin
 from .printer import expr_to_str
 from .simplify import linear_form, simplify
-from .vcgen import Obligation, sourced_hypotheses, validation_formula
+from .vcgen import Obligation, validation_formula
 
 MAX_DISJUNCTS = 256
 MAX_CONSTRAINTS = 4000
@@ -379,24 +379,24 @@ def prove_internal(ob: Obligation) -> ProofStatus:
 
     Every proof reads and fills the obligation's table `_forms`: the set's,
     shared by its members, or the obligation's own. The table also keeps
-    the first status of each goal object under its hypothesis objects and
-    sources, from which vcgen derives the sorts and havoc loops the prover
-    reads too: a repeat, which vcgen lists where two listings state one
-    obligation, takes a copy of that status without being simplified or
-    proved again. It keeps the printed key of each boolean atom object too
-    (`_atom_text`).
+    the first status of each goal object under its hypotheses tuple and
+    sources tuple, three objects that name a frozen obligation with the
+    sorts and havoc loops vcgen derives from them: a repeat, which vcgen
+    lists where two listings state one obligation, takes a copy of that
+    status without being simplified or proved again. It keeps the printed
+    key of each boolean atom object too (`_atom_text`).
     A formula nested deeper than Python's stack ends in `unknown`, as the
     other resource caps do.
     """
-    objs, sources = (ob.goal, *ob.hypotheses), tuple(ob.hyp_sources or ())
-    hit = ob._forms.get_all(objs, sources)
+    objs = ob.goal, ob.hypotheses, ob.hyp_sources
+    hit = ob._forms.get_all(objs)
     if hit is not None:
         return _copy(hit)
     try:
         status = _prove(ob)
     except RecursionError:
         status = ProofStatus("unknown", reason="resource cap: nesting too deep")
-    ob._forms.put_all(objs, _copy(status), sources)
+    ob._forms.put_all(objs, _copy(status))
     return status
 
 
@@ -409,7 +409,7 @@ def _copy(st: ProofStatus) -> ProofStatus:
 def _prove(ob: Obligation) -> ProofStatus:
     trace = []
     hyps = []
-    for h, src in sourced_hypotheses(ob):
+    for h, src in zip(ob.hypotheses, ob.hyp_sources):
         if isinstance(h, S.Forall):
             trace.append(f"dropped quantified hypothesis ({src})")
             continue

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 from . import syntax as S
 from .errors import VcgenError
@@ -57,23 +57,38 @@ class Origin:
     detail: str = ""      # behaviour name, guard description...
 
 
-@dataclass
+@dataclass(frozen=True)
 class Obligation:
+    """hypotheses ==> goal, a frozen value. Its hypotheses and their
+    sources are tuples, one source per hypothesis ("?", which is not a
+    lemma, for each when none is given), so obligations may share them;
+    an edit is a new obligation (dataclasses.replace)."""
     id: str
     name: str
     origin: Origin
-    hypotheses: list          # formulas (lemmas + requires [+ assumes])
+    hypotheses: tuple         # formulas (lemmas + requires [+ assumes])
     goal: S.Expr
-    hyp_sources: list = field(default_factory=list)   # 'lemma'|'requires'|'assumes'
+    hyp_sources: tuple = ()   # 'lemma'|'requires'|'assumes'
     var_sorts: dict = field(default_factory=dict)     # free symbol -> SemType
     loop_ids: tuple = ()                              # loops whose havoc symbols occur
     detail: str = ""
-    # the prover's forms table and simplify memo: the set's for a set
-    # member, else the obligation's own
-    _forms: S.Memo = field(default_factory=S.Memo, init=False, repr=False, compare=False)
-    # the exporters' memo of rendered terms (see export): the set's for a
-    # set member, else the obligation's own
-    _renders: S.Memo = field(default_factory=S.Memo, init=False, repr=False, compare=False)
+    # (_forms, _renders): the prover's forms table and simplify memo, the
+    # exporters' render memo (see export); the set's for a set member, or
+    # None for a fresh pair, which a replace copy gets too
+    tables: InitVar = None
+    _forms: S.Memo = field(init=False, repr=False, compare=False)
+    _renders: S.Memo = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, tables):
+        hyps = tuple(self.hypotheses)
+        sources = tuple(self.hyp_sources) or ("?",) * len(hyps)
+        if len(sources) != len(hyps):
+            raise VcgenError(f"obligation {self.id}: {len(hyps)} hypotheses "
+                             f"but {len(sources)} sources")
+        forms, renders = (S.Memo(), S.Memo()) if tables is None else tables
+        for name, value in (("hypotheses", hyps), ("hyp_sources", sources),
+                            ("_forms", forms), ("_renders", renders)):
+            object.__setattr__(self, name, value)
 
     @property
     def kind(self) -> str:
@@ -86,20 +101,19 @@ class Obligation:
 
 @dataclass
 class ObligationSet:
+    """A unit's obligations, in a list a caller may edit: an edit puts a
+    new obligation in a member's place. Each generated member holds the
+    set's `_forms` and `_renders` as its tables (see Obligation)."""
     unit: str
     unit_digest: str
     obligations: list
     methods: tuple = ()
-    # trace validation's plan (see _trace_groups) and what it was derived
-    # from, derived by the first call and again by a call that finds an
-    # obligation changed
+    # trace validation's plan (see _trace_groups) and the members it was
+    # derived from, derived by the first call and again by a call that
+    # finds another list of members
     _trace_groups: tuple = field(default=((), ()), init=False, repr=False,
                                  compare=False)
-    # the prover's forms table and simplify memo, which every obligation
-    # of the set holds as `_forms`
     _forms: S.Memo = field(default_factory=S.Memo, init=False, repr=False, compare=False)
-    # the exporters' memo of rendered terms, which every obligation of the
-    # set holds as `_renders`
     _renders: S.Memo = field(default_factory=S.Memo, init=False, repr=False, compare=False)
 
     def __iter__(self):
@@ -705,7 +719,7 @@ _NAMES = {
 
 
 def _make_obligation(method, seq, kind, line, detail, goal, hyps, hyp_sources,
-                     memo=None):
+                     memo=None, tables=None):
     # unwrapping \old keeps every symbol and their order, so the walk may
     # precede it; memo, the method's, serves unwrap_old and _closure_info
     # and keeps what closing gave each (goal, hypotheses) pair of objects,
@@ -725,7 +739,8 @@ def _make_obligation(method, seq, kind, line, detail, goal, hyps, hyp_sources,
         name=f"{name} [line {line}]",
         origin=Origin(method=method, line=line, kind=kind, detail=detail),
         hypotheses=hyps, hyp_sources=hyp_sources,
-        goal=goal, var_sorts=dict(sorts), loop_ids=loop_ids, detail=detail)
+        goal=goal, var_sorts=dict(sorts), loop_ids=loop_ids, detail=detail,
+        tables=tables)
 
 
 def generate_obligations(tunit: TypedUnit, method: str | None = None) -> ObligationSet:
@@ -733,7 +748,16 @@ def generate_obligations(tunit: TypedUnit, method: str | None = None) -> Obligat
     obligation per unit lemma; lemmas also appear among every other
     obligation's hypotheses."""
     unit = tunit.unit
-    obligations = []
+    if method is None:
+        targets = [m.name for m in unit.methods]
+    elif method in tunit.method_index:
+        targets = [method]
+    else:
+        raise VcgenError(f"unknown method {method!r}")
+    obset = ObligationSet(unit=unit.name, unit_digest=unit_digest(tunit),
+                          obligations=[], methods=tuple(targets))
+    obligations, tables = obset.obligations, (obset._forms, obset._renders)
+
     lemma_forms = []
     for lem in unit.lemmas:
         g = unwrap_old(lem.statement)
@@ -742,35 +766,25 @@ def generate_obligations(tunit: TypedUnit, method: str | None = None) -> Obligat
         obligations.append(Obligation(
             id=f"lemma:{lem.name}", name=f"lemma {lem.name}",
             origin=Origin(method="", line=lem.pos[0], kind="lemma", detail=lem.name),
-            hypotheses=[], goal=g, var_sorts=sorts))
-
-    if method is None:
-        targets = [m.name for m in unit.methods]
-    elif method in tunit.method_index:
-        targets = [method]
-    else:
-        raise VcgenError(f"unknown method {method!r}")
+            hypotheses=(), goal=g, var_sorts=sorts, tables=tables))
 
     for mname in targets:
         try:
-            obligations.extend(_method_obligations(tunit, mname, lemma_forms))
+            obligations.extend(_method_obligations(tunit, mname, lemma_forms, tables))
         except RecursionError:
             # a formula nested deeper than Python's stack (a long run of
             # asserts wraps the post once per assert)
             raise VcgenError(f"obligations of method {mname!r}: nesting too deep "
                              "to generate") from None
-    obset = ObligationSet(unit=unit.name, unit_digest=unit_digest(tunit),
-                          obligations=obligations, methods=tuple(targets))
-    for ob in obligations:
-        ob._forms, ob._renders = obset._forms, obset._renders
     return obset
 
 
-def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
+def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms, tables) -> list:
     m = tunit.method(mname)
     requires = unwrap_old(m.spec.requires)
-    base_hyps = list(lemma_forms) + [requires]
-    base_sources = ["lemma"] * len(lemma_forms) + ["requires"]
+    # one tuple each, which every obligation of the main pass holds
+    base_hyps = (*lemma_forms, requires)
+    base_sources = ("lemma",) * len(lemma_forms) + ("requires",)
     out = []
     seq = itertools.count()
     # the method's memo, see _make_obligation
@@ -780,10 +794,10 @@ def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
     engine = _Wp(tunit, m, m.spec.ensures, "ensures")
     (pre,), (kind,), sides = engine.wp(m.body, (engine.exit_post,), ("ensures",), [])
     out.append(_make_obligation(mname, next(seq), kind, m.pos[0], "",
-                                pre, base_hyps, base_sources, memo))
+                                pre, base_hyps, base_sources, memo, tables))
     for s in sides:
         out.append(_make_obligation(mname, next(seq), s.kind, s.line, s.detail,
-                                    s.formula, base_hyps, base_sources, memo))
+                                    s.formula, base_hyps, base_sources, memo, tables))
 
     # behaviour passes contribute only their own postcondition chain. A pass
     # walks the main pass's statements, so its pre and sides line up one to
@@ -792,8 +806,8 @@ def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
     # that reached a loop, a return inside a loop body)
     main = [pre] + [s.formula for s in sides]
     for b in m.spec.behaviours:
-        hyps = base_hyps + [unwrap_old(b.assumes)]
-        sources = base_sources + ["assumes"]
+        hyps = (*base_hyps, unwrap_old(b.assumes))
+        sources = (*base_sources, "assumes")
         engine = _Wp(tunit, m, b.ensures, "behaviour")
         (pre,), (kind,), sides = engine.wp(m.body, (engine.exit_post,),
                                            ("behaviour",), [])
@@ -803,7 +817,7 @@ def _method_obligations(tunit: TypedUnit, mname: str, lemma_forms) -> list:
                 detail = b.name if not s.detail else f"{b.name}, {s.detail}"
                 out.append(_make_obligation(mname, next(seq), "behaviour", s.line,
                                             detail, s.formula, hyps, sources,
-                                            memo))
+                                            memo, tables))
     return out
 
 
@@ -936,16 +950,15 @@ def _trace_groups(obset: ObligationSet) -> tuple:
     for) and result_syms the sorted (call-result symbol, callee) of the
     members' free symbols, and tests a CompiledTests of the members'
     validation formulas. The lemmas are one group, with key and tests None.
-    The groups are kept on the set beside what they were derived from, each
-    obligation's origin, goal, hypotheses and sources, and derived again
-    when one of those is not the same object."""
-    basis = [x for ob in obset.obligations
-             for x in (ob.origin, ob.goal, *ob.hypotheses, *(ob.hyp_sources or ()))]
+    An obligation is frozen, so the groups are kept on the set beside the
+    members they were derived from, and derived again when the set's list
+    holds another member."""
     kept, groups = obset._trace_groups
-    if len(kept) == len(basis) and all(map(operator.is_, kept, basis)):
+    obs = obset.obligations
+    if len(kept) == len(obs) and all(map(operator.is_, kept, obs)):
         return groups
     members = {}
-    for k, ob in enumerate(obset.obligations):
+    for k, ob in enumerate(obs):
         key = None
         if ob.kind != "lemma":
             havoc, result_syms = set(), set()
@@ -960,9 +973,9 @@ def _trace_groups(obset: ObligationSet) -> tuple:
         members.setdefault(key, []).append(k)
     groups = tuple(
         (key, ks, None if key is None else
-         CompiledTests(validation_formula(obset.obligations[k]) for k in ks))
+         CompiledTests(validation_formula(obs[k]) for k in ks))
         for key, ks in members.items())
-    obset._trace_groups = basis, groups
+    obset._trace_groups = tuple(obs), groups
     return groups
 
 
@@ -1018,12 +1031,6 @@ class _TraceIndex:
         return out
 
 
-def sourced_hypotheses(ob) -> list:
-    """(hypothesis, source) pairs of an obligation. Without recorded
-    sources every hypothesis has source "?", which is not a lemma."""
-    return list(zip(ob.hypotheses, ob.hyp_sources or ["?"] * len(ob.hypotheses)))
-
-
 def validation_formula(ob) -> S.Expr:
     """The ground test of an obligation: its non-lemma hypotheses ==> goal.
 
@@ -1032,7 +1039,7 @@ def validation_formula(ob) -> S.Expr:
     on them cannot change a verdict; leaving them out avoids their
     (typically unbounded) quantifiers."""
     test = ob.goal
-    for h, src in reversed(sourced_hypotheses(ob)):
+    for h, src in zip(reversed(ob.hypotheses), reversed(ob.hyp_sources)):
         if src != "lemma":
             test = _imp(h, test)
     return test

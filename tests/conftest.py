@@ -4,6 +4,8 @@ import pytest
 
 from miniwhy import corpus
 
+from helpers import wp_triple
+
 
 @pytest.fixture(scope="session")
 def quickselect_unit():
@@ -37,3 +39,10 @@ def quickselect_grid():
     t0 = time.perf_counter()
     rep = corpus.run_exhaustive("find_nth_lowest_number", mode="rational")
     return rep, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def wp_triples():
+    """The wp/execution triples of ProgramGen seeds 0-999 (see
+    helpers.wp_triple), built once per session."""
+    return [wp_triple(seed) for seed in range(1000)]

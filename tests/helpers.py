@@ -5,14 +5,15 @@ loop-free programs."""
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 from miniwhy import interp, vcgen
 from miniwhy import syntax as S
 from miniwhy.errors import EvalError, ExecutionFault
 from miniwhy.lexer import tokenize
-from miniwhy.parser import _Parser
-from miniwhy.typecheck import CTX_INVARIANT, _Checker, _Scope
+from miniwhy.parser import _Parser, parse
+from miniwhy.typecheck import CTX_INVARIANT, _Checker, _Scope, typecheck
 
 
 def parse_formula(text: str):
@@ -237,3 +238,31 @@ class ProgramGen:
         for n in self.REAL_VARS:
             sigma[n] = self.rng.randint(-10, 10)
         return sigma
+
+
+WpTriple = namedtuple("WpTriple", "seed src post sigma sides status error lhs rhs")
+
+
+def wp_triple(seed: int) -> WpTriple:
+    """ProgramGen(seed)'s (program S, post Q, state) triple, the side
+    obligations of wp(S, Q), the status and error of executing S, and,
+    exactly in rational mode, the truth of wp(S, Q) in the state (lhs) and
+    of Q after S (rhs, None when S does not end normally)."""
+    gen = ProgramGen(seed)
+    src, post_text = gen.program()
+    tu = typecheck(parse(src))
+    m = tu.method("m")
+    post = typed_formula(post_text, dict(m.params))
+    pre, sides = vcgen.wp(tu, "m", m.body, post)
+    sigma = gen.state()
+    lhs = interp.eval_formula(pre, {"Here": dict(sigma), "Old": dict(sigma)},
+                              "rational")
+    out = interp.exec_method(tu, "m", [sigma[n] for n, _ in m.params],
+                             "rational", trace=True)
+    rhs = None
+    if out.status == "normal":
+        final = [s for s in out.trace if s.kind == "exit"][0].state
+        rhs = interp.eval_formula(post, {"Here": final, "Old": dict(sigma)},
+                                  "rational")
+    return WpTriple(seed, src, post_text, sigma, sides, out.status, out.error,
+                    lhs, rhs)

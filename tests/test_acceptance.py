@@ -17,15 +17,13 @@ import pytest
 from miniwhy import corpus
 from miniwhy import syntax as S
 from miniwhy.export import (export_sexp, export_smtlib, export_xml, validate)
-from miniwhy.interp import eval_formula, exec_method
+from miniwhy.interp import exec_method
 from miniwhy.parser import parse
 from miniwhy.printer import pretty_print
 from miniwhy.prover import prove_internal
 from miniwhy.typecheck import check_unit, typecheck
 from miniwhy.vcgen import (ObligationSet, generate_obligations,
                            instantiate_on_trace)
-
-from helpers import ProgramGen, typed_formula
 
 SQRT_EPS = Fraction(12, 10 ** 8)
 
@@ -141,28 +139,14 @@ def test_criterion_5_internal_prover_parity(lemmas_unit, sqrt_unit, tmp_path):
                            "to smt2/xml/sexp")
 
 
-def test_criterion_6_wp_oracle_equivalence():
+def test_criterion_6_wp_oracle_equivalence(wp_triples):
     trials = 1000
+    assert len(wp_triples) == trials
     mismatches = 0
-    from miniwhy.vcgen import wp
-    for seed in range(trials):
-        gen = ProgramGen(seed)
-        src, post_text = gen.program()
-        tu = typecheck(parse(src))
-        m = tu.method("m")
-        post = typed_formula(post_text, dict(m.params))
-        pre, sides = wp(tu, "m", m.body, post)
-        assert sides == []
-        sigma = gen.state()
-        lhs = eval_formula(pre, {"Here": dict(sigma), "Old": dict(sigma)},
-                           "rational")
-        out = exec_method(tu, "m", [sigma[n] for n, _ in m.params],
-                          "rational", trace=True)
-        assert out.status == "normal"
-        final = [s for s in out.trace if s.kind == "exit"][0].state
-        rhs = eval_formula(post, {"Here": final, "Old": dict(sigma)},
-                           "rational")
-        mismatches += (lhs != rhs)
+    for t in wp_triples:
+        assert t.sides == []
+        assert t.status == "normal"
+        mismatches += (t.lhs != t.rhs)
     ok = mismatches == 0
     assert report(6, ok, f"{trials} random loop-free (program, post, state) "
                          f"triples, {mismatches} disagreements (exact, "

@@ -275,8 +275,8 @@ def test_pre_state_hypotheses_export_without_old_state():
     from miniwhy.parser import parse
     from miniwhy.typecheck import typecheck
     obs = generate_obligations(typecheck(parse(PRE_STATE_PERMUT)))
-    assert [ob.hyp_sources for ob in obs] == [["requires"],
-                                              ["requires", "assumes"]]
+    assert [ob.hyp_sources for ob in obs] == [("requires",),
+                                              ("requires", "assumes")]
     for ob in obs:
         assert not any(isinstance(n, S.OldExpr)
                        for f in [ob.goal, *ob.hypotheses] for n in S.walk(f))
@@ -471,7 +471,7 @@ def test_a_memo_entry_holding_another_node_is_not_read(sqrt_unit):
         bogus.put(node, ("bogus", set()), "smtlib2")
         bogus.put(node, "bogus", "sexp")
     # the copy's entries hold copies of the nodes, under the originals' ids
-    ob._renders = copy.deepcopy(bogus)
+    ob = replace(ob, tables=(S.Memo(), copy.deepcopy(bogus)))
     assert (export_smtlib(ob).text, export_sexp(ob).text) == reference
 
 
@@ -510,10 +510,9 @@ def test_a_shared_node_is_declared_in_every_document_whatever_goes_first():
         # each rendered alone, through a memo of its own
         alone = [export_smtlib(replace(ob)).text for ob in obs]
         for order in (obs, obs[::-1]):
-            memo = S.Memo()
-            for ob in order:
-                ob._renders = memo
-            texts = {ob.id: export_smtlib(ob).text for ob in order}
+            tables = S.Memo(), S.Memo()
+            texts = {ob.id: export_smtlib(replace(ob, tables=tables)).text
+                     for ob in order}
             assert [texts[ob.id] for ob in obs] == alone
             for text in alone:
                 assert all(d + "\n" in text for d in declarations), text

@@ -23,15 +23,13 @@ from miniwhy.vcgen import (Obligation, Origin, generate_obligations,
 from helpers import FormulaGen, typed_formula
 
 
-def mk(goal, hyps=(), sorts=None, fresh=False):
-    ob = Obligation(id="t:000:assert", name="test",
-                    origin=Origin("m", 1, "assert"),
-                    hypotheses=list(hyps),
-                    hyp_sources=["requires"] * len(hyps),
-                    goal=goal, var_sorts=dict(sorts or {}))
-    if fresh:
-        ob.loop_ids = (0,)
-    return ob
+def mk(goal, hyps=(), sorts=None, fresh=False, tables=None):
+    return Obligation(id="t:000:assert", name="test",
+                      origin=Origin("m", 1, "assert"),
+                      hypotheses=list(hyps),
+                      hyp_sources=["requires"] * len(hyps),
+                      goal=goal, var_sorts=dict(sorts or {}),
+                      loop_ids=(0,) if fresh else (), tables=tables)
 
 
 def test_both_division_lemmas_prove_without_hints(lemmas_unit):
@@ -727,11 +725,10 @@ def test_a_shared_table_gives_the_verdicts_of_a_table_per_obligation():
             obs = _formulagen_obligations(reals_only, division)
             want = [_verdict(_alone(ob)) for ob in obs]
             for order in orders:
-                table = S.Memo()
-                for ob in obs:
-                    ob._forms = table
-                got = {id(ob): _verdict(ob) for ob in _ordered(obs, order)}
-                assert [got[id(ob)] for ob in obs] == want, (reals_only, division, order)
+                tables = S.Memo(), S.Memo()
+                shared = [replace(ob, tables=tables) for ob in obs]
+                got = {id(ob): _verdict(ob) for ob in _ordered(shared, order)}
+                assert [got[id(ob)] for ob in shared] == want, (reals_only, division, order)
 
 
 class _Probe:
@@ -753,26 +750,27 @@ def test_the_table_dies_with_its_set(quickselect_unit):
     assert held() is None and len(statuses) == 51
 
 
-def test_an_obligation_edited_in_place_gets_its_new_verdict():
-    """Edits of one obligation that shares its table with another: each
-    verdict is that of a copy with a table of its own, never a stale one."""
+def test_an_edited_obligation_gets_its_new_verdict():
+    """Edits of one obligation that shares its tables with another, each
+    a replace copy on those tables: each verdict is that of a copy with
+    tables of its own, never a stale one."""
     sorts = {"y": S.REAL}
+    tables = S.Memo(), S.Memo()
     quotient = typed_formula("0.0 / y == 0.0", sorts)
-    alone = mk(quotient, sorts=sorts)
+    alone = mk(quotient, sorts=sorts, tables=tables)
     guarded = mk(typed_formula("y > 0.0 || y < 0.0", sorts),
-                 hyps=[typed_formula("y != 0.0", sorts)], sorts=sorts)
-    alone._forms = guarded._forms = S.Memo()
+                 hyps=[typed_formula("y != 0.0", sorts)], sorts=sorts, tables=tables)
     assert _verdict(alone)[0] == "unknown"
     assert _verdict(guarded)[0] == "proved-internal"
     # the goal that `alone` simplified under no facts, now under y != 0
-    guarded.goal = quotient
+    guarded = replace(guarded, goal=quotient, tables=tables)
     assert _verdict(guarded) == _verdict(_alone(guarded))
     assert _verdict(guarded)[2][-1] == "closed by simplification"
-    alone.goal = typed_formula("y + 1.0 > y", sorts)
+    alone = replace(alone, goal=typed_formula("y + 1.0 > y", sorts), tables=tables)
     assert _verdict(alone) == _verdict(_alone(alone))
     assert _verdict(alone)[0] == "proved-internal"
-    alone.hypotheses, alone.hyp_sources = [typed_formula("y > 0.0", sorts)], ["requires"]
-    alone.goal = quotient
+    alone = replace(alone, hypotheses=[typed_formula("y > 0.0", sorts)],
+                    hyp_sources=["requires"], goal=quotient, tables=tables)
     assert _verdict(alone) == _verdict(_alone(alone))
 
 

@@ -1,5 +1,6 @@
 import importlib
 import types
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -93,9 +94,7 @@ def test_quantifier_expansion_paths_agree_with_a_shared_table(monkeypatch, text,
                       hypotheses=[], goal=f, var_sorts={"a": S.ARRAY_INT})
            for i in range(2)]
     alone = prover.prove_internal(obs[0])
-    for ob in obs:
-        ob._forms = table
-    shared = [prover.prove_internal(ob) for ob in obs]
+    shared = [prover.prove_internal(replace(ob, tables=(table, S.Memo()))) for ob in obs]
     # the second repeats the first's goal and hypotheses: it takes a copy of
     # the first's status, and is not simplified again
     assert [expr_to_str(g) for g in seen] == [expected] * 2

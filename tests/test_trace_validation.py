@@ -379,28 +379,33 @@ def test_a_later_call_on_an_unchanged_set_neither_groups_nor_compiles(
     assert report.results == instantiate_on_trace(fresh, out).results
 
 
-def test_every_edit_in_place_gives_the_reference_rows(quickselect_unit):
-    """A goal replaced, a hypothesis appended in place, a source changed
-    from requires to lemma and an obligation removed each change the
-    verdicts, and after each the report is the reference's."""
+def test_every_edit_gives_the_reference_rows(quickselect_unit):
+    """A goal replaced, a hypothesis appended, a source changed from
+    requires to lemma and an obligation removed each change the verdicts,
+    and after each the report is the reference's. Each edit but the last
+    puts a replace copy in the member's place in the set's list."""
     qs = "find_nth_lowest_number"
     obs = generate_obligations(quickselect_unit, qs)
     out = run_traced(quickselect_unit, qs, [[4, 4, 1, -3, 7, 0], 6, 3])
-    ob = next(ob for ob in obs if ob.has_fresh)
+    k = next(k for k, ob in enumerate(obs) if ob.has_fresh)
+
+    def put(**changes):
+        ob = obs.obligations[k]
+        obs.obligations[k] = replace(ob, **changes, tables=(ob._forms, ob._renders))
 
     def negate_goal():
-        ob.goal = S.Unary(op="!", operand=ob.goal, ty=S.BOOL)
+        put(goal=S.Unary(op="!", operand=obs.obligations[k].goal, ty=S.BOOL))
 
     def append_false():
-        # the hypothesis and source lists are shared with other obligations
-        ob.hypotheses.append(S.BoolLit(value=False, ty=S.BOOL))
-        ob.hyp_sources.append("requires")
+        ob = obs.obligations[k]
+        put(hypotheses=(*ob.hypotheses, S.BoolLit(value=False, ty=S.BOOL)),
+            hyp_sources=(*ob.hyp_sources, "requires"))
 
     def to_lemma():
-        ob.hyp_sources[-1] = "lemma"
+        put(hyp_sources=(*obs.obligations[k].hyp_sources[:-1], "lemma"))
 
     def remove():
-        obs.obligations.remove(ob)
+        del obs.obligations[k]
 
     rows = report_rows(instantiate_on_trace(obs, out))
     assert rows == reference_rows(obs, out)

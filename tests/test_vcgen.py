@@ -2,7 +2,7 @@ import os
 import random
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -20,8 +20,8 @@ from miniwhy.typecheck import CTX_ENSURES, typecheck
 from miniwhy.vcgen import (Obligation, ObligationSet, Origin,
                            generate_obligations, instantiate_on_trace, wp)
 
-from helpers import (ProgramGen, nested_variants, sequential_branches,
-                     typed_formula)
+from helpers import (ProgramGen, nested_variants, report_rows,
+                     sequential_branches, typed_formula)
 
 TRANSLATE = """
 /*@ ensures x == \\old(x) + dx && y == \\old(y) + dy;
@@ -99,7 +99,7 @@ def test_lemma_obligations(lemmas_unit):
     ids = [ob.id for ob in obs]
     assert ids == ["lemma:double_div_pos", "lemma:double_div_zero"]
     pos = obs.by_id("lemma:double_div_pos")
-    assert pos.hypotheses == []
+    assert pos.hypotheses == () and pos.hyp_sources == ()
     assert expr_to_str(pos.goal) == \
         "\\forall real x y; x > 0 && y > 0 ==> x / y > 0"
 
@@ -532,7 +532,9 @@ def test_hand_built_havoc_obligations_validate_like_generated_ones(quickselect_u
     assert verdicts["pass"] and verdicts["fail"]
 
 
-def test_validation_follows_an_obligation_edited_in_place(quickselect_unit):
+def test_validation_follows_an_edited_obligation(quickselect_unit):
+    """An edit puts a replace copy in the member's place in the set's list;
+    the set's plan follows it."""
     obs = generate_obligations(quickselect_unit, "find_nth_lowest_number")
     ob = next(ob for ob in obs if ob.has_fresh)
     single = ObligationSet(unit=obs.unit, unit_digest=obs.unit_digest,
@@ -543,16 +545,71 @@ def test_validation_follows_an_obligation_edited_in_place(quickselect_unit):
     ((key, _, tests),) = single._trace_groups[1]
     # the negated goal has the same free symbols, so the obligation keeps
     # its group's key, and the set's plan is derived afresh
-    ob.goal = S.Unary(op="!", operand=ob.goal, ty=S.BOOL)
+    ob = single.obligations[0] = replace(ob, goal=S.Unary(op="!", operand=ob.goal,
+                                                          ty=S.BOOL))
     assert instantiate_on_trace(single, out).results[0].verdict == "fail"
     ((same_key, _, fresh),) = single._trace_groups[1]
     assert same_key == key and fresh is not tests
     assert fresh.tests == (vcgen.validation_formula(ob),)
-    ob.goal = S.BoolLit(value=False, ty=S.BOOL)
+    ob = single.obligations[0] = replace(ob, goal=S.BoolLit(value=False, ty=S.BOOL))
     assert instantiate_on_trace(single, out).results[0].verdict == "fail"
     # the goal has no free symbol now, so the obligation is in a new group
     ((new_key, _, _),) = single._trace_groups[1]
     assert new_key == (ob.origin.method, (), ())
+
+
+def test_obligations_are_frozen_so_siblings_share_hypotheses_safely(quickselect_unit):
+    """Quickselect's 51 main-pass obligations share one hypotheses tuple
+    and one sources tuple. An obligation is frozen, so an edit is a
+    replace copy: appending a hypothesis that faults on every state to
+    one of them changes its trace row alone, and its 50 siblings keep
+    their verdicts and trace rows."""
+    qs = "find_nth_lowest_number"
+    obs = generate_obligations(quickselect_unit, qs)
+    ob = obs.obligations[0]
+    with pytest.raises(FrozenInstanceError):
+        ob.goal = S.BoolLit(value=False, ty=S.BOOL)
+    assert len(obs) == 51
+    assert all(o.hypotheses is ob.hypotheses and o.hyp_sources is ob.hyp_sources
+               for o in obs)
+    out = exec_method(quickselect_unit, qs, [[4, 4, 1, -3, 7, 0], 6, 3],
+                      "rational", trace=True)
+
+    def outcomes(obset):
+        return ([(o.id, prove_internal(o).detail) for o in obset],
+                report_rows(instantiate_on_trace(obset, out)))
+
+    verdicts, rows = outcomes(obs)
+    faults = typed_formula("1 / 0 > 0", {})
+    obs.obligations[0] = replace(ob, hypotheses=(*ob.hypotheses, faults),
+                                 hyp_sources=(*ob.hyp_sources, "requires"),
+                                 tables=(obs._forms, obs._renders))
+    assert all(o.hypotheses is ob.hypotheses for o in obs.obligations[1:])
+    new_verdicts, new_rows = outcomes(obs)
+    assert new_rows[0] != rows[0] and new_rows[0][1] == "not-instantiable"
+    assert new_verdicts[1:] == verdicts[1:] and new_rows[1:] == rows[1:]
+
+
+def test_hypotheses_and_sources_pair_one_to_one():
+    """Sources left out are "?" each, which is not a lemma, so the prover
+    and trace validation read every hypothesis, as the exporters do; a
+    source list of another length is refused."""
+    sorts = {"x": S.INT}
+    hyps = [typed_formula("x > 0", sorts), typed_formula("x > 5", sorts)]
+    goal = typed_formula("x > 3", sorts)
+
+    def ob(sources):
+        return Obligation(id="m:000:assert", name="t", origin=Origin("m", 1, "assert"),
+                          hypotheses=hyps, hyp_sources=sources, goal=goal,
+                          var_sorts=sorts)
+
+    with pytest.raises(VcgenError, match="2 hypotheses but 1 sources"):
+        ob(["requires"])
+    unsourced = ob([])
+    assert unsourced.hyp_sources == ("?", "?")
+    assert expr_to_str(vcgen.validation_formula(unsourced)) == \
+        "x > 0 ==> x > 5 ==> x > 3"
+    assert prove_internal(unsourced).status == "proved-internal"
 
 
 def test_call_arguments_are_substituted_simultaneously():

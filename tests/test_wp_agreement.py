@@ -2,39 +2,15 @@
 in the initial state equals executing S and checking Q, exactly, in
 rational mode."""
 
-from miniwhy.interp import eval_formula, exec_method
-from miniwhy.parser import parse
-from miniwhy.typecheck import typecheck
-from miniwhy.vcgen import wp
-
-from helpers import ProgramGen, typed_formula
-
 TRIALS = 1000
 
 
-def run_triple(gen: ProgramGen):
-    src, post_text = gen.program()
-    tu = typecheck(parse(src))
-    m = tu.method("m")
-    post = typed_formula(post_text, dict(m.params))
-    pre, sides = wp(tu, "m", m.body, post)
-    assert sides == []          # no division, arrays or asserts generated
-    sigma = gen.state()
-
-    lhs = eval_formula(pre, {"Here": dict(sigma), "Old": dict(sigma)},
-                       "rational")
-    args = [sigma[n] for n, _ in m.params]
-    out = exec_method(tu, "m", args, "rational", trace=True)
-    assert out.status == "normal", out.error
-    final = [s for s in out.trace if s.kind == "exit"][0].state
-    rhs = eval_formula(post, {"Here": final, "Old": dict(sigma)}, "rational")
-    return lhs, rhs, src, post_text, sigma
-
-
-def test_wp_agrees_with_execution_on_1000_random_triples():
+def test_wp_agrees_with_execution_on_1000_random_triples(wp_triples):
+    assert len(wp_triples) == TRIALS
     mismatches = []
-    for seed in range(TRIALS):
-        lhs, rhs, src, post, sigma = run_triple(ProgramGen(seed))
-        if lhs != rhs:
-            mismatches.append((seed, src, post, sigma, lhs, rhs))
+    for t in wp_triples:
+        assert t.sides == []    # no division, arrays or asserts generated
+        assert t.status == "normal", t.error
+        if t.lhs != t.rhs:
+            mismatches.append((t.seed, t.src, t.post, t.sigma, t.lhs, t.rhs))
     assert not mismatches, mismatches[:3]
