@@ -2,6 +2,12 @@
 s-expressions, each with its own well-formedness validator. All output is
 UTF-8 with LF line endings and byte-stable across runs.
 
+The SMT-LIB and s-expression validators read their document with one
+s-expression reader (`_parse_sexprs`) and check the forms it returns. The
+XML validator reads its document in one streaming `pyexpat` pass that
+builds no tree: it checks each element as it opens and counts its children
+as it closes, so it names the first fault in document order.
+
 Each dialect states its operator vocabulary once, in a module-level table
 (`_SMT_OP`, `_XML_BINARY`, `_SEXP_OP`). The XML writer is one function from
 a node to its element (`_xml_element`) and one emitter. The XML validator's
@@ -25,9 +31,9 @@ every writer renders each node object once and reuses its text, through a
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from fractions import Fraction
+from xml.parsers import expat
 
 from . import syntax as S
 from .errors import ExportError
@@ -189,7 +195,8 @@ def export_smtlib(ob) -> ExportDoc:
 # a `;` comment to the end of its line, a parenthesis, a token (which may
 # hold `|...|` quoted parts, blanks included), or an unmatched `|`; the
 # blanks between them are skipped
-_SEXP_LEXEME = re.compile(r";[^\n]*|[()]|(?:[^ \t\r\n();|]+|\|[^|]*\|)+|\|")
+_SEXP_LEXEME = re.compile(r";[^\n]*|[()]|[^ \t\r\n();|]+(?:\|[^|]*\|[^ \t\r\n();|]*)*"
+                          r"|(?:\|[^|]*\|[^ \t\r\n();|]*)+|\|")
 
 
 def _parse_sexprs(text: str) -> list:
@@ -214,7 +221,7 @@ def _parse_sexprs(text: str) -> list:
     return out
 
 
-_SMT_COMMANDS = {"set-logic", "declare-fun", "declare-const", "assert", "check-sat"}
+_SMT_COMMANDS = ("set-logic", "declare-fun", "declare-const", "assert", "check-sat")
 
 
 def validate_smtlib(doc: ExportDoc) -> bool:
@@ -365,57 +372,75 @@ def export_xml(obset) -> ExportDoc:
     return ExportDoc(format="xll-xml", text="\n".join(out) + "\n")
 
 
-# formula elements mirrored from schemas/xll.xsd: tag -> (attributes,
-# number of children)
-_FORMULA_ELEMENTS = {
+# formula elements mirrored from schemas/xll.xsd: tag -> (attributes, as
+# dict keys, ordered and compared as sets, number of children)
+_FORMULA_ELEMENTS = {tag: (dict.fromkeys(need).keys(), arity) for tag, (need, arity) in {
     "forall": (("var", "type"), 1), "implies": ((), 2), "and": ((), 2),
     "or": ((), 2), "not": ((), 1), "neg": ((), 1), "cmp": (("op",), 2),
     "arith": (("op",), 2), "var": (("name", "state"), 0),
     "const": (("type", "value"), 0), "select": ((), 2), "store": ((), 3),
     "length": ((), 1), "coerce": ((), 1), "permut": (("lo-label", "hi-label"), 4),
     "newarray": (("elem",), 1),
-}
+}.items()}
+# the fault of an element with the wrong number of children, by tag
+_COUNT_FAULTS = {"obligation": "<obligation> must contain <hypotheses> then <goal>",
+                 "goal": "<goal> must contain exactly one formula"}
+
+
+def _name(tag: str) -> str:
+    """A name as ElementTree prints it: the parser's `uri}local` is `{uri}local`."""
+    return "{" + tag if "}" in tag else tag
 
 
 def validate_xml(doc: ExportDoc) -> bool:
+    # one [tag, children seen, children needed or None] per open element
+    stack = [["", 0, None]]         # the document's: its one child is the root
+
+    def start(tag, attrs):
+        parent = stack[-1]
+        parent[1] += 1
+        if parent[0] == "":
+            if tag != "obligations":
+                raise ExportError(f"root element must be <obligations>, got <{_name(tag)}>")
+            if "unit" not in attrs:
+                raise ExportError("<obligations> is missing the unit attribute")
+            stack.append([tag, 0, None])
+        elif parent[0] == "obligations":
+            if tag != "obligation":
+                raise ExportError(f"unexpected element <{_name(tag)}> under <obligations>")
+            for a in ("id", "name", "kind"):
+                if a not in attrs:
+                    raise ExportError(f"<obligation> is missing attribute {a!r}")
+            stack.append([tag, 0, 2])
+        elif parent[0] == "obligation":
+            if parent[1] > 2 or tag != ("hypotheses", "goal")[parent[1] - 1]:
+                raise ExportError(_COUNT_FAULTS["obligation"])
+            stack.append([tag, 0, 1 if tag == "goal" else None])
+        else:
+            check = _FORMULA_ELEMENTS.get(tag)
+            if check is None:
+                raise ExportError(f"unknown formula element <{_name(tag)}>")
+            need, arity = check
+            if attrs.keys() != need:
+                a = next((a for a in need if a not in attrs), None)
+                if a is not None:
+                    raise ExportError(f"<{tag}> is missing attribute {a!r}")
+                a = next(a for a in attrs if a not in need)
+                raise ExportError(f"<{tag}> has unexpected attribute {_name(a)!r}")
+            stack.append([tag, 0, arity])
+
+    def end(_):
+        tag, seen, needed = stack.pop()
+        if needed is not None and seen != needed:
+            raise ExportError(_COUNT_FAULTS.get(tag)
+                              or f"<{tag}> needs {needed} children, has {seen}")
+
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler, parser.EndElementHandler = start, end
     try:
-        root = ET.fromstring(doc.text)
-    except ET.ParseError as ex:
+        parser.Parse(doc.text, True)
+    except expat.ExpatError as ex:
         raise ExportError(f"not well-formed XML: {ex}") from None
-    if root.tag != "obligations":
-        raise ExportError(f"root element must be <obligations>, got <{root.tag}>")
-
-    def check_formula(el):
-        if el.tag not in _FORMULA_ELEMENTS:
-            raise ExportError(f"unknown formula element <{el.tag}>")
-        need, arity = _FORMULA_ELEMENTS[el.tag]
-        for a in need:
-            if a not in el.attrib:
-                raise ExportError(f"<{el.tag}> is missing attribute {a!r}")
-        for a in el.attrib:
-            if a not in need:
-                raise ExportError(f"<{el.tag}> has unexpected attribute {a!r}")
-        if len(el) != arity:
-            raise ExportError(f"<{el.tag}> needs {arity} children, has {len(el)}")
-        for ch in el:
-            check_formula(ch)
-
-    if "unit" not in root.attrib:
-        raise ExportError("<obligations> is missing the unit attribute")
-    for ob in root:
-        if ob.tag != "obligation":
-            raise ExportError(f"unexpected element <{ob.tag}> under <obligations>")
-        for a in ("id", "name", "kind"):
-            if a not in ob.attrib:
-                raise ExportError(f"<obligation> is missing attribute {a!r}")
-        if [ch.tag for ch in ob] != ["hypotheses", "goal"]:
-            raise ExportError("<obligation> must contain <hypotheses> then <goal>")
-        hyps, goal = ob[0], ob[1]
-        for ch in hyps:
-            check_formula(ch)
-        if len(goal) != 1:
-            raise ExportError("<goal> must contain exactly one formula")
-        check_formula(goal[0])
     return True
 
 

@@ -380,23 +380,23 @@ def prove_internal(ob: Obligation) -> ProofStatus:
     Every proof reads and fills the obligation's table `_forms`: the set's,
     shared by its members, or the obligation's own. The table also keeps
     the first status of each goal object under its hypotheses tuple and
-    sources tuple, three objects that name a frozen obligation with the
-    sorts and havoc loops vcgen derives from them: a repeat, which vcgen
-    lists where two listings state one obligation, takes a copy of that
-    status without being simplified or proved again. It keeps the printed
-    key of each boolean atom object too (`_atom_text`).
+    sources tuple, beside that obligation's havoc loops and sorts: a repeat
+    with equal loops and sorts, as vcgen lists where two listings state one
+    obligation, takes a copy of that status without being proved again.
+    It keeps the printed key of each boolean atom object too (`_atom_text`).
     A formula nested deeper than Python's stack ends in `unknown`, as the
     other resource caps do.
     """
     objs = ob.goal, ob.hypotheses, ob.hyp_sources
     hit = ob._forms.get_all(objs)
-    if hit is not None:
-        return _copy(hit)
+    if hit is not None and hit[:2] == (ob.loop_ids, ob.var_sorts):
+        return _copy(hit[2])
     try:
         status = _prove(ob)
     except RecursionError:
         status = ProofStatus("unknown", reason="resource cap: nesting too deep")
-    ob._forms.put_all(objs, _copy(status))
+    if hit is None:
+        ob._forms.put_all(objs, (ob.loop_ids, ob.var_sorts, _copy(status)))
     return status
 
 

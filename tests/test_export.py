@@ -5,6 +5,7 @@ import os
 import random
 import re
 import weakref
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import pytest
@@ -12,8 +13,8 @@ import pytest
 from miniwhy import corpus
 from miniwhy import syntax as S
 from miniwhy.errors import ExportError
-from miniwhy.export import (ExportDoc, _parse_sexprs, export_sexp, export_smtlib, export_xml,
-                            validate, validate_sexp, validate_smtlib,
+from miniwhy.export import (_FORMULA_ELEMENTS, ExportDoc, _parse_sexprs, export_sexp,
+                            export_smtlib, export_xml, validate, validate_sexp,
                             validate_xml)
 from miniwhy.prover import prove_internal
 from miniwhy.vcgen import Obligation, ObligationSet, Origin, generate_obligations
@@ -153,20 +154,230 @@ def test_obligation_inventories_match_goldens():
         assert inventory == golden(f"{entry.name}.obligations.txt"), entry.name
 
 
-def test_validators_reject_malformed_documents():
-    with pytest.raises(ExportError):
-        validate_smtlib(ExportDoc("smtlib2", "(assert (oops)"))
-    with pytest.raises(ExportError):
-        validate_smtlib(ExportDoc("smtlib2", "(set-logic AUFNIRA)\n"))  # no check-sat
-    with pytest.raises(ExportError):
-        validate_xml(ExportDoc("xll-xml", "<obligations><bad/></obligations>"))
-    with pytest.raises(ExportError):
-        validate_xml(ExportDoc(
-            "xll-xml",
-            '<obligations unit="u"><obligation id="i" name="n" kind="assert">'
-            "<hypotheses/><goal><mystery/></goal></obligation></obligations>"))
-    with pytest.raises(ExportError):
-        validate_sexp(ExportDoc("sexp", "(defthm only-two)"))
+def _xml_doc(element: str) -> str:
+    """An XML document whose one element under the root is element."""
+    return f'<obligations unit="u">{element}</obligations>'
+
+
+def _xml_obligation(parts=None, goal='<const type="bool" value="true"/>',
+                    attrs=' id="i" name="n" kind="assert"'):
+    """An <obligation> element: its attributes and its parts, or a goal
+    formula under empty hypotheses, as given."""
+    if parts is None:
+        parts = f"<hypotheses/><goal>{goal}</goal>"
+    return f"<obligation{attrs}>{parts}</obligation>"
+
+
+# (format, document, the ExportError's message): one row per raise of the
+# three validators and of the s-expression reader they share
+VALIDATOR_FAULTS = [
+    ("xll-xml", '<obligation unit="u"/>', "root element must be <obligations>, got <obligation>"),
+    ("xll-xml", '<obligations xmlns="urn:x" unit="u"></obligations>',
+     "root element must be <obligations>, got <{urn:x}obligations>"),
+    ("xll-xml", "<obligations><bad/></obligations>", "<obligations> is missing the unit attribute"),
+    ("xll-xml", _xml_doc("<goal/>"), "unexpected element <goal> under <obligations>"),
+    ("xll-xml", _xml_doc(_xml_obligation(attrs=' name="n" kind="assert"')),
+     "<obligation> is missing attribute 'id'"),
+    ("xll-xml", _xml_doc(_xml_obligation(attrs=' id="i" kind="assert"')),
+     "<obligation> is missing attribute 'name'"),
+    ("xll-xml", _xml_doc(_xml_obligation(attrs=' id="i" name="n"')),
+     "<obligation> is missing attribute 'kind'"),
+    ("xll-xml", _xml_doc(_xml_obligation("<goal/><hypotheses/>")),
+     "<obligation> must contain <hypotheses> then <goal>"),
+    ("xll-xml", _xml_doc(_xml_obligation("<hypotheses/>")),
+     "<obligation> must contain <hypotheses> then <goal>"),
+    ("xll-xml", _xml_doc(_xml_obligation('<hypotheses/><goal><const type="int" value="1"/>'
+                                         "</goal><goal/>")),
+     "<obligation> must contain <hypotheses> then <goal>"),
+    ("xll-xml", _xml_doc(_xml_obligation(goal="")), "<goal> must contain exactly one formula"),
+    ("xll-xml", _xml_doc(_xml_obligation(goal='<var name="p" state="here"/>' * 2)),
+     "<goal> must contain exactly one formula"),
+    ("xll-xml", _xml_doc(_xml_obligation(goal="<mystery/>")),
+     "unknown formula element <mystery>"),
+    ("xll-xml", _xml_doc(_xml_obligation("<hypotheses><mystery/></hypotheses>"
+                                         '<goal><const type="int" value="1"/></goal>')),
+     "unknown formula element <mystery>"),
+    ("xll-xml", _xml_doc(_xml_obligation(goal='<var name="p"/>')),
+     "<var> is missing attribute 'state'"),
+    ("xll-xml", _xml_doc(_xml_obligation(goal='<var name="p" state="here" op="lt"/>')),
+     "<var> has unexpected attribute 'op'"),
+    ("xll-xml", _xml_doc(_xml_obligation(
+        goal='<var xmlns:q="urn:q" name="p" state="here" q:op="lt"/>')),
+     "<var> has unexpected attribute '{urn:q}op'"),
+    ("xll-xml", _xml_doc(_xml_obligation(goal='<not><var name="p" state="here"/>'
+                                              '<var name="q" state="here"/></not>')),
+     "<not> needs 1 children, has 2"),
+    ("xll-xml", '<obligations unit="u">', "not well-formed XML: no element found: line 1, column 22"),
+    ("xll-xml", _xml_doc(_xml_obligation(goal="<not></and>")),
+     "not well-formed XML: mismatched tag: line 1, column 90"),
+    ("smtlib2", "", "empty SMT-LIB document"),
+    ("smtlib2", "; a comment\n", "empty SMT-LIB document"),
+    ("smtlib2", "x\n(check-sat)", "top-level form is not a command: 'x'"),
+    ("smtlib2", "()\n(check-sat)", "top-level form is not a command: []"),
+    ("smtlib2", "(push 1)\n(check-sat)", "unknown SMT-LIB command 'push'"),
+    ("smtlib2", "((assert x))\n(check-sat)", "unknown SMT-LIB command ['assert', 'x']"),
+    ("smtlib2", "(assert)\n(check-sat)", "assert takes exactly one term"),
+    ("smtlib2", "(assert p q)\n(check-sat)", "assert takes exactly one term"),
+    ("smtlib2", "(declare-fun x Int)\n(check-sat)", "declare-fun takes name, arguments, sort"),
+    ("smtlib2", "(set-logic AUFNIRA)\n", "missing (check-sat)"),
+    ("smtlib2", "(check-sat))", "unbalanced ')'"),
+    ("smtlib2", "(assert (oops)", "unbalanced '('"),
+    ("smtlib2", "(assert |x)\n(check-sat)", "unterminated quoted symbol"),
+    ("sexp", "", "expected exactly one defthm form"),
+    ("sexp", "(defthm a t)\n(defthm b t)", "expected exactly one defthm form"),
+    ("sexp", "defthm", "not a (defthm <name> <body>) form"),
+    ("sexp", "(defthm only-two)", "not a (defthm <name> <body>) form"),
+    ("sexp", "(defun f x)", "not a (defthm <name> <body>) form"),
+    ("sexp", "(defthm (f) t)", "not a (defthm <name> <body>) form"),
+    ("sexp", "(defthm a t))", "unbalanced ')'"),
+]
+
+
+@pytest.mark.parametrize("fmt, text, message", VALIDATOR_FAULTS,
+                         ids=[f"{fmt}-{i}" for i, (fmt, _, _) in enumerate(VALIDATOR_FAULTS)])
+def test_each_validator_fault_is_named(fmt, text, message):
+    with pytest.raises(ExportError, match=f"^{re.escape(message)}$"):
+        validate(ExportDoc(fmt, text))
+    # the reference checker names each XML fault alike
+    if fmt == "xll-xml":
+        with pytest.raises(ExportError, match=f"^{re.escape(message)}$"):
+            _reference_validate_xml(ExportDoc(fmt, text))
+
+
+def _reference_validate_xml(doc: ExportDoc) -> bool:
+    """The XML check over an ElementTree: the reference that the streaming
+    `validate_xml` must agree with."""
+    try:
+        root = ET.fromstring(doc.text)
+    except ET.ParseError as ex:
+        raise ExportError(f"not well-formed XML: {ex}") from None
+    if root.tag != "obligations":
+        raise ExportError(f"root element must be <obligations>, got <{root.tag}>")
+
+    def check_formula(el):
+        if el.tag not in _FORMULA_ELEMENTS:
+            raise ExportError(f"unknown formula element <{el.tag}>")
+        need, arity = _FORMULA_ELEMENTS[el.tag]
+        for a in need:
+            if a not in el.attrib:
+                raise ExportError(f"<{el.tag}> is missing attribute {a!r}")
+        for a in el.attrib:
+            if a not in need:
+                raise ExportError(f"<{el.tag}> has unexpected attribute {a!r}")
+        if len(el) != arity:
+            raise ExportError(f"<{el.tag}> needs {arity} children, has {len(el)}")
+        for ch in el:
+            check_formula(ch)
+
+    if "unit" not in root.attrib:
+        raise ExportError("<obligations> is missing the unit attribute")
+    for ob in root:
+        if ob.tag != "obligation":
+            raise ExportError(f"unexpected element <{ob.tag}> under <obligations>")
+        for a in ("id", "name", "kind"):
+            if a not in ob.attrib:
+                raise ExportError(f"<obligation> is missing attribute {a!r}")
+        if [ch.tag for ch in ob] != ["hypotheses", "goal"]:
+            raise ExportError("<obligation> must contain <hypotheses> then <goal>")
+        hyps, goal = ob[0], ob[1]
+        for ch in hyps:
+            check_formula(ch)
+        if len(goal) != 1:
+            raise ExportError("<goal> must contain exactly one formula")
+        check_formula(goal[0])
+    return True
+
+
+_START_TAG = re.compile(r"( *)<([\w-]+)((?: [\w:-]+=\"[^\"]*\")*)(/?)>$")
+_TAG_POOL = [*_FORMULA_ELEMENTS, "obligations", "obligation", "hypotheses", "goal",
+             "mystery"]
+
+
+def _corpus_xml_documents() -> list:
+    """The XML export of each corpus unit's obligations; quickselect's
+    763 000-character document is split into one document per
+    obligation."""
+    docs = []
+    for entry in corpus.corpus_sources():
+        obset = generate_obligations(corpus.unit(entry.name))
+        if len(obset.obligations) > 20:
+            docs += [export_xml(ObligationSet(obset.unit, "0", [ob])).text for ob in obset]
+        else:
+            docs.append(export_xml(obset).text)
+    return docs
+
+
+def _mutate(rng, text) -> str:
+    """text with one seeded edit: a line dropped, an element renamed (or
+    only its start tag), an attribute added or dropped, an obligation's
+    <hypotheses> and <goal> swapped, or a namespace declared."""
+    lines = text.split("\n")
+    starts = [i for i, line in enumerate(lines) if _START_TAG.match(line)]
+    i = rng.choice(starts)
+    indent, tag, attrs, empty = _START_TAG.match(lines[i]).groups()
+    edit = rng.choice(["drop line", "rename", "rename start", "add attribute",
+                       "drop attribute", "swap", "xmlns"])
+    if edit == "drop line":
+        del lines[rng.randrange(len(lines))]
+    elif edit in ("rename", "rename start"):
+        new = rng.choice(_TAG_POOL)
+        lines[i] = f"{indent}<{new}{attrs}{empty}>"
+        if edit == "rename" and not empty:
+            end = lines.index(f"{indent}</{tag}>", i)
+            lines[end] = f"{indent}</{new}>"
+    elif edit == "add attribute":
+        name = rng.choice(["op", "name", "unit", "state", "extra"])
+        lines[i] = f"{indent}<{tag}{attrs} {name}=\"x\"{empty}>"
+    elif edit == "drop attribute":
+        pairs = re.findall(r" [\w:-]+=\"[^\"]*\"", attrs)
+        if pairs:
+            pairs.pop(rng.randrange(len(pairs)))
+        lines[i] = f"{indent}<{tag}{''.join(pairs)}{empty}>"
+    elif edit == "swap":
+        opened = [j for j, line in enumerate(lines) if line == "    <hypotheses>"]
+        if opened:
+            h = rng.choice(opened)
+            g = lines.index("    <goal>", h)
+            end = lines.index("    </goal>", g)
+            lines[h:end + 1] = lines[g:end + 1] + lines[h:g]
+    else:
+        decl = rng.choice([' xmlns="urn:x"', ' xmlns:p="urn:p" p:op="lt"'])
+        lines[i] = f"{indent}<{tag}{decl}{attrs}{empty}>"
+    return "\n".join(lines)
+
+
+def _fault(check, text):
+    """The message of the ExportError check raises on text, None if it
+    accepts text."""
+    try:
+        check(ExportDoc("xll-xml", text))
+    except ExportError as ex:
+        return str(ex)
+    return None
+
+
+def test_the_streaming_xml_check_agrees_with_the_element_tree_check():
+    """500 seeded mutations of the corpus XML exports: both checks accept
+    or reject each alike, with the same message, except that the
+    streaming check stops at the first fault in document order, so a
+    structural fault before a syntax fault is the one it names."""
+    rng = random.Random(2048)
+    docs = _corpus_xml_documents()
+    seen = {"accepted": 0, "same fault": 0, "earlier fault": 0}
+    for _ in range(500):
+        text = _mutate(rng, rng.choice(docs))
+        reference, streaming = _fault(_reference_validate_xml, text), _fault(validate_xml, text)
+        if streaming == reference:
+            seen["accepted" if reference is None else "same fault"] += 1
+            continue
+        # the reference names a syntax fault; the first lines before it
+        # hold the structural fault the streaming check names
+        assert reference.startswith("not well-formed XML: "), (text, reference, streaming)
+        assert streaming is not None and not streaming.startswith("not well-formed")
+        line = int(re.search(r": line (\d+), column \d+$", reference)[1])
+        assert _fault(validate_xml, "\n".join(text.split("\n")[:line - 1])) == streaming
+        seen["earlier fault"] += 1
+    assert all(seen.values()), seen
 
 
 def test_existential_quantifier_rejected_in_sexp():

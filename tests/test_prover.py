@@ -456,6 +456,31 @@ def test_a_repeated_obligation_takes_a_copy_of_the_first_status(monkeypatch,
     assert len(proved) <= 39
 
 
+def test_a_copy_with_other_loops_or_sorts_on_a_shared_table_is_proved_afresh(monkeypatch):
+    """The repeat key names the goal, hypotheses and sources; a copy on the
+    same table whose havoc loops or sorts differ gets the verdict it gets
+    on tables of its own, and the first obligation keeps its own."""
+    f = typed_formula("x > 0.0", {"x": S.REAL})
+    ob = mk(f, sorts={"x": S.REAL})
+    assert prove_internal(ob).status == "refuted"
+    tables = ob._forms, ob._renders
+    copies = [replace(ob, loop_ids=(0,), tables=tables),
+              replace(ob, var_sorts={"x": S.INT}, tables=tables),
+              replace(ob, var_sorts={"x": S.REAL, "y": S.INT}, tables=tables)]
+    for copy in copies:
+        alone = prove_internal(replace(copy, tables=None))
+        assert alone.status == "unknown"
+        assert prove_internal(copy) == alone
+    assert "havoc" in prove_internal(copies[0]).reason
+    assert prove_internal(ob).status == "refuted"
+    # an equal copy is a repeat and is not proved again
+    proved = []
+    prove = prover._prove
+    monkeypatch.setattr(prover, "_prove", lambda o: proved.append(o) or prove(o))
+    again = replace(ob, var_sorts={"x": S.REAL}, tables=tables)
+    assert prove_internal(again).status == "refuted" and not proved
+
+
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin on seeded random systems
 

@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("parse+typecheck", "vcgen", "prover", "prover.simplify", "prover.fm",
-          "export", "validate")
+          "export", "validate", "validate.smtlib2", "validate.sexp", "validate.xml")
+FORMAT_STAGES = STAGES[-3:]
 TRACE_STAGES = ("exec+trace", "trace-first", "trace-later")
 UNITS = ("calculate_std_dev", "lemmas", "quickselect", "sqrt_newton", "translate")
 TRACED = ("quickselect", "sqrt_newton")
@@ -30,7 +33,12 @@ def test_stage_times_runs_one_rep_against_a_second_checkout(tmp_path):
         (s, u) for s in TRACE_STAGES for u in TRACED + ("corpus",)]
     # per side: ms, IQR, full collections, collector ms; then the ratio
     assert all(len(r) == 11 for r in rows)
-    assert all(re.fullmatch(r"\d+\.\d{3}~?", r[-1]) for r in rows)
+    # a unit with no document (of a format) validates in no time, and that
+    # ratio is undefined
+    assert all(re.fullmatch(r"\d+\.\d{3}~?", r[-1])
+               or (r[0].startswith("validate") and r[-1] == "nan"
+                   and r[2] == r[6] == "0.00")
+               for r in rows)
     # then eval_formula calls and instantiations per pass, per side: the
     # same for a checkout against itself, and never more calls than
     # instantiations
@@ -56,6 +64,10 @@ def test_stage_times_runs_one_rep_against_a_second_checkout(tmp_path):
         # simplify and elimination are timed as parts of the prover
         assert all(0 < rep["raw"][u][s] < rep["raw"][u]["prover"]
                    for u in UNITS for s in ("prover.simplify", "prover.fm"))
+        # the formats' validations tile validate
+        assert all(rep["raw"][u][s] >= 0 for u in UNITS for s in FORMAT_STAGES)
+        assert all(sum(rep["raw"][u][s] for s in FORMAT_STAGES)
+                   == pytest.approx(rep["raw"][u]["validate"], abs=1e-9) for u in UNITS)
         assert all(rep["raw"][u][s] > 0 for u in TRACED for s in TRACE_STAGES)
         assert all(set(rep["raw"][u]) == set(STAGES) for u in UNITS if u not in TRACED)
 

@@ -13,7 +13,10 @@ Two sub-stages are parts of prover: prover.simplify, the time spent in
 Fourier-Motzkin elimination of each leaf). Each is timed by wrapping the
 name in `miniwhy.prover` that the prover calls, as perfbench's traced run
 does; so it is timed alike in any checkout whose prover calls the function
-through that name.
+through that name. Three sub-stages split validate by document format:
+validate.smtlib2, validate.sexp and validate.xml, each the time of
+`export.validate` on the pass's documents of that format; together they
+are validate.
 For quickselect and sqrt_newton it then times three stages of trace
 validation on a fixed set of rational inputs (TRACE_INPUTS): exec+trace
 (`exec_method` with trace recording, the unit already compiled), and
@@ -69,8 +72,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PIPELINE = ("parse+typecheck", "vcgen", "prover", "export", "validate")
 # prover's sub-stages: the name in miniwhy.prover each one times
 SUB_STAGES = {"prover.simplify": "simplify", "prover.fm": "_eliminate"}
-# the pipeline with prover's sub-stages after it
-PROVE_STAGES = PIPELINE[:3] + tuple(SUB_STAGES) + PIPELINE[3:]
+# validate's sub-stages: the document format each one times
+FORMAT_STAGES = {"validate.smtlib2": "smtlib2", "validate.sexp": "sexp",
+                 "validate.xml": "xll-xml"}
+# the pipeline with the sub-stages of prover and validate after each
+PROVE_STAGES = PIPELINE[:3] + tuple(SUB_STAGES) + PIPELINE[3:] + tuple(FORMAT_STAGES)
 TRACE_STAGES = ("exec+trace", "trace-first", "trace-later")
 COUNTED = TRACE_STAGES[1:]      # the trace stages that count eval_formula calls
 STAGES = PROVE_STAGES + TRACE_STAGES
@@ -170,12 +176,18 @@ def _one_pass(pkg, sources, sub_spent, collector, calls=None):
                 unit=obset.unit, unit_digest=obset.unit_digest,
                 obligations=residue, methods=obset.methods)))
         t.append(collector.mark())
+        by_format = {f: (0.0, 0, 0.0) for f in FORMAT_STAGES.values()}
+        mark = t[-1]
         for d in docs:
             export.validate(d)
-        t.append(collector.mark())
+            start, mark = mark, collector.mark()
+            by_format[d.format] = tuple(
+                x + y for x, y in zip(by_format[d.format], _diff(start, mark)))
+        t.append(mark)
         times[name] = {s: _diff(a, b) for s, a, b in zip(PIPELINE, t, t[1:])}
         times[name].update((s, _diff(sub_before[s], spent))
                            for s, spent in sub_spent.items())
+        times[name].update((s, by_format[f]) for s, f in FORMAT_STAGES.items())
         if name in TRACE_INPUTS:
             interp.compile_unit(tu, "rational")         # in no stage
             t = [collector.mark()]
@@ -325,7 +337,7 @@ def main(argv=None) -> int:
             reps[side].append(_run_child(sides[side], args.passes))
     summary = {side: _summary(r, units) for side, r in reps.items()}
 
-    head = f"{'stage':<16}{'unit':<20}{'this ms':>9}{'IQR':>16}{'gc2':>6}{'gc ms':>8}"
+    head = f"{'stage':<18}{'unit':<20}{'this ms':>9}{'IQR':>16}{'gc2':>6}{'gc ms':>8}"
     if args.against:
         head += f"{'against ms':>12}{'IQR':>16}{'gc2':>6}{'gc ms':>8}{'ratio':>8}"
     print(head)
@@ -338,19 +350,19 @@ def main(argv=None) -> int:
     for s in STAGES:
         for u in summary["this"][s]:
             row = summary["this"][s][u]
-            line = f"{s:<16}{u:<20}{columns(row, 9)}"
+            line = f"{s:<18}{u:<20}{columns(row, 9)}"
             if args.against:
                 other = summary["against"][s][u]
                 line += f"{columns(other, 12)}{_ratio(row, other):>8}"
             print(line)
     print()
-    head = f"{'counts per pass':<16}{'unit':<20}{'this calls':>11}{'inst':>8}"
+    head = f"{'counts per pass':<18}{'unit':<20}{'this calls':>11}{'inst':>8}"
     if args.against:
         head += f"{'against calls':>15}{'inst':>8}"
     print(head)
     for s in COUNTED:
         for u in _units(s, units):
-            line = f"{s:<16}{u:<20}"
+            line = f"{s:<18}{u:<20}"
             for side, width in (("this", 11), ("against", 15)):
                 if side in reps:
                     n, inst = reps[side][0]["counts"][u][s]
