@@ -8,12 +8,14 @@ runtime checks, trace validation and the prover's counterexample verifier
 share one semantics.
 
 Most of a check's time is Python calls between closures, so the compiler
-fuses the commonest shapes into one closure each (superoperators). A leaf
-operand of a comparison, or of `+ - *` (except binary64 real arithmetic,
-which checks each result), is read inside the operator's closure rather
-than through a closure of its own: a variable of the
-current state or a havoc symbol as its slot f.cur[i], a quantifier binder
-or a literal as cell[0] of a one-element list. Reads of the Old and
+fuses the commonest shapes into one closure each (superoperators). Each
+comparison and each `+ - *`, and `/` in binary64, is one closure with the
+operator inline, whose body is made for its pair of operand kinds; binary64
+real arithmetic checks its result for overflow, and its division the
+divisor for zero, in the same closure. A leaf operand is read inside the
+operator's closure rather than through a closure of its own: a variable of
+the current state or a havoc symbol as its slot f.cur[i], a quantifier
+binder or a literal as cell[0] of a one-element list. Reads of the Old and
 LoopEntry states, and every other operand, stay closures. An array read
 `a[i]` with `a` a slot and `i` a leaf reads both in place, and so does a
 quantifier's lone lower and upper bound, `leaf + c` or `leaf - c`
@@ -82,16 +84,16 @@ made the consequent false.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import repeat
 
 from . import syntax as S
 from .errors import ContractViolation, EvalError, ExecutionFault
+from .printer import pretty_print
 from .typecheck import TypedUnit
-from .values import (BINARY64, RATIONAL, check_finite, coerce_arg,
-                     norm_rational, value_repr)
+from .values import (BINARY64, RATIONAL, coerce_arg, norm_rational,
+                     value_repr)
 
 RET = object()          # return signal from statement closures
 
@@ -300,19 +302,54 @@ def _reader(kind, x):
     return x
 
 
-# f -> op(left value, right value), for each pair of operand kinds
-_FUSED = {
-    (_SLOT, _SLOT): lambda op, a, b: lambda f: op(f.cur[a], f.cur[b]),
-    (_SLOT, _CELL): lambda op, a, b: lambda f: op(f.cur[a], b[0]),
-    (_SLOT, _FN): lambda op, a, b: lambda f: op(f.cur[a], b(f)),
-    (_CELL, _SLOT): lambda op, a, b: lambda f: op(a[0], f.cur[b]),
-    (_CELL, _CELL): lambda op, a, b: lambda f: op(a[0], b[0]),
-    (_CELL, _FN): lambda op, a, b: lambda f: op(a[0], b(f)),
-    (_FN, _SLOT): lambda op, a, b: lambda f: op(a(f), f.cur[b]),
-    (_FN, _CELL): lambda op, a, b: lambda f: op(a(f), b[0]),
-    (_FN, _FN): lambda op, a, b: lambda f: op(a(f), b(f)),
+# Superoperators: f -> `left op right`, one closure body per operator and
+# pair of operand kinds, with the operator inline and each leaf operand read
+# in place. A family's body is a template, expanded by exec the first time a
+# (family, operator, kinds) is met, so the table holds at most 13 * 9
+# factories and no closure; the operator's text comes from _OPERATOR_TEXT,
+# never from a node. Binary64 real arithmetic checks its result inline: for
+# a float v, `v - v` is NaN, so true, exactly when v is not finite. Its
+# division first faults on a zero divisor.
+_OPERATOR_TEXT = {op: op for op in (*S.COMPARE, "+", "-", "*", "/")}
+_OPERAND_TEXT = {_SLOT: "f.cur[{}]", _CELL: "{}[0]", _FN: "{}(f)"}
+_FINITE = """
+        if v - v:
+            raise ExecutionFault("real overflow in binary64 mode", line)
+        return v"""
+_SUPEROPERATOR = {
+    "plain": """
+        return {l} {op} {r}""",
+    "binary64": """
+        v = {l} {op} {r}""" + _FINITE,
+    "binary64 /": """
+        n = {l}
+        d = {r}
+        if d == 0.0:
+            raise ExecutionFault("division by zero", line)
+        v = n / d""" + _FINITE,
 }
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_FACTORY = """\
+def make(a, b, line):
+    def superoperator(f):{body}
+    return superoperator
+"""
+_MAKERS = {}        # (family, operator, left kind, right kind) -> factory
+
+
+def _superoperator(family, op, left, right, line):
+    """The closure of `left op right` in family, each operand a pair
+    (kind, x) of _operand."""
+    (lk, a), (rk, b) = left, right
+    key = family, op, lk, rk
+    make = _MAKERS.get(key)
+    if make is None:
+        source = _FACTORY.format(body=_SUPEROPERATOR[family].format(
+            op=_OPERATOR_TEXT[op], l=_OPERAND_TEXT[lk].format("a"),
+            r=_OPERAND_TEXT[rk].format("b")))
+        scope = {"ExecutionFault": ExecutionFault}
+        exec(compile(source, f"<superoperator {' '.join(key)}>", "exec"), scope)
+        make = _MAKERS[key] = scope["make"]
+    return make(a, b, line)
 
 
 def _bounds_fault(i, n, line):
@@ -509,29 +546,9 @@ def _compile_binary(e: S.Binary, ctx: CompileCtx, state: str):
     if op in ("&&", "||", "==>"):
         return _compile_connective(e, ctx, state)
     line = e.pos[0]
-    real64 = ctx.mode == BINARY64 and e.ty == S.REAL
-    # binary64 real arithmetic checks each result: a fused closure that
-    # calls a checking function measured slower than these
-    if op in S.COMPARE or (op in _ARITH and not real64):
-        lk, l = _operand(e.left, ctx, state)
-        rk, r = _operand(e.right, ctx, state)
-        return _FUSED[lk, rk](S.COMPARE.get(op) or _ARITH[op], l, r)
-    l = compile_expr(e.left, ctx, state)
-    r = compile_expr(e.right, ctx, state)
-    if op == "+":
-        return lambda f: check_finite(l(f) + r(f), line)
-    if op == "-":
-        return lambda f: check_finite(l(f) - r(f), line)
-    if op == "*":
-        return lambda f: check_finite(l(f) * r(f), line)
-    if op == "/":
-        if ctx.mode == BINARY64:
-            def div64(f):
-                n, d = l(f), r(f)
-                if d == 0.0:
-                    raise ExecutionFault("division by zero", line)
-                return check_finite(n / d, line)
-            return div64
+    if op == "/" and ctx.mode == RATIONAL:
+        l = compile_expr(e.left, ctx, state)
+        r = compile_expr(e.right, ctx, state)
 
         def divq(f):
             n, d = l(f), r(f)
@@ -543,7 +560,17 @@ def _compile_binary(e: S.Binary, ctx: CompileCtx, state: str):
                 q = n / d
             return q.numerator if q.denominator == 1 else q
         return divq
-    raise EvalError(f"cannot evaluate operator {op!r}")
+    left = _operand(e.left, ctx, state)
+    right = _operand(e.right, ctx, state)
+    if op not in _OPERATOR_TEXT:
+        raise EvalError(f"cannot evaluate operator {op!r}")
+    if op == "/":
+        family = "binary64 /"
+    elif ctx.mode == BINARY64 and e.ty == S.REAL:
+        family = "binary64"
+    else:
+        family = "plain"
+    return _superoperator(family, op, left, right, line)
 
 
 def _permut(a1, a2, lo, hi, line=0):
@@ -1043,10 +1070,11 @@ def exec_method(tunit: TypedUnit, method: str, args, mode: str = RATIONAL, *,
 
 
 def unit_digest(tunit: TypedUnit) -> str:
-    import hashlib
-
-    from .printer import pretty_print
     if not tunit._digest:
+        # imported where a unit's digest is first computed, not with this
+        # module: loading hashlib's OpenSSL backend takes about 3 ms of
+        # every process's start
+        import hashlib
         tunit._digest = hashlib.sha256(pretty_print(tunit.source).encode()).hexdigest()[:16]
     return tunit._digest
 

@@ -72,12 +72,6 @@ def coerce_arg(v, ty, mode: str):
     return coerce_value(v, ty.kind, mode)
 
 
-def check_finite(x: float, line=None) -> float:
-    if not math.isfinite(x):
-        raise ExecutionFault("real overflow in binary64 mode", line)
-    return x
-
-
 def decimal_text(q: Fraction):
     """The exact decimal text of q (`-1.25`, `3.0`), or None when q has no
     finite decimal expansion."""

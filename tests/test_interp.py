@@ -1,3 +1,4 @@
+import builtins
 import gc
 import itertools
 import json
@@ -115,6 +116,43 @@ def test_binary64_overflow_is_a_runtime_error():
     assert out.status == "runtime-error"
     assert "overflow" in out.error
     assert exec_method(tu, "f", [10 ** 200], "rational").status == "normal"
+
+
+@pytest.mark.parametrize("c, status, want, checks", [
+    (642.093481, "contract-violation", ("invariant-preserved", 13), 11),
+    (787487659.0, "normal", 28062.210515210667, 24),
+    (1e308, "runtime-error", "real overflow in binary64 mode at line 13", 2),
+])
+def test_binary64_newton_outcomes_are_pinned(sqrt_unit, c, status, want, checks):
+    """Three binary64 runs of the corpus Newton square root, with their
+    verdict, value or fault, and checks passed. Annotations are evaluated
+    in doubles here; reading them over the doubles' exact values, as
+    planned, will move the first two on purpose: 642.093481's `t*t`
+    rounds to exactly c, though exactly it exceeds c, and 787487659.0's
+    `r*r - c` rounds below 1.2E-7, though exactly it is above."""
+    out = exec_method(sqrt_unit, "sqrt", [c], "binary64")
+    assert (out.status, out.checks_passed) == (status, checks)
+    if status == "contract-violation":
+        assert (out.report[-1].kind, out.report[-1].line) == want
+    elif status == "normal":
+        assert out.return_value == want
+    else:
+        assert out.error == want
+
+
+def test_a_warm_exec_method_imports_nothing(sqrt_unit, monkeypatch):
+    exec_method(sqrt_unit, "sqrt", [2.0], "binary64")
+    imported = []
+    real_import = builtins.__import__
+
+    def counting_import(name, *args, **kwargs):
+        imported.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    exec_method(sqrt_unit, "sqrt", [2.0], "binary64")
+    monkeypatch.undo()
+    assert imported == []
 
 
 def test_requires_violation_reports_caller_error(sqrt_unit):
@@ -469,6 +507,7 @@ FUSED_OPERANDS = {  # (type, operand kind) -> texts; k is the binder
 FUSED_KINDS = ("slot", "cell", "const", "old", "compound")
 FUSED_RANGE = range(0, 2)       # the binder's range in every quantifier
 FUSED_QUANTIFIER = "\\forall integer k; 0 <= k && k <= 1 ==> "
+BINARY64_EXTREMES = (1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0, 1.5)
 
 
 def _fused_atoms():
@@ -479,7 +518,7 @@ def _fused_atoms():
         kinds = [k for k in FUSED_KINDS if (ty, k) in FUSED_OPERANDS]
         rng = random.Random(ty)
         for lk, rk in itertools.product(kinds, kinds):
-            for op in QuantifierGen.OPS + ["+", "-", "*"]:
+            for op in QuantifierGen.OPS + ["+", "-", "*", "/"]:
                 left = rng.choice(FUSED_OPERANDS[ty, lk])
                 right = rng.choice(FUSED_OPERANDS[ty, rk])
                 if op in QuantifierGen.OPS:
@@ -511,10 +550,14 @@ def _fused_chain(rng, atoms, first):
     return text
 
 
-def _fused_state(rng, mode):
+def _fused_state(rng, mode, extreme=False):
+    """(Here, Old) states; extreme ones hold binary64 reals at the ends of
+    the range, where + - * / overflow or divide by a zero."""
     real = float if mode == "binary64" else (lambda v: v)
 
     def value():
+        if extreme:
+            return rng.choice(BINARY64_EXTREMES)
         return real(Fraction(rng.randint(-2, 4), 2))
 
     def one():
@@ -583,22 +626,28 @@ def _walked(f, states, mode):
 
 @pytest.mark.parametrize("mode", ["rational", "binary64"])
 def test_fused_operators_and_flat_chains_evaluate_as_the_tree(mode):
-    """Every pair of operand kinds under each comparison and under + - *,
-    in chains of 1-5 operands of &&, || and ==>, gives the value, or the
-    fault class and text, of a plain walk over the tree."""
+    """Every pair of operand kinds under each comparison and under
+    + - * /, in chains of 1-5 operands of &&, || and ==>, gives the value,
+    or the fault class and text, of a plain walk over the tree. In binary64
+    a fourth state per formula holds extreme reals, so that the overflow
+    and zero-divisor checks are reached through every operand kind."""
     atoms = _fused_atoms()
     rng = random.Random(mode)
-    outcomes, lengths = set(), set()
+    outcomes, faults = set(), set()
     for atom in atoms:
         text = _fused_chain(rng, atoms, atom)
         f = typed_formula(text, FUSED_TYPES, CTX_ENSURES)
-        for i in range(3):
-            here, old = _fused_state(rng, mode)
-            states = {"Here": here, "Old": old} if i < 2 else {"Here": here}
+        for i in range(4 if mode == "binary64" else 3):
+            here, old = _fused_state(rng, mode, extreme=i == 3)
+            states = {"Here": here} if i == 2 else {"Here": here, "Old": old}
             want = _walked(f, states, mode)
             assert _outcome(f, states, mode) == want, (text, states)
             outcomes.add(want if isinstance(want, bool) else want[0])
+            faults.add(None if isinstance(want, bool) else want[1])
     assert outcomes == {True, False, ExecutionFault, EvalError}
+    if mode == "binary64":
+        assert {"real overflow in binary64 mode at line 1",
+                "division by zero at line 1"} <= faults
 
 
 @pytest.mark.parametrize("mode", ["rational", "binary64"])

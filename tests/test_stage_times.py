@@ -16,6 +16,7 @@ FORMAT_STAGES = STAGES[-3:]
 TRACE_STAGES = ("exec+trace", "trace-first", "trace-later")
 UNITS = ("calculate_std_dev", "lemmas", "quickselect", "sqrt_newton", "translate")
 TRACED = ("quickselect", "sqrt_newton")
+EXEC_STAGES = {"exec.binary64": "sqrt_newton", "exec.rational": "quickselect"}
 
 
 def test_stage_times_runs_one_rep_against_a_second_checkout(tmp_path):
@@ -30,12 +31,14 @@ def test_stage_times_runs_one_rep_against_a_second_checkout(tmp_path):
     rows = [line.split() for line in lines[1:blank]]
     assert [(r[0], r[1]) for r in rows] == [
         (s, u) for s in STAGES for u in UNITS + ("corpus",)] + [
-        (s, u) for s in TRACE_STAGES for u in TRACED + ("corpus",)]
-    # per side: ms, IQR, full collections, collector ms; then the ratio
+        (s, u) for s in TRACE_STAGES for u in TRACED + ("corpus",)] + [
+        (s, u) for s, unit in EXEC_STAGES.items() for u in (unit, "corpus")]
+    # per side: ms, IQR, full collections, collector ms; then the ratio,
+    # unresolved with one rep
     assert all(len(r) == 11 for r in rows)
     # a unit with no document (of a format) validates in no time, and that
     # ratio is undefined
-    assert all(re.fullmatch(r"\d+\.\d{3}~?", r[-1])
+    assert all(re.fullmatch(r"\d+\.\d{3}~", r[-1])
                or (r[0].startswith("validate") and r[-1] == "nan"
                    and r[2] == r[6] == "0.00")
                for r in rows)
@@ -69,18 +72,46 @@ def test_stage_times_runs_one_rep_against_a_second_checkout(tmp_path):
         assert all(sum(rep["raw"][u][s] for s in FORMAT_STAGES)
                    == pytest.approx(rep["raw"][u]["validate"], abs=1e-9) for u in UNITS)
         assert all(rep["raw"][u][s] > 0 for u in TRACED for s in TRACE_STAGES)
+        assert all(rep["raw"][u][s] > 0 for s, u in EXEC_STAGES.items())
         assert all(set(rep["raw"][u]) == set(STAGES) for u in UNITS if u not in TRACED)
+        assert all(set(rep["raw"][u]) == set(STAGES + TRACE_STAGES) | {
+            s for s, unit in EXEC_STAGES.items() if unit == u} for u in TRACED)
 
 
-def test_a_ratio_is_unresolved_when_the_iqrs_overlap():
+def _tool():
     spec = importlib.util.spec_from_file_location(
         "stage_times", ROOT / "tools" / "stage_times.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    # (median, q1, q3, full collections, collector ms)
-    parent = (10.0, 9.5, 10.5, 0, 0.1)
-    assert tool._ratio((10.8, 10.4, 11.2, 0, 0.1), parent) == "1.080~"
-    assert tool._ratio((10.8, 10.6, 11.2, 0, 0.1), parent) == "1.080"
-    assert tool._ratio((9.0, 8.8, 9.5, 0, 0.1), parent) == "0.900~"
-    assert tool._ratio((9.0, 8.8, 9.4, 0, 0.1), parent) == "0.900"
-    assert tool._ratio((1.0, 1.0, 1.0, 0, 0.0), (0.0, 0.0, 0.0, 0, 0.0)) == "nan"
+    return tool
+
+
+def test_a_ratio_is_unresolved_when_the_iqrs_overlap():
+    tool = _tool()
+    # (median, q1, q3, full collections, collector ms, reps)
+    parent = (10.0, 9.5, 10.5, 0, 0.1, 5)
+    assert tool._ratio((10.8, 10.4, 11.2, 0, 0.1, 5), parent) == "1.080~"
+    assert tool._ratio((10.8, 10.6, 11.2, 0, 0.1, 5), parent) == "1.080"
+    assert tool._ratio((9.0, 8.8, 9.5, 0, 0.1, 5), parent) == "0.900~"
+    assert tool._ratio((9.0, 8.8, 9.4, 0, 0.1, 5), parent) == "0.900"
+    assert tool._ratio((1.0, 1.0, 1.0, 0, 0.0, 5), (0.0, 0.0, 0.0, 0, 0.0, 5)) == "nan"
+
+
+def test_a_ratio_over_three_drifting_reps_is_unresolved():
+    """Three reps of the same code, the machine slowing between reps, give
+    quartiles that do not overlap; with so few reps the ratio is `~`."""
+    tool = _tool()
+    units = ["u"]
+
+    def reps(ms):
+        return [{table: {"u": {s: v for s in tool.STAGES}}
+                 for table, v in (("scaled", m / 1e3), ("gc_full", 0), ("gc_s", 0.0))}
+                for m in ms]
+    this = tool._summary(reps([10.0, 10.3, 10.6]), units)["vcgen"]["u"]
+    other = tool._summary(reps([10.9, 11.2, 11.5]), units)["vcgen"]["u"]
+    assert this[2] < other[1]                   # the IQRs do not overlap
+    assert tool._ratio(this, other) == "0.920~"
+    # the same values with five reps a side are resolved
+    this = tool._summary(reps([10.0, 10.15, 10.3, 10.45, 10.6]), units)["vcgen"]["u"]
+    other = tool._summary(reps([10.9, 11.05, 11.2, 11.35, 11.5]), units)["vcgen"]["u"]
+    assert tool._ratio(this, other) == "0.920"

@@ -28,6 +28,11 @@ evaluation. The untimed warm-up pass counts, for each of the two, the
 calls of `vcgen.eval_formula` (one per evaluation the validator asks of
 the interpreter) and the instantiations its reports pass (the sum of each
 passed obligation's `N instantiation(s)`, the same in every checkout).
+Two stages time the interpreter alone, `exec_method` on fixed inputs with
+the unit already compiled (EXEC_INPUTS): exec.binary64, sqrt_newton's
+`sqrt` in binary64 mode on 200 seeded log-uniform inputs in [1E-9, 1E9]
+and three pinned ones, and exec.rational, quickselect on every 100th case
+of the criterion-2 grid in exact rational mode.
 
 Each rep starts a fresh interpreter per checkout, this one and the one given
 by --against, alternating which goes first. A process imports the package
@@ -48,8 +53,10 @@ reps of the scaled times in ms, then the medians over the reps of the full
 collections per pass (`gc2`) and of the collector's ms (`gc ms`); with
 --against the same for the other checkout, and the ratio of this
 checkout's median time to the other's. A ratio marked `~` is unresolved:
-the two checkouts' IQRs overlap, and stages whose code did not change move
-by several percent from run to run, so such a ratio tells no difference.
+the two checkouts' IQRs overlap, or either side has fewer than MIN_REPS
+reps: stages whose code did not change move by several percent from run to
+run, and the quartiles of three reps sit between their values, so such a
+ratio tells no difference.
 After a blank line, a second table gives the counts per pass of the trace
 stages of each traced unit, for each checkout.
 """
@@ -59,7 +66,9 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
+import itertools
 import json
+import random
 import statistics
 import subprocess
 import sys
@@ -79,7 +88,7 @@ FORMAT_STAGES = {"validate.smtlib2": "smtlib2", "validate.sexp": "sexp",
 PROVE_STAGES = PIPELINE[:3] + tuple(SUB_STAGES) + PIPELINE[3:] + tuple(FORMAT_STAGES)
 TRACE_STAGES = ("exec+trace", "trace-first", "trace-later")
 COUNTED = TRACE_STAGES[1:]      # the trace stages that count eval_formula calls
-STAGES = PROVE_STAGES + TRACE_STAGES
+
 # (method, args) per unit for the trace stages; other units skip them
 TRACE_INPUTS = {
     "quickselect": [("find_nth_lowest_number", [buf, len(buf), n]) for buf, n in (
@@ -87,6 +96,19 @@ TRACE_INPUTS = {
         ([0, 0, 3, -3, 0, 3], 0))],
     "sqrt_newton": [("sqrt", [Fraction(c)]) for c in ("2", "9/4", "0", "37/2")],
 }
+_rng = random.Random(13)
+# (unit, method, mode, argument lists) per interpreter stage
+EXEC_INPUTS = {
+    "exec.binary64": ("sqrt_newton", "sqrt", "binary64", [
+        [c] for c in [10.0 ** _rng.uniform(-9.0, 9.0) for _ in range(200)]
+        + [642.093481, 787487659.0, 1e308]]),
+    "exec.rational": ("quickselect", "find_nth_lowest_number", "rational", [
+        [list(vals), length, n] for length in range(1, 7)
+        for vals in itertools.product((0, 1, 2, 3), repeat=length)
+        for n in range(length)][::100]),
+}
+STAGES = PROVE_STAGES + TRACE_STAGES + tuple(EXEC_INPUTS)
+MIN_REPS = 5        # fewer reps on either side leave a ratio unresolved
 
 
 def _perfbench_run():
@@ -150,7 +172,8 @@ def _instantiations(report) -> int:
 def _one_pass(pkg, sources, sub_spent, collector, calls=None):
     """({unit: {stage: (seconds, full collections, collector seconds)}},
     {unit: {stage: (eval_formula calls, instantiations)}}) of one pass over
-    the units, the trace stages only for units with TRACE_INPUTS. sub_spent
+    the units, the trace stages only for units with TRACE_INPUTS and each
+    interpreter stage only for its unit in EXEC_INPUTS. sub_spent
     maps each of SUB_STAGES to the list `_time_calls` returned for it;
     calls, when given, is the one-element list that counts the calls of
     `vcgen.eval_formula` (see _count_calls), else the counts are 0."""
@@ -205,6 +228,13 @@ def _one_pass(pkg, sources, sub_spent, collector, calls=None):
                 "trace-first": (seen[1] - seen[0], _instantiations(reports[0])),
                 "trace-later": (seen[-1] - seen[1],
                                 sum(map(_instantiations, reports[1:])))}
+        for stage, (unit, method, mode, inputs) in EXEC_INPUTS.items():
+            if unit == name:
+                interp.compile_unit(tu, mode)           # in no stage
+                start = collector.mark()
+                for args in inputs:
+                    interp.exec_method(tu, method, args, mode)
+                times[name][stage] = _diff(start, collector.mark())
     return times, counts
 
 
@@ -275,14 +305,17 @@ def _run_child(root: Path, passes: int) -> dict:
 
 def _units(stage, units) -> list:
     """The units a pass times `stage` for."""
+    if stage in EXEC_INPUTS:
+        return [u for u in units if u == EXEC_INPUTS[stage][0]]
     return [u for u in units if stage in PROVE_STAGES or u in TRACE_INPUTS]
 
 
 def _summary(reps: list, units) -> dict:
     """{stage: {unit or 'corpus': (median, q1, q3, full collections,
-    collector ms)}}: the median and quartiles of the scaled ms, and the
-    medians of the full collections per pass and of the collector's ms, the
-    corpus row summing the units that ran the stage."""
+    collector ms, reps)}}: the median and quartiles of the scaled ms, the
+    medians of the full collections per pass and of the collector's ms, and
+    the number of reps, the corpus row summing the units that ran the
+    stage."""
     out = {}
     for s in STAGES:
         out[s] = {}
@@ -298,17 +331,18 @@ def _summary(reps: list, units) -> dict:
                 q1 = q3 = vals[0]
             out[s][u] = (statistics.median(vals), q1, q3,
                          statistics.median(per_rep("gc_full")),
-                         statistics.median(per_rep("gc_s", 1e3)))
+                         statistics.median(per_rep("gc_s", 1e3)), len(reps))
     return out
 
 
 def _ratio(row, other) -> str:
     """The ratio column: row's median over other's, marked `~` when the
-    two rows' IQRs overlap."""
+    two rows' IQRs overlap or either has fewer than MIN_REPS reps."""
     if not other[0]:
         return "nan"
     overlap = row[1] <= other[2] and other[1] <= row[2]
-    return f"{row[0] / other[0]:.3f}" + ("~" if overlap else "")
+    unresolved = overlap or min(row[5], other[5]) < MIN_REPS
+    return f"{row[0] / other[0]:.3f}" + ("~" if unresolved else "")
 
 
 def main(argv=None) -> int:
@@ -343,7 +377,7 @@ def main(argv=None) -> int:
     print(head)
 
     def columns(row, width):
-        m, q1, q3, full, collector_ms = row
+        m, q1, q3, full, collector_ms, _ = row
         return (f"{m:>{width}.2f}{f'{q1:.2f}-{q3:.2f}':>16}"
                 f"{full:>6g}{collector_ms:>8.2f}")
 
