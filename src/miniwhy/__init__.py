@@ -21,7 +21,7 @@ from .parser import parse
 from .printer import expr_to_str, pretty_print
 from .typecheck import TypedUnit, check_unit, typecheck
 from .values import BINARY64, RATIONAL
-from .interp import (CompiledFormula, ExecutionOutcome, check_permut,
+from .interp import (CompiledTests, ExecutionOutcome, check_permut,
                      compile_unit, eval_formula, exec_method)
 from .vcgen import (Obligation, ObligationSet, generate_obligations,
                     instantiate_on_trace, wp)
@@ -34,7 +34,7 @@ __all__ = [
     "__version__",
     "parse", "pretty_print", "expr_to_str",
     "typecheck", "check_unit", "TypedUnit",
-    "exec_method", "eval_formula", "CompiledFormula", "check_permut",
+    "exec_method", "eval_formula", "CompiledTests", "check_permut",
     "compile_unit",
     "ExecutionOutcome", "RATIONAL", "BINARY64",
     "wp", "generate_obligations", "instantiate_on_trace",

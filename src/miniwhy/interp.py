@@ -25,14 +25,15 @@ one closure over the tuple of its operands' closures. Operands are still
 evaluated left to right, with the short circuit of the nested form, so
 values, faults and their order are those of the plain tree.
 
-A standalone formula compiles into a CompiledFormula with a fixed slot
-layout, which eval_formula evaluates against any state bundle of that
-layout. Every compile runs under a memo (a `syntax.Memo`), one per method of
-a unit and one per standalone formula, so that a node object met more than
-once compiles to one closure. Nothing here retains compiled formulas or
-memos: their owner is the caller, and they live as long as it holds them.
-Closure trees are large next to the formulas they come from, so no
-module-level cache holds them.
+Formulas compile, bind and evaluate through one path, a CompiledTests
+(below): trace validation compiles the tests of a group together, and
+eval_formula compiles a standalone formula as a CompiledTests of that one
+test. Every compile runs under a memo (a `syntax.Memo`), one per method of
+a unit and one per (mode, layout) of a CompiledTests, so that a node
+object met more than once compiles to one closure. Nothing here retains
+compiled formulas or memos: their owner is the caller, and they live as
+long as it holds them. Closure trees are large next to the formulas they
+come from, so no module-level cache holds them.
 
 Binding a state coerces each value a formula reads to its variable's
 type. Every evaluation binds through a BindCache, a fresh one per
@@ -51,16 +52,16 @@ prefix trie keyed by closure, compressed into runs of closures; each
 consequent hangs at the node where its chain ends. One walk of the trie
 per bundle evaluates each shared prefix once: a false antecedent passes
 every live test under it vacuously, a fault ends every live test under it
-with the fault's message, and a test that ends is skipped by the later
-walks through the same cache. A closure that sits on more than one edge is
-read through a table that each walk makes afresh on its frame, so it runs
-once per bundle; a fault is never stored there. The tests that read no
+with the fault, and a test that ends is skipped by the later walks
+through the same cache. A closure that sits on more than one edge is read
+through a table that each walk makes afresh on its frame, so it runs once
+per bundle; a fault is never stored there. The tests that read no
 name at two types share a bind class, one frame per bundle: Old is bound
 once per cache, and Here starts as a copy of Old's slot list, so only the
 names whose values are not Old's very objects (in trace validation, the
 havoc and call-result values) are bound again. A value that fails to
 coerce ends only the tests that read its name, with the coercion's
-message. The caller owns the CompiledTests, which keeps its tries and
+fault. The caller owns the CompiledTests, which keeps its tries and
 nothing of an evaluation; trace validation keeps one per group on the
 ObligationSet.
 
@@ -1079,60 +1080,6 @@ def unit_digest(tunit: TypedUnit) -> str:
     return tunit._digest
 
 
-class CompiledFormula:
-    """A typed two-state formula compiled once for one state layout.
-
-    The layout is the sorted set of names over the state bundles the formula
-    is evaluated against; each name owns one slot. Binding coerces the value
-    of every slot the formula reads to that variable's type, as exec_method
-    coerces arguments. Compilation raises EvalError for a variable missing
-    from the layout or for nesting too deep to compile; a quantifier without
-    derivable bounds raises only when reached. The formula compiles under a
-    memo of its own, so a node object it holds more than once compiles to
-    one closure.
-    """
-
-    __slots__ = ("names", "mode", "_fn", "_binds")
-
-    def __init__(self, f: S.Expr, states: dict, mode: str = RATIONAL):
-        """Compile f for the layout of bundles shaped like `states`."""
-        self.names = frozenset(_bundle(states)[3])
-        self.mode = mode
-        slots = {n: i for i, n in enumerate(sorted(self.names))}
-        ctx = CompileCtx(slots, mode, S.Memo())
-        try:
-            self._fn = compile_expr(f, ctx)
-        except RecursionError:
-            raise EvalError(_TOO_DEEP) from None
-        reads = ctx.var_types
-        self._binds = {n: (i, reads.get(n)) for n, i in slots.items()}
-
-    def _bind(self, d, cache):
-        """d's slot list, each value the formula reads coerced through the
-        cache."""
-        if d is None:
-            return None
-        out = [None] * len(self._binds)
-        mode = self.mode
-        coerce = cache.coerce
-        for n, v in d.items():
-            i, ty = self._binds[n]
-            out[i] = coerce(v, ty, mode) if ty is not None else v
-        return out
-
-    def _evaluate(self, states: dict, cache) -> bool:
-        here, old, le, names = _bundle(states)
-        if names != self.names:
-            raise EvalError("state bundle names differ from the compiled "
-                            f"layout: {sorted(names ^ self.names)}")
-        # a standalone formula calls no method and reads no \result (both
-        # fail to compile), so its frame needs no kernel
-        frame = Frame(self._bind(here, cache), None)
-        frame.old = frame.cur if old is here else self._bind(old, cache)
-        frame.loopentry = self._bind(le, cache)
-        return bool(self._fn(frame))
-
-
 _TOO_DEEP = "formula nesting too deep to compile"
 _FAULTS = (EvalError, ExecutionFault)
 _ABSENT = object()          # a name missing from a state dict
@@ -1148,9 +1095,9 @@ class CompiledTests:
     compiled under one memo per (mode, layout). The tests that read no name
     at two types form a bind class, bound to one frame per bundle; each
     class keeps its tests in one prefix trie of antecedent closures (see
-    _Class). A test that fails to compile ends with its EvalError's message
-    on the first bundle of that layout that reaches it, and no other test
-    is affected. The tries live as long as this object; which tests have
+    _Class). A test that fails to compile ends with its EvalError on the
+    first bundle of that layout that reaches it, and no other test is
+    affected. The tries live as long as this object; which tests have
     ended, and every value computed on a bundle, live in the evaluation's
     BindCache and frame.
     """
@@ -1166,7 +1113,7 @@ class CompiledTests:
         # the layout is Here's names when they hold Old's, as they mostly do
         names = here.keys()
         if le is not None or old is not None and not names >= old.keys():
-            names = _bundle(states)[3]
+            names = set(names).union(old or (), le or ())
         for trie in self._tries:
             if trie.names == names and trie.mode == mode:
                 break
@@ -1177,16 +1124,15 @@ class CompiledTests:
         if alive is None:
             alive = cache.put(self, [True] * len(self.tests))
         ended = []
-        for t, message in trie.errors:
-            _end(alive, ended, (t,), message)
+        for t, ex in trie.errors:
+            _end(alive, ended, (t,), ex)
         for cls in trie.classes:
             cls.evaluate(here, old, le, cache, alive, ended)
         return ended
 
 
 def _end(alive, ended, tests, outcome):
-    """End each live test of tests with outcome, False or a fault's
-    message."""
+    """End each live test of tests with outcome, False or a fault."""
     for t in tests:
         if alive[t]:
             alive[t] = False
@@ -1195,7 +1141,7 @@ def _end(alive, ended, tests, outcome):
 
 class _Trie:
     """The tests of a CompiledTests compiled for one (mode, layout): the
-    compile errors as (test, message), and the bind classes."""
+    compile errors as (test, EvalError), and the bind classes."""
 
     __slots__ = ("names", "mode", "errors", "classes")
 
@@ -1212,10 +1158,11 @@ class _Trie:
                 antecedents = tuple(compile_expr(a, ctx) for a in antecedents)
                 consequent = compile_expr(consequent, ctx)
             except EvalError as ex:
-                self.errors.append((t, str(ex)))
+                # the trie outlives the compile, so it keeps none of its frames
+                self.errors.append((t, ex.with_traceback(None)))
                 continue
             except RecursionError:
-                self.errors.append((t, _TOO_DEEP))
+                self.errors.append((t, EvalError(_TOO_DEEP)))
                 continue
             reads = ctx.var_types
             for types, members in classes:
@@ -1315,9 +1262,9 @@ class _Class:
         if faults:
             for t, reads in self.reads:
                 if alive[t]:
-                    for name, message in faults:
+                    for name, ex in faults:
                         if name in reads:
-                            _end(alive, ended, (t,), message)
+                            _end(alive, ended, (t,), ex)
                             break
         todo = [self.root]
         while todo:
@@ -1331,7 +1278,7 @@ class _Class:
                 else:
                     p = None
             except _FAULTS as ex:
-                _end(alive, ended, tests, str(ex))
+                _end(alive, ended, tests, ex)
                 continue
             if p is not None:
                 continue            # every test under the node holds vacuously
@@ -1343,13 +1290,13 @@ class _Class:
                         continue
                     outcome = False
                 except _FAULTS as ex:
-                    outcome = str(ex)
+                    outcome = ex
                 _end(alive, ended, ts, outcome)
             todo += down
 
     def _frame(self, here, old, le, cache):
         """The bundle's frame, with an empty table, and the coercion
-        faults of the names read, (name, message) in binding order:
+        faults of the names read, (name, fault) in binding order:
         Here's, Old's, then LoopEntry's, each in its dict's order. Old and
         LoopEntry are bound once per cache; Here starts as a copy of Old's
         slot list, and only a name whose value is not Old's very object is
@@ -1359,7 +1306,8 @@ class _Class:
         if here is old:
             cur, faults = old_slots, old_faults
         else:
-            cur, faults = self._bind(here, cache, old and (old, old_slots, old_faults))
+            base = None if old is None else (old, old_slots, old_faults)
+            cur, faults = self._bind(here, cache, base)
         f = _WalkFrame(cur, None)
         f.old, f.loopentry, f.table = old_slots, le_slots, {}
         if old_faults or le_faults:
@@ -1403,7 +1351,7 @@ class _Class:
                 out[i] = coerce(v, ty, mode)
             except _FAULTS as ex:
                 out[i] = None
-                faults.append((n, str(ex)))
+                faults.append((n, ex))
         if shared != len(old):
             for n in old:
                 if n not in d:
@@ -1440,37 +1388,33 @@ def _labels(states: dict):
     return here, states.get("Old", states.get("Pre")), states.get("LoopEntry")
 
 
-def _bundle(states: dict):
-    """(Here, Old, LoopEntry, the set of names over all three)."""
-    here, old, le = _labels(states)
-    return here, old, le, set(here).union(old or (), le or ())
-
-
 def eval_formula(f, states: dict, mode: str = RATIONAL, *,
                  cache: BindCache = None):
     """Evaluate a typed two-state formula against labeled state snapshots.
 
-    f is an S.Expr, compiled here for the bundle's layout, or a
-    CompiledFormula of the same mode, whose layout the bundle must match.
-    states maps labels ('Here' required; 'Old'/'Pre', 'LoopEntry' optional)
-    to name->value dicts. Bounded integer quantifiers are enumerated; a
-    quantifier without derivable finite bounds raises EvalError. The
-    states are bound through `cache` (see BindCache), so they must not
-    change while it lives; without one the call binds through a fresh
-    cache of its own.
+    f is a CompiledTests or an S.Expr. states maps labels ('Here'
+    required; 'Old'/'Pre', 'LoopEntry' optional) to name->value dicts.
+    Bounded integer quantifiers are enumerated; a quantifier without
+    derivable finite bounds raises EvalError. The states are bound through
+    `cache` (see BindCache), so they must not change while it lives;
+    without one the call binds through a fresh cache of its own.
 
-    f may also be a CompiledTests. The call then evaluates each of its
-    tests that has not ended through `cache`, on this one bundle, and
-    returns the tests that end on it as (index, outcome) pairs: outcome is
-    False for a test the bundle falsifies, or the message of the EvalError
-    or ExecutionFault that ends it in compiling, binding or evaluating. A
-    test that holds is not listed and stays live.
+    For a CompiledTests the call evaluates each of its tests that has not
+    ended through `cache`, on this one bundle, and returns the tests that
+    end on it as (index, outcome) pairs: outcome is False for a test the
+    bundle falsifies, or the EvalError or ExecutionFault that ends it in
+    compiling, binding or evaluating. A test that holds is not listed and
+    stays live.
+
+    An S.Expr is evaluated as a CompiledTests of that one test, compiled
+    for the bundle's layout: the call returns True when the test holds,
+    False when the bundle falsifies it, and raises the fault that ends it.
     """
     cache = BindCache() if cache is None else cache
     if isinstance(f, CompiledTests):
         return f._evaluate(states, mode, cache)
-    if not isinstance(f, CompiledFormula):
-        f = CompiledFormula(f, states, mode)
-    elif f.mode != mode:
-        raise EvalError(f"formula compiled for {f.mode} mode, evaluated in {mode}")
-    return f._evaluate(states, cache)
+    for _, outcome in CompiledTests((f,))._evaluate(states, mode, cache):
+        if outcome is False:
+            return False
+        raise outcome
+    return True

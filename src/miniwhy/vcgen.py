@@ -935,7 +935,7 @@ def instantiate_on_trace(obset: ObligationSet,
                         obligations[k].id, "fail", "falsified by recorded state", witness)
                 else:
                     results[k] = ObligationTraceResult(
-                        obligations[k].id, "not-instantiable", end)
+                        obligations[k].id, "not-instantiable", str(end))
         verdict, detail = (("pass", f"{len(bundles)} instantiation(s)") if bundles else
                            ("not-instantiable", "no matching snapshots in trace"))
         for k in members:

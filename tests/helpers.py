@@ -14,6 +14,7 @@ from miniwhy.errors import EvalError, ExecutionFault
 from miniwhy.lexer import tokenize
 from miniwhy.parser import _Parser, parse
 from miniwhy.typecheck import CTX_INVARIANT, _Checker, _Scope, typecheck
+from miniwhy.values import coerce_arg
 
 
 def parse_formula(text: str):
@@ -32,13 +33,56 @@ def typed_formula(text: str, var_types: dict, ctx: str = CTX_INVARIANT):
     return out
 
 
+def _labels(states):
+    return (states["Here"], states.get("Old", states.get("Pre")),
+            states.get("LoopEntry"))
+
+
+def reference_formula(f, states, mode):
+    """f compiled alone by `interp.compile_expr`, under a fresh memo, for
+    the layout of bundles shaped like `states` (a slot per name over their
+    states, in sorted order): (closure, name -> (slot, type read or
+    None)). Raises the EvalError of a compile that fails."""
+    names = sorted(set().union(*(d for d in _labels(states) if d is not None)))
+    slots = {n: i for i, n in enumerate(names)}
+    ctx = interp.CompileCtx(slots, mode, S.Memo())
+    try:
+        fn = interp.compile_expr(f, ctx)
+    except RecursionError:
+        raise EvalError("formula nesting too deep to compile") from None
+    return fn, {n: (i, ctx.var_types.get(n)) for n, i in slots.items()}
+
+
+def reference_eval(f, states, mode="rational"):
+    """The truth of f on a state bundle: an independent reference for
+    `interp.eval_formula` on one formula. f is a typed formula, or what
+    reference_formula compiled for the bundle's layout. Here, Old, then
+    LoopEntry is bound, each value the formula reads coerced by
+    `coerce_arg`, so the first value that fails to coerce raises its
+    ExecutionFault; then the closure runs on a frame of the three."""
+    fn, binds = f if isinstance(f, tuple) else reference_formula(f, states, mode)
+    here, old, le = _labels(states)
+
+    def bind(d):
+        if d is None:
+            return None
+        out = [None] * len(binds)
+        for n, v in d.items():
+            i, ty = binds[n]
+            out[i] = v if ty is None else coerce_arg(v, ty, mode)
+        return out
+    frame = interp.Frame(bind(here), None)
+    frame.old = frame.cur if old is here else bind(old)
+    frame.loopentry = bind(le)
+    return bool(fn(frame))
+
+
 def reference_rows(obset, outcome) -> list:
     """(id, verdict, detail, witness) of every obligation of obset on the
     outcome's trace, as trace validation must report them: on the state
     bundles that validation derives, each obligation's test is compiled
-    alone for each state layout, with a fresh memo, and evaluated by
-    `interp.eval_formula` with a fresh cache per bundle, until a bundle
-    falsifies it or a fault ends it."""
+    alone for each state layout by reference_formula and evaluated by
+    reference_eval, until a bundle falsifies it or a fault ends it."""
     index = vcgen._TraceIndex(outcome)
     return [_reference_row(ob, index, outcome.mode) for ob in obset]
 
@@ -59,9 +103,9 @@ def _reference_row(ob, index, mode):
         layout = frozenset(states["Here"]).union(states["Old"])
         try:
             if layout not in compiled:
-                compiled[layout] = interp.CompiledFormula(
+                compiled[layout] = reference_formula(
                     vcgen.validation_formula(ob), states, mode)
-            holds = interp.eval_formula(compiled[layout], states, mode)
+            holds = reference_eval(compiled[layout], states, mode)
         except (EvalError, ExecutionFault) as ex:
             return ob.id, "not-instantiable", str(ex), {}
         evaluated += 1

@@ -17,14 +17,13 @@ from miniwhy import corpus
 from miniwhy import syntax as S
 from miniwhy import interp, vcgen
 from miniwhy.errors import EvalError, ExecutionFault, MiniWhyError
-from miniwhy.interp import (CompiledFormula, CompiledMethod, eval_formula,
-                            exec_method)
+from miniwhy.interp import CompiledMethod, eval_formula, exec_method
 from miniwhy.parser import parse
 from miniwhy.prover import prove_internal
 from miniwhy.typecheck import CTX_ENSURES, typecheck
 from miniwhy.values import value_repr
 
-from helpers import typed_formula
+from helpers import FormulaGen, reference_eval, typed_formula
 
 TRANSLATE = """
 /*@ ensures x == \\old(x) + dx && y == \\old(y) + dy;
@@ -229,7 +228,7 @@ def test_a_unit_that_typechecks_but_is_too_deep_to_compile_is_an_error():
         exec_method(tu, "f", [1])
     f = tu.unit.methods[0].spec.requires
     with pytest.raises(EvalError, match="nesting too deep to compile"):
-        CompiledFormula(f, {"Here": {"x": 1}})
+        eval_formula(f, {"Here": {"x": 1}})
 
 
 def test_a_long_conjunction_compiles_to_one_flat_chain():
@@ -461,9 +460,9 @@ def _expanded(f, bounds, here, old):
     return S.conj(instances)
 
 
-def _outcome(f, states, mode):
+def _outcome(f, states, mode, evaluate=eval_formula):
     try:
-        return eval_formula(f, states, mode)
+        return evaluate(f, states, mode)
     except MiniWhyError as ex:
         return type(ex), str(ex)
 
@@ -689,21 +688,56 @@ def test_a_dividend_is_evaluated_before_its_divisor(mode):
     assert "array index 5 out of bounds 0..0" in out.error
 
 
-def test_compiled_formula_rejects_a_bundle_of_another_layout():
+def test_compiled_tests_compile_again_for_a_bundle_of_another_layout():
     f = typed_formula("x < y", {"x": S.INT, "y": S.INT})
-    cf = CompiledFormula(f, {"Here": {"x": 1, "y": 2}})
-    assert eval_formula(cf, {"Here": {"x": 1, "y": 2}})
-    assert not eval_formula(cf, {"Here": {"y": 1, "x": 2}})
-    for states in ({"Here": {"x": 1}},
-                   {"Here": {"x": 1, "z": 2}},
-                   {"Here": {"x": 1, "y": 2, "z": 3}},
-                   {"Here": {"x": 1, "y": 2}, "Old": {"w": 0}}):
-        with pytest.raises(EvalError, match="differ from the compiled layout"):
-            eval_formula(cf, states)
-    with pytest.raises(EvalError, match="compiled for rational"):
-        eval_formula(cf, {"Here": {"x": 1, "y": 2}}, "binary64")
+    tests = interp.CompiledTests((f,))
+    assert eval_formula(tests, {"Here": {"x": 1, "y": 2}}) == []
+    assert eval_formula(tests, {"Here": {"y": 1, "x": 2}}) == [(0, False)]
+    assert eval_formula(tests, {"Here": {"x": 1, "y": 2, "z": 3}}) == []
+    assert eval_formula(tests, {"Here": {"x": 1, "y": 2}}, "binary64") == []
+    assert len(tests._tries) == 3
     with pytest.raises(EvalError, match="unbound variable 'y'"):
-        CompiledFormula(f, {"Here": {"x": 1, "z": 2}})
+        eval_formula(f, {"Here": {"x": 1, "z": 2}})
+
+
+JUNK = (ExecutionFault, "expected an int argument, got 'junk'")
+
+
+@pytest.mark.parametrize("text, states, want", [
+    ("x > 0", {"Here": {"x": "junk"}}, JUNK),
+    ("x > 0", {"Here": {"x": 1, "y": "junk"}}, True),
+    # both states bind every name read, whichever state reads it
+    ("x > 0", {"Here": {"x": 1}, "Old": {"x": "junk"}}, JUNK),
+    ("\\old(x) > 0", {"Here": {"x": "junk"}, "Old": {"x": 1}}, JUNK),
+    # the prover's bundle for an obligation without symbols
+    ("true", {"Here": {}, "Old": {}}, True),
+])
+def test_a_bare_formula_coerces_what_it_reads_and_keeps_the_fault_class(text, states, want):
+    f = typed_formula(text, {"x": S.INT, "y": S.INT}, CTX_ENSURES)
+    assert _outcome(f, states, "rational") == want
+
+
+def test_bare_evaluation_agrees_with_the_reference():
+    """FormulaGen formulas of every set, in both modes, on a bundle of Here
+    alone, Here with a copy as Old, Here with a junk value, and Here
+    holding binary64 extremes, give the value, or the fault class and
+    text, that the reference evaluator of the tests gives."""
+    seen = set()
+    for reals_only, division in itertools.product((False, True), repeat=2):
+        for seed in range(75):
+            gen = FormulaGen(seed, reals_only, division)
+            f = typed_formula(gen.formula(), gen.vars)
+            here = gen.state()
+            junk = dict(here, **{gen.rng.choice(sorted(here)): "junk"})
+            extreme = dict(here, u=1.7976931348623157e308, v=-5e-324)
+            for mode, states in itertools.product(
+                    ("rational", "binary64"),
+                    ({"Here": here}, {"Here": here, "Old": dict(here)},
+                     {"Here": junk}, {"Here": extreme})):
+                want = _outcome(f, states, mode, reference_eval)
+                assert _outcome(f, states, mode) == want, (f, states, mode)
+                seen.add(want if isinstance(want, bool) else want[0])
+    assert seen == {True, False, ExecutionFault}
 
 
 def test_ghost_variables_visible_to_annotations_only(quickselect_unit):
@@ -871,15 +905,16 @@ def _outcomes(tests, states, mode):
     """Each test's outcome on one bundle, through a fresh cache: True when
     it holds, else False or its fault's message."""
     ended = dict(eval_formula(tests, states, mode))
-    return [ended.get(t, True) for t in range(len(tests.tests))]
+    outcomes = [ended.get(t, True) for t in range(len(tests.tests))]
+    return [v if isinstance(v, bool) else str(v) for v in outcomes]
 
 
 def _bound_reads(trie, t):
     """The slot, type and int shortcut of each name test t reads in a
     trie, or its compile error's message."""
-    for u, message in trie.errors:
+    for u, ex in trie.errors:
         if u == t:
-            return message
+            return str(ex)
     for cls in trie.classes:
         for u, reads in cls.reads:
             if u == t:
@@ -1018,8 +1053,8 @@ def test_every_cache_is_a_declared_field():
 
 
 def test_eval_formula_without_a_cache_reads_nothing_an_earlier_call_stored():
-    """A compiled formula, and compiled tests whose trie reads a closure on
-    two edges through the walk's table, evaluated on one state dict, the
+    """A formula, and compiled tests whose trie reads a closure on two
+    edges through the walk's table, evaluated on one state dict, the
     dict changed in place, then evaluated again: without a cache each call
     binds and tables afresh, so the second verdict is the changed state's."""
     sorts = {"x": S.INT, "y": S.INT}
@@ -1030,7 +1065,7 @@ def test_eval_formula_without_a_cache_reads_nothing_an_earlier_call_stored():
     state = {"x": 1, "y": 0}
     states = {"Here": state}
     tests = interp.CompiledTests((g, g2))
-    for compiled, false, true in ((CompiledFormula(f, states, "rational"), False, True),
+    for compiled, false, true in ((f, False, True),
                                   (tests, [(0, False), (1, False)], [])):
         state.update(x=1, y=0)
         assert eval_formula(compiled, states, "rational") == false

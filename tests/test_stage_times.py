@@ -86,32 +86,53 @@ def _tool():
     return tool
 
 
+def _row(tool, ms):
+    """The vcgen row of one unit's summary over reps of these scaled ms."""
+    reps = [{table: {"u": {s: v for s in tool.STAGES}}
+             for table, v in (("scaled", m / 1e3), ("gc_full", 0), ("gc_s", 0.0))}
+            for m in ms]
+    return tool._summary(reps, ["u"])["vcgen"]["u"]
+
+
 def test_a_ratio_is_unresolved_when_the_iqrs_overlap():
     tool = _tool()
-    # (median, q1, q3, full collections, collector ms, reps)
-    parent = (10.0, 9.5, 10.5, 0, 0.1, 5)
-    assert tool._ratio((10.8, 10.4, 11.2, 0, 0.1, 5), parent) == "1.080~"
-    assert tool._ratio((10.8, 10.6, 11.2, 0, 0.1, 5), parent) == "1.080"
-    assert tool._ratio((9.0, 8.8, 9.5, 0, 0.1, 5), parent) == "0.900~"
-    assert tool._ratio((9.0, 8.8, 9.4, 0, 0.1, 5), parent) == "0.900"
-    assert tool._ratio((1.0, 1.0, 1.0, 0, 0.0, 5), (0.0, 0.0, 0.0, 0, 0.0, 5)) == "nan"
+    # (median, q1, q3, full collections, collector ms, each rep's ms)
+    parent = _row(tool, [10.0, 9.5, 10.25, 9.75, 10.5])
+    assert parent[:3] == (10.0, 9.75, 10.25)
+    # every pair slower, but the medians differ by less than the IQR
+    assert tool._ratio(_row(tool, [10.4, 9.9, 10.6, 10.0, 10.9]), parent) == "1.040~"
+    assert tool._ratio(_row(tool, [10.8, 10.3, 11.0, 10.4, 11.3]), parent) == "1.080"
+    assert tool._ratio(_row(tool, [9.0, 8.6, 9.2, 8.8, 9.4]), parent) == "0.900"
+    # one pair of five the other way round
+    assert tool._ratio(_row(tool, [9.0, 8.6, 10.3, 8.8, 9.4]), parent) == "0.900~"
+    zero = _row(tool, [0.0] * 5)
+    assert tool._ratio(_row(tool, [1.0] * 5), zero) == "nan"
+
+
+def test_a_ratio_whose_pairs_split_is_unresolved():
+    """Six reps of the same code whose IQRs do not overlap, but whose last
+    pair goes the other way: not nine tenths of the pairs agree, so the
+    ratio is `~`."""
+    tool = _tool()
+    this = _row(tool, [10.0, 10.1, 10.2, 10.3, 10.4, 12.0])
+    other = _row(tool, [11.0, 11.1, 11.2, 11.3, 11.4, 10.5])
+    assert this[2] < other[1]                   # the IQRs do not overlap
+    assert abs(this[0] - other[0]) > other[2] - other[1]
+    assert tool._ratio(this, other) == "0.919~"
+    # with that pair in step too, the ratio is resolved
+    this = _row(tool, [10.0, 10.1, 10.2, 10.3, 10.4, 10.45])
+    assert tool._ratio(this, other) == "0.919"
 
 
 def test_a_ratio_over_three_drifting_reps_is_unresolved():
     """Three reps of the same code, the machine slowing between reps, give
     quartiles that do not overlap; with so few reps the ratio is `~`."""
     tool = _tool()
-    units = ["u"]
-
-    def reps(ms):
-        return [{table: {"u": {s: v for s in tool.STAGES}}
-                 for table, v in (("scaled", m / 1e3), ("gc_full", 0), ("gc_s", 0.0))}
-                for m in ms]
-    this = tool._summary(reps([10.0, 10.3, 10.6]), units)["vcgen"]["u"]
-    other = tool._summary(reps([10.9, 11.2, 11.5]), units)["vcgen"]["u"]
+    this = _row(tool, [10.0, 10.3, 10.6])
+    other = _row(tool, [10.9, 11.2, 11.5])
     assert this[2] < other[1]                   # the IQRs do not overlap
     assert tool._ratio(this, other) == "0.920~"
     # the same values with five reps a side are resolved
-    this = tool._summary(reps([10.0, 10.15, 10.3, 10.45, 10.6]), units)["vcgen"]["u"]
-    other = tool._summary(reps([10.9, 11.05, 11.2, 11.35, 11.5]), units)["vcgen"]["u"]
+    this = _row(tool, [10.0, 10.15, 10.3, 10.45, 10.6])
+    other = _row(tool, [10.9, 11.05, 11.2, 11.35, 11.5])
     assert tool._ratio(this, other) == "0.920"

@@ -231,6 +231,31 @@ def test_substitution_reaches_the_size_of_a_new_array():
     assert not rep.failed
 
 
+PARAMETERLESS = """
+/*@ ensures \\result == 3; @*/
+int f() {
+    int i = 0;
+    /*@ loop_invariant 0 <= i && i <= 3;
+      @ loop_variant 3 - i;
+      @*/
+    while (i < 3) { i = i + 1; }
+    return i;
+}
+"""
+
+
+def test_a_method_without_parameters_validates():
+    # the entry state is empty, and the loop's bundles bind Here's havoc
+    # values over it
+    tu = typecheck(parse(PARAMETERLESS))
+    out = run_traced(tu, "f", [])
+    assert [s.state for s in out.trace if s.kind == "entry"] == [{}]
+    obs = generate_obligations(tu)
+    rep = instantiate_on_trace(obs, out)
+    assert [r.verdict for r in rep.results] == ["pass"] * 5
+    assert report_rows(rep) == reference_rows(obs, out)
+
+
 SHORT_CIRCUIT = {
     # a[n] is read only when n < m, so its guard holds under n < m
     "and": ("/*@ requires n >= 0 && m <= \\length(a); ensures true; @*/\n"

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from helpers import reference_rows, report_rows, typed_formula
 from miniwhy import interp, vcgen
 from miniwhy import syntax as S
@@ -145,23 +146,24 @@ def test_hand_built_groups_give_the_verdicts_of_tests_compiled_alone(case):
 @pytest.fixture
 def permut_calls(monkeypatch):
     """Counts the calls of interp._permut made while a state bundle is
-    evaluated through `eval_formula` (vcgen's, or interp's, which the
-    reference calls), each keyed by the bundle and the Permut node
+    evaluated through vcgen's `eval_formula` or the reference's
+    `helpers.reference_eval`, each keyed by the bundle and the Permut node
     evaluated (noted by a wrapper around each Permut closure compiled
     while the fixture lives)."""
     calls = Counter()
     bundle, node = [None], [None]
     pinned = []                 # every bundle seen, so that no id is reused
-    real_eval, real_compile, real_permut = (interp.eval_formula, interp._compile,
-                                            interp._permut)
+    real_compile, real_permut = interp._compile, interp._permut
 
-    def evaluate(f, states, mode, cache=None):
-        bundle[0] = states
-        pinned.append(states)
-        try:
-            return real_eval(f, states, mode, cache=cache)
-        finally:
-            bundle[0] = None
+    def noting(evaluate):
+        def noted(f, states, *args, **kwargs):
+            bundle[0] = states
+            pinned.append(states)
+            try:
+                return evaluate(f, states, *args, **kwargs)
+            finally:
+                bundle[0] = None
+        return noted
 
     def compile_noting_permut(e, ctx, state):
         fn = real_compile(e, ctx, state)
@@ -177,8 +179,8 @@ def permut_calls(monkeypatch):
         if bundle[0] is not None:       # not a runtime check
             calls[id(bundle[0]), id(node[0])] += 1
         return real_permut(a1, a2, lo, hi, line)
-    monkeypatch.setattr(vcgen, "eval_formula", evaluate)
-    monkeypatch.setattr(interp, "eval_formula", evaluate)
+    monkeypatch.setattr(vcgen, "eval_formula", noting(vcgen.eval_formula))
+    monkeypatch.setattr(helpers, "reference_eval", noting(helpers.reference_eval))
     monkeypatch.setattr(interp, "_compile", compile_noting_permut)
     monkeypatch.setattr(interp, "_permut", permut)
     return calls

@@ -10,8 +10,8 @@ import pytest
 from miniwhy import corpus
 from miniwhy import syntax as S
 from miniwhy import prover, vcgen
-from miniwhy.errors import EvalError, VcgenError
-from miniwhy.interp import CompiledFormula, eval_formula, exec_method
+from miniwhy.errors import MiniWhyError, VcgenError
+from miniwhy.interp import eval_formula, exec_method
 from miniwhy.parser import parse
 from miniwhy.printer import expr_to_str
 from miniwhy.prover import prove_internal
@@ -20,8 +20,9 @@ from miniwhy.typecheck import CTX_ENSURES, typecheck
 from miniwhy.vcgen import (Obligation, ObligationSet, Origin,
                            generate_obligations, instantiate_on_trace, wp)
 
-from helpers import (ProgramGen, nested_variants, report_rows,
-                     sequential_branches, typed_formula)
+from helpers import (ProgramGen, nested_variants, reference_eval,
+                     reference_formula, report_rows, sequential_branches,
+                     typed_formula)
 
 TRANSLATE = """
 /*@ ensures x == \\old(x) + dx && y == \\old(y) + dy;
@@ -441,21 +442,25 @@ def _traced_runs(quickselect_unit, sqrt_unit, seed):
     return out
 
 
-def _outcome(fn, *args, **kwargs):
+def _fault(ex) -> str:
+    return f"{type(ex).__name__}: {ex}"
+
+
+def _outcome(fn, *args):
     try:
-        return fn(*args, **kwargs)
-    except EvalError as ex:
-        return f"EvalError: {ex}"
+        return fn(*args)
+    except MiniWhyError as ex:
+        return _fault(ex)
 
 
 def test_compiled_validation_formula_agrees_with_bare_evaluation(
         quickselect_unit, sqrt_unit, monkeypatch):
     """For every instantiation trace validation makes, the group call gives
-    each live test the outcome that eval_formula gives on the test's bare
-    expression, compiled and bound afresh: a test that holds stays live, a
-    false one ends with False, and one that raises EvalError (in compiling
-    or evaluating) ends with its message. A test that ended is not
-    evaluated again in the call."""
+    each live test the outcome that the tests' reference evaluator gives
+    on the test alone, compiled and bound afresh: a test that holds stays
+    live, a false one ends with False, and one that faults (in compiling
+    or evaluating) ends with that fault, of the same class and text. A
+    test that ended is not evaluated again in the call."""
     evaluate = vcgen.eval_formula
     ended = {}                  # (cache, group) -> tests ended in the call
     seen = Counter()
@@ -467,10 +472,10 @@ def test_compiled_validation_formula_agrees_with_bare_evaluation(
         for t, f in enumerate(tests.tests):
             if t in done:
                 continue
-            bare = _outcome(evaluate, f, states, mode)
+            bare = _outcome(reference_eval, f, states, mode)
             if isinstance(bare, str):
-                assert got[t] == bare[len("EvalError: "):]
-                compiles = not isinstance(_outcome(CompiledFormula, f, states, mode), str)
+                assert _fault(got[t]) == bare
+                compiles = not isinstance(_outcome(reference_formula, f, states, mode), str)
                 seen["error" if compiles else "compile error"] += 1
             else:
                 assert got.get(t, True) is bare

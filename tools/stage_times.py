@@ -52,11 +52,13 @@ units that ran the stage), the median and interquartile range over the
 reps of the scaled times in ms, then the medians over the reps of the full
 collections per pass (`gc2`) and of the collector's ms (`gc ms`); with
 --against the same for the other checkout, and the ratio of this
-checkout's median time to the other's. A ratio marked `~` is unresolved:
-the two checkouts' IQRs overlap, or either side has fewer than MIN_REPS
-reps: stages whose code did not change move by several percent from run to
-run, and the quartiles of three reps sit between their values, so such a
-ratio tells no difference.
+checkout's median time to the other's. Rep i of one checkout and rep i of
+the other run one after the other, so they form a pair. A ratio is
+resolved only when the same checkout is faster in at least nine tenths of
+the pairs, the medians differ by more than the other checkout's IQR, and
+each side has MIN_REPS or more reps; otherwise it is marked `~`. Stages
+whose code did not change move by several percent from run to run, so
+their IQRs may part by chance while their pairs split.
 After a blank line, a second table gives the counts per pass of the trace
 stages of each traced unit, for each checkout.
 """
@@ -312,10 +314,10 @@ def _units(stage, units) -> list:
 
 def _summary(reps: list, units) -> dict:
     """{stage: {unit or 'corpus': (median, q1, q3, full collections,
-    collector ms, reps)}}: the median and quartiles of the scaled ms, the
+    collector ms, values)}}: the median and quartiles of the scaled ms, the
     medians of the full collections per pass and of the collector's ms, and
-    the number of reps, the corpus row summing the units that ran the
-    stage."""
+    each rep's scaled ms in rep order, the corpus row summing the units
+    that ran the stage."""
     out = {}
     for s in STAGES:
         out[s] = {}
@@ -331,18 +333,24 @@ def _summary(reps: list, units) -> dict:
                 q1 = q3 = vals[0]
             out[s][u] = (statistics.median(vals), q1, q3,
                          statistics.median(per_rep("gc_full")),
-                         statistics.median(per_rep("gc_s", 1e3)), len(reps))
+                         statistics.median(per_rep("gc_s", 1e3)), vals)
     return out
 
 
 def _ratio(row, other) -> str:
-    """The ratio column: row's median over other's, marked `~` when the
-    two rows' IQRs overlap or either has fewer than MIN_REPS reps."""
+    """The ratio column: row's median over other's, marked `~` unless the
+    side with the lower median is faster in at least nine tenths of the
+    pairs of rep i of each side, the medians differ by more than other's
+    IQR and each side has MIN_REPS or more reps."""
     if not other[0]:
         return "nan"
-    overlap = row[1] <= other[2] and other[1] <= row[2]
-    unresolved = overlap or min(row[5], other[5]) < MIN_REPS
-    return f"{row[0] / other[0]:.3f}" + ("~" if unresolved else "")
+    pairs = list(zip(row[5], other[5]))
+    lower = row[0] < other[0]           # whether row's median is the lower
+    faster = sum(a < b if lower else a > b for a, b in pairs)
+    resolved = (10 * faster >= 9 * len(pairs)
+                and abs(row[0] - other[0]) > other[2] - other[1]
+                and min(len(row[5]), len(other[5])) >= MIN_REPS)
+    return f"{row[0] / other[0]:.3f}" + ("" if resolved else "~")
 
 
 def main(argv=None) -> int:
